@@ -274,6 +274,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _load_prefixes(path) -> tuple[list[JourneyPrefix], list[str]]:
     prefixes = []
     ids = []
@@ -286,11 +290,13 @@ def _load_prefixes(path) -> tuple[list[JourneyPrefix], list[str]]:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CliError(f"{path}:{line_no}: bad prefix record: {exc.msg}") from exc
-            if "keywords" not in raw:
-                raise CliError(f"{path}:{line_no}: prefix record needs 'keywords'")
-            prefixes.append(
-                JourneyPrefix(raw["keywords"], tuple(raw.get("pages", ())))
-            )
+            if not isinstance(raw, dict):
+                raise CliError(f"{path}:{line_no}: a prefix record must be a JSON object")
+            if not isinstance(raw.get("keywords"), str):
+                raise CliError(f"{path}:{line_no}: prefix record needs 'keywords' text")
+            if not _is_str_list(raw.get("pages", [])):
+                raise CliError(f"{path}:{line_no}: prefix 'pages' must be a list of page names")
+            prefixes.append(JourneyPrefix(raw["keywords"], tuple(raw.get("pages", ()))))
             ids.append(str(raw.get("prefix_id", f"p{line_no - 1:04d}")))
     if not prefixes:
         raise CliError(f"{path}: no prefix records")
@@ -299,13 +305,18 @@ def _load_prefixes(path) -> tuple[list[JourneyPrefix], list[str]]:
 
 def _load_objectives(path) -> list[Objective]:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{path}: bad objectives file: {exc.msg}") from exc
     if not isinstance(raw, list) or not raw:
         raise CliError(f"{path}: expected a non-empty JSON array of objectives")
     objectives = []
     for i, entry in enumerate(raw):
-        if "id" not in entry or "pages" not in entry:
-            raise CliError(f"{path}: objective {i} needs 'id' and 'pages'")
+        if not isinstance(entry, dict) or "id" not in entry or "pages" not in entry:
+            raise CliError(f"{path}: objective {i} must be an object with 'id' and 'pages'")
+        if not _is_str_list(entry["pages"]):
+            raise CliError(f"{path}: objective {i} 'pages' must be a list of page names")
         objectives.append(Objective(str(entry["id"]), frozenset(entry["pages"])))
     return objectives
 

@@ -49,5 +49,13 @@ class CapacityError(JourneynetError, RuntimeError):
     """An exact computation would exceed its configured work budget."""
 
 
+class CheckpointError(JourneynetError, ValueError):
+    """A checkpoint file is not JSON or not a checkpoint format this version reads."""
+
+
+class ObjectiveError(JourneynetError, ValueError):
+    """An objective is empty, targets the NULL page, or names a page outside the vocabulary."""
+
+
 class CliError(JourneynetError, ValueError):
     """Bad command-line or config-file input."""

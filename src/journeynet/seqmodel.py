@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import ShapeError
+from .errors import CheckpointError, ShapeError
 from .journeydata import PageVocabulary, Session, replicate_dwell
 from .numerics import Matrix
 from .textenc import DEFAULT_ALPHABET, Alphabet, CnnEncoder
@@ -326,11 +326,20 @@ class SequenceModel:
             dist = self.head(h)
         return state, dist.data[0].copy()
 
-    def step(self, state: LstmState, page_index: int) -> tuple[LstmState, np.ndarray]:
-        """Feed one sampled page in; return (new state, next distribution)."""
-        phrase = self.vocab.decode(page_index)
-        h, state = self.cell_steps(self._embed_cached(phrase), state)
-        return state, self.head(h).data[0].copy()
+    def step(self, state: LstmState, rows, pages) -> tuple[LstmState, np.ndarray]:
+        """Feed page `pages[j]` to row `rows[j]` of `state`, for every j at once.
+
+        Returns (new B-row state, B x N next-page distributions), B = len(pages);
+        `state` is left untouched, so one state can branch into several futures.
+        """
+        x = nm.take_rows(self._page_table(), pages)
+        prev = LstmState([(nm.take_rows(h, rows), nm.take_rows(c, rows)) for h, c in state.layers])
+        h, state = self.cell_steps(x, prev)
+        return state, self.head(h).data
+
+    def _page_table(self) -> Matrix:
+        """V x E embeddings of every page class, row i for class i, from the embed cache."""
+        return nm.vstack([self._embed_cached(name) for name in self.vocab.page_names])
 
 
 def predict_next(model, prefix) -> np.ndarray:
@@ -394,7 +403,7 @@ def model_from_dict(d: dict) -> SequenceModel:
     weights = d["weights"]
     for name, p in model.parameters():
         if name not in weights:
-            raise ValueError(f"checkpoint is missing weights for {name!r}")
+            raise CheckpointError(f"checkpoint is missing weights for {name!r}")
         arr = _decode_array(weights[name])
         if tuple(arr.shape) != p.shape:
             raise ShapeError(
@@ -416,11 +425,22 @@ def save_model(model: SequenceModel, path) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> SequenceModel:
+def read_checkpoint(path) -> dict:
+    """The JSON object stored in a checkpoint file, of any checkpoint format."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CheckpointError(f"{path}: not a JSON checkpoint ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{path}: a checkpoint must be a JSON object")
+    return payload
+
+
+def load_model(path) -> SequenceModel:
+    payload = read_checkpoint(path)
     if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a model checkpoint")
+        raise CheckpointError(f"{path}: not a model checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {payload.get('version')}")
     return model_from_dict(payload["model"])

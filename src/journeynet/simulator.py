@@ -3,19 +3,27 @@
 A predictor is anything with:
 
     vocab                      -> PageVocabulary
-    start(prefix)              -> (state, distribution over all classes)
-    step(state, page_index)    -> (new state, next distribution)
+    start(prefix)              -> (1-row state, distribution over all classes)
+    step(state, rows, pages)   -> (B-row state, B x classes distributions)
 
-`step` must not mutate `state`, so one state can branch into several
-futures; trained models and ensembles both satisfy this.  Rollouts sample a
-page from each successive distribution and feed it back in until the NULL
-page or the horizon; conversion probability is the fraction of rollouts that
-touch any objective page.  For small instances an exact depth-first path
-enumeration serves as the correctness oracle.
+Row j of `step`'s result continues row `rows[j]` of `state` after feeding
+page index `pages[j]`.  `step` must not mutate `state`, so one state can
+branch into several futures; trained models and ensembles both satisfy this.
+
+Rollouts of one prefix advance together: every live rollout is one row of a
+batched `step`, each samples its next page from its row of the result, and
+rows leave the batch at the NULL page.  A rollout ends at the NULL page or
+the horizon; conversion probability for an objective is the fraction of
+rollouts that touch any of its pages.  For small instances an exact
+depth-first path enumeration serves as the correctness oracle.
 
 Randomness is counter-based: rollout i of prefix k draws from the stream
 keyed (seed, prefix k) at block offset i, so estimates do not depend on how
-samples are scheduled across workers.
+samples are scheduled across workers.  Rollouts are batched in chunks of
+CHUNK samples of one prefix, never across prefixes, and run to NULL or the
+horizon whatever the objectives.  Chunk composition therefore depends only on
+(seed, prefix index, n_samples), so a batch cell, a standalone estimate and
+any worker count see the same batches and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -27,11 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .errors import CapacityError
+from .errors import CapacityError, ObjectiveError
 from .journeydata import NULL_PAGE, UNKNOWN_PAGE, PageVocabulary
 
 TERMINATED_NULL = "null_page"
 TERMINATED_HORIZON = "horizon"
+
+# rollouts of one prefix stepped together; part of the determinism contract
+CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -55,9 +66,9 @@ class Objective:
     def __post_init__(self):
         object.__setattr__(self, "target_pages", frozenset(self.target_pages))
         if not self.target_pages:
-            raise ValueError("objective needs at least one target page")
+            raise ObjectiveError("objective needs at least one target page")
         if NULL_PAGE in self.target_pages:
-            raise ValueError("the NULL page cannot be a conversion target")
+            raise ObjectiveError("the NULL page cannot be a conversion target")
 
 
 @dataclass(frozen=True)
@@ -85,7 +96,7 @@ def _target_indices(objective: Objective, vocab: PageVocabulary) -> frozenset[in
     for name in objective.target_pages:
         idx = vocab.encode(name)
         if idx == vocab.unknown_index and name != UNKNOWN_PAGE:
-            raise ValueError(
+            raise ObjectiveError(
                 f"objective {objective.objective_id!r}: page {name!r} is not in the vocabulary"
             )
         indices.add(idx)
@@ -96,21 +107,30 @@ def _prefix_hit(prefix: JourneyPrefix, objective: Objective) -> bool:
     return any(p in objective.target_pages for p in prefix.pages)
 
 
-def _sample(dist: np.ndarray, u: float) -> int:
-    cdf = np.cumsum(dist)
-    return min(int(np.searchsorted(cdf, u, side="right")), len(dist) - 1)
+def _sample_paths(predictor, state, dist, uniforms: np.ndarray, null_index: int) -> np.ndarray:
+    """Roll out one chunk from (state, dist); row i of `uniforms` drives sample i.
 
-
-def _walk(predictor, state, dist, uniforms, null_index: int) -> list[int]:
-    """Sample one continuation; returns class indices, NULL (if hit) last."""
-    pages = []
-    for u in uniforms:
-        idx = _sample(dist, float(u))
-        pages.append(idx)
-        if idx == null_index:
+    Sample i takes class min(#{c : cdf[c] <= u}, N - 1) at each step, the
+    index searchsorted(cdf, u, side="right") gives, clamped.  Returns an
+    n x horizon array of class indices, with -1 after a path's NULL page.
+    """
+    n, horizon = uniforms.shape
+    paths = np.full((n, horizon), -1, dtype=np.intp)
+    cdf = np.cumsum(np.atleast_2d(dist), axis=1)
+    last = cdf.shape[1] - 1
+    live = np.arange(n)  # sample index of each live rollout
+    rows = np.zeros(n, dtype=np.intp)  # its row of `cdf` and `state`
+    for t in range(horizon):
+        idx = np.minimum((cdf[rows] <= uniforms[live, t, None]).sum(axis=1), last)
+        paths[live, t] = idx
+        going = idx != null_index
+        if t + 1 == horizon or not going.any():
             break
-        state, dist = predictor.step(state, idx)
-    return pages
+        live = live[going]
+        state, dist = predictor.step(state, rows[going], idx[going])
+        cdf = np.cumsum(dist, axis=1)
+        rows = np.arange(live.size)
+    return paths
 
 
 def rollout(predictor, prefix: JourneyPrefix, horizon: int, rng: np.random.Generator) -> SimulatedJourney:
@@ -119,28 +139,73 @@ def rollout(predictor, prefix: JourneyPrefix, horizon: int, rng: np.random.Gener
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     vocab = predictor.vocab
     state, dist = predictor.start(prefix)
-    indices = _walk(predictor, state, dist, rng.random(horizon), vocab.null_index)
-    reason = TERMINATED_NULL if indices and indices[-1] == vocab.null_index else TERMINATED_HORIZON
+    path = _sample_paths(predictor, state, dist, rng.random((1, horizon)), vocab.null_index)[0]
+    indices = path[path >= 0]
+    reason = TERMINATED_NULL if indices[-1] == vocab.null_index else TERMINATED_HORIZON
     return SimulatedJourney(
         prefix=prefix,
-        pages=tuple(vocab.decode(i) for i in indices),
+        pages=tuple(vocab.decode(int(i)) for i in indices),
         reason=reason,
     )
 
 
-def _rollout_uniform_chunks(seed_parts, n_samples: int, horizon: int, first: int = 0):
-    """Yield (sample_offset, uniforms[chunk, horizon]) with per-sample alignment.
+def _simulate(predictor, prefix: JourneyPrefix, seed_parts, n_samples: int, horizon: int):
+    """Yield the sampled paths (see _sample_paths) of `n_samples` rollouts, chunk by chunk.
 
-    Sample i always reads the same stream positions (blocks i * stride ..)
-    regardless of chunking, which keeps estimates scheduling-independent.
+    Sample i always reads the same stream positions (blocks i * stride ..),
+    and chunk k always holds samples k * CHUNK .. of this prefix alone.
     """
     stride = rngmod.blocks_for(horizon)
-    chunk = 4096
-    for a in range(first, first + n_samples, chunk):
-        b = min(a + chunk, first + n_samples)
+    state0, dist0 = predictor.start(prefix)
+    for a in range(0, n_samples, CHUNK):
+        b = min(a + CHUNK, n_samples)
         gen = rngmod.stream_at(seed_parts, a * stride)
         us = gen.random((b - a) * stride * rngmod.BLOCK).reshape(b - a, stride * rngmod.BLOCK)
-        yield a, us[:, :horizon]
+        yield _sample_paths(predictor, state0, dist0, us[:, :horizon], predictor.vocab.null_index)
+
+
+def _check_sampling(n_samples: int, horizon: int) -> None:
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+
+
+def _estimate_prefix(
+    predictor,
+    prefix: JourneyPrefix,
+    objectives: list[Objective],
+    n_samples: int,
+    horizon: int,
+    seed: int,
+    prefix_index: int,
+) -> list[ConversionEstimate]:
+    """Conversion estimates of one prefix for every objective, from one simulation.
+
+    Objectives the prefix already reached convert every sample; the others
+    count the sampled paths that touch one of their pages.  The prefix is
+    simulated only when some objective is still open.
+    """
+    targets = [sorted(_target_indices(o, predictor.vocab)) for o in objectives]
+    hits = [n_samples if _prefix_hit(prefix, o) else 0 for o in objectives]
+    open_ = [j for j, o in enumerate(objectives) if not _prefix_hit(prefix, o)]
+    if open_:
+        for paths in _simulate(predictor, prefix, (seed, "conversion", prefix_index), n_samples, horizon):
+            for j in open_:
+                hits[j] += int(np.isin(paths, targets[j]).any(axis=1).sum())
+    estimates = []
+    for objective, h in zip(objectives, hits):
+        p = h / n_samples
+        estimates.append(
+            ConversionEstimate(
+                probability=p,
+                std_error=float(np.sqrt(p * (1.0 - p) / n_samples)),
+                n_samples=n_samples,
+                horizon=horizon,
+                objective_id=objective.objective_id,
+            )
+        )
+    return estimates
 
 
 def estimate_conversion(
@@ -158,30 +223,8 @@ def estimate_conversion(
     sampled continuation.  `prefix_index` selects the sub-stream, so a batch
     cell and a standalone call with the same index agree exactly.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    vocab = predictor.vocab
-    targets = _target_indices(objective, vocab)
-    if _prefix_hit(prefix, objective):
-        return ConversionEstimate(1.0, 0.0, n_samples, horizon, objective.objective_id)
-    state0, dist0 = predictor.start(prefix)
-    null_index = vocab.null_index
-    hits = 0
-    for _, uniforms in _rollout_uniform_chunks((seed, "conversion", prefix_index), n_samples, horizon):
-        for row in uniforms:
-            indices = _walk(predictor, state0, dist0, row, null_index)
-            if any(i in targets for i in indices):
-                hits += 1
-    p = hits / n_samples
-    return ConversionEstimate(
-        probability=p,
-        std_error=float(np.sqrt(p * (1.0 - p) / n_samples)),
-        n_samples=n_samples,
-        horizon=horizon,
-        objective_id=objective.objective_id,
-    )
+    _check_sampling(n_samples, horizon)
+    return _estimate_prefix(predictor, prefix, [objective], n_samples, horizon, seed, prefix_index)[0]
 
 
 def step_distribution(
@@ -200,14 +243,10 @@ def step_distribution(
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     vocab = predictor.vocab
-    state0, dist0 = predictor.start(prefix)
-    null_index = vocab.null_index
     counts = np.zeros(len(vocab))
-    for _, uniforms in _rollout_uniform_chunks((seed, "step-dist"), n_samples, t):
-        for row in uniforms:
-            indices = _walk(predictor, state0, dist0, row, null_index)
-            idx = indices[t - 1] if len(indices) >= t else null_index
-            counts[idx] += 1
+    for paths in _simulate(predictor, prefix, (seed, "step-dist"), n_samples, t):
+        pages = paths[:, t - 1]
+        counts += np.bincount(np.where(pages < 0, vocab.null_index, pages), minlength=len(vocab))
     return counts / n_samples
 
 
@@ -259,13 +298,15 @@ def conversion_path_mass(
     null_index = vocab.null_index
     hit = missed = pruned = 0.0
     nodes = 0
+    # a node is row `row` of a batched state; its children are expanded together
     state0, dist0 = predictor.start(prefix)
-    stack = [(state0, dist0, 1.0, 0)]
+    stack = [(state0, 0, dist0, 1.0, 0)]
     while stack:
-        state, dist, path_p, depth = stack.pop()
+        state, row, dist, path_p, depth = stack.pop()
         nodes += 1
         if nodes > max_nodes:
             raise CapacityError(f"path enumeration exceeded {max_nodes} nodes")
+        children, masses = [], []
         for idx, p in enumerate(dist):
             if p <= 0.0:
                 continue
@@ -279,8 +320,12 @@ def conversion_path_mass(
             elif q < prune_tol:
                 pruned += q
             else:
-                child_state, child_dist = predictor.step(state, idx)
-                stack.append((child_state, child_dist, q, depth + 1))
+                children.append(idx)
+                masses.append(q)
+        if children:
+            child_state, child_dists = predictor.step(state, np.full(len(children), row), children)
+            for j, q in enumerate(masses):
+                stack.append((child_state, j, child_dists[j], q, depth + 1))
     return PathMass(hit, missed, pruned, nodes)
 
 
@@ -318,12 +363,9 @@ def _init_worker(predictor):
     _worker_predictor = predictor
 
 
-def _score_cell(args):
-    i, prefix, objective, n_samples, horizon, seed = args
-    est = estimate_conversion(
-        _worker_predictor, prefix, objective, n_samples, horizon, seed, prefix_index=i
-    )
-    return est
+def _score_prefix(args):
+    i, prefix, objectives, n_samples, horizon, seed = args
+    return _estimate_prefix(_worker_predictor, prefix, objectives, n_samples, horizon, seed, i)
 
 
 def score_batch(
@@ -338,9 +380,10 @@ def score_batch(
 ) -> list[ScoreRow]:
     """Score every prefix against every objective, prefix-major row order.
 
-    Each (prefix, objective) cell uses the sub-stream keyed by its prefix
-    index, so results are identical for any `workers` value and match
-    standalone estimate_conversion calls with the same `prefix_index`.
+    Each prefix is simulated once, from the sub-stream keyed by its index,
+    and all objectives are scored from the same rollouts.  The unit of work
+    is one prefix, so results are identical for any `workers` value and
+    match standalone estimate_conversion calls with the same `prefix_index`.
     """
     if not prefixes or not objectives:
         raise ValueError("score_batch needs at least one prefix and one objective")
@@ -348,32 +391,30 @@ def score_batch(
         prefix_ids = [f"p{i:04d}" for i in range(len(prefixes))]
     if len(prefix_ids) != len(prefixes):
         raise ValueError("prefix_ids length must match prefixes")
-    cells = [
-        (i, prefix, objective, n_samples, horizon, seed)
-        for i, prefix in enumerate(prefixes)
-        for objective in objectives
-    ]
+    _check_sampling(n_samples, horizon)
+    for objective in objectives:  # reject unknown pages before any simulation
+        _target_indices(objective, predictor.vocab)
+    units = [(i, prefix, objectives, n_samples, horizon, seed) for i, prefix in enumerate(prefixes)]
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(predictor,)
         ) as pool:
-            estimates = list(pool.map(_score_cell, cells, chunksize=8))
+            per_prefix = list(pool.map(_score_prefix, units))
     else:
         _init_worker(predictor)
-        estimates = [_score_cell(c) for c in cells]
-    rows = []
-    for (i, _, objective, _, _, _), est in zip(cells, estimates):
-        rows.append(
-            ScoreRow(
-                prefix_id=prefix_ids[i],
-                objective_id=objective.objective_id,
-                probability=est.probability,
-                std_error=est.std_error,
-                n_samples=est.n_samples,
-                horizon=est.horizon,
-            )
+        per_prefix = [_score_prefix(u) for u in units]
+    return [
+        ScoreRow(
+            prefix_id=prefix_id,
+            objective_id=est.objective_id,
+            probability=est.probability,
+            std_error=est.std_error,
+            n_samples=est.n_samples,
+            horizon=est.horizon,
         )
-    return rows
+        for prefix_id, estimates in zip(prefix_ids, per_prefix)
+        for est in estimates
+    ]
 
 
 def write_scores_csv(rows: list[ScoreRow], path) -> None:

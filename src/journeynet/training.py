@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import rng as rngmod
-from .errors import TrainingError
+from .errors import CheckpointError, TrainingError
 from .journeydata import PageVocabulary, expand_session
 from .seqmodel import (
     CHECKPOINT_FORMAT,
@@ -27,6 +27,7 @@ from .seqmodel import (
     SequenceModel,
     model_from_dict,
     model_to_dict,
+    read_checkpoint,
 )
 from .textenc import DEFAULT_ALPHABET
 
@@ -322,11 +323,11 @@ class Ensemble:
             dists.append(dist)
         return states, np.mean(dists, axis=0)
 
-    def step(self, states, page_index: int):
+    def step(self, states, rows, pages):
         new_states = []
         dists = []
         for m, state in zip(self.models, states):
-            state, dist = m.step(state, page_index)
+            state, dist = m.step(state, rows, pages)
             new_states.append(state)
             dists.append(dist)
         return new_states, np.mean(dists, axis=0)
@@ -380,20 +381,18 @@ def save_ensemble(ensemble: Ensemble, path) -> None:
 
 
 def load_ensemble(path) -> Ensemble:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_checkpoint(path)
     if payload.get("format") != ENSEMBLE_FORMAT:
-        raise ValueError(f"{path}: not an ensemble checkpoint")
+        raise CheckpointError(f"{path}: not an ensemble checkpoint")
     return Ensemble([model_from_dict(d) for d in payload["members"]])
 
 
 def load_predictor(path):
     """Load either a single-model or an ensemble checkpoint."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_checkpoint(path)
     fmt = payload.get("format")
     if fmt == CHECKPOINT_FORMAT:
         return model_from_dict(payload["model"])
     if fmt == ENSEMBLE_FORMAT:
         return Ensemble([model_from_dict(d) for d in payload["members"]])
-    raise ValueError(f"{path}: unrecognised checkpoint format {fmt!r}")
+    raise CheckpointError(f"{path}: unrecognised checkpoint format {fmt!r}")

@@ -257,3 +257,97 @@ def test_missing_input_is_a_clean_error(tmp_path, capsys):
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_score_workers_do_not_change_scores_csv(pipeline, tmp_path):
+    out, _ = pipeline
+    prefixes = tmp_path / "p.jsonl"
+    prefixes.write_text(
+        '{"keywords": "car insurance", "pages": ["home"]}\n'
+        '{"keywords": "quote online", "pages": []}\n'
+        '{"keywords": "car insurance", "pages": ["home", "quote"]}\n'
+    )
+    objectives = tmp_path / "o.json"
+    objectives.write_text('[{"id": "c", "pages": ["confirm"]}, {"id": "q", "pages": ["quote"]}]')
+    blobs = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"scores_w{workers}.csv"
+        assert main([
+            "score", "--model", str(out / "model.ckpt"),
+            "--prefixes", str(prefixes), "--objectives", str(objectives),
+            "--n-samples", "300", "--horizon", "10", "--seed", "8",
+            "--workers", workers, "--out", str(path),
+        ]) == 0
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def _score_exit(pipeline, tmp_path, model=None, prefixes=None, objectives=None):
+    out, _ = pipeline
+    if prefixes is None:
+        prefixes = '{"keywords": "car insurance", "pages": ["home"]}\n'
+    if objectives is None:
+        objectives = '[{"id": "c", "pages": ["confirm"]}]'
+    (tmp_path / "p.jsonl").write_text(prefixes)
+    (tmp_path / "o.json").write_text(objectives)
+    return main([
+        "score", "--model", str(model or out / "model.ckpt"),
+        "--prefixes", str(tmp_path / "p.jsonl"), "--objectives", str(tmp_path / "o.json"),
+        "--n-samples", "20", "--horizon", "5", "--out", str(tmp_path / "s.csv"),
+    ])
+
+
+def test_score_non_json_checkpoint_is_a_clean_error(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "broken.ckpt"
+    ckpt.write_text("this is not json\n")
+    assert _score_exit(pipeline, tmp_path, model=ckpt) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_score_unknown_checkpoint_format_is_a_clean_error(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "other.ckpt"
+    ckpt.write_text('{"format": "something-else"}')
+    assert _score_exit(pipeline, tmp_path, model=ckpt) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_score_objective_outside_vocabulary_is_a_clean_error(pipeline, tmp_path, capsys):
+    code = _score_exit(pipeline, tmp_path, objectives='[{"id": "x", "pages": ["not-there"]}]')
+    assert code == 1
+    assert "not-there" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record", [
+    '{"keywords": "kw", "pages": "home"}',
+    '{"keywords": "kw", "pages": [1, 2]}',
+    '{"keywords": 7, "pages": ["home"]}',
+    '["kw", "home"]',
+    '"keywords"',
+    '12',
+])
+def test_bad_prefix_records_rejected(tmp_path, record):
+    from journeynet.cli import _load_prefixes
+    from journeynet.errors import CliError
+
+    path = tmp_path / "p.jsonl"
+    path.write_text(record + "\n")
+    with pytest.raises(CliError, match=":1:"):
+        _load_prefixes(path)
+
+
+@pytest.mark.parametrize("text", [
+    '[{"id": "c", "pages": "confirm"}]',
+    '[{"id": "c", "pages": [3]}]',
+    '["idpages"]',
+    '[7]',
+    'not json',
+])
+def test_bad_objectives_rejected(tmp_path, text):
+    from journeynet.cli import _load_objectives
+    from journeynet.errors import CliError
+
+    path = tmp_path / "o.json"
+    path.write_text(text)
+    with pytest.raises(CliError):
+        _load_objectives(path)
+

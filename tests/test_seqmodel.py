@@ -270,10 +270,11 @@ def test_predict_next_is_last_forward_step():
 def test_start_step_matches_forward_session():
     model = toy_model(seed=13)
     state, dist = model.start(Prefix("kw", ("a",)))
-    state, dist2 = model.step(state, model.vocab.encode("b"))
+    state, dist2 = model.step(state, [0], [model.vocab.encode("b")])
     full = model.forward_session(["kw", "a", "b"])
     assert np.array_equal(dist, full[1].probs)
-    assert np.array_equal(dist2, full[2].probs)
+    assert dist2.shape == (1, model.n_classes)
+    assert np.array_equal(dist2[0], full[2].probs)
 
 
 def test_extending_prefix_changes_distribution():
@@ -288,9 +289,9 @@ def test_state_size_constant_over_long_sequences():
     state, _ = model.start(Prefix("kw", ()))
     shapes = [(h.shape, c.shape) for h, c in state.layers]
     for _ in range(40):
-        state, dist = model.step(state, model.vocab.encode("a"))
+        state, dist = model.step(state, [0], [model.vocab.encode("a")])
         assert [(h.shape, c.shape) for h, c in state.layers] == shapes
-        assert dist.shape == (model.n_classes,)
+        assert dist.shape == (1, model.n_classes)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from journeynet.errors import CapacityError
-from journeynet.journeydata import NULL_PAGE, PageVocabulary
+from journeynet.journeydata import NULL_PAGE, PageVocabulary, build_vocab, generate_synthetic
 from journeynet.rng import stream, stream_at, blocks_for
 from journeynet.simulator import (
+    CHUNK,
     ConversionEstimate,
     JourneyPrefix,
     Objective,
@@ -18,6 +19,8 @@ from journeynet.simulator import (
     step_distribution,
     write_scores_csv,
 )
+from journeynet.training import TrainConfig, train
+from toychains import funnel_chain
 
 
 class MarkovPredictor:
@@ -27,15 +30,22 @@ class MarkovPredictor:
         self.vocab = vocab
         self.start_dist = np.asarray(start_dist, dtype=float)
         self.rows = {k: np.asarray(v, dtype=float) for k, v in rows.items()}
+        self.table = np.zeros((len(vocab), len(self.start_dist)))
+        for k, v in self.rows.items():
+            self.table[k] = v
 
     def start(self, prefix):
         if prefix.pages:
             idx = self.vocab.encode(prefix.pages[-1])
-            return idx, self.rows[idx].copy()
-        return -1, self.start_dist.copy()
+            return np.array([idx]), self.rows[idx].copy()
+        return np.array([-1]), self.start_dist.copy()
 
-    def step(self, state, page_index):
-        return page_index, self.rows[page_index].copy()
+    def step(self, state, rows, pages):
+        pages = np.asarray(pages)
+        missing = set(pages.tolist()) - self.rows.keys()
+        if missing:
+            raise KeyError(f"no transition row for pages {sorted(missing)}")
+        return pages, self.table[pages]
 
 
 def abc_vocab():
@@ -360,3 +370,59 @@ def test_rollout_streams_align_with_chunked_uniforms():
     for i in range(8):
         solo = stream_at(key, i * stride).random(horizon)
         assert np.array_equal(bulk[i], solo)
+
+
+# ---------------------------------------------------------------------------
+# batched engine on a trained model (real GEMMs, so batch shapes matter)
+
+
+@pytest.fixture(scope="module")
+def funnel_model():
+    sessions = generate_synthetic(funnel_chain(), 300, seed=4)
+    config = TrainConfig(
+        epochs=2, batch_size=32, dropout_rate=0.0, seed=4, max_len=16,
+        conv_stages=((3, 4, 4),), lstm_hidden=(12, 8), fc_width=12,
+    )
+    model, _ = train(sessions, config, build_vocab(sessions, min_freq=2))
+    return model
+
+
+def test_batched_step_matches_one_row_steps(funnel_model):
+    model = funnel_model
+    enc = model.vocab.encode
+    state1, _ = model.start(JourneyPrefix("car insurance quotes online", ("landing",)))
+    firsts = [enc("form_car"), enc("form_driver"), enc("price")]
+    state3, _ = model.step(state1, [0, 0, 0], firsts)
+    rows = [2, 0, 1, 0, 2]
+    pages = [enc("checkout"), enc("price"), enc("converted"), enc("form_driver"), enc("landing")]
+    batch_state, batch_dists = model.step(state3, rows, pages)
+    assert batch_dists.shape == (len(rows), model.n_classes)
+    for j, (r, page) in enumerate(zip(rows, pages)):
+        one, _ = model.step(state1, [0], [firsts[r]])
+        one, dist = model.step(one, [0], [page])
+        np.testing.assert_allclose(batch_dists[j], dist[0], rtol=0, atol=1e-12)
+        for (hb, cb), (h1, c1) in zip(batch_state.layers, one.layers):
+            np.testing.assert_allclose(hb.data[j], h1.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cb.data[j], c1.data[0], rtol=0, atol=1e-12)
+
+
+def test_score_batch_rows_equal_standalone_estimates_on_a_model(funnel_model):
+    prefixes = [
+        JourneyPrefix("car insurance quotes online", ("landing",)),
+        JourneyPrefix("quotes", ("landing", "form_car", "price")),
+    ]
+    objectives = [
+        Objective("converted", frozenset({"converted"})),
+        Objective("price", frozenset({"price"})),
+        Objective("form", frozenset({"form_driver", "checkout"})),
+    ]
+    n = CHUNK + 500  # two chunks
+    rows = score_batch(funnel_model, prefixes, objectives, n_samples=n, horizon=8, seed=6)
+    cells = [(i, p, o) for i, p in enumerate(prefixes) for o in objectives]
+    assert len(rows) == len(cells)
+    for row, (i, prefix, objective) in zip(rows, cells):
+        est = estimate_conversion(funnel_model, prefix, objective, n, 8, seed=6, prefix_index=i)
+        assert row.objective_id == est.objective_id
+        assert row.probability == est.probability
+        assert row.std_error == est.std_error
+    assert rows[4].probability == 1.0  # the second prefix already visited "price"

@@ -252,6 +252,18 @@ def test_ensemble_members_differ(chain_data):
     assert not np.array_equal(w0, w1)
 
 
+
+def test_ensemble_step_is_member_mean_per_row(chain_data):
+    tr, ev, vocab = chain_data
+    config = TrainConfig(epochs=1, batch_size=16, seed=5, **TOY_TRAIN)
+    ensemble, _ = train_ensemble(tr, config, vocab, k=2, eval_sessions=ev)
+    states, _ = ensemble.start(Prefix("car insurance", ("home",)))
+    rows, pages = [0, 0, 0], [vocab.encode("quote"), vocab.encode("home"), vocab.encode("confirm")]
+    _, dists = ensemble.step(states, rows, pages)
+    member = [m.step(s, rows, pages)[1] for m, s in zip(ensemble.models, states)]
+    assert dists.shape == (3, len(vocab))
+    assert np.array_equal(dists, np.mean(member, axis=0))
+
 class _StubModel:
     """Fixed-output predictor for arithmetic checks."""
 
@@ -263,8 +275,8 @@ class _StubModel:
     def start(self, prefix):
         return None, self.dist.copy()
 
-    def step(self, state, page_index):
-        return None, self.dist.copy()
+    def step(self, state, rows, pages):
+        return None, np.tile(self.dist, (len(pages), 1))
 
 
 def test_ensemble_mean_is_arithmetic():

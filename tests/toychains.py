@@ -12,15 +12,22 @@ class MarkovToyPredictor:
         self.vocab = vocab
         self.start_dist = np.asarray(start_dist, dtype=float)
         self.rows = {k: np.asarray(v, dtype=float) for k, v in rows.items()}
+        self.table = np.zeros((len(vocab), len(self.start_dist)))
+        for k, v in self.rows.items():
+            self.table[k] = v
 
     def start(self, prefix):
         if prefix.pages:
             idx = self.vocab.encode(prefix.pages[-1])
-            return idx, self.rows[idx].copy()
-        return -1, self.start_dist.copy()
+            return np.array([idx]), self.rows[idx].copy()
+        return np.array([-1]), self.start_dist.copy()
 
-    def step(self, state, page_index):
-        return page_index, self.rows[page_index].copy()
+    def step(self, state, rows, pages):
+        pages = np.asarray(pages)
+        missing = set(pages.tolist()) - self.rows.keys()
+        if missing:
+            raise KeyError(f"no transition row for pages {sorted(missing)}")
+        return pages, self.table[pages]
 
 
 def random_toy_predictor(seed, n_pages=3):
