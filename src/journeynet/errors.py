@@ -57,5 +57,9 @@ class ObjectiveError(JourneynetError, ValueError):
     """An objective is empty, targets the NULL page, or names a page outside the vocabulary."""
 
 
+class SamplingError(JourneynetError, ValueError):
+    """A sample count or simulation horizon is out of range."""
+
+
 class CliError(JourneynetError, ValueError):
     """Bad command-line or config-file input."""

@@ -136,6 +136,11 @@ class ComputeTape:
         self._nodes.append(node)
 
 
+def is_recording() -> bool:
+    """True while a ComputeTape is active on this thread."""
+    return _current_tape() is not None
+
+
 def record(output: Matrix, inputs: Sequence[Matrix], backward_fn: Callable) -> Matrix:
     """Register a primitive op on the active tape, if any operand is tracked.
 
@@ -197,7 +202,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     out = Matrix._result(a.data @ b.data)
 
     def back(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.track else None), (a.data.T @ g if b.track else None)
 
     return record(out, (a, b), back)
 
@@ -237,13 +242,14 @@ def scale(x: Matrix, c: float) -> Matrix:
     return record(out, (x,), lambda g: (g * c,))
 
 
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    """Logistic function that never exponentiates a positive number:
+    1 / (1 + exp(-d)) for d >= 0 and exp(d) / (1 + exp(d)) below."""
+    return np.exp(np.minimum(d, 0.0)) / (1.0 + np.exp(-np.abs(d)))
+
+
 def sigmoid(x: Matrix) -> Matrix:
-    d = x.data
-    s = np.empty_like(d)
-    pos = d >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    s[~pos] = ez / (1.0 + ez)
+    s = _sigmoid(x.data)
     out = Matrix._result(s)
     return record(out, (x,), lambda g: (g * s * (1.0 - s),))
 
@@ -348,10 +354,6 @@ def reshape(x: Matrix, rows: int, cols: int) -> Matrix:
     return record(out, (x,), lambda g: (g.reshape(x.shape),))
 
 
-def flatten(x: Matrix) -> Matrix:
-    return reshape(x, 1, x.data.size)
-
-
 def take_rows(x: Matrix, indices) -> Matrix:
     """Gather rows of `x`; gradients accumulate back into the gathered rows."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -362,8 +364,12 @@ def take_rows(x: Matrix, indices) -> Matrix:
     out = Matrix._result(x.data[idx])
 
     def back(g):
+        # one reduceat over index-sorted rows; np.add.at is slow on wide rows
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        if idx.size:
+            order = np.argsort(idx, kind="stable")
+            rows, starts = np.unique(idx[order], return_index=True)
+            gx[rows] = np.add.reduceat(g[order], starts, axis=0)
         return (gx,)
 
     return record(out, (x,), back)
@@ -394,6 +400,93 @@ def dropout(x: Matrix, rate: float, rng: np.random.Generator) -> Matrix:
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
     out = Matrix._result(x.data * keep)
     return record(out, (x,), lambda g: (g * keep,))
+
+
+# ---------------------------------------------------------------------------
+# LSTM
+
+
+def lstm_cell(z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One LSTM cell update on plain arrays; the only definition of its arithmetic.
+
+    `z` holds B x 4H gate pre-activations packed (input, forget, candidate,
+    output) and `c` the B x H cell state.  Returns (acts, c2, tanh(c2), h2):
+    the packed gate activations, the new cell state and the new hidden state
+    h2 = o * tanh(c2), where c2 = f * c + i * g.
+    """
+    hs = c.shape[1]
+    acts = np.empty_like(z)
+    acts[:, :2 * hs] = _sigmoid(z[:, :2 * hs])
+    acts[:, 2 * hs:3 * hs] = np.tanh(z[:, 2 * hs:3 * hs])
+    acts[:, 3 * hs:] = _sigmoid(z[:, 3 * hs:])
+    i, f, g, o = acts[:, :hs], acts[:, hs:2 * hs], acts[:, 2 * hs:3 * hs], acts[:, 3 * hs:]
+    c2 = f * c + i * g
+    tc2 = np.tanh(c2)
+    return acts, c2, tc2, o * tc2
+
+
+def lstm_sequence(xproj: Matrix, wh: Matrix, bias: Matrix, batch: int) -> Matrix:
+    """One LSTM layer over a whole padded batch, recorded as a single tape node.
+
+    `xproj` is the time-major (T*B) x 4H input projection: rows t*B .. t*B+B-1
+    hold step t of the B sequences.  The state starts at zero, and step t
+    feeds ``(xproj[t] + h @ wh) + bias`` to :func:`lstm_cell`.  Returns the
+    (T*B) x H hidden states in the same row order.  The backward pass runs
+    BPTT one step at a time, where only ``dh = dz_t @ wh.T`` is a product,
+    and forms the gradients of `wh` and `bias` once over all steps.
+    """
+    hs = wh.rows
+    if wh.cols != 4 * hs or xproj.cols != wh.cols or bias.shape != (1, wh.cols):
+        raise ShapeError(
+            f"LSTM shapes are inconsistent: input {xproj.shape}, recurrent {wh.shape}, "
+            f"bias {bias.shape}"
+        )
+    if batch < 1 or xproj.rows % batch:
+        raise ShapeError(f"{xproj.rows} input rows do not split into batches of {batch}")
+    steps = xproj.rows // batch
+    x, w = xproj.data, wh.data
+    hidden = np.empty((x.shape[0], hs))
+    # the backward pass needs every step's gates and cell; inference keeps none
+    taped = is_recording() and any(m.track for m in (xproj, wh, bias))
+    if taped:
+        acts, cells, tcells = np.empty_like(x), np.empty_like(hidden), np.empty_like(hidden)
+    h = c = np.zeros((batch, hs))
+    for t in range(steps):
+        r = slice(t * batch, (t + 1) * batch)
+        z = (x[r] + h @ w) + bias.data
+        a, c, tc, h = lstm_cell(z, c)
+        hidden[r] = h
+        if taped:
+            acts[r], cells[r], tcells[r] = a, c, tc
+    out = Matrix._result(hidden)
+
+    def back(gh):
+        i, f, g, o = acts[:, :hs], acts[:, hs:2 * hs], acts[:, 2 * hs:3 * hs], acts[:, 3 * hs:]
+        # local derivatives of every gate, for all steps at once
+        di = g * i * (1.0 - i)
+        df = f * (1.0 - f)
+        dg = i * (1.0 - g * g)
+        do = tcells * o * (1.0 - o)
+        dtc = o * (1.0 - tcells * tcells)
+        dz = np.zeros_like(acts)
+        dh = np.zeros((batch, hs))
+        dc = np.zeros((batch, hs))
+        for t in reversed(range(steps)):
+            r = slice(t * batch, (t + 1) * batch)
+            dh = gh[r] + dh
+            dc = dc + dh * dtc[r]
+            dz[r, :hs] = dc * di[r]
+            if t:
+                dz[r, hs:2 * hs] = dc * cells[(t - 1) * batch:t * batch] * df[r]
+            dz[r, 2 * hs:3 * hs] = dc * dg[r]
+            dz[r, 3 * hs:] = dh * do[r]
+            dc = dc * f[r]
+            if t:
+                dh = dz[r] @ w.T
+        dwh = hidden[:-batch].T @ dz[batch:]
+        return dz, dwh, dz.sum(axis=0, keepdims=True)
+
+    return record(out, (xproj, wh, bias), back)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ One shared character-level encoder embeds both the search-keyword phrase
 and a fully connected + softmax head emits, at each step, a distribution
 over all page classes (including the terminal NULL page) for the next step.
 
-Inference exposes an incremental (start / step) interface so simulations can
-feed sampled pages back in without re-running the whole prefix.
+Training and evaluation run whole padded batches through one sequence
+kernel (`batch_step_probs`).  Inference exposes an incremental (start / step)
+interface on the one-step cell so simulations can feed sampled pages back in
+without re-running the whole prefix.
 """
 
 from __future__ import annotations
@@ -95,18 +97,19 @@ class LstmLayer:
         return cls(wx, wh, nm.parameter(b))
 
     def step(self, x: Matrix, h: Matrix, c: Matrix) -> tuple[Matrix, Matrix]:
-        """One cell update: returns (new hidden, new cell)."""
+        """One cell update of B rows: returns (new hidden, new cell).
+
+        This is the inference cell and records nothing on a tape; training
+        runs whole sequences through :func:`numerics.lstm_sequence`.  Under
+        an active tape it would silently drop gradients, so it refuses.
+        """
         if x.cols != self.input_dim:
             raise ShapeError(f"input width {x.cols} != layer input dim {self.input_dim}")
-        hs = self.hidden_size
-        gates = nm.add(nm.add(nm.matmul(x, self.wx), nm.matmul(h, self.wh)), self.bias)
-        i = nm.sigmoid(nm.slice_cols(gates, 0, hs))
-        f = nm.sigmoid(nm.slice_cols(gates, hs, 2 * hs))
-        g = nm.tanh(nm.slice_cols(gates, 2 * hs, 3 * hs))
-        o = nm.sigmoid(nm.slice_cols(gates, 3 * hs, 4 * hs))
-        c2 = nm.add(nm.mul(f, c), nm.mul(i, g))
-        h2 = nm.mul(o, nm.tanh(c2))
-        return h2, c2
+        if nm.is_recording():
+            raise RuntimeError("LstmLayer.step is inference-only; train through lstm_sequence")
+        z = (x.data @ self.wx.data + h.data @ self.wh.data) + self.bias.data
+        _, c2, _, h2 = nm.lstm_cell(z, c.data)
+        return Matrix._result(h2), Matrix._result(c2)
 
 
 def lstm_step(layer: LstmLayer, x: Matrix, state: tuple[Matrix, Matrix]) -> tuple[Matrix, tuple[Matrix, Matrix]]:
@@ -233,30 +236,36 @@ class SequenceModel:
         logits = nm.add(nm.matmul(fc, self.w_out), self.b_out)
         return nm.softmax(logits)
 
-    def embed_phrases(self, phrases: list[str]) -> Matrix:
-        """Stack per-phrase embeddings into a len(phrases) x E matrix."""
-        return nm.vstack([self.encoder.embed(p) for p in phrases])
-
     def batch_step_probs(
         self,
         phrases: list[str],
         rowidx: np.ndarray,
         dropout_rng: np.random.Generator | None = None,
-    ) -> list[Matrix]:
-        """Per-step batch x classes distributions for a padded batch.
+    ) -> Matrix:
+        """Next-page distributions for every step of a padded batch, time-major.
 
         `rowidx[b, t]` selects the row of `phrases` fed to sequence b at step
-        t; predictions at padding steps are garbage and must be masked by the
-        caller.
+        t.  Returns a (T*B) x classes matrix whose row t*B + b is the
+        prediction after sequence b consumed step t; rows at padding steps
+        are garbage and must be masked by the caller.  The phrases are
+        encoded once, layer 0 gathers its input projection from a per-batch
+        table of phrase projections, each LSTM layer is one
+        :func:`numerics.lstm_sequence` node, and the head runs on all rows
+        at once (a dropout mask is drawn as one (T*B) x fc block, the same
+        stream as T draws of B x fc).
         """
-        emb = self.embed_phrases(phrases)
-        state = self.zero_state(rowidx.shape[0])
-        out = []
-        for t in range(rowidx.shape[1]):
-            x = nm.take_rows(emb, rowidx[:, t])
-            h, state = self.cell_steps(x, state)
-            out.append(self.head(h, dropout_rng))
-        return out
+        rowidx = np.asarray(rowidx)
+        emb = self.encoder.embed_batch(phrases)
+        h = None
+        for layer in self.layers:
+            xproj = (
+                nm.take_rows(nm.matmul(emb, layer.wx), rowidx.T.ravel())
+                if h is None
+                else nm.matmul(h, layer.wx)
+            )
+            h = nm.lstm_sequence(xproj, layer.wh, layer.bias, rowidx.shape[0])
+            del xproj  # inference frees each projection before the next is built
+        return self.head(h, dropout_rng)
 
     def _embed_cached(self, phrase: str) -> Matrix:
         if self._embed_cache_version != self.weights_version:
@@ -270,28 +279,16 @@ class SequenceModel:
 
     # -- whole-session paths -------------------------------------------------
 
-    def session_probs(
-        self,
-        phrases: list[str],
-        dropout_rng: np.random.Generator | None = None,
-    ) -> list[Matrix]:
-        """Per-step next-page distributions (1 x N rows) for one input sequence."""
+    def forward_session(self, phrases: list[str]) -> list[StepPrediction]:
+        """Inference pass through the one-step cell: one StepPrediction per input step."""
         if not phrases:
             raise ValueError("input sequence must be non-empty")
         state = self.zero_state(1)
         out = []
-        for phrase in phrases:
-            x = self.encoder.embed(phrase)
-            h, state = self.cell_steps(x, state)
-            out.append(self.head(h, dropout_rng))
+        for t, phrase in enumerate(phrases):
+            h, state = self.cell_steps(self.encoder.embed(phrase), state)
+            out.append(StepPrediction(t, self.head(h).data[0].copy()))
         return out
-
-    def forward_session(self, phrases: list[str]) -> list[StepPrediction]:
-        """Inference pass: one StepPrediction per input step (dropout off)."""
-        return [
-            StepPrediction(t, m.data[0].copy())
-            for t, m in enumerate(self.session_probs(phrases))
-        ]
 
     def session_nll(
         self,
@@ -299,16 +296,21 @@ class SequenceModel:
         targets: list[int],
         dropout_rng: np.random.Generator | None = None,
     ) -> Matrix:
-        """Summed cross-entropy of `targets` under the per-step predictions."""
+        """Summed cross-entropy of `targets` under the per-step predictions.
+
+        The session runs through :meth:`batch_step_probs` as a batch of one.
+        """
         if len(inputs) != len(targets):
             raise ValueError(
                 f"{len(inputs)} inputs vs {len(targets)} targets"
             )
-        probs = self.session_probs(inputs, dropout_rng)
-        total = nm.cross_entropy(probs[0], targets[0])
-        for p, t in zip(probs[1:], targets[1:]):
-            total = nm.add(total, nm.cross_entropy(p, t))
-        return total
+        if not inputs:
+            raise ValueError("input sequence must be non-empty")
+        phrases = sorted(set(inputs))
+        row_of = {ph: r for r, ph in enumerate(phrases)}
+        rowidx = np.array([[row_of[ph] for ph in inputs]], dtype=np.intp)
+        probs = self.batch_step_probs(phrases, rowidx, dropout_rng)
+        return nm.masked_cross_entropy(probs, targets, np.ones(len(targets)))
 
     # -- incremental inference (simulation protocol) -------------------------
 
@@ -318,13 +320,10 @@ class SequenceModel:
         `prefix` needs `.keywords` (text, possibly empty) and `.pages`
         (iterable of page names).
         """
-        phrases = [prefix.keywords] + list(prefix.pages)
         state = self.zero_state(1)
-        dist = None
-        for phrase in phrases:
+        for phrase in [prefix.keywords] + list(prefix.pages):
             h, state = self.cell_steps(self._embed_cached(phrase), state)
-            dist = self.head(h)
-        return state, dist.data[0].copy()
+        return state, self.head(h).data[0].copy()
 
     def step(self, state: LstmState, rows, pages) -> tuple[LstmState, np.ndarray]:
         """Feed page `pages[j]` to row `rows[j]` of `state`, for every j at once.
@@ -396,15 +395,32 @@ def model_to_dict(model: SequenceModel) -> dict:
     }
 
 
+def checkpoint_field(d, key: str, kind: type, where: str):
+    """`d[key]`, where `d` must be a JSON object holding a `kind` (dict or list) there."""
+    value = d.get(key) if isinstance(d, dict) else None
+    if not isinstance(value, kind):
+        noun = "object" if kind is dict else "list"
+        raise CheckpointError(f"{where} has no {key!r} {noun}")
+    return value
+
+
 def model_from_dict(d: dict) -> SequenceModel:
-    config = ModelConfig.from_dict(d["config"])
-    vocab = PageVocabulary.from_dict(d["vocab"])
+    config, vocab, weights = (
+        checkpoint_field(d, key, dict, "checkpoint model") for key in ("config", "vocab", "weights")
+    )
+    try:
+        config = ModelConfig.from_dict(config)
+        vocab = PageVocabulary.from_dict(vocab)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint model has a bad config or vocabulary ({exc!r})") from exc
     model = SequenceModel.build(config, vocab, seed=0)
-    weights = d["weights"]
     for name, p in model.parameters():
         if name not in weights:
             raise CheckpointError(f"checkpoint is missing weights for {name!r}")
-        arr = _decode_array(weights[name])
+        try:
+            arr = _decode_array(weights[name])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint weights for {name!r} are not an array") from exc
         if tuple(arr.shape) != p.shape:
             raise ShapeError(
                 f"checkpoint weight {name!r} has shape {tuple(arr.shape)}, expected {p.shape}"
@@ -443,4 +459,4 @@ def load_model(path) -> SequenceModel:
         raise CheckpointError(f"{path}: not a model checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    return model_from_dict(payload["model"])
+    return model_from_dict(checkpoint_field(payload, "model", dict, str(path)))

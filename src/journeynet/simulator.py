@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .errors import CapacityError, ObjectiveError
+from .errors import CapacityError, ObjectiveError, SamplingError
 from .journeydata import NULL_PAGE, UNKNOWN_PAGE, PageVocabulary
 
 TERMINATED_NULL = "null_page"
@@ -136,7 +136,7 @@ def _sample_paths(predictor, state, dist, uniforms: np.ndarray, null_index: int)
 def rollout(predictor, prefix: JourneyPrefix, horizon: int, rng: np.random.Generator) -> SimulatedJourney:
     """Sample one future journey of at most `horizon` steps."""
     if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+        raise SamplingError(f"horizon must be >= 1, got {horizon}")
     vocab = predictor.vocab
     state, dist = predictor.start(prefix)
     path = _sample_paths(predictor, state, dist, rng.random((1, horizon)), vocab.null_index)[0]
@@ -166,9 +166,9 @@ def _simulate(predictor, prefix: JourneyPrefix, seed_parts, n_samples: int, hori
 
 def _check_sampling(n_samples: int, horizon: int) -> None:
     if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+        raise SamplingError(f"n_samples must be >= 1, got {n_samples}")
     if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+        raise SamplingError(f"horizon must be >= 1, got {horizon}")
 
 
 def _estimate_prefix(
@@ -241,7 +241,7 @@ def step_distribution(
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+        raise SamplingError(f"n_samples must be >= 1, got {n_samples}")
     vocab = predictor.vocab
     counts = np.zeros(len(vocab))
     for paths in _simulate(predictor, prefix, (seed, "step-dist"), n_samples, t):
@@ -281,7 +281,7 @@ def conversion_path_mass(
     and guarded by the vocabulary-size ** horizon work estimate.
     """
     if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+        raise SamplingError(f"horizon must be >= 0, got {horizon}")
     if prune_tol < 0:
         raise ValueError("prune_tol must be >= 0")
     vocab = predictor.vocab

@@ -61,66 +61,75 @@ def quantize(phrase: str, alphabet: Alphabet, max_len: int) -> np.ndarray:
     return out
 
 
-def conv1d(x: Matrix, kernels: Matrix, bias: Matrix, width: int) -> Matrix:
+def conv1d(x: Matrix, kernels: Matrix, bias: Matrix, width: int, n: int = 1) -> Matrix:
     """Valid 1-D convolution over rows followed by ReLU.
 
-    `x` is length x channels; `kernels` holds the width x channels x filters
+    `x` stacks `n` equal-length sequences, each length x channels, one under
+    the other; every sequence is convolved on its own and the outputs are
+    stacked the same way.  `kernels` holds the width x channels x filters
     bank laid out row-major as (width * channels) x filters, position-major;
     `bias` is 1 x filters.
     """
-    length, channels = x.shape
+    length, channels = x.rows // n, x.cols
     if width < 1:
         raise ValueError(f"kernel width must be >= 1, got {width}")
+    if length * n != x.rows:
+        raise ShapeError(f"{x.rows} rows do not split into {n} sequences")
     if length < width:
         raise ShapeError(f"input length {length} shorter than kernel width {width}")
     if kernels.rows != width * channels:
         raise ShapeError(
             f"kernel bank {kernels.shape} does not match width {width} x channels {channels}"
         )
-    windows = _window_rows(x, width)
+    windows = _window_rows(x, width, n)
     return nm.relu(nm.add(nm.matmul(windows, kernels), bias))
 
 
-def _window_rows(x: Matrix, width: int) -> Matrix:
-    """Stack each sliding window of `width` rows into one row (im2col)."""
-    length, channels = x.shape
+def _window_rows(x: Matrix, width: int, n: int) -> Matrix:
+    """Stack each sliding window of `width` rows of each of `n` sequences into one row (im2col)."""
+    length, channels = x.rows // n, x.cols
     n_out = length - width + 1
-    view = np.lib.stride_tricks.sliding_window_view(x.data, width, axis=0)
-    data = np.ascontiguousarray(view.transpose(0, 2, 1)).reshape(n_out, width * channels)
+    x3 = x.data.reshape(n, length, channels)
+    view = np.lib.stride_tricks.sliding_window_view(x3, width, axis=1)
+    data = np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(n * n_out, width * channels)
     out = Matrix._result(data)
 
     def back(g):
-        gx = np.zeros_like(x.data)
-        gw = g.reshape(n_out, width, channels)
+        gx = np.zeros((n, length, channels))
+        gw = g.reshape(n, n_out, width, channels)
         for i in range(width):
-            gx[i:i + n_out] += gw[:, i, :]
-        return (gx,)
+            gx[:, i:i + n_out] += gw[:, :, i]
+        return (gx.reshape(x.shape),)
 
     return nm.record(out, (x,), back)
 
 
-def maxpool1d(x: Matrix, window: int) -> Matrix:
-    """Non-overlapping per-column max over row windows; a partial tail window
-    is kept, so the output has ceil(rows / window) rows.  The gradient routes
-    to the first maximal position in each window."""
+def maxpool1d(x: Matrix, window: int, n: int = 1) -> Matrix:
+    """Non-overlapping per-column max over row windows of each of `n` stacked
+    equal-length sequences; a partial tail window is kept, so each sequence
+    gives ceil(length / window) rows.  The gradient routes to the first
+    maximal position in each window."""
     if window < 1:
         raise ValueError(f"pool window must be >= 1, got {window}")
-    length, cols = x.shape
+    length, cols = x.rows // n, x.cols
+    if length * n != x.rows:
+        raise ShapeError(f"{x.rows} rows do not split into {n} sequences")
     n_out = -(-length // window)
-    data = np.empty((n_out, cols))
-    argmax = np.empty((n_out, cols), dtype=np.intp)
-    for w in range(n_out):
-        seg = x.data[w * window:(w + 1) * window]
-        am = seg.argmax(axis=0)
-        argmax[w] = w * window + am
-        data[w] = seg[am, np.arange(cols)]
+    # -inf fills the tail window, so it never wins against a real entry
+    seg = np.full((n, n_out * window, cols), -np.inf)
+    seg[:, :length] = x.data.reshape(n, length, cols)
+    seg = seg.reshape(n, n_out, window, cols)
+    am = seg.argmax(axis=2)
+    data = np.take_along_axis(seg, am[:, :, None, :], axis=2).reshape(n * n_out, cols)
+    src = (
+        np.arange(n)[:, None, None] * length + np.arange(n_out)[None, :, None] * window + am
+    ).reshape(n * n_out, cols)
     out = Matrix._result(data)
 
     def back(g):
+        # windows do not overlap, so every (row, column) is routed to at most once
         gx = np.zeros_like(x.data)
-        cols_idx = np.arange(cols)
-        for w in range(n_out):
-            gx[argmax[w], cols_idx] += g[w]
+        gx[src, np.arange(cols)] = g
         return (gx,)
 
     return nm.record(out, (x,), back)
@@ -194,10 +203,23 @@ class CnnEncoder:
 
     def embed(self, phrase: str) -> Matrix:
         """Encode a phrase into a 1 x embedding_dim vector."""
-        h = nm.constant(quantize(phrase, self.alphabet, self.max_len))
+        return self.embed_batch([phrase])
+
+    def embed_batch(self, phrases: list[str]) -> Matrix:
+        """Encode phrases into a len(phrases) x embedding_dim matrix, row i for phrase i.
+
+        All phrases go through each stage together: one im2col product and
+        one max-pool over the stacked quantized phrases.
+        """
+        n = len(phrases)
+        if not n:
+            raise ValueError("embed_batch needs at least one phrase")
+        h = nm.constant(
+            np.concatenate([quantize(p, self.alphabet, self.max_len) for p in phrases])
+        )
         for st in self.stages:
-            h = maxpool1d(conv1d(h, st.kernels, st.bias, st.width), st.pool)
-        return nm.flatten(h)
+            h = maxpool1d(conv1d(h, st.kernels, st.bias, st.width, n), st.pool, n)
+        return nm.reshape(h, n, self.embedding_dim)
 
     def parameters(self) -> list[tuple[str, Matrix]]:
         named = []

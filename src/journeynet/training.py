@@ -25,6 +25,7 @@ from .seqmodel import (
     CHECKPOINT_VERSION,
     ModelConfig,
     SequenceModel,
+    checkpoint_field,
     model_from_dict,
     model_to_dict,
     read_checkpoint,
@@ -181,11 +182,8 @@ def _batch_tensors(expanded, idx_batch):
 
 def _batch_loss(model, phrases, rowidx, targets, mask, dropout_rng):
     """Taped summed cross-entropy over all unmasked steps of a batch."""
-    total = None
-    for t, probs in enumerate(model.batch_step_probs(phrases, rowidx, dropout_rng)):
-        term = nm.masked_cross_entropy(probs, targets[:, t], mask[:, t])
-        total = term if total is None else nm.add(total, term)
-    return total
+    probs = model.batch_step_probs(phrases, rowidx, dropout_rng)
+    return nm.masked_cross_entropy(probs, targets.T.ravel(), mask.T.ravel())
 
 
 def train(
@@ -260,13 +258,14 @@ def evaluate(
     vocab: PageVocabulary,
     unit_seconds: float = 30.0,
     cap: int = 5,
-    batch_size: int = 64,
+    batch_size: int = 16,
 ) -> tuple[float, float]:
     """(next-page accuracy, mean loss in nats), pooled over every step.
 
     Accuracy counts steps whose argmax prediction (ties to the lowest index)
     equals the true next page; dropout is disabled.  `predictor` is a model
-    or an ensemble.
+    or an ensemble.  A batch holds (steps x batch_size) x 4H input
+    projections at once, so the batch is kept small.
     """
     sessions = list(sessions)
     if not sessions:
@@ -279,8 +278,8 @@ def evaluate(
     batches = _make_batches(expanded, list(range(len(expanded))), batch_size)
     for idx_batch in batches:
         phrases, rowidx, targets, mask = _batch_tensors(expanded, idx_batch)
-        for t, probs_m in enumerate(predictor.batch_step_probs(phrases, rowidx)):
-            probs = probs_m.data
+        all_probs = predictor.batch_step_probs(phrases, rowidx).data
+        for t, probs in enumerate(np.split(all_probs, rowidx.shape[1])):
             m = mask[:, t] > 0
             if not m.any():
                 continue
@@ -332,15 +331,12 @@ class Ensemble:
             dists.append(dist)
         return new_states, np.mean(dists, axis=0)
 
-    def batch_step_probs(self, phrases, rowidx, dropout_rng=None) -> list:
-        """Member-averaged per-step batch distributions (constant matrices)."""
+    def batch_step_probs(self, phrases, rowidx, dropout_rng=None) -> nm.Matrix:
+        """Member-averaged time-major batch distributions (a constant matrix)."""
         if dropout_rng is not None:
             raise ValueError("ensembles are inference-only; dropout is not supported")
-        per_member = [m.batch_step_probs(phrases, rowidx) for m in self.models]
-        return [
-            nm.Matrix._result(np.mean([probs[t].data for probs in per_member], axis=0))
-            for t in range(rowidx.shape[1])
-        ]
+        per_member = [m.batch_step_probs(phrases, rowidx).data for m in self.models]
+        return nm.Matrix._result(np.mean(per_member, axis=0))
 
 
 def train_ensemble(
@@ -380,11 +376,18 @@ def save_ensemble(ensemble: Ensemble, path) -> None:
         fh.write("\n")
 
 
+def _ensemble_from(payload: dict, path) -> Ensemble:
+    members = checkpoint_field(payload, "members", list, str(path))
+    if not members:
+        raise CheckpointError(f"{path}: ensemble checkpoint has no members")
+    return Ensemble([model_from_dict(d) for d in members])
+
+
 def load_ensemble(path) -> Ensemble:
     payload = read_checkpoint(path)
     if payload.get("format") != ENSEMBLE_FORMAT:
         raise CheckpointError(f"{path}: not an ensemble checkpoint")
-    return Ensemble([model_from_dict(d) for d in payload["members"]])
+    return _ensemble_from(payload, path)
 
 
 def load_predictor(path):
@@ -392,7 +395,7 @@ def load_predictor(path):
     payload = read_checkpoint(path)
     fmt = payload.get("format")
     if fmt == CHECKPOINT_FORMAT:
-        return model_from_dict(payload["model"])
+        return model_from_dict(checkpoint_field(payload, "model", dict, str(path)))
     if fmt == ENSEMBLE_FORMAT:
-        return Ensemble([model_from_dict(d) for d in payload["members"]])
+        return _ensemble_from(payload, path)
     raise CheckpointError(f"{path}: unrecognised checkpoint format {fmt!r}")

@@ -317,6 +317,60 @@ def test_score_objective_outside_vocabulary_is_a_clean_error(pipeline, tmp_path,
     assert "not-there" in capsys.readouterr().err
 
 
+_ENSEMBLE = {"format": "journeynet-ensemble", "version": 1}
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("no model", lambda p: p.pop("model")),
+    ("model not an object", lambda p: p.update(model=[1, 2])),
+    ("no weights", lambda p: p["model"].pop("weights")),
+    ("no config", lambda p: p["model"].pop("config")),
+    ("config without max_len", lambda p: p["model"]["config"].pop("max_len")),
+    ("no vocab", lambda p: p["model"].pop("vocab")),
+    ("weights not an array", lambda p: p["model"]["weights"].update(
+        {"conv0.bias": {"shape": [3], "data": "AAAA"}})),
+    ("weights entry not an object", lambda p: p["model"]["weights"].update({"conv0.bias": 7})),
+    ("no members", lambda p: p.update(_ENSEMBLE)),
+    ("empty members", lambda p: p.update(_ENSEMBLE, members=[])),
+    ("members not objects", lambda p: p.update(_ENSEMBLE, members=[7])),
+])
+def test_score_checkpoint_with_missing_parts_is_a_clean_error(
+    pipeline, tmp_path, capsys, name, edit
+):
+    out, _ = pipeline
+    payload = json.loads((out / "model.ckpt").read_text())
+    edit(payload)
+    ckpt = tmp_path / "partial.ckpt"
+    ckpt.write_text(json.dumps(payload))
+    assert _score_exit(pipeline, tmp_path, model=ckpt) == 1, name
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--n-samples", "0"], ["--horizon", "-1"], ["--horizon", "0"]])
+def test_score_bad_sampling_flags_are_a_clean_error(pipeline, tmp_path, capsys, flags):
+    out, _ = pipeline
+    (tmp_path / "p.jsonl").write_text('{"keywords": "car insurance", "pages": ["home"]}\n')
+    (tmp_path / "o.json").write_text('[{"id": "c", "pages": ["confirm"]}]')
+    code = main([
+        "score", "--model", str(out / "model.ckpt"),
+        "--prefixes", str(tmp_path / "p.jsonl"), "--objectives", str(tmp_path / "o.json"),
+        "--out", str(tmp_path / "s.csv"), *flags,
+    ])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_zero_steps_is_a_clean_error(pipeline, tmp_path, capsys):
+    out, _ = pipeline
+    code = main([
+        "simulate", "--model", str(out / "model.ckpt"), "--steps", "0",
+        "--out", str(tmp_path / "t.txt"),
+    ])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("record", [
     '{"keywords": "kw", "pages": "home"}',
     '{"keywords": "kw", "pages": [1, 2]}',

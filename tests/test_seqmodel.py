@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,86 @@ def test_session_nll_gradients_pass_grad_check():
 
     err = nm.grad_check(lambda: model.session_nll(inputs, targets), params, h=1e-5)
     assert err < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the sequence kernel that training runs on
+
+
+def _ragged_batch(vocab, sessions, unit_seconds=30.0, cap=5):
+    from journeynet.training import TrainConfig, _batch_tensors, _expand_all
+
+    config = TrainConfig(unit_seconds=unit_seconds, dwell_cap=cap)
+    expanded = _expand_all(sessions, vocab, config)
+    return _batch_tensors(expanded, list(range(len(sessions))))
+
+
+RAGGED = [
+    make_session(["a"], keywords="kw one"),
+    make_session(["b", "a", "c", "b"], keywords=""),
+    make_session(["c", "c", "a", "b", "a", "b", "c", "a"], keywords="kw two"),
+]
+
+
+def test_batch_loss_equals_one_step_session_losses():
+    # expanded lengths 2, 5 and 9; "" is both padding and a real t=0 phrase
+    from journeynet.training import _batch_loss
+
+    vocab = toy_vocab()
+    model = toy_model(seed=21, vocab=vocab)
+    perturb_params(model, seed=4)
+    phrases, rowidx, targets, mask = _ragged_batch(vocab, RAGGED)
+    assert rowidx.shape == (3, 9) and mask.sum(axis=1).tolist() == [2, 5, 9]
+    batched = _batch_loss(model, phrases, rowidx, targets, mask, None).item()
+    one_step = sum(
+        session_loss(model.forward_session(expand_session(s, vocab)[0]), s, vocab)
+        for s in RAGGED
+    )
+    assert batched == pytest.approx(one_step, rel=1e-12)
+
+
+def test_batch_loss_with_dropout_passes_grad_check():
+    from journeynet import rng as rngmod
+    from journeynet.training import _batch_loss
+
+    vocab = toy_vocab()
+    config = ModelConfig(
+        max_len=12, conv_stages=((3, 4, 4),), lstm_hidden=(6, 5), fc_width=5, dropout_rate=0.3
+    )
+    model = toy_model(seed=22, config=config, vocab=vocab)
+    perturb_params(model, seed=6)
+    phrases, rowidx, targets, mask = _ragged_batch(vocab, RAGGED)
+    params = [p for _, p in model.parameters()]
+
+    def f():
+        return _batch_loss(model, phrases, rowidx, targets, mask, rngmod.stream(3, "dropout", 0, 0))
+
+    assert nm.grad_check(f, params, h=1e-5) < 1e-4
+
+
+def test_tape_nodes_per_batch_do_not_grow_with_length():
+    from journeynet import rng as rngmod
+    from journeynet.training import _batch_loss
+
+    vocab = toy_vocab()
+    model = toy_model(seed=23, config=replace(TOY_CONFIG, dropout_rate=0.5), vocab=vocab)
+    counts = []
+    for n_pages in (1, 11):
+        sessions = [make_session((["a", "b"] * 6)[:n_pages])] * 2
+        phrases, rowidx, targets, mask = _ragged_batch(vocab, sessions)
+        assert rowidx.shape[1] == n_pages + 1
+        with nm.ComputeTape() as tape:
+            _batch_loss(model, phrases, rowidx, targets, mask, rngmod.stream(0, "dropout", 0, 0))
+        counts.append(len(tape))
+    assert counts[0] == counts[1]
+
+
+def test_one_step_cell_refuses_to_run_under_a_tape():
+    layer = LstmLayer.init(2, 3, np.random.default_rng(5))
+    zeros = nm.constant(np.zeros((1, 3)))
+    with nm.ComputeTape():
+        with pytest.raises(RuntimeError):
+            layer.step(nm.constant([[0.5, -0.5]]), zeros, zeros)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,55 @@ def test_embed_phrase_wrapper():
     assert np.array_equal(embed_phrase(enc, "home").data, enc.embed("home").data)
 
 
+BATCH_PHRASES = ["", "home", "x" * 100, "Ünïcode?!"]
+
+
+@pytest.mark.parametrize("max_len, stages", [
+    (12, [(3, 4, 2), (3, 4, 2)]),
+    (64, [(3, 64, 4), (3, 64, 4)]),
+])
+def test_embed_batch_rows_equal_per_phrase_embed(max_len, stages):
+    enc = CnnEncoder.build(Alphabet(), max_len, stages, np.random.default_rng(6))
+    for _, p in enc.parameters():
+        p.data += 0.05  # no dead filters, so rows are not trivially zero
+    batch = enc.embed_batch(BATCH_PHRASES).data
+    assert batch.shape == (len(BATCH_PHRASES), enc.embedding_dim)
+    for row, phrase in zip(batch, BATCH_PHRASES):
+        assert np.array_equal(row, enc.embed(phrase).data[0])
+
+
+def test_stacked_maxpool_equals_per_sequence_maxpool():
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        n, length, cols = (int(v) for v in rng.integers(1, 6, size=3))
+        window = int(rng.integers(1, 7))
+        x = rng.normal(size=(n * length, cols))
+        got = maxpool1d(nm.constant(x), window, n).data
+        want = np.vstack([
+            maxpool1d(nm.constant(x[k * length:(k + 1) * length]), window).data for k in range(n)
+        ])
+        assert np.array_equal(got, want)
+
+
+def test_embed_batch_gradients_pass_grad_check():
+    enc = _toy_encoder(seed=7)
+    gen = np.random.default_rng(8)
+    for name, p in enc.parameters():
+        # positive bias offsets keep every filter live; generic weights keep
+        # entries off relu and max-pool ties
+        step = gen.uniform(0.1, 0.4, size=p.shape)
+        p.data += step if name.endswith("bias") else step * gen.choice([-1, 1], size=p.shape)
+    phrases = ["car insurance", "home", "quote online"]
+    w_out = nm.constant(gen.uniform(0.5, 1.5, size=(enc.embedding_dim, 1)))
+    w_rows = nm.constant(gen.uniform(0.5, 1.5, size=(1, len(phrases))))
+
+    def f():
+        return nm.matmul(w_rows, nm.matmul(enc.embed_batch(phrases), w_out))
+
+    params = [p for _, p in enc.parameters()]
+    assert nm.grad_check(f, params, h=1e-5) < 1e-4
+
+
 def test_encoder_rejects_too_narrow_stack():
     rng = np.random.default_rng(0)
     with pytest.raises(ShapeError):
