@@ -41,6 +41,14 @@ from .training import (
 _DEFAULTS = TrainConfig()
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 input file; other bytes are a CliError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def _parse_config_file(path: str) -> dict:
     """Flat key = value lines, '#' comments.
 
@@ -49,7 +57,7 @@ def _parse_config_file(path: str) -> dict:
     conversion as command-line flags.
     """
     values = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -281,34 +289,32 @@ def _is_str_list(value) -> bool:
 def _load_prefixes(path) -> tuple[list[JourneyPrefix], list[str]]:
     prefixes = []
     ids = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CliError(f"{path}:{line_no}: bad prefix record: {exc.msg}") from exc
-            if not isinstance(raw, dict):
-                raise CliError(f"{path}:{line_no}: a prefix record must be a JSON object")
-            if not isinstance(raw.get("keywords"), str):
-                raise CliError(f"{path}:{line_no}: prefix record needs 'keywords' text")
-            if not _is_str_list(raw.get("pages", [])):
-                raise CliError(f"{path}:{line_no}: prefix 'pages' must be a list of page names")
-            prefixes.append(JourneyPrefix(raw["keywords"], tuple(raw.get("pages", ()))))
-            ids.append(str(raw.get("prefix_id", f"p{line_no - 1:04d}")))
+    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{path}:{line_no}: bad prefix record: {exc.msg}") from exc
+        if not isinstance(raw, dict):
+            raise CliError(f"{path}:{line_no}: a prefix record must be a JSON object")
+        if not isinstance(raw.get("keywords"), str):
+            raise CliError(f"{path}:{line_no}: prefix record needs 'keywords' text")
+        if not _is_str_list(raw.get("pages", [])):
+            raise CliError(f"{path}:{line_no}: prefix 'pages' must be a list of page names")
+        prefixes.append(JourneyPrefix(raw["keywords"], tuple(raw.get("pages", ()))))
+        ids.append(str(raw.get("prefix_id", f"p{line_no - 1:04d}")))
     if not prefixes:
         raise CliError(f"{path}: no prefix records")
     return prefixes, ids
 
 
 def _load_objectives(path) -> list[Objective]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path}: bad objectives file: {exc.msg}") from exc
+    try:
+        raw = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path}: bad objectives file: {exc.msg}") from exc
     if not isinstance(raw, list) or not raw:
         raise CliError(f"{path}: expected a non-empty JSON array of objectives")
     objectives = []

@@ -16,6 +16,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -114,8 +115,12 @@ def save_sessions(sessions, path) -> None:
 
 
 def load_sessions(path) -> list[Session]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_log(fh)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, f"{path} is not UTF-8 text ({exc.reason})") from exc
+    return parse_log(text.split("\n"))
 
 
 class PageVocabulary:

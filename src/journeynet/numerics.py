@@ -226,17 +226,6 @@ def add(a: Matrix, b: Matrix) -> Matrix:
     return record(out, (a, b), back)
 
 
-def mul(a: Matrix, b: Matrix) -> Matrix:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shape mismatch: {a.shape} * {b.shape}")
-    out = Matrix._result(a.data * b.data)
-
-    def back(g):
-        return g * b.data, g * a.data
-
-    return record(out, (a, b), back)
-
-
 def scale(x: Matrix, c: float) -> Matrix:
     out = Matrix._result(x.data * c)
     return record(out, (x,), lambda g: (g * c,))
@@ -246,18 +235,6 @@ def _sigmoid(d: np.ndarray) -> np.ndarray:
     """Logistic function that never exponentiates a positive number:
     1 / (1 + exp(-d)) for d >= 0 and exp(d) / (1 + exp(d)) below."""
     return np.exp(np.minimum(d, 0.0)) / (1.0 + np.exp(-np.abs(d)))
-
-
-def sigmoid(x: Matrix) -> Matrix:
-    s = _sigmoid(x.data)
-    out = Matrix._result(s)
-    return record(out, (x,), lambda g: (g * s * (1.0 - s),))
-
-
-def tanh(x: Matrix) -> Matrix:
-    t = np.tanh(x.data)
-    out = Matrix._result(t)
-    return record(out, (x,), lambda g: (g * (1.0 - t * t),))
 
 
 def relu(x: Matrix) -> Matrix:
@@ -280,30 +257,6 @@ def softmax(logits: Matrix) -> Matrix:
         return (y * (g - dot),)
 
     return record(out, (logits,), back)
-
-
-def cross_entropy(predicted: Matrix, target_index: int) -> Matrix:
-    """Negative log likelihood of `target_index` under a probability row vector.
-
-    The probability is floored at PROB_FLOOR before the log, so the loss and
-    its gradient stay finite even for a zero prediction.
-    """
-    if predicted.rows != 1:
-        raise ShapeError(f"cross_entropy expects a row vector, got {predicted.shape}")
-    total = float(predicted.data.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"predicted must sum to 1 (got {total!r})")
-    if not 0 <= target_index < predicted.cols:
-        raise ValueError(f"target index {target_index} out of range for {predicted.cols} classes")
-    p = max(float(predicted.data[0, target_index]), PROB_FLOOR)
-    out = Matrix._result(np.array([[-np.log(p)]]))
-
-    def back(g):
-        gp = np.zeros_like(predicted.data)
-        gp[0, target_index] = -float(g[0, 0]) / p
-        return (gp,)
-
-    return record(out, (predicted,), back)
 
 
 def masked_cross_entropy(predicted: Matrix, targets: np.ndarray, mask: np.ndarray) -> Matrix:
@@ -334,19 +287,6 @@ def masked_cross_entropy(predicted: Matrix, targets: np.ndarray, mask: np.ndarra
     return record(out, (predicted,), back)
 
 
-def slice_cols(x: Matrix, start: int, stop: int) -> Matrix:
-    if not 0 <= start < stop <= x.cols:
-        raise ShapeError(f"column slice [{start}:{stop}] invalid for {x.shape}")
-    out = Matrix._result(x.data[:, start:stop].copy())
-
-    def back(g):
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return record(out, (x,), back)
-
-
 def reshape(x: Matrix, rows: int, cols: int) -> Matrix:
     if rows * cols != x.data.size:
         raise ShapeError(f"cannot reshape {x.shape} to ({rows}, {cols})")
@@ -373,22 +313,6 @@ def take_rows(x: Matrix, indices) -> Matrix:
         return (gx,)
 
     return record(out, (x,), back)
-
-
-def vstack(parts: Sequence[Matrix]) -> Matrix:
-    if not parts:
-        raise ValueError("vstack needs at least one matrix")
-    cols = parts[0].cols
-    for p in parts:
-        if p.cols != cols:
-            raise ShapeError("vstack operands must share a column count")
-    out = Matrix._result(np.concatenate([p.data for p in parts], axis=0))
-    offsets = np.cumsum([0] + [p.rows for p in parts])
-
-    def back(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return record(out, tuple(parts), back)
 
 
 def dropout(x: Matrix, rate: float, rng: np.random.Generator) -> Matrix:

@@ -82,7 +82,6 @@ class LstmLayer:
         self.wh = wh
         self.bias = bias
         self.hidden_size = wh.rows
-        self.input_dim = wx.rows
 
     @classmethod
     def init(cls, input_dim: int, hidden: int, rng: np.random.Generator) -> "LstmLayer":
@@ -96,41 +95,45 @@ class LstmLayer:
         b[0, hidden:2 * hidden] = 1.0  # forget gate starts open
         return cls(wx, wh, nm.parameter(b))
 
-    def step(self, x: Matrix, h: Matrix, c: Matrix) -> tuple[Matrix, Matrix]:
-        """One cell update of B rows: returns (new hidden, new cell).
+    def step(self, xproj: Matrix, h: Matrix, c: Matrix) -> tuple[Matrix, Matrix]:
+        """One cell update of B rows from their input projection: returns (new hidden, new cell).
 
-        This is the inference cell and records nothing on a tape; training
-        runs whole sequences through :func:`numerics.lstm_sequence`.  Under
-        an active tape it would silently drop gradients, so it refuses.
+        `xproj` is the B x 4H product of the layer input with `wx`, so the
+        cell computes ``(xproj + h @ wh) + bias``, the association of
+        :func:`numerics.lstm_sequence`.  This is the inference cell and
+        records nothing on a tape; training runs whole sequences through
+        :func:`numerics.lstm_sequence`.  Under an active tape it would
+        silently drop gradients, so it refuses.
         """
-        if x.cols != self.input_dim:
-            raise ShapeError(f"input width {x.cols} != layer input dim {self.input_dim}")
+        if xproj.cols != self.wh.cols:
+            raise ShapeError(f"input projection width {xproj.cols} != 4H = {self.wh.cols}")
         if nm.is_recording():
             raise RuntimeError("LstmLayer.step is inference-only; train through lstm_sequence")
-        z = (x.data @ self.wx.data + h.data @ self.wh.data) + self.bias.data
+        z = (xproj.data + h.data @ self.wh.data) + self.bias.data
         _, c2, _, h2 = nm.lstm_cell(z, c.data)
         return Matrix._result(h2), Matrix._result(c2)
 
 
-def lstm_step(layer: LstmLayer, x: Matrix, state: tuple[Matrix, Matrix]) -> tuple[Matrix, tuple[Matrix, Matrix]]:
-    """Functional wrapper over LstmLayer.step returning (output, new state)."""
-    h2, c2 = layer.step(x, state[0], state[1])
-    return h2, (h2, c2)
-
-
 @dataclass
 class LstmState:
-    """Per-layer (hidden, cell) pairs; a fresh state is all zeros."""
+    """Per-layer (hidden, cell) pairs, zero in a fresh state, and the V x 4H
+    table of layer-0 input projections of every page class.
+
+    `SequenceModel.start` computes the table from the weights of that moment;
+    `step` gathers its rows and hands the same table on to the new state.
+    """
 
     layers: list[tuple[Matrix, Matrix]]
+    table: Matrix
 
     @classmethod
-    def zeros(cls, hidden_sizes, batch: int) -> "LstmState":
+    def zeros(cls, hidden_sizes, batch: int, table: Matrix) -> "LstmState":
         return cls(
             [
                 (nm.constant(np.zeros((batch, h))), nm.constant(np.zeros((batch, h))))
                 for h in hidden_sizes
-            ]
+            ],
+            table,
         )
 
 
@@ -168,9 +171,6 @@ class SequenceModel:
             raise ShapeError(
                 f"softmax width {w_out.cols} != vocabulary size {len(vocab)}"
             )
-        self.weights_version = 0
-        self._embed_cache: dict[str, Matrix] = {}
-        self._embed_cache_version = -1
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: PageVocabulary, seed: int) -> "SequenceModel":
@@ -216,17 +216,19 @@ class SequenceModel:
 
     # -- forward pieces ----------------------------------------------------
 
-    def zero_state(self, batch: int) -> LstmState:
-        return LstmState.zeros([l.hidden_size for l in self.layers], batch)
+    def cell_steps(self, xproj: Matrix, state: LstmState) -> tuple[Matrix, LstmState]:
+        """Push one step through the LSTM stack; returns (top hidden, new state).
 
-    def cell_steps(self, x: Matrix, state: LstmState) -> tuple[Matrix, LstmState]:
-        """Push one input through the LSTM stack; returns (top hidden, new state)."""
+        `xproj` is layer 0's B x 4H input projection; deeper layers project
+        the hidden rows of the layer below.
+        """
         new_layers = []
-        h = x
-        for layer, (h_prev, c_prev) in zip(self.layers, state.layers):
-            h, c = layer.step(h, h_prev, c_prev)
+        for i, (layer, (h_prev, c_prev)) in enumerate(zip(self.layers, state.layers)):
+            if i:
+                xproj = Matrix._result(h.data @ layer.wx.data)
+            h, c = layer.step(xproj, h_prev, c_prev)
             new_layers.append((h, c))
-        return h, LstmState(new_layers)
+        return h, LstmState(new_layers, state.table)
 
     def head(self, h: Matrix, dropout_rng: np.random.Generator | None = None) -> Matrix:
         """Fully connected ReLU layer, optional dropout, softmax over classes."""
@@ -267,28 +269,36 @@ class SequenceModel:
             del xproj  # inference frees each projection before the next is built
         return self.head(h, dropout_rng)
 
-    def _embed_cached(self, phrase: str) -> Matrix:
-        if self._embed_cache_version != self.weights_version:
-            self._embed_cache = {}
-            self._embed_cache_version = self.weights_version
-        hit = self._embed_cache.get(phrase)
-        if hit is None:
-            hit = self.encoder.embed(phrase)
-            self._embed_cache[phrase] = hit
-        return hit
-
     # -- whole-session paths -------------------------------------------------
+
+    def _prefix_pass(self, phrases: list[str]) -> tuple[LstmState, list[Matrix]]:
+        """Run `phrases` through the one-step cell from a zero state.
+
+        One CNN pass encodes every page class, then the phrases that are not
+        page names, and one product with layer 0's input weights projects
+        them all.  The first V rows, one per page class, become the table of
+        the returned state.  Returns (state after the last phrase, top hidden
+        row after each phrase).
+        """
+        if not phrases:
+            raise ValueError("input sequence must be non-empty")
+        names = list(self.vocab.page_names)
+        names += sorted(set(phrases).difference(names))
+        proj = nm.matmul(self.encoder.embed_batch(names), self.layers[0].wx).data
+        row_of = {name: r for r, name in enumerate(names)}
+        table = Matrix._result(proj[:self.n_classes])
+        state = LstmState.zeros([l.hidden_size for l in self.layers], 1, table)
+        tops = []
+        for phrase in phrases:
+            r = row_of[phrase]
+            h, state = self.cell_steps(Matrix._result(proj[r:r + 1]), state)
+            tops.append(h)
+        return state, tops
 
     def forward_session(self, phrases: list[str]) -> list[StepPrediction]:
         """Inference pass through the one-step cell: one StepPrediction per input step."""
-        if not phrases:
-            raise ValueError("input sequence must be non-empty")
-        state = self.zero_state(1)
-        out = []
-        for t, phrase in enumerate(phrases):
-            h, state = self.cell_steps(self.encoder.embed(phrase), state)
-            out.append(StepPrediction(t, self.head(h).data[0].copy()))
-        return out
+        _, tops = self._prefix_pass(phrases)
+        return [StepPrediction(t, self.head(h).data[0].copy()) for t, h in enumerate(tops)]
 
     def session_nll(
         self,
@@ -318,27 +328,25 @@ class SequenceModel:
         """Consume keywords + visited pages; return (state, next-page distribution).
 
         `prefix` needs `.keywords` (text, possibly empty) and `.pages`
-        (iterable of page names).
+        (iterable of page names).  The state carries the layer-0 projection
+        of every page class, computed from the weights at this call, so an
+        in-place edit of the weights is seen by the next `start`.
         """
-        state = self.zero_state(1)
-        for phrase in [prefix.keywords] + list(prefix.pages):
-            h, state = self.cell_steps(self._embed_cached(phrase), state)
-        return state, self.head(h).data[0].copy()
+        state, tops = self._prefix_pass([prefix.keywords, *prefix.pages])
+        return state, self.head(tops[-1]).data[0].copy()
 
     def step(self, state: LstmState, rows, pages) -> tuple[LstmState, np.ndarray]:
         """Feed page `pages[j]` to row `rows[j]` of `state`, for every j at once.
 
         Returns (new B-row state, B x N next-page distributions), B = len(pages);
         `state` is left untouched, so one state can branch into several futures.
+        Layer 0's input is a row gather from the state's page-projection table.
         """
-        x = nm.take_rows(self._page_table(), pages)
-        prev = LstmState([(nm.take_rows(h, rows), nm.take_rows(c, rows)) for h, c in state.layers])
-        h, state = self.cell_steps(x, prev)
-        return state, self.head(h).data
-
-    def _page_table(self) -> Matrix:
-        """V x E embeddings of every page class, row i for class i, from the embed cache."""
-        return nm.vstack([self._embed_cached(name) for name in self.vocab.page_names])
+        prev = LstmState(
+            [(nm.take_rows(h, rows), nm.take_rows(c, rows)) for h, c in state.layers], state.table
+        )
+        h, new = self.cell_steps(nm.take_rows(state.table, pages), prev)
+        return new, self.head(h).data
 
 
 def predict_next(model, prefix) -> np.ndarray:
@@ -426,7 +434,6 @@ def model_from_dict(d: dict) -> SequenceModel:
                 f"checkpoint weight {name!r} has shape {tuple(arr.shape)}, expected {p.shape}"
             )
         p.data[...] = arr
-    model.weights_version += 1
     return model
 
 

@@ -119,6 +119,9 @@ def maxpool1d(x: Matrix, window: int, n: int = 1) -> Matrix:
     seg = np.full((n, n_out * window, cols), -np.inf)
     seg[:, :length] = x.data.reshape(n, length, cols)
     seg = seg.reshape(n, n_out, window, cols)
+    if not (nm.is_recording() and x.track):
+        # off the tape only the maxima are needed, not where they came from
+        return Matrix._result(seg.max(axis=2).reshape(n * n_out, cols))
     am = seg.argmax(axis=2)
     data = np.take_along_axis(seg, am[:, :, None, :], axis=2).reshape(n * n_out, cols)
     src = (
@@ -227,7 +230,3 @@ class CnnEncoder:
             named.append((f"conv{i}.kernels", st.kernels))
             named.append((f"conv{i}.bias", st.bias))
         return named
-
-
-def embed_phrase(encoder: CnnEncoder, phrase: str) -> Matrix:
-    return encoder.embed(phrase)

@@ -135,10 +135,10 @@ class _Expanded:
     targets: np.ndarray
 
 
-def _expand_all(sessions, vocab, config: TrainConfig) -> list[_Expanded]:
+def _expand_all(sessions, vocab, unit_seconds: float, cap: int) -> list[_Expanded]:
     out = []
     for s in sessions:
-        inputs, targets = expand_session(s, vocab, config.unit_seconds, config.dwell_cap)
+        inputs, targets = expand_session(s, vocab, unit_seconds, cap)
         out.append(_Expanded(inputs, np.asarray(targets, dtype=np.intp)))
     return out
 
@@ -205,7 +205,7 @@ def train(
         if not s.events:
             raise ValueError(f"training session {s.session_id!r} has no page events")
     model = SequenceModel.build(config.model_config(), vocab, config.seed)
-    expanded = _expand_all(sessions, vocab, config)
+    expanded = _expand_all(sessions, vocab, config.unit_seconds, config.dwell_cap)
     held_out = list(eval_sessions) if eval_sessions is not None else sessions
     params = [p for _, p in model.parameters()]
     optimizer = _AdaptiveStep(params, config)
@@ -236,7 +236,6 @@ def train(
             nm.zero_gradients(params)
             nats += total.item()
             steps += n_steps
-        model.weights_version += 1
         eval_acc, eval_loss = evaluate(
             model, held_out, vocab, unit_seconds=config.unit_seconds, cap=config.dwell_cap
         )
@@ -270,8 +269,7 @@ def evaluate(
     sessions = list(sessions)
     if not sessions:
         raise ValueError("no sessions to evaluate")
-    config = TrainConfig(unit_seconds=unit_seconds, dwell_cap=cap)
-    expanded = _expand_all(sessions, vocab, config)
+    expanded = _expand_all(sessions, vocab, unit_seconds, cap)
     hits = 0.0
     nats = 0.0
     steps = 0.0
@@ -376,20 +374,6 @@ def save_ensemble(ensemble: Ensemble, path) -> None:
         fh.write("\n")
 
 
-def _ensemble_from(payload: dict, path) -> Ensemble:
-    members = checkpoint_field(payload, "members", list, str(path))
-    if not members:
-        raise CheckpointError(f"{path}: ensemble checkpoint has no members")
-    return Ensemble([model_from_dict(d) for d in members])
-
-
-def load_ensemble(path) -> Ensemble:
-    payload = read_checkpoint(path)
-    if payload.get("format") != ENSEMBLE_FORMAT:
-        raise CheckpointError(f"{path}: not an ensemble checkpoint")
-    return _ensemble_from(payload, path)
-
-
 def load_predictor(path):
     """Load either a single-model or an ensemble checkpoint."""
     payload = read_checkpoint(path)
@@ -397,5 +381,8 @@ def load_predictor(path):
     if fmt == CHECKPOINT_FORMAT:
         return model_from_dict(checkpoint_field(payload, "model", dict, str(path)))
     if fmt == ENSEMBLE_FORMAT:
-        return _ensemble_from(payload, path)
+        members = checkpoint_field(payload, "members", list, str(path))
+        if not members:
+            raise CheckpointError(f"{path}: ensemble checkpoint has no members")
+        return Ensemble([model_from_dict(d) for d in members])
     raise CheckpointError(f"{path}: unrecognised checkpoint format {fmt!r}")

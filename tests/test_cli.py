@@ -405,3 +405,55 @@ def test_bad_objectives_rejected(tmp_path, text):
     with pytest.raises(CliError):
         _load_objectives(path)
 
+
+
+# in Latin-1, "é" is a byte that is not valid UTF-8
+LATIN1_PREFIX = '{"keywords": "café", "pages": ["home"]}\n'.encode("latin-1")
+
+
+def _assert_clean_utf8_error(capsys, name):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err and "UTF-8" in err
+    return err
+
+
+@pytest.mark.parametrize("which", ["prefixes", "objectives"])
+def test_score_non_utf8_input_is_a_clean_error(pipeline, tmp_path, capsys, which):
+    out, _ = pipeline
+    files = {
+        "prefixes": tmp_path / "p.jsonl",
+        "objectives": tmp_path / "o.json",
+    }
+    files["prefixes"].write_text('{"keywords": "car insurance", "pages": ["home"]}\n')
+    files["objectives"].write_text('[{"id": "c", "pages": ["confirm"]}]')
+    bad = {
+        "prefixes": LATIN1_PREFIX,
+        "objectives": '[{"id": "café", "pages": ["confirm"]}]'.encode("latin-1"),
+    }
+    files[which].write_bytes(bad[which])
+    code = main([
+        "score", "--model", str(out / "model.ckpt"),
+        "--prefixes", str(files["prefixes"]), "--objectives", str(files["objectives"]),
+        "--n-samples", "20", "--horizon", "5", "--out", str(tmp_path / "s.csv"),
+    ])
+    assert code == 1
+    _assert_clean_utf8_error(capsys, files[which].name)
+
+
+def test_non_utf8_config_file_is_a_clean_error(pipeline, tmp_path, capsys):
+    _, data = pipeline
+    config = tmp_path / "bad.conf"
+    config.write_bytes("# réglages\nepochs = 1\n".encode("latin-1"))
+    code = main(["train", "--data", str(data), "--config", str(config)])
+    assert code == 1
+    _assert_clean_utf8_error(capsys, "bad.conf")
+
+
+def test_eval_non_utf8_data_is_a_clean_error(pipeline, tmp_path, capsys):
+    out, _ = pipeline
+    data = tmp_path / "latin1.jsonl"
+    good = (out / "eval_sessions.jsonl").read_bytes().split(b"\n")[0]
+    data.write_bytes(good + b"\n" + '{"session_id": "é"}\n'.encode("latin-1"))
+    code = main(["eval", "--model", str(out / "model.ckpt"), "--data", str(data)])
+    assert code == 1
+    assert "line 2:" in _assert_clean_utf8_error(capsys, "latin1.jsonl")

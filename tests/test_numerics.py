@@ -9,22 +9,16 @@ from journeynet.numerics import (
     add,
     backward,
     constant,
-    cross_entropy,
     dropout,
     grad_check,
     masked_cross_entropy,
     matmul,
-    mul,
     parameter,
     relu,
     reshape,
     scale,
-    sigmoid,
-    slice_cols,
     softmax,
     take_rows,
-    tanh,
-    vstack,
     zero_gradients,
 )
 
@@ -95,6 +89,11 @@ def test_softmax_is_distribution_even_for_extreme_logits():
         assert abs(y.sum() - 1.0) < 1e-9
 
 
+def cross_entropy(predicted, target):
+    """Cross-entropy of one probability row: masked_cross_entropy of a batch of one."""
+    return masked_cross_entropy(predicted, [target], [1.0])
+
+
 def test_cross_entropy_perfect_prediction_is_zero():
     p = constant([[0.0, 1.0, 0.0]])
     assert cross_entropy(p, 1).item() == 0.0
@@ -119,11 +118,6 @@ def test_cross_entropy_out_of_range_index():
         cross_entropy(p, -1)
 
 
-def test_cross_entropy_requires_normalised_input():
-    with pytest.raises(ValueError):
-        cross_entropy(constant([[0.5, 0.4]]), 0)
-
-
 def test_cross_entropy_floor_keeps_loss_finite():
     p = constant([[1.0, 0.0]])
     loss = cross_entropy(p, 1)
@@ -131,10 +125,21 @@ def test_cross_entropy_floor_keeps_loss_finite():
     assert loss.item() == pytest.approx(-np.log(1e-12))
 
 
+def test_stable_sigmoid_never_overflows():
+    d = np.array([-1e4, -745.0, -30.0, -1.0, 0.0, 1.0, 30.0, 745.0, 1e4])
+    with np.errstate(over="raise"):
+        s = nm._sigmoid(d)
+    assert np.all((s >= 0) & (s <= 1))
+    assert s[4] == 0.5 and s[0] == 0.0 and s[-1] == 1.0
+    mid = d[2:-2]
+    np.testing.assert_allclose(s[2:-2], 1.0 / (1.0 + np.exp(-mid)), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(nm._sigmoid(-d), 1.0 - s, rtol=0, atol=np.finfo(float).eps)
+
+
 def test_backward_square():
     x = parameter([[3.0]])
     with ComputeTape() as tape:
-        y = mul(x, x)
+        y = matmul(x, x)
     backward(tape, y)
     assert x.grad[0, 0] == pytest.approx(6.0)
 
@@ -143,7 +148,7 @@ def test_backward_constant_function_gives_zero():
     x = parameter([[2.0]])
     c = constant([[5.0]])
     with ComputeTape() as tape:
-        y = add(mul(x, constant([[0.0]])), c)
+        y = add(matmul(x, constant([[0.0]])), c)
     backward(tape, y)
     assert x.grad[0, 0] == 0.0
 
@@ -159,7 +164,7 @@ def test_backward_requires_scalar():
 def test_backward_accumulates_across_calls():
     x = parameter([[3.0]])
     with ComputeTape() as tape:
-        y = mul(x, x)
+        y = matmul(x, x)
     backward(tape, y)
     backward(tape, y)
     assert x.grad[0, 0] == pytest.approx(12.0)
@@ -203,8 +208,8 @@ def test_three_layer_composition_matches_finite_differences():
     m = np.ones(2)
 
     def f():
-        h1 = tanh(add(matmul(x, w1), b1))
-        h2 = sigmoid(matmul(h1, w2))
+        h1 = relu(add(matmul(x, w1), b1))
+        h2 = softmax(matmul(h1, w2))
         return masked_cross_entropy(softmax(matmul(h2, w3)), t, m)
 
     err = grad_check(f, [w1, b1, w2, w3], h=1e-5)
@@ -225,14 +230,14 @@ def test_grad_check_quadratic_form_is_nearly_exact():
 
 def test_grad_check_no_parameters_returns_zero():
     c = constant([[1.0]])
-    assert grad_check(lambda: mul(c, c), [], h=1e-5) == 0.0
+    assert grad_check(lambda: matmul(c, c), [], h=1e-5) == 0.0
 
 
 def test_grad_check_rejects_non_finite():
     x = parameter([[1e308]])
 
     def f():
-        return mul(x, x)
+        return matmul(x, x)
 
     with np.errstate(over="ignore"), pytest.raises(NumericError):
         grad_check(f, [x], h=1e-5)
@@ -242,16 +247,12 @@ PRIMITIVE_CASES = [
     "matmul",
     "add",
     "add_bias",
-    "mul",
     "scale",
-    "sigmoid",
-    "tanh",
     "relu",
     "softmax_ce",
-    "slice",
     "reshape",
     "take_rows",
-    "vstack",
+    "lstm_sequence",
 ]
 
 
@@ -292,25 +293,10 @@ def test_primitive_gradients_match_finite_differences(op_name):
             proj = projector(r, c)
             f = lambda: proj(add(a, b))
             params = [a, b]
-        elif op_name == "mul":
-            a, b = rand(r, c), rand(r, c)
-            proj = projector(r, c)
-            f = lambda: proj(mul(a, b))
-            params = [a, b]
         elif op_name == "scale":
             a = rand(r, c)
             proj = projector(r, c)
             f = lambda: proj(scale(a, 1.7))
-            params = [a]
-        elif op_name == "sigmoid":
-            a = rand(r, c)
-            proj = projector(r, c)
-            f = lambda: proj(sigmoid(a))
-            params = [a]
-        elif op_name == "tanh":
-            a = rand(r, c)
-            proj = projector(r, c)
-            f = lambda: proj(tanh(a))
             params = [a]
         elif op_name == "relu":
             a = rand(r, c, away_from_zero=True)
@@ -320,12 +306,7 @@ def test_primitive_gradients_match_finite_differences(op_name):
         elif op_name == "softmax_ce":
             a = rand(1, c + 1)
             t = int(rng.integers(0, c + 1))
-            f = lambda: cross_entropy(softmax(a), t)
-            params = [a]
-        elif op_name == "slice":
-            a = rand(r, c + 2)
-            proj = projector(r, c)
-            f = lambda: proj(slice_cols(a, 1, c + 1))
+            f = lambda: masked_cross_entropy(softmax(a), [t], [1.0])
             params = [a]
         elif op_name == "reshape":
             a = rand(r, c)
@@ -338,11 +319,13 @@ def test_primitive_gradients_match_finite_differences(op_name):
             proj = projector(4, c)
             f = lambda: proj(take_rows(a, idx))
             params = [a]
-        elif op_name == "vstack":
-            a, b = rand(1, c), rand(2, c)
-            proj = projector(3, c)
-            f = lambda: proj(vstack([a, b]))
-            params = [a, b]
+        elif op_name == "lstm_sequence":
+            # r steps of a batch of 2, hidden size c: every gate's sigmoid or
+            # tanh derivative and the recurrent carry are on the path
+            x, wh, b = rand(2 * r, 4 * c), rand(c, 4 * c), rand(1, 4 * c)
+            proj = projector(2 * r, c)
+            f = lambda: proj(nm.lstm_sequence(x, wh, b, 2))
+            params = [x, wh, b]
         assert grad_check(f, params, h=1e-5) < 1e-4, f"{op_name} trial {trial}"
 
 

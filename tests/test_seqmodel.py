@@ -7,6 +7,7 @@ from journeynet import numerics as nm
 from journeynet.errors import ShapeError
 from journeynet.journeydata import (
     NULL_PAGE,
+    UNKNOWN_PAGE,
     PageEvent,
     PageVocabulary,
     Session,
@@ -19,7 +20,6 @@ from journeynet.seqmodel import (
     ModelConfig,
     SequenceModel,
     StepPrediction,
-    lstm_step,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -63,9 +63,14 @@ def zero_layer(input_dim=3, hidden=2):
     return LstmLayer(wx, wh, b)
 
 
+def project(layer, x):
+    """The layer's input projection x @ wx, which its one-step cell takes."""
+    return nm.constant(np.asarray(x, dtype=float) @ layer.wx.data)
+
+
 def test_lstm_zero_weights_zero_state_stays_zero():
     layer = zero_layer()
-    x = nm.constant([[1.0, -2.0, 3.0]])
+    x = project(layer, [[1.0, -2.0, 3.0]])
     h, c = layer.step(x, nm.constant(np.zeros((1, 2))), nm.constant(np.zeros((1, 2))))
     assert not h.data.any()
     assert not c.data.any()
@@ -73,7 +78,7 @@ def test_lstm_zero_weights_zero_state_stays_zero():
 
 def test_lstm_output_shapes():
     layer = LstmLayer.init(5, 3, np.random.default_rng(0))
-    x = nm.constant(np.random.default_rng(1).normal(size=(4, 5)))
+    x = project(layer, np.random.default_rng(1).normal(size=(4, 5)))
     h, c = layer.step(x, nm.constant(np.zeros((4, 3))), nm.constant(np.zeros((4, 3))))
     assert h.shape == (4, 3)
     assert c.shape == (4, 3)
@@ -88,7 +93,7 @@ def test_lstm_single_unit_hand_oracle():
     b = nm.parameter(np.zeros((1, 4)))
     layer = LstmLayer(wx, wh, b)
     h, c = layer.step(
-        nm.constant([[1.0]]), nm.constant([[0.0]]), nm.constant([[0.0]])
+        project(layer, [[1.0]]), nm.constant([[0.0]]), nm.constant([[0.0]])
     )
     assert c.item() == pytest.approx(0.5567699411459397, abs=1e-12)
     assert h.item() == pytest.approx(0.36960635293570576, abs=1e-12)
@@ -98,18 +103,10 @@ def test_lstm_dimension_mismatch():
     layer = zero_layer(input_dim=3)
     with pytest.raises(ShapeError):
         layer.step(
-            nm.constant([[1.0, 2.0]]),
+            nm.constant([[1.0, 2.0, 3.0]]),  # an input row, not its 4H projection
             nm.constant(np.zeros((1, 2))),
             nm.constant(np.zeros((1, 2))),
         )
-
-
-def test_lstm_step_functional_wrapper():
-    layer = LstmLayer.init(2, 3, np.random.default_rng(5))
-    state = (nm.constant(np.zeros((1, 3))), nm.constant(np.zeros((1, 3))))
-    out, (h, c) = lstm_step(layer, nm.constant([[0.5, -0.5]]), state)
-    assert out is h
-    assert h.shape == (1, 3) and c.shape == (1, 3)
 
 
 def test_lstm_forget_bias_initialised_to_one():
@@ -120,7 +117,9 @@ def test_lstm_forget_bias_initialised_to_one():
 
 
 def test_fresh_state_is_zeros():
-    state = LstmState.zeros([3, 5], batch=2)
+    table = nm.constant(np.ones((4, 12)))
+    state = LstmState.zeros([3, 5], batch=2, table=table)
+    assert state.table is table
     for h, c in state.layers:
         assert not h.data.any() and not c.data.any()
     assert state.layers[0][0].shape == (2, 3)
@@ -238,7 +237,6 @@ def perturb_params(model, seed=0, lo=0.1, hi=0.4):
             p.data += gen.uniform(lo, hi, size=p.shape)
         else:
             p.data += gen.uniform(lo, hi, size=p.shape) * gen.choice([-1, 1], size=p.shape)
-    model.weights_version += 1
 
 
 def test_session_nll_gradients_pass_grad_check():
@@ -261,10 +259,9 @@ def test_session_nll_gradients_pass_grad_check():
 
 
 def _ragged_batch(vocab, sessions, unit_seconds=30.0, cap=5):
-    from journeynet.training import TrainConfig, _batch_tensors, _expand_all
+    from journeynet.training import _batch_tensors, _expand_all
 
-    config = TrainConfig(unit_seconds=unit_seconds, dwell_cap=cap)
-    expanded = _expand_all(sessions, vocab, config)
+    expanded = _expand_all(sessions, vocab, unit_seconds, cap)
     return _batch_tensors(expanded, list(range(len(sessions))))
 
 
@@ -333,7 +330,7 @@ def test_one_step_cell_refuses_to_run_under_a_tape():
     zeros = nm.constant(np.zeros((1, 3)))
     with nm.ComputeTape():
         with pytest.raises(RuntimeError):
-            layer.step(nm.constant([[0.5, -0.5]]), zeros, zeros)
+            layer.step(project(layer, [[0.5, -0.5]]), zeros, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +354,37 @@ def test_start_step_matches_forward_session():
     assert np.array_equal(dist, full[1].probs)
     assert dist2.shape == (1, model.n_classes)
     assert np.array_equal(dist2[0], full[2].probs)
+
+
+def test_start_step_matches_forward_session_with_odd_phrases():
+    # an out-of-vocabulary page is fed as its own text, and a keyword equal
+    # to a page name reads that page's row of the projection table
+    model = toy_model(seed=29)
+    unknown = model.vocab.encode(UNKNOWN_PAGE)
+    state, dist = model.start(Prefix("b", ("zz-not-a-page", "a")))
+    state, dist2 = model.step(state, [0], [model.vocab.encode("c")])
+    state, dist3 = model.step(state, [0], [unknown])
+    full = model.forward_session(["b", "zz-not-a-page", "a", "c", UNKNOWN_PAGE])
+    assert np.array_equal(dist, full[2].probs)
+    assert np.array_equal(dist2[0], full[3].probs)
+    assert np.array_equal(dist3[0], full[4].probs)
+
+
+def test_start_sees_in_place_weight_edits():
+    model = toy_model(seed=31)
+    phrases = ["kw", "a", "b"]
+    prefix = Prefix(phrases[0], phrases[1:])
+    old_state, before = model.start(prefix)
+    for weights in (model.encoder.stages[0].kernels, model.layers[0].wx):
+        weights.data[...] *= 0.5
+        state, dist = model.start(prefix)
+        assert not np.array_equal(dist, before)
+        assert np.array_equal(dist, model.forward_session(phrases)[-1].probs)
+        _, stepped = model.step(state, [0], [model.vocab.encode("c")])
+        assert np.array_equal(stepped[0], model.forward_session(phrases + ["c"])[-1].probs)
+        before = dist
+    # a state started before the edits keeps the page projections it was started with
+    assert not np.array_equal(old_state.table.data, state.table.data)
 
 
 def test_extending_prefix_changes_distribution():

@@ -11,7 +11,6 @@ from journeynet.textenc import (
     CnnEncoder,
     ConvStage,
     conv1d,
-    embed_phrase,
     maxpool1d,
     quantize,
 )
@@ -204,11 +203,6 @@ def test_embed_is_deterministic():
     assert np.array_equal(a.data, b.data)
 
 
-def test_embed_phrase_wrapper():
-    enc = _toy_encoder(seed=4)
-    assert np.array_equal(embed_phrase(enc, "home").data, enc.embed("home").data)
-
-
 BATCH_PHRASES = ["", "home", "x" * 100, "Ünïcode?!"]
 
 
@@ -237,6 +231,26 @@ def test_stacked_maxpool_equals_per_sequence_maxpool():
             maxpool1d(nm.constant(x[k * length:(k + 1) * length]), window).data for k in range(n)
         ])
         assert np.array_equal(got, want)
+
+
+def test_off_tape_maxpool_equals_taped_forward():
+    # small integers tie within windows; length 10 leaves a partial tail
+    # window of -inf padding, and negative entries must still beat it
+    rng = np.random.default_rng(23)
+    n, length, cols, window = 3, 10, 5, 4
+    x = rng.integers(-3, 2, size=(n * length, cols)).astype(float)
+    x[length - 2:length] = -7.0
+    off = maxpool1d(nm.parameter(x), window, n).data
+    with nm.ComputeTape() as tape:
+        taped = maxpool1d(nm.parameter(x), window, n).data
+    assert len(tape) == 1
+    assert off.shape == (n * 3, cols)
+    assert np.array_equal(off, taped)
+    want = [
+        x[k * length + w * window:k * length + min((w + 1) * window, length)].max(axis=0)
+        for k in range(n) for w in range(3)
+    ]
+    assert np.array_equal(off, np.array(want))
 
 
 def test_embed_batch_gradients_pass_grad_check():
