@@ -71,16 +71,12 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _parse_stages(text: str) -> tuple[tuple[int, int, int], ...]:
+def _parse_stages(text: str) -> tuple[tuple[int, ...], ...]:
+    """Stages like 3x64x4,3x64x4; TrainConfig checks their count and values."""
     try:
-        stages = tuple(
-            tuple(int(v) for v in part.split("x")) for part in text.split(",") if part
-        )
+        return tuple(tuple(int(v) for v in part.split("x")) for part in text.split(",") if part)
     except ValueError as exc:
         raise CliError(f"bad conv stage spec {text!r}; expected like 3x64x4,3x64x4") from exc
-    if not stages or any(len(s) != 3 for s in stages):
-        raise CliError(f"bad conv stage spec {text!r}; expected like 3x64x4,3x64x4")
-    return stages
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -123,8 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit-seconds", type=float, default=_DEFAULTS.unit_seconds)
     p.add_argument("--dwell-cap", type=int, default=_DEFAULTS.dwell_cap)
     p.add_argument("--max-len", type=int, default=_DEFAULTS.max_len)
-    p.add_argument("--conv-stages", default="3x64x4,3x64x4", help="widthxfiltersxpool,...")
-    p.add_argument("--lstm-hidden", default="128,128", help="hidden sizes, comma separated")
+    stages = ",".join("x".join(map(str, s)) for s in _DEFAULTS.conv_stages)
+    p.add_argument("--conv-stages", default=stages, help="widthxfiltersxpool,...")
+    hidden = ",".join(map(str, _DEFAULTS.lstm_hidden))
+    p.add_argument("--lstm-hidden", default=hidden, help="hidden sizes, comma separated")
     p.add_argument("--fc-width", type=int, default=_DEFAULTS.fc_width)
     p.add_argument("--ensemble", type=int, default=1, help="number of models to train")
 
@@ -213,10 +211,10 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    config = _train_config(args)
     sessions = load_sessions(args.data)
     train_set, eval_set = split(sessions, args.train_fraction, args.seed)
     vocab = build_vocab(train_set, min_freq=args.min_freq)
-    config = _train_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_sessions(eval_set, out_dir / "eval_sessions.jsonl")

@@ -61,5 +61,9 @@ class SamplingError(JourneynetError, ValueError):
     """A sample count or simulation horizon is out of range."""
 
 
+class ConfigError(JourneynetError, ValueError):
+    """A model, training or data-preparation setting is out of range."""
+
+
 class CliError(JourneynetError, ValueError):
     """Bad command-line or config-file input."""

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .errors import MarkovSpecError, ParseError, SchemaError
+from .errors import ConfigError, MarkovSpecError, ParseError, SchemaError
 
 # reserved vocabulary entries; NULL_PAGE marks "visitor left the site"
 NULL_PAGE = "<null>"
@@ -170,7 +170,7 @@ class PageVocabulary:
 def build_vocab(sessions, min_freq: int = 5) -> PageVocabulary:
     """Vocabulary over pages seen at least `min_freq` times across `sessions`."""
     if min_freq < 1:
-        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
+        raise ConfigError(f"min_freq must be >= 1, got {min_freq}")
     sessions = list(sessions)
     if not sessions:
         raise ValueError("cannot build a vocabulary from an empty session list")
@@ -192,9 +192,9 @@ def replicate_dwell(session: Session, unit_seconds: float = 30.0, cap: int = 5) 
     consecutive copies of its page, and NULL_PAGE is appended once at the end.
     """
     if unit_seconds <= 0:
-        raise ValueError(f"unit_seconds must be > 0, got {unit_seconds}")
+        raise ConfigError(f"unit_seconds must be > 0, got {unit_seconds}")
     if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+        raise ConfigError(f"cap must be >= 1, got {cap}")
     expanded = []
     for ev in session.events:
         copies = min(cap, max(1, math.ceil(ev.dwell_seconds / unit_seconds)))
@@ -295,6 +295,8 @@ class MarkovSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MarkovSpec":
+        if not isinstance(d, dict):
+            raise MarkovSpecError("a chain spec must be a JSON object")
         try:
             return cls(
                 states=tuple(d["states"]),
@@ -305,6 +307,11 @@ class MarkovSpec:
             )
         except KeyError as exc:
             raise MarkovSpecError(f"missing field {exc.args[0]!r}") from exc
+        except MarkovSpecError:
+            raise
+        except (TypeError, ValueError) as exc:
+            # a field of the wrong type, or a ragged or non-numeric matrix
+            raise MarkovSpecError(f"malformed chain spec ({exc})") from exc
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -313,8 +320,11 @@ class MarkovSpec:
 
     @classmethod
     def load(cls, path) -> "MarkovSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise MarkovSpecError(f"{path}: not a JSON chain spec ({exc})") from exc
+        return cls.from_dict(raw)
 
 
 def _sample_index(cdf: np.ndarray, u: float) -> int:
@@ -328,7 +338,7 @@ def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Ses
     output is identical no matter how generation is sharded.
     """
     if n_sessions < 1:
-        raise ValueError(f"n_sessions must be >= 1, got {n_sessions}")
+        raise ConfigError(f"n_sessions must be >= 1, got {n_sessions}")
     spec.validate()
     terminal = spec.n_states - 1
     init_cdf = np.cumsum(spec.initial)
@@ -361,7 +371,7 @@ def split(sessions, train_fraction: float, seed: int) -> tuple[list[Session], li
     if len(sessions) < 2:
         raise ValueError("need at least 2 sessions to split")
     if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     order = rngmod.stream(seed, "split").permutation(len(sessions))
     n_train = int(math.floor(len(sessions) * train_fraction + 1e-9))
     n_train = min(max(n_train, 1), len(sessions) - 1)

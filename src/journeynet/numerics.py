@@ -94,6 +94,15 @@ def parameter(data, name: str | None = None) -> Matrix:
     return Matrix(data, trainable=True, name=name)
 
 
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Matrix:
+    """A fan_in x fan_out parameter, uniform in +-sqrt(6 / (fan_in + fan_out)).
+
+    The initialiser of Glorot & Bengio (2010), used for every weight matrix.
+    """
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return parameter(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+
+
 class _TapeNode:
     __slots__ = ("output", "inputs", "backward_fn")
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import numerics as nm
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError
 from .journeydata import PageVocabulary, Session, replicate_dwell
 from .numerics import Matrix
 from .textenc import DEFAULT_ALPHABET, Alphabet, CnnEncoder
@@ -42,19 +42,18 @@ class ModelConfig:
         object.__setattr__(self, "conv_stages", tuple(tuple(s) for s in self.conv_stages))
         object.__setattr__(self, "lstm_hidden", tuple(self.lstm_hidden))
         if not 0 <= self.dropout_rate < 1:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if not self.conv_stages or not self.lstm_hidden:
-            raise ValueError("need at least one conv stage and one LSTM layer")
+            raise ConfigError("need at least one conv stage and one LSTM layer")
+        if any(len(s) != 3 for s in self.conv_stages):
+            raise ConfigError(f"conv stages must be (width, filters, pool), got {self.conv_stages}")
+        sizes = (self.max_len, self.fc_width, *self.lstm_hidden, *sum(self.conv_stages, ()))
+        if min(sizes) < 1:
+            raise ConfigError("max_len, fc_width, LSTM sizes and conv stage values must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "alphabet": self.alphabet,
-            "max_len": self.max_len,
-            "conv_stages": [list(s) for s in self.conv_stages],
-            "lstm_hidden": list(self.lstm_hidden),
-            "fc_width": self.fc_width,
-            "dropout_rate": self.dropout_rate,
-        }
+        """The ModelConfig fields, also of a subclass (JSON writes the tuples as arrays)."""
+        return {f.name: getattr(self, f.name) for f in fields(ModelConfig)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -85,12 +84,8 @@ class LstmLayer:
 
     @classmethod
     def init(cls, input_dim: int, hidden: int, rng: np.random.Generator) -> "LstmLayer":
-        def glorot(fan_in, fan_out):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-        wx = nm.parameter(glorot(input_dim, 4 * hidden))
-        wh = nm.parameter(glorot(hidden, 4 * hidden))
+        wx = nm.glorot(rng, input_dim, 4 * hidden)
+        wh = nm.glorot(rng, hidden, 4 * hidden)
         b = np.zeros((1, 4 * hidden))
         b[0, hidden:2 * hidden] = 1.0  # forget gate starts open
         return cls(wx, wh, nm.parameter(b))
@@ -180,19 +175,14 @@ class SequenceModel:
         encoder = CnnEncoder.build(
             Alphabet(config.alphabet), config.max_len, list(config.conv_stages), gen
         )
-
-        def glorot(fan_in, fan_out):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            return nm.parameter(gen.uniform(-limit, limit, size=(fan_in, fan_out)))
-
         layers = []
         in_dim = encoder.embedding_dim
         for hidden in config.lstm_hidden:
             layers.append(LstmLayer.init(in_dim, hidden, gen))
             in_dim = hidden
-        w_fc = glorot(in_dim, config.fc_width)
+        w_fc = nm.glorot(gen, in_dim, config.fc_width)
         b_fc = nm.parameter(np.zeros((1, config.fc_width)))
-        w_out = glorot(config.fc_width, len(vocab))
+        w_out = nm.glorot(gen, config.fc_width, len(vocab))
         b_out = nm.parameter(np.zeros((1, len(vocab))))
         return cls(encoder, layers, w_fc, b_fc, w_out, b_out, vocab, config)
 
@@ -437,19 +427,16 @@ def model_from_dict(d: dict) -> SequenceModel:
     return model
 
 
-def save_model(model: SequenceModel, path) -> None:
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "model": model_to_dict(model),
-    }
+def write_checkpoint(path, fmt: str, key: str, body) -> None:
+    """Write `{"format": fmt, "version": CHECKPOINT_VERSION, key: body}` as sorted-key JSON."""
+    payload = {"format": fmt, "version": CHECKPOINT_VERSION, key: body}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
 
 
 def read_checkpoint(path) -> dict:
-    """The JSON object stored in a checkpoint file, of any checkpoint format."""
+    """The JSON object stored in a checkpoint file of any format, at CHECKPOINT_VERSION."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -457,13 +444,17 @@ def read_checkpoint(path) -> dict:
             raise CheckpointError(f"{path}: not a JSON checkpoint ({exc})") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: a checkpoint must be a JSON object")
+    if payload.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
     return payload
+
+
+def save_model(model: SequenceModel, path) -> None:
+    write_checkpoint(path, CHECKPOINT_FORMAT, "model", model_to_dict(model))
 
 
 def load_model(path) -> SequenceModel:
     payload = read_checkpoint(path)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a model checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {payload.get('version')}")
     return model_from_dict(checkpoint_field(payload, "model", dict, str(path)))

@@ -175,22 +175,15 @@ class CnnEncoder:
     ) -> "CnnEncoder":
         """Initialise an encoder from (width, filters, pool) stage specs.
 
-        Kernels are uniform in +-sqrt(6 / (fan_in + fan_out)); biases zero.
+        Kernels are Glorot-uniform (:func:`numerics.glorot`); biases zero.
+        A stage shorter than its kernel raises ShapeError from the constructor.
         """
         stages = []
         channels = len(alphabet)
-        length = max_len
         for width, filters, pool in stage_specs:
-            if length < width:
-                raise ShapeError(
-                    f"stage input length {length} shorter than kernel width {width}"
-                )
-            fan_in = width * channels
-            limit = np.sqrt(6.0 / (fan_in + filters))
-            kernels = nm.parameter(rng.uniform(-limit, limit, size=(fan_in, filters)))
+            kernels = nm.glorot(rng, width * channels, filters)
             bias = nm.parameter(np.zeros((1, filters)))
             stages.append(ConvStage(kernels, bias, width, pool))
-            length = -(-(length - width + 1) // pool)
             channels = filters
         return cls(alphabet, max_len, stages)
 

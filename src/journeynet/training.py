@@ -10,7 +10,6 @@ repeatable.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 
@@ -18,62 +17,50 @@ import numpy as np
 
 from . import numerics as nm
 from . import rng as rngmod
-from .errors import CheckpointError, TrainingError
+from .errors import CheckpointError, ConfigError, TrainingError
 from .journeydata import PageVocabulary, expand_session
 from .seqmodel import (
     CHECKPOINT_FORMAT,
-    CHECKPOINT_VERSION,
     ModelConfig,
     SequenceModel,
     checkpoint_field,
     model_from_dict,
     model_to_dict,
     read_checkpoint,
+    write_checkpoint,
 )
-from .textenc import DEFAULT_ALPHABET
 
 ENSEMBLE_FORMAT = "journeynet-ensemble"
 
 
+# adaptive step: decay of the running average of squared gradients, and its floor
+RMS_DECAY = 0.9
+RMS_EPSILON = 1e-8
+
+
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(ModelConfig):
+    """A ModelConfig plus the settings of one training run."""
+
     epochs: int = 20
     batch_size: int = 32
     learning_rate: float = 1e-3
-    dropout_rate: float = 0.5
     seed: int = 0
     gradient_clip_norm: float = 5.0
-    rms_decay: float = 0.9
-    rms_epsilon: float = 1e-8
     unit_seconds: float = 30.0
     dwell_cap: int = 5
-    alphabet: str = DEFAULT_ALPHABET
-    max_len: int = 64
-    conv_stages: tuple[tuple[int, int, int], ...] = ((3, 64, 4), (3, 64, 4))
-    lstm_hidden: tuple[int, ...] = (128, 128)
-    fc_width: int = 256
 
     def __post_init__(self):
-        object.__setattr__(self, "conv_stages", tuple(tuple(s) for s in self.conv_stages))
-        object.__setattr__(self, "lstm_hidden", tuple(self.lstm_hidden))
+        super().__post_init__()
         if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+            raise ConfigError("epochs and batch_size must be >= 1")
         if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0 <= self.dropout_rate < 1:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.gradient_clip_norm <= 0:
-            raise ValueError("gradient_clip_norm must be > 0")
+            raise ConfigError("gradient_clip_norm must be > 0")
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            alphabet=self.alphabet,
-            max_len=self.max_len,
-            conv_stages=self.conv_stages,
-            lstm_hidden=self.lstm_hidden,
-            fc_width=self.fc_width,
-            dropout_rate=self.dropout_rate,
-        )
+        return ModelConfig(**self.to_dict())
 
 
 @dataclass
@@ -110,8 +97,6 @@ class _AdaptiveStep:
     def __init__(self, params, config: TrainConfig):
         self.params = params
         self.lr = config.learning_rate
-        self.decay = config.rms_decay
-        self.eps = config.rms_epsilon
         self.clip = config.gradient_clip_norm
         self.sq = [np.zeros_like(p.data) for p in params]
 
@@ -124,9 +109,9 @@ class _AdaptiveStep:
             factor = self.clip / norm
             grads = [g * factor for g in grads]
         for p, g, v in zip(self.params, grads, self.sq):
-            v *= self.decay
-            v += (1.0 - self.decay) * g * g
-            p.data -= self.lr * g / (np.sqrt(v) + self.eps)
+            v *= RMS_DECAY
+            v += (1.0 - RMS_DECAY) * g * g
+            p.data -= self.lr * g / (np.sqrt(v) + RMS_EPSILON)
 
 
 @dataclass
@@ -364,14 +349,7 @@ def ensemble_predict(ensemble: Ensemble, prefix) -> np.ndarray:
 
 
 def save_ensemble(ensemble: Ensemble, path) -> None:
-    payload = {
-        "format": ENSEMBLE_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "members": [model_to_dict(m) for m in ensemble.models],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    write_checkpoint(path, ENSEMBLE_FORMAT, "members", [model_to_dict(m) for m in ensemble.models])
 
 
 def load_predictor(path):

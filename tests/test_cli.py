@@ -457,3 +457,109 @@ def test_eval_non_utf8_data_is_a_clean_error(pipeline, tmp_path, capsys):
     code = main(["eval", "--model", str(out / "model.ckpt"), "--data", str(data)])
     assert code == 1
     assert "line 2:" in _assert_clean_utf8_error(capsys, "latin1.jsonl")
+
+
+def _assert_clean_error(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err, err
+    for word in words:
+        assert word in err, err
+    return err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--epochs", "0"],
+    ["--learning-rate", "0"],
+    ["--dropout", "1.5"],
+    ["--lstm-hidden", ","],
+    ["--lstm-hidden", "0"],
+    ["--conv-stages", "3x4x0"],
+    ["--fc-width", "0"],
+    ["--train-fraction", "1.5"],
+    ["--min-freq", "0"],
+    ["--unit-seconds", "0"],
+], ids=" ".join)
+def test_train_out_of_range_flag_is_a_clean_error(pipeline, tmp_path, capsys, flags):
+    _, data = pipeline
+    code = main([
+        "train", "--data", str(data), "--out-dir", str(tmp_path), *TRAIN_FLAGS, *flags,
+    ])
+    assert code == 1
+    _assert_clean_error(capsys)
+
+
+def test_gen_data_zero_sessions_is_a_clean_error(chain_file, tmp_path, capsys):
+    code = main([
+        "gen-data", "--markov-spec", str(chain_file), "--n-sessions", "0",
+        "--out", str(tmp_path / "s.jsonl"),
+    ])
+    assert code == 1
+    _assert_clean_error(capsys, "n_sessions")
+
+
+@pytest.mark.parametrize("content", [
+    b"not json\n",
+    '{"states": ["café", "exit"]}'.encode("latin-1"),
+    b'[["home", "exit"], [[0.5, 0.5], [0.0, 1.0]]]',
+    json.dumps({
+        "states": ["home", "exit"], "transitions": [[0.5, 0.5], [1.0]], "initial": [1.0, 0.0],
+    }).encode(),
+], ids=["not-json", "not-utf8", "json-array", "ragged-transitions"])
+def test_gen_data_bad_markov_spec_is_a_clean_error(tmp_path, capsys, content):
+    from journeynet.errors import MarkovSpecError
+
+    spec = tmp_path / "chain.json"
+    spec.write_bytes(content)
+    with pytest.raises(MarkovSpecError):
+        MarkovSpec.load(spec)
+    code = main(["gen-data", "--markov-spec", str(spec), "--out", str(tmp_path / "s.jsonl")])
+    assert code == 1
+    _assert_clean_error(capsys)
+
+
+def test_train_config_of_default_flags_is_the_default_train_config():
+    from journeynet.cli import _train_config, build_parser
+    from journeynet.training import TrainConfig
+
+    args = build_parser().parse_args(["train", "--data", "x"])
+    assert _train_config(args) == TrainConfig()
+
+
+def _unsupported_version(pipeline, tmp_path, kind):
+    out, _ = pipeline
+    payload = json.loads((out / "model.ckpt").read_text())
+    if kind == "ensemble":
+        payload = dict(_ENSEMBLE, members=[payload["model"]])
+    payload["version"] = 99
+    ckpt = tmp_path / f"{kind}-v99.ckpt"
+    ckpt.write_text(json.dumps(payload))
+    return ckpt
+
+
+@pytest.mark.parametrize("kind", ["model", "ensemble"])
+def test_load_predictor_rejects_unsupported_version(pipeline, tmp_path, kind):
+    from journeynet.errors import CheckpointError
+    from journeynet.training import load_predictor
+
+    with pytest.raises(CheckpointError, match="version 99"):
+        load_predictor(_unsupported_version(pipeline, tmp_path, kind))
+
+
+@pytest.mark.parametrize("kind", ["model", "ensemble"])
+def test_eval_rejects_unsupported_version(pipeline, tmp_path, capsys, kind):
+    out, _ = pipeline
+    ckpt = _unsupported_version(pipeline, tmp_path, kind)
+    code = main(["eval", "--model", str(ckpt), "--data", str(out / "eval_sessions.jsonl")])
+    assert code == 1
+    _assert_clean_error(capsys, "version 99")
+
+
+@pytest.mark.parametrize("stages", [[[3, 4, 0]], [[3, 4]]], ids=["pool-0", "two-values"])
+def test_score_checkpoint_with_bad_conv_stage_is_a_clean_error(pipeline, tmp_path, capsys, stages):
+    out, _ = pipeline
+    payload = json.loads((out / "model.ckpt").read_text())
+    payload["model"]["config"]["conv_stages"] = stages
+    ckpt = tmp_path / "bad-stage.ckpt"
+    ckpt.write_text(json.dumps(payload))
+    assert _score_exit(pipeline, tmp_path, model=ckpt) == 1
+    _assert_clean_error(capsys, "conv stage")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from journeynet.errors import TrainingError
+from journeynet.errors import ConfigError, TrainingError
 from journeynet.journeydata import (
     MarkovSpec,
     PageEvent,
@@ -11,7 +11,7 @@ from journeynet.journeydata import (
     generate_synthetic,
     split,
 )
-from journeynet.seqmodel import SequenceModel, predict_next, session_loss
+from journeynet.seqmodel import ModelConfig, SequenceModel, predict_next, session_loss
 from journeynet.training import (
     Ensemble,
     TrainConfig,
@@ -78,6 +78,40 @@ def test_default_config_matches_reference_architecture():
     assert config.lstm_hidden == (128, 128)
     assert config.fc_width == 256
     assert config.dropout_rate == 0.5
+
+
+def test_train_config_is_a_model_config():
+    config = TrainConfig(epochs=3, seed=4, **TOY_TRAIN)
+    assert isinstance(config, ModelConfig)
+    projected = config.model_config()
+    assert type(projected) is ModelConfig
+    assert projected == ModelConfig(**TOY_TRAIN)
+    assert TrainConfig().model_config() == ModelConfig()
+
+
+def test_trained_model_holds_a_plain_model_config(trained):
+    model, _, config = trained
+    assert type(model.config) is ModelConfig
+    assert model.config == config.model_config()
+
+
+@pytest.mark.parametrize("bad", [
+    dict(lstm_hidden=()),
+    dict(conv_stages=()),
+    dict(lstm_hidden=(8, 0)),
+    dict(conv_stages=((3, 4, 0),)),
+    dict(conv_stages=((3, 4),)),
+    dict(max_len=0),
+    dict(fc_width=0),
+    dict(dropout_rate=1.0),
+    dict(epochs=0),
+    dict(batch_size=0),
+    dict(learning_rate=0.0),
+    dict(gradient_clip_norm=0.0),
+])
+def test_train_config_rejects_out_of_range_values_at_construction(bad):
+    with pytest.raises(ConfigError):
+        TrainConfig(**bad)
 
 
 def test_overfits_single_deterministic_session():
