@@ -369,7 +369,7 @@ def split(sessions, train_fraction: float, seed: int) -> tuple[list[Session], li
     """Deterministic shuffled partition into (train, eval)."""
     sessions = list(sessions)
     if len(sessions) < 2:
-        raise ValueError("need at least 2 sessions to split")
+        raise ConfigError(f"need at least 2 sessions to split, got {len(sessions)}")
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     order = rngmod.stream(seed, "split").permutation(len(sessions))

@@ -1,6 +1,11 @@
 """Dense matrices with reverse-mode automatic differentiation.
 
-Everything is a 2-D float64 array wrapped in a :class:`Matrix`.  Operations
+Everything is a 2-D array wrapped in a :class:`Matrix`.  Weights are
+float64 at rest: a Matrix built from data holds float64, and inference and
+checkpoints see only float64.  Every operation follows its operands' dtype,
+so a pass over float32 copies of the weights (as training makes, see
+:mod:`journeynet.training`) computes, records and back-propagates in
+float32; only 1 x 1 loss scalars stay float64.  Operations
 executed while a :class:`ComputeTape` is active are recorded; calling
 :func:`backward` on the tape then accumulates ``dL/dx`` into the ``grad``
 buffer of every tracked operand.  Without an active tape the same functions
@@ -24,9 +29,15 @@ PROB_FLOOR = 1e-12
 
 
 class Matrix:
-    """A rows x cols float64 array with an optional same-shape gradient buffer."""
+    """A rows x cols array with an optional same-shape gradient buffer.
 
-    __slots__ = ("data", "grad", "trainable", "track", "name")
+    The constructor stores float64; op results keep their operands' dtype.
+    `grad` may be an array a backward function returned, shared with other
+    operands: the first gradient is stored as is, the second makes an own
+    sum, and only that own array is updated in place afterwards.
+    """
+
+    __slots__ = ("data", "grad", "trainable", "track", "name", "_own_grad")
 
     def __init__(self, data, trainable: bool = False, name: str | None = None):
         arr = np.array(data, dtype=np.float64)
@@ -40,6 +51,7 @@ class Matrix:
             raise NumericError("Matrix values must be finite")
         self.data = arr
         self.grad: np.ndarray | None = None
+        self._own_grad = None
         self.trainable = trainable
         self.track = trainable
         self.name = name
@@ -50,6 +62,7 @@ class Matrix:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
+        out._own_grad = None
         out.trainable = False
         out.track = False
         out.name = None
@@ -73,13 +86,16 @@ class Matrix:
         return float(self.data[0, 0])
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add `g` to `grad`, never writing into an array this Matrix did not make."""
         if self.grad is None:
-            self.grad = g.copy()
-        else:
+            self.grad = g
+        elif self.grad is self._own_grad:
             self.grad += g
+        else:
+            self.grad = self._own_grad = self.grad + g
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self.grad = self._own_grad = None
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -191,7 +207,7 @@ def backward(tape: ComputeTape, loss: Matrix) -> None:
                 inp.accumulate_grad(gi)
     for node in tape._nodes:
         if not node.output.trainable:
-            node.output.grad = None
+            node.output.zero_grad()
     if not loss.trainable:
         loss.grad = None
 
@@ -330,7 +346,7 @@ def dropout(x: Matrix, rate: float, rng: np.random.Generator) -> Matrix:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    keep = ((rng.random(x.shape) >= rate) / (1.0 - rate)).astype(x.data.dtype, copy=False)
     out = Matrix._result(x.data * keep)
     return record(out, (x,), lambda g: (g * keep,))
 
@@ -378,12 +394,12 @@ def lstm_sequence(xproj: Matrix, wh: Matrix, bias: Matrix, batch: int) -> Matrix
         raise ShapeError(f"{xproj.rows} input rows do not split into batches of {batch}")
     steps = xproj.rows // batch
     x, w = xproj.data, wh.data
-    hidden = np.empty((x.shape[0], hs))
+    hidden = np.empty((x.shape[0], hs), dtype=x.dtype)
     # the backward pass needs every step's gates and cell; inference keeps none
     taped = is_recording() and any(m.track for m in (xproj, wh, bias))
     if taped:
         acts, cells, tcells = np.empty_like(x), np.empty_like(hidden), np.empty_like(hidden)
-    h = c = np.zeros((batch, hs))
+    h = c = np.zeros((batch, hs), dtype=x.dtype)
     for t in range(steps):
         r = slice(t * batch, (t + 1) * batch)
         z = (x[r] + h @ w) + bias.data
@@ -402,8 +418,8 @@ def lstm_sequence(xproj: Matrix, wh: Matrix, bias: Matrix, batch: int) -> Matrix
         do = tcells * o * (1.0 - o)
         dtc = o * (1.0 - tcells * tcells)
         dz = np.zeros_like(acts)
-        dh = np.zeros((batch, hs))
-        dc = np.zeros((batch, hs))
+        dh = np.zeros((batch, hs), dtype=x.dtype)
+        dc = np.zeros((batch, hs), dtype=x.dtype)
         for t in reversed(range(steps)):
             r = slice(t * batch, (t + 1) * batch)
             dh = gh[r] + dh

@@ -95,7 +95,7 @@ def _window_rows(x: Matrix, width: int, n: int) -> Matrix:
     out = Matrix._result(data)
 
     def back(g):
-        gx = np.zeros((n, length, channels))
+        gx = np.zeros((n, length, channels), dtype=x.data.dtype)
         gw = g.reshape(n, n_out, width, channels)
         for i in range(width):
             gx[:, i:i + n_out] += gw[:, :, i]
@@ -116,7 +116,7 @@ def maxpool1d(x: Matrix, window: int, n: int = 1) -> Matrix:
         raise ShapeError(f"{x.rows} rows do not split into {n} sequences")
     n_out = -(-length // window)
     # -inf fills the tail window, so it never wins against a real entry
-    seg = np.full((n, n_out * window, cols), -np.inf)
+    seg = np.full((n, n_out * window, cols), -np.inf, dtype=x.data.dtype)
     seg[:, :length] = x.data.reshape(n, length, cols)
     seg = seg.reshape(n, n_out, window, cols)
     if not (nm.is_recording() and x.track):
@@ -205,13 +205,17 @@ class CnnEncoder:
         """Encode phrases into a len(phrases) x embedding_dim matrix, row i for phrase i.
 
         All phrases go through each stage together: one im2col product and
-        one max-pool over the stacked quantized phrases.
+        one max-pool over the stacked quantized phrases.  The one-hot input
+        takes the kernels' dtype, so the whole encoder follows the weights.
         """
         n = len(phrases)
         if not n:
             raise ValueError("embed_batch needs at least one phrase")
-        h = nm.constant(
-            np.concatenate([quantize(p, self.alphabet, self.max_len) for p in phrases])
+        h = Matrix._result(
+            np.concatenate(
+                [quantize(p, self.alphabet, self.max_len) for p in phrases],
+                dtype=self.stages[0].kernels.data.dtype,
+            )
         )
         for st in self.stages:
             h = maxpool1d(conv1d(h, st.kernels, st.bias, st.width, n), st.pool, n)

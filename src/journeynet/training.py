@@ -3,14 +3,18 @@
 Sessions are dwell-expanded, bucketed by length, and padded within each
 batch; padding steps are masked out of the loss.  The optimizer is plain
 gradient descent with a per-parameter adaptive step (running average of
-squared gradients) and global-norm gradient clipping.  Every random choice
-(init, shuffling, dropout) derives from the config seed, so a run is exactly
+squared gradients) and global-norm gradient clipping.  Each batch's forward
+and backward pass runs in float32 on copies of the weights; the float64
+master weights and the optimizer state take the update (mixed precision,
+Micikevicius et al., arXiv:1710.03740).  Every random choice (init,
+shuffling, dropout) derives from the config seed, so a run is exactly
 repeatable.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,6 +40,8 @@ ENSEMBLE_FORMAT = "journeynet-ensemble"
 # adaptive step: decay of the running average of squared gradients, and its floor
 RMS_DECAY = 0.9
 RMS_EPSILON = 1e-8
+# dtype of every training batch's forward and backward pass
+COMPUTE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -92,26 +98,62 @@ class TrainReport:
 
 
 class _AdaptiveStep:
-    """Per-parameter scaling by a running average of squared gradients."""
+    """Per-parameter scaling by a running average of squared gradients.
+
+    `step` copies each gradient, of any float dtype, into a float64 buffer
+    of its own and updates the float64 weights in place, allocating nothing.
+    A parameter without a gradient counts as a zero gradient: its running
+    average decays and its weights stay as they are.
+    """
 
     def __init__(self, params, config: TrainConfig):
         self.params = params
         self.lr = config.learning_rate
         self.clip = config.gradient_clip_norm
         self.sq = [np.zeros_like(p.data) for p in params]
+        self.grads = [np.zeros_like(p.data) for p in params]
+        self.scratch = [np.zeros_like(p.data) for p in params]
 
     def step(self) -> None:
-        grads = [
-            p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params
-        ]
-        norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
-        if norm > self.clip:
-            factor = self.clip / norm
-            grads = [g * factor for g in grads]
-        for p, g, v in zip(self.params, grads, self.sq):
+        live = []
+        sumsq = 0.0
+        for p, g, t, v in zip(self.params, self.grads, self.scratch, self.sq):
+            if p.grad is None:
+                v *= RMS_DECAY
+                continue
+            np.copyto(g, p.grad)
+            sumsq += float(np.multiply(g, g, out=t).sum())
+            live.append((p, g, t, v))
+        norm = np.sqrt(sumsq)
+        for p, g, t, v in live:
+            if norm > self.clip:
+                g *= self.clip / norm
+            # v = d * v + ((1 - d) * g) * g;  w -= (lr * g) / (sqrt(v) + eps), associated
+            # exactly so, which keeps the step bitwise that of the unfused formula
             v *= RMS_DECAY
-            v += (1.0 - RMS_DECAY) * g * g
-            p.data -= self.lr * g / (np.sqrt(v) + RMS_EPSILON)
+            np.multiply(g, 1.0 - RMS_DECAY, out=t)
+            t *= g
+            v += t
+            g *= self.lr
+            np.sqrt(v, out=t)
+            t += RMS_EPSILON
+            g /= t
+            p.data -= g
+
+
+@contextmanager
+def _compute_copies(params, copies):
+    """Swap `copies` (COMPUTE_DTYPE arrays), refreshed from the weights, into
+    the params' `data` for one batch; the masters return on any exit."""
+    masters = [p.data for p in params]
+    for p, c in zip(params, copies):
+        np.copyto(c, p.data)
+        p.data = c
+    try:
+        yield
+    finally:
+        for p, m in zip(params, masters):
+            p.data = m
 
 
 @dataclass
@@ -185,15 +227,16 @@ def train(
     """
     sessions = list(sessions)
     if not sessions:
-        raise ValueError("no training sessions")
+        raise ConfigError("no training sessions")
     for s in sessions:
         if not s.events:
-            raise ValueError(f"training session {s.session_id!r} has no page events")
+            raise ConfigError(f"training session {s.session_id!r} has no page events")
     model = SequenceModel.build(config.model_config(), vocab, config.seed)
     expanded = _expand_all(sessions, vocab, config.unit_seconds, config.dwell_cap)
     held_out = list(eval_sessions) if eval_sessions is not None else sessions
     params = [p for _, p in model.parameters()]
     optimizer = _AdaptiveStep(params, config)
+    copies = [np.empty(p.shape, dtype=COMPUTE_DTYPE) for p in params]
     report = TrainReport()
 
     for epoch in range(config.epochs):
@@ -210,13 +253,14 @@ def train(
                 if config.dropout_rate > 0
                 else None
             )
-            with nm.ComputeTape() as tape:
-                total = _batch_loss(model, phrases, rowidx, targets, mask, dropout_rng)
-                n_steps = float(mask.sum())
-                mean_loss = nm.scale(total, 1.0 / n_steps)
-            if not np.isfinite(total.item()):
-                raise TrainingError("training loss diverged", epoch=epoch, batch=bi)
-            nm.backward(tape, mean_loss)
+            with _compute_copies(params, copies):
+                with nm.ComputeTape() as tape:
+                    total = _batch_loss(model, phrases, rowidx, targets, mask, dropout_rng)
+                    n_steps = float(mask.sum())
+                    mean_loss = nm.scale(total, 1.0 / n_steps)
+                if not np.isfinite(total.item()):
+                    raise TrainingError("training loss diverged", epoch=epoch, batch=bi)
+                nm.backward(tape, mean_loss)
             optimizer.step()
             nm.zero_gradients(params)
             nats += total.item()

@@ -563,3 +563,30 @@ def test_score_checkpoint_with_bad_conv_stage_is_a_clean_error(pipeline, tmp_pat
     ckpt.write_text(json.dumps(payload))
     assert _score_exit(pipeline, tmp_path, model=ckpt) == 1
     _assert_clean_error(capsys, "conv stage")
+
+
+@pytest.mark.parametrize("n_sessions", [0, 1])
+def test_train_on_too_few_sessions_is_a_clean_error(pipeline, tmp_path, capsys, n_sessions):
+    _, data = pipeline
+    short = tmp_path / "short.jsonl"
+    short.write_bytes(b"".join(data.read_bytes().splitlines(keepends=True)[:n_sessions]))
+    code = main(["train", "--data", str(short), "--out-dir", str(tmp_path), *TRAIN_FLAGS])
+    assert code == 1
+    _assert_clean_error(capsys, "at least 2 sessions")
+
+
+def test_train_on_an_eventless_session_is_a_clean_error(tmp_path, capsys):
+    # one session with pages among eventless ones: any split trains on an eventless one
+    lines = [{"session_id": f"e{i}", "keywords": "kw", "events": []} for i in range(3)]
+    lines.append({
+        "session_id": "p", "keywords": "kw",
+        "events": [{"page": "home", "dwell_seconds": 2.0}, {"page": "quote", "dwell_seconds": 1.0}],
+    })
+    data = tmp_path / "s.jsonl"
+    data.write_text("".join(json.dumps(d) + "\n" for d in lines))
+    code = main([
+        "train", "--data", str(data), "--out-dir", str(tmp_path), "--train-fraction", "0.5",
+        *TRAIN_FLAGS, "--min-freq", "1",
+    ])
+    assert code == 1
+    _assert_clean_error(capsys, "no page events")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from journeynet.errors import MarkovSpecError, ParseError, SchemaError
+from journeynet.errors import ConfigError, MarkovSpecError, ParseError, SchemaError
 from journeynet.journeydata import (
     NULL_PAGE,
     UNKNOWN_PAGE,
@@ -351,6 +351,13 @@ def test_split_validation():
         split(sessions, 1.0, seed=0)
     with pytest.raises(ValueError):
         split(sessions, 0.0, seed=0)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_split_of_too_few_sessions_is_a_config_error(n):
+    sessions = [make_session(["p"], sid=str(i)) for i in range(n)]
+    with pytest.raises(ConfigError, match="at least 2 sessions"):
+        split(sessions, 0.5, seed=0)
 
 
 def test_split_never_empties_either_side():

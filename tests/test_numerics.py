@@ -393,3 +393,56 @@ def test_nested_tapes_rejected():
         with pytest.raises(RuntimeError):
             with ComputeTape():
                 pass
+
+
+def test_accumulate_grad_never_writes_into_a_shared_gradient():
+    g = np.arange(6.0).reshape(2, 3)
+    other = np.ones((2, 3))
+    kept = g.copy()
+    a, b = parameter(np.zeros((2, 3))), parameter(np.zeros((2, 3)))
+    a.accumulate_grad(g)
+    b.accumulate_grad(g)
+    a.accumulate_grad(other)
+    a.accumulate_grad(other)
+    assert np.array_equal(g, kept)
+    assert np.array_equal(a.grad, kept + 2.0)
+    assert b.grad is g
+
+
+def test_accumulate_grad_same_array_twice_into_one_parameter():
+    g = np.arange(6.0).reshape(2, 3)
+    kept = g.copy()
+    a = parameter(np.zeros((2, 3)))
+    a.accumulate_grad(g)
+    a.accumulate_grad(g)
+    a.accumulate_grad(g)
+    assert np.array_equal(g, kept)
+    assert np.array_equal(a.grad, 3.0 * kept)
+
+
+def test_ops_follow_float32_operands(monkeypatch):
+    cell_dtypes = set()
+    cell = nm.lstm_cell
+
+    def recording_cell(z, c):
+        cell_dtypes.update((z.dtype, c.dtype))
+        return cell(z, c)
+
+    monkeypatch.setattr(nm, "lstm_cell", recording_cell)
+    rng = np.random.default_rng(4)
+    w = parameter(rng.standard_normal((3, 8)))
+    wh = parameter(rng.standard_normal((2, 8)))
+    bias = parameter(np.zeros((1, 8)))
+    for m in (w, wh, bias):
+        m.data = m.data.astype(np.float32)
+    x = Matrix._result(rng.standard_normal((6, 3)).astype(np.float32))
+    with ComputeTape() as tape:
+        h = nm.lstm_sequence(matmul(x, w), wh, bias, batch=2)
+        fc = dropout(relu(take_rows(h, [5, 0, 3, 3])), 0.5, np.random.default_rng(0))
+        loss = masked_cross_entropy(softmax(fc), [0, 1, 0, 1], np.ones(4))
+    assert all(
+        node.output.data.dtype == np.float32 for node in tape._nodes if node.output.shape != (1, 1)
+    )
+    assert cell_dtypes == {np.dtype(np.float32)}
+    backward(tape, loss)
+    assert all(m.grad.dtype == np.float32 for m in (w, wh, bias))

@@ -228,8 +228,10 @@ def test_training_is_deterministic(chain_data):
 def test_train_rejects_eventless_sessions(chain_data):
     tr, _, vocab = chain_data
     config = TrainConfig(epochs=1, seed=0, **TOY_TRAIN)
-    with pytest.raises(ValueError, match="no page events"):
+    with pytest.raises(ConfigError, match="no page events"):
         train(tr + [Session("empty", "kw", ())], config, vocab)
+    with pytest.raises(ConfigError, match="no training sessions"):
+        train([], config, vocab)
 
 
 def test_divergence_raises_training_error(chain_data, monkeypatch):
@@ -354,3 +356,144 @@ def test_evaluate_accepts_ensemble(chain_data):
     acc, loss = evaluate(ensemble, ev, vocab)
     assert 0.0 <= acc <= 1.0
     assert loss > 0
+
+
+# ---------------------------------------------------------------------------
+# mixed precision: float32 batches over float64 master weights
+
+
+def _float_dtypes(params):
+    return {p.data.dtype for p in params}
+
+
+def test_training_batches_run_in_float32_and_masters_stay_float64(chain_data, monkeypatch, tmp_path):
+    from journeynet import numerics as nm
+    from journeynet.seqmodel import load_model, save_model
+
+    tr, ev, vocab = chain_data
+    seen = []
+    original = nm.backward
+
+    def checking_backward(tape, loss):
+        params = {id(m): m for node in tape._nodes for m in node.inputs if m.trainable}
+        seen.append((
+            {n.output.data.dtype for n in tape._nodes if n.output.shape != (1, 1)},
+            _float_dtypes(params.values()),
+            len(params),
+        ))
+        original(tape, loss)
+        seen.append({p.grad.dtype for p in params.values()})
+
+    monkeypatch.setattr(nm, "backward", checking_backward)
+    config = TrainConfig(epochs=1, batch_size=4, seed=2)  # the paper's architecture
+    model, _ = train(tr[:8], config, vocab, eval_sessions=ev[:4])
+    assert len(seen) == 4  # two batches, before and after backward
+    for outputs, weights, n_params in seen[0::2]:
+        assert outputs == {np.dtype(np.float32)}
+        assert weights == {np.dtype(np.float32)}
+        assert n_params == len(model.parameters())
+    assert seen[1::2] == [{np.dtype(np.float32)}] * 2
+    assert _float_dtypes(p for _, p in model.parameters()) == {np.dtype(np.float64)}
+
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    for (_, p), (_, q) in zip(model.parameters(), load_model(path).parameters()):
+        assert q.data.dtype == np.float64 and np.array_equal(p.data, q.data)
+
+
+def test_training_error_mid_batch_restores_float64_masters(chain_data, monkeypatch):
+    from journeynet import numerics as nm
+    from journeynet import training as tr_mod
+
+    tr, _, vocab = chain_data
+    config = TrainConfig(epochs=1, batch_size=8, seed=4, **TOY_TRAIN)
+    models = []
+    real_loss = tr_mod._batch_loss
+
+    def diverging_loss(model, *args):
+        models.append(model)
+        assert _float_dtypes(p for _, p in model.parameters()) == {np.dtype(np.float32)}
+        total = real_loss(model, *args)
+        return nm.scale(total, np.inf)
+
+    monkeypatch.setattr(tr_mod, "_batch_loss", diverging_loss)
+    with pytest.raises(TrainingError):
+        train(tr, config, vocab)
+    fresh = SequenceModel.build(config.model_config(), vocab, config.seed)
+    for (_, p), (_, q) in zip(models[0].parameters(), fresh.parameters()):
+        assert p.data.dtype == np.float64 and np.array_equal(p.data, q.data)
+
+
+def test_float32_batch_gradient_matches_float64(chain_data):
+    from journeynet import numerics as nm
+    from journeynet import rng as rngmod
+    from journeynet.training import (
+        COMPUTE_DTYPE,
+        _batch_loss,
+        _batch_tensors,
+        _compute_copies,
+        _expand_all,
+    )
+
+    tr, _, vocab = chain_data
+    config = TrainConfig(seed=5)  # the paper's architecture, dropout 0.5
+    model = SequenceModel.build(config.model_config(), vocab, config.seed)
+    params = [p for _, p in model.parameters()]
+    expanded = _expand_all(tr[:6], vocab, config.unit_seconds, config.dwell_cap)
+    assert len({len(e.inputs) for e in expanded}) > 1  # ragged
+    batch = _batch_tensors(expanded, range(6))
+
+    def grads():
+        with nm.ComputeTape() as tape:
+            loss = _batch_loss(model, *batch, rngmod.stream(0, "dropout"))
+        nm.backward(tape, loss)
+        out = [p.grad.astype(np.float64) for p in params]
+        nm.zero_gradients(params)
+        return out
+
+    g64 = grads()
+    with _compute_copies(params, [np.empty(p.shape, dtype=COMPUTE_DTYPE) for p in params]):
+        g32 = grads()
+    for (name, _), a, b in zip(model.parameters(), g32, g64):
+        assert np.linalg.norm(a - b) <= 1e-3 * np.linalg.norm(b), name
+
+
+def _reference_step(params, sq, lr, clip, decay, eps):
+    """The optimizer step as first written, with a temporary per operation."""
+    grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+    norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
+    if norm > clip:
+        factor = clip / norm
+        grads = [g * factor for g in grads]
+    for p, g, v in zip(params, grads, sq):
+        v *= decay
+        v += (1.0 - decay) * g * g
+        p.data -= lr * g / (np.sqrt(v) + eps)
+
+
+@pytest.mark.parametrize("clip", [1e-3, 1e6], ids=["clipped", "unclipped"])
+@pytest.mark.parametrize("missing", [None, 1], ids=["all-grads", "one-missing"])
+def test_adaptive_step_is_bitwise_the_reference_formula(clip, missing):
+    from journeynet import numerics as nm
+    from journeynet.training import RMS_DECAY, RMS_EPSILON, _AdaptiveStep
+
+    rng = np.random.default_rng(9)
+    shapes = [(7, 5), (1, 5), (33, 20)]
+    mine = [nm.parameter(rng.standard_normal(s)) for s in shapes]
+    ref = [nm.parameter(p.data) for p in mine]
+    config = TrainConfig(learning_rate=3e-3, gradient_clip_norm=clip, **TOY_TRAIN)
+    opt = _AdaptiveStep(mine, config)
+    ref_sq = [np.zeros(s) for s in shapes]
+    for _ in range(4):
+        for i, (p, q) in enumerate(zip(mine, ref)):
+            g = None if i == missing else rng.standard_normal(p.shape)
+            p.grad, q.grad = g, None if g is None else g.copy()
+        opt.step()
+        _reference_step(ref, ref_sq, config.learning_rate, clip, RMS_DECAY, RMS_EPSILON)
+        for p, q in zip(mine, ref):
+            assert (p.grad is None) == (q.grad is None)
+            if p.grad is not None:
+                assert np.array_equal(p.grad, q.grad)  # the step left its input alone
+            assert np.array_equal(p.data, q.data)
+        for v, w in zip(opt.sq, ref_sq):
+            assert np.array_equal(v, w)
