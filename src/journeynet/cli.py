@@ -293,8 +293,8 @@ def _load_prefixes(path) -> tuple[list[JourneyPrefix], list[str]]:
             continue
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path}:{line_no}: bad prefix record: {exc.msg}") from exc
+        except ValueError as exc:
+            raise CliError(f"{path}:{line_no}: bad prefix record: {getattr(exc, 'msg', exc)}") from exc
         if not isinstance(raw, dict):
             raise CliError(f"{path}:{line_no}: a prefix record must be a JSON object")
         if not isinstance(raw.get("keywords"), str):
@@ -309,10 +309,11 @@ def _load_prefixes(path) -> tuple[list[JourneyPrefix], list[str]]:
 
 
 def _load_objectives(path) -> list[Objective]:
+    text = _read_text(path)
     try:
-        raw = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: bad objectives file: {exc.msg}") from exc
+        raw = json.loads(text)
+    except ValueError as exc:  # not JSON, or an integer too long to convert
+        raise CliError(f"{path}: bad objectives file: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(raw, list) or not raw:
         raise CliError(f"{path}: expected a non-empty JSON array of objectives")
     objectives = []

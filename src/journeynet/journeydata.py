@@ -60,8 +60,8 @@ def parse_log(lines) -> list[Session]:
             continue
         try:
             raw = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"not a valid record: {exc.msg}") from exc
+        except ValueError as exc:  # not JSON, or an integer too long to convert
+            raise ParseError(line_no, f"not a valid record: {getattr(exc, 'msg', exc)}") from exc
         sessions.append(_session_from_record(raw, line_no))
     return sessions
 
@@ -87,9 +87,13 @@ def _session_from_record(raw, line_no: int) -> Session:
             raise SchemaError(line_no, f"event {i}: page must be non-empty text")
         if isinstance(dwell, bool) or not isinstance(dwell, (int, float)):
             raise SchemaError(line_no, f"event {i}: dwell_seconds must be a number")
-        if not (float(dwell) >= 0) or not math.isfinite(float(dwell)):
+        try:
+            dwell = float(dwell)
+        except OverflowError:  # an integer beyond the float range
+            dwell = math.inf
+        if not (dwell >= 0) or not math.isfinite(dwell):
             raise SchemaError(line_no, f"event {i}: dwell_seconds must be >= 0 and finite")
-        events.append(PageEvent(page, float(dwell)))
+        events.append(PageEvent(page, dwell))
     return Session(raw["session_id"], raw["keywords"], tuple(events))
 
 

@@ -346,7 +346,7 @@ def dropout(x: Matrix, rate: float, rng: np.random.Generator) -> Matrix:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    keep = ((rng.random(x.shape) >= rate) / (1.0 - rate)).astype(x.data.dtype, copy=False)
+    keep = (rng.random(x.shape) >= rate) * x.data.dtype.type(1.0 / (1.0 - rate))
     out = Matrix._result(x.data * keep)
     return record(out, (x,), lambda g: (g * keep,))
 
@@ -417,7 +417,8 @@ def lstm_sequence(xproj: Matrix, wh: Matrix, bias: Matrix, batch: int) -> Matrix
         dg = i * (1.0 - g * g)
         do = tcells * o * (1.0 - o)
         dtc = o * (1.0 - tcells * tcells)
-        dz = np.zeros_like(acts)
+        dz = np.empty_like(acts)
+        dz[:batch, hs:2 * hs] = 0.0  # the only block the loop never writes: c starts at zero
         dh = np.zeros((batch, hs), dtype=x.dtype)
         dc = np.zeros((batch, hs), dtype=x.dtype)
         for t in reversed(range(steps)):

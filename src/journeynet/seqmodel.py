@@ -440,7 +440,7 @@ def read_checkpoint(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
             raise CheckpointError(f"{path}: not a JSON checkpoint ({exc})") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: a checkpoint must be a JSON object")

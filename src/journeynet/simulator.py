@@ -10,9 +10,11 @@ Row j of `step`'s result continues row `rows[j]` of `state` after feeding
 page index `pages[j]`.  `step` must not mutate `state`, so one state can
 branch into several futures; trained models and ensembles both satisfy this.
 
-Rollouts of one prefix advance together: every live rollout is one row of a
-batched `step`, each samples its next page from its row of the result, and
-rows leave the batch at the NULL page.  A rollout ends at the NULL page or
+Rollouts of one prefix advance together: each distinct live path is one row
+of a batched `step`, and every rollout samples its next page, with its own
+uniforms, from the row of the path it is on.  Rollouts that sampled the same
+pages share a row, so a step feeds each distinct (row, page) pair once, and
+paths leave the batch at the NULL page.  A rollout ends at the NULL page or
 the horizon; conversion probability for an objective is the fraction of
 rollouts that touch any of its pages.  For small instances an exact
 depth-first path enumeration serves as the correctness oracle.
@@ -21,9 +23,10 @@ Randomness is counter-based: rollout i of prefix k draws from the stream
 keyed (seed, prefix k) at block offset i, so estimates do not depend on how
 samples are scheduled across workers.  Rollouts are batched in chunks of
 CHUNK samples of one prefix, never across prefixes, and run to NULL or the
-horizon whatever the objectives.  Chunk composition therefore depends only on
-(seed, prefix index, n_samples), so a batch cell, a standalone estimate and
-any worker count see the same batches and agree bit for bit.
+horizon whatever the objectives.  Chunk composition, and with it the rows each
+step feeds, therefore depends only on (seed, prefix index, n_samples), so a
+batch cell, a standalone estimate and any worker count see the same batches
+and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -111,25 +114,27 @@ def _sample_paths(predictor, state, dist, uniforms: np.ndarray, null_index: int)
     """Roll out one chunk from (state, dist); row i of `uniforms` drives sample i.
 
     Sample i takes class min(#{c : cdf[c] <= u}, N - 1) at each step, the
-    index searchsorted(cdf, u, side="right") gives, clamped.  Returns an
+    index searchsorted(cdf, u, side="right") gives, clamped.  Each distinct
+    live path is one row of `state`: a step feeds each distinct (row, page)
+    pair once, and every rollout follows the row of its pair.  Returns an
     n x horizon array of class indices, with -1 after a path's NULL page.
     """
     n, horizon = uniforms.shape
     paths = np.full((n, horizon), -1, dtype=np.intp)
     cdf = np.cumsum(np.atleast_2d(dist), axis=1)
-    last = cdf.shape[1] - 1
+    n_classes = cdf.shape[1]
     live = np.arange(n)  # sample index of each live rollout
     rows = np.zeros(n, dtype=np.intp)  # its row of `cdf` and `state`
     for t in range(horizon):
-        idx = np.minimum((cdf[rows] <= uniforms[live, t, None]).sum(axis=1), last)
+        idx = np.minimum((cdf[rows] <= uniforms[live, t, None]).sum(axis=1), n_classes - 1)
         paths[live, t] = idx
         going = idx != null_index
         if t + 1 == horizon or not going.any():
             break
         live = live[going]
-        state, dist = predictor.step(state, rows[going], idx[going])
+        pairs, rows = np.unique(rows[going] * n_classes + idx[going], return_inverse=True)
+        state, dist = predictor.step(state, pairs // n_classes, pairs % n_classes)
         cdf = np.cumsum(dist, axis=1)
-        rows = np.arange(live.size)
     return paths
 
 
@@ -239,7 +244,7 @@ def step_distribution(
     Journeys that exit before step t count in the NULL page bucket.
     """
     if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+        raise SamplingError(f"t must be >= 1, got {t}")
     if n_samples < 1:
         raise SamplingError(f"n_samples must be >= 1, got {n_samples}")
     vocab = predictor.vocab

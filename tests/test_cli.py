@@ -590,3 +590,41 @@ def test_train_on_an_eventless_session_is_a_clean_error(tmp_path, capsys):
     ])
     assert code == 1
     _assert_clean_error(capsys, "no page events")
+
+
+# an integer literal longer than Python's int-to-string limit (4300 digits)
+# makes json.loads raise a plain ValueError rather than a JSONDecodeError
+HUGE_INT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("dwell", ["1" + "0" * 400, HUGE_INT], ids=["beyond-float", "beyond-str-limit"])
+def test_train_on_a_huge_integer_dwell_is_a_clean_error(tmp_path, capsys, dwell):
+    data = tmp_path / "s.jsonl"
+    data.write_text(
+        '{"session_id": "a", "keywords": "kw", "events": [{"page": "home", "dwell_seconds": 2}]}\n'
+        f'{{"session_id": "b", "keywords": "kw", "events": [{{"page": "home", "dwell_seconds": {dwell}}}]}}\n'
+    )
+    code = main(["train", "--data", str(data), "--out-dir", str(tmp_path), *TRAIN_FLAGS])
+    assert code == 1
+    _assert_clean_error(capsys, "line 2:")
+
+
+def test_score_checkpoint_with_a_huge_integer_is_a_clean_error(pipeline, tmp_path, capsys):
+    out, _ = pipeline
+    text = (out / "model.ckpt").read_text().rstrip()
+    ckpt = tmp_path / "huge.ckpt"
+    ckpt.write_text(text[:-1] + f', "padding": {HUGE_INT}}}\n')
+    assert _score_exit(pipeline, tmp_path, model=ckpt) == 1
+    _assert_clean_error(capsys, "huge.ckpt", "not a JSON checkpoint")
+
+
+def test_score_prefix_with_a_huge_integer_is_a_clean_error(pipeline, tmp_path, capsys):
+    prefixes = f'{{"keywords": "car insurance", "pages": ["home"], "rank": {HUGE_INT}}}\n'
+    assert _score_exit(pipeline, tmp_path, prefixes=prefixes) == 1
+    _assert_clean_error(capsys, "p.jsonl:1:", "bad prefix record")
+
+
+def test_score_objectives_with_a_huge_integer_is_a_clean_error(pipeline, tmp_path, capsys):
+    objectives = f'[{{"id": {HUGE_INT}, "pages": ["confirm"]}}]'
+    assert _score_exit(pipeline, tmp_path, objectives=objectives) == 1
+    _assert_clean_error(capsys, "o.json", "bad objectives file")

@@ -360,6 +360,23 @@ def test_dropout_inverted_scaling_and_gradient():
     assert grad_check(f, [x], h=1e-5) < 1e-4
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
+def test_dropout_mask_is_bitwise_the_divided_keep_mask(rate, dtype):
+    # the mask once was (keep / (1 - rate)) in float64, cast to the operand's dtype
+    x = parameter(np.random.default_rng(1).normal(size=(64, 48)))
+    x.data = x.data.astype(dtype)
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    with ComputeTape() as tape:
+        y = dropout(x, rate, rng)
+    keep = ((ref.random(x.shape) >= rate) / (1.0 - rate)).astype(dtype)
+    assert y.data.dtype == dtype
+    assert y.data.tobytes() == (x.data * keep).tobytes()
+    g = np.random.default_rng(2).normal(size=x.shape).astype(dtype)
+    assert tape._nodes[-1].backward_fn(g)[0].tobytes() == (g * keep).tobytes()
+    assert rng.random() == ref.random()  # the same stream draws
+
+
 def test_dropout_rate_zero_is_identity():
     x = constant([[1.0, 2.0]])
     assert dropout(x, 0.0, np.random.default_rng(0)) is x

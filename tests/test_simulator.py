@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from journeynet.errors import CapacityError
+from journeynet import simulator
+from journeynet.errors import CapacityError, SamplingError
 from journeynet.journeydata import NULL_PAGE, PageVocabulary, build_vocab, generate_synthetic
 from journeynet.rng import stream, stream_at, blocks_for
 from journeynet.simulator import (
@@ -20,7 +21,7 @@ from journeynet.simulator import (
     write_scores_csv,
 )
 from journeynet.training import TrainConfig, train
-from toychains import funnel_chain
+from toychains import funnel_chain, random_toy_predictor
 
 
 class MarkovPredictor:
@@ -280,6 +281,11 @@ def test_step_distribution_deterministic_chain_is_point_mass():
         assert dist[vocab.encode(expected)] == 1.0
 
 
+def test_step_distribution_rejects_t_zero():
+    with pytest.raises(SamplingError, match="t must be >= 1"):
+        step_distribution(hand_predictor(), JourneyPrefix(), t=0, n_samples=10, seed=0)
+
+
 def test_step_distribution_is_distribution():
     pred = random_predictor(11)
     for t in (1, 2, 5):
@@ -354,6 +360,93 @@ def test_scores_csv(tmp_path):
     assert text[0] == "prefix_id,objective_id,probability,std_err,n_samples,horizon"
     assert text[1].startswith("p0000,quote,0.25,")
     assert len(text) == 3
+
+
+# ---------------------------------------------------------------------------
+# path sharing: each distinct live path is stepped once
+
+
+def per_rollout_sample_paths(predictor, state, dist, uniforms, null_index):
+    """The engine before path sharing: every live rollout is its own row of `step`."""
+    n, horizon = uniforms.shape
+    paths = np.full((n, horizon), -1, dtype=np.intp)
+    cdf = np.cumsum(np.atleast_2d(dist), axis=1)
+    last = cdf.shape[1] - 1
+    live = np.arange(n)
+    rows = np.zeros(n, dtype=np.intp)
+    for t in range(horizon):
+        idx = np.minimum((cdf[rows] <= uniforms[live, t, None]).sum(axis=1), last)
+        paths[live, t] = idx
+        going = idx != null_index
+        if t + 1 == horizon or not going.any():
+            break
+        live = live[going]
+        state, dist = predictor.step(state, rows[going], idx[going])
+        cdf = np.cumsum(dist, axis=1)
+        rows = np.arange(live.size)
+    return paths
+
+
+def simulated_paths(pred, prefix, n_samples, horizon, seed):
+    return np.vstack(list(simulator._simulate(pred, prefix, (seed, "paths"), n_samples, horizon)))
+
+
+@pytest.mark.parametrize("make", [
+    hand_predictor,
+    lambda: random_predictor(3),
+    lambda: random_predictor(8, n_pages=6),
+    lambda: random_toy_predictor(5, n_pages=4),
+], ids=["hand", "random-3", "random-6", "toychains-4"])
+def test_path_sharing_paths_equal_per_rollout_paths(make, monkeypatch):
+    pred = make()
+    cases = [(1, 1), (7, 2), (300, 5), (CHUNK + 37, 12)]  # the last crosses a chunk boundary
+    new = {
+        (n, h, seed): simulated_paths(pred, JourneyPrefix(), n, h, seed)
+        for n, h in cases for seed in (0, 4)
+    }
+    monkeypatch.setattr(simulator, "_sample_paths", per_rollout_sample_paths)
+    for (n, h, seed), paths in new.items():
+        assert paths.shape == (n, h)
+        assert np.array_equal(paths, simulated_paths(pred, JourneyPrefix(), n, h, seed))
+
+
+class RowCounter:
+    """Wraps a predictor and records the (rows, pages) of every `step` call."""
+
+    def __init__(self, inner):
+        self.inner, self.vocab, self.calls = inner, inner.vocab, []
+
+    def start(self, prefix):
+        return self.inner.start(prefix)
+
+    def step(self, state, rows, pages):
+        self.calls.append((np.asarray(rows).copy(), np.asarray(pages).copy()))
+        return self.inner.step(state, rows, pages)
+
+
+def test_each_step_feeds_each_distinct_path_once():
+    for seed in range(4):
+        pred = RowCounter(random_predictor(seed, n_pages=4))
+        n, horizon = 500, 8
+        paths = simulated_paths(pred, JourneyPrefix(), n, horizon, seed)
+        null = pred.vocab.null_index
+        assert pred.calls
+        for t, (rows, pages) in enumerate(pred.calls):
+            assert len(set(zip(rows.tolist(), pages.tolist()))) == len(rows)
+            alive = (paths[:, t] >= 0) & (paths[:, t] != null)
+            assert len(rows) <= alive.sum()
+            # exactly one row per distinct path so far
+            assert len(rows) == len(np.unique(paths[alive, :t + 1], axis=0))
+
+
+def test_single_successor_chain_steps_one_row():
+    vocab = abc_vocab()
+    # A -> B -> C -> A, with certainty, so every rollout walks one path
+    cycle = {i: np.eye(5)[(i + 1) % 3] for i in range(3)}
+    pred = RowCounter(MarkovPredictor(vocab, np.eye(5)[0], cycle))
+    paths = simulated_paths(pred, JourneyPrefix(), 1000, 20, seed=2)
+    assert (paths == np.arange(20) % 3).all()
+    assert [len(rows) for rows, _ in pred.calls] == [1] * 19
 
 
 # ---------------------------------------------------------------------------
