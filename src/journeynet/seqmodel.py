@@ -8,7 +8,9 @@ over all page classes (including the terminal NULL page) for the next step.
 Training and evaluation run whole padded batches through one sequence
 kernel (`batch_step_probs`).  Inference exposes an incremental (start / step)
 interface on the one-step cell so simulations can feed sampled pages back in
-without re-running the whole prefix.
+without re-running the whole prefix: `start` takes a batch of prefixes and
+builds one page-projection table for all of them, and `step` advances a
+batch of rows.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import numerics as nm
 from .errors import CheckpointError, ConfigError, ShapeError
 from .journeydata import PageVocabulary, Session, replicate_dwell
 from .numerics import Matrix
-from .textenc import DEFAULT_ALPHABET, Alphabet, CnnEncoder
+from .textenc import DEFAULT_ALPHABET, Alphabet, CnnEncoder, ConvStage
 
 CHECKPOINT_FORMAT = "journeynet-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -111,15 +113,28 @@ class LstmLayer:
 
 @dataclass
 class LstmState:
-    """Per-layer (hidden, cell) pairs, zero in a fresh state, and the V x 4H
-    table of layer-0 input projections of every page class.
+    """Per-layer (hidden, cell) pairs of B rows, one per live sequence, and
+    the V x 4H table of layer-0 input projections of every page class.
 
-    `SequenceModel.start` computes the table from the weights of that moment;
-    `step` gathers its rows and hands the same table on to the new state.
+    `SequenceModel.start` builds the table once per call, from the weights
+    of that moment, and gives it to all P prefix rows; `step` gathers its
+    rows and hands the same table on to the new state.
     """
 
     layers: list[tuple[Matrix, Matrix]]
     table: Matrix
+
+    @classmethod
+    def stack(cls, states: list["LstmState"], table: Matrix) -> "LstmState":
+        """The rows of `states`, in order, as one state over `table`."""
+        layers = []
+        for pairs in zip(*(s.layers for s in states)):
+            hs, cs = zip(*pairs)
+            layers.append((
+                Matrix._result(np.concatenate([h.data for h in hs])),
+                Matrix._result(np.concatenate([c.data for c in cs])),
+            ))
+        return cls(layers, table)
 
     @classmethod
     def zeros(cls, hidden_sizes, batch: int, table: Matrix) -> "LstmState":
@@ -228,6 +243,15 @@ class SequenceModel:
         logits = nm.add(nm.matmul(fc, self.w_out), self.b_out)
         return nm.softmax(logits)
 
+    def inference_head(self, h: np.ndarray) -> np.ndarray:
+        """`head(Matrix(h)).data` without dropout, on plain arrays: the same numpy
+        ops, with no tape and no wrappers.  Inference computes its next-page
+        distributions here; training and evaluation go through `head`."""
+        fc = np.maximum(h @ self.w_fc.data + self.b_fc.data, 0.0)
+        logits = fc @ self.w_out.data + self.b_out.data
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
     def batch_step_probs(
         self,
         phrases: list[str],
@@ -261,34 +285,52 @@ class SequenceModel:
 
     # -- whole-session paths -------------------------------------------------
 
-    def _prefix_pass(self, phrases: list[str]) -> tuple[LstmState, list[Matrix]]:
-        """Run `phrases` through the one-step cell from a zero state.
+    def _page_table(self) -> Matrix:
+        """The V x 4H layer-0 input projections of every page class.
 
-        One CNN pass encodes every page class, then the phrases that are not
-        page names, and one product with layer 0's input weights projects
-        them all.  The first V rows, one per page class, become the table of
-        the returned state.  Returns (state after the last phrase, top hidden
-        row after each phrase).
+        One CNN pass and one product over exactly the page names, from the
+        weights of this call, so the table's bits never depend on the
+        prefixes it serves.
+        """
+        return nm.matmul(self.encoder.embed_batch(list(self.vocab.page_names)), self.layers[0].wx)
+
+    def _prefix_pass(self, phrases: list[str], table: Matrix) -> tuple[LstmState, list[np.ndarray]]:
+        """Run `phrases` through the one-step cell from a zero one-row state.
+
+        Page names read their row of `table`; the other phrases (keywords,
+        out-of-vocabulary pages) are encoded and projected in one product of
+        their own.  Returns (state after the last phrase, top hidden row
+        after each phrase).
         """
         if not phrases:
             raise ValueError("input sequence must be non-empty")
-        names = list(self.vocab.page_names)
-        names += sorted(set(phrases).difference(names))
-        proj = nm.matmul(self.encoder.embed_batch(names), self.layers[0].wx).data
-        row_of = {name: r for r, name in enumerate(names)}
-        table = Matrix._result(proj[:self.n_classes])
+        extras = sorted(set(phrases).difference(self.vocab.page_names))
+        xproj = {}
+        if extras:
+            emb = self.encoder.embed_batch(extras).data
+            if len(extras) == 1:
+                # numpy sends a one-row product to gemv, which rounds unlike
+                # gemm: a lone phrase is projected as a pair, so every
+                # projection takes the gemm path, as the table's rows do
+                emb = np.vstack([emb, emb])
+            proj = emb @ self.layers[0].wx.data
+            xproj = {phrase: proj[r:r + 1] for r, phrase in enumerate(extras)}
         state = LstmState.zeros([l.hidden_size for l in self.layers], 1, table)
         tops = []
         for phrase in phrases:
-            r = row_of[phrase]
-            h, state = self.cell_steps(Matrix._result(proj[r:r + 1]), state)
-            tops.append(h)
+            if phrase in xproj:
+                x = xproj[phrase]
+            else:
+                r = self.vocab.encode(phrase)
+                x = table.data[r:r + 1]
+            h, state = self.cell_steps(Matrix._result(x), state)
+            tops.append(h.data)
         return state, tops
 
     def forward_session(self, phrases: list[str]) -> list[StepPrediction]:
         """Inference pass through the one-step cell: one StepPrediction per input step."""
-        _, tops = self._prefix_pass(phrases)
-        return [StepPrediction(t, self.head(h).data[0].copy()) for t, h in enumerate(tops)]
+        _, tops = self._prefix_pass(phrases, self._page_table())
+        return [StepPrediction(t, self.inference_head(h)[0]) for t, h in enumerate(tops)]
 
     def session_nll(
         self,
@@ -314,34 +356,57 @@ class SequenceModel:
 
     # -- incremental inference (simulation protocol) -------------------------
 
-    def start(self, prefix) -> tuple[LstmState, np.ndarray]:
-        """Consume keywords + visited pages; return (state, next-page distribution).
+    def start(self, prefixes) -> tuple[LstmState, np.ndarray]:
+        """Consume each prefix's keywords + visited pages; return (P-row state, P x N distributions).
 
-        `prefix` needs `.keywords` (text, possibly empty) and `.pages`
-        (iterable of page names).  The state carries the layer-0 projection
-        of every page class, computed from the weights at this call, so an
-        in-place edit of the weights is seen by the next `start`.
+        Each of the P prefixes needs `.keywords` (text, possibly empty) and
+        `.pages` (iterable of page names).  The call builds one page table,
+        from the weights of this moment (so an in-place edit of the weights
+        is seen by the next `start`), and every prefix then runs its own
+        one-row pass: row k is bit for bit that of ``start([prefixes[k]])``.
         """
-        state, tops = self._prefix_pass([prefix.keywords, *prefix.pages])
-        return state, self.head(tops[-1]).data[0].copy()
+        prefixes = list(prefixes)
+        if not prefixes:
+            raise ValueError("start needs at least one prefix")
+        table = self._page_table()
+        passes = [self._prefix_pass([p.keywords, *p.pages], table) for p in prefixes]
+        dists = np.concatenate([self.inference_head(tops[-1]) for _, tops in passes])
+        return LstmState.stack([state for state, _ in passes], table), dists
 
     def step(self, state: LstmState, rows, pages) -> tuple[LstmState, np.ndarray]:
         """Feed page `pages[j]` to row `rows[j]` of `state`, for every j at once.
 
         Returns (new B-row state, B x N next-page distributions), B = len(pages);
         `state` is left untouched, so one state can branch into several futures.
-        Layer 0's input is a row gather from the state's page-projection table.
+        `rows` must index rows of `state` and `pages` rows of its page table
+        (ShapeError otherwise); after that one check each layer's rows and
+        layer 0's input projections are plain gathers.
         """
+        rows = _row_indices(rows, state.layers[0][0].rows, "rows")
+        pages = _row_indices(pages, state.table.rows, "pages")
+        if rows.shape != pages.shape:
+            raise ShapeError(f"{rows.size} rows for {pages.size} pages")
         prev = LstmState(
-            [(nm.take_rows(h, rows), nm.take_rows(c, rows)) for h, c in state.layers], state.table
+            [(Matrix._result(h.data[rows]), Matrix._result(c.data[rows])) for h, c in state.layers],
+            state.table,
         )
-        h, new = self.cell_steps(nm.take_rows(state.table, pages), prev)
-        return new, self.head(h).data
+        h, new = self.cell_steps(Matrix._result(state.table.data[pages]), prev)
+        return new, self.inference_head(h.data)
+
+
+def _row_indices(indices, n: int, what: str) -> np.ndarray:
+    """`indices` as a 1-D index array into n rows; ShapeError if any is negative or >= n."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError(f"{what} must be 1-D")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ShapeError(f"{what} index out of range for {n} rows")
+    return idx
 
 
 def predict_next(model, prefix) -> np.ndarray:
     """Distribution over the page following `prefix` (includes NULL page)."""
-    return model.start(prefix)[1]
+    return model.start([prefix])[1][0]
 
 
 def session_loss(
@@ -403,28 +468,55 @@ def checkpoint_field(d, key: str, kind: type, where: str):
 
 
 def model_from_dict(d: dict) -> SequenceModel:
+    """The model stored in `d`, assembled from its arrays; loading draws no weights.
+
+    Every weight's shape follows from the config by arithmetic, and each
+    decoded array is checked against it before any model is built, so a
+    config naming absurd sizes fails on the first mismatched array instead
+    of allocating for it.
+    """
     config, vocab, weights = (
         checkpoint_field(d, key, dict, "checkpoint model") for key in ("config", "vocab", "weights")
     )
     try:
         config = ModelConfig.from_dict(config)
         vocab = PageVocabulary.from_dict(vocab)
-    except (KeyError, TypeError, ValueError) as exc:
+        alphabet = Alphabet(config.alphabet)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"checkpoint model has a bad config or vocabulary ({exc!r})") from exc
-    model = SequenceModel.build(config, vocab, seed=0)
-    for name, p in model.parameters():
+
+    def weight(name: str, rows: int, cols: int) -> Matrix:
         if name not in weights:
             raise CheckpointError(f"checkpoint is missing weights for {name!r}")
         try:
             arr = _decode_array(weights[name])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"checkpoint weights for {name!r} are not an array") from exc
-        if tuple(arr.shape) != p.shape:
+        if arr.shape != (rows, cols):
             raise ShapeError(
-                f"checkpoint weight {name!r} has shape {tuple(arr.shape)}, expected {p.shape}"
+                f"checkpoint weight {name!r} has shape {arr.shape}, expected {(rows, cols)}"
             )
-        p.data[...] = arr
-    return model
+        return nm.parameter(arr)
+
+    stages, channels = [], len(alphabet)
+    for i, (width, filters, pool) in enumerate(config.conv_stages):
+        kernels = weight(f"conv{i}.kernels", width * channels, filters)
+        stages.append(ConvStage(kernels, weight(f"conv{i}.bias", 1, filters), width, pool))
+        channels = filters
+    encoder = CnnEncoder(alphabet, config.max_len, stages)
+    layers, in_dim = [], encoder.embedding_dim
+    for i, hidden in enumerate(config.lstm_hidden):
+        layers.append(LstmLayer(
+            weight(f"lstm{i}.wx", in_dim, 4 * hidden),
+            weight(f"lstm{i}.wh", hidden, 4 * hidden),
+            weight(f"lstm{i}.bias", 1, 4 * hidden),
+        ))
+        in_dim = hidden
+    w_fc = weight("fc.weight", in_dim, config.fc_width)
+    b_fc = weight("fc.bias", 1, config.fc_width)
+    w_out = weight("out.weight", config.fc_width, len(vocab))
+    b_out = weight("out.bias", 1, len(vocab))
+    return SequenceModel(encoder, layers, w_fc, b_fc, w_out, b_out, vocab, config)
 
 
 def write_checkpoint(path, fmt: str, key: str, body) -> None:

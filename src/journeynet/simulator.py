@@ -3,12 +3,16 @@
 A predictor is anything with:
 
     vocab                      -> PageVocabulary
-    start(prefix)              -> (1-row state, distribution over all classes)
+    start(prefixes)            -> (P-row state, P x classes distributions)
     step(state, rows, pages)   -> (B-row state, B x classes distributions)
 
-Row j of `step`'s result continues row `rows[j]` of `state` after feeding
-page index `pages[j]`.  `step` must not mutate `state`, so one state can
-branch into several futures; trained models and ensembles both satisfy this.
+Row k of `start`'s result has consumed prefix k, and must not depend on the
+other prefixes of the call.  Row j of `step`'s result continues row
+`rows[j]` of `state` after feeding page index `pages[j]`.  `step` must not
+mutate `state`, so one state can branch into several futures; trained
+models and ensembles both satisfy this.  A model builds its page table once
+per `start` call, so `score_batch` starts a whole block of prefixes at once
+and every one-prefix entry point calls `start([prefix])`.
 
 Rollouts of one prefix advance together: each distinct live path is one row
 of a batched `step`, and every rollout samples its next page, with its own
@@ -23,10 +27,11 @@ Randomness is counter-based: rollout i of prefix k draws from the stream
 keyed (seed, prefix k) at block offset i, so estimates do not depend on how
 samples are scheduled across workers.  Rollouts are batched in chunks of
 CHUNK samples of one prefix, never across prefixes, and run to NULL or the
-horizon whatever the objectives.  Chunk composition, and with it the rows each
-step feeds, therefore depends only on (seed, prefix index, n_samples), so a
-batch cell, a standalone estimate and any worker count see the same batches
-and agree bit for bit.
+horizon whatever the objectives; a chunk starts from its prefix's row of the
+start state.  Chunk composition, and with it the rows each step feeds,
+therefore depends only on (seed, prefix index, n_samples), so a batch cell,
+a standalone estimate, any block of prefixes and any worker count see the
+same batches and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ TERMINATED_HORIZON = "horizon"
 
 # rollouts of one prefix stepped together; part of the determinism contract
 CHUNK = 4096
+# most prefixes in one score_batch unit, started in one call (results do not depend on it)
+PREFIX_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -110,8 +117,8 @@ def _prefix_hit(prefix: JourneyPrefix, objective: Objective) -> bool:
     return any(p in objective.target_pages for p in prefix.pages)
 
 
-def _sample_paths(predictor, state, dist, uniforms: np.ndarray, null_index: int) -> np.ndarray:
-    """Roll out one chunk from (state, dist); row i of `uniforms` drives sample i.
+def _sample_paths(predictor, state, dists, row: int, uniforms: np.ndarray, null_index: int) -> np.ndarray:
+    """Roll out one chunk from row `row` of (state, dists); row i of `uniforms` drives sample i.
 
     Sample i takes class min(#{c : cdf[c] <= u}, N - 1) at each step, the
     index searchsorted(cdf, u, side="right") gives, clamped.  Each distinct
@@ -121,10 +128,10 @@ def _sample_paths(predictor, state, dist, uniforms: np.ndarray, null_index: int)
     """
     n, horizon = uniforms.shape
     paths = np.full((n, horizon), -1, dtype=np.intp)
-    cdf = np.cumsum(np.atleast_2d(dist), axis=1)
+    cdf = np.cumsum(dists, axis=1)
     n_classes = cdf.shape[1]
     live = np.arange(n)  # sample index of each live rollout
-    rows = np.zeros(n, dtype=np.intp)  # its row of `cdf` and `state`
+    rows = np.full(n, row, dtype=np.intp)  # its row of `cdf` and `state`
     for t in range(horizon):
         idx = np.minimum((cdf[rows] <= uniforms[live, t, None]).sum(axis=1), n_classes - 1)
         paths[live, t] = idx
@@ -143,8 +150,8 @@ def rollout(predictor, prefix: JourneyPrefix, horizon: int, rng: np.random.Gener
     if horizon < 1:
         raise SamplingError(f"horizon must be >= 1, got {horizon}")
     vocab = predictor.vocab
-    state, dist = predictor.start(prefix)
-    path = _sample_paths(predictor, state, dist, rng.random((1, horizon)), vocab.null_index)[0]
+    state, dists = predictor.start([prefix])
+    path = _sample_paths(predictor, state, dists, 0, rng.random((1, horizon)), vocab.null_index)[0]
     indices = path[path >= 0]
     reason = TERMINATED_NULL if indices[-1] == vocab.null_index else TERMINATED_HORIZON
     return SimulatedJourney(
@@ -154,19 +161,19 @@ def rollout(predictor, prefix: JourneyPrefix, horizon: int, rng: np.random.Gener
     )
 
 
-def _simulate(predictor, prefix: JourneyPrefix, seed_parts, n_samples: int, horizon: int):
-    """Yield the sampled paths (see _sample_paths) of `n_samples` rollouts, chunk by chunk.
+def _simulate(predictor, state, dists, row: int, seed_parts, n_samples: int, horizon: int):
+    """Yield the sampled paths (see _sample_paths) of `n_samples` rollouts from
+    row `row` of a start state, chunk by chunk.
 
     Sample i always reads the same stream positions (blocks i * stride ..),
     and chunk k always holds samples k * CHUNK .. of this prefix alone.
     """
     stride = rngmod.blocks_for(horizon)
-    state0, dist0 = predictor.start(prefix)
     for a in range(0, n_samples, CHUNK):
         b = min(a + CHUNK, n_samples)
         gen = rngmod.stream_at(seed_parts, a * stride)
         us = gen.random((b - a) * stride * rngmod.BLOCK).reshape(b - a, stride * rngmod.BLOCK)
-        yield _sample_paths(predictor, state0, dist0, us[:, :horizon], predictor.vocab.null_index)
+        yield _sample_paths(predictor, state, dists, row, us[:, :horizon], predictor.vocab.null_index)
 
 
 def _check_sampling(n_samples: int, horizon: int) -> None:
@@ -176,41 +183,49 @@ def _check_sampling(n_samples: int, horizon: int) -> None:
         raise SamplingError(f"horizon must be >= 1, got {horizon}")
 
 
-def _estimate_prefix(
+def _estimate_block(
     predictor,
-    prefix: JourneyPrefix,
+    prefixes: list[JourneyPrefix],
     objectives: list[Objective],
     n_samples: int,
     horizon: int,
     seed: int,
-    prefix_index: int,
-) -> list[ConversionEstimate]:
-    """Conversion estimates of one prefix for every objective, from one simulation.
+    first_index: int,
+) -> list[list[ConversionEstimate]]:
+    """Conversion estimates of each prefix for every objective, one simulation per prefix.
 
-    Objectives the prefix already reached convert every sample; the others
-    count the sampled paths that touch one of their pages.  The prefix is
-    simulated only when some objective is still open.
+    Prefix k draws from the sub-stream of index `first_index + k`.
+    Objectives a prefix already reached convert every sample; the others
+    count the sampled paths that touch one of their pages.  The prefixes
+    with some objective still open start in one `start` call, and each is
+    simulated from its row of the start state.
     """
     targets = [sorted(_target_indices(o, predictor.vocab)) for o in objectives]
-    hits = [n_samples if _prefix_hit(prefix, o) else 0 for o in objectives]
-    open_ = [j for j, o in enumerate(objectives) if not _prefix_hit(prefix, o)]
-    if open_:
-        for paths in _simulate(predictor, prefix, (seed, "conversion", prefix_index), n_samples, horizon):
-            for j in open_:
-                hits[j] += int(np.isin(paths, targets[j]).any(axis=1).sum())
-    estimates = []
-    for objective, h in zip(objectives, hits):
-        p = h / n_samples
-        estimates.append(
-            ConversionEstimate(
-                probability=p,
-                std_error=float(np.sqrt(p * (1.0 - p) / n_samples)),
-                n_samples=n_samples,
-                horizon=horizon,
-                objective_id=objective.objective_id,
-            )
-        )
-    return estimates
+    hits = [[n_samples if _prefix_hit(p, o) else 0 for o in objectives] for p in prefixes]
+    open_ = [[j for j, h in enumerate(row) if not h] for row in hits]
+    started = [k for k, js in enumerate(open_) if js]
+    if started:
+        state, dists = predictor.start([prefixes[k] for k in started])
+        for row, k in enumerate(started):
+            seed_parts = (seed, "conversion", first_index + k)
+            for paths in _simulate(predictor, state, dists, row, seed_parts, n_samples, horizon):
+                for j in open_[k]:
+                    hits[k][j] += int(np.isin(paths, targets[j]).any(axis=1).sum())
+    return [
+        [_binomial_estimate(h, n_samples, horizon, o.objective_id) for o, h in zip(objectives, row)]
+        for row in hits
+    ]
+
+
+def _binomial_estimate(hits: int, n_samples: int, horizon: int, objective_id: str) -> ConversionEstimate:
+    p = hits / n_samples
+    return ConversionEstimate(
+        probability=p,
+        std_error=float(np.sqrt(p * (1.0 - p) / n_samples)),
+        n_samples=n_samples,
+        horizon=horizon,
+        objective_id=objective_id,
+    )
 
 
 def estimate_conversion(
@@ -229,7 +244,7 @@ def estimate_conversion(
     cell and a standalone call with the same index agree exactly.
     """
     _check_sampling(n_samples, horizon)
-    return _estimate_prefix(predictor, prefix, [objective], n_samples, horizon, seed, prefix_index)[0]
+    return _estimate_block(predictor, [prefix], [objective], n_samples, horizon, seed, prefix_index)[0][0]
 
 
 def step_distribution(
@@ -249,7 +264,8 @@ def step_distribution(
         raise SamplingError(f"n_samples must be >= 1, got {n_samples}")
     vocab = predictor.vocab
     counts = np.zeros(len(vocab))
-    for paths in _simulate(predictor, prefix, (seed, "step-dist"), n_samples, t):
+    state, dists = predictor.start([prefix])
+    for paths in _simulate(predictor, state, dists, 0, (seed, "step-dist"), n_samples, t):
         pages = paths[:, t - 1]
         counts += np.bincount(np.where(pages < 0, vocab.null_index, pages), minlength=len(vocab))
     return counts / n_samples
@@ -304,8 +320,8 @@ def conversion_path_mass(
     hit = missed = pruned = 0.0
     nodes = 0
     # a node is row `row` of a batched state; its children are expanded together
-    state0, dist0 = predictor.start(prefix)
-    stack = [(state0, 0, dist0, 1.0, 0)]
+    state0, dists0 = predictor.start([prefix])
+    stack = [(state0, 0, dists0[0], 1.0, 0)]
     while stack:
         state, row, dist, path_p, depth = stack.pop()
         nodes += 1
@@ -368,9 +384,9 @@ def _init_worker(predictor):
     _worker_predictor = predictor
 
 
-def _score_prefix(args):
-    i, prefix, objectives, n_samples, horizon, seed = args
-    return _estimate_prefix(_worker_predictor, prefix, objectives, n_samples, horizon, seed, i)
+def _score_block(args):
+    first, prefixes, objectives, n_samples, horizon, seed = args
+    return _estimate_block(_worker_predictor, prefixes, objectives, n_samples, horizon, seed, first)
 
 
 def score_batch(
@@ -387,8 +403,12 @@ def score_batch(
 
     Each prefix is simulated once, from the sub-stream keyed by its index,
     and all objectives are scored from the same rollouts.  The unit of work
-    is one prefix, so results are identical for any `workers` value and
-    match standalone estimate_conversion calls with the same `prefix_index`.
+    is a block of consecutive prefixes, started in one call (one page table
+    per block): PREFIX_BLOCK of them, or fewer so that every worker gets a
+    block.  A prefix's rollouts depend only on its own row of the start
+    state and its sub-stream, so results are identical for any `workers`
+    value and match standalone estimate_conversion calls with the same
+    `prefix_index`.
     """
     if not prefixes or not objectives:
         raise ValueError("score_batch needs at least one prefix and one objective")
@@ -399,15 +419,20 @@ def score_batch(
     _check_sampling(n_samples, horizon)
     for objective in objectives:  # reject unknown pages before any simulation
         _target_indices(objective, predictor.vocab)
-    units = [(i, prefix, objectives, n_samples, horizon, seed) for i, prefix in enumerate(prefixes)]
+    size = min(PREFIX_BLOCK, -(-len(prefixes) // max(workers, 1)))
+    units = [
+        (a, prefixes[a:a + size], objectives, n_samples, horizon, seed)
+        for a in range(0, len(prefixes), size)
+    ]
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(predictor,)
         ) as pool:
-            per_prefix = list(pool.map(_score_prefix, units))
+            per_block = list(pool.map(_score_block, units))
     else:
         _init_worker(predictor)
-        per_prefix = [_score_prefix(u) for u in units]
+        per_block = [_score_block(u) for u in units]
+    per_prefix = [estimates for block in per_block for estimates in block]
     return [
         ScoreRow(
             prefix_id=prefix_id,

@@ -340,11 +340,12 @@ class Ensemble:
     def n_classes(self) -> int:
         return self.models[0].n_classes
 
-    def start(self, prefix):
+    def start(self, prefixes):
+        """Every member's P-row start state, and the member mean of their P x N distributions."""
         states = []
         dists = []
         for m in self.models:
-            state, dist = m.start(prefix)
+            state, dist = m.start(prefixes)
             states.append(state)
             dists.append(dist)
         return states, np.mean(dists, axis=0)
@@ -389,7 +390,7 @@ def train_ensemble(
 
 def ensemble_predict(ensemble: Ensemble, prefix) -> np.ndarray:
     """Arithmetic mean of member next-page distributions."""
-    return ensemble.start(prefix)[1]
+    return ensemble.start([prefix])[1][0]
 
 
 def save_ensemble(ensemble: Ensemble, path) -> None:

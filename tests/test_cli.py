@@ -628,3 +628,17 @@ def test_score_objectives_with_a_huge_integer_is_a_clean_error(pipeline, tmp_pat
     objectives = f'[{{"id": {HUGE_INT}, "pages": ["confirm"]}}]'
     assert _score_exit(pipeline, tmp_path, objectives=objectives) == 1
     _assert_clean_error(capsys, "o.json", "bad objectives file")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_len", int("1" + "0" * 400)),  # beyond float: the old loader's Glorot draw overflowed
+    ("lstm_hidden", [12, 3_000_000]),  # the old loader tried to allocate the second layer
+], ids=["huge-max-len", "huge-layer"])
+def test_score_checkpoint_with_an_absurd_size_is_a_clean_error(pipeline, tmp_path, capsys, field, value):
+    out, _ = pipeline
+    payload = json.loads((out / "model.ckpt").read_text())
+    payload["model"]["config"][field] = value
+    ckpt = tmp_path / "absurd.ckpt"
+    ckpt.write_text(json.dumps(payload))
+    assert _score_exit(pipeline, tmp_path, model=ckpt) == 1
+    _assert_clean_error(capsys, "checkpoint")

@@ -1,10 +1,16 @@
+import copy
+import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from journeynet import numerics as nm
-from journeynet.errors import ShapeError
+from journeynet.errors import JourneynetError, ShapeError
 from journeynet.journeydata import (
     NULL_PAGE,
     UNKNOWN_PAGE,
@@ -15,6 +21,8 @@ from journeynet.journeydata import (
     expand_session,
 )
 from journeynet.seqmodel import (
+    CHECKPOINT_FORMAT,
+    CHECKPOINT_VERSION,
     LstmLayer,
     LstmState,
     ModelConfig,
@@ -348,7 +356,7 @@ def test_predict_next_is_last_forward_step():
 
 def test_start_step_matches_forward_session():
     model = toy_model(seed=13)
-    state, dist = model.start(Prefix("kw", ("a",)))
+    state, (dist,) = model.start([Prefix("kw", ("a",))])
     state, dist2 = model.step(state, [0], [model.vocab.encode("b")])
     full = model.forward_session(["kw", "a", "b"])
     assert np.array_equal(dist, full[1].probs)
@@ -361,7 +369,7 @@ def test_start_step_matches_forward_session_with_odd_phrases():
     # to a page name reads that page's row of the projection table
     model = toy_model(seed=29)
     unknown = model.vocab.encode(UNKNOWN_PAGE)
-    state, dist = model.start(Prefix("b", ("zz-not-a-page", "a")))
+    state, (dist,) = model.start([Prefix("b", ("zz-not-a-page", "a"))])
     state, dist2 = model.step(state, [0], [model.vocab.encode("c")])
     state, dist3 = model.step(state, [0], [unknown])
     full = model.forward_session(["b", "zz-not-a-page", "a", "c", UNKNOWN_PAGE])
@@ -374,10 +382,10 @@ def test_start_sees_in_place_weight_edits():
     model = toy_model(seed=31)
     phrases = ["kw", "a", "b"]
     prefix = Prefix(phrases[0], phrases[1:])
-    old_state, before = model.start(prefix)
+    old_state, (before,) = model.start([prefix])
     for weights in (model.encoder.stages[0].kernels, model.layers[0].wx):
         weights.data[...] *= 0.5
-        state, dist = model.start(prefix)
+        state, (dist,) = model.start([prefix])
         assert not np.array_equal(dist, before)
         assert np.array_equal(dist, model.forward_session(phrases)[-1].probs)
         _, stepped = model.step(state, [0], [model.vocab.encode("c")])
@@ -396,12 +404,92 @@ def test_extending_prefix_changes_distribution():
 
 def test_state_size_constant_over_long_sequences():
     model = toy_model(seed=17)
-    state, _ = model.start(Prefix("kw", ()))
+    state, _ = model.start([Prefix("kw", ())])
     shapes = [(h.shape, c.shape) for h, c in state.layers]
     for _ in range(40):
         state, dist = model.step(state, [0], [model.vocab.encode("a")])
         assert [(h.shape, c.shape) for h, c in state.layers] == shapes
         assert dist.shape == (1, model.n_classes)
+
+
+def assert_start_rows_equal_single_starts(predictor, prefixes):
+    states, dists = predictor.start(prefixes)
+    assert dists.shape == (len(prefixes), predictor.n_classes)
+    members = states if isinstance(states, list) else [states]
+    for k, prefix in enumerate(prefixes):
+        one_states, one_dists = predictor.start([prefix])
+        assert np.array_equal(dists[k], one_dists[0])
+        one_members = one_states if isinstance(one_states, list) else [one_states]
+        for batch, one in zip(members, one_members):
+            for (h, c), (h1, c1) in zip(batch.layers, one.layers):
+                assert np.array_equal(h.data[k:k + 1], h1.data)
+                assert np.array_equal(c.data[k:k + 1], c1.data)
+
+
+BATCHED_PREFIXES = [
+    Prefix("kw", ("a", "b")),
+    Prefix("", ("zz-not-a-page", "c")),  # an out-of-vocabulary page, fed as its own text
+    Prefix("b", ()),  # a keyword equal to a page name
+    Prefix("car insurance", ("a", "zz-not-a-page", "yy")),
+]
+
+
+def test_batched_start_rows_equal_one_prefix_starts():
+    model = toy_model(seed=41, config=replace(TOY_CONFIG, lstm_hidden=(6, 4)))
+    assert_start_rows_equal_single_starts(model, BATCHED_PREFIXES)
+    state, _ = model.start(BATCHED_PREFIXES)
+    assert state.table.shape == (model.n_classes, 4 * 6)
+
+
+def test_batched_start_rows_equal_one_prefix_starts_in_an_ensemble():
+    from journeynet.training import Ensemble
+
+    ensemble = Ensemble([toy_model(seed=43), toy_model(seed=44)])
+    assert_start_rows_equal_single_starts(ensemble, BATCHED_PREFIXES)
+
+
+def test_start_rejects_no_prefixes():
+    with pytest.raises(ValueError):
+        toy_model().start([])
+
+
+def test_batched_start_encodes_the_page_names_once(monkeypatch):
+    model = toy_model(seed=45)
+    calls = []
+    original = type(model.encoder).embed_batch
+
+    def counting(self, phrases):
+        calls.append(list(phrases))
+        return original(self, phrases)
+
+    monkeypatch.setattr(type(model.encoder), "embed_batch", counting)
+    model.start(BATCHED_PREFIXES)
+    assert calls[0] == list(model.vocab.page_names)
+    # then each prefix's own phrases outside the vocabulary, if it has any
+    assert calls[1:] == [["kw"], ["", "zz-not-a-page"], ["car insurance", "yy", "zz-not-a-page"]]
+
+
+@pytest.mark.parametrize("rows, pages", [
+    ([-1], [0]),
+    ([2], [0]),  # the state has 2 rows
+    ([0], [-1]),
+    ([0], [5]),  # the table has 5 rows (a, b, c, NULL, UNKNOWN)
+    ([0, 1], [0]),
+    ([[0]], [[0]]),
+])
+def test_step_rejects_bad_rows_and_pages(rows, pages):
+    model = toy_model(seed=47)
+    state, _ = model.start([Prefix("kw", ("a",)), Prefix("kw", ("b",))])
+    with pytest.raises(ShapeError):
+        model.step(state, rows, pages)
+
+
+def test_inference_head_is_bitwise_head():
+    model = toy_model(seed=49, config=replace(TOY_CONFIG, dropout_rate=0.5))
+    gen = np.random.default_rng(3)
+    for batch in (1, 2, 7, 64):
+        h = gen.normal(size=(batch, model.layers[-1].hidden_size))
+        assert np.array_equal(model.inference_head(h), model.head(nm.constant(h)).data)
 
 
 # ---------------------------------------------------------------------------
@@ -447,3 +535,55 @@ def test_load_rejects_other_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def _json_paths(node, path=()):
+    """The path of every value inside a JSON document, the root's () first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _toy_checkpoints() -> dict:
+    from journeynet.training import ENSEMBLE_FORMAT
+
+    body = model_to_dict(toy_model(seed=51, config=replace(TOY_CONFIG, lstm_hidden=(6, 4))))
+    return {
+        "model": {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION, "model": body},
+        "ensemble": {"format": ENSEMBLE_FORMAT, "version": CHECKPOINT_VERSION, "members": [body, body]},
+    }
+
+
+TOY_CHECKPOINTS = _toy_checkpoints()
+OTHER_TYPES = [None, True, "x", "", 1.5, float("inf"), [], [3], {}, {"shape": [1]}]
+RESIZED = st.integers(-2, 3) | st.integers(4, 10**7) | st.just(int("1" + "0" * 400))
+
+
+@given(kind=st.sampled_from(sorted(TOY_CHECKPOINTS)), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_checkpoint_loads_or_raises_journeynet_error(kind, data):
+    # drop or retype any field, or resize any integer (config sizes, array shapes)
+    from journeynet.training import load_predictor
+
+    payload = copy.deepcopy(TOY_CHECKPOINTS[kind])
+    path = data.draw(st.sampled_from(list(_json_paths(payload))[1:]))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    resizable = isinstance(value, int) and not isinstance(value, bool)
+    op = data.draw(st.sampled_from(["drop", "retype", "resize"] if resizable else ["drop", "retype"]))
+    if op == "drop":
+        del parent[path[-1]]
+    elif op == "retype":
+        parent[path[-1]] = data.draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(value)]))
+    else:
+        parent[path[-1]] = data.draw(RESIZED)
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "mutated.ckpt"
+        ckpt.write_text(json.dumps(payload))
+        try:
+            load_predictor(ckpt)
+        except JourneynetError:
+            pass

@@ -21,32 +21,12 @@ from journeynet.simulator import (
     write_scores_csv,
 )
 from journeynet.training import TrainConfig, train
-from toychains import funnel_chain, random_toy_predictor
-
-
-class MarkovPredictor:
-    """Toy predictor whose next-page distribution depends only on the last page."""
-
-    def __init__(self, vocab, start_dist, rows):
-        self.vocab = vocab
-        self.start_dist = np.asarray(start_dist, dtype=float)
-        self.rows = {k: np.asarray(v, dtype=float) for k, v in rows.items()}
-        self.table = np.zeros((len(vocab), len(self.start_dist)))
-        for k, v in self.rows.items():
-            self.table[k] = v
-
-    def start(self, prefix):
-        if prefix.pages:
-            idx = self.vocab.encode(prefix.pages[-1])
-            return np.array([idx]), self.rows[idx].copy()
-        return np.array([-1]), self.start_dist.copy()
-
-    def step(self, state, rows, pages):
-        pages = np.asarray(pages)
-        missing = set(pages.tolist()) - self.rows.keys()
-        if missing:
-            raise KeyError(f"no transition row for pages {sorted(missing)}")
-        return pages, self.table[pages]
+from toychains import (
+    MarkovToyPredictor as MarkovPredictor,
+    funnel_chain,
+    random_toy_predictor,
+    random_toy_predictor as random_predictor,
+)
 
 
 def abc_vocab():
@@ -62,22 +42,6 @@ def hand_predictor():
         2: [0.0, 0.4, 0.1, 0.5, 0.0],
     }
     return MarkovPredictor(vocab, rows[0], rows)
-
-
-def random_predictor(seed, n_pages=3):
-    gen = np.random.default_rng(seed)
-    vocab = PageVocabulary([f"pg{i}" for i in range(n_pages)], min_freq=1)
-    n = len(vocab)
-
-    def rand_row():
-        row = np.zeros(n)
-        weights = gen.dirichlet(np.ones(n_pages + 1))
-        row[:n_pages] = weights[:n_pages]
-        row[vocab.null_index] = weights[n_pages]
-        return row
-
-    rows = {i: rand_row() for i in range(n_pages)}
-    return MarkovPredictor(vocab, rand_row(), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +226,7 @@ def test_step_distribution_t1_matches_direct_prediction():
     pred = random_predictor(7)
     n = 20_000
     dist = step_distribution(pred, JourneyPrefix(), t=1, n_samples=n, seed=3)
-    direct = pred.start(JourneyPrefix())[1]
+    direct = pred.start([JourneyPrefix()])[1][0]
     tv = 0.5 * np.abs(dist - direct).sum()
     assert tv < 3 * np.sqrt(len(dist) / n)
 
@@ -366,14 +330,14 @@ def test_scores_csv(tmp_path):
 # path sharing: each distinct live path is stepped once
 
 
-def per_rollout_sample_paths(predictor, state, dist, uniforms, null_index):
+def per_rollout_sample_paths(predictor, state, dists, row, uniforms, null_index):
     """The engine before path sharing: every live rollout is its own row of `step`."""
     n, horizon = uniforms.shape
     paths = np.full((n, horizon), -1, dtype=np.intp)
-    cdf = np.cumsum(np.atleast_2d(dist), axis=1)
+    cdf = np.cumsum(dists, axis=1)
     last = cdf.shape[1] - 1
     live = np.arange(n)
-    rows = np.zeros(n, dtype=np.intp)
+    rows = np.full(n, row, dtype=np.intp)
     for t in range(horizon):
         idx = np.minimum((cdf[rows] <= uniforms[live, t, None]).sum(axis=1), last)
         paths[live, t] = idx
@@ -388,7 +352,8 @@ def per_rollout_sample_paths(predictor, state, dist, uniforms, null_index):
 
 
 def simulated_paths(pred, prefix, n_samples, horizon, seed):
-    return np.vstack(list(simulator._simulate(pred, prefix, (seed, "paths"), n_samples, horizon)))
+    state, dists = pred.start([prefix])
+    return np.vstack(list(simulator._simulate(pred, state, dists, 0, (seed, "paths"), n_samples, horizon)))
 
 
 @pytest.mark.parametrize("make", [
@@ -416,8 +381,8 @@ class RowCounter:
     def __init__(self, inner):
         self.inner, self.vocab, self.calls = inner, inner.vocab, []
 
-    def start(self, prefix):
-        return self.inner.start(prefix)
+    def start(self, prefixes):
+        return self.inner.start(prefixes)
 
     def step(self, state, rows, pages):
         self.calls.append((np.asarray(rows).copy(), np.asarray(pages).copy()))
@@ -483,7 +448,7 @@ def funnel_model():
 def test_batched_step_matches_one_row_steps(funnel_model):
     model = funnel_model
     enc = model.vocab.encode
-    state1, _ = model.start(JourneyPrefix("car insurance quotes online", ("landing",)))
+    state1, _ = model.start([JourneyPrefix("car insurance quotes online", ("landing",))])
     firsts = [enc("form_car"), enc("form_driver"), enc("price")]
     state3, _ = model.step(state1, [0, 0, 0], firsts)
     rows = [2, 0, 1, 0, 2]
@@ -519,3 +484,28 @@ def test_score_batch_rows_equal_standalone_estimates_on_a_model(funnel_model):
         assert row.probability == est.probability
         assert row.std_error == est.std_error
     assert rows[4].probability == 1.0  # the second prefix already visited "price"
+
+
+def test_score_batch_encodes_the_page_names_once(funnel_model, monkeypatch):
+    from journeynet.textenc import CnnEncoder
+
+    calls = []
+    original = CnnEncoder.embed_batch
+
+    def counting(self, phrases):
+        calls.append(list(phrases))
+        return original(self, phrases)
+
+    monkeypatch.setattr(CnnEncoder, "embed_batch", counting)
+    prefixes = [
+        JourneyPrefix("car insurance quotes online", ("landing",)),
+        JourneyPrefix("quotes", ("landing", "form_car")),
+        JourneyPrefix("cheap cover", ("landing", "form_car", "form_driver")),
+        JourneyPrefix("", ("landing", "price")),
+    ]
+    objectives = [Objective("converted", frozenset({"converted"})), Objective("price", frozenset({"price"}))]
+    rows = score_batch(funnel_model, prefixes, objectives, n_samples=200, horizon=8, seed=3, workers=1)
+    assert len(rows) == len(prefixes) * len(objectives)
+    page_names = set(funnel_model.vocab.page_names)
+    assert sum(set(phrases) == page_names for phrases in calls) == 1
+    assert sum(name in phrases for phrases in calls for name in page_names) == len(page_names)

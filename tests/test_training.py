@@ -291,7 +291,7 @@ def test_ensemble_step_is_member_mean_per_row(chain_data):
     tr, ev, vocab = chain_data
     config = TrainConfig(epochs=1, batch_size=16, seed=5, **TOY_TRAIN)
     ensemble, _ = train_ensemble(tr, config, vocab, k=2, eval_sessions=ev)
-    states, _ = ensemble.start(Prefix("car insurance", ("home",)))
+    states, _ = ensemble.start([Prefix("car insurance", ("home",))])
     rows, pages = [0, 0, 0], [vocab.encode("quote"), vocab.encode("home"), vocab.encode("confirm")]
     _, dists = ensemble.step(states, rows, pages)
     member = [m.step(s, rows, pages)[1] for m, s in zip(ensemble.models, states)]
@@ -306,8 +306,8 @@ class _StubModel:
         self.n_classes = len(self.dist)
         self.vocab = None
 
-    def start(self, prefix):
-        return None, self.dist.copy()
+    def start(self, prefixes):
+        return None, np.tile(self.dist, (len(prefixes), 1))
 
     def step(self, state, rows, pages):
         return None, np.tile(self.dist, (len(pages), 1))

@@ -16,11 +16,9 @@ class MarkovToyPredictor:
         for k, v in self.rows.items():
             self.table[k] = v
 
-    def start(self, prefix):
-        if prefix.pages:
-            idx = self.vocab.encode(prefix.pages[-1])
-            return np.array([idx]), self.rows[idx].copy()
-        return np.array([-1]), self.start_dist.copy()
+    def start(self, prefixes):
+        idx = np.array([self.vocab.encode(p.pages[-1]) if p.pages else -1 for p in prefixes])
+        return idx, np.array([self.rows[i] if i >= 0 else self.start_dist for i in idx.tolist()])
 
     def step(self, state, rows, pages):
         pages = np.asarray(pages)
