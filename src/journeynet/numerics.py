@@ -319,13 +319,19 @@ def reshape(x: Matrix, rows: int, cols: int) -> Matrix:
     return record(out, (x,), lambda g: (g.reshape(x.shape),))
 
 
-def take_rows(x: Matrix, indices) -> Matrix:
-    """Gather rows of `x`; gradients accumulate back into the gathered rows."""
+def row_index(indices, n: int) -> np.ndarray:
+    """`indices` as a 1-D index array into n rows; ShapeError if any is negative or >= n."""
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("indices must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.rows):
-        raise ShapeError(f"row index out of range for {x.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ShapeError(f"row index out of range for {n} rows")
+    return idx
+
+
+def take_rows(x: Matrix, indices) -> Matrix:
+    """Gather rows of `x`; gradients accumulate back into the gathered rows."""
+    idx = row_index(indices, x.rows)
     out = Matrix._result(x.data[idx])
 
     def back(g):

@@ -236,21 +236,22 @@ class SequenceModel:
         return h, LstmState(new_layers, state.table)
 
     def head(self, h: Matrix, dropout_rng: np.random.Generator | None = None) -> Matrix:
-        """Fully connected ReLU layer, optional dropout, softmax over classes."""
+        """Fully connected ReLU layer, optional dropout, softmax over classes.
+
+        Off the tape and without dropout it runs the same numpy ops on the
+        plain arrays, with no wrappers and nothing recorded, so inference gets
+        the taped result's bits at a fraction of the per-call cost.
+        """
+        if dropout_rng is None and not nm.is_recording():
+            fc = np.maximum(h.data @ self.w_fc.data + self.b_fc.data, 0.0)
+            logits = fc @ self.w_out.data + self.b_out.data
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            return Matrix._result(e / e.sum(axis=1, keepdims=True))
         fc = nm.relu(nm.add(nm.matmul(h, self.w_fc), self.b_fc))
         if dropout_rng is not None and self.config.dropout_rate > 0:
             fc = nm.dropout(fc, self.config.dropout_rate, dropout_rng)
         logits = nm.add(nm.matmul(fc, self.w_out), self.b_out)
         return nm.softmax(logits)
-
-    def inference_head(self, h: np.ndarray) -> np.ndarray:
-        """`head(Matrix(h)).data` without dropout, on plain arrays: the same numpy
-        ops, with no tape and no wrappers.  Inference computes its next-page
-        distributions here; training and evaluation go through `head`."""
-        fc = np.maximum(h @ self.w_fc.data + self.b_fc.data, 0.0)
-        logits = fc @ self.w_out.data + self.b_out.data
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
 
     def batch_step_probs(
         self,
@@ -294,7 +295,7 @@ class SequenceModel:
         """
         return nm.matmul(self.encoder.embed_batch(list(self.vocab.page_names)), self.layers[0].wx)
 
-    def _prefix_pass(self, phrases: list[str], table: Matrix) -> tuple[LstmState, list[np.ndarray]]:
+    def _prefix_pass(self, phrases: list[str], table: Matrix) -> tuple[LstmState, list[Matrix]]:
         """Run `phrases` through the one-step cell from a zero one-row state.
 
         Page names read their row of `table`; the other phrases (keywords,
@@ -324,13 +325,13 @@ class SequenceModel:
                 r = self.vocab.encode(phrase)
                 x = table.data[r:r + 1]
             h, state = self.cell_steps(Matrix._result(x), state)
-            tops.append(h.data)
+            tops.append(h)
         return state, tops
 
     def forward_session(self, phrases: list[str]) -> list[StepPrediction]:
         """Inference pass through the one-step cell: one StepPrediction per input step."""
         _, tops = self._prefix_pass(phrases, self._page_table())
-        return [StepPrediction(t, self.inference_head(h)[0]) for t, h in enumerate(tops)]
+        return [StepPrediction(t, self.head(h).data[0]) for t, h in enumerate(tops)]
 
     def session_nll(
         self,
@@ -370,7 +371,7 @@ class SequenceModel:
             raise ValueError("start needs at least one prefix")
         table = self._page_table()
         passes = [self._prefix_pass([p.keywords, *p.pages], table) for p in prefixes]
-        dists = np.concatenate([self.inference_head(tops[-1]) for _, tops in passes])
+        dists = np.concatenate([self.head(tops[-1]).data for _, tops in passes])
         return LstmState.stack([state for state, _ in passes], table), dists
 
     def step(self, state: LstmState, rows, pages) -> tuple[LstmState, np.ndarray]:
@@ -382,8 +383,8 @@ class SequenceModel:
         (ShapeError otherwise); after that one check each layer's rows and
         layer 0's input projections are plain gathers.
         """
-        rows = _row_indices(rows, state.layers[0][0].rows, "rows")
-        pages = _row_indices(pages, state.table.rows, "pages")
+        rows = nm.row_index(rows, state.layers[0][0].rows)
+        pages = nm.row_index(pages, state.table.rows)
         if rows.shape != pages.shape:
             raise ShapeError(f"{rows.size} rows for {pages.size} pages")
         prev = LstmState(
@@ -391,17 +392,7 @@ class SequenceModel:
             state.table,
         )
         h, new = self.cell_steps(Matrix._result(state.table.data[pages]), prev)
-        return new, self.inference_head(h.data)
-
-
-def _row_indices(indices, n: int, what: str) -> np.ndarray:
-    """`indices` as a 1-D index array into n rows; ShapeError if any is negative or >= n."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"{what} must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ShapeError(f"{what} index out of range for {n} rows")
-    return idx
+        return new, self.head(h).data
 
 
 def predict_next(model, prefix) -> np.ndarray:

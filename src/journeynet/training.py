@@ -342,6 +342,7 @@ class Ensemble:
 
     def start(self, prefixes):
         """Every member's P-row start state, and the member mean of their P x N distributions."""
+        prefixes = list(prefixes)  # every member reads them
         states = []
         dists = []
         for m in self.models:

@@ -446,6 +446,9 @@ def test_batched_start_rows_equal_one_prefix_starts_in_an_ensemble():
 
     ensemble = Ensemble([toy_model(seed=43), toy_model(seed=44)])
     assert_start_rows_equal_single_starts(ensemble, BATCHED_PREFIXES)
+    # any iterable of prefixes, as for one model: every member reads all of them
+    _, dists = ensemble.start(p for p in BATCHED_PREFIXES)
+    assert np.array_equal(dists, ensemble.start(BATCHED_PREFIXES)[1])
 
 
 def test_start_rejects_no_prefixes():
@@ -484,12 +487,15 @@ def test_step_rejects_bad_rows_and_pages(rows, pages):
         model.step(state, rows, pages)
 
 
-def test_inference_head_is_bitwise_head():
+def test_untaped_head_is_bitwise_taped_head():
     model = toy_model(seed=49, config=replace(TOY_CONFIG, dropout_rate=0.5))
     gen = np.random.default_rng(3)
     for batch in (1, 2, 7, 64):
-        h = gen.normal(size=(batch, model.layers[-1].hidden_size))
-        assert np.array_equal(model.inference_head(h), model.head(nm.constant(h)).data)
+        h = nm.constant(gen.normal(size=(batch, model.layers[-1].hidden_size)))
+        with nm.ComputeTape() as tape:
+            taped = model.head(h).data
+        assert len(tape)  # the taped ops ran
+        assert np.array_equal(model.head(h).data, taped)
 
 
 # ---------------------------------------------------------------------------
