@@ -293,7 +293,7 @@ def _load_prefixes(path) -> tuple[list[JourneyPrefix], list[str]]:
             continue
         try:
             raw = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CliError(f"{path}:{line_no}: bad prefix record: {getattr(exc, 'msg', exc)}") from exc
         if not isinstance(raw, dict):
             raise CliError(f"{path}:{line_no}: a prefix record must be a JSON object")
@@ -312,7 +312,7 @@ def _load_objectives(path) -> list[Objective]:
     text = _read_text(path)
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # not JSON, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # not JSON, a too long integer, too deep
         raise CliError(f"{path}: bad objectives file: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(raw, list) or not raw:
         raise CliError(f"{path}: expected a non-empty JSON array of objectives")

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,7 +62,7 @@ def parse_log(lines) -> list[Session]:
             continue
         try:
             raw = json.loads(stripped)
-        except ValueError as exc:  # not JSON, or an integer too long to convert
+        except (ValueError, RecursionError) as exc:  # not JSON, a too long integer, too deep
             raise ParseError(line_no, f"not a valid record: {getattr(exc, 'msg', exc)}") from exc
         sessions.append(_session_from_record(raw, line_no))
     return sessions
@@ -229,11 +231,12 @@ def expand_session(
 class MarkovSpec:
     """Ground-truth chain for synthetic session generation.
 
-    `states` lists page states followed by one terminal state (last entry).
-    `transitions` is row-stochastic over the full state list and the terminal
-    row must be absorbing.  `initial` puts no mass on the terminal state.
-    Dwell times are exponential with per-page means; keywords are chosen by
-    the first visited state.
+    `states` lists page states followed by one terminal state (last entry),
+    each a non-empty name.  `transitions` is row-stochastic over the full
+    state list, the terminal row must be absorbing and every page state must
+    reach it.  `initial` puts no mass on the terminal state.  Dwell times are
+    exponential with per-page means (finite, >= 0); keywords (text) are
+    chosen by the first visited state.
     """
 
     states: tuple[str, ...]
@@ -264,14 +267,16 @@ class MarkovSpec:
         n = self.n_states
         if n < 2:
             raise MarkovSpecError("need at least one page state and one terminal state")
+        if not all(isinstance(s, str) and s for s in self.states):
+            raise MarkovSpecError("state names must be non-empty text")
         if len(set(self.states)) != n:
             raise MarkovSpecError("duplicate state names")
         if self.transitions.shape != (n, n):
             raise MarkovSpecError(
                 f"transition matrix shape {self.transitions.shape} != ({n}, {n})"
             )
-        if np.any(self.transitions < 0):
-            raise MarkovSpecError("negative transition probability")
+        if not np.all(self.transitions >= 0):  # also rejects NaN
+            raise MarkovSpecError("negative or NaN transition probability")
         sums = self.transitions.sum(axis=1)
         bad = np.abs(sums - 1.0) > 1e-9
         if bad.any():
@@ -283,10 +288,25 @@ class MarkovSpec:
             raise MarkovSpecError("terminal state must be absorbing")
         if self.initial.shape != (n,):
             raise MarkovSpecError(f"initial distribution must have length {n}")
-        if np.any(self.initial < 0) or abs(self.initial.sum() - 1.0) > 1e-9:
+        if not (np.all(self.initial >= 0) and abs(self.initial.sum() - 1.0) <= 1e-9):
             raise MarkovSpecError("initial distribution must be a probability vector")
         if self.initial[-1] != 0:
             raise MarkovSpecError("initial distribution must not start at the terminal state")
+        # grow the set of states that can end a session until it stops growing
+        edges, reaches, last = self.transitions > 0, self.transitions[:, -1] > 0, None
+        while not np.array_equal(reaches, last):
+            last, reaches = reaches, reaches | (edges @ reaches)
+        if not reaches.all():
+            stuck = self.states[int(np.argmin(reaches))]
+            raise MarkovSpecError(f"state {stuck!r} never reaches the terminal state")
+        if not all(isinstance(k, str) and isinstance(v, str) for k, v in self.keywords_by_state.items()):
+            raise MarkovSpecError("keywords_by_state must map state names to text")
+        for name, mean in self.dwell_mean_by_state.items():
+            real = isinstance(mean, numbers.Real) and not isinstance(mean, bool)
+            if not (isinstance(name, str) and real and 0 <= mean <= sys.float_info.max):
+                raise MarkovSpecError(
+                    f"dwell mean of {name!r} must be a finite number >= 0, got {mean!r}"
+                )
 
     def to_dict(self) -> dict:
         return {
@@ -302,6 +322,8 @@ class MarkovSpec:
         if not isinstance(d, dict):
             raise MarkovSpecError("a chain spec must be a JSON object")
         try:
+            if not isinstance(d["states"], list):
+                raise MarkovSpecError("states must be a list of names")
             return cls(
                 states=tuple(d["states"]),
                 transitions=np.asarray(d["transitions"], dtype=np.float64),
@@ -313,8 +335,9 @@ class MarkovSpec:
             raise MarkovSpecError(f"missing field {exc.args[0]!r}") from exc
         except MarkovSpecError:
             raise
-        except (TypeError, ValueError) as exc:
-            # a field of the wrong type, or a ragged or non-numeric matrix
+        except (TypeError, ValueError, OverflowError) as exc:
+            # a field of the wrong type, a ragged or non-numeric matrix, or
+            # an integer beyond the float range
             raise MarkovSpecError(f"malformed chain spec ({exc})") from exc
 
     def save(self, path) -> None:
@@ -326,7 +349,7 @@ class MarkovSpec:
     def load(cls, path) -> "MarkovSpec":
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise MarkovSpecError(f"{path}: not a JSON chain spec ({exc})") from exc
         return cls.from_dict(raw)
 
@@ -357,6 +380,8 @@ def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Ses
             name = spec.states[state]
             mean = spec.dwell_mean_by_state.get(name, 10.0)
             dwell = float(gen.exponential(mean)) if mean > 0 else 0.0
+            if not math.isfinite(dwell):
+                raise MarkovSpecError(f"dwell mean {mean!r} of {name!r} is too large to sample")
             events.append(PageEvent(name, dwell))
             state = _sample_index(row_cdfs[state], gen.random())
         sessions.append(

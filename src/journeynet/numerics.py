@@ -37,9 +37,9 @@ class Matrix:
     sum, and only that own array is updated in place afterwards.
     """
 
-    __slots__ = ("data", "grad", "trainable", "track", "name", "_own_grad")
+    __slots__ = ("data", "grad", "trainable", "track", "_own_grad")
 
-    def __init__(self, data, trainable: bool = False, name: str | None = None):
+    def __init__(self, data, trainable: bool = False):
         arr = np.array(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
@@ -54,7 +54,6 @@ class Matrix:
         self._own_grad = None
         self.trainable = trainable
         self.track = trainable
-        self.name = name
 
     @classmethod
     def _result(cls, data: np.ndarray) -> "Matrix":
@@ -65,7 +64,6 @@ class Matrix:
         out._own_grad = None
         out.trainable = False
         out.track = False
-        out.name = None
         return out
 
     @property
@@ -98,16 +96,15 @@ class Matrix:
         self.grad = self._own_grad = None
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Matrix(shape={self.shape}{tag})"
+        return f"Matrix(shape={self.shape})"
 
 
-def constant(data, name: str | None = None) -> Matrix:
-    return Matrix(data, trainable=False, name=name)
+def constant(data) -> Matrix:
+    return Matrix(data, trainable=False)
 
 
-def parameter(data, name: str | None = None) -> Matrix:
-    return Matrix(data, trainable=True, name=name)
+def parameter(data) -> Matrix:
+    return Matrix(data, trainable=True)
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Matrix:

@@ -7,10 +7,11 @@ over all page classes (including the terminal NULL page) for the next step.
 
 Training and evaluation run whole padded batches through one sequence
 kernel (`batch_step_probs`).  Inference exposes an incremental (start / step)
-interface on the one-step cell so simulations can feed sampled pages back in
-without re-running the whole prefix: `start` takes a batch of prefixes and
-builds one page-projection table for all of them, and `step` advances a
-batch of rows.
+interface so simulations can feed sampled pages back in without re-running
+the whole prefix: `start` takes a batch of prefixes and builds one
+page-projection table for all of them, and `step` advances a batch of rows.
+Both run the LSTM cell (:func:`numerics.lstm_cell`) on plain arrays, so they
+record nothing on a tape; only the head sees a :class:`Matrix`.
 """
 
 from __future__ import annotations
@@ -92,59 +93,33 @@ class LstmLayer:
         b[0, hidden:2 * hidden] = 1.0  # forget gate starts open
         return cls(wx, wh, nm.parameter(b))
 
-    def step(self, xproj: Matrix, h: Matrix, c: Matrix) -> tuple[Matrix, Matrix]:
-        """One cell update of B rows from their input projection: returns (new hidden, new cell).
-
-        `xproj` is the B x 4H product of the layer input with `wx`, so the
-        cell computes ``(xproj + h @ wh) + bias``, the association of
-        :func:`numerics.lstm_sequence`.  This is the inference cell and
-        records nothing on a tape; training runs whole sequences through
-        :func:`numerics.lstm_sequence`.  Under an active tape it would
-        silently drop gradients, so it refuses.
-        """
-        if xproj.cols != self.wh.cols:
-            raise ShapeError(f"input projection width {xproj.cols} != 4H = {self.wh.cols}")
-        if nm.is_recording():
-            raise RuntimeError("LstmLayer.step is inference-only; train through lstm_sequence")
-        z = (xproj.data + h.data @ self.wh.data) + self.bias.data
-        _, c2, _, h2 = nm.lstm_cell(z, c.data)
-        return Matrix._result(h2), Matrix._result(c2)
-
 
 @dataclass
 class LstmState:
-    """Per-layer (hidden, cell) pairs of B rows, one per live sequence, and
-    the V x 4H table of layer-0 input projections of every page class.
+    """Per-layer (hidden, cell) arrays of B rows, one per live sequence, and
+    the V x 4H array of layer-0 input projections of every page class: plain
+    float64 arrays, so nothing in a state can reach a tape.
 
     `SequenceModel.start` builds the table once per call, from the weights
     of that moment, and gives it to all P prefix rows; `step` gathers its
     rows and hands the same table on to the new state.
     """
 
-    layers: list[tuple[Matrix, Matrix]]
-    table: Matrix
+    layers: list[tuple[np.ndarray, np.ndarray]]
+    table: np.ndarray
 
     @classmethod
-    def stack(cls, states: list["LstmState"], table: Matrix) -> "LstmState":
+    def stack(cls, states: list["LstmState"], table: np.ndarray) -> "LstmState":
         """The rows of `states`, in order, as one state over `table`."""
         layers = []
         for pairs in zip(*(s.layers for s in states)):
             hs, cs = zip(*pairs)
-            layers.append((
-                Matrix._result(np.concatenate([h.data for h in hs])),
-                Matrix._result(np.concatenate([c.data for c in cs])),
-            ))
+            layers.append((np.concatenate(hs), np.concatenate(cs)))
         return cls(layers, table)
 
     @classmethod
-    def zeros(cls, hidden_sizes, batch: int, table: Matrix) -> "LstmState":
-        return cls(
-            [
-                (nm.constant(np.zeros((batch, h))), nm.constant(np.zeros((batch, h))))
-                for h in hidden_sizes
-            ],
-            table,
-        )
+    def zeros(cls, hidden_sizes, batch: int, table: np.ndarray) -> "LstmState":
+        return cls([(np.zeros((batch, h)), np.zeros((batch, h))) for h in hidden_sizes], table)
 
 
 @dataclass(frozen=True)
@@ -221,19 +196,22 @@ class SequenceModel:
 
     # -- forward pieces ----------------------------------------------------
 
-    def cell_steps(self, xproj: Matrix, state: LstmState) -> tuple[Matrix, LstmState]:
+    def cell_steps(self, xproj: np.ndarray, state: LstmState) -> tuple[np.ndarray, LstmState]:
         """Push one step through the LSTM stack; returns (top hidden, new state).
 
         `xproj` is layer 0's B x 4H input projection; deeper layers project
-        the hidden rows of the layer below.
+        the hidden rows of the layer below.  Each layer feeds
+        ``(xproj + h @ wh) + bias`` to :func:`numerics.lstm_cell`, the
+        association of :func:`numerics.lstm_sequence`, on plain arrays.
         """
-        new_layers = []
-        for i, (layer, (h_prev, c_prev)) in enumerate(zip(self.layers, state.layers)):
-            if i:
-                xproj = Matrix._result(h.data @ layer.wx.data)
-            h, c = layer.step(xproj, h_prev, c_prev)
-            new_layers.append((h, c))
-        return h, LstmState(new_layers, state.table)
+        layers = []
+        for layer, (h_prev, c_prev) in zip(self.layers, state.layers):
+            if layers:
+                xproj = layers[-1][0] @ layer.wx.data
+            z = (xproj + h_prev @ layer.wh.data) + layer.bias.data
+            _, c, _, h = nm.lstm_cell(z, c_prev)
+            layers.append((h, c))
+        return h, LstmState(layers, state.table)
 
     def head(self, h: Matrix, dropout_rng: np.random.Generator | None = None) -> Matrix:
         """Fully connected ReLU layer, optional dropout, softmax over classes.
@@ -286,17 +264,17 @@ class SequenceModel:
 
     # -- whole-session paths -------------------------------------------------
 
-    def _page_table(self) -> Matrix:
+    def _page_table(self) -> np.ndarray:
         """The V x 4H layer-0 input projections of every page class.
 
         One CNN pass and one product over exactly the page names, from the
         weights of this call, so the table's bits never depend on the
         prefixes it serves.
         """
-        return nm.matmul(self.encoder.embed_batch(list(self.vocab.page_names)), self.layers[0].wx)
+        return self.encoder.embed_batch(list(self.vocab.page_names)).data @ self.layers[0].wx.data
 
-    def _prefix_pass(self, phrases: list[str], table: Matrix) -> tuple[LstmState, list[Matrix]]:
-        """Run `phrases` through the one-step cell from a zero one-row state.
+    def _prefix_pass(self, phrases: list[str], table: np.ndarray) -> tuple[LstmState, list[np.ndarray]]:
+        """Run `phrases` one step at a time through `cell_steps` from a zero one-row state.
 
         Page names read their row of `table`; the other phrases (keywords,
         out-of-vocabulary pages) are encoded and projected in one product of
@@ -323,15 +301,15 @@ class SequenceModel:
                 x = xproj[phrase]
             else:
                 r = self.vocab.encode(phrase)
-                x = table.data[r:r + 1]
-            h, state = self.cell_steps(Matrix._result(x), state)
+                x = table[r:r + 1]
+            h, state = self.cell_steps(x, state)
             tops.append(h)
         return state, tops
 
     def forward_session(self, phrases: list[str]) -> list[StepPrediction]:
-        """Inference pass through the one-step cell: one StepPrediction per input step."""
+        """Inference pass, one step at a time: one StepPrediction per input step."""
         _, tops = self._prefix_pass(phrases, self._page_table())
-        return [StepPrediction(t, self.head(h).data[0]) for t, h in enumerate(tops)]
+        return [StepPrediction(t, self.head(Matrix._result(h)).data[0]) for t, h in enumerate(tops)]
 
     def session_nll(
         self,
@@ -371,7 +349,7 @@ class SequenceModel:
             raise ValueError("start needs at least one prefix")
         table = self._page_table()
         passes = [self._prefix_pass([p.keywords, *p.pages], table) for p in prefixes]
-        dists = np.concatenate([self.head(tops[-1]).data for _, tops in passes])
+        dists = np.concatenate([self.head(Matrix._result(tops[-1])).data for _, tops in passes])
         return LstmState.stack([state for state, _ in passes], table), dists
 
     def step(self, state: LstmState, rows, pages) -> tuple[LstmState, np.ndarray]:
@@ -383,16 +361,13 @@ class SequenceModel:
         (ShapeError otherwise); after that one check each layer's rows and
         layer 0's input projections are plain gathers.
         """
-        rows = nm.row_index(rows, state.layers[0][0].rows)
-        pages = nm.row_index(pages, state.table.rows)
+        rows = nm.row_index(rows, len(state.layers[0][0]))
+        pages = nm.row_index(pages, len(state.table))
         if rows.shape != pages.shape:
             raise ShapeError(f"{rows.size} rows for {pages.size} pages")
-        prev = LstmState(
-            [(Matrix._result(h.data[rows]), Matrix._result(c.data[rows])) for h, c in state.layers],
-            state.table,
-        )
-        h, new = self.cell_steps(Matrix._result(state.table.data[pages]), prev)
-        return new, self.head(h).data
+        prev = LstmState([(h[rows], c[rows]) for h, c in state.layers], state.table)
+        h, new = self.cell_steps(state.table[pages], prev)
+        return new, self.head(Matrix._result(h)).data
 
 
 def predict_next(model, prefix) -> np.ndarray:
@@ -523,7 +498,7 @@ def read_checkpoint(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
+        except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too long or too deep
             raise CheckpointError(f"{path}: not a JSON checkpoint ({exc})") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: a checkpoint must be a JSON object")

@@ -424,6 +424,7 @@ def score_batch(
         (a, prefixes[a:a + size], objectives, n_samples, horizon, seed)
         for a in range(0, len(prefixes), size)
     ]
+    workers = min(workers, len(units))  # the pool starts every worker it is allowed
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(predictor,)

@@ -30,6 +30,7 @@ from .seqmodel import (
     checkpoint_field,
     model_from_dict,
     model_to_dict,
+    predict_next,
     read_checkpoint,
     write_checkpoint,
 )
@@ -389,9 +390,9 @@ def train_ensemble(
     return Ensemble(models), reports
 
 
-def ensemble_predict(ensemble: Ensemble, prefix) -> np.ndarray:
-    """Arithmetic mean of member next-page distributions."""
-    return ensemble.start([prefix])[1][0]
+# An ensemble serves the predictor protocol of one model, so its next-page
+# distribution (the member mean) is predict_next's.
+ensemble_predict = predict_next
 
 
 def save_ensemble(ensemble: Ensemble, path) -> None:

@@ -497,6 +497,16 @@ def test_gen_data_zero_sessions_is_a_clean_error(chain_file, tmp_path, capsys):
     _assert_clean_error(capsys, "n_sessions")
 
 
+def _spec_json(**fields) -> bytes:
+    spec = {
+        "states": ["a", "b", "exit"],
+        "transitions": [[0.2, 0.5, 0.3], [0.4, 0.1, 0.5], [0.0, 0.0, 1.0]],
+        "initial": [1.0, 0.0, 0.0],
+    }
+    spec.update(fields)
+    return json.dumps(spec).encode()
+
+
 @pytest.mark.parametrize("content", [
     b"not json\n",
     '{"states": ["café", "exit"]}'.encode("latin-1"),
@@ -504,7 +514,30 @@ def test_gen_data_zero_sessions_is_a_clean_error(chain_file, tmp_path, capsys):
     json.dumps({
         "states": ["home", "exit"], "transitions": [[0.5, 0.5], [1.0]], "initial": [1.0, 0.0],
     }).encode(),
-], ids=["not-json", "not-utf8", "json-array", "ragged-transitions"])
+    _spec_json(dwell_mean_by_state={"a": "x"}),
+    _spec_json(dwell_mean_by_state={"a": None}),
+    _spec_json(dwell_mean_by_state={"a": float("inf")}),  # written as Infinity
+    _spec_json(dwell_mean_by_state={"a": -1.0}),
+    _spec_json(dwell_mean_by_state={"a": True}),
+    _spec_json(dwell_mean_by_state={"a": 10 ** 400}),
+    _spec_json(states=["", "b", "exit"]),
+    _spec_json(states=[1, 2, 3]),
+    _spec_json(states="abc"),
+    _spec_json(keywords_by_state={"a": 7}),
+    _spec_json(transitions=[[float("nan"), 0.5, 0.5], [0.4, 0.1, 0.5], [0.0, 0.0, 1.0]]),
+    _spec_json(transitions=[[10 ** 400, 0.0, 0.0], [0.4, 0.1, 0.5], [0.0, 0.0, 1.0]]),
+    _spec_json(transitions=[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]),
+    _spec_json(transitions=[[1.0, 0.0, 0.0], [0.4, 0.1, 0.5], [0.0, 0.0, 1.0]]),
+    _spec_json(initial=[float("nan"), 0.0, 0.0]),
+    b"[" * 100_000,
+], ids=[
+    "not-json", "not-utf8", "json-array", "ragged-transitions",
+    "text-dwell", "null-dwell", "infinite-dwell", "negative-dwell", "boolean-dwell",
+    "huge-integer-dwell", "empty-state", "integer-states", "states-as-text", "integer-keyword",
+    "nan-transition", "huge-integer-transition", "cycle-never-ends", "self-loop-never-ends",
+    "nan-initial",
+    "nested-too-deep",
+])
 def test_gen_data_bad_markov_spec_is_a_clean_error(tmp_path, capsys, content):
     from journeynet.errors import MarkovSpecError
 
@@ -515,6 +548,7 @@ def test_gen_data_bad_markov_spec_is_a_clean_error(tmp_path, capsys, content):
     code = main(["gen-data", "--markov-spec", str(spec), "--out", str(tmp_path / "s.jsonl")])
     assert code == 1
     _assert_clean_error(capsys)
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 def test_train_config_of_default_flags_is_the_default_train_config():

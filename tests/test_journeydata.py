@@ -283,6 +283,19 @@ def test_generate_rejects_non_absorbing_terminal():
         )
 
 
+def test_generate_rejects_a_dwell_mean_too_large_to_sample():
+    # a finite mean whose exponential draws overflow to inf would write
+    # "Infinity" dwell times, which no log reader accepts
+    spec = MarkovSpec(
+        states=("a", "exit"),
+        transitions=np.array([[0.0, 1.0], [0.0, 1.0]]),
+        initial=np.array([1.0, 0.0]),
+        dwell_mean_by_state={"a": 1e308},
+    )
+    with pytest.raises(MarkovSpecError, match="too large"):
+        generate_synthetic(spec, 50, seed=0)
+
+
 def test_empirical_transition_frequencies_match_chain():
     spec = chain_spec()
     sessions = generate_synthetic(spec, 50_000, seed=77)

@@ -1,0 +1,138 @@
+"""Property tests: every input file either parses or ends in a JourneynetError.
+
+Each reader gets arbitrary bytes, JSON built from arbitrary values, and
+records shaped like the real thing with arbitrary fields, so that both the
+decoding and the validation paths are explored.
+"""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from journeynet.cli import _load_prefixes, _parse_config_file
+from journeynet.errors import JourneynetError
+from journeynet.journeydata import (
+    MarkovSpec,
+    generate_synthetic,
+    load_sessions,
+    parse_log,
+    serialize_session,
+)
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10 ** 400), max_value=10 ** 400)
+    | st.floats()  # NaN and the infinities are written as NaN / Infinity
+    | st.text(max_size=8)
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=16,
+)
+numbers = st.integers(min_value=-3, max_value=3) | st.floats() | scalars
+names = st.sampled_from(["a", "b", "exit", ""]) | scalars
+
+
+def as_bytes(strategy):
+    return strategy.map(lambda v: json.dumps(v).encode())
+
+
+def fuzz(*shaped):
+    """Arbitrary bytes, arbitrary JSON, or JSON of one of the `shaped` strategies."""
+    return st.one_of(st.binary(max_size=200), as_bytes(values), *(as_bytes(s) for s in shaped))
+
+
+spec_like = st.fixed_dictionaries(
+    {
+        "states": st.lists(names, min_size=1, max_size=4) | values,
+        "transitions": st.lists(st.lists(numbers, max_size=4), max_size=4) | values,
+        "initial": st.lists(numbers, max_size=4) | values,
+    },
+    optional={
+        "keywords_by_state": st.dictionaries(st.text(max_size=4), values, max_size=3) | values,
+        "dwell_mean_by_state": st.dictionaries(names.filter(lambda n: isinstance(n, str)), numbers,
+                                               max_size=3) | values,
+    },
+)
+# near-valid chain specs, so that validation is reached past the type checks
+chain_like = st.tuples(
+    st.floats(min_value=0, max_value=0.9),
+    st.dictionaries(names, numbers, max_size=2),
+    st.dictionaries(names, values, max_size=2),
+).map(lambda t: {
+    "states": ["a", "exit"],
+    "transitions": [[t[0], 1.0 - t[0]], [0.0, 1.0]],
+    "initial": [1.0, 0.0],
+    "dwell_mean_by_state": t[1],
+    "keywords_by_state": t[2],
+})
+event_like = st.fixed_dictionaries({"page": names, "dwell_seconds": numbers}) | values
+record_like = st.fixed_dictionaries({
+    "session_id": names,
+    "keywords": names,
+    "events": st.lists(event_like, max_size=3) | values,
+})
+prefix_like = st.fixed_dictionaries(
+    {"keywords": names},
+    optional={"pages": st.lists(names, max_size=3) | values, "prefix_id": values},
+)
+
+
+def lines_of(strategy):
+    return st.lists(strategy, max_size=3).map(lambda lines: b"\n".join(lines))
+
+
+def parses_or_raises_journeynet_error(read, path, data: bytes):
+    path.write_bytes(data)
+    try:
+        read(path)
+    except JourneynetError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=fuzz(spec_like, chain_like))
+def test_markov_spec_load_parses_or_raises(tmp_path_factory, data):
+    parses_or_raises_journeynet_error(MarkovSpec.load, tmp_path_factory.getbasetemp() / "chain.json", data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain=chain_like)
+def test_a_chain_spec_that_loads_generates_a_readable_log(tmp_path_factory, chain):
+    path = tmp_path_factory.getbasetemp() / "chain.json"
+    path.write_bytes(json.dumps(chain).encode())
+    try:
+        sessions = generate_synthetic(MarkovSpec.load(path), 5, seed=0)
+    except JourneynetError:
+        return
+    assert parse_log([serialize_session(s) for s in sessions]) == sessions
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=lines_of(fuzz(record_like)))
+def test_session_log_parses_or_raises(tmp_path_factory, data):
+    parses_or_raises_journeynet_error(load_sessions, tmp_path_factory.getbasetemp() / "log.jsonl", data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(max_size=200))
+def test_parse_log_of_any_text_parses_or_raises(text):
+    try:
+        parse_log(text.split("\n"))
+    except JourneynetError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=lines_of(fuzz(prefix_like)))
+def test_prefix_file_parses_or_raises(tmp_path_factory, data):
+    parses_or_raises_journeynet_error(_load_prefixes, tmp_path_factory.getbasetemp() / "p.jsonl", data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=200) | st.text(max_size=200).map(str.encode))
+def test_config_file_parses_or_raises(tmp_path_factory, data):
+    parses_or_raises_journeynet_error(_parse_config_file, tmp_path_factory.getbasetemp() / "run.cfg", data)

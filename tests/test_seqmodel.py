@@ -72,22 +72,29 @@ def zero_layer(input_dim=3, hidden=2):
 
 
 def project(layer, x):
-    """The layer's input projection x @ wx, which its one-step cell takes."""
-    return nm.constant(np.asarray(x, dtype=float) @ layer.wx.data)
+    """The layer's input projection x @ wx, which the cell takes."""
+    return np.asarray(x, dtype=float) @ layer.wx.data
+
+
+def cell(layer, xproj, h, c):
+    """One cell update of `layer` as inference runs it: returns (new hidden, new cell)."""
+    z = (xproj + h @ layer.wh.data) + layer.bias.data
+    _, c2, _, h2 = nm.lstm_cell(z, c)
+    return h2, c2
 
 
 def test_lstm_zero_weights_zero_state_stays_zero():
     layer = zero_layer()
     x = project(layer, [[1.0, -2.0, 3.0]])
-    h, c = layer.step(x, nm.constant(np.zeros((1, 2))), nm.constant(np.zeros((1, 2))))
-    assert not h.data.any()
-    assert not c.data.any()
+    h, c = cell(layer, x, np.zeros((1, 2)), np.zeros((1, 2)))
+    assert not h.any()
+    assert not c.any()
 
 
 def test_lstm_output_shapes():
     layer = LstmLayer.init(5, 3, np.random.default_rng(0))
     x = project(layer, np.random.default_rng(1).normal(size=(4, 5)))
-    h, c = layer.step(x, nm.constant(np.zeros((4, 3))), nm.constant(np.zeros((4, 3))))
+    h, c = cell(layer, x, np.zeros((4, 3)), np.zeros((4, 3)))
     assert h.shape == (4, 3)
     assert c.shape == (4, 3)
 
@@ -100,9 +107,7 @@ def test_lstm_single_unit_hand_oracle():
     wh = nm.parameter(np.ones((1, 4)))
     b = nm.parameter(np.zeros((1, 4)))
     layer = LstmLayer(wx, wh, b)
-    h, c = layer.step(
-        project(layer, [[1.0]]), nm.constant([[0.0]]), nm.constant([[0.0]])
-    )
+    h, c = cell(layer, project(layer, [[1.0]]), np.zeros((1, 1)), np.zeros((1, 1)))
     assert c.item() == pytest.approx(0.5567699411459397, abs=1e-12)
     assert h.item() == pytest.approx(0.36960635293570576, abs=1e-12)
 
@@ -110,10 +115,11 @@ def test_lstm_single_unit_hand_oracle():
 def test_lstm_dimension_mismatch():
     layer = zero_layer(input_dim=3)
     with pytest.raises(ShapeError):
-        layer.step(
+        nm.lstm_sequence(
             nm.constant([[1.0, 2.0, 3.0]]),  # an input row, not its 4H projection
-            nm.constant(np.zeros((1, 2))),
-            nm.constant(np.zeros((1, 2))),
+            layer.wh,
+            layer.bias,
+            1,
         )
 
 
@@ -129,7 +135,7 @@ def test_fresh_state_is_zeros():
     state = LstmState.zeros([3, 5], batch=2, table=table)
     assert state.table is table
     for h, c in state.layers:
-        assert not h.data.any() and not c.data.any()
+        assert not h.any() and not c.any()
     assert state.layers[0][0].shape == (2, 3)
     assert state.layers[1][0].shape == (2, 5)
 
@@ -333,14 +339,6 @@ def test_tape_nodes_per_batch_do_not_grow_with_length():
     assert counts[0] == counts[1]
 
 
-def test_one_step_cell_refuses_to_run_under_a_tape():
-    layer = LstmLayer.init(2, 3, np.random.default_rng(5))
-    zeros = nm.constant(np.zeros((1, 3)))
-    with nm.ComputeTape():
-        with pytest.raises(RuntimeError):
-            layer.step(project(layer, [[0.5, -0.5]]), zeros, zeros)
-
-
 # ---------------------------------------------------------------------------
 # incremental inference
 
@@ -449,6 +447,27 @@ def test_batched_start_rows_equal_one_prefix_starts_in_an_ensemble():
     # any iterable of prefixes, as for one model: every member reads all of them
     _, dists = ensemble.start(p for p in BATCHED_PREFIXES)
     assert np.array_equal(dists, ensemble.start(BATCHED_PREFIXES)[1])
+
+
+def test_start_and_step_under_a_tape_return_the_off_tape_bits():
+    # inference runs on plain arrays, so an active tape changes none of its bits
+    model = toy_model(seed=39, config=replace(TOY_CONFIG, lstm_hidden=(6, 4)))
+    enc = model.vocab.encode
+
+    def run():
+        state, dists = model.start(BATCHED_PREFIXES)
+        new, stepped = model.step(state, [3, 0, 0, 2], [enc("a"), enc("c"), enc(UNKNOWN_PAGE), 0])
+        return [dists, stepped, state.table, new.table] + [
+            m for s in (state, new) for pair in s.layers for m in pair
+        ]
+
+    off = run()
+    with nm.ComputeTape():
+        on = run()
+    assert len(on) == len(off) == 12
+    for a, b in zip(on, off):
+        assert type(a) is np.ndarray
+        assert np.array_equal(a, b)
 
 
 def test_start_rejects_no_prefixes():

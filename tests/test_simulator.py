@@ -295,6 +295,46 @@ def test_score_batch_workers_do_not_change_results():
     assert sequential == parallel
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs the blocks in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("n_prefixes, workers, pool_sizes", [
+    (1, 64, []),  # one block runs in-process
+    (3, 64, [3]),
+    (40, 64, [40]),
+    (40, 3, [3]),
+])
+def test_score_batch_pool_has_no_more_workers_than_blocks(
+    monkeypatch, n_prefixes, workers, pool_sizes
+):
+    # a pool starts all of its workers at the first submit, so 64 workers
+    # for 3 blocks would fork 61 idle copies of the model
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    pred = random_predictor(21)
+    prefixes = [JourneyPrefix("", (f"pg{i % 3}",)) for i in range(n_prefixes)]
+    objectives = [Objective("a", frozenset({"pg0"}))]
+    rows = score_batch(pred, prefixes, objectives, n_samples=20, horizon=3, seed=4, workers=workers)
+    assert RecordingPool.sizes == pool_sizes
+    assert rows == score_batch(pred, prefixes, objectives, n_samples=20, horizon=3, seed=4, workers=1)
+
+
 def test_score_batch_standalone_subseed_equivalence():
     pred = random_predictor(23)
     prefixes = [JourneyPrefix(), JourneyPrefix("", ("pg0",))]
@@ -460,8 +500,8 @@ def test_batched_step_matches_one_row_steps(funnel_model):
         one, dist = model.step(one, [0], [page])
         np.testing.assert_allclose(batch_dists[j], dist[0], rtol=0, atol=1e-12)
         for (hb, cb), (h1, c1) in zip(batch_state.layers, one.layers):
-            np.testing.assert_allclose(hb.data[j], h1.data[0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(cb.data[j], c1.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(hb[j], h1[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cb[j], c1[0], rtol=0, atol=1e-12)
 
 
 def test_score_batch_rows_equal_standalone_estimates_on_a_model(funnel_model):
