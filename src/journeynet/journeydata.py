@@ -28,6 +28,8 @@ from .errors import ConfigError, MarkovSpecError, ParseError, SchemaError
 # reserved vocabulary entries; NULL_PAGE marks "visitor left the site"
 NULL_PAGE = "<null>"
 UNKNOWN_PAGE = "<unknown>"
+# longest session generate_synthetic walks before it gives up on a chain
+MAX_SESSION_EVENTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -362,7 +364,9 @@ def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Ses
     """Sample sessions by walking the chain until absorption.
 
     Each session has its own counter-based stream keyed by (seed, index), so
-    output is identical no matter how generation is sharded.
+    output is identical no matter how generation is sharded.  A session that
+    walks past MAX_SESSION_EVENTS pages raises MarkovSpecError: its chain
+    almost never exits.
     """
     if n_sessions < 1:
         raise ConfigError(f"n_sessions must be >= 1, got {n_sessions}")
@@ -377,6 +381,11 @@ def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Ses
         first_state = spec.states[state]
         events = []
         while state != terminal:
+            if len(events) == MAX_SESSION_EVENTS:
+                raise MarkovSpecError(
+                    f"session {i} from state {first_state!r} did not exit within "
+                    f"{MAX_SESSION_EVENTS} events; the chain almost never reaches the exit"
+                )
             name = spec.states[state]
             mean = spec.dwell_mean_by_state.get(name, 10.0)
             dwell = float(gen.exponential(mean)) if mean > 0 else 0.0

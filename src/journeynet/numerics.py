@@ -18,6 +18,7 @@ the caller zeroes them (see :func:`zero_gradients`).
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -163,6 +164,21 @@ def is_recording() -> bool:
     return _current_tape() is not None
 
 
+@contextmanager
+def untaped():
+    """Run the block with no tape active on this thread; an active tape resumes afterwards.
+
+    Inference wraps its CNN pass in it, so it records nothing on a tape a
+    caller may have open.
+    """
+    tape = _current_tape()
+    _active.tape = None
+    try:
+        yield
+    finally:
+        _active.tape = tape
+
+
 def record(output: Matrix, inputs: Sequence[Matrix], backward_fn: Callable) -> Matrix:
     """Register a primitive op on the active tape, if any operand is tracked.
 
@@ -218,10 +234,24 @@ def zero_gradients(params: Iterable[Matrix]) -> None:
 # primitive operations
 
 
+def rows_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w``, with every row's bits independent of the other rows of `a`.
+
+    numpy sends a product of two or more rows to BLAS gemm, whose row of
+    the result depends on that row of `a` alone (a tier-1 test checks this
+    for the model's shapes), but a one-row product to gemv, which rounds
+    differently.  A one-row `a` is therefore multiplied as a duplicated pair
+    and row 0 returned, so a row gets the same bits alone as in any batch.
+    """
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ w)[:1]
+    return a @ w
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = Matrix._result(a.data @ b.data)
+    out = Matrix._result(rows_product(a.data, b.data))
 
     def back(g):
         return (g @ b.data.T if a.track else None), (a.data.T @ g if b.track else None)

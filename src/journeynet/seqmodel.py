@@ -8,10 +8,13 @@ over all page classes (including the terminal NULL page) for the next step.
 Training and evaluation run whole padded batches through one sequence
 kernel (`batch_step_probs`).  Inference exposes an incremental (start / step)
 interface so simulations can feed sampled pages back in without re-running
-the whole prefix: `start` takes a batch of prefixes and builds one
-page-projection table for all of them, and `step` advances a batch of rows.
-Both run the LSTM cell (:func:`numerics.lstm_cell`) on plain arrays, so they
-record nothing on a tape; only the head sees a :class:`Matrix`.
+the whole prefix: `start` takes a batch of prefixes, projects the page names
+and every other phrase of the call in one CNN pass, and runs all prefixes
+through the LSTM stack in lockstep; `step` advances a batch of rows.  Both
+run the LSTM cell (:func:`numerics.lstm_cell`) on plain arrays and leave an
+active tape untouched.  Every product goes through
+:func:`numerics.rows_product`, so a row's bits never depend on the other
+rows of its batch.
 """
 
 from __future__ import annotations
@@ -109,15 +112,6 @@ class LstmState:
     table: np.ndarray
 
     @classmethod
-    def stack(cls, states: list["LstmState"], table: np.ndarray) -> "LstmState":
-        """The rows of `states`, in order, as one state over `table`."""
-        layers = []
-        for pairs in zip(*(s.layers for s in states)):
-            hs, cs = zip(*pairs)
-            layers.append((np.concatenate(hs), np.concatenate(cs)))
-        return cls(layers, table)
-
-    @classmethod
     def zeros(cls, hidden_sizes, batch: int, table: np.ndarray) -> "LstmState":
         return cls([(np.zeros((batch, h)), np.zeros((batch, h))) for h in hidden_sizes], table)
 
@@ -202,13 +196,14 @@ class SequenceModel:
         `xproj` is layer 0's B x 4H input projection; deeper layers project
         the hidden rows of the layer below.  Each layer feeds
         ``(xproj + h @ wh) + bias`` to :func:`numerics.lstm_cell`, the
-        association of :func:`numerics.lstm_sequence`, on plain arrays.
+        association of :func:`numerics.lstm_sequence`, on plain arrays, with
+        each product a :func:`numerics.rows_product`.
         """
         layers = []
         for layer, (h_prev, c_prev) in zip(self.layers, state.layers):
             if layers:
-                xproj = layers[-1][0] @ layer.wx.data
-            z = (xproj + h_prev @ layer.wh.data) + layer.bias.data
+                xproj = nm.rows_product(layers[-1][0], layer.wx.data)
+            z = (xproj + nm.rows_product(h_prev, layer.wh.data)) + layer.bias.data
             _, c, _, h = nm.lstm_cell(z, c_prev)
             layers.append((h, c))
         return h, LstmState(layers, state.table)
@@ -221,8 +216,8 @@ class SequenceModel:
         the taped result's bits at a fraction of the per-call cost.
         """
         if dropout_rng is None and not nm.is_recording():
-            fc = np.maximum(h.data @ self.w_fc.data + self.b_fc.data, 0.0)
-            logits = fc @ self.w_out.data + self.b_out.data
+            fc = np.maximum(nm.rows_product(h.data, self.w_fc.data) + self.b_fc.data, 0.0)
+            logits = nm.rows_product(fc, self.w_out.data) + self.b_out.data
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             return Matrix._result(e / e.sum(axis=1, keepdims=True))
         fc = nm.relu(nm.add(nm.matmul(h, self.w_fc), self.b_fc))
@@ -230,6 +225,13 @@ class SequenceModel:
             fc = nm.dropout(fc, self.config.dropout_rate, dropout_rng)
         logits = nm.add(nm.matmul(fc, self.w_out), self.b_out)
         return nm.softmax(logits)
+
+    def _probs(self, h: np.ndarray) -> np.ndarray:
+        """The head's distributions for the top hidden rows `h`, recorded on no tape."""
+        if not nm.is_recording():
+            return self.head(Matrix._result(h)).data
+        with nm.untaped():
+            return self.head(Matrix._result(h)).data
 
     def batch_step_probs(
         self,
@@ -264,52 +266,48 @@ class SequenceModel:
 
     # -- whole-session paths -------------------------------------------------
 
-    def _page_table(self) -> np.ndarray:
-        """The V x 4H layer-0 input projections of every page class.
+    def _consume(self, sequences: list[list[str]]) -> tuple[LstmState, np.ndarray]:
+        """Run every phrase sequence through the stack in lockstep, from a zero state.
 
-        One CNN pass and one product over exactly the page names, from the
-        weights of this call, so the table's bits never depend on the
-        prefixes it serves.
+        One CNN pass and one product project the page names followed by
+        every other phrase of the call (keywords, out-of-vocabulary pages);
+        the first V rows are the state's page table.  At each position t the
+        sequences longer than t advance together in one `cell_steps` call.
+        Returns (P-row state after each sequence's last phrase, T x P x H
+        top hidden rows, where [t, k] is meaningful while t < len(sequence k)).
+        Nothing is recorded on an active tape.
         """
-        return self.encoder.embed_batch(list(self.vocab.page_names)).data @ self.layers[0].wx.data
-
-    def _prefix_pass(self, phrases: list[str], table: np.ndarray) -> tuple[LstmState, list[np.ndarray]]:
-        """Run `phrases` one step at a time through `cell_steps` from a zero one-row state.
-
-        Page names read their row of `table`; the other phrases (keywords,
-        out-of-vocabulary pages) are encoded and projected in one product of
-        their own.  Returns (state after the last phrase, top hidden row
-        after each phrase).
-        """
-        if not phrases:
+        if not all(sequences):
             raise ValueError("input sequence must be non-empty")
-        extras = sorted(set(phrases).difference(self.vocab.page_names))
-        xproj = {}
-        if extras:
-            emb = self.encoder.embed_batch(extras).data
-            if len(extras) == 1:
-                # numpy sends a one-row product to gemv, which rounds unlike
-                # gemm: a lone phrase is projected as a pair, so every
-                # projection takes the gemm path, as the table's rows do
-                emb = np.vstack([emb, emb])
-            proj = emb @ self.layers[0].wx.data
-            xproj = {phrase: proj[r:r + 1] for r, phrase in enumerate(extras)}
-        state = LstmState.zeros([l.hidden_size for l in self.layers], 1, table)
-        tops = []
-        for phrase in phrases:
-            if phrase in xproj:
-                x = xproj[phrase]
-            else:
-                r = self.vocab.encode(phrase)
-                x = table[r:r + 1]
-            h, state = self.cell_steps(x, state)
-            tops.append(h)
+        names = self.vocab.page_names  # name r is class r, row r of the table
+        phrases = [*names, *sorted(set().union(*sequences).difference(names))]
+        with nm.untaped():
+            emb = self.encoder.embed_batch(phrases).data
+        proj = nm.rows_product(emb, self.layers[0].wx.data)
+        table = proj[:len(names)]
+        row_of = {phrase: r for r, phrase in enumerate(phrases)}
+        rows = [[row_of[p] for p in seq] for seq in sequences]
+        lengths = np.array([len(seq) for seq in sequences])
+        state = LstmState.zeros([l.hidden_size for l in self.layers], len(sequences), table)
+        tops = np.zeros((lengths.max(), len(sequences), self.layers[-1].hidden_size))
+        for t in range(len(tops)):
+            active = np.flatnonzero(lengths > t)
+            prev = LstmState([(h[active], c[active]) for h, c in state.layers], table)
+            h, new = self.cell_steps(proj[[rows[k][t] for k in active]], prev)
+            for (hs, cs), (h2, c2) in zip(state.layers, new.layers):
+                hs[active], cs[active] = h2, c2
+            tops[t, active] = h
         return state, tops
 
     def forward_session(self, phrases: list[str]) -> list[StepPrediction]:
-        """Inference pass, one step at a time: one StepPrediction per input step."""
-        _, tops = self._prefix_pass(phrases, self._page_table())
-        return [StepPrediction(t, self.head(Matrix._result(h)).data[0]) for t, h in enumerate(tops)]
+        """Inference pass over one session: one StepPrediction per input step.
+
+        It runs the pass of `start`, so a `start` of any prefix of `phrases`
+        followed by `step`s of the rest gives the same distributions, bit for bit.
+        """
+        _, tops = self._consume([phrases])
+        probs = self._probs(tops[:, 0])
+        return [StepPrediction(t, p) for t, p in enumerate(probs)]
 
     def session_nll(
         self,
@@ -341,16 +339,16 @@ class SequenceModel:
         Each of the P prefixes needs `.keywords` (text, possibly empty) and
         `.pages` (iterable of page names).  The call builds one page table,
         from the weights of this moment (so an in-place edit of the weights
-        is seen by the next `start`), and every prefix then runs its own
-        one-row pass: row k is bit for bit that of ``start([prefixes[k]])``.
+        is seen by the next `start`), and runs all prefixes in lockstep (see
+        `_consume`); since every product is a `rows_product`, row k is bit
+        for bit that of ``start([prefixes[k]])``.
         """
-        prefixes = list(prefixes)
-        if not prefixes:
+        sequences = [[p.keywords, *p.pages] for p in prefixes]
+        if not sequences:
             raise ValueError("start needs at least one prefix")
-        table = self._page_table()
-        passes = [self._prefix_pass([p.keywords, *p.pages], table) for p in prefixes]
-        dists = np.concatenate([self.head(Matrix._result(tops[-1])).data for _, tops in passes])
-        return LstmState.stack([state for state, _ in passes], table), dists
+        state, tops = self._consume(sequences)
+        last = np.array([len(seq) - 1 for seq in sequences])
+        return state, self._probs(tops[last, np.arange(len(sequences))])
 
     def step(self, state: LstmState, rows, pages) -> tuple[LstmState, np.ndarray]:
         """Feed page `pages[j]` to row `rows[j]` of `state`, for every j at once.
@@ -367,7 +365,7 @@ class SequenceModel:
             raise ShapeError(f"{rows.size} rows for {pages.size} pages")
         prev = LstmState([(h[rows], c[rows]) for h, c in state.layers], state.table)
         h, new = self.cell_steps(state.table[pages], prev)
-        return new, self.head(Matrix._result(h)).data
+        return new, self._probs(h)
 
 
 def predict_next(model, prefix) -> np.ndarray:

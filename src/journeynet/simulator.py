@@ -8,30 +8,33 @@ A predictor is anything with:
 
 Row k of `start`'s result has consumed prefix k, and must not depend on the
 other prefixes of the call.  Row j of `step`'s result continues row
-`rows[j]` of `state` after feeding page index `pages[j]`.  `step` must not
+`rows[j]` of `state` after feeding page index `pages[j]`, and must not
+depend on the other rows of the call either.  `step` must not
 mutate `state`, so one state can branch into several futures; trained
 models and ensembles both satisfy this.  A model builds its page table once
 per `start` call, so `score_batch` starts a whole block of prefixes at once
 and every one-prefix entry point calls `start([prefix])`.
 
-Rollouts of one prefix advance together: each distinct live path is one row
-of a batched `step`, and every rollout samples its next page, with its own
-uniforms, from the row of the path it is on.  Rollouts that sampled the same
-pages share a row, so a step feeds each distinct (row, page) pair once, and
-paths leave the batch at the NULL page.  A rollout ends at the NULL page or
-the horizon; conversion probability for an objective is the fraction of
-rollouts that touch any of its pages.  For small instances an exact
-depth-first path enumeration serves as the correctness oracle.
+Rollouts advance together: the rollouts of every prefix started in one
+call step in lockstep, each distinct live path is one row of a batched
+`step`, and every rollout samples its next page, with its own uniforms, from
+the row of the path it is on.  Rollouts that sampled the same pages from the
+same start row share a row, so a step feeds each distinct (row, page) pair
+once, and paths leave the batch at the NULL page.  A rollout ends at the
+NULL page or the horizon; conversion probability for an objective is the
+fraction of rollouts that touch any of its pages.  For small instances an
+exact depth-first path enumeration serves as the correctness oracle.
 
 Randomness is counter-based: rollout i of prefix k draws from the stream
 keyed (seed, prefix k) at block offset i, so estimates do not depend on how
-samples are scheduled across workers.  Rollouts are batched in chunks of
-CHUNK samples of one prefix, never across prefixes, and run to NULL or the
-horizon whatever the objectives; a chunk starts from its prefix's row of the
-start state.  Chunk composition, and with it the rows each step feeds,
-therefore depends only on (seed, prefix index, n_samples), so a batch cell,
-a standalone estimate, any block of prefixes and any worker count see the
-same batches and agree bit for bit.
+samples are scheduled across workers.  Rollouts are stepped in chunks of
+CHUNK, which may hold samples of several prefixes, and run to NULL or the
+horizon whatever the objectives.  Bit-reproducibility rests on one fact:
+every row of a model's step is computed on its own, its bits independent of
+the other rows of the batch (`numerics.rows_product`; a tier-1 test checks
+the BLAS for it).  A sample's path therefore depends only on its prefix's
+row of the start state and its own uniforms, so a batch cell, a standalone
+estimate, any block of prefixes and any worker count agree bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .journeydata import NULL_PAGE, UNKNOWN_PAGE, PageVocabulary
 TERMINATED_NULL = "null_page"
 TERMINATED_HORIZON = "horizon"
 
-# rollouts of one prefix stepped together; part of the determinism contract
+# rollouts stepped together, from any prefixes of a block; bounds a simulation's memory
 CHUNK = 4096
 # most prefixes in one score_batch unit, started in one call (results do not depend on it)
 PREFIX_BLOCK = 16
@@ -117,8 +120,8 @@ def _prefix_hit(prefix: JourneyPrefix, objective: Objective) -> bool:
     return any(p in objective.target_pages for p in prefix.pages)
 
 
-def _sample_paths(predictor, state, dists, row: int, uniforms: np.ndarray, null_index: int) -> np.ndarray:
-    """Roll out one chunk from row `row` of (state, dists); row i of `uniforms` drives sample i.
+def _sample_paths(predictor, state, dists, starts: np.ndarray, uniforms: np.ndarray, null_index: int) -> np.ndarray:
+    """Roll out sample i from row `starts[i]` of (state, dists), driven by row i of `uniforms`.
 
     Sample i takes class min(#{c : cdf[c] <= u}, N - 1) at each step, the
     index searchsorted(cdf, u, side="right") gives, clamped.  Each distinct
@@ -131,7 +134,7 @@ def _sample_paths(predictor, state, dists, row: int, uniforms: np.ndarray, null_
     cdf = np.cumsum(dists, axis=1)
     n_classes = cdf.shape[1]
     live = np.arange(n)  # sample index of each live rollout
-    rows = np.full(n, row, dtype=np.intp)  # its row of `cdf` and `state`
+    rows = np.asarray(starts, dtype=np.intp)  # its row of `cdf` and `state`
     for t in range(horizon):
         idx = np.minimum((cdf[rows] <= uniforms[live, t, None]).sum(axis=1), n_classes - 1)
         paths[live, t] = idx
@@ -151,7 +154,7 @@ def rollout(predictor, prefix: JourneyPrefix, horizon: int, rng: np.random.Gener
         raise SamplingError(f"horizon must be >= 1, got {horizon}")
     vocab = predictor.vocab
     state, dists = predictor.start([prefix])
-    path = _sample_paths(predictor, state, dists, 0, rng.random((1, horizon)), vocab.null_index)[0]
+    path = _sample_paths(predictor, state, dists, [0], rng.random((1, horizon)), vocab.null_index)[0]
     indices = path[path >= 0]
     reason = TERMINATED_NULL if indices[-1] == vocab.null_index else TERMINATED_HORIZON
     return SimulatedJourney(
@@ -161,19 +164,25 @@ def rollout(predictor, prefix: JourneyPrefix, horizon: int, rng: np.random.Gener
     )
 
 
-def _simulate(predictor, state, dists, row: int, seed_parts, n_samples: int, horizon: int):
-    """Yield the sampled paths (see _sample_paths) of `n_samples` rollouts from
-    row `row` of a start state, chunk by chunk.
+def _simulate(predictor, state, dists, streams, n_samples: int, horizon: int):
+    """Roll out `n_samples` samples from every row r of a start state, all rows in lockstep.
 
-    Sample i always reads the same stream positions (blocks i * stride ..),
-    and chunk k always holds samples k * CHUNK .. of this prefix alone.
+    Rollout r * n_samples + i is sample i of row r; the rollouts are stepped
+    CHUNK at a time, whatever row they start from, and sample i of row r
+    always reads the same positions of `streams[r]` (blocks i * stride ..).
+    Yields, chunk by chunk, (the start row of each rollout, its sampled
+    path; see _sample_paths).
     """
     stride = rngmod.blocks_for(horizon)
-    for a in range(0, n_samples, CHUNK):
-        b = min(a + CHUNK, n_samples)
-        gen = rngmod.stream_at(seed_parts, a * stride)
-        us = gen.random((b - a) * stride * rngmod.BLOCK).reshape(b - a, stride * rngmod.BLOCK)
-        yield _sample_paths(predictor, state, dists, row, us[:, :horizon], predictor.vocab.null_index)
+    total = len(streams) * n_samples
+    for g in range(0, total, CHUNK):
+        starts = np.arange(g, min(g + CHUNK, total)) // n_samples
+        us = []
+        for r in range(starts[0], starts[-1] + 1):
+            a, b = max(g - r * n_samples, 0), min(g + CHUNK - r * n_samples, n_samples)
+            gen = rngmod.stream_at(streams[r], a * stride)
+            us.append(gen.random((b - a) * stride * rngmod.BLOCK).reshape(b - a, -1)[:, :horizon])
+        yield starts, _sample_paths(predictor, state, dists, starts, np.concatenate(us), predictor.vocab.null_index)
 
 
 def _check_sampling(n_samples: int, horizon: int) -> None:
@@ -197,22 +206,23 @@ def _estimate_block(
     Prefix k draws from the sub-stream of index `first_index + k`.
     Objectives a prefix already reached convert every sample; the others
     count the sampled paths that touch one of their pages.  The prefixes
-    with some objective still open start in one `start` call, and each is
-    simulated from its row of the start state.
+    with some objective still open start in one `start` call and are
+    simulated together, each from its row of the start state.
     """
     targets = [sorted(_target_indices(o, predictor.vocab)) for o in objectives]
-    hits = [[n_samples if _prefix_hit(p, o) else 0 for o in objectives] for p in prefixes]
-    open_ = [[j for j, h in enumerate(row) if not h] for row in hits]
-    started = [k for k, js in enumerate(open_) if js]
-    if started:
+    already = np.array([[_prefix_hit(p, o) for o in objectives] for p in prefixes])
+    counts = np.zeros(already.shape, dtype=np.intp)
+    started = np.flatnonzero(~already.all(axis=1))
+    if started.size:
         state, dists = predictor.start([prefixes[k] for k in started])
-        for row, k in enumerate(started):
-            seed_parts = (seed, "conversion", first_index + k)
-            for paths in _simulate(predictor, state, dists, row, seed_parts, n_samples, horizon):
-                for j in open_[k]:
-                    hits[k][j] += int(np.isin(paths, targets[j]).any(axis=1).sum())
+        streams = [(seed, "conversion", first_index + k) for k in started.tolist()]
+        for starts, paths in _simulate(predictor, state, dists, streams, n_samples, horizon):
+            for j, target in enumerate(targets):
+                hit = np.isin(paths, target).any(axis=1)
+                counts[started, j] += np.bincount(starts[hit], minlength=len(started))
+    hits = np.where(already, n_samples, counts)
     return [
-        [_binomial_estimate(h, n_samples, horizon, o.objective_id) for o, h in zip(objectives, row)]
+        [_binomial_estimate(int(h), n_samples, horizon, o.objective_id) for o, h in zip(objectives, row)]
         for row in hits
     ]
 
@@ -265,7 +275,7 @@ def step_distribution(
     vocab = predictor.vocab
     counts = np.zeros(len(vocab))
     state, dists = predictor.start([prefix])
-    for paths in _simulate(predictor, state, dists, 0, (seed, "step-dist"), n_samples, t):
+    for _, paths in _simulate(predictor, state, dists, [(seed, "step-dist")], n_samples, t):
         pages = paths[:, t - 1]
         counts += np.bincount(np.where(pages < 0, vocab.null_index, pages), minlength=len(vocab))
     return counts / n_samples

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -282,6 +285,32 @@ def test_score_workers_do_not_change_scores_csv(pipeline, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_score_workers_write_the_same_bytes_over_two_blocks(pipeline, tmp_path):
+    # 20 prefixes: blocks of 16 + 4 with one worker, 10 + 10 with two, 7 + 7 + 6 with three
+    out, _ = pipeline
+    pages = ["home", "quote", "confirm", "zz-not-a-page"]
+    prefixes = tmp_path / "p.jsonl"
+    prefixes.write_text("".join(
+        json.dumps({"keywords": ["car insurance", "", "quote online", "home"][i % 4],
+                    "pages": [pages[(i + j) % 4] for j in range(i % 5)]}) + "\n"
+        for i in range(20)
+    ))
+    objectives = tmp_path / "o.json"
+    objectives.write_text('[{"id": "c", "pages": ["confirm"]}, {"id": "q", "pages": ["quote"]}]')
+    blobs = []
+    for workers in ("1", "2", "3"):
+        path = tmp_path / f"scores_w{workers}.csv"
+        assert main([
+            "score", "--model", str(out / "model.ckpt"),
+            "--prefixes", str(prefixes), "--objectives", str(objectives),
+            "--n-samples", "300", "--horizon", "10", "--seed", "8",
+            "--workers", workers, "--out", str(path),
+        ]) == 0
+        blobs.append(path.read_bytes())
+    assert len(blobs[0].splitlines()) == 1 + 20 * 2
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
 def _score_exit(pipeline, tmp_path, model=None, prefixes=None, objectives=None):
     out, _ = pipeline
     if prefixes is None:
@@ -548,6 +577,24 @@ def test_gen_data_bad_markov_spec_is_a_clean_error(tmp_path, capsys, content):
     code = main(["gen-data", "--markov-spec", str(spec), "--out", str(tmp_path / "s.jsonl")])
     assert code == 1
     _assert_clean_error(capsys)
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+def test_gen_data_on_a_chain_that_almost_never_exits_is_a_clean_error(tmp_path):
+    # valid, but one session would walk ~1e12 pages: gen-data must stop, not hang
+    spec = tmp_path / "chain.json"
+    spec.write_text(json.dumps({
+        "states": ["a", "exit"], "transitions": [[0.999999999999, 1e-12], [0.0, 1.0]], "initial": [1.0, 0.0],
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "journeynet.cli", "gen-data", "--markov-spec", str(spec),
+         "--n-sessions", "1", "--out", str(tmp_path / "s.jsonl")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
+    assert "session 0" in proc.stderr and "'a'" in proc.stderr
     assert not (tmp_path / "s.jsonl").exists()
 
 

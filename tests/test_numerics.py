@@ -463,3 +463,35 @@ def test_ops_follow_float32_operands(monkeypatch):
     assert cell_dtypes == {np.dtype(np.float32)}
     backward(tape, loss)
     assert all(m.grad.dtype == np.float32 for m in (w, wh, bias))
+
+
+# ---------------------------------------------------------------------------
+# rows_product: the row-independence that bit-reproducible inference rests on
+
+
+# (K, N) of the paper-config model's products: the two CNN im2col stages,
+# layer 0 and layer 1 `wx`, `wh`, `w_fc`, and `w_out` for 8 and 12 classes (the bench models)
+PAPER_PRODUCT_SHAPES = [(126, 64), (192, 64), (256, 512), (128, 512), (128, 256), (256, 8), (256, 12)]
+
+
+@pytest.mark.parametrize("k, n", PAPER_PRODUCT_SHAPES)
+def test_rows_product_rows_equal_their_own_one_row_product(k, n):
+    # numpy hands two or more rows to gemm; if the BLAS ever made a row's
+    # bits depend on the other rows, batched inference would stop being
+    # bitwise equal to one-prefix inference, and this test says so
+    gen = np.random.default_rng(k * 1000 + n)
+    w = gen.normal(size=(k, n))
+    a = gen.normal(size=(70, k))
+    alone = np.concatenate([nm.rows_product(a[i:i + 1], w) for i in range(len(a))])
+    assert np.array_equal(alone[0], (np.vstack([a[:1], a[:1]]) @ w)[0])
+    for m in range(2, 71):
+        assert np.array_equal(nm.rows_product(a[:m], w), alone[:m]), m
+        assert np.array_equal(nm.rows_product(a[70 - m:], w), alone[70 - m:]), m
+
+
+def test_matmul_of_one_row_is_that_row_of_a_batch():
+    gen = np.random.default_rng(5)
+    a, w = nm.constant(gen.normal(size=(3, 40))), nm.parameter(gen.normal(size=(40, 9)))
+    batch = nm.matmul(a, w).data
+    for i in range(3):
+        assert np.array_equal(nm.matmul(nm.constant(a.data[i:i + 1]), w).data[0], batch[i])

@@ -470,6 +470,19 @@ def test_start_and_step_under_a_tape_return_the_off_tape_bits():
         assert np.array_equal(a, b)
 
 
+def test_inference_records_nothing_on_an_active_tape():
+    model = toy_model(seed=39, config=replace(TOY_CONFIG, lstm_hidden=(6, 4)))
+    with nm.ComputeTape() as tape:
+        state, _ = model.start([Prefix("kw", ("a",))])
+        model.start(BATCHED_PREFIXES)
+        model.step(state, [0, 0], [model.vocab.encode("b"), 0])
+        model.forward_session(["kw", "a", "zz-not-a-page"])
+        assert len(tape) == 0
+        # the tape is still the active one and records a taped op afterwards
+        nm.matmul(model.w_fc, model.w_out)
+        assert len(tape) == 1
+
+
 def test_start_rejects_no_prefixes():
     with pytest.raises(ValueError):
         toy_model().start([])
@@ -486,9 +499,9 @@ def test_batched_start_encodes_the_page_names_once(monkeypatch):
 
     monkeypatch.setattr(type(model.encoder), "embed_batch", counting)
     model.start(BATCHED_PREFIXES)
-    assert calls[0] == list(model.vocab.page_names)
-    # then each prefix's own phrases outside the vocabulary, if it has any
-    assert calls[1:] == [["kw"], ["", "zz-not-a-page"], ["car insurance", "yy", "zz-not-a-page"]]
+    # one CNN pass: the page names, then every other phrase of the call once
+    extras = ["", "car insurance", "kw", "yy", "zz-not-a-page"]
+    assert calls == [list(model.vocab.page_names) + extras]
 
 
 @pytest.mark.parametrize("rows, pages", [
