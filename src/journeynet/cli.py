@@ -211,6 +211,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.ensemble < 1:
+        raise CliError(f"--ensemble must be >= 1, got {args.ensemble}")
     config = _train_config(args)
     sessions = load_sessions(args.data)
     train_set, eval_set = split(sessions, args.train_fraction, args.seed)
@@ -257,6 +259,8 @@ def _parse_seed_prefix(text: str) -> JourneyPrefix:
 
 
 def _cmd_simulate(args) -> int:
+    if args.n_traces < 0:
+        raise CliError(f"--n-traces must be >= 0, got {args.n_traces}")
     predictor = load_predictor(args.model)
     prefix = _parse_seed_prefix(args.seed_prefix)
     out = _out_path(args, "out", "traces.txt")

@@ -199,7 +199,7 @@ def replicate_dwell(session: Session, unit_seconds: float = 30.0, cap: int = 5) 
     Each event contributes min(cap, max(1, ceil(dwell / unit_seconds)))
     consecutive copies of its page, and NULL_PAGE is appended once at the end.
     """
-    if unit_seconds <= 0:
+    if not unit_seconds > 0:  # also rejects NaN
         raise ConfigError(f"unit_seconds must be > 0, got {unit_seconds}")
     if cap < 1:
         raise ConfigError(f"cap must be >= 1, got {cap}")

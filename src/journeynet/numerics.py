@@ -407,15 +407,22 @@ def lstm_cell(z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
     return acts, c2, tc2, o * tc2
 
 
-def lstm_sequence(xproj: Matrix, wh: Matrix, bias: Matrix, batch: int) -> Matrix:
+def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray, wh: np.ndarray, bias: np.ndarray):
+    """One LSTM layer step on plain arrays, the only definition of the recurrence:
+    ``(x + h @ wh) + bias``, the product a :func:`rows_product`, fed to :func:`lstm_cell`."""
+    return lstm_cell((x + rows_product(h, wh)) + bias, c)
+
+
+def lstm_sequence(xproj: Matrix, wh: Matrix, bias: Matrix, batch: int) -> tuple[Matrix, np.ndarray]:
     """One LSTM layer over a whole padded batch, recorded as a single tape node.
 
     `xproj` is the time-major (T*B) x 4H input projection: rows t*B .. t*B+B-1
-    hold step t of the B sequences.  The state starts at zero, and step t
-    feeds ``(xproj[t] + h @ wh) + bias`` to :func:`lstm_cell`.  Returns the
-    (T*B) x H hidden states in the same row order.  The backward pass runs
-    BPTT one step at a time, where only ``dh = dz_t @ wh.T`` is a product,
-    and forms the gradients of `wh` and `bias` once over all steps.
+    hold step t of the B sequences.  The state starts at zero, and each step
+    is one :func:`lstm_step`.  Returns the (T*B) x H hidden states, the
+    tracked output, and the (T*B) x H cell states as a plain array, both in
+    the same row order.  The backward pass runs BPTT one step at a time,
+    where only ``dh = dz_t @ wh.T`` is a product, and forms the gradients of
+    `wh` and `bias` once over all steps.
     """
     hs = wh.rows
     if wh.cols != 4 * hs or xproj.cols != wh.cols or bias.shape != (1, wh.cols):
@@ -428,18 +435,18 @@ def lstm_sequence(xproj: Matrix, wh: Matrix, bias: Matrix, batch: int) -> Matrix
     steps = xproj.rows // batch
     x, w = xproj.data, wh.data
     hidden = np.empty((x.shape[0], hs), dtype=x.dtype)
-    # the backward pass needs every step's gates and cell; inference keeps none
+    cells = np.empty_like(hidden)
+    # the backward pass also needs every step's gates; inference keeps none
     taped = is_recording() and any(m.track for m in (xproj, wh, bias))
     if taped:
-        acts, cells, tcells = np.empty_like(x), np.empty_like(hidden), np.empty_like(hidden)
+        acts, tcells = np.empty_like(x), np.empty_like(hidden)
     h = c = np.zeros((batch, hs), dtype=x.dtype)
     for t in range(steps):
         r = slice(t * batch, (t + 1) * batch)
-        z = (x[r] + h @ w) + bias.data
-        a, c, tc, h = lstm_cell(z, c)
-        hidden[r] = h
+        a, c, tc, h = lstm_step(x[r], h, c, w, bias.data)
+        hidden[r], cells[r] = h, c
         if taped:
-            acts[r], cells[r], tcells[r] = a, c, tc
+            acts[r], tcells[r] = a, tc
     out = Matrix._result(hidden)
 
     def back(gh):
@@ -469,7 +476,7 @@ def lstm_sequence(xproj: Matrix, wh: Matrix, bias: Matrix, batch: int) -> Matrix
         dwh = hidden[:-batch].T @ dz[batch:]
         return dz, dwh, dz.sum(axis=0, keepdims=True)
 
-    return record(out, (xproj, wh, bias), back)
+    return record(out, (xproj, wh, bias), back), cells
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,15 @@ One shared character-level encoder embeds both the search-keyword phrase
 and a fully connected + softmax head emits, at each step, a distribution
 over all page classes (including the terminal NULL page) for the next step.
 
-Training and evaluation run whole padded batches through one sequence
-kernel (`batch_step_probs`).  Inference exposes an incremental (start / step)
-interface so simulations can feed sampled pages back in without re-running
-the whole prefix: `start` takes a batch of prefixes, projects the page names
-and every other phrase of the call in one CNN pass, and runs all prefixes
-through the LSTM stack in lockstep; `step` advances a batch of rows.  Both
-run the LSTM cell (:func:`numerics.lstm_cell`) on plain arrays and leave an
-active tape untouched.  Every product goes through
-:func:`numerics.rows_product`, so a row's bits never depend on the other
-rows of its batch.
+Training, evaluation, `forward_session` and `start` run whole padded
+batches (`padded_batch`) through one sequence pass, whose LSTM layers are
+each one :func:`numerics.lstm_sequence`.  Inference exposes an incremental
+(start / step) interface so simulations can feed sampled pages back in
+without re-running the whole prefix: `start` takes a batch of prefixes and
+keeps each one's state at its own last step; `step` advances a batch of
+rows by one :func:`numerics.lstm_step` per layer.  Both leave an active
+tape untouched.  Every product goes through :func:`numerics.rows_product`,
+so a row's bits never depend on the other rows of its batch.
 """
 
 from __future__ import annotations
@@ -111,9 +110,23 @@ class LstmState:
     layers: list[tuple[np.ndarray, np.ndarray]]
     table: np.ndarray
 
-    @classmethod
-    def zeros(cls, hidden_sizes, batch: int, table: np.ndarray) -> "LstmState":
-        return cls([(np.zeros((batch, h)), np.zeros((batch, h))) for h in hidden_sizes], table)
+
+def padded_batch(sequences, lead=()) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """(phrases, rowidx, lengths) of a batch of non-empty phrase sequences.
+
+    `phrases` lists the `lead` phrases, then every other phrase of the
+    sequences once, sorted.  `rowidx[b, t]` is the row of `phrases` fed to
+    sequence b at step t, and 0 at the padding steps past its length.
+    """
+    if not all(sequences):
+        raise ValueError("input sequence must be non-empty")
+    phrases = [*lead, *sorted(set().union(*sequences).difference(lead))]
+    row_of = {phrase: r for r, phrase in enumerate(phrases)}
+    lengths = np.array([len(seq) for seq in sequences])
+    rowidx = np.zeros((len(sequences), lengths.max()), dtype=np.intp)
+    for b, seq in enumerate(sequences):
+        rowidx[b, :len(seq)] = [row_of[phrase] for phrase in seq]
+    return phrases, rowidx, lengths
 
 
 @dataclass(frozen=True)
@@ -194,17 +207,15 @@ class SequenceModel:
         """Push one step through the LSTM stack; returns (top hidden, new state).
 
         `xproj` is layer 0's B x 4H input projection; deeper layers project
-        the hidden rows of the layer below.  Each layer feeds
-        ``(xproj + h @ wh) + bias`` to :func:`numerics.lstm_cell`, the
-        association of :func:`numerics.lstm_sequence`, on plain arrays, with
-        each product a :func:`numerics.rows_product`.
+        the hidden rows of the layer below.  Each layer runs one
+        :func:`numerics.lstm_step`, the step of :func:`numerics.lstm_sequence`,
+        on plain arrays.
         """
         layers = []
         for layer, (h_prev, c_prev) in zip(self.layers, state.layers):
             if layers:
                 xproj = nm.rows_product(layers[-1][0], layer.wx.data)
-            z = (xproj + nm.rows_product(h_prev, layer.wh.data)) + layer.bias.data
-            _, c, _, h = nm.lstm_cell(z, c_prev)
+            _, c, _, h = nm.lstm_step(xproj, h_prev, c_prev, layer.wh.data, layer.bias.data)
             layers.append((h, c))
         return h, LstmState(layers, state.table)
 
@@ -233,6 +244,27 @@ class SequenceModel:
         with nm.untaped():
             return self.head(Matrix._result(h)).data
 
+    def _sequence_pass(self, phrases: list[str], rowidx) -> tuple[Matrix, list[tuple[Matrix, np.ndarray]]]:
+        """Run a padded batch through the CNN and the LSTM stack.
+
+        `rowidx[b, t]` selects the row of `phrases` fed to sequence b at step
+        t.  The phrases are encoded once, layer 0 gathers its input
+        projection from their projections, and each LSTM layer is one
+        :func:`numerics.lstm_sequence` node.  Returns the layer-0 projection
+        of every phrase and, per layer, the time-major (T*B) x H hidden rows
+        and cell rows (row t*B + b is sequence b after step t).
+        """
+        rowidx = np.asarray(rowidx)
+        proj = nm.matmul(self.encoder.embed_batch(phrases), self.layers[0].wx)
+        xproj = nm.take_rows(proj, rowidx.T.ravel())
+        layers = []
+        for layer in self.layers:
+            if layers:
+                xproj = nm.matmul(layers[-1][0], layer.wx)
+            layers.append(nm.lstm_sequence(xproj, layer.wh, layer.bias, rowidx.shape[0]))
+            del xproj  # inference frees each projection before the next is built
+        return proj, layers
+
     def batch_step_probs(
         self,
         phrases: list[str],
@@ -244,60 +276,14 @@ class SequenceModel:
         `rowidx[b, t]` selects the row of `phrases` fed to sequence b at step
         t.  Returns a (T*B) x classes matrix whose row t*B + b is the
         prediction after sequence b consumed step t; rows at padding steps
-        are garbage and must be masked by the caller.  The phrases are
-        encoded once, layer 0 gathers its input projection from a per-batch
-        table of phrase projections, each LSTM layer is one
-        :func:`numerics.lstm_sequence` node, and the head runs on all rows
-        at once (a dropout mask is drawn as one (T*B) x fc block, the same
-        stream as T draws of B x fc).
+        are garbage and must be masked by the caller.  The head runs on all
+        rows of the pass at once (a dropout mask is drawn as one (T*B) x fc
+        block, the same stream as T draws of B x fc).
         """
-        rowidx = np.asarray(rowidx)
-        emb = self.encoder.embed_batch(phrases)
-        h = None
-        for layer in self.layers:
-            xproj = (
-                nm.take_rows(nm.matmul(emb, layer.wx), rowidx.T.ravel())
-                if h is None
-                else nm.matmul(h, layer.wx)
-            )
-            h = nm.lstm_sequence(xproj, layer.wh, layer.bias, rowidx.shape[0])
-            del xproj  # inference frees each projection before the next is built
-        return self.head(h, dropout_rng)
+        _, layers = self._sequence_pass(phrases, rowidx)
+        return self.head(layers[-1][0], dropout_rng)
 
     # -- whole-session paths -------------------------------------------------
-
-    def _consume(self, sequences: list[list[str]]) -> tuple[LstmState, np.ndarray]:
-        """Run every phrase sequence through the stack in lockstep, from a zero state.
-
-        One CNN pass and one product project the page names followed by
-        every other phrase of the call (keywords, out-of-vocabulary pages);
-        the first V rows are the state's page table.  At each position t the
-        sequences longer than t advance together in one `cell_steps` call.
-        Returns (P-row state after each sequence's last phrase, T x P x H
-        top hidden rows, where [t, k] is meaningful while t < len(sequence k)).
-        Nothing is recorded on an active tape.
-        """
-        if not all(sequences):
-            raise ValueError("input sequence must be non-empty")
-        names = self.vocab.page_names  # name r is class r, row r of the table
-        phrases = [*names, *sorted(set().union(*sequences).difference(names))]
-        with nm.untaped():
-            emb = self.encoder.embed_batch(phrases).data
-        proj = nm.rows_product(emb, self.layers[0].wx.data)
-        table = proj[:len(names)]
-        row_of = {phrase: r for r, phrase in enumerate(phrases)}
-        rows = [[row_of[p] for p in seq] for seq in sequences]
-        lengths = np.array([len(seq) for seq in sequences])
-        state = LstmState.zeros([l.hidden_size for l in self.layers], len(sequences), table)
-        tops = np.zeros((lengths.max(), len(sequences), self.layers[-1].hidden_size))
-        for t in range(len(tops)):
-            active = np.flatnonzero(lengths > t)
-            prev = LstmState([(h[active], c[active]) for h, c in state.layers], table)
-            h, new = self.cell_steps(proj[[rows[k][t] for k in active]], prev)
-            for (hs, cs), (h2, c2) in zip(state.layers, new.layers):
-                hs[active], cs[active] = h2, c2
-            tops[t, active] = h
-        return state, tops
 
     def forward_session(self, phrases: list[str]) -> list[StepPrediction]:
         """Inference pass over one session: one StepPrediction per input step.
@@ -305,8 +291,9 @@ class SequenceModel:
         It runs the pass of `start`, so a `start` of any prefix of `phrases`
         followed by `step`s of the rest gives the same distributions, bit for bit.
         """
-        _, tops = self._consume([phrases])
-        probs = self._probs(tops[:, 0])
+        phrases, rowidx, _ = padded_batch([phrases], self.vocab.page_names)
+        with nm.untaped():
+            probs = self.batch_step_probs(phrases, rowidx).data
         return [StepPrediction(t, p) for t, p in enumerate(probs)]
 
     def session_nll(
@@ -323,11 +310,7 @@ class SequenceModel:
             raise ValueError(
                 f"{len(inputs)} inputs vs {len(targets)} targets"
             )
-        if not inputs:
-            raise ValueError("input sequence must be non-empty")
-        phrases = sorted(set(inputs))
-        row_of = {ph: r for r, ph in enumerate(phrases)}
-        rowidx = np.array([[row_of[ph] for ph in inputs]], dtype=np.intp)
+        phrases, rowidx, _ = padded_batch([inputs])
         probs = self.batch_step_probs(phrases, rowidx, dropout_rng)
         return nm.masked_cross_entropy(probs, targets, np.ones(len(targets)))
 
@@ -339,16 +322,21 @@ class SequenceModel:
         Each of the P prefixes needs `.keywords` (text, possibly empty) and
         `.pages` (iterable of page names).  The call builds one page table,
         from the weights of this moment (so an in-place edit of the weights
-        is seen by the next `start`), and runs all prefixes in lockstep (see
-        `_consume`); since every product is a `rows_product`, row k is bit
-        for bit that of ``start([prefixes[k]])``.
+        is seen by the next `start`): the page names come first in the
+        batch's phrases, so the first V rows of layer 0's projection are the
+        table.  All prefixes run through one padded pass, and each prefix's
+        state is taken at its own last step; since every product is a
+        `rows_product`, row k is bit for bit that of ``start([prefixes[k]])``.
         """
         sequences = [[p.keywords, *p.pages] for p in prefixes]
         if not sequences:
             raise ValueError("start needs at least one prefix")
-        state, tops = self._consume(sequences)
-        last = np.array([len(seq) - 1 for seq in sequences])
-        return state, self._probs(tops[last, np.arange(len(sequences))])
+        phrases, rowidx, lengths = padded_batch(sequences, self.vocab.page_names)
+        with nm.untaped():
+            proj, layers = self._sequence_pass(phrases, rowidx)
+        last = (lengths - 1) * len(lengths) + np.arange(len(lengths))
+        state = LstmState([(h.data[last], c[last]) for h, c in layers], proj.data[:self.n_classes])
+        return state, self._probs(state.layers[-1][0])
 
     def step(self, state: LstmState, rows, pages) -> tuple[LstmState, np.ndarray]:
         """Feed page `pages[j]` to row `rows[j]` of `state`, for every j at once.

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .errors import CapacityError, ObjectiveError, SamplingError
+from .errors import CapacityError, ConfigError, ObjectiveError, SamplingError
 from .journeydata import NULL_PAGE, UNKNOWN_PAGE, PageVocabulary
 
 TERMINATED_NULL = "null_page"
@@ -427,9 +427,11 @@ def score_batch(
     if len(prefix_ids) != len(prefixes):
         raise ValueError("prefix_ids length must match prefixes")
     _check_sampling(n_samples, horizon)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     for objective in objectives:  # reject unknown pages before any simulation
         _target_indices(objective, predictor.vocab)
-    size = min(PREFIX_BLOCK, -(-len(prefixes) // max(workers, 1)))
+    size = min(PREFIX_BLOCK, -(-len(prefixes) // workers))
     units = [
         (a, prefixes[a:a + size], objectives, n_samples, horizon, seed)
         for a in range(0, len(prefixes), size)

@@ -30,6 +30,7 @@ from .seqmodel import (
     checkpoint_field,
     model_from_dict,
     model_to_dict,
+    padded_batch,
     predict_next,
     read_checkpoint,
     write_checkpoint,
@@ -43,6 +44,9 @@ RMS_DECAY = 0.9
 RMS_EPSILON = 1e-8
 # dtype of every training batch's forward and backward pass
 COMPUTE_DTYPE = np.float32
+# sessions per evaluation batch; a batch holds (steps x EVAL_BATCH) x 4H
+# input projections at once, so it is kept small
+EVAL_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -61,10 +65,15 @@ class TrainConfig(ModelConfig):
         super().__post_init__()
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
+        # `not x > 0` also rejects NaN
+        if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.gradient_clip_norm <= 0:
-            raise ConfigError("gradient_clip_norm must be > 0")
+        if not self.gradient_clip_norm > 0:
+            raise ConfigError(f"gradient_clip_norm must be > 0, got {self.gradient_clip_norm}")
+        if not self.unit_seconds > 0:
+            raise ConfigError(f"unit_seconds must be > 0, got {self.unit_seconds}")
+        if self.dwell_cap < 1:
+            raise ConfigError(f"dwell_cap must be >= 1, got {self.dwell_cap}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**self.to_dict())
@@ -188,22 +197,15 @@ def _make_batches(expanded, order, batch_size, rng=None):
 
 
 def _batch_tensors(expanded, idx_batch):
-    """Pad a batch to its max length; returns (phrases, rowidx, targets, mask)."""
-    lengths = [len(expanded[i].inputs) for i in idx_batch]
-    t_max = max(lengths)
-    b = len(idx_batch)
-    phrases = sorted({ph for i in idx_batch for ph in expanded[i].inputs} | {""})
-    row_of = {ph: r for r, ph in enumerate(phrases)}
-    rowidx = np.zeros((b, t_max), dtype=np.intp)
-    targets = np.zeros((b, t_max), dtype=np.intp)
-    mask = np.zeros((b, t_max))
-    pad_row = row_of[""]
-    for bi, i in enumerate(idx_batch):
-        ex = expanded[i]
-        t = len(ex.inputs)
-        rowidx[bi, :t] = [row_of[ph] for ph in ex.inputs]
-        rowidx[bi, t:] = pad_row
-        targets[bi, :t] = ex.targets
+    """Pad a batch to its max length; returns (phrases, rowidx, targets, mask).
+
+    The "" phrase is row 0 and feeds every padding step.
+    """
+    phrases, rowidx, lengths = padded_batch([expanded[i].inputs for i in idx_batch], lead=("",))
+    targets = np.zeros(rowidx.shape, dtype=np.intp)
+    mask = np.zeros(rowidx.shape)
+    for bi, (i, t) in enumerate(zip(idx_batch, lengths)):
+        targets[bi, :t] = expanded[i].targets
         mask[bi, :t] = 1.0
     return phrases, rowidx, targets, mask
 
@@ -287,14 +289,12 @@ def evaluate(
     vocab: PageVocabulary,
     unit_seconds: float = 30.0,
     cap: int = 5,
-    batch_size: int = 16,
 ) -> tuple[float, float]:
     """(next-page accuracy, mean loss in nats), pooled over every step.
 
     Accuracy counts steps whose argmax prediction (ties to the lowest index)
     equals the true next page; dropout is disabled.  `predictor` is a model
-    or an ensemble.  A batch holds (steps x batch_size) x 4H input
-    projections at once, so the batch is kept small.
+    or an ensemble.  Sessions run in batches of EVAL_BATCH.
     """
     sessions = list(sessions)
     if not sessions:
@@ -303,7 +303,7 @@ def evaluate(
     hits = 0.0
     nats = 0.0
     steps = 0.0
-    batches = _make_batches(expanded, list(range(len(expanded))), batch_size)
+    batches = _make_batches(expanded, list(range(len(expanded))), EVAL_BATCH)
     for idx_batch in batches:
         phrases, rowidx, targets, mask = _batch_tensors(expanded, idx_batch)
         all_probs = predictor.batch_step_probs(phrases, rowidx).data

@@ -311,7 +311,7 @@ def test_score_workers_write_the_same_bytes_over_two_blocks(pipeline, tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def _score_exit(pipeline, tmp_path, model=None, prefixes=None, objectives=None):
+def _score_exit(pipeline, tmp_path, model=None, prefixes=None, objectives=None, flags=()):
     out, _ = pipeline
     if prefixes is None:
         prefixes = '{"keywords": "car insurance", "pages": ["home"]}\n'
@@ -322,7 +322,7 @@ def _score_exit(pipeline, tmp_path, model=None, prefixes=None, objectives=None):
     return main([
         "score", "--model", str(model or out / "model.ckpt"),
         "--prefixes", str(tmp_path / "p.jsonl"), "--objectives", str(tmp_path / "o.json"),
-        "--n-samples", "20", "--horizon", "5", "--out", str(tmp_path / "s.csv"),
+        "--n-samples", "20", "--horizon", "5", "--out", str(tmp_path / "s.csv"), *flags,
     ])
 
 
@@ -515,6 +515,55 @@ def test_train_out_of_range_flag_is_a_clean_error(pipeline, tmp_path, capsys, fl
     ])
     assert code == 1
     _assert_clean_error(capsys)
+
+
+@pytest.mark.parametrize("flag, setting", [
+    ("--learning-rate", "learning_rate"),
+    ("--clip-norm", "gradient_clip_norm"),
+    ("--unit-seconds", "unit_seconds"),
+])
+def test_train_nan_setting_is_a_clean_error(pipeline, tmp_path, capsys, flag, setting):
+    _, data = pipeline
+    code = main([
+        "train", "--data", str(data), "--out-dir", str(tmp_path), *TRAIN_FLAGS, flag, "nan",
+    ])
+    assert code == 1
+    _assert_clean_error(capsys, setting)
+
+
+def test_eval_nan_unit_seconds_is_a_clean_error(pipeline, capsys):
+    out, _ = pipeline
+    code = main([
+        "eval", "--model", str(out / "model.ckpt"),
+        "--data", str(out / "eval_sessions.jsonl"), "--unit-seconds", "nan",
+    ])
+    assert code == 1
+    _assert_clean_error(capsys, "unit_seconds")
+
+
+def test_train_ensemble_below_one_is_a_clean_error(pipeline, tmp_path, capsys):
+    _, data = pipeline
+    code = main([
+        "train", "--data", str(data), "--out-dir", str(tmp_path), *TRAIN_FLAGS, "--ensemble", "0",
+    ])
+    assert code == 1
+    _assert_clean_error(capsys, "--ensemble")
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_simulate_negative_trace_count_is_a_clean_error(pipeline, tmp_path, capsys):
+    out, _ = pipeline
+    code = main([
+        "simulate", "--model", str(out / "model.ckpt"), "--n-traces", "-1",
+        "--out", str(tmp_path / "t.txt"),
+    ])
+    assert code == 1
+    _assert_clean_error(capsys, "--n-traces")
+
+
+def test_score_zero_workers_is_a_clean_error(pipeline, tmp_path, capsys):
+    assert _score_exit(pipeline, tmp_path, flags=["--workers", "0"]) == 1
+    _assert_clean_error(capsys, "workers")
 
 
 def test_gen_data_zero_sessions_is_a_clean_error(chain_file, tmp_path, capsys):

@@ -191,6 +191,8 @@ def test_replicate_parameter_validation():
     s = make_session(["p"])
     with pytest.raises(ValueError):
         replicate_dwell(s, unit_seconds=0)
+    with pytest.raises(ConfigError):
+        replicate_dwell(s, unit_seconds=float("nan"))
     with pytest.raises(ValueError):
         replicate_dwell(s, cap=0)
 

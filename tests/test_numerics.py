@@ -324,7 +324,7 @@ def test_primitive_gradients_match_finite_differences(op_name):
             # tanh derivative and the recurrent carry are on the path
             x, wh, b = rand(2 * r, 4 * c), rand(c, 4 * c), rand(1, 4 * c)
             proj = projector(2 * r, c)
-            f = lambda: proj(nm.lstm_sequence(x, wh, b, 2))
+            f = lambda: proj(nm.lstm_sequence(x, wh, b, 2)[0])
             params = [x, wh, b]
         assert grad_check(f, params, h=1e-5) < 1e-4, f"{op_name} trial {trial}"
 
@@ -454,7 +454,7 @@ def test_ops_follow_float32_operands(monkeypatch):
         m.data = m.data.astype(np.float32)
     x = Matrix._result(rng.standard_normal((6, 3)).astype(np.float32))
     with ComputeTape() as tape:
-        h = nm.lstm_sequence(matmul(x, w), wh, bias, batch=2)
+        h, _ = nm.lstm_sequence(matmul(x, w), wh, bias, batch=2)
         fc = dropout(relu(take_rows(h, [5, 0, 3, 3])), 0.5, np.random.default_rng(0))
         loss = masked_cross_entropy(softmax(fc), [0, 1, 0, 1], np.ones(4))
     assert all(

@@ -24,7 +24,6 @@ from journeynet.seqmodel import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
     LstmLayer,
-    LstmState,
     ModelConfig,
     SequenceModel,
     StepPrediction,
@@ -128,16 +127,6 @@ def test_lstm_forget_bias_initialised_to_one():
     assert np.all(layer.bias.data[0, 3:6] == 1.0)
     assert not layer.bias.data[0, :3].any()
     assert not layer.bias.data[0, 6:].any()
-
-
-def test_fresh_state_is_zeros():
-    table = nm.constant(np.ones((4, 12)))
-    state = LstmState.zeros([3, 5], batch=2, table=table)
-    assert state.table is table
-    for h, c in state.layers:
-        assert not h.any() and not c.any()
-    assert state.layers[0][0].shape == (2, 3)
-    assert state.layers[1][0].shape == (2, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +284,9 @@ def test_batch_loss_equals_one_step_session_losses():
     perturb_params(model, seed=4)
     phrases, rowidx, targets, mask = _ragged_batch(vocab, RAGGED)
     assert rowidx.shape == (3, 9) and mask.sum(axis=1).tolist() == [2, 5, 9]
+    # the layout the bench counts padding by: "" is row 0 and feeds every padding step
+    assert phrases[0] == ""
+    assert not rowidx[mask == 0].any()
     batched = _batch_loss(model, phrases, rowidx, targets, mask, None).item()
     one_step = sum(
         session_loss(model.forward_session(expand_session(s, vocab)[0]), s, vocab)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from journeynet import simulator
-from journeynet.errors import CapacityError, SamplingError
+from journeynet.errors import CapacityError, ConfigError, SamplingError
 from journeynet.journeydata import NULL_PAGE, PageVocabulary, build_vocab, generate_synthetic
 from journeynet.rng import stream, stream_at, blocks_for
 from journeynet.simulator import (
@@ -333,6 +333,14 @@ def test_score_batch_pool_has_no_more_workers_than_blocks(
     rows = score_batch(pred, prefixes, objectives, n_samples=20, horizon=3, seed=4, workers=workers)
     assert RecordingPool.sizes == pool_sizes
     assert rows == score_batch(pred, prefixes, objectives, n_samples=20, horizon=3, seed=4, workers=1)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_score_batch_rejects_zero_or_negative_workers(workers):
+    pred = random_predictor(21)
+    with pytest.raises(ConfigError):
+        score_batch(pred, [JourneyPrefix()], [Objective("a", frozenset({"pg0"}))],
+                    n_samples=20, horizon=3, workers=workers)
 
 
 def test_score_batch_standalone_subseed_equivalence():

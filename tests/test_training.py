@@ -107,7 +107,12 @@ def test_trained_model_holds_a_plain_model_config(trained):
     dict(epochs=0),
     dict(batch_size=0),
     dict(learning_rate=0.0),
+    dict(learning_rate=float("nan")),
     dict(gradient_clip_norm=0.0),
+    dict(gradient_clip_norm=float("nan")),
+    dict(unit_seconds=0.0),
+    dict(unit_seconds=float("nan")),
+    dict(dwell_cap=0),
 ])
 def test_train_config_rejects_out_of_range_values_at_construction(bad):
     with pytest.raises(ConfigError):
