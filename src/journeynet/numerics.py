@@ -5,11 +5,14 @@ float64 at rest: a Matrix built from data holds float64, and inference and
 checkpoints see only float64.  Every operation follows its operands' dtype,
 so a pass over float32 copies of the weights (as training makes, see
 :mod:`journeynet.training`) computes, records and back-propagates in
-float32; only 1 x 1 loss scalars stay float64.  Operations
-executed while a :class:`ComputeTape` is active are recorded; calling
-:func:`backward` on the tape then accumulates ``dL/dx`` into the ``grad``
-buffer of every tracked operand.  Without an active tape the same functions
-are plain numpy computations, so inference pays no recording cost.
+float32; only 1 x 1 loss scalars stay float64.  A :class:`ComputeTape`
+watches the leaves it is given: inside its block they are tracked, and
+every operation with a tracked operand is recorded and tracks its result.
+Calling :func:`backward` on the tape then accumulates ``dL/dx`` into the
+``grad`` buffer of every leaf.  A Matrix no tape watches is untracked, so
+operations on it are plain numpy computations and record nothing, also
+inside another tape's block; inference on a model whose weights a tape
+watches does record.
 
 Gradient accumulation is explicit: grads add up across backward calls until
 the caller zeroes them (see :func:`zero_gradients`).
@@ -18,7 +21,6 @@ the caller zeroes them (see :func:`zero_gradients`).
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -35,12 +37,14 @@ class Matrix:
     The constructor stores float64; op results keep their operands' dtype.
     `grad` may be an array a backward function returned, shared with other
     operands: the first gradient is stored as is, the second makes an own
-    sum, and only that own array is updated in place afterwards.
+    sum, and only that own array is updated in place afterwards.  `track`
+    is set while a tape watches this Matrix, or when an op on tracked
+    operands made it.
     """
 
-    __slots__ = ("data", "grad", "trainable", "track", "_own_grad")
+    __slots__ = ("data", "grad", "track", "_own_grad")
 
-    def __init__(self, data, trainable: bool = False):
+    def __init__(self, data):
         arr = np.array(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
@@ -53,8 +57,7 @@ class Matrix:
         self.data = arr
         self.grad: np.ndarray | None = None
         self._own_grad = None
-        self.trainable = trainable
-        self.track = trainable
+        self.track = False
 
     @classmethod
     def _result(cls, data: np.ndarray) -> "Matrix":
@@ -63,7 +66,6 @@ class Matrix:
         out.data = data
         out.grad = None
         out._own_grad = None
-        out.trainable = False
         out.track = False
         return out
 
@@ -100,12 +102,9 @@ class Matrix:
         return f"Matrix(shape={self.shape})"
 
 
-def constant(data) -> Matrix:
-    return Matrix(data, trainable=False)
-
-
 def parameter(data) -> Matrix:
-    return Matrix(data, trainable=True)
+    """A weight Matrix; like every Matrix it is untracked until a tape watches it."""
+    return Matrix(data)
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Matrix:
@@ -118,6 +117,8 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Matrix:
 
 
 class _TapeNode:
+    """One recorded op; `inputs` holds the operands tracked when it ran, None for the rest."""
+
     __slots__ = ("output", "inputs", "backward_fn")
 
     def __init__(self, output, inputs, backward_fn):
@@ -129,54 +130,36 @@ class _TapeNode:
 _active = threading.local()
 
 
-def _current_tape() -> "ComputeTape | None":
-    return getattr(_active, "tape", None)
-
-
 class ComputeTape:
-    """Ordered record of the primitive operations of one forward pass.
+    """Ordered record of the primitive operations on the leaves it watches.
 
-    Use as a context manager; ops executed inside the block are recorded in
-    execution order, which is a topological order of the compute graph.
+    Use as a context manager: the block tracks `leaves` and records, in
+    execution order (a topological order of the compute graph), every op
+    with a tracked operand.  When the block ends, also on an exception,
+    nothing it tracked stays tracked, and :func:`backward` after the block
+    still gives the leaves their gradients.  One tape at a time may be
+    active on a thread, and a leaf must be watched by one tape at a time.
     """
 
-    def __init__(self):
+    def __init__(self, leaves: Iterable[Matrix] = ()):
+        self.leaves = tuple(leaves)
         self._nodes: list[_TapeNode] = []
 
     def __enter__(self) -> "ComputeTape":
-        if _current_tape() is not None:
+        if getattr(_active, "tape", None) is not None:
             raise RuntimeError("a ComputeTape is already active on this thread")
+        for m in self.leaves:
+            m.track = True
         _active.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        for m in (*self.leaves, *(node.output for node in self._nodes)):
+            m.track = False
         _active.tape = None
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def _append(self, node: _TapeNode) -> None:
-        self._nodes.append(node)
-
-
-def is_recording() -> bool:
-    """True while a ComputeTape is active on this thread."""
-    return _current_tape() is not None
-
-
-@contextmanager
-def untaped():
-    """Run the block with no tape active on this thread; an active tape resumes afterwards.
-
-    Inference wraps its CNN pass in it, so it records nothing on a tape a
-    caller may have open.
-    """
-    tape = _current_tape()
-    _active.tape = None
-    try:
-        yield
-    finally:
-        _active.tape = tape
 
 
 def record(output: Matrix, inputs: Sequence[Matrix], backward_fn: Callable) -> Matrix:
@@ -186,27 +169,28 @@ def record(output: Matrix, inputs: Sequence[Matrix], backward_fn: Callable) -> M
     array (or None) per input, in order.  This is the extension point for
     primitives defined outside this module.
     """
-    tape = _current_tape()
-    if tape is None:
-        return output
     if not any(inp.track for inp in inputs):
         return output
+    tape = getattr(_active, "tape", None)
+    if tape is None:
+        return output
     output.track = True
-    tape._append(_TapeNode(output, tuple(inputs), backward_fn))
+    tape._nodes.append(_TapeNode(output, tuple(m if m.track else None for m in inputs), backward_fn))
     return output
 
 
 def backward(tape: ComputeTape, loss: Matrix) -> None:
     """Populate gradients of everything `loss` depends on, walking `tape` backward.
 
-    Gradients of trainable parameters accumulate across calls; per-pass
+    Gradients of the tape's leaves accumulate across calls; per-pass
     intermediate gradients are discarded at the end, so calling backward
-    twice adds the same parameter gradients twice.
+    twice adds the same leaf gradients twice.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"loss must be a 1x1 scalar, got {loss.shape}")
-    if loss.trainable:
-        # degenerate case: the loss is itself a leaf parameter
+    leaf = any(loss is m for m in tape.leaves)
+    if leaf:
+        # degenerate case: the loss is itself a leaf
         loss.accumulate_grad(np.ones((1, 1)))
     else:
         loss.grad = np.ones((1, 1))
@@ -216,12 +200,11 @@ def backward(tape: ComputeTape, loss: Matrix) -> None:
             continue
         grads = node.backward_fn(g)
         for inp, gi in zip(node.inputs, grads):
-            if gi is not None and inp.track:
+            if gi is not None and inp is not None:
                 inp.accumulate_grad(gi)
     for node in tape._nodes:
-        if not node.output.trainable:
-            node.output.zero_grad()
-    if not loss.trainable:
+        node.output.zero_grad()
+    if not leaf:
         loss.grad = None
 
 
@@ -252,9 +235,10 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out = Matrix._result(rows_product(a.data, b.data))
+    ta, tb = a.track, b.track
 
     def back(g):
-        return (g @ b.data.T if a.track else None), (a.data.T @ g if b.track else None)
+        return (g @ b.data.T if ta else None), (a.data.T @ g if tb else None)
 
     return record(out, (a, b), back)
 
@@ -436,8 +420,8 @@ def lstm_sequence(xproj: Matrix, wh: Matrix, bias: Matrix, batch: int) -> tuple[
     x, w = xproj.data, wh.data
     hidden = np.empty((x.shape[0], hs), dtype=x.dtype)
     cells = np.empty_like(hidden)
-    # the backward pass also needs every step's gates; inference keeps none
-    taped = is_recording() and any(m.track for m in (xproj, wh, bias))
+    # the backward pass also needs every step's gates; with no tracked operand none are kept
+    taped = any(m.track for m in (xproj, wh, bias))
     if taped:
         acts, tcells = np.empty_like(x), np.empty_like(hidden)
     h = c = np.zeros((batch, hs), dtype=x.dtype)
@@ -491,7 +475,7 @@ def grad_check(f: Callable[[], Matrix], params: Sequence[Matrix], h: float = 1e-
     numeric side) and must be deterministic across calls.
     """
     params = list(params)
-    with ComputeTape() as tape:
+    with ComputeTape(params) as tape:
         loss = f()
     if loss.shape != (1, 1):
         raise ShapeError(f"grad_check needs a scalar function, got shape {loss.shape}")

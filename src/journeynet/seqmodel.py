@@ -11,9 +11,12 @@ each one :func:`numerics.lstm_sequence`.  Inference exposes an incremental
 (start / step) interface so simulations can feed sampled pages back in
 without re-running the whole prefix: `start` takes a batch of prefixes and
 keeps each one's state at its own last step; `step` advances a batch of
-rows by one :func:`numerics.lstm_step` per layer.  Both leave an active
-tape untouched.  Every product goes through :func:`numerics.rows_product`,
-so a row's bits never depend on the other rows of its batch.
+rows by one :func:`numerics.lstm_step` per layer.  A tape records the ops
+on what it watches: inference records nothing on a tape that does not
+watch the model's weights, and records on one that does, with the same
+bits.  Every product goes through
+:func:`numerics.rows_product`, so a row's bits never depend on the other
+rows of its batch.
 """
 
 from __future__ import annotations
@@ -85,7 +88,6 @@ class LstmLayer:
         self.wx = wx
         self.wh = wh
         self.bias = bias
-        self.hidden_size = wh.rows
 
     @classmethod
     def init(cls, input_dim: int, hidden: int, rng: np.random.Generator) -> "LstmLayer":
@@ -222,11 +224,12 @@ class SequenceModel:
     def head(self, h: Matrix, dropout_rng: np.random.Generator | None = None) -> Matrix:
         """Fully connected ReLU layer, optional dropout, softmax over classes.
 
-        Off the tape and without dropout it runs the same numpy ops on the
-        plain arrays, with no wrappers and nothing recorded, so inference gets
-        the taped result's bits at a fraction of the per-call cost.
+        Without dropout and with no tracked operand it runs the same numpy ops
+        on the plain arrays, with no wrappers and nothing recorded, so
+        inference gets the taped result's bits at a fraction of the per-call cost.
         """
-        if dropout_rng is None and not nm.is_recording():
+        operands = (h, self.w_fc, self.b_fc, self.w_out, self.b_out)
+        if dropout_rng is None and not any(m.track for m in operands):
             fc = np.maximum(nm.rows_product(h.data, self.w_fc.data) + self.b_fc.data, 0.0)
             logits = nm.rows_product(fc, self.w_out.data) + self.b_out.data
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -236,13 +239,6 @@ class SequenceModel:
             fc = nm.dropout(fc, self.config.dropout_rate, dropout_rng)
         logits = nm.add(nm.matmul(fc, self.w_out), self.b_out)
         return nm.softmax(logits)
-
-    def _probs(self, h: np.ndarray) -> np.ndarray:
-        """The head's distributions for the top hidden rows `h`, recorded on no tape."""
-        if not nm.is_recording():
-            return self.head(Matrix._result(h)).data
-        with nm.untaped():
-            return self.head(Matrix._result(h)).data
 
     def _sequence_pass(self, phrases: list[str], rowidx) -> tuple[Matrix, list[tuple[Matrix, np.ndarray]]]:
         """Run a padded batch through the CNN and the LSTM stack.
@@ -292,8 +288,7 @@ class SequenceModel:
         followed by `step`s of the rest gives the same distributions, bit for bit.
         """
         phrases, rowidx, _ = padded_batch([phrases], self.vocab.page_names)
-        with nm.untaped():
-            probs = self.batch_step_probs(phrases, rowidx).data
+        probs = self.batch_step_probs(phrases, rowidx).data
         return [StepPrediction(t, p) for t, p in enumerate(probs)]
 
     def session_nll(
@@ -332,11 +327,10 @@ class SequenceModel:
         if not sequences:
             raise ValueError("start needs at least one prefix")
         phrases, rowidx, lengths = padded_batch(sequences, self.vocab.page_names)
-        with nm.untaped():
-            proj, layers = self._sequence_pass(phrases, rowidx)
+        proj, layers = self._sequence_pass(phrases, rowidx)
         last = (lengths - 1) * len(lengths) + np.arange(len(lengths))
         state = LstmState([(h.data[last], c[last]) for h, c in layers], proj.data[:self.n_classes])
-        return state, self._probs(state.layers[-1][0])
+        return state, self.head(Matrix._result(state.layers[-1][0])).data
 
     def step(self, state: LstmState, rows, pages) -> tuple[LstmState, np.ndarray]:
         """Feed page `pages[j]` to row `rows[j]` of `state`, for every j at once.
@@ -353,7 +347,7 @@ class SequenceModel:
             raise ShapeError(f"{rows.size} rows for {pages.size} pages")
         prev = LstmState([(h[rows], c[rows]) for h, c in state.layers], state.table)
         h, new = self.cell_steps(state.table[pages], prev)
-        return new, self._probs(h)
+        return new, self.head(Matrix._result(h)).data
 
 
 def predict_next(model, prefix) -> np.ndarray:

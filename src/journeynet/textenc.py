@@ -119,8 +119,8 @@ def maxpool1d(x: Matrix, window: int, n: int = 1) -> Matrix:
     seg = np.full((n, n_out * window, cols), -np.inf, dtype=x.data.dtype)
     seg[:, :length] = x.data.reshape(n, length, cols)
     seg = seg.reshape(n, n_out, window, cols)
-    if not (nm.is_recording() and x.track):
-        # off the tape only the maxima are needed, not where they came from
+    if not x.track:
+        # untracked, only the maxima are needed, not where they came from
         return Matrix._result(seg.max(axis=2).reshape(n * n_out, cols))
     am = seg.argmax(axis=2)
     data = np.take_along_axis(seg, am[:, :, None, :], axis=2).reshape(n * n_out, cols)

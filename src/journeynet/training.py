@@ -66,8 +66,8 @@ class TrainConfig(ModelConfig):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         # `not x > 0` also rejects NaN
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not self.gradient_clip_norm > 0:
             raise ConfigError(f"gradient_clip_norm must be > 0, got {self.gradient_clip_norm}")
         if not self.unit_seconds > 0:
@@ -257,7 +257,7 @@ def train(
                 else None
             )
             with _compute_copies(params, copies):
-                with nm.ComputeTape() as tape:
+                with nm.ComputeTape(params) as tape:
                     total = _batch_loss(model, phrases, rowidx, targets, mask, dropout_rng)
                     n_steps = float(mask.sum())
                     mean_loss = nm.scale(total, 1.0 / n_steps)

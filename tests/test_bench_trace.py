@@ -1,0 +1,29 @@
+"""The bench tracer (bench/spans.py) reads real counts from a traced run.
+
+A refactor that moved the tape, its exit or `backward` out of the tracer's
+reach would quietly zero the per-layer metrics of `bench/run.py --trace 1`;
+this runs a tiny training under the tracer and checks what it reports.
+"""
+
+from test_bench_hooks import load_spans
+from toychains import funnel_chain
+
+from journeynet import training
+from journeynet.journeydata import build_vocab, generate_synthetic
+
+
+def test_traced_training_reports_its_batches_and_tape_nodes():
+    sessions = generate_synthetic(funnel_chain(), 8, seed=5)
+    vocab = build_vocab(sessions, min_freq=1)
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.region("bench.timed"):
+            # the paper's architecture: 24 tape nodes per batch
+            training.train(sessions, training.TrainConfig(epochs=1, batch_size=4, seed=2), vocab)
+    finally:
+        tracer.uninstall()
+    metrics = spans.summarize(tracer.spans)
+    assert metrics["training.batches"] == 2
+    assert metrics["numerics.tape_nodes_per_batch"] == 24

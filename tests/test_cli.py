@@ -517,15 +517,16 @@ def test_train_out_of_range_flag_is_a_clean_error(pipeline, tmp_path, capsys, fl
     _assert_clean_error(capsys)
 
 
-@pytest.mark.parametrize("flag, setting", [
-    ("--learning-rate", "learning_rate"),
-    ("--clip-norm", "gradient_clip_norm"),
-    ("--unit-seconds", "unit_seconds"),
+@pytest.mark.parametrize("flag, setting, value", [
+    pytest.param("--learning-rate", "learning_rate", "nan", id="--learning-rate-learning_rate"),
+    pytest.param("--clip-norm", "gradient_clip_norm", "nan", id="--clip-norm-gradient_clip_norm"),
+    pytest.param("--unit-seconds", "unit_seconds", "nan", id="--unit-seconds-unit_seconds"),
+    pytest.param("--learning-rate", "learning_rate", "inf", id="--learning-rate-learning_rate-inf"),
 ])
-def test_train_nan_setting_is_a_clean_error(pipeline, tmp_path, capsys, flag, setting):
+def test_train_nan_setting_is_a_clean_error(pipeline, tmp_path, capsys, flag, setting, value):
     _, data = pipeline
     code = main([
-        "train", "--data", str(data), "--out-dir", str(tmp_path), *TRAIN_FLAGS, flag, "nan",
+        "train", "--data", str(data), "--out-dir", str(tmp_path), *TRAIN_FLAGS, flag, value,
     ])
     assert code == 1
     _assert_clean_error(capsys, setting)

@@ -8,7 +8,6 @@ from journeynet.numerics import (
     Matrix,
     add,
     backward,
-    constant,
     dropout,
     grad_check,
     masked_cross_entropy,
@@ -24,26 +23,26 @@ from journeynet.numerics import (
 
 
 def test_matmul_identity():
-    a = constant(np.eye(2))
-    b = constant([[1.0, 2.0], [3.0, 4.0]])
+    a = Matrix(np.eye(2))
+    b = Matrix([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(matmul(a, b).data, b.data)
 
 
 def test_matmul_zero_annihilates():
-    z = constant(np.zeros((2, 2)))
-    b = constant(np.arange(6.0).reshape(2, 3))
+    z = Matrix(np.zeros((2, 2)))
+    b = Matrix(np.arange(6.0).reshape(2, 3))
     assert np.array_equal(matmul(z, b).data, np.zeros((2, 3)))
 
 
 def test_matmul_hand_dot_product():
-    a = constant([[1.0, 2.0], [3.0, 4.0]])
-    b = constant([[5.0], [6.0]])
+    a = Matrix([[1.0, 2.0], [3.0, 4.0]])
+    b = Matrix([[5.0], [6.0]])
     assert np.array_equal(matmul(a, b).data, [[17.0], [39.0]])
 
 
 def test_matmul_shape_mismatch_names_both_shapes():
-    a = constant(np.zeros((2, 3)))
-    b = constant(np.zeros((2, 3)))
+    a = Matrix(np.zeros((2, 3)))
+    b = Matrix(np.zeros((2, 3)))
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         matmul(a, b)
 
@@ -51,25 +50,25 @@ def test_matmul_shape_mismatch_names_both_shapes():
 def test_matmul_associative_on_well_conditioned_triples():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        a, b, c = (constant(rng.uniform(-1, 1, size=(4, 4))) for _ in range(3))
+        a, b, c = (Matrix(rng.uniform(-1, 1, size=(4, 4))) for _ in range(3))
         left = matmul(matmul(a, b), c).data
         right = matmul(a, matmul(b, c)).data
         assert np.allclose(left, right, rtol=1e-9, atol=1e-12)
 
 
 def test_softmax_symmetry():
-    y = softmax(constant([[0.0, 0.0]]))
+    y = softmax(Matrix([[0.0, 0.0]]))
     assert np.allclose(y.data, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_softmax_shift_invariance():
     for c in (-3.0, 0.0, 17.5):
-        y = softmax(constant([[c, c, c]]))
+        y = softmax(Matrix([[c, c, c]]))
         assert np.allclose(y.data, [[1 / 3] * 3], atol=1e-12)
 
 
 def test_softmax_exp_oracle():
-    y = softmax(constant([[1.0, 2.0, 3.0]]))
+    y = softmax(Matrix([[1.0, 2.0, 3.0]]))
     expected = [0.09003057317038046, 0.24472847105479767, 0.6652409557748219]
     assert np.allclose(y.data[0], expected, atol=1e-12)
 
@@ -82,7 +81,7 @@ def test_softmax_empty_rejected():
 def test_softmax_is_distribution_even_for_extreme_logits():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        logits = constant(rng.uniform(-1e4, 1e4, size=(1, rng.integers(1, 9))))
+        logits = Matrix(rng.uniform(-1e4, 1e4, size=(1, rng.integers(1, 9))))
         y = softmax(logits).data
         assert np.all(y >= 0)
         assert np.isfinite(y).all()
@@ -95,23 +94,23 @@ def cross_entropy(predicted, target):
 
 
 def test_cross_entropy_perfect_prediction_is_zero():
-    p = constant([[0.0, 1.0, 0.0]])
+    p = Matrix([[0.0, 1.0, 0.0]])
     assert cross_entropy(p, 1).item() == 0.0
 
 
 def test_cross_entropy_uniform_is_log_n():
-    p = constant([[0.25] * 4])
+    p = Matrix([[0.25] * 4])
     for t in range(4):
         assert cross_entropy(p, t).item() == pytest.approx(1.3862943611198906, abs=1e-12)
 
 
 def test_cross_entropy_half_is_log_two():
-    p = constant([[0.5, 0.5]])
+    p = Matrix([[0.5, 0.5]])
     assert cross_entropy(p, 0).item() == pytest.approx(0.6931471805599453, abs=1e-12)
 
 
 def test_cross_entropy_out_of_range_index():
-    p = constant([[0.5, 0.5]])
+    p = Matrix([[0.5, 0.5]])
     with pytest.raises(ValueError):
         cross_entropy(p, 2)
     with pytest.raises(ValueError):
@@ -119,7 +118,7 @@ def test_cross_entropy_out_of_range_index():
 
 
 def test_cross_entropy_floor_keeps_loss_finite():
-    p = constant([[1.0, 0.0]])
+    p = Matrix([[1.0, 0.0]])
     loss = cross_entropy(p, 1)
     assert np.isfinite(loss.item())
     assert loss.item() == pytest.approx(-np.log(1e-12))
@@ -138,7 +137,7 @@ def test_stable_sigmoid_never_overflows():
 
 def test_backward_square():
     x = parameter([[3.0]])
-    with ComputeTape() as tape:
+    with ComputeTape([x]) as tape:
         y = matmul(x, x)
     backward(tape, y)
     assert x.grad[0, 0] == pytest.approx(6.0)
@@ -146,16 +145,16 @@ def test_backward_square():
 
 def test_backward_constant_function_gives_zero():
     x = parameter([[2.0]])
-    c = constant([[5.0]])
-    with ComputeTape() as tape:
-        y = add(matmul(x, constant([[0.0]])), c)
+    c = Matrix([[5.0]])
+    with ComputeTape([x]) as tape:
+        y = add(matmul(x, Matrix([[0.0]])), c)
     backward(tape, y)
     assert x.grad[0, 0] == 0.0
 
 
 def test_backward_requires_scalar():
     x = parameter([[1.0, 2.0]])
-    with ComputeTape() as tape:
+    with ComputeTape([x]) as tape:
         y = scale(x, 2.0)
     with pytest.raises(ShapeError):
         backward(tape, y)
@@ -163,7 +162,7 @@ def test_backward_requires_scalar():
 
 def test_backward_accumulates_across_calls():
     x = parameter([[3.0]])
-    with ComputeTape() as tape:
+    with ComputeTape([x]) as tape:
         y = matmul(x, x)
     backward(tape, y)
     backward(tape, y)
@@ -175,22 +174,22 @@ def test_backward_accumulates_across_calls():
 def test_backward_linear_in_loss():
     rng = np.random.default_rng(11)
     w = parameter(rng.normal(size=(3, 3)))
-    x1 = constant(rng.normal(size=(1, 3)))
-    x2 = constant(rng.normal(size=(1, 3)))
+    x1 = Matrix(rng.normal(size=(1, 3)))
+    x2 = Matrix(rng.normal(size=(1, 3)))
 
     def losses():
         l1 = cross_entropy(softmax(matmul(x1, w)), 0)
         l2 = cross_entropy(softmax(matmul(x2, w)), 2)
         return l1, l2
 
-    with ComputeTape() as tape:
+    with ComputeTape([w]) as tape:
         l1, l2 = losses()
         total = add(l1, l2)
     backward(tape, total)
     g_sum = w.grad.copy()
 
     zero_gradients([w])
-    with ComputeTape() as tape:
+    with ComputeTape([w]) as tape:
         l1, l2 = losses()
     backward(tape, l1)
     backward(tape, l2)
@@ -203,7 +202,7 @@ def test_three_layer_composition_matches_finite_differences():
     b1 = parameter(rng.normal(scale=0.1, size=(1, 5)))
     w2 = parameter(rng.normal(scale=0.5, size=(5, 4)))
     w3 = parameter(rng.normal(scale=0.5, size=(4, 3)))
-    x = constant(rng.normal(size=(2, 4)))
+    x = Matrix(rng.normal(size=(2, 4)))
     t = np.array([2, 0])
     m = np.ones(2)
 
@@ -218,7 +217,7 @@ def test_three_layer_composition_matches_finite_differences():
 
 def test_grad_check_quadratic_form_is_nearly_exact():
     rng = np.random.default_rng(5)
-    a = constant(rng.normal(size=(3, 3)))
+    a = Matrix(rng.normal(size=(3, 3)))
     x = parameter(rng.normal(size=(1, 3)))
 
     def f():
@@ -229,7 +228,7 @@ def test_grad_check_quadratic_form_is_nearly_exact():
 
 
 def test_grad_check_no_parameters_returns_zero():
-    c = constant([[1.0]])
+    c = Matrix([[1.0]])
     assert grad_check(lambda: matmul(c, c), [], h=1e-5) == 0.0
 
 
@@ -272,8 +271,8 @@ def test_primitive_gradients_match_finite_differences(op_name):
 
         def projector(rows, cols):
             pr = np.random.default_rng(hash((op_name, trial, "proj")) % 2**32)
-            w_col = constant(pr.uniform(0.5, 1.5, size=(cols, 1)))
-            w_row = constant(pr.uniform(0.5, 1.5, size=(1, rows)))
+            w_col = Matrix(pr.uniform(0.5, 1.5, size=(cols, 1)))
+            w_row = Matrix(pr.uniform(0.5, 1.5, size=(1, rows)))
             # linear scalarizer: keeps every upstream gradient structurally
             # nonzero so finite differences are compared against real signal
             return lambda m: matmul(w_row, matmul(m, w_col))
@@ -335,7 +334,7 @@ def test_masked_cross_entropy_matches_sum_of_rows():
     probs = raw / raw.sum(axis=1, keepdims=True)
     targets = np.array([0, 2, 1, 1])
     mask = np.array([1.0, 0.0, 1.0, 1.0])
-    got = masked_cross_entropy(constant(probs), targets, mask).item()
+    got = masked_cross_entropy(Matrix(probs), targets, mask).item()
     want = sum(
         -np.log(probs[i, targets[i]]) for i in range(4) if mask[i] > 0
     )
@@ -367,7 +366,7 @@ def test_dropout_mask_is_bitwise_the_divided_keep_mask(rate, dtype):
     x = parameter(np.random.default_rng(1).normal(size=(64, 48)))
     x.data = x.data.astype(dtype)
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)
-    with ComputeTape() as tape:
+    with ComputeTape([x]) as tape:
         y = dropout(x, rate, rng)
     keep = ((ref.random(x.shape) >= rate) / (1.0 - rate)).astype(dtype)
     assert y.data.dtype == dtype
@@ -378,28 +377,28 @@ def test_dropout_mask_is_bitwise_the_divided_keep_mask(rate, dtype):
 
 
 def test_dropout_rate_zero_is_identity():
-    x = constant([[1.0, 2.0]])
+    x = Matrix([[1.0, 2.0]])
     assert dropout(x, 0.0, np.random.default_rng(0)) is x
 
 
 def test_matrix_rejects_non_finite():
     with pytest.raises(NumericError):
-        constant([[np.nan]])
+        Matrix([[np.nan]])
     with pytest.raises(NumericError):
-        constant([[np.inf, 1.0]])
+        Matrix([[np.inf, 1.0]])
 
 
 def test_matrix_shape_bookkeeping():
-    m = constant([1.0, 2.0, 3.0])
+    m = Matrix([1.0, 2.0, 3.0])
     assert (m.rows, m.cols) == (1, 3)
     assert m.data.shape == (1, 3)
     with pytest.raises(ShapeError):
-        constant(np.zeros((2, 2, 2)))
+        Matrix(np.zeros((2, 2, 2)))
 
 
 def test_untracked_ops_record_nothing():
-    a = constant([[1.0, 2.0]])
-    b = constant([[3.0], [4.0]])
+    a = Matrix([[1.0, 2.0]])
+    b = Matrix([[3.0], [4.0]])
     with ComputeTape() as tape:
         matmul(a, b)
     assert len(tape) == 0
@@ -410,6 +409,31 @@ def test_nested_tapes_rejected():
         with pytest.raises(RuntimeError):
             with ComputeTape():
                 pass
+
+
+def test_a_tape_tracks_its_leaves_only_inside_its_block_also_on_an_exception():
+    w = parameter([[2.0]])
+    with pytest.raises(ValueError):
+        with ComputeTape([w]):
+            assert w.track
+            y = matmul(w, w)
+            assert y.track
+            raise ValueError("a forward pass that fails")
+    assert not w.track and not y.track
+    with ComputeTape() as idle:  # no tape was left active
+        matmul(w, w)
+    assert len(idle) == 0
+    with ComputeTape([w]) as tape:  # a second tape can watch w
+        y = matmul(w, w)
+    assert len(tape) == 1 and not w.track
+    backward(tape, y)
+    assert w.grad[0, 0] == 4.0
+    with ComputeTape([w]):
+        with pytest.raises(RuntimeError):
+            with ComputeTape():
+                pass
+        assert w.track  # the failed nested tape left the outer one's leaf alone
+    assert not w.track
 
 
 def test_accumulate_grad_never_writes_into_a_shared_gradient():
@@ -453,7 +477,7 @@ def test_ops_follow_float32_operands(monkeypatch):
     for m in (w, wh, bias):
         m.data = m.data.astype(np.float32)
     x = Matrix._result(rng.standard_normal((6, 3)).astype(np.float32))
-    with ComputeTape() as tape:
+    with ComputeTape([w, wh, bias]) as tape:
         h, _ = nm.lstm_sequence(matmul(x, w), wh, bias, batch=2)
         fc = dropout(relu(take_rows(h, [5, 0, 3, 3])), 0.5, np.random.default_rng(0))
         loss = masked_cross_entropy(softmax(fc), [0, 1, 0, 1], np.ones(4))
@@ -491,7 +515,7 @@ def test_rows_product_rows_equal_their_own_one_row_product(k, n):
 
 def test_matmul_of_one_row_is_that_row_of_a_batch():
     gen = np.random.default_rng(5)
-    a, w = nm.constant(gen.normal(size=(3, 40))), nm.parameter(gen.normal(size=(40, 9)))
+    a, w = Matrix(gen.normal(size=(3, 40))), nm.parameter(gen.normal(size=(40, 9)))
     batch = nm.matmul(a, w).data
     for i in range(3):
-        assert np.array_equal(nm.matmul(nm.constant(a.data[i:i + 1]), w).data[0], batch[i])
+        assert np.array_equal(nm.matmul(Matrix(a.data[i:i + 1]), w).data[0], batch[i])

@@ -115,7 +115,7 @@ def test_lstm_dimension_mismatch():
     layer = zero_layer(input_dim=3)
     with pytest.raises(ShapeError):
         nm.lstm_sequence(
-            nm.constant([[1.0, 2.0, 3.0]]),  # an input row, not its 4H projection
+            nm.Matrix([[1.0, 2.0, 3.0]]),  # an input row, not its 4H projection
             layer.wh,
             layer.bias,
             1,
@@ -314,6 +314,32 @@ def test_batch_loss_with_dropout_passes_grad_check():
     assert nm.grad_check(f, params, h=1e-5) < 1e-4
 
 
+def test_grad_check_over_two_leaves_gives_them_non_zero_gradients():
+    # without dropout the head picks its path by whether an operand is
+    # tracked: watching out.weight alone must still take the taped one
+    from journeynet.training import _batch_loss
+
+    vocab = toy_vocab()
+    config = ModelConfig(
+        max_len=12, conv_stages=((3, 4, 4),), lstm_hidden=(6, 5), fc_width=5, dropout_rate=0.0
+    )
+    model = toy_model(seed=24, config=config, vocab=vocab)
+    perturb_params(model, seed=8)
+    batch = _ragged_batch(vocab, RAGGED)
+    named = dict(model.parameters())
+    watched = [named["out.weight"], named["lstm1.wh"]]
+
+    def f():
+        return _batch_loss(model, *batch, None)
+
+    assert nm.grad_check(f, watched, h=1e-5) < 1e-4
+    with nm.ComputeTape(watched) as tape:
+        loss = f()
+    nm.backward(tape, loss)
+    assert all(np.abs(p.grad).min() > 0 for p in watched)
+    assert all(p.grad is None for name, p in named.items() if name not in ("out.weight", "lstm1.wh"))
+
+
 def test_tape_nodes_per_batch_do_not_grow_with_length():
     from journeynet import rng as rngmod
     from journeynet.training import _batch_loss
@@ -325,7 +351,7 @@ def test_tape_nodes_per_batch_do_not_grow_with_length():
         sessions = [make_session((["a", "b"] * 6)[:n_pages])] * 2
         phrases, rowidx, targets, mask = _ragged_batch(vocab, sessions)
         assert rowidx.shape[1] == n_pages + 1
-        with nm.ComputeTape() as tape:
+        with nm.ComputeTape(p for _, p in model.parameters()) as tape:
             _batch_loss(model, phrases, rowidx, targets, mask, rngmod.stream(0, "dropout", 0, 0))
         counts.append(len(tape))
     assert counts[0] == counts[1]
@@ -442,7 +468,8 @@ def test_batched_start_rows_equal_one_prefix_starts_in_an_ensemble():
 
 
 def test_start_and_step_under_a_tape_return_the_off_tape_bits():
-    # inference runs on plain arrays, so an active tape changes none of its bits
+    # a tape that does not watch the weights sees inference run on plain
+    # arrays; one that does records it, with the same bits
     model = toy_model(seed=39, config=replace(TOY_CONFIG, lstm_hidden=(6, 4)))
     enc = model.vocab.encode
 
@@ -454,24 +481,27 @@ def test_start_and_step_under_a_tape_return_the_off_tape_bits():
         ]
 
     off = run()
-    with nm.ComputeTape():
-        on = run()
-    assert len(on) == len(off) == 12
-    for a, b in zip(on, off):
-        assert type(a) is np.ndarray
-        assert np.array_equal(a, b)
+    for leaves in ([], [p for _, p in model.parameters()]):
+        with nm.ComputeTape(leaves) as tape:
+            on = run()
+        assert (len(tape) > 0) == bool(leaves)
+        assert len(on) == len(off) == 12
+        for a, b in zip(on, off):
+            assert type(a) is np.ndarray
+            assert np.array_equal(a, b)
 
 
 def test_inference_records_nothing_on_an_active_tape():
     model = toy_model(seed=39, config=replace(TOY_CONFIG, lstm_hidden=(6, 4)))
-    with nm.ComputeTape() as tape:
+    unrelated = nm.parameter(np.ones((model.w_fc.cols, 2)))
+    with nm.ComputeTape([unrelated]) as tape:
         state, _ = model.start([Prefix("kw", ("a",))])
         model.start(BATCHED_PREFIXES)
         model.step(state, [0, 0], [model.vocab.encode("b"), 0])
         model.forward_session(["kw", "a", "zz-not-a-page"])
         assert len(tape) == 0
-        # the tape is still the active one and records a taped op afterwards
-        nm.matmul(model.w_fc, model.w_out)
+        # the tape is still the active one and records its own op afterwards
+        nm.matmul(model.w_fc, unrelated)
         assert len(tape) == 1
 
 
@@ -515,8 +545,8 @@ def test_untaped_head_is_bitwise_taped_head():
     model = toy_model(seed=49, config=replace(TOY_CONFIG, dropout_rate=0.5))
     gen = np.random.default_rng(3)
     for batch in (1, 2, 7, 64):
-        h = nm.constant(gen.normal(size=(batch, model.layers[-1].hidden_size)))
-        with nm.ComputeTape() as tape:
+        h = nm.Matrix(gen.normal(size=(batch, model.layers[-1].wh.rows)))
+        with nm.ComputeTape(p for _, p in model.parameters()) as tape:
             taped = model.head(h).data
         assert len(tape)  # the taped ops ran
         assert np.array_equal(model.head(h).data, taped)

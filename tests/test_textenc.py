@@ -79,59 +79,59 @@ def test_quantize_idempotent_on_normalised_phrase(phrase):
 
 
 def test_conv1d_zero_kernels_give_zero_output():
-    x = nm.constant(np.random.default_rng(0).uniform(0, 1, size=(6, 3)))
-    k = nm.constant(np.zeros((2 * 3, 4)))
-    b = nm.constant(np.zeros((1, 4)))
+    x = nm.Matrix(np.random.default_rng(0).uniform(0, 1, size=(6, 3)))
+    k = nm.Matrix(np.zeros((2 * 3, 4)))
+    b = nm.Matrix(np.zeros((1, 4)))
     y = conv1d(x, k, b, 2)
     assert y.shape == (5, 4)
     assert not y.data.any()
 
 
 def test_conv1d_width_one_ones_kernel_sums_rows():
-    x = nm.constant([[1.0, -2.0], [3.0, 4.0]])
-    k = nm.constant([[1.0], [1.0]])
-    b = nm.constant([[0.0]])
+    x = nm.Matrix([[1.0, -2.0], [3.0, 4.0]])
+    k = nm.Matrix([[1.0], [1.0]])
+    b = nm.Matrix([[0.0]])
     y = conv1d(x, k, b, 1)
     # per-position row sums, negatives clamped by relu
     assert np.array_equal(y.data, [[0.0], [7.0]])
 
 
 def test_conv1d_hand_sliding_window():
-    x = nm.constant([[1.0], [2.0], [3.0]])
-    k = nm.constant([[1.0], [-1.0]])
-    b = nm.constant([[0.0]])
+    x = nm.Matrix([[1.0], [2.0], [3.0]])
+    k = nm.Matrix([[1.0], [-1.0]])
+    b = nm.Matrix([[0.0]])
     y = conv1d(x, k, b, 2)
     assert np.array_equal(y.data, [[0.0], [0.0]])
 
 
 def test_conv1d_rejects_short_input():
-    x = nm.constant(np.zeros((2, 3)))
-    k = nm.constant(np.zeros((9, 1)))
-    b = nm.constant(np.zeros((1, 1)))
+    x = nm.Matrix(np.zeros((2, 3)))
+    k = nm.Matrix(np.zeros((9, 1)))
+    b = nm.Matrix(np.zeros((1, 1)))
     with pytest.raises(ShapeError):
         conv1d(x, k, b, 3)
 
 
 def test_maxpool_constant_input():
-    x = nm.constant(np.full((7, 2), 3.5))
+    x = nm.Matrix(np.full((7, 2), 3.5))
     y = maxpool1d(x, 3)
     assert y.shape == (3, 2)
     assert np.all(y.data == 3.5)
 
 
 def test_maxpool_single_window():
-    x = nm.constant([[1.0], [3.0], [2.0], [5.0]])
+    x = nm.Matrix([[1.0], [3.0], [2.0], [5.0]])
     assert np.array_equal(maxpool1d(x, 4).data, [[5.0]])
 
 
 def test_maxpool_partial_tail_window():
-    x = nm.constant([[1.0], [3.0], [2.0], [5.0], [4.0]])
+    x = nm.Matrix([[1.0], [3.0], [2.0], [5.0], [4.0]])
     assert np.array_equal(maxpool1d(x, 4).data, [[5.0], [4.0]])
 
 
 def test_maxpool_rejects_bad_window():
     with pytest.raises(ValueError):
-        maxpool1d(nm.constant([[1.0]]), 0)
+        maxpool1d(nm.Matrix([[1.0]]), 0)
 
 
 def test_maxpool_matches_bruteforce_oracle():
@@ -141,7 +141,7 @@ def test_maxpool_matches_bruteforce_oracle():
         cols = int(rng.integers(1, 5))
         window = int(rng.integers(1, 7))
         x = rng.normal(size=(length, cols))
-        got = maxpool1d(nm.constant(x), window).data
+        got = maxpool1d(nm.Matrix(x), window).data
         want = np.stack(
             [x[s:s + window].max(axis=0) for s in range(0, length, window)]
         )
@@ -160,8 +160,8 @@ def test_conv_pool_gradients_pass_grad_check():
         k = nm.parameter(rng.uniform(0.1, 1.0, size=(width * channels, filters)))
         b = nm.parameter(rng.uniform(0.05, 0.2, size=(1, filters)))
         n_out = -(-(length - width + 1) // 2)
-        w_out = nm.constant(rng.uniform(0.5, 1.5, size=(filters, 1)))
-        w_rows = nm.constant(rng.uniform(0.5, 1.5, size=(1, n_out)))
+        w_out = nm.Matrix(rng.uniform(0.5, 1.5, size=(filters, 1)))
+        w_rows = nm.Matrix(rng.uniform(0.5, 1.5, size=(1, n_out)))
 
         def f():
             h = maxpool1d(conv1d(x, k, b, width), 2)
@@ -226,9 +226,9 @@ def test_stacked_maxpool_equals_per_sequence_maxpool():
         n, length, cols = (int(v) for v in rng.integers(1, 6, size=3))
         window = int(rng.integers(1, 7))
         x = rng.normal(size=(n * length, cols))
-        got = maxpool1d(nm.constant(x), window, n).data
+        got = maxpool1d(nm.Matrix(x), window, n).data
         want = np.vstack([
-            maxpool1d(nm.constant(x[k * length:(k + 1) * length]), window).data for k in range(n)
+            maxpool1d(nm.Matrix(x[k * length:(k + 1) * length]), window).data for k in range(n)
         ])
         assert np.array_equal(got, want)
 
@@ -240,9 +240,10 @@ def test_off_tape_maxpool_equals_taped_forward():
     n, length, cols, window = 3, 10, 5, 4
     x = rng.integers(-3, 2, size=(n * length, cols)).astype(float)
     x[length - 2:length] = -7.0
-    off = maxpool1d(nm.parameter(x), window, n).data
-    with nm.ComputeTape() as tape:
-        taped = maxpool1d(nm.parameter(x), window, n).data
+    leaf = nm.parameter(x)
+    off = maxpool1d(leaf, window, n).data
+    with nm.ComputeTape([leaf]) as tape:
+        taped = maxpool1d(leaf, window, n).data
     assert len(tape) == 1
     assert off.shape == (n * 3, cols)
     assert np.array_equal(off, taped)
@@ -262,8 +263,8 @@ def test_embed_batch_gradients_pass_grad_check():
         step = gen.uniform(0.1, 0.4, size=p.shape)
         p.data += step if name.endswith("bias") else step * gen.choice([-1, 1], size=p.shape)
     phrases = ["car insurance", "home", "quote online"]
-    w_out = nm.constant(gen.uniform(0.5, 1.5, size=(enc.embedding_dim, 1)))
-    w_rows = nm.constant(gen.uniform(0.5, 1.5, size=(1, len(phrases))))
+    w_out = nm.Matrix(gen.uniform(0.5, 1.5, size=(enc.embedding_dim, 1)))
+    w_rows = nm.Matrix(gen.uniform(0.5, 1.5, size=(1, len(phrases))))
 
     def f():
         return nm.matmul(w_rows, nm.matmul(enc.embed_batch(phrases), w_out))
@@ -282,4 +283,9 @@ def test_encoder_parameters_are_named_and_trainable():
     enc = _toy_encoder(seed=5)
     names = [n for n, _ in enc.parameters()]
     assert names == ["conv0.kernels", "conv0.bias", "conv1.kernels", "conv1.bias"]
-    assert all(p.trainable for _, p in enc.parameters())
+    params = [p for _, p in enc.parameters()]
+    # a tape that watches them trains every one of them
+    with nm.ComputeTape(params) as tape:
+        loss = nm.matmul(enc.embed("car insurance"), nm.Matrix(np.ones((enc.embedding_dim, 1))))
+    nm.backward(tape, loss)
+    assert all(p.grad is not None and p.grad.shape == p.shape for p in params)

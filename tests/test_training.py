@@ -113,6 +113,7 @@ def test_trained_model_holds_a_plain_model_config(trained):
     dict(unit_seconds=0.0),
     dict(unit_seconds=float("nan")),
     dict(dwell_cap=0),
+    dict(learning_rate=float("inf")),
 ])
 def test_train_config_rejects_out_of_range_values_at_construction(bad):
     with pytest.raises(ConfigError):
@@ -380,11 +381,12 @@ def test_training_batches_run_in_float32_and_masters_stay_float64(chain_data, mo
     original = nm.backward
 
     def checking_backward(tape, loss):
-        params = {id(m): m for node in tape._nodes for m in node.inputs if m.trainable}
+        params = {id(m): m for m in tape.leaves}
+        operands = {id(m) for node in tape._nodes for m in node.inputs}
         seen.append((
             {n.output.data.dtype for n in tape._nodes if n.output.shape != (1, 1)},
             _float_dtypes(params.values()),
-            len(params),
+            len(params.keys() & operands),  # the watched weights the batch used
         ))
         original(tape, loss)
         seen.append({p.grad.dtype for p in params.values()})
@@ -404,6 +406,30 @@ def test_training_batches_run_in_float32_and_masters_stay_float64(chain_data, mo
     save_model(model, path)
     for (_, p), (_, q) in zip(model.parameters(), load_model(path).parameters()):
         assert q.data.dtype == np.float64 and np.array_equal(p.data, q.data)
+
+
+def test_paper_config_batch_records_23_tape_nodes_and_train_adds_the_mean(chain_data, monkeypatch):
+    from journeynet import numerics as nm
+    from journeynet import rng as rngmod
+    from journeynet.training import _batch_loss, _batch_tensors, _expand_all
+
+    tr, ev, vocab = chain_data
+    config = TrainConfig(epochs=1, batch_size=4, seed=2)  # the paper's architecture
+    model = SequenceModel.build(config.model_config(), vocab, config.seed)
+    batch = _batch_tensors(_expand_all(tr[:4], vocab, config.unit_seconds, config.dwell_cap), range(4))
+    with nm.ComputeTape(p for _, p in model.parameters()) as tape:
+        _batch_loss(model, *batch, rngmod.stream(0, "dropout"))
+    assert len(tape) == 23
+    sizes = []
+    original = nm.backward
+
+    def counting_backward(tape, loss):
+        sizes.append(len(tape))
+        original(tape, loss)
+
+    monkeypatch.setattr(nm, "backward", counting_backward)
+    train(tr[:8], config, vocab, eval_sessions=ev[:4])
+    assert sizes == [24, 24]  # and `scale` to the batch mean
 
 
 def test_training_error_mid_batch_restores_float64_masters(chain_data, monkeypatch):
@@ -449,7 +475,7 @@ def test_float32_batch_gradient_matches_float64(chain_data):
     batch = _batch_tensors(expanded, range(6))
 
     def grads():
-        with nm.ComputeTape() as tape:
+        with nm.ComputeTape(params) as tape:
             loss = _batch_loss(model, *batch, rngmod.stream(0, "dropout"))
         nm.backward(tape, loss)
         out = [p.grad.astype(np.float64) for p in params]
