@@ -289,8 +289,7 @@ def _is_str_list(value) -> bool:
 
 
 def _load_prefixes(path) -> tuple[list[JourneyPrefix], list[str]]:
-    prefixes = []
-    ids = []
+    prefixes: dict[str, JourneyPrefix] = {}  # by prefix id, in file order
     for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
@@ -305,11 +304,13 @@ def _load_prefixes(path) -> tuple[list[JourneyPrefix], list[str]]:
             raise CliError(f"{path}:{line_no}: prefix record needs 'keywords' text")
         if not _is_str_list(raw.get("pages", [])):
             raise CliError(f"{path}:{line_no}: prefix 'pages' must be a list of page names")
-        prefixes.append(JourneyPrefix(raw["keywords"], tuple(raw.get("pages", ()))))
-        ids.append(str(raw.get("prefix_id", f"p{line_no - 1:04d}")))
+        prefix_id = str(raw.get("prefix_id", f"p{line_no - 1:04d}"))
+        if prefix_id in prefixes:
+            raise CliError(f"{path}:{line_no}: duplicate prefix_id {prefix_id!r}")
+        prefixes[prefix_id] = JourneyPrefix(raw["keywords"], tuple(raw.get("pages", ())))
     if not prefixes:
         raise CliError(f"{path}: no prefix records")
-    return prefixes, ids
+    return list(prefixes.values()), list(prefixes)
 
 
 def _load_objectives(path) -> list[Objective]:
@@ -320,14 +321,17 @@ def _load_objectives(path) -> list[Objective]:
         raise CliError(f"{path}: bad objectives file: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(raw, list) or not raw:
         raise CliError(f"{path}: expected a non-empty JSON array of objectives")
-    objectives = []
+    objectives: dict[str, Objective] = {}  # by id, in file order
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "id" not in entry or "pages" not in entry:
             raise CliError(f"{path}: objective {i} must be an object with 'id' and 'pages'")
         if not _is_str_list(entry["pages"]):
             raise CliError(f"{path}: objective {i} 'pages' must be a list of page names")
-        objectives.append(Objective(str(entry["id"]), frozenset(entry["pages"])))
-    return objectives
+        objective_id = str(entry["id"])
+        if objective_id in objectives:
+            raise CliError(f"{path}: objective {i}: duplicate id {objective_id!r}")
+        objectives[objective_id] = Objective(objective_id, frozenset(entry["pages"]))
+    return list(objectives.values())
 
 
 def _cmd_score(args) -> int:

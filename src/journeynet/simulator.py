@@ -20,21 +20,26 @@ call step in lockstep, each distinct live path is one row of a batched
 `step`, and every rollout samples its next page, with its own uniforms, from
 the row of the path it is on.  Rollouts that sampled the same pages from the
 same start row share a row, so a step feeds each distinct (row, page) pair
-once, and paths leave the batch at the NULL page.  A rollout ends at the
-NULL page or the horizon; conversion probability for an objective is the
-fraction of rollouts that touch any of its pages.  For small instances an
-exact depth-first path enumeration serves as the correctness oracle.
+once.  A rollout ends at the NULL page, the horizon, or once every open
+objective of its prefix is hit, and then leaves the batch: its outcome is
+decided, so it is stepped no further, just as the exact oracle ends a
+branch at a hit.  Conversion probability for an objective is the fraction
+of rollouts that touch any of its pages.  For small instances an exact
+depth-first path enumeration serves as the correctness oracle.
 
 Randomness is counter-based: rollout i of prefix k draws from the stream
 keyed (seed, prefix k) at block offset i, so estimates do not depend on how
 samples are scheduled across workers.  Rollouts are stepped in chunks of
-CHUNK, which may hold samples of several prefixes, and run to NULL or the
-horizon whatever the objectives.  Bit-reproducibility rests on one fact:
+CHUNK, which may hold samples of several prefixes.  `rollout` and
+`step_distribution` score no objective, so their rollouts run to NULL or
+the horizon.  Bit-reproducibility rests on one fact:
 every row of a model's step is computed on its own, its bits independent of
 the other rows of the batch (`numerics.rows_product`; a tier-1 test checks
 the BLAS for it).  A sample's path therefore depends only on its prefix's
-row of the start state and its own uniforms, so a batch cell, a standalone
-estimate, any block of prefixes and any worker count agree bit for bit.
+row of the start state and its own uniforms, up to where it stops, and a
+stop comes only once the sample's hits are decided; so a batch cell, a
+standalone estimate, any block of prefixes and any worker count agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -120,28 +125,39 @@ def _prefix_hit(prefix: JourneyPrefix, objective: Objective) -> bool:
     return any(p in objective.target_pages for p in prefix.pages)
 
 
-def _sample_paths(predictor, state, dists, starts: np.ndarray, uniforms: np.ndarray, null_index: int) -> np.ndarray:
+def _sample_paths(
+    predictor, state, dists, starts: np.ndarray, uniforms: np.ndarray, null_index: int,
+    is_target: np.ndarray | None = None, open_objectives: np.ndarray | None = None,
+) -> np.ndarray:
     """Roll out sample i from row `starts[i]` of (state, dists), driven by row i of `uniforms`.
 
     Sample i takes class min(#{c : cdf[c] <= u}, N - 1) at each step, the
     index searchsorted(cdf, u, side="right") gives, clamped.  Each distinct
     live path is one row of `state`: a step feeds each distinct (row, page)
-    pair once, and every rollout follows the row of its pair.  Returns an
-    n x horizon array of class indices, with -1 after a path's NULL page.
+    pair once, and every rollout follows the row of its pair.  A rollout
+    ends at the NULL page, the horizon, or once every open objective of its
+    prefix is hit: `is_target[c, j]` says class c is a target of objective
+    j, and `open_objectives[r, j]` that objective j is open for start row r.
+    Without them a rollout runs to NULL or the horizon.  Returns an
+    n x horizon array of class indices, with -1 after a path's last page.
     """
     n, horizon = uniforms.shape
     paths = np.full((n, horizon), -1, dtype=np.intp)
     cdf = np.cumsum(dists, axis=1)
     n_classes = cdf.shape[1]
+    if is_target is None:  # one objective that no page hits
+        is_target, open_objectives = np.zeros((n_classes, 1), bool), np.ones((len(cdf), 1), bool)
     live = np.arange(n)  # sample index of each live rollout
     rows = np.asarray(starts, dtype=np.intp)  # its row of `cdf` and `state`
+    todo = open_objectives[rows]  # its open objectives not yet hit
     for t in range(horizon):
         idx = np.minimum((cdf[rows] <= uniforms[live, t, None]).sum(axis=1), n_classes - 1)
         paths[live, t] = idx
-        going = idx != null_index
+        todo &= ~is_target[idx]
+        going = (idx != null_index) & todo.any(axis=1)
         if t + 1 == horizon or not going.any():
             break
-        live = live[going]
+        live, todo = live[going], todo[going]
         pairs, rows = np.unique(rows[going] * n_classes + idx[going], return_inverse=True)
         state, dist = predictor.step(state, pairs // n_classes, pairs % n_classes)
         cdf = np.cumsum(dist, axis=1)
@@ -164,14 +180,16 @@ def rollout(predictor, prefix: JourneyPrefix, horizon: int, rng: np.random.Gener
     )
 
 
-def _simulate(predictor, state, dists, streams, n_samples: int, horizon: int):
+def _simulate(predictor, state, dists, streams, n_samples: int, horizon: int, is_target=None, open_objectives=None):
     """Roll out `n_samples` samples from every row r of a start state, all rows in lockstep.
 
     Rollout r * n_samples + i is sample i of row r; the rollouts are stepped
     CHUNK at a time, whatever row they start from, and sample i of row r
     always reads the same positions of `streams[r]` (blocks i * stride ..).
-    Yields, chunk by chunk, (the start row of each rollout, its sampled
-    path; see _sample_paths).
+    A rollout ends at the NULL page, the horizon, or once every objective
+    open for its row is hit (`is_target`, `open_objectives`; see
+    _sample_paths).  Yields, chunk by chunk, (the start row of each
+    rollout, its sampled path).
     """
     stride = rngmod.blocks_for(horizon)
     total = len(streams) * n_samples
@@ -182,7 +200,10 @@ def _simulate(predictor, state, dists, streams, n_samples: int, horizon: int):
             a, b = max(g - r * n_samples, 0), min(g + CHUNK - r * n_samples, n_samples)
             gen = rngmod.stream_at(streams[r], a * stride)
             us.append(gen.random((b - a) * stride * rngmod.BLOCK).reshape(b - a, -1)[:, :horizon])
-        yield starts, _sample_paths(predictor, state, dists, starts, np.concatenate(us), predictor.vocab.null_index)
+        uniforms = np.concatenate(us)
+        yield starts, _sample_paths(
+            predictor, state, dists, starts, uniforms, predictor.vocab.null_index, is_target, open_objectives
+        )
 
 
 def _check_sampling(n_samples: int, horizon: int) -> None:
@@ -207,16 +228,22 @@ def _estimate_block(
     Objectives a prefix already reached convert every sample; the others
     count the sampled paths that touch one of their pages.  The prefixes
     with some objective still open start in one `start` call and are
-    simulated together, each from its row of the start state.
+    simulated together, each from its row of the start state.  A rollout
+    ends at the NULL page, the horizon, or once every open objective of its
+    prefix is hit: its hits are decided by then.
     """
     targets = [sorted(_target_indices(o, predictor.vocab)) for o in objectives]
     already = np.array([[_prefix_hit(p, o) for o in objectives] for p in prefixes])
     counts = np.zeros(already.shape, dtype=np.intp)
     started = np.flatnonzero(~already.all(axis=1))
     if started.size:
+        is_target = np.zeros((len(predictor.vocab), len(objectives)), dtype=bool)
+        for j, target in enumerate(targets):
+            is_target[target, j] = True
         state, dists = predictor.start([prefixes[k] for k in started])
         streams = [(seed, "conversion", first_index + k) for k in started.tolist()]
-        for starts, paths in _simulate(predictor, state, dists, streams, n_samples, horizon):
+        chunks = _simulate(predictor, state, dists, streams, n_samples, horizon, is_target, ~already[started])
+        for starts, paths in chunks:
             for j, target in enumerate(targets):
                 hit = np.isin(paths, target).any(axis=1)
                 counts[started, j] += np.bincount(starts[hit], minlength=len(started))

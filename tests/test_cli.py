@@ -346,6 +346,22 @@ def test_score_objective_outside_vocabulary_is_a_clean_error(pipeline, tmp_path,
     assert "not-there" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prefixes, objectives, dup", [
+    ('{"prefix_id": "v", "keywords": "a", "pages": ["home"]}\n'
+     '{"prefix_id": "v", "keywords": "b", "pages": []}\n', None, "'v'"),
+    ('{"keywords": "a", "pages": []}\n'
+     '{"prefix_id": "p0000", "keywords": "b", "pages": []}\n', None, "'p0000'"),
+    (None, '[{"id": "c", "pages": ["confirm"]}, {"id": "c", "pages": ["quote"]}]', "'c'"),
+    (None, '[{"id": 1, "pages": ["confirm"]}, {"id": "1", "pages": ["quote"]}]', "'1'"),
+], ids=["prefix-id", "prefix-id-equals-default", "objective-id", "objective-id-as-number"])
+def test_score_duplicate_ids_are_a_clean_error(pipeline, tmp_path, capsys, prefixes, objectives, dup):
+    # two rows of scores.csv with one (prefix_id, objective_id) could not be told apart
+    assert _score_exit(pipeline, tmp_path, prefixes=prefixes, objectives=objectives) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "duplicate" in err and dup in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 _ENSEMBLE = {"format": "journeynet-ensemble", "version": 1}
 
 

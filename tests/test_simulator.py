@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -378,50 +380,69 @@ def test_scores_csv(tmp_path):
 # path sharing: each distinct live path is stepped once
 
 
-def per_rollout_sample_paths(predictor, state, dists, row, uniforms, null_index):
-    """The engine before path sharing: every live rollout is its own row of `step`."""
+def per_rollout_sample_paths(
+    predictor, state, dists, row, uniforms, null_index, is_target=None, open_objectives=None, stop=True
+):
+    """The engine before path sharing: every live rollout is its own row of `step`.
+
+    With `stop` and objectives, a rollout ends once every open objective of
+    its start row is hit; otherwise it runs to the NULL page or the horizon.
+    """
     n, horizon = uniforms.shape
     paths = np.full((n, horizon), -1, dtype=np.intp)
     cdf = np.cumsum(dists, axis=1)
     last = cdf.shape[1] - 1
     live = np.arange(n)
     rows = np.full(n, row, dtype=np.intp)
+    todo = open_objectives[rows] if stop and is_target is not None else None
     for t in range(horizon):
         idx = np.minimum((cdf[rows] <= uniforms[live, t, None]).sum(axis=1), last)
         paths[live, t] = idx
         going = idx != null_index
+        if todo is not None:
+            todo &= ~is_target[idx]
+            going &= todo.any(axis=1)
         if t + 1 == horizon or not going.any():
             break
         live = live[going]
+        if todo is not None:
+            todo = todo[going]
         state, dist = predictor.step(state, rows[going], idx[going])
         cdf = np.cumsum(dist, axis=1)
         rows = np.arange(live.size)
     return paths
 
 
-def simulated_paths(pred, prefix, n_samples, horizon, seed):
+def simulated_paths(pred, prefix, n_samples, horizon, seed, is_target=None):
     state, dists = pred.start([prefix])
-    chunks = simulator._simulate(pred, state, dists, [(seed, "paths")], n_samples, horizon)
+    open_objectives = None if is_target is None else np.ones((1, is_target.shape[1]), dtype=bool)
+    chunks = simulator._simulate(pred, state, dists, [(seed, "paths")], n_samples, horizon, is_target, open_objectives)
     return np.vstack([paths for _, paths in chunks])
 
 
-@pytest.mark.parametrize("make", [
-    hand_predictor,
-    lambda: random_predictor(3),
-    lambda: random_predictor(8, n_pages=6),
-    lambda: random_toy_predictor(5, n_pages=4),
-], ids=["hand", "random-3", "random-6", "toychains-4"])
-def test_path_sharing_paths_equal_per_rollout_paths(make, monkeypatch):
+@pytest.mark.parametrize("make, n_objectives", [
+    (hand_predictor, 0),
+    (lambda: random_predictor(3), 0),
+    (lambda: random_predictor(8, n_pages=6), 0),
+    (lambda: random_toy_predictor(5, n_pages=4), 0),
+    (lambda: random_predictor(8, n_pages=6), 2),
+], ids=["hand", "random-3", "random-6", "toychains-4", "random-6-two-objectives"])
+def test_path_sharing_paths_equal_per_rollout_paths(make, n_objectives, monkeypatch):
     pred = make()
+    # objective j is hit at page j + 1; a rollout stops once both are hit
+    is_target = np.eye(len(pred.vocab), n_objectives, k=-1, dtype=bool) if n_objectives else None
     cases = [(1, 1), (7, 2), (300, 5), (CHUNK + 37, 12)]  # the last crosses a chunk boundary
     new = {
-        (n, h, seed): simulated_paths(pred, JourneyPrefix(), n, h, seed)
+        (n, h, seed): simulated_paths(pred, JourneyPrefix(), n, h, seed, is_target)
         for n, h in cases for seed in (0, 4)
     }
+    if n_objectives:  # some rollouts stop before the NULL page and the horizon
+        tails = new[(CHUNK + 37, 12, 0)]
+        assert ((tails[:, -1] == -1) & (tails != pred.vocab.null_index).all(axis=1)).any()
     monkeypatch.setattr(simulator, "_sample_paths", per_rollout_sample_paths)
     for (n, h, seed), paths in new.items():
         assert paths.shape == (n, h)
-        assert np.array_equal(paths, simulated_paths(pred, JourneyPrefix(), n, h, seed))
+        assert np.array_equal(paths, simulated_paths(pred, JourneyPrefix(), n, h, seed, is_target))
 
 
 class RowCounter:
@@ -560,6 +581,59 @@ def test_lockstep_block_cells_equal_standalone_estimates(funnel_model):
         est = estimate_conversion(funnel_model, prefixes[k], o, n, 8, seed=11, prefix_index=k)
         assert (row.probability, row.std_error) == (est.probability, est.std_error)
         assert 0.0 < row.probability <= 1.0
+
+
+@pytest.mark.parametrize("kind", ["funnel-model", "toy-chain"])
+def test_decided_rollouts_stop_and_standalone_estimates_are_unchanged(kind, request, monkeypatch):
+    if kind == "funnel-model":
+        pages = ("landing", "form_car", "form_driver", "price", "checkout", "converted")
+        pred = request.getfixturevalue("funnel_model")
+    else:
+        pages = tuple(f"pg{i}" for i in range(6))
+        pred = random_toy_predictor(7, n_pages=6)
+    prefixes = [
+        JourneyPrefix("", ()),
+        JourneyPrefix("quotes", pages[:1]),
+        JourneyPrefix("cheap cover", pages[:2]),  # already hit objective "b"
+        JourneyPrefix("", pages[4:5]),
+    ]
+    objectives = [
+        Objective("a", frozenset({pages[-1]})),
+        Objective("b", frozenset({pages[1]})),
+        Objective("c", frozenset(pages[2:4])),
+    ]
+    n, horizon, seed = CHUNK + 37, 8, 12  # the block's rollouts cross chunk boundaries
+
+    def cells(predictor):
+        rows = score_batch(predictor, prefixes, objectives, n_samples=n, horizon=horizon, seed=seed)
+        return [(r.probability, r.std_error) for r in rows]
+
+    stopping = RowCounter(pred)
+    stopped = cells(stopping)
+    assert stopped[len(objectives) * 2 + 1] == (1.0, 0.0)
+    assert 0.0 < min(p for p, _ in stopped)
+    for cell, (k, o) in zip(stopped, [(k, o) for k in range(len(prefixes)) for o in objectives]):
+        est = estimate_conversion(pred, prefixes[k], o, n, horizon, seed=seed, prefix_index=k)
+        assert cell == (est.probability, est.std_error)
+    # run to the end: the path-sharing engine without its objectives, and the per-rollout reference
+    sample_paths = simulator._sample_paths
+    monkeypatch.setattr(simulator, "_sample_paths", lambda *args: sample_paths(*args[:6]))
+    running = RowCounter(pred)
+    assert cells(running) == stopped
+    rows_fed = [sum(len(rows) for rows, _ in counter.calls) for counter in (stopping, running)]
+    assert rows_fed[0] < rows_fed[1]
+    monkeypatch.setattr(simulator, "_sample_paths", functools.partial(per_rollout_sample_paths, stop=False))
+    assert cells(pred) == stopped
+
+
+def test_one_objective_call_never_steps_a_target_page(funnel_model):
+    pred = RowCounter(funnel_model)
+    objective = Objective("form", frozenset({"form_driver", "checkout"}))
+    est = estimate_conversion(pred, JourneyPrefix("quotes", ("landing",)), objective, 3000, 8, seed=5)
+    assert 0.0 < est.probability < 1.0
+    targets = [pred.vocab.encode(p) for p in objective.target_pages]
+    assert pred.calls
+    assert not any(np.isin(pages, targets).any() for _, pages in pred.calls)
 
 
 def test_score_batch_encodes_the_page_names_once(funnel_model, monkeypatch):
