@@ -4,6 +4,8 @@ One shared character-level encoder embeds both the search-keyword phrase
 (step 0) and every page name; the LSTM stack threads state left to right
 and a fully connected + softmax head emits, at each step, a distribution
 over all page classes (including the terminal NULL page) for the next step.
+Every weight's name and shape is written once, in :func:`parameter_shapes`,
+which initialisation, checkpoint loading and `parameters` all read.
 
 Training, evaluation, `forward_session` and `start` run whole padded
 batches (`padded_batch`) through one sequence pass, whose LSTM layers are
@@ -75,27 +77,43 @@ class ModelConfig:
         )
 
 
+def parameter_shapes(config: ModelConfig, n_classes: int) -> dict[str, tuple[int, int]]:
+    """Name -> (rows, cols) of every weight of the model, in the order `build` draws them.
+
+    This is the model's one weight layout: `build` initialises it, the
+    checkpoint loader checks each stored array against it, `SequenceModel`
+    assembles its stages and layers from it and `parameters` lists it.  A
+    conv stage turns `length` rows into ceil((length - width + 1) / pool);
+    the embedding width is the last stage's length times its filters
+    (ShapeError if a stage gets fewer rows than its kernel width).
+    """
+    shapes, length, channels = {}, config.max_len, len(config.alphabet)
+    for i, (width, filters, pool) in enumerate(config.conv_stages):
+        if length < width:
+            raise ShapeError(f"stage input length {length} shorter than kernel width {width}")
+        shapes[f"conv{i}.kernels"] = (width * channels, filters)
+        shapes[f"conv{i}.bias"] = (1, filters)
+        length, channels = -(-(length - width + 1) // pool), filters
+    in_dim = length * channels
+    for i, hidden in enumerate(config.lstm_hidden):
+        shapes[f"lstm{i}.wx"] = (in_dim, 4 * hidden)
+        shapes[f"lstm{i}.wh"] = (hidden, 4 * hidden)
+        shapes[f"lstm{i}.bias"] = (1, 4 * hidden)
+        in_dim = hidden
+    shapes["fc.weight"] = (in_dim, config.fc_width)
+    shapes["fc.bias"] = (1, config.fc_width)
+    shapes["out.weight"] = (config.fc_width, n_classes)
+    shapes["out.bias"] = (1, n_classes)
+    return shapes
+
+
+@dataclass
 class LstmLayer:
-    """One LSTM layer; gates are packed (input, forget, candidate, output)."""
+    """One LSTM layer's weights; gates are packed (input, forget, candidate, output)."""
 
-    def __init__(self, wx: Matrix, wh: Matrix, bias: Matrix):
-        if wx.cols != wh.cols or wh.cols != bias.cols or wh.cols % 4:
-            raise ShapeError("LSTM weight shapes are inconsistent")
-        if wh.rows * 4 != wh.cols:
-            raise ShapeError(
-                f"recurrent weights must be H x 4H, got {wh.shape}"
-            )
-        self.wx = wx
-        self.wh = wh
-        self.bias = bias
-
-    @classmethod
-    def init(cls, input_dim: int, hidden: int, rng: np.random.Generator) -> "LstmLayer":
-        wx = nm.glorot(rng, input_dim, 4 * hidden)
-        wh = nm.glorot(rng, hidden, 4 * hidden)
-        b = np.zeros((1, 4 * hidden))
-        b[0, hidden:2 * hidden] = 1.0  # forget gate starts open
-        return cls(wx, wh, nm.parameter(b))
+    wx: Matrix
+    wh: Matrix
+    bias: Matrix
 
 
 @dataclass
@@ -142,66 +160,49 @@ class StepPrediction:
 class SequenceModel:
     """CNN phrase encoder + stacked LSTM + fully connected softmax head."""
 
-    def __init__(
-        self,
-        encoder: CnnEncoder,
-        layers: list[LstmLayer],
-        w_fc: Matrix,
-        b_fc: Matrix,
-        w_out: Matrix,
-        b_out: Matrix,
-        vocab: PageVocabulary,
-        config: ModelConfig,
-    ):
-        self.encoder = encoder
-        self.layers = layers
-        self.w_fc = w_fc
-        self.b_fc = b_fc
-        self.w_out = w_out
-        self.b_out = b_out
-        self.vocab = vocab
+    def __init__(self, config: ModelConfig, vocab: PageVocabulary, weights: dict[str, Matrix]):
+        """Assemble the model from `weights`, name -> Matrix, which must hold
+        exactly the weights of ``parameter_shapes(config, len(vocab))``
+        (ShapeError otherwise); the stages, layers and head take them in
+        layout order."""
+        shapes = parameter_shapes(config, len(vocab))
+        if {name: w.shape for name, w in weights.items()} != shapes:
+            raise ShapeError("weights do not follow the layout of the config and vocabulary")
         self.config = config
-        if w_out.cols != len(vocab):
-            raise ShapeError(
-                f"softmax width {w_out.cols} != vocabulary size {len(vocab)}"
-            )
+        self.vocab = vocab
+        self.weights = {name: weights[name] for name in shapes}
+        it = iter(self.weights.values())
+        stages = [ConvStage(next(it), next(it), width, pool) for width, _, pool in config.conv_stages]
+        self.encoder = CnnEncoder(Alphabet(config.alphabet), config.max_len, stages)
+        self.layers = [LstmLayer(next(it), next(it), next(it)) for _ in config.lstm_hidden]
+        self.w_fc, self.b_fc, self.w_out, self.b_out = it
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: PageVocabulary, seed: int) -> "SequenceModel":
+        """A freshly initialised model: each weight matrix is :func:`numerics.glorot`,
+        drawn in layout order from one stream; biases are zero except each
+        LSTM forget gate's, which is one (the gate starts open)."""
         from . import rng as rngmod
 
         gen = rngmod.stream(seed, "model-init")
-        encoder = CnnEncoder.build(
-            Alphabet(config.alphabet), config.max_len, list(config.conv_stages), gen
-        )
-        layers = []
-        in_dim = encoder.embedding_dim
-        for hidden in config.lstm_hidden:
-            layers.append(LstmLayer.init(in_dim, hidden, gen))
-            in_dim = hidden
-        w_fc = nm.glorot(gen, in_dim, config.fc_width)
-        b_fc = nm.parameter(np.zeros((1, config.fc_width)))
-        w_out = nm.glorot(gen, config.fc_width, len(vocab))
-        b_out = nm.parameter(np.zeros((1, len(vocab))))
-        return cls(encoder, layers, w_fc, b_fc, w_out, b_out, vocab, config)
+        weights = {}
+        for name, (rows, cols) in parameter_shapes(config, len(vocab)).items():
+            if name.endswith(".bias"):
+                bias = np.zeros((rows, cols))
+                if name.startswith("lstm"):
+                    bias[0, cols // 4:cols // 2] = 1.0
+                weights[name] = nm.parameter(bias)
+            else:
+                weights[name] = nm.glorot(gen, rows, cols)
+        return cls(config, vocab, weights)
 
     @property
     def n_classes(self) -> int:
         return len(self.vocab)
 
     def parameters(self) -> list[tuple[str, Matrix]]:
-        named = list(self.encoder.parameters())
-        for i, layer in enumerate(self.layers):
-            named.append((f"lstm{i}.wx", layer.wx))
-            named.append((f"lstm{i}.wh", layer.wh))
-            named.append((f"lstm{i}.bias", layer.bias))
-        named += [
-            ("fc.weight", self.w_fc),
-            ("fc.bias", self.b_fc),
-            ("out.weight", self.w_out),
-            ("out.bias", self.b_out),
-        ]
-        return named
+        """(name, weight) pairs in the order of :func:`parameter_shapes`."""
+        return list(self.weights.items())
 
     # -- forward pieces ----------------------------------------------------
 
@@ -222,18 +223,7 @@ class SequenceModel:
         return h, LstmState(layers, state.table)
 
     def head(self, h: Matrix, dropout_rng: np.random.Generator | None = None) -> Matrix:
-        """Fully connected ReLU layer, optional dropout, softmax over classes.
-
-        Without dropout and with no tracked operand it runs the same numpy ops
-        on the plain arrays, with no wrappers and nothing recorded, so
-        inference gets the taped result's bits at a fraction of the per-call cost.
-        """
-        operands = (h, self.w_fc, self.b_fc, self.w_out, self.b_out)
-        if dropout_rng is None and not any(m.track for m in operands):
-            fc = np.maximum(nm.rows_product(h.data, self.w_fc.data) + self.b_fc.data, 0.0)
-            logits = nm.rows_product(fc, self.w_out.data) + self.b_out.data
-            e = np.exp(logits - logits.max(axis=1, keepdims=True))
-            return Matrix._result(e / e.sum(axis=1, keepdims=True))
+        """Fully connected ReLU layer, optional dropout, softmax over classes."""
         fc = nm.relu(nm.add(nm.matmul(h, self.w_fc), self.b_fc))
         if dropout_rng is not None and self.config.dropout_rate > 0:
             fc = nm.dropout(fc, self.config.dropout_rate, dropout_rng)
@@ -416,10 +406,11 @@ def checkpoint_field(d, key: str, kind: type, where: str):
 def model_from_dict(d: dict) -> SequenceModel:
     """The model stored in `d`, assembled from its arrays; loading draws no weights.
 
-    Every weight's shape follows from the config by arithmetic, and each
-    decoded array is checked against it before any model is built, so a
-    config naming absurd sizes fails on the first mismatched array instead
-    of allocating for it.
+    Every stored weight must be one that :func:`parameter_shapes` lays out
+    for the stored config (CheckpointError naming any other), and each
+    decoded array is checked against its shape before any model is built,
+    so a config naming absurd sizes fails on the first mismatched array
+    instead of allocating for it.
     """
     config, vocab, weights = (
         checkpoint_field(d, key, dict, "checkpoint model") for key in ("config", "vocab", "weights")
@@ -427,42 +418,26 @@ def model_from_dict(d: dict) -> SequenceModel:
     try:
         config = ModelConfig.from_dict(config)
         vocab = PageVocabulary.from_dict(vocab)
-        alphabet = Alphabet(config.alphabet)
+        Alphabet(config.alphabet)  # rejects a duplicate or empty alphabet
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"checkpoint model has a bad config or vocabulary ({exc!r})") from exc
+    shapes = parameter_shapes(config, len(vocab))
+    unknown = sorted(set(weights).difference(shapes))
+    if unknown:
+        raise CheckpointError(f"checkpoint has weights {unknown} that its config does not lay out")
 
-    def weight(name: str, rows: int, cols: int) -> Matrix:
+    def weight(name: str, shape: tuple[int, int]) -> Matrix:
         if name not in weights:
             raise CheckpointError(f"checkpoint is missing weights for {name!r}")
         try:
             arr = _decode_array(weights[name])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"checkpoint weights for {name!r} are not an array") from exc
-        if arr.shape != (rows, cols):
-            raise ShapeError(
-                f"checkpoint weight {name!r} has shape {arr.shape}, expected {(rows, cols)}"
-            )
+        if arr.shape != shape:
+            raise ShapeError(f"checkpoint weight {name!r} has shape {arr.shape}, expected {shape}")
         return nm.parameter(arr)
 
-    stages, channels = [], len(alphabet)
-    for i, (width, filters, pool) in enumerate(config.conv_stages):
-        kernels = weight(f"conv{i}.kernels", width * channels, filters)
-        stages.append(ConvStage(kernels, weight(f"conv{i}.bias", 1, filters), width, pool))
-        channels = filters
-    encoder = CnnEncoder(alphabet, config.max_len, stages)
-    layers, in_dim = [], encoder.embedding_dim
-    for i, hidden in enumerate(config.lstm_hidden):
-        layers.append(LstmLayer(
-            weight(f"lstm{i}.wx", in_dim, 4 * hidden),
-            weight(f"lstm{i}.wh", hidden, 4 * hidden),
-            weight(f"lstm{i}.bias", 1, 4 * hidden),
-        ))
-        in_dim = hidden
-    w_fc = weight("fc.weight", in_dim, config.fc_width)
-    b_fc = weight("fc.bias", 1, config.fc_width)
-    w_out = weight("out.weight", config.fc_width, len(vocab))
-    b_out = weight("out.bias", 1, len(vocab))
-    return SequenceModel(encoder, layers, w_fc, b_fc, w_out, b_out, vocab, config)
+    return SequenceModel(config, vocab, {name: weight(name, shape) for name, shape in shapes.items()})
 
 
 def write_checkpoint(path, fmt: str, key: str, body) -> None:

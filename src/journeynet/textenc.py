@@ -119,17 +119,14 @@ def maxpool1d(x: Matrix, window: int, n: int = 1) -> Matrix:
     seg = np.full((n, n_out * window, cols), -np.inf, dtype=x.data.dtype)
     seg[:, :length] = x.data.reshape(n, length, cols)
     seg = seg.reshape(n, n_out, window, cols)
-    if not x.track:
-        # untracked, only the maxima are needed, not where they came from
-        return Matrix._result(seg.max(axis=2).reshape(n * n_out, cols))
-    am = seg.argmax(axis=2)
-    data = np.take_along_axis(seg, am[:, :, None, :], axis=2).reshape(n * n_out, cols)
-    src = (
-        np.arange(n)[:, None, None] * length + np.arange(n_out)[None, :, None] * window + am
-    ).reshape(n * n_out, cols)
-    out = Matrix._result(data)
+    out = Matrix._result(seg.max(axis=2).reshape(n * n_out, cols))
 
     def back(g):
+        src = (
+            np.arange(n)[:, None, None] * length
+            + np.arange(n_out)[None, :, None] * window
+            + seg.argmax(axis=2)
+        ).reshape(n * n_out, cols)
         # windows do not overlap, so every (row, column) is routed to at most once
         gx = np.zeros_like(x.data)
         gx[src, np.arange(cols)] = g
@@ -145,16 +142,13 @@ class ConvStage:
     width: int
     pool: int
 
-    @property
-    def filters(self) -> int:
-        return self.kernels.cols
-
 
 class CnnEncoder:
     """Stacked convolution + max-pooling phrase encoder.
 
-    All stage shapes are fixed at construction; `embed` maps any text to a
-    1 x embedding_dim vector.
+    The stages' weights follow the model's layout
+    (:func:`seqmodel.parameter_shapes`), which fixes the embedding width;
+    `embed` maps any text to a 1 x width vector.
     """
 
     def __init__(self, alphabet: Alphabet, max_len: int, stages: list[ConvStage]):
@@ -163,46 +157,13 @@ class CnnEncoder:
         self.alphabet = alphabet
         self.max_len = max_len
         self.stages = stages
-        self.embedding_dim = self._output_dim()
-
-    @classmethod
-    def build(
-        cls,
-        alphabet: Alphabet,
-        max_len: int,
-        stage_specs: list[tuple[int, int, int]],
-        rng: np.random.Generator,
-    ) -> "CnnEncoder":
-        """Initialise an encoder from (width, filters, pool) stage specs.
-
-        Kernels are Glorot-uniform (:func:`numerics.glorot`); biases zero.
-        A stage shorter than its kernel raises ShapeError from the constructor.
-        """
-        stages = []
-        channels = len(alphabet)
-        for width, filters, pool in stage_specs:
-            kernels = nm.glorot(rng, width * channels, filters)
-            bias = nm.parameter(np.zeros((1, filters)))
-            stages.append(ConvStage(kernels, bias, width, pool))
-            channels = filters
-        return cls(alphabet, max_len, stages)
-
-    def _output_dim(self) -> int:
-        length = self.max_len
-        for st in self.stages:
-            if length < st.width:
-                raise ShapeError(
-                    f"stage input length {length} shorter than kernel width {st.width}"
-                )
-            length = -(-(length - st.width + 1) // st.pool)
-        return length * self.stages[-1].filters
 
     def embed(self, phrase: str) -> Matrix:
-        """Encode a phrase into a 1 x embedding_dim vector."""
+        """Encode a phrase into a 1 x width vector."""
         return self.embed_batch([phrase])
 
     def embed_batch(self, phrases: list[str]) -> Matrix:
-        """Encode phrases into a len(phrases) x embedding_dim matrix, row i for phrase i.
+        """Encode phrases into a len(phrases) x width matrix, row i for phrase i.
 
         All phrases go through each stage together: one im2col product and
         one max-pool over the stacked quantized phrases.  The one-hot input
@@ -219,11 +180,4 @@ class CnnEncoder:
         )
         for st in self.stages:
             h = maxpool1d(conv1d(h, st.kernels, st.bias, st.width, n), st.pool, n)
-        return nm.reshape(h, n, self.embedding_dim)
-
-    def parameters(self) -> list[tuple[str, Matrix]]:
-        named = []
-        for i, st in enumerate(self.stages):
-            named.append((f"conv{i}.kernels", st.kernels))
-            named.append((f"conv{i}.bias", st.bias))
-        return named
+        return nm.reshape(h, n, h.data.size // n)

@@ -375,6 +375,8 @@ _ENSEMBLE = {"format": "journeynet-ensemble", "version": 1}
     ("weights not an array", lambda p: p["model"]["weights"].update(
         {"conv0.bias": {"shape": [3], "data": "AAAA"}})),
     ("weights entry not an object", lambda p: p["model"]["weights"].update({"conv0.bias": 7})),
+    ("weights the config does not lay out", lambda p: p["model"]["weights"].update(
+        {"lstm1.wx": p["model"]["weights"]["lstm0.wh"]})),
     ("no members", lambda p: p.update(_ENSEMBLE)),
     ("empty members", lambda p: p.update(_ENSEMBLE, members=[])),
     ("members not objects", lambda p: p.update(_ENSEMBLE, members=[7])),

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -255,12 +257,17 @@ PRIMITIVE_CASES = [
 ]
 
 
+def stable_seed(*key) -> int:
+    """A seed fixed by `key` alone; `hash` of a str changes with PYTHONHASHSEED."""
+    return zlib.crc32(repr(key).encode())
+
+
 @pytest.mark.parametrize("op_name", PRIMITIVE_CASES)
 def test_primitive_gradients_match_finite_differences(op_name):
     # >= 100 randomized trials across the primitive set; inputs are kept away
     # from relu/max kinks where a finite difference straddles the non-smooth point
     for trial in range(10):
-        rng = np.random.default_rng(hash((op_name, trial)) % 2**32)
+        rng = np.random.default_rng(stable_seed(op_name, trial))
         r, c = int(rng.integers(1, 5)), int(rng.integers(1, 5))
 
         def rand(rows, cols, away_from_zero=False):
@@ -270,7 +277,7 @@ def test_primitive_gradients_match_finite_differences(op_name):
             return parameter(d)
 
         def projector(rows, cols):
-            pr = np.random.default_rng(hash((op_name, trial, "proj")) % 2**32)
+            pr = np.random.default_rng(stable_seed(op_name, trial, "proj"))
             w_col = Matrix(pr.uniform(0.5, 1.5, size=(cols, 1)))
             w_row = Matrix(pr.uniform(0.5, 1.5, size=(1, rows)))
             # linear scalarizer: keeps every upstream gradient structurally

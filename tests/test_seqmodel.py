@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from journeynet import numerics as nm
-from journeynet.errors import JourneynetError, ShapeError
+from journeynet import rng as rngmod
+from journeynet.errors import CheckpointError, JourneynetError, ShapeError
 from journeynet.journeydata import (
     NULL_PAGE,
     UNKNOWN_PAGE,
@@ -91,8 +92,8 @@ def test_lstm_zero_weights_zero_state_stays_zero():
 
 
 def test_lstm_output_shapes():
-    layer = LstmLayer.init(5, 3, np.random.default_rng(0))
-    x = project(layer, np.random.default_rng(1).normal(size=(4, 5)))
+    layer = toy_model(config=replace(TOY_CONFIG, lstm_hidden=(3,))).layers[0]
+    x = project(layer, np.random.default_rng(1).normal(size=(4, layer.wx.rows)))
     h, c = cell(layer, x, np.zeros((4, 3)), np.zeros((4, 3)))
     assert h.shape == (4, 3)
     assert c.shape == (4, 3)
@@ -123,10 +124,50 @@ def test_lstm_dimension_mismatch():
 
 
 def test_lstm_forget_bias_initialised_to_one():
-    layer = LstmLayer.init(4, 3, np.random.default_rng(2))
-    assert np.all(layer.bias.data[0, 3:6] == 1.0)
-    assert not layer.bias.data[0, :3].any()
-    assert not layer.bias.data[0, 6:].any()
+    for layer in toy_model(seed=2, config=replace(TOY_CONFIG, lstm_hidden=(3, 3))).layers:
+        assert np.all(layer.bias.data[0, 3:6] == 1.0)
+        assert not layer.bias.data[0, :3].any()
+        assert not layer.bias.data[0, 6:].any()
+
+
+def test_build_draws_the_reference_init_sequence():
+    # the draw order written out by hand: one "model-init" stream, every conv
+    # kernel stage by stage, each LSTM layer's wx then wh, then fc and out
+    config = ModelConfig(
+        max_len=12, conv_stages=((3, 4, 2), (2, 5, 3)), lstm_hidden=(6, 5), fc_width=7,
+    )
+    vocab = toy_vocab()
+    n, a = len(vocab), len(config.alphabet)
+    gen = rngmod.stream(17, "model-init")
+
+    def glorot(rows, cols):
+        return nm.glorot(gen, rows, cols).data
+
+    def lstm_bias(hidden):
+        return np.concatenate([np.zeros(hidden), np.ones(hidden), np.zeros(2 * hidden)])[None]
+
+    # rows per phrase: 12 -> conv 10 -> pool 5 -> conv 4 -> pool 2 (a partial
+    # tail window), so the embedding is 2 x 5 wide
+    want = {
+        "conv0.kernels": glorot(3 * a, 4),
+        "conv0.bias": np.zeros((1, 4)),
+        "conv1.kernels": glorot(2 * 4, 5),
+        "conv1.bias": np.zeros((1, 5)),
+        "lstm0.wx": glorot(10, 24),
+        "lstm0.wh": glorot(6, 24),
+        "lstm0.bias": lstm_bias(6),
+        "lstm1.wx": glorot(6, 20),
+        "lstm1.wh": glorot(5, 20),
+        "lstm1.bias": lstm_bias(5),
+        "fc.weight": glorot(5, 7),
+        "fc.bias": np.zeros((1, 7)),
+        "out.weight": glorot(7, n),
+        "out.bias": np.zeros((1, n)),
+    }
+    got = SequenceModel.build(config, vocab, seed=17).parameters()
+    assert [name for name, _ in got] == list(want)
+    for name, p in got:
+        assert p.data.dtype == np.float64 and np.array_equal(p.data, want[name]), name
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +636,25 @@ def test_load_rejects_other_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def test_load_rejects_weights_the_config_does_not_lay_out():
+    # the config drops the last of two LSTM layers; its fc weights still fit
+    # (both layers are 6 wide), but the stored lstm1 weights have no place
+    d = model_to_dict(toy_model(seed=8, config=replace(TOY_CONFIG, lstm_hidden=(6, 6))))
+    d["config"]["lstm_hidden"] = [6]
+    with pytest.raises(CheckpointError, match="lstm1.wx"):
+        model_from_dict(d)
+
+
+def test_constructor_rejects_weights_off_the_layout():
+    model = toy_model(seed=9)
+    missing = dict(model.parameters())
+    del missing["out.bias"]
+    resized = {**dict(model.parameters()), "out.bias": nm.parameter(np.zeros((1, 2)))}
+    for weights in (missing, resized):
+        with pytest.raises(ShapeError):
+            SequenceModel(model.config, model.vocab, weights)
 
 
 def _json_paths(node, path=()):

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from journeynet import numerics as nm
 from journeynet.errors import ShapeError
+from journeynet.journeydata import PageVocabulary
+from journeynet.seqmodel import ModelConfig, SequenceModel
 from journeynet.textenc import (
     DEFAULT_ALPHABET,
     Alphabet,
-    CnnEncoder,
-    ConvStage,
     conv1d,
     maxpool1d,
     quantize,
@@ -172,32 +172,37 @@ def test_conv_pool_gradients_pass_grad_check():
         assert nm.grad_check(f, [x, k, b], h=1e-5) < 1e-4, f"trial {trial}"
 
 
-def _toy_encoder(seed=0, max_len=12):
-    rng = np.random.default_rng(seed)
-    return CnnEncoder.build(Alphabet(), max_len, [(3, 4, 2), (3, 4, 2)], rng)
+def _toy_model(seed=0, max_len=12, stages=((3, 4, 2), (3, 4, 2))):
+    """A model whose encoder has `stages`; its layer 0 takes the embedding width the layout gives."""
+    config = ModelConfig(max_len=max_len, conv_stages=stages, lstm_hidden=(2,), fc_width=2)
+    return SequenceModel.build(config, PageVocabulary(["a"], min_freq=1), seed)
+
+
+def _conv_weights(model):
+    return [(name, p) for name, p in model.parameters() if name.startswith("conv")]
 
 
 def test_embed_length_constant_across_phrases():
-    enc = _toy_encoder()
-    lengths = {enc.embed(p).cols for p in ["", "a", "hello world", "x" * 50, "éé--üü"]}
-    assert lengths == {enc.embedding_dim}
+    model = _toy_model()
+    lengths = {model.encoder.embed(p).cols for p in ["", "a", "hello world", "x" * 50, "éé--üü"]}
+    assert lengths == {model.layers[0].wx.rows}
 
 
 @given(st.text(max_size=30))
 @settings(max_examples=40, deadline=None)
 def test_embed_length_constant_property(phrase):
-    enc = _toy_encoder(seed=3)
-    assert enc.embed(phrase).cols == enc.embedding_dim
+    model = _toy_model(seed=3)
+    assert model.encoder.embed(phrase).cols == model.layers[0].wx.rows
 
 
 def test_embed_empty_phrase_zero_bias_gives_zero_vector():
-    enc = _toy_encoder(seed=1)
+    enc = _toy_model(seed=1).encoder
     v = enc.embed("")
     assert not v.data.any()
 
 
 def test_embed_is_deterministic():
-    enc = _toy_encoder(seed=2)
+    enc = _toy_model(seed=2).encoder
     a = enc.embed("car insurance quote")
     b = enc.embed("car insurance quote")
     assert np.array_equal(a.data, b.data)
@@ -211,11 +216,12 @@ BATCH_PHRASES = ["", "home", "x" * 100, "Ünïcode?!"]
     (64, [(3, 64, 4), (3, 64, 4)]),
 ])
 def test_embed_batch_rows_equal_per_phrase_embed(max_len, stages):
-    enc = CnnEncoder.build(Alphabet(), max_len, stages, np.random.default_rng(6))
-    for _, p in enc.parameters():
+    model = _toy_model(6, max_len, stages)
+    enc = model.encoder
+    for _, p in _conv_weights(model):
         p.data += 0.05  # no dead filters, so rows are not trivially zero
     batch = enc.embed_batch(BATCH_PHRASES).data
-    assert batch.shape == (len(BATCH_PHRASES), enc.embedding_dim)
+    assert batch.shape == (len(BATCH_PHRASES), model.layers[0].wx.rows)
     for row, phrase in zip(batch, BATCH_PHRASES):
         assert np.array_equal(row, enc.embed(phrase).data[0])
 
@@ -255,37 +261,39 @@ def test_off_tape_maxpool_equals_taped_forward():
 
 
 def test_embed_batch_gradients_pass_grad_check():
-    enc = _toy_encoder(seed=7)
+    model = _toy_model(seed=7)
+    enc = model.encoder
     gen = np.random.default_rng(8)
-    for name, p in enc.parameters():
+    for name, p in _conv_weights(model):
         # positive bias offsets keep every filter live; generic weights keep
         # entries off relu and max-pool ties
         step = gen.uniform(0.1, 0.4, size=p.shape)
         p.data += step if name.endswith("bias") else step * gen.choice([-1, 1], size=p.shape)
     phrases = ["car insurance", "home", "quote online"]
-    w_out = nm.Matrix(gen.uniform(0.5, 1.5, size=(enc.embedding_dim, 1)))
+    w_out = nm.Matrix(gen.uniform(0.5, 1.5, size=(model.layers[0].wx.rows, 1)))
     w_rows = nm.Matrix(gen.uniform(0.5, 1.5, size=(1, len(phrases))))
 
     def f():
         return nm.matmul(w_rows, nm.matmul(enc.embed_batch(phrases), w_out))
 
-    params = [p for _, p in enc.parameters()]
+    params = [p for _, p in _conv_weights(model)]
     assert nm.grad_check(f, params, h=1e-5) < 1e-4
 
 
 def test_encoder_rejects_too_narrow_stack():
-    rng = np.random.default_rng(0)
     with pytest.raises(ShapeError):
-        CnnEncoder.build(Alphabet(), 4, [(3, 4, 4), (3, 4, 4)], rng)
+        _toy_model(max_len=4, stages=((3, 4, 4), (3, 4, 4)))
 
 
 def test_encoder_parameters_are_named_and_trainable():
-    enc = _toy_encoder(seed=5)
-    names = [n for n, _ in enc.parameters()]
-    assert names == ["conv0.kernels", "conv0.bias", "conv1.kernels", "conv1.bias"]
-    params = [p for _, p in enc.parameters()]
+    model = _toy_model(seed=5)
+    enc = model.encoder
+    names = [n for n, _ in model.parameters()]
+    assert names[:4] == ["conv0.kernels", "conv0.bias", "conv1.kernels", "conv1.bias"]
+    assert [n for n, _ in _conv_weights(model)] == names[:4]
+    params = [p for _, p in _conv_weights(model)]
     # a tape that watches them trains every one of them
     with nm.ComputeTape(params) as tape:
-        loss = nm.matmul(enc.embed("car insurance"), nm.Matrix(np.ones((enc.embedding_dim, 1))))
+        loss = nm.matmul(enc.embed("car insurance"), nm.Matrix(np.ones((model.layers[0].wx.rows, 1))))
     nm.backward(tape, loss)
     assert all(p.grad is not None and p.grad.shape == p.shape for p in params)
