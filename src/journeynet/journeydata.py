@@ -30,6 +30,9 @@ NULL_PAGE = "<null>"
 UNKNOWN_PAGE = "<unknown>"
 # longest session generate_synthetic walks before it gives up on a chain
 MAX_SESSION_EVENTS = 10_000
+# dwell expansion defaults: one page copy per UNIT_SECONDS of dwell, at most DWELL_CAP
+UNIT_SECONDS = 30.0
+DWELL_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -193,7 +196,7 @@ def build_vocab(sessions, min_freq: int = 5) -> PageVocabulary:
     return PageVocabulary(retained, min_freq)
 
 
-def replicate_dwell(session: Session, unit_seconds: float = 30.0, cap: int = 5) -> list[str]:
+def replicate_dwell(session: Session, unit_seconds: float = UNIT_SECONDS, cap: int = DWELL_CAP) -> list[str]:
     """Expand a session into page names weighted by dwell time.
 
     Each event contributes min(cap, max(1, ceil(dwell / unit_seconds)))
@@ -214,8 +217,8 @@ def replicate_dwell(session: Session, unit_seconds: float = 30.0, cap: int = 5) 
 def expand_session(
     session: Session,
     vocab: PageVocabulary,
-    unit_seconds: float = 30.0,
-    cap: int = 5,
+    unit_seconds: float = UNIT_SECONDS,
+    cap: int = DWELL_CAP,
 ) -> tuple[list[str], list[int]]:
     """Model-ready (inputs, targets) for one session.
 

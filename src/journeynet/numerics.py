@@ -36,13 +36,12 @@ class Matrix:
 
     The constructor stores float64; op results keep their operands' dtype.
     `grad` may be an array a backward function returned, shared with other
-    operands: the first gradient is stored as is, the second makes an own
-    sum, and only that own array is updated in place afterwards.  `track`
-    is set while a tape watches this Matrix, or when an op on tracked
-    operands made it.
+    operands, so it is never written in place: each further gradient makes
+    a new sum.  `track` is set while a tape watches this Matrix, or when an
+    op on tracked operands made it.
     """
 
-    __slots__ = ("data", "grad", "track", "_own_grad")
+    __slots__ = ("data", "grad", "track")
 
     def __init__(self, data):
         arr = np.array(data, dtype=np.float64)
@@ -56,7 +55,6 @@ class Matrix:
             raise NumericError("Matrix values must be finite")
         self.data = arr
         self.grad: np.ndarray | None = None
-        self._own_grad = None
         self.track = False
 
     @classmethod
@@ -65,7 +63,6 @@ class Matrix:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out._own_grad = None
         out.track = False
         return out
 
@@ -87,16 +84,11 @@ class Matrix:
         return float(self.data[0, 0])
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add `g` to `grad`, never writing into an array this Matrix did not make."""
-        if self.grad is None:
-            self.grad = g
-        elif self.grad is self._own_grad:
-            self.grad += g
-        else:
-            self.grad = self._own_grad = self.grad + g
+        """Add `g` to `grad`, never writing into an existing array."""
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self) -> None:
-        self.grad = self._own_grad = None
+        self.grad = None
 
     def __repr__(self) -> str:
         return f"Matrix(shape={self.shape})"
@@ -391,22 +383,19 @@ def lstm_cell(z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
     return acts, c2, tc2, o * tc2
 
 
-def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray, wh: np.ndarray, bias: np.ndarray):
-    """One LSTM layer step on plain arrays, the only definition of the recurrence:
-    ``(x + h @ wh) + bias``, the product a :func:`rows_product`, fed to :func:`lstm_cell`."""
-    return lstm_cell((x + rows_product(h, wh)) + bias, c)
-
-
-def lstm_sequence(xproj: Matrix, wh: Matrix, bias: Matrix, batch: int) -> tuple[Matrix, np.ndarray]:
+def lstm_sequence(
+    xproj: Matrix, wh: Matrix, bias: Matrix, h0: np.ndarray, c0: np.ndarray
+) -> tuple[Matrix, np.ndarray]:
     """One LSTM layer over a whole padded batch, recorded as a single tape node.
 
     `xproj` is the time-major (T*B) x 4H input projection: rows t*B .. t*B+B-1
-    hold step t of the B sequences.  The state starts at zero, and each step
-    is one :func:`lstm_step`.  Returns the (T*B) x H hidden states, the
-    tracked output, and the (T*B) x H cell states as a plain array, both in
-    the same row order.  The backward pass runs BPTT one step at a time,
-    where only ``dh = dz_t @ wh.T`` is a product, and forms the gradients of
-    `wh` and `bias` once over all steps.
+    hold step t of the B sequences, which start from the B x H constant arrays
+    `h0` and `c0`.  Each step feeds ``(x + h @ wh) + bias``, the product a
+    :func:`rows_product`, to :func:`lstm_cell`, the only place the recurrence
+    is written.  Returns the (T*B) x H hidden states, the tracked output, and
+    the (T*B) x H cell states as a plain array, both in that row order.  The
+    backward pass runs BPTT one step at a time, where only ``dh = dz_t @ wh.T``
+    is a product, and forms the gradients of `wh` and `bias` once.
     """
     hs = wh.rows
     if wh.cols != 4 * hs or xproj.cols != wh.cols or bias.shape != (1, wh.cols):
@@ -414,8 +403,9 @@ def lstm_sequence(xproj: Matrix, wh: Matrix, bias: Matrix, batch: int) -> tuple[
             f"LSTM shapes are inconsistent: input {xproj.shape}, recurrent {wh.shape}, "
             f"bias {bias.shape}"
         )
-    if batch < 1 or xproj.rows % batch:
-        raise ShapeError(f"{xproj.rows} input rows do not split into batches of {batch}")
+    batch = len(h0)
+    if batch < 1 or h0.shape != (batch, hs) or c0.shape != h0.shape or xproj.rows % batch:
+        raise ShapeError(f"{xproj.rows} input rows do not fit states {h0.shape} and {c0.shape}")
     steps = xproj.rows // batch
     x, w = xproj.data, wh.data
     hidden = np.empty((x.shape[0], hs), dtype=x.dtype)
@@ -424,10 +414,10 @@ def lstm_sequence(xproj: Matrix, wh: Matrix, bias: Matrix, batch: int) -> tuple[
     taped = any(m.track for m in (xproj, wh, bias))
     if taped:
         acts, tcells = np.empty_like(x), np.empty_like(hidden)
-    h = c = np.zeros((batch, hs), dtype=x.dtype)
+    h, c = h0, c0
     for t in range(steps):
         r = slice(t * batch, (t + 1) * batch)
-        a, c, tc, h = lstm_step(x[r], h, c, w, bias.data)
+        a, c, tc, h = lstm_cell((x[r] + rows_product(h, w)) + bias.data, c)
         hidden[r], cells[r] = h, c
         if taped:
             acts[r], tcells[r] = a, tc
@@ -442,7 +432,6 @@ def lstm_sequence(xproj: Matrix, wh: Matrix, bias: Matrix, batch: int) -> tuple[
         do = tcells * o * (1.0 - o)
         dtc = o * (1.0 - tcells * tcells)
         dz = np.empty_like(acts)
-        dz[:batch, hs:2 * hs] = 0.0  # the only block the loop never writes: c starts at zero
         dh = np.zeros((batch, hs), dtype=x.dtype)
         dc = np.zeros((batch, hs), dtype=x.dtype)
         for t in reversed(range(steps)):
@@ -450,14 +439,13 @@ def lstm_sequence(xproj: Matrix, wh: Matrix, bias: Matrix, batch: int) -> tuple[
             dh = gh[r] + dh
             dc = dc + dh * dtc[r]
             dz[r, :hs] = dc * di[r]
-            if t:
-                dz[r, hs:2 * hs] = dc * cells[(t - 1) * batch:t * batch] * df[r]
+            dz[r, hs:2 * hs] = dc * (cells[r.start - batch:r.start] if t else c0) * df[r]
             dz[r, 2 * hs:3 * hs] = dc * dg[r]
             dz[r, 3 * hs:] = dh * do[r]
             dc = dc * f[r]
             if t:
                 dh = dz[r] @ w.T
-        dwh = hidden[:-batch].T @ dz[batch:]
+        dwh = hidden[:-batch].T @ dz[batch:] + h0.T @ dz[:batch]
         return dz, dwh, dz.sum(axis=0, keepdims=True)
 
     return record(out, (xproj, wh, bias), back), cells

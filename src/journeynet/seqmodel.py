@@ -7,13 +7,13 @@ over all page classes (including the terminal NULL page) for the next step.
 Every weight's name and shape is written once, in :func:`parameter_shapes`,
 which initialisation, checkpoint loading and `parameters` all read.
 
-Training, evaluation, `forward_session` and `start` run whole padded
-batches (`padded_batch`) through one sequence pass, whose LSTM layers are
-each one :func:`numerics.lstm_sequence`.  Inference exposes an incremental
-(start / step) interface so simulations can feed sampled pages back in
-without re-running the whole prefix: `start` takes a batch of prefixes and
-keeps each one's state at its own last step; `step` advances a batch of
-rows by one :func:`numerics.lstm_step` per layer.  A tape records the ops
+Every pass runs one layer loop, `cell_steps`, of one
+:func:`numerics.lstm_sequence` per layer from a given state.  Training,
+evaluation, `forward_session` and `start` run padded batches
+(`padded_batch`) from the zero state.  The incremental (start / step)
+interface lets simulations feed sampled pages back in without re-running
+the prefix: `start` keeps each prefix's state at its own last step; `step`
+runs one step from the rows it continues.  A tape records the ops
 on what it watches: inference records nothing on a tape that does not
 watch the model's weights, and records on one that does, with the same
 bits.  Every product goes through
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import CheckpointError, ConfigError, ShapeError
-from .journeydata import PageVocabulary, Session, replicate_dwell
+from .journeydata import DWELL_CAP, UNIT_SECONDS, PageVocabulary, Session, replicate_dwell
 from .numerics import Matrix
 from .textenc import DEFAULT_ALPHABET, Alphabet, CnnEncoder, ConvStage
 
@@ -206,21 +206,21 @@ class SequenceModel:
 
     # -- forward pieces ----------------------------------------------------
 
-    def cell_steps(self, xproj: np.ndarray, state: LstmState) -> tuple[np.ndarray, LstmState]:
-        """Push one step through the LSTM stack; returns (top hidden, new state).
+    def cell_steps(self, xproj: Matrix, state) -> list[tuple[Matrix, np.ndarray]]:
+        """Run the LSTM stack over layer 0's (T*B) x 4H input projection `xproj`.
 
-        `xproj` is layer 0's B x 4H input projection; deeper layers project
-        the hidden rows of the layer below.  Each layer runs one
-        :func:`numerics.lstm_step`, the step of :func:`numerics.lstm_sequence`,
-        on plain arrays.
+        `state` holds each layer's B x H (hidden, cell) arrays to start from;
+        deeper layers project the hidden rows below them.  Returns, per layer,
+        the time-major (T*B) x H hidden rows and cell rows of its
+        :func:`numerics.lstm_sequence` (row t*B + b is sequence b after step t).
         """
         layers = []
-        for layer, (h_prev, c_prev) in zip(self.layers, state.layers):
+        for layer, (h0, c0) in zip(self.layers, state):
             if layers:
-                xproj = nm.rows_product(layers[-1][0], layer.wx.data)
-            _, c, _, h = nm.lstm_step(xproj, h_prev, c_prev, layer.wh.data, layer.bias.data)
-            layers.append((h, c))
-        return h, LstmState(layers, state.table)
+                xproj = nm.matmul(layers[-1][0], layer.wx)
+            layers.append(nm.lstm_sequence(xproj, layer.wh, layer.bias, h0, c0))
+            del xproj  # inference frees each projection before the next is built
+        return layers
 
     def head(self, h: Matrix, dropout_rng: np.random.Generator | None = None) -> Matrix:
         """Fully connected ReLU layer, optional dropout, softmax over classes."""
@@ -235,21 +235,14 @@ class SequenceModel:
 
         `rowidx[b, t]` selects the row of `phrases` fed to sequence b at step
         t.  The phrases are encoded once, layer 0 gathers its input
-        projection from their projections, and each LSTM layer is one
-        :func:`numerics.lstm_sequence` node.  Returns the layer-0 projection
-        of every phrase and, per layer, the time-major (T*B) x H hidden rows
-        and cell rows (row t*B + b is sequence b after step t).
+        projection from their projections, and the stack runs through
+        :meth:`cell_steps` from the zero state.  Returns the layer-0
+        projection of every phrase and the layers of :meth:`cell_steps`.
         """
         rowidx = np.asarray(rowidx)
         proj = nm.matmul(self.encoder.embed_batch(phrases), self.layers[0].wx)
-        xproj = nm.take_rows(proj, rowidx.T.ravel())
-        layers = []
-        for layer in self.layers:
-            if layers:
-                xproj = nm.matmul(layers[-1][0], layer.wx)
-            layers.append(nm.lstm_sequence(xproj, layer.wh, layer.bias, rowidx.shape[0]))
-            del xproj  # inference frees each projection before the next is built
-        return proj, layers
+        zero = [np.zeros((rowidx.shape[0], hs), dtype=proj.data.dtype) for hs in self.config.lstm_hidden]
+        return proj, self.cell_steps(nm.take_rows(proj, rowidx.T.ravel()), [(z, z) for z in zero])
 
     def batch_step_probs(
         self,
@@ -329,15 +322,16 @@ class SequenceModel:
         `state` is left untouched, so one state can branch into several futures.
         `rows` must index rows of `state` and `pages` rows of its page table
         (ShapeError otherwise); after that one check each layer's rows and
-        layer 0's input projections are plain gathers.
+        layer 0's input projections are plain gathers, fed to :meth:`cell_steps`.
         """
         rows = nm.row_index(rows, len(state.layers[0][0]))
         pages = nm.row_index(pages, len(state.table))
         if rows.shape != pages.shape:
             raise ShapeError(f"{rows.size} rows for {pages.size} pages")
-        prev = LstmState([(h[rows], c[rows]) for h, c in state.layers], state.table)
-        h, new = self.cell_steps(state.table[pages], prev)
-        return new, self.head(Matrix._result(h)).data
+        prev = [(h[rows], c[rows]) for h, c in state.layers]
+        layers = self.cell_steps(Matrix._result(state.table[pages]), prev)
+        new = LstmState([(h.data, c) for h, c in layers], state.table)
+        return new, self.head(layers[-1][0]).data
 
 
 def predict_next(model, prefix) -> np.ndarray:
@@ -349,8 +343,8 @@ def session_loss(
     predictions: list[StepPrediction],
     session: Session,
     vocab: PageVocabulary,
-    unit_seconds: float = 30.0,
-    cap: int = 5,
+    unit_seconds: float = UNIT_SECONDS,
+    cap: int = DWELL_CAP,
 ) -> float:
     """Summed next-page cross-entropy (nats) of a session under `predictions`.
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import numerics as nm
 from . import rng as rngmod
 from .errors import CheckpointError, ConfigError, TrainingError
-from .journeydata import PageVocabulary, expand_session
+from .journeydata import DWELL_CAP, UNIT_SECONDS, PageVocabulary, expand_session
 from .seqmodel import (
     CHECKPOINT_FORMAT,
     ModelConfig,
@@ -58,8 +58,8 @@ class TrainConfig(ModelConfig):
     learning_rate: float = 1e-3
     seed: int = 0
     gradient_clip_norm: float = 5.0
-    unit_seconds: float = 30.0
-    dwell_cap: int = 5
+    unit_seconds: float = UNIT_SECONDS
+    dwell_cap: int = DWELL_CAP
 
     def __post_init__(self):
         super().__post_init__()
@@ -287,8 +287,8 @@ def evaluate(
     predictor,
     sessions,
     vocab: PageVocabulary,
-    unit_seconds: float = 30.0,
-    cap: int = 5,
+    unit_seconds: float = UNIT_SECONDS,
+    cap: int = DWELL_CAP,
 ) -> tuple[float, float]:
     """(next-page accuracy, mean loss in nats), pooled over every step.
 
@@ -298,7 +298,7 @@ def evaluate(
     """
     sessions = list(sessions)
     if not sessions:
-        raise ValueError("no sessions to evaluate")
+        raise ConfigError("no sessions to evaluate")
     expanded = _expand_all(sessions, vocab, unit_seconds, cap)
     hits = 0.0
     nats = 0.0

@@ -560,6 +560,16 @@ def test_eval_nan_unit_seconds_is_a_clean_error(pipeline, capsys):
     _assert_clean_error(capsys, "unit_seconds")
 
 
+@pytest.mark.parametrize("content", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+def test_eval_on_an_empty_log_is_a_clean_error(pipeline, tmp_path, capsys, content):
+    out, _ = pipeline
+    data = tmp_path / "empty.jsonl"
+    data.write_text(content, encoding="utf-8")
+    code = main(["eval", "--model", str(out / "model.ckpt"), "--data", str(data)])
+    assert code == 1
+    _assert_clean_error(capsys, "no sessions")
+
+
 def test_train_ensemble_below_one_is_a_clean_error(pipeline, tmp_path, capsys):
     _, data = pipeline
     code = main([

@@ -254,6 +254,7 @@ PRIMITIVE_CASES = [
     "reshape",
     "take_rows",
     "lstm_sequence",
+    "lstm_sequence_from_state",
 ]
 
 
@@ -330,7 +331,16 @@ def test_primitive_gradients_match_finite_differences(op_name):
             # tanh derivative and the recurrent carry are on the path
             x, wh, b = rand(2 * r, 4 * c), rand(c, 4 * c), rand(1, 4 * c)
             proj = projector(2 * r, c)
-            f = lambda: proj(nm.lstm_sequence(x, wh, b, 2)[0])
+            zero = np.zeros((2, c))
+            f = lambda: proj(nm.lstm_sequence(x, wh, b, zero, zero)[0])
+            params = [x, wh, b]
+        elif op_name == "lstm_sequence_from_state":
+            # the same from a nonzero constant state, whose hidden rows enter
+            # the gradient of wh and whose cells that of the first forget gate
+            x, wh, b = rand(2 * r, 4 * c), rand(c, 4 * c), rand(1, 4 * c)
+            h0, c0 = rng.uniform(-1, 1, size=(2, c)), rng.uniform(-2, 2, size=(2, c))
+            proj = projector(2 * r, c)
+            f = lambda: proj(nm.lstm_sequence(x, wh, b, h0, c0)[0])
             params = [x, wh, b]
         assert grad_check(f, params, h=1e-5) < 1e-4, f"{op_name} trial {trial}"
 
@@ -485,7 +495,8 @@ def test_ops_follow_float32_operands(monkeypatch):
         m.data = m.data.astype(np.float32)
     x = Matrix._result(rng.standard_normal((6, 3)).astype(np.float32))
     with ComputeTape([w, wh, bias]) as tape:
-        h, _ = nm.lstm_sequence(matmul(x, w), wh, bias, batch=2)
+        zero = np.zeros((2, 2), dtype=np.float32)
+        h, _ = nm.lstm_sequence(matmul(x, w), wh, bias, zero, zero)
         fc = dropout(relu(take_rows(h, [5, 0, 3, 3])), 0.5, np.random.default_rng(0))
         loss = masked_cross_entropy(softmax(fc), [0, 1, 0, 1], np.ones(4))
     assert all(

@@ -119,8 +119,21 @@ def test_lstm_dimension_mismatch():
             nm.Matrix([[1.0, 2.0, 3.0]]),  # an input row, not its 4H projection
             layer.wh,
             layer.bias,
-            1,
+            np.zeros((1, 2)),
+            np.zeros((1, 2)),
         )
+
+
+@pytest.mark.parametrize("h0, c0, rows", [
+    ((2, 3), (2, 2), 4),  # hidden state 3 wide for H = 2
+    ((2, 2), (1, 2), 4),  # cells for another batch
+    ((2, 2), (2, 2), 3),  # input rows not whole steps of 2
+    ((0, 2), (0, 2), 4),  # no sequences
+], ids=["wide-h0", "short-c0", "ragged-rows", "empty"])
+def test_lstm_state_mismatch(h0, c0, rows):
+    layer = zero_layer()
+    with pytest.raises(ShapeError):
+        nm.lstm_sequence(nm.Matrix(np.zeros((rows, 8))), layer.wh, layer.bias, np.zeros(h0), np.zeros(c0))
 
 
 def test_lstm_forget_bias_initialised_to_one():
@@ -396,6 +409,33 @@ def test_tape_nodes_per_batch_do_not_grow_with_length():
             _batch_loss(model, phrases, rowidx, targets, mask, rngmod.stream(0, "dropout", 0, 0))
         counts.append(len(tape))
     assert counts[0] == counts[1]
+
+
+def test_every_pass_runs_the_one_layer_loop(monkeypatch):
+    from journeynet.training import _batch_loss, evaluate
+
+    vocab = toy_vocab()
+    model = toy_model(seed=51, config=replace(TOY_CONFIG, lstm_hidden=(6, 4)), vocab=vocab)
+    calls = []
+    original = SequenceModel.cell_steps
+
+    def counting(self, xproj, state):
+        calls.append((xproj.rows, len(state[0][0])))
+        return original(self, xproj, state)
+
+    monkeypatch.setattr(SequenceModel, "cell_steps", counting)
+    phrases, rowidx, targets, mask = _ragged_batch(vocab, RAGGED)
+    with nm.ComputeTape(p for _, p in model.parameters()):
+        _batch_loss(model, phrases, rowidx, targets, mask, None)
+    evaluate(model, RAGGED, vocab)
+    state, _ = model.start(BATCHED_PREFIXES)
+    model.step(state, [0, 2, 2], [1, 0, 4])
+    model.forward_session(["kw", "a", "b"])
+    # (input rows, sequences) of each call: 3 sessions of 9 steps, twice,
+    # then every prefix to its longest, 3 rows of one step, one session of 3
+    longest = max(len(p.pages) + 1 for p in BATCHED_PREFIXES)
+    n = len(BATCHED_PREFIXES)
+    assert calls == [(27, 3), (27, 3), (longest * n, n), (3, 3), (3, 1)]
 
 
 # ---------------------------------------------------------------------------
