@@ -261,10 +261,6 @@ class MarkovSpec:
         return len(self.states)
 
     @property
-    def page_states(self) -> tuple[str, ...]:
-        return self.states[:-1]
-
-    @property
     def terminal(self) -> str:
         return self.states[-1]
 

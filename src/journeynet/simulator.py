@@ -24,8 +24,8 @@ once.  A rollout ends at the NULL page, the horizon, or once every open
 objective of its prefix is hit, and then leaves the batch: its outcome is
 decided, so it is stepped no further, just as the exact oracle ends a
 branch at a hit.  Conversion probability for an objective is the fraction
-of rollouts that touch any of its pages.  For small instances an exact
-depth-first path enumeration serves as the correctness oracle.
+of rollouts that touch any of its pages.  For small instances exact path
+enumeration, one `step` per depth of up to CHUNK nodes, is the oracle.
 
 Randomness is counter-based: rollout i of prefix k draws from the stream
 keyed (seed, prefix k) at block offset i, so estimates do not depend on how
@@ -330,18 +330,20 @@ def conversion_path_mass(
     prune_tol: float = 0.0,
     max_nodes: int = 2_000_000,
 ) -> PathMass:
-    """Depth-first enumeration of every continuation up to `horizon` steps.
+    """Enumeration of every continuation up to `horizon` steps, a block of one depth at a time.
 
     Branches end at an objective page (hit), the NULL page or the horizon
     (miss).  With `prune_tol` > 0, branches whose path probability drops
     below the tolerance are cut and their mass is reported in `pruned`, which
     bounds the error of `hit`; with the default 0 the enumeration is exact
-    and guarded by the vocabulary-size ** horizon work estimate.
+    and guarded by the vocabulary-size ** horizon work estimate.  A block of
+    up to CHUNK nodes is stepped in one call when popped, and pushes its
+    children in CHUNK-row slices, so pending work holds ~one state per depth.
     """
     if horizon < 0:
         raise SamplingError(f"horizon must be >= 0, got {horizon}")
-    if prune_tol < 0:
-        raise ValueError("prune_tol must be >= 0")
+    if not prune_tol >= 0:
+        raise ValueError(f"prune_tol must be >= 0, got {prune_tol}")
     vocab = predictor.vocab
     targets = _target_indices(objective, vocab)
     if _prefix_hit(prefix, objective):
@@ -353,38 +355,31 @@ def conversion_path_mass(
             f"exact enumeration of {len(vocab)}^{horizon} paths exceeds the budget; "
             "reduce the horizon or set prune_tol"
         )
-    null_index = vocab.null_index
+    is_target = np.isin(np.arange(len(vocab)), list(targets))
+    going = ~is_target & (np.arange(len(vocab)) != vocab.null_index)
     hit = missed = pruned = 0.0
     nodes = 0
-    # a node is row `row` of a batched state; its children are expanded together
-    state0, dists0 = predictor.start([prefix])
-    stack = [(state0, 0, dists0[0], 1.0, 0)]
+    # (parent state, its rows, pages fed to them, path masses, depth); the root has no parent
+    stack = [(None, None, None, np.ones(1), 0)]
     while stack:
-        state, row, dist, path_p, depth = stack.pop()
-        nodes += 1
+        parent, rows, pages, path_p, depth = stack.pop()
+        nodes += len(path_p)
         if nodes > max_nodes:
             raise CapacityError(f"path enumeration exceeded {max_nodes} nodes")
-        children, masses = [], []
-        for idx, p in enumerate(dist):
-            if p <= 0.0:
-                continue
-            q = path_p * float(p)
-            if idx in targets:
-                hit += q
-            elif idx == null_index:
-                missed += q
-            elif depth + 1 >= horizon:
-                missed += q
-            elif q < prune_tol:
-                pruned += q
-            else:
-                children.append(idx)
-                masses.append(q)
-        if children:
-            child_state, child_dists = predictor.step(state, np.full(len(children), row), children)
-            for j, q in enumerate(masses):
-                stack.append((child_state, j, child_dists[j], q, depth + 1))
-    return PathMass(hit, missed, pruned, nodes)
+        state, dists = predictor.start([prefix]) if parent is None else predictor.step(parent, rows, pages)
+        q = path_p[:, None] * dists
+        hit += q[:, is_target].sum()
+        if depth + 1 >= horizon:
+            missed += q[:, ~is_target].sum()
+            continue
+        missed += q[:, vocab.null_index].sum()
+        low = q < prune_tol
+        pruned += q[low & going].sum()
+        rows, pages = np.nonzero(going & ~low & (dists > 0))
+        for a in range(0, len(rows), CHUNK):
+            r, c = rows[a:a + CHUNK], pages[a:a + CHUNK]
+            stack.append((state, r, c, q[r, c], depth + 1))
+    return PathMass(float(hit), float(missed), float(pruned), nodes)
 
 
 def exact_conversion(

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from journeynet import simulator
 from journeynet.errors import CapacityError, ConfigError, SamplingError
 from journeynet.journeydata import NULL_PAGE, PageVocabulary, build_vocab, generate_synthetic
 from journeynet.rng import stream, stream_at, blocks_for
+from journeynet.seqmodel import ModelConfig, SequenceModel
 from journeynet.simulator import (
     CHUNK,
     ConversionEstimate,
@@ -153,6 +155,14 @@ def test_exact_node_budget():
     objective = Objective("obj", frozenset({"pg0"}))
     with pytest.raises(CapacityError):
         conversion_path_mass(pred, JourneyPrefix(), objective, horizon=5, max_nodes=3)
+
+
+@pytest.mark.parametrize("prune_tol", [-1e-3, float("nan")])
+def test_exact_rejects_a_prune_tol_that_is_not_a_nonnegative_number(prune_tol):
+    # at horizon 12 the 5^12 exact paths exceed the budget, so NaN must not pass as "pruned"
+    objective = Objective("reach-b", frozenset({"B"}))
+    with pytest.raises(ValueError, match="prune_tol"):
+        conversion_path_mass(hand_predictor(), JourneyPrefix(), objective, horizon=12, prune_tol=prune_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +492,73 @@ def test_single_successor_chain_steps_one_row():
     paths = simulated_paths(pred, JourneyPrefix(), 1000, 20, seed=2)
     assert (paths == np.arange(20) % 3).all()
     assert [len(rows) for rows, _ in pred.calls] == [1] * 19
+
+
+# ---------------------------------------------------------------------------
+# exact enumeration frontier: one `step` per block of one depth
+
+
+def test_frontier_steps_once_per_depth():
+    objective = Objective("obj", frozenset({"pg0"}))
+    for seed in range(4):
+        pred = RowCounter(random_predictor(seed))
+        mass = conversion_path_mass(pred, JourneyPrefix(), objective, horizon=4)
+        # every node continues to pg1 and pg2, so depth d holds 2^d nodes, all in one call
+        assert [len(rows) for rows, _ in pred.calls] == [2, 4, 8]
+        assert mass.nodes == 1 + 2 + 4 + 8
+
+
+def small_random_model():
+    config = ModelConfig(max_len=12, conv_stages=((3, 4, 4),), lstm_hidden=(6, 5), fc_width=5, dropout_rate=0.0)
+    return SequenceModel.build(config, PageVocabulary(["a", "b", "c"], min_freq=1), seed=3)
+
+
+@pytest.mark.parametrize("make, prefix, objective, prune_tol", [
+    (lambda: random_predictor(6, n_pages=4), JourneyPrefix(), Objective("o", {"pg1"}), 1e-3),
+    (small_random_model, JourneyPrefix("cheap cover", ("b",)), Objective("o", {"a"}), 0.0),
+], ids=["toy", "sequence-model"])
+def test_frontier_chunk_size_does_not_change_the_masses(make, prefix, objective, prune_tol, monkeypatch):
+    pred = RowCounter(make())
+    whole = conversion_path_mass(pred, prefix, objective, horizon=4, prune_tol=prune_tol)
+    assert max(len(rows) for rows, _ in pred.calls) > 2
+    monkeypatch.setattr(simulator, "CHUNK", 2)
+    pred.calls.clear()
+    chunked = conversion_path_mass(pred, prefix, objective, horizon=4, prune_tol=prune_tol)
+    assert max(len(rows) for rows, _ in pred.calls) <= 2
+    assert sum(len(rows) for rows, _ in pred.calls) == chunked.nodes - 1
+    assert chunked.nodes == whole.nodes
+    for field in ("hit", "missed", "pruned"):
+        assert getattr(chunked, field) == pytest.approx(getattr(whole, field), rel=0, abs=1e-12)
+
+
+def brute_force_path_mass(pred, targets, horizon):
+    """(hit, missed) of a Markov toy predictor by summing every class sequence up to `horizon`."""
+    null = pred.vocab.null_index
+    hit = missed = 0.0
+    for length in range(1, horizon + 1):
+        for path in itertools.product(range(len(pred.vocab)), repeat=length):
+            if any(c in targets or c == null for c in path[:-1]):
+                continue  # the path ended before its last page
+            p = pred.start_dist[path[0]] * np.prod([pred.table[a, b] for a, b in zip(path, path[1:])])
+            if path[-1] in targets:
+                hit += p
+            elif path[-1] == null or length == horizon:
+                missed += p
+    return hit, missed
+
+
+def test_frontier_matches_brute_force_path_sums():
+    objective = Objective("two-pages", frozenset({"pg0", "pg2"}))
+    for seed in range(4):
+        pred = random_toy_predictor(seed)
+        targets = {pred.vocab.encode(p) for p in objective.target_pages}
+        for horizon in range(1, 5):
+            mass = conversion_path_mass(pred, JourneyPrefix(), objective, horizon)
+            hit, missed = brute_force_path_mass(pred, targets, horizon)
+            assert mass.pruned == 0.0
+            assert mass.hit == pytest.approx(hit, rel=0, abs=1e-12)
+            assert mass.missed == pytest.approx(missed, rel=0, abs=1e-12)
+            assert all(type(v) is float for v in (mass.hit, mass.missed, mass.pruned))
 
 
 # ---------------------------------------------------------------------------
