@@ -373,10 +373,9 @@ def lstm_cell(z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
     h2 = o * tanh(c2), where c2 = f * c + i * g.
     """
     hs = c.shape[1]
-    acts = np.empty_like(z)
-    acts[:, :2 * hs] = _sigmoid(z[:, :2 * hs])
+    # elementwise, so one sigmoid over all gates gives each gate's bits
+    acts = _sigmoid(z)
     acts[:, 2 * hs:3 * hs] = np.tanh(z[:, 2 * hs:3 * hs])
-    acts[:, 3 * hs:] = _sigmoid(z[:, 3 * hs:])
     i, f, g, o = acts[:, :hs], acts[:, hs:2 * hs], acts[:, 2 * hs:3 * hs], acts[:, 3 * hs:]
     c2 = f * c + i * g
     tc2 = np.tanh(c2)
@@ -408,19 +407,23 @@ def lstm_sequence(
         raise ShapeError(f"{xproj.rows} input rows do not fit states {h0.shape} and {c0.shape}")
     steps = xproj.rows // batch
     x, w = xproj.data, wh.data
-    hidden = np.empty((x.shape[0], hs), dtype=x.dtype)
-    cells = np.empty_like(hidden)
     # the backward pass also needs every step's gates; with no tracked operand none are kept
-    taped = any(m.track for m in (xproj, wh, bias))
-    if taped:
-        acts, tcells = np.empty_like(x), np.empty_like(hidden)
+    taped = xproj.track or wh.track or bias.track
+    if steps > 1:  # a one-step call keeps the cell's own arrays as its rows
+        hidden = np.empty((x.shape[0], hs), dtype=x.dtype)
+        cells = np.empty_like(hidden)
+        if taped:
+            acts, tcells = np.empty_like(x), np.empty_like(hidden)
     h, c = h0, c0
     for t in range(steps):
         r = slice(t * batch, (t + 1) * batch)
         a, c, tc, h = lstm_cell((x[r] + rows_product(h, w)) + bias.data, c)
-        hidden[r], cells[r] = h, c
-        if taped:
-            acts[r], tcells[r] = a, tc
+        if steps == 1:
+            hidden, cells, acts, tcells = h, c, a, tc
+        else:
+            hidden[r], cells[r] = h, c
+            if taped:
+                acts[r], tcells[r] = a, tc
     out = Matrix._result(hidden)
 
     def back(gh):

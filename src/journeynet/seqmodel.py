@@ -13,7 +13,10 @@ evaluation, `forward_session` and `start` run padded batches
 (`padded_batch`) from the zero state.  The incremental (start / step)
 interface lets simulations feed sampled pages back in without re-running
 the prefix: `start` keeps each prefix's state at its own last step; `step`
-runs one step from the rows it continues.  A tape records the ops
+runs one step from the rows it continues.  The page names never change, so
+`start` reads their CNN embeddings from a snapshot the model checks against
+the encoder weights on every call, and encodes only the call's other
+phrases.  A tape records the ops
 on what it watches: inference records nothing on a tape that does not
 watch the model's weights, and records on one that does, with the same
 bits.  Every product goes through
@@ -123,8 +126,10 @@ class LstmState:
     float64 arrays, so nothing in a state can reach a tape.
 
     `SequenceModel.start` builds the table once per call, from the weights
-    of that moment, and gives it to all P prefix rows; `step` gathers its
-    rows and hands the same table on to the new state.
+    of that moment (the page names' embeddings may come from the model's
+    checked snapshot, the product with layer 0's `wx` is always fresh), and
+    gives it to all P prefix rows; `step` gathers its rows and hands the
+    same table on to the new state.
     """
 
     layers: list[tuple[np.ndarray, np.ndarray]]
@@ -176,6 +181,8 @@ class SequenceModel:
         self.encoder = CnnEncoder(Alphabet(config.alphabet), config.max_len, stages)
         self.layers = [LstmLayer(next(it), next(it), next(it)) for _ in config.lstm_hidden]
         self.w_fc, self.b_fc, self.w_out, self.b_out = it
+        # (V x width page-name embeddings, copies of the encoder weights they came from)
+        self._names: tuple[np.ndarray, list[np.ndarray]] | None = None
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: PageVocabulary, seed: int) -> "SequenceModel":
@@ -230,17 +237,18 @@ class SequenceModel:
         logits = nm.add(nm.matmul(fc, self.w_out), self.b_out)
         return nm.softmax(logits)
 
-    def _sequence_pass(self, phrases: list[str], rowidx) -> tuple[Matrix, list[tuple[Matrix, np.ndarray]]]:
-        """Run a padded batch through the CNN and the LSTM stack.
+    def _sequence_pass(self, embedded: Matrix, rowidx) -> tuple[Matrix, list[tuple[Matrix, np.ndarray]]]:
+        """Run a padded batch of encoded phrases through the LSTM stack.
 
-        `rowidx[b, t]` selects the row of `phrases` fed to sequence b at step
-        t.  The phrases are encoded once, layer 0 gathers its input
-        projection from their projections, and the stack runs through
-        :meth:`cell_steps` from the zero state.  Returns the layer-0
-        projection of every phrase and the layers of :meth:`cell_steps`.
+        `embedded` holds one CNN embedding per phrase of the batch, and
+        `rowidx[b, t]` selects the row fed to sequence b at step t.  Layer 0
+        gathers its input projection from the phrases' projections, and the
+        stack runs through :meth:`cell_steps` from the zero state.  Returns
+        the layer-0 projection of every phrase and the layers of
+        :meth:`cell_steps`.
         """
         rowidx = np.asarray(rowidx)
-        proj = nm.matmul(self.encoder.embed_batch(phrases), self.layers[0].wx)
+        proj = nm.matmul(embedded, self.layers[0].wx)
         zero = [np.zeros((rowidx.shape[0], hs), dtype=proj.data.dtype) for hs in self.config.lstm_hidden]
         return proj, self.cell_steps(nm.take_rows(proj, rowidx.T.ravel()), [(z, z) for z in zero])
 
@@ -259,8 +267,33 @@ class SequenceModel:
         rows of the pass at once (a dropout mask is drawn as one (T*B) x fc
         block, the same stream as T draws of B x fc).
         """
-        _, layers = self._sequence_pass(phrases, rowidx)
+        _, layers = self._sequence_pass(self.encoder.embed_batch(phrases), rowidx)
         return self.head(layers[-1][0], dropout_rng)
+
+    def _embed_after_page_names(self, extras: list[str]) -> Matrix:
+        """CNN embeddings of the V page names, then of the phrases `extras`.
+
+        The page names' rows come from a snapshot, reused only while every
+        encoder weight is untracked and equal, in dtype and bits, to the copy
+        the snapshot keeps of it; otherwise one CNN pass encodes the names
+        and `extras` together and refreshes the snapshot.  A row of the CNN
+        does not depend on the other phrases of its pass (every product is a
+        `rows_product`), so the snapshot's rows are bit for bit a fresh pass.
+        """
+        weights = [w for st in self.encoder.stages for w in (st.kernels, st.bias)]
+        if self._names is not None and not any(w.track for w in weights) and all(
+            w.data.dtype == kept.dtype and np.array_equal(w.data, kept)
+            for w, kept in zip(weights, self._names[1])
+        ):
+            names = self._names[0]
+            if not extras:
+                return Matrix._result(names)
+            return Matrix._result(np.concatenate([names, self.encoder.embed_batch(extras).data]))
+        embedded = self.encoder.embed_batch([*self.vocab.page_names, *extras])
+        names = embedded.data[:self.n_classes].copy()
+        names.flags.writeable = False
+        self._names = names, [w.data.copy() for w in weights]
+        return embedded
 
     # -- whole-session paths -------------------------------------------------
 
@@ -302,15 +335,19 @@ class SequenceModel:
         from the weights of this moment (so an in-place edit of the weights
         is seen by the next `start`): the page names come first in the
         batch's phrases, so the first V rows of layer 0's projection are the
-        table.  All prefixes run through one padded pass, and each prefix's
-        state is taken at its own last step; since every product is a
-        `rows_product`, row k is bit for bit that of ``start([prefixes[k]])``.
+        table.  The page names' CNN embeddings come from the model's checked
+        snapshot (:meth:`_embed_after_page_names`), so a call encodes only
+        its other phrases (keywords and out-of-vocabulary pages), if any;
+        the table product itself runs on every call.  All prefixes run
+        through one padded pass, and each prefix's state is taken at its own
+        last step; since every product is a `rows_product`, row k is bit for
+        bit that of ``start([prefixes[k]])``, warm or cold.
         """
         sequences = [[p.keywords, *p.pages] for p in prefixes]
         if not sequences:
             raise ValueError("start needs at least one prefix")
         phrases, rowidx, lengths = padded_batch(sequences, self.vocab.page_names)
-        proj, layers = self._sequence_pass(phrases, rowidx)
+        proj, layers = self._sequence_pass(self._embed_after_page_names(phrases[self.n_classes:]), rowidx)
         last = (lengths - 1) * len(lengths) + np.arange(len(lengths))
         state = LstmState([(h.data[last], c[last]) for h, c in layers], proj.data[:self.n_classes])
         return state, self.head(Matrix._result(state.layers[-1][0])).data

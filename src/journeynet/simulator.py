@@ -11,9 +11,10 @@ other prefixes of the call.  Row j of `step`'s result continues row
 `rows[j]` of `state` after feeding page index `pages[j]`, and must not
 depend on the other rows of the call either.  `step` must not
 mutate `state`, so one state can branch into several futures; trained
-models and ensembles both satisfy this.  A model builds its page table once
-per `start` call, so `score_batch` starts a whole block of prefixes at once
-and every one-prefix entry point calls `start([prefix])`.
+models and ensembles both satisfy this.  A model encodes its page names
+once, keeping a snapshot it checks on every `start`, but builds its page
+table afresh per `start` call, so `score_batch` starts a whole block of
+prefixes at once and every one-prefix entry point calls `start([prefix])`.
 
 Rollouts advance together: the rollouts of every prefix started in one
 call step in lockstep, each distinct live path is one row of a batched

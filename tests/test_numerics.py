@@ -531,6 +531,29 @@ def test_rows_product_rows_equal_their_own_one_row_product(k, n):
         assert np.array_equal(nm.rows_product(a[70 - m:], w), alone[70 - m:]), m
 
 
+# (rows per phrase, K, N) of the paper-config CNN's im2col products: stage 0
+# gives 62 windows of 3 x 42 per phrase and stage 1 gives 14 of 3 x 64;
+# 62 x 192 also runs stage 1's width at stage 0's row count
+PAPER_IM2COL_SHAPES = [(62, 126, 64), (14, 192, 64), (62, 192, 64)]
+
+
+@pytest.mark.parametrize("per_phrase, k, n", PAPER_IM2COL_SHAPES)
+def test_rows_product_rows_of_a_phrase_do_not_depend_on_the_phrases_sharing_its_pass(per_phrase, k, n):
+    # the page-name snapshot of `SequenceModel.start` reuses a phrase's CNN rows
+    # from a pass over other phrases: a pass of 1 to 14 phrases must give each
+    # phrase the bits of its pass alone
+    gen = np.random.default_rng(per_phrase * 1000 + k)
+    w = gen.normal(size=(k, n))
+    a = gen.normal(size=(14 * per_phrase, k))
+    alone = np.concatenate(
+        [nm.rows_product(a[j * per_phrase:(j + 1) * per_phrase], w) for j in range(14)]
+    )
+    for phrases in range(1, 15):
+        m = phrases * per_phrase
+        assert np.array_equal(nm.rows_product(a[:m], w), alone[:m]), phrases
+        assert np.array_equal(nm.rows_product(a[len(a) - m:], w), alone[len(a) - m:]), phrases
+
+
 def test_matmul_of_one_row_is_that_row_of_a_batch():
     gen = np.random.default_rng(5)
     a, w = Matrix(gen.normal(size=(3, 40))), nm.parameter(gen.normal(size=(40, 9)))

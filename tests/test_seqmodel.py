@@ -607,6 +607,133 @@ def test_batched_start_encodes_the_page_names_once(monkeypatch):
     assert calls == [list(model.vocab.page_names) + extras]
 
 
+# the paper's encoder (62 and 14 windows per phrase) over a small vocabulary
+SNAPSHOT_CONFIG = ModelConfig(lstm_hidden=(8, 6), fc_width=7, dropout_rate=0.0)
+SNAPSHOT_CALLS = {
+    "one prefix": [Prefix("car insurance", ("a", "b"))],
+    "16 prefixes": [
+        Prefix(kw, pages)
+        for kw in ("", "kw", "b", "cheap cover")
+        for pages in ((), ("a",), ("c", "zz-not-a-page"), ("b", "a", "c"))
+    ],
+    "keyword is a page name": [Prefix("b", ("a", "c"))],  # no phrase besides the page names
+    "empty keyword": [Prefix("", ("c",))],
+    "out-of-vocabulary page": [Prefix("kw", ("zz-not-a-page", "a"))],
+}
+
+
+def start_outputs(predictor, prefixes):
+    """Every array a `start` returns: distributions, each member's table and state rows."""
+    states, dists = predictor.start(prefixes)
+    members = states if isinstance(states, list) else [states]
+    return [dists] + [a for s in members for a in (s.table, *(m for pair in s.layers for m in pair))]
+
+
+def assert_same_outputs(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is np.ndarray and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@pytest.fixture
+def embed_calls(monkeypatch):
+    """The phrase lists of every CnnEncoder.embed_batch call."""
+    from journeynet.textenc import CnnEncoder
+
+    calls = []
+    original = CnnEncoder.embed_batch
+
+    def counting(self, phrases):
+        calls.append(list(phrases))
+        return original(self, phrases)
+
+    monkeypatch.setattr(CnnEncoder, "embed_batch", counting)
+    return calls
+
+
+def snapshot_pair(seed=53):
+    """Two freshly loaded copies of one paper-encoder model: one to warm, one left cold."""
+    d = model_to_dict(toy_model(seed=seed, config=SNAPSHOT_CONFIG))
+    return model_from_dict(d), model_from_dict(d)
+
+
+@pytest.mark.parametrize("case", sorted(SNAPSHOT_CALLS))
+@pytest.mark.parametrize("ensemble", [False, True], ids=["model", "ensemble"])
+def test_snapshot_start_gives_the_bits_of_a_cold_start(case, ensemble, embed_calls):
+    from journeynet.training import Ensemble
+
+    warm, cold = snapshot_pair()
+    if ensemble:
+        other = snapshot_pair(seed=54)
+        warm, cold = Ensemble([warm, other[0]]), Ensemble([cold, other[1]])
+    prefixes = SNAPSHOT_CALLS[case]
+    warm.start([Prefix("warm up", ("a",))])
+    embed_calls.clear()
+    got = start_outputs(warm, prefixes)
+    names = set(warm.vocab.page_names)
+    extras = sorted({p for prefix in prefixes for p in (prefix.keywords, *prefix.pages)} - names)
+    # a warm start encodes only its other phrases, once per member, and none if it has none
+    assert embed_calls == ([extras] * (2 if ensemble else 1) if extras else [])
+    embed_calls.clear()
+    assert_same_outputs(got, start_outputs(cold, prefixes))
+    assert all(call[:len(names)] == list(warm.vocab.page_names) for call in embed_calls)
+
+
+def encoder_weight(model, index):
+    """Encoder weight `index` in stage order: conv0 kernels, conv0 bias, conv1 kernels, ..."""
+    return [w for st in model.encoder.stages for w in (st.kernels, st.bias)][index]
+
+
+def shift(w):  # an in-place edit
+    w.data += 0.01
+
+
+def to_float32(w):  # equal values, another dtype
+    w.data = w.data.astype(np.float32)
+
+
+@pytest.mark.parametrize("index", range(4))  # both stages' kernels and biases
+def test_snapshot_sees_in_place_edits_and_float32_copies_of_the_encoder(index, embed_calls):
+    warm, cold = snapshot_pair()
+    prefixes = SNAPSHOT_CALLS["16 prefixes"]
+    page_names = list(warm.vocab.page_names)
+    for model in (warm, cold):
+        # float32-representable values, so the float32 copy compares equal
+        w = encoder_weight(model, index)
+        w.data[...] = w.data.astype(np.float32)
+    for edit in (to_float32, shift):
+        warm.start(prefixes)
+        for model in (warm, cold):
+            edit(encoder_weight(model, index))
+        embed_calls.clear()
+        got = start_outputs(warm, prefixes)
+        assert len(embed_calls) == 1 and embed_calls[0][:len(page_names)] == page_names
+        assert_same_outputs(got, start_outputs(cold, prefixes))
+        # the refreshed snapshot serves the next call
+        embed_calls.clear()
+        assert_same_outputs(start_outputs(warm, prefixes), got)
+        assert embed_calls and not set(embed_calls[0]) & set(page_names)
+
+
+def test_snapshot_is_not_read_under_a_tape_that_watches_the_weights(embed_calls):
+    warm, cold = snapshot_pair()
+    prefixes = SNAPSHOT_CALLS["16 prefixes"]
+    warm.start(prefixes)
+    off = start_outputs(warm, prefixes)
+    outputs, nodes = [], []
+    for model in (warm, cold):
+        embed_calls.clear()
+        with nm.ComputeTape([p for _, p in model.parameters()]) as tape:
+            outputs.append(start_outputs(model, prefixes))
+        nodes.append(len(tape))
+        # the tape records the whole CNN over the page names
+        assert len(embed_calls) == 1 and embed_calls[0][:warm.n_classes] == list(warm.vocab.page_names)
+    assert nodes[0] == nodes[1] > 0
+    assert_same_outputs(outputs[0], outputs[1])
+    assert_same_outputs(outputs[0], off)
+
+
 @pytest.mark.parametrize("rows, pages", [
     ([-1], [0]),
     ([2], [0]),  # the state has 2 rows
