@@ -12,6 +12,7 @@ quantities.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import numbers
@@ -355,8 +356,9 @@ class MarkovSpec:
         return cls.from_dict(raw)
 
 
-def _sample_index(cdf: np.ndarray, u: float) -> int:
-    return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+def _sample_index(cdf: list[float], u: float) -> int:
+    """The first index whose cumulative probability exceeds `u`, clamped to the last."""
+    return min(bisect.bisect_right(cdf, u), len(cdf) - 1)
 
 
 def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Session]:
@@ -371,22 +373,23 @@ def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Ses
         raise ConfigError(f"n_sessions must be >= 1, got {n_sessions}")
     spec.validate()
     terminal = spec.n_states - 1
-    init_cdf = np.cumsum(spec.initial)
-    row_cdfs = np.cumsum(spec.transitions, axis=1)
+    # plain lists, so that a draw is one bisect and no numpy call
+    init_cdf = np.cumsum(spec.initial).tolist()
+    row_cdfs = np.cumsum(spec.transitions, axis=1).tolist()
+    means = [spec.dwell_mean_by_state.get(name, 10.0) for name in spec.states]
+    keywords = [spec.keywords_by_state.get(name, "") for name in spec.states]
     sessions = []
     for i in range(n_sessions):
         gen = rngmod.stream(seed, "session", i)
-        state = _sample_index(init_cdf, gen.random())
-        first_state = spec.states[state]
+        state = first = _sample_index(init_cdf, gen.random())
         events = []
         while state != terminal:
             if len(events) == MAX_SESSION_EVENTS:
                 raise MarkovSpecError(
-                    f"session {i} from state {first_state!r} did not exit within "
+                    f"session {i} from state {spec.states[first]!r} did not exit within "
                     f"{MAX_SESSION_EVENTS} events; the chain almost never reaches the exit"
                 )
-            name = spec.states[state]
-            mean = spec.dwell_mean_by_state.get(name, 10.0)
+            name, mean = spec.states[state], means[state]
             dwell = float(gen.exponential(mean)) if mean > 0 else 0.0
             if not math.isfinite(dwell):
                 raise MarkovSpecError(f"dwell mean {mean!r} of {name!r} is too large to sample")
@@ -395,7 +398,7 @@ def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Ses
         sessions.append(
             Session(
                 session_id=f"s{i:06d}",
-                keywords=spec.keywords_by_state.get(first_state, ""),
+                keywords=keywords[first],
                 events=tuple(events),
             )
         )

@@ -1,13 +1,15 @@
 """Dense matrices with reverse-mode automatic differentiation.
 
 Everything is a 2-D array wrapped in a :class:`Matrix`.  Weights are
-float64 at rest: a Matrix built from data holds float64, and inference and
-checkpoints see only float64.  Every operation follows its operands' dtype,
-so a pass over float32 copies of the weights (as training makes, see
-:mod:`journeynet.training`) computes, records and back-propagates in
-float32; only 1 x 1 loss scalars stay float64.  A :class:`ComputeTape`
-watches the leaves it is given: inside its block they are tracked, and
-every operation with a tracked operand is recorded and tracks its result.
+float64 at rest: a Matrix built from data holds float64, and checkpoints
+see only float64.  Every operation follows its operands' dtype, so a pass
+over float32 copies of the weights computes, records and back-propagates
+in float32: training runs each batch so (see :mod:`journeynet.training`),
+and the simulator's Monte Carlo rollouts run on a float32 compute copy of
+the model (`SequenceModel.compute_copy`).  Only 1 x 1 loss scalars stay
+float64.  A :class:`ComputeTape` watches the leaves it is given: inside
+its block they are tracked, and every operation with a tracked operand is
+recorded and tracks its result.
 Calling :func:`backward` on the tape then accumulates ``dL/dx`` into the
 ``grad`` buffer of every leaf.  A Matrix no tape watches is untracked, so
 operations on it are plain numpy computations and record nothing, also

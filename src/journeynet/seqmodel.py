@@ -16,10 +16,11 @@ the prefix: `start` keeps each prefix's state at its own last step; `step`
 runs one step from the rows it continues.  The page names never change, so
 `start` reads their CNN embeddings from a snapshot the model checks against
 the encoder weights on every call, and encodes only the call's other
-phrases.  A tape records the ops
-on what it watches: inference records nothing on a tape that does not
-watch the model's weights, and records on one that does, with the same
-bits.  Every product goes through
+phrases.  `compute_copy` casts the LSTM and head weights to float32 for
+the simulator's rollouts; the model itself computes in float64.  A tape
+records the ops on what it watches: inference records nothing on a tape
+that does not watch the model's weights, and records on one that does,
+with the same bits.  Every product goes through
 :func:`numerics.rows_product`, so a row's bits never depend on the other
 rows of its batch.
 """
@@ -40,6 +41,8 @@ from .textenc import DEFAULT_ALPHABET, Alphabet, CnnEncoder, ConvStage
 
 CHECKPOINT_FORMAT = "journeynet-checkpoint"
 CHECKPOINT_VERSION = 1
+# dtype of a training batch's pass and of the LSTM and head of a compute copy
+COMPUTE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,8 @@ class LstmLayer:
 class LstmState:
     """Per-layer (hidden, cell) arrays of B rows, one per live sequence, and
     the V x 4H array of layer-0 input projections of every page class: plain
-    float64 arrays, so nothing in a state can reach a tape.
+    arrays in the dtype of the model's LSTM weights (float64, float32 in a
+    compute copy), so nothing in a state can reach a tape.
 
     `SequenceModel.start` builds the table once per call, from the weights
     of that moment (the page names' embeddings may come from the model's
@@ -181,8 +185,9 @@ class SequenceModel:
         self.encoder = CnnEncoder(Alphabet(config.alphabet), config.max_len, stages)
         self.layers = [LstmLayer(next(it), next(it), next(it)) for _ in config.lstm_hidden]
         self.w_fc, self.b_fc, self.w_out, self.b_out = it
-        # (V x width page-name embeddings, copies of the encoder weights they came from)
-        self._names: tuple[np.ndarray, list[np.ndarray]] | None = None
+        # [(V x width page-name embeddings, copies of the encoder weights they
+        # came from)], or [None]; one holder for the model and its compute copies
+        self._names: list[tuple[np.ndarray, list[np.ndarray]] | None] = [None]
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: PageVocabulary, seed: int) -> "SequenceModel":
@@ -210,6 +215,22 @@ class SequenceModel:
     def parameters(self) -> list[tuple[str, Matrix]]:
         """(name, weight) pairs in the order of :func:`parameter_shapes`."""
         return list(self.weights.items())
+
+    def compute_copy(self) -> "SequenceModel":
+        """A model whose LSTM and head weights are COMPUTE_DTYPE casts of this one's, made now.
+
+        The copy shares this model's config, vocabulary, float64 encoder
+        weights and page-name snapshot, so its `start` reads and refreshes
+        the one snapshot; it computes the LSTM and the head in COMPUTE_DTYPE.
+        The weights here are never written: edits to them reach the next copy.
+        """
+        weights = {
+            name: w if name.startswith("conv") else Matrix._result(w.data.astype(COMPUTE_DTYPE))
+            for name, w in self.weights.items()
+        }
+        copy = SequenceModel(self.config, self.vocab, weights)
+        copy._names = self._names
+        return copy
 
     # -- forward pieces ----------------------------------------------------
 
@@ -245,9 +266,13 @@ class SequenceModel:
         gathers its input projection from the phrases' projections, and the
         stack runs through :meth:`cell_steps` from the zero state.  Returns
         the layer-0 projection of every phrase and the layers of
-        :meth:`cell_steps`.
+        :meth:`cell_steps`.  An untracked `embedded` is cast to layer 0's
+        dtype, so a compute copy runs its float64 encoder's rows in its own.
         """
         rowidx = np.asarray(rowidx)
+        dtype = self.layers[0].wx.data.dtype
+        if not embedded.track and embedded.data.dtype != dtype:
+            embedded = Matrix._result(embedded.data.astype(dtype))
         proj = nm.matmul(embedded, self.layers[0].wx)
         zero = [np.zeros((rowidx.shape[0], hs), dtype=proj.data.dtype) for hs in self.config.lstm_hidden]
         return proj, self.cell_steps(nm.take_rows(proj, rowidx.T.ravel()), [(z, z) for z in zero])
@@ -281,18 +306,18 @@ class SequenceModel:
         `rows_product`), so the snapshot's rows are bit for bit a fresh pass.
         """
         weights = [w for st in self.encoder.stages for w in (st.kernels, st.bias)]
-        if self._names is not None and not any(w.track for w in weights) and all(
-            w.data.dtype == kept.dtype and np.array_equal(w.data, kept)
-            for w, kept in zip(weights, self._names[1])
+        kept = self._names[0]
+        if kept is not None and not any(w.track for w in weights) and all(
+            w.data.dtype == k.dtype and np.array_equal(w.data, k) for w, k in zip(weights, kept[1])
         ):
-            names = self._names[0]
+            names = kept[0]
             if not extras:
                 return Matrix._result(names)
             return Matrix._result(np.concatenate([names, self.encoder.embed_batch(extras).data]))
         embedded = self.encoder.embed_batch([*self.vocab.page_names, *extras])
         names = embedded.data[:self.n_classes].copy()
         names.flags.writeable = False
-        self._names = names, [w.data.copy() for w in weights]
+        self._names[0] = names, [w.data.copy() for w in weights]
         return embedded
 
     # -- whole-session paths -------------------------------------------------

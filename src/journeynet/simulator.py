@@ -16,6 +16,15 @@ once, keeping a snapshot it checks on every `start`, but builds its page
 table afresh per `start` call, so `score_batch` starts a whole block of
 prefixes at once and every one-prefix entry point calls `start([prefix])`.
 
+The Monte Carlo entry points (`score_batch`, `estimate_conversion`,
+`rollout`, `step_distribution`) serve a float32 compute copy of a model or
+ensemble, cast from its float64 weights once per call (its
+`compute_copy`); a predictor without one runs as it is.  The copy shares
+the model's page-name snapshot, its masters are never written, and sampling
+accumulates each distribution's CDF in float64.  The exact oracle
+(`conversion_path_mass`, `exact_conversion`) runs the float64 masters, so
+it checks the served estimates independently.
+
 Rollouts advance together: the rollouts of every prefix started in one
 call step in lockstep, each distinct live path is one row of a batched
 `step`, and every rollout samples its next page, with its own uniforms, from
@@ -53,7 +62,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import CapacityError, ConfigError, ObjectiveError, SamplingError
-from .journeydata import NULL_PAGE, UNKNOWN_PAGE, PageVocabulary
+from .journeydata import MAX_SESSION_EVENTS, NULL_PAGE, UNKNOWN_PAGE, PageVocabulary
 
 TERMINATED_NULL = "null_page"
 TERMINATED_HORIZON = "horizon"
@@ -126,6 +135,21 @@ def _prefix_hit(prefix: JourneyPrefix, objective: Objective) -> bool:
     return any(p in objective.target_pages for p in prefix.pages)
 
 
+def _served(predictor):
+    """The predictor's compute copy, cast now from its weights, if it makes one; else itself."""
+    compute_copy = getattr(predictor, "compute_copy", None)
+    return predictor if compute_copy is None else compute_copy()
+
+
+def _check_horizon(horizon: int, name: str = "horizon") -> None:
+    """SamplingError unless 1 <= horizon <= MAX_SESSION_EVENTS, the longest
+    session the generator walks; checked before anything is sized by it."""
+    if horizon < 1:
+        raise SamplingError(f"{name} must be >= 1, got {horizon}")
+    if horizon > MAX_SESSION_EVENTS:
+        raise SamplingError(f"{name} must be <= {MAX_SESSION_EVENTS}, got {horizon}")
+
+
 def _sample_paths(
     predictor, state, dists, starts: np.ndarray, uniforms: np.ndarray, null_index: int,
     is_target: np.ndarray | None = None, open_objectives: np.ndarray | None = None,
@@ -144,7 +168,7 @@ def _sample_paths(
     """
     n, horizon = uniforms.shape
     paths = np.full((n, horizon), -1, dtype=np.intp)
-    cdf = np.cumsum(dists, axis=1)
+    cdf = np.cumsum(dists, axis=1, dtype=np.float64)
     n_classes = cdf.shape[1]
     if is_target is None:  # one objective that no page hits
         is_target, open_objectives = np.zeros((n_classes, 1), bool), np.ones((len(cdf), 1), bool)
@@ -161,14 +185,14 @@ def _sample_paths(
         live, todo = live[going], todo[going]
         pairs, rows = np.unique(rows[going] * n_classes + idx[going], return_inverse=True)
         state, dist = predictor.step(state, pairs // n_classes, pairs % n_classes)
-        cdf = np.cumsum(dist, axis=1)
+        cdf = np.cumsum(dist, axis=1, dtype=np.float64)
     return paths
 
 
 def rollout(predictor, prefix: JourneyPrefix, horizon: int, rng: np.random.Generator) -> SimulatedJourney:
     """Sample one future journey of at most `horizon` steps."""
-    if horizon < 1:
-        raise SamplingError(f"horizon must be >= 1, got {horizon}")
+    _check_horizon(horizon)
+    predictor = _served(predictor)
     vocab = predictor.vocab
     state, dists = predictor.start([prefix])
     path = _sample_paths(predictor, state, dists, [0], rng.random((1, horizon)), vocab.null_index)[0]
@@ -210,8 +234,7 @@ def _simulate(predictor, state, dists, streams, n_samples: int, horizon: int, is
 def _check_sampling(n_samples: int, horizon: int) -> None:
     if n_samples < 1:
         raise SamplingError(f"n_samples must be >= 1, got {n_samples}")
-    if horizon < 1:
-        raise SamplingError(f"horizon must be >= 1, got {horizon}")
+    _check_horizon(horizon)
 
 
 def _estimate_block(
@@ -282,6 +305,7 @@ def estimate_conversion(
     cell and a standalone call with the same index agree exactly.
     """
     _check_sampling(n_samples, horizon)
+    predictor = _served(predictor)
     return _estimate_block(predictor, [prefix], [objective], n_samples, horizon, seed, prefix_index)[0][0]
 
 
@@ -296,10 +320,10 @@ def step_distribution(
 
     Journeys that exit before step t count in the NULL page bucket.
     """
-    if t < 1:
-        raise SamplingError(f"t must be >= 1, got {t}")
+    _check_horizon(t, "t")
     if n_samples < 1:
         raise SamplingError(f"n_samples must be >= 1, got {n_samples}")
+    predictor = _served(predictor)
     vocab = predictor.vocab
     counts = np.zeros(len(vocab))
     state, dists = predictor.start([prefix])
@@ -418,8 +442,7 @@ def _init_worker(predictor):
 
 
 def _score_block(args):
-    first, prefixes, objectives, n_samples, horizon, seed = args
-    return _estimate_block(_worker_predictor, prefixes, objectives, n_samples, horizon, seed, first)
+    return _estimate_block(_worker_predictor, *args)
 
 
 def score_batch(
@@ -454,9 +477,11 @@ def score_batch(
         raise ConfigError(f"workers must be >= 1, got {workers}")
     for objective in objectives:  # reject unknown pages before any simulation
         _target_indices(objective, predictor.vocab)
+    predictor = _served(predictor)  # one cast per call, shipped to every worker
     size = min(PREFIX_BLOCK, -(-len(prefixes) // workers))
+    # the arguments of _estimate_block after the predictor
     units = [
-        (a, prefixes[a:a + size], objectives, n_samples, horizon, seed)
+        (prefixes[a:a + size], objectives, n_samples, horizon, seed, a)
         for a in range(0, len(prefixes), size)
     ]
     workers = min(workers, len(units))  # the pool starts every worker it is allowed
@@ -465,9 +490,8 @@ def score_batch(
             max_workers=workers, initializer=_init_worker, initargs=(predictor,)
         ) as pool:
             per_block = list(pool.map(_score_block, units))
-    else:
-        _init_worker(predictor)
-        per_block = [_score_block(u) for u in units]
+    else:  # in-process: no module global keeps the copy alive after the call
+        per_block = [_estimate_block(predictor, *u) for u in units]
     per_prefix = [estimates for block in per_block for estimates in block]
     return [
         ScoreRow(

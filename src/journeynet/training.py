@@ -25,6 +25,7 @@ from .errors import CheckpointError, ConfigError, TrainingError
 from .journeydata import DWELL_CAP, UNIT_SECONDS, PageVocabulary, expand_session
 from .seqmodel import (
     CHECKPOINT_FORMAT,
+    COMPUTE_DTYPE,
     ModelConfig,
     SequenceModel,
     checkpoint_field,
@@ -42,8 +43,6 @@ ENSEMBLE_FORMAT = "journeynet-ensemble"
 # adaptive step: decay of the running average of squared gradients, and its floor
 RMS_DECAY = 0.9
 RMS_EPSILON = 1e-8
-# dtype of every training batch's forward and backward pass
-COMPUTE_DTYPE = np.float32
 # sessions per evaluation batch; a batch holds (steps x EVAL_BATCH) x 4H
 # input projections at once, so it is kept small
 EVAL_BATCH = 16
@@ -360,6 +359,10 @@ class Ensemble:
             new_states.append(state)
             dists.append(dist)
         return new_states, np.mean(dists, axis=0)
+
+    def compute_copy(self) -> "Ensemble":
+        """An ensemble of the members' compute copies (`SequenceModel.compute_copy`)."""
+        return Ensemble([m.compute_copy() for m in self.models])
 
     def batch_step_probs(self, phrases, rowidx, dropout_rng=None) -> nm.Matrix:
         """Member-averaged time-major batch distributions (a constant matrix)."""

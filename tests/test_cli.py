@@ -418,6 +418,34 @@ def test_simulate_zero_steps_is_a_clean_error(pipeline, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# 10**15 steps: arrays of that length fit no address space, so a missing
+# check fails at once, without allocating
+HUGE_HORIZON = str(10**15)
+
+
+def test_score_horizon_beyond_the_longest_session_is_a_clean_error(pipeline, tmp_path, capsys):
+    out, _ = pipeline
+    (tmp_path / "p.jsonl").write_text('{"keywords": "car insurance", "pages": ["home"]}\n')
+    (tmp_path / "o.json").write_text('[{"id": "c", "pages": ["confirm"]}]')
+    code = main([
+        "score", "--model", str(out / "model.ckpt"),
+        "--prefixes", str(tmp_path / "p.jsonl"), "--objectives", str(tmp_path / "o.json"),
+        "--out", str(tmp_path / "s.csv"), "--horizon", HUGE_HORIZON,
+    ])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_steps_beyond_the_longest_session_is_a_clean_error(pipeline, tmp_path, capsys):
+    out, _ = pipeline
+    code = main([
+        "simulate", "--model", str(out / "model.ckpt"), "--steps", HUGE_HORIZON,
+        "--out", str(tmp_path / "t.txt"),
+    ])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("record", [
     '{"keywords": "kw", "pages": "home"}',
     '{"keywords": "kw", "pages": [1, 2]}',

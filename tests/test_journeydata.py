@@ -24,6 +24,7 @@ from journeynet.journeydata import (
     serialize_session,
     split,
 )
+from toychains import funnel_chain, ten_page_chain
 
 
 def make_session(pages, keywords="kw", dwell=1.0, sid="s1"):
@@ -259,6 +260,54 @@ def test_generate_same_seed_identical():
     assert a == b
     c = generate_synthetic(spec, 50, seed=5)
     assert a != c
+
+
+def searchsorted_walk(spec, n_sessions, seed):
+    """generate_synthetic's sessions, each draw an np.searchsorted over array CDFs."""
+    from journeynet import rng as rngmod
+
+    init_cdf, row_cdfs = np.cumsum(spec.initial), np.cumsum(spec.transitions, axis=1)
+
+    def index(cdf, u):
+        return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+
+    sessions = []
+    for i in range(n_sessions):
+        gen = rngmod.stream(seed, "session", i)
+        state = first = index(init_cdf, gen.random())
+        events = []
+        while state != spec.n_states - 1:
+            name = spec.states[state]
+            mean = spec.dwell_mean_by_state.get(name, 10.0)
+            events.append(PageEvent(name, float(gen.exponential(mean)) if mean > 0 else 0.0))
+            state = index(row_cdfs[state], gen.random())
+        keywords = spec.keywords_by_state.get(spec.states[first], "")
+        sessions.append(Session(f"s{i:06d}", keywords, tuple(events)))
+    return sessions
+
+
+def zero_column_chain():
+    # "never" has probability 0 in every row, so its CDF entry ties the one before
+    return MarkovSpec(
+        states=("a", "never", "b", "c", "exit"),
+        transitions=np.array([
+            [0.2, 0.0, 0.5, 0.0, 0.3],
+            [0.0, 0.0, 0.0, 0.0, 1.0],
+            [0.3, 0.0, 0.0, 0.3, 0.4],
+            [0.0, 0.0, 0.6, 0.1, 0.3],
+            [0.0, 0.0, 0.0, 0.0, 1.0],
+        ]),
+        initial=np.array([0.5, 0.0, 0.0, 0.5, 0.0]),
+        keywords_by_state={"a": "kw a", "c": "kw c"},
+        dwell_mean_by_state={"a": 0.0, "b": 30.0},
+    )
+
+
+@pytest.mark.parametrize("make", [ten_page_chain, funnel_chain, zero_column_chain])
+def test_generate_draws_the_sessions_of_a_searchsorted_walk(make):
+    spec = make()
+    for seed in (0, 7, 2018):
+        assert generate_synthetic(spec, 300, seed) == searchsorted_walk(spec, 300, seed)
 
 
 def test_generate_keywords_follow_first_state():

@@ -514,16 +514,21 @@ def test_ops_follow_float32_operands(monkeypatch):
 # (K, N) of the paper-config model's products: the two CNN im2col stages,
 # layer 0 and layer 1 `wx`, `wh`, `w_fc`, and `w_out` for 8 and 12 classes (the bench models)
 PAPER_PRODUCT_SHAPES = [(126, 64), (192, 64), (256, 512), (128, 512), (128, 256), (256, 8), (256, 12)]
+# float64 for the model API and the exact oracle, float32 for training and
+# the simulator's compute copies
+ROWS_PRODUCT_CASES = [pytest.param(k, n, np.float64, id=f"{k}-{n}") for k, n in PAPER_PRODUCT_SHAPES] + [
+    pytest.param(k, n, np.float32, id=f"{k}-{n}-float32") for k, n in PAPER_PRODUCT_SHAPES
+]
 
 
-@pytest.mark.parametrize("k, n", PAPER_PRODUCT_SHAPES)
-def test_rows_product_rows_equal_their_own_one_row_product(k, n):
+@pytest.mark.parametrize("k, n, dtype", ROWS_PRODUCT_CASES)
+def test_rows_product_rows_equal_their_own_one_row_product(k, n, dtype):
     # numpy hands two or more rows to gemm; if the BLAS ever made a row's
     # bits depend on the other rows, batched inference would stop being
     # bitwise equal to one-prefix inference, and this test says so
     gen = np.random.default_rng(k * 1000 + n)
-    w = gen.normal(size=(k, n))
-    a = gen.normal(size=(70, k))
+    w = gen.normal(size=(k, n)).astype(dtype)
+    a = gen.normal(size=(70, k)).astype(dtype)
     alone = np.concatenate([nm.rows_product(a[i:i + 1], w) for i in range(len(a))])
     assert np.array_equal(alone[0], (np.vstack([a[:1], a[:1]]) @ w)[0])
     for m in range(2, 71):

@@ -734,6 +734,41 @@ def test_snapshot_is_not_read_under_a_tape_that_watches_the_weights(embed_calls)
     assert_same_outputs(outputs[0], off)
 
 
+def step_outputs(model, prefixes):
+    """Distributions of `start` and of one `step` of every row to page 0, and every state array."""
+    state, dists = model.start(prefixes)
+    new, stepped = model.step(state, range(len(prefixes)), [0] * len(prefixes))
+    return [dists, stepped, state.table, *(a for s in (state, new) for pair in s.layers for a in pair)]
+
+
+def test_compute_copy_start_step_are_float32_and_match_its_forward_session():
+    model = toy_model(seed=57, config=SNAPSHOT_CONFIG)
+    prefixes = SNAPSHOT_CALLS["16 prefixes"]
+    before = step_outputs(model, prefixes)
+    copy = model.compute_copy()
+    served = step_outputs(copy, prefixes)
+    assert all(a.dtype == np.float32 for a in served)
+    assert all(w.data.dtype == np.float32 for name, w in copy.parameters() if not name.startswith("conv"))
+    assert copy.encoder.stages[0].kernels is model.encoder.stages[0].kernels
+    for k, prefix in enumerate(prefixes):
+        full = copy.forward_session([prefix.keywords, *prefix.pages, copy.vocab.page_names[0]])
+        assert np.array_equal(served[0][k], full[-2].probs)
+        assert np.array_equal(served[1][k], full[-1].probs)
+    # the masters are neither cast nor written: their outputs keep their dtype and bits
+    assert all(w.data.dtype == np.float64 for _, w in model.parameters())
+    assert all(a.dtype == np.float64 for a in before)
+    assert_same_outputs(step_outputs(model, prefixes), before)
+
+
+def test_compute_copy_start_is_within_1e_6_of_float64_at_the_paper_config():
+    pages = [f"page {i}" for i in range(12)]
+    model = toy_model(seed=61, config=ModelConfig(), vocab=toy_vocab(pages))
+    prefixes = [Prefix(kw, pages[:n]) for kw in ("", "car insurance quotes") for n in (1, 3, 6)]
+    exact, served = step_outputs(model, prefixes), step_outputs(model.compute_copy(), prefixes)
+    for a, b in zip(exact[:2], served[:2]):
+        assert np.abs(a - b).max() < 1e-6
+
+
 @pytest.mark.parametrize("rows, pages", [
     ([-1], [0]),
     ([2], [0]),  # the state has 2 rows

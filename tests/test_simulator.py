@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -255,6 +256,23 @@ def test_step_distribution_deterministic_chain_is_point_mass():
     for t, expected in [(1, "A"), (2, "B"), (3, "C"), (4, NULL_PAGE), (9, NULL_PAGE)]:
         dist = step_distribution(pred, JourneyPrefix(), t=t, n_samples=50, seed=0)
         assert dist[vocab.encode(expected)] == 1.0
+
+
+def test_horizons_beyond_the_longest_session_are_rejected_before_sampling():
+    from journeynet.journeydata import MAX_SESSION_EVENTS
+
+    pred = hand_predictor()
+    prefix, objective = JourneyPrefix(), Objective("o", frozenset({"B"}))
+    for horizon in (MAX_SESSION_EVENTS + 1, 10**15):
+        with pytest.raises(SamplingError, match="horizon must be <="):
+            rollout(pred, prefix, horizon, stream(0, "t"))
+        with pytest.raises(SamplingError, match="horizon must be <="):
+            estimate_conversion(pred, prefix, objective, 10, horizon, seed=0)
+        with pytest.raises(SamplingError, match="horizon must be <="):
+            score_batch(pred, [prefix], [objective], n_samples=10, horizon=horizon)
+        with pytest.raises(SamplingError, match="t must be <="):
+            step_distribution(pred, prefix, horizon, 10, seed=0)
+    assert len(rollout(pred, prefix, MAX_SESSION_EVENTS, stream(0, "t")).pages) >= 1
 
 
 def test_step_distribution_rejects_t_zero():
@@ -739,3 +757,97 @@ def test_score_batch_encodes_the_page_names_once(funnel_model, monkeypatch):
     # one CNN pass per block; over both calls each page name is encoded exactly once
     assert len(calls) == 2
     assert all(sum(c.count(name) for c in calls) == 1 for name in model.vocab.page_names)
+
+
+# ---------------------------------------------------------------------------
+# compute copies: Monte Carlo entry points roll out a float32 copy of a model
+
+
+def funnel_ensemble(funnel_model):
+    from journeynet.training import Ensemble
+
+    return Ensemble([funnel_model, SequenceModel.build(funnel_model.config, funnel_model.vocab, seed=5)])
+
+
+FUNNEL_PREFIXES = [
+    JourneyPrefix("car insurance quotes online", ("landing",)),
+    JourneyPrefix("quotes", ("landing", "form_car")),
+    JourneyPrefix("", ("landing", "price")),  # already hit objective "price"
+]
+FUNNEL_OBJECTIVES = [Objective("converted", frozenset({"converted"})), Objective("price", frozenset({"price"}))]
+
+
+@pytest.mark.parametrize("ensemble", [False, True], ids=["model", "ensemble"])
+def test_compute_copy_score_batch_workers_and_standalone_estimates_agree(funnel_model, ensemble):
+    pred = funnel_ensemble(funnel_model) if ensemble else funnel_model
+    n, horizon, seed = 500, 8, 21
+    sequential = score_batch(pred, FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, n, horizon, seed, workers=1)
+    assert score_batch(pred, FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, n, horizon, seed, workers=2) == sequential
+    cells = [(k, o) for k in range(len(FUNNEL_PREFIXES)) for o in FUNNEL_OBJECTIVES]
+    for row, (k, o) in zip(sequential, cells):
+        est = estimate_conversion(pred, FUNNEL_PREFIXES[k], o, n, horizon, seed=seed, prefix_index=k)
+        assert (row.probability, row.std_error) == (est.probability, est.std_error)
+    assert 0.0 < sequential[0].probability < 1.0  # a cell its prefix does not decide
+
+
+def test_compute_copy_serves_the_monte_carlo_and_leaves_the_checkpoint_bytes_unchanged(funnel_model, monkeypatch):
+    from journeynet.seqmodel import model_from_dict, model_to_dict
+
+    model = model_from_dict(model_to_dict(funnel_model))
+    before = json.dumps(model_to_dict(model), sort_keys=True)
+    dtypes = []
+    original = SequenceModel.step
+
+    def recording(self, state, rows, pages):
+        dtypes.append(state.table.dtype)
+        return original(self, state, rows, pages)
+
+    monkeypatch.setattr(SequenceModel, "step", recording)
+    prefix, objective = FUNNEL_PREFIXES[0], FUNNEL_OBJECTIVES[0]
+    score_batch(model, FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, n_samples=200, horizon=8, seed=3)
+    estimate_conversion(model, prefix, objective, 200, 8, seed=3)
+    rollout(model, prefix, 8, stream(3, "trace"))
+    step_distribution(model, prefix, 3, 200, seed=3)
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+    dtypes.clear()
+    conversion_path_mass(model, prefix, objective, horizon=3)  # the oracle runs the masters
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+    assert json.dumps(model_to_dict(model), sort_keys=True) == before
+
+
+def test_compute_copy_sees_in_place_edits_between_score_batch_calls(funnel_model):
+    from journeynet.seqmodel import model_from_dict, model_to_dict
+
+    model = model_from_dict(model_to_dict(funnel_model))
+    args = (FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, 2000, 8, 7)
+    rows = score_batch(model, *args)
+    for weight in (model.encoder.stages[0].kernels, model.layers[0].wx, model.w_out):
+        weight.data[...] *= 0.5
+        edited = score_batch(model, *args)
+        assert edited != rows
+        # a model loaded from the edited weights, never run before, gives the same rows
+        assert edited == score_batch(model_from_dict(model_to_dict(model)), *args)
+        rows = edited
+
+
+def test_compute_copy_encodes_the_page_names_once_over_calls_of_every_entry_point(funnel_model, monkeypatch):
+    from journeynet.seqmodel import model_from_dict, model_to_dict
+    from journeynet.textenc import CnnEncoder
+    from journeynet.training import Ensemble
+
+    # freshly loaded members: the shared fixture may be warm
+    ensemble = Ensemble([model_from_dict(model_to_dict(m)) for m in funnel_ensemble(funnel_model).models])
+    calls = []
+    original = CnnEncoder.embed_batch
+
+    def counting(self, phrases):
+        calls.append(list(phrases))
+        return original(self, phrases)
+
+    monkeypatch.setattr(CnnEncoder, "embed_batch", counting)
+    for seed in (3, 4):
+        score_batch(ensemble, FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, n_samples=100, horizon=8, seed=seed)
+        estimate_conversion(ensemble, FUNNEL_PREFIXES[0], FUNNEL_OBJECTIVES[0], 100, 8, seed=seed)
+    # every compute copy of a member reads the snapshot its first call made
+    for name in ensemble.vocab.page_names:
+        assert sum(c.count(name) for c in calls) == len(ensemble), name
