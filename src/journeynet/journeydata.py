@@ -356,18 +356,17 @@ class MarkovSpec:
         return cls.from_dict(raw)
 
 
-def _sample_index(cdf: list[float], u: float) -> int:
-    """The first index whose cumulative probability exceeds `u`, clamped to the last."""
-    return min(bisect.bisect_right(cdf, u), len(cdf) - 1)
-
-
 def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Session]:
     """Sample sessions by walking the chain until absorption.
 
-    Each session has its own counter-based stream keyed by (seed, index), so
-    output is identical no matter how generation is sharded.  A session that
-    walks past MAX_SESSION_EVENTS pages raises MarkovSpecError: its chain
-    almost never exits.
+    Session i draws from the counter-based stream keyed (seed, "session", i),
+    so output is identical no matter how generation is sharded.  One Philox
+    bit generator serves the call: it is restarted at each session's key
+    (`rng.restart`), which draws what `rng.stream(seed, "session", i)` would.
+    A draw of the next state is the first index whose cumulative probability
+    exceeds a uniform, clamped to the last.  A session that walks past
+    MAX_SESSION_EVENTS pages raises MarkovSpecError: its chain almost never
+    exits.
     """
     if n_sessions < 1:
         raise ConfigError(f"n_sessions must be >= 1, got {n_sessions}")
@@ -378,10 +377,13 @@ def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Ses
     row_cdfs = np.cumsum(spec.transitions, axis=1).tolist()
     means = [spec.dwell_mean_by_state.get(name, 10.0) for name in spec.states]
     keywords = [spec.keywords_by_state.get(name, "") for name in spec.states]
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    random, exponential, bisect_right = gen.random, gen.exponential, bisect.bisect_right
     sessions = []
-    for i in range(n_sessions):
-        gen = rngmod.stream(seed, "session", i)
-        state = first = _sample_index(init_cdf, gen.random())
+    for i, key in enumerate(rngmod.indexed_keys((seed, "session"), n_sessions)):
+        rngmod.restart(bitgen, key)
+        state = first = min(bisect_right(init_cdf, random()), terminal)
         events = []
         while state != terminal:
             if len(events) == MAX_SESSION_EVENTS:
@@ -390,18 +392,12 @@ def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Ses
                     f"{MAX_SESSION_EVENTS} events; the chain almost never reaches the exit"
                 )
             name, mean = spec.states[state], means[state]
-            dwell = float(gen.exponential(mean)) if mean > 0 else 0.0
+            dwell = float(exponential(mean)) if mean > 0 else 0.0
             if not math.isfinite(dwell):
                 raise MarkovSpecError(f"dwell mean {mean!r} of {name!r} is too large to sample")
             events.append(PageEvent(name, dwell))
-            state = _sample_index(row_cdfs[state], gen.random())
-        sessions.append(
-            Session(
-                session_id=f"s{i:06d}",
-                keywords=keywords[first],
-                events=tuple(events),
-            )
-        )
+            state = min(bisect_right(row_cdfs[state], random()), terminal)
+        sessions.append(Session(f"s{i:06d}", keywords[first], tuple(events)))
     return sessions
 
 

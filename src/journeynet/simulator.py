@@ -55,7 +55,6 @@ for bit.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,15 +260,17 @@ def _estimate_block(
     counts = np.zeros(already.shape, dtype=np.intp)
     started = np.flatnonzero(~already.all(axis=1))
     if started.size:
-        is_target = np.zeros((len(predictor.vocab), len(objectives)), dtype=bool)
+        # one row per class, and a last row that stays False: index -1, the padding after a path
+        is_target = np.zeros((len(predictor.vocab) + 1, len(objectives)), dtype=bool)
         for j, target in enumerate(targets):
             is_target[target, j] = True
         state, dists = predictor.start([prefixes[k] for k in started])
         streams = [(seed, "conversion", first_index + k) for k in started.tolist()]
-        chunks = _simulate(predictor, state, dists, streams, n_samples, horizon, is_target, ~already[started])
+        chunks = _simulate(predictor, state, dists, streams, n_samples, horizon, is_target[:-1], ~already[started])
+        columns = is_target.T.copy()
         for starts, paths in chunks:
-            for j, target in enumerate(targets):
-                hit = np.isin(paths, target).any(axis=1)
+            for j, column in enumerate(columns):
+                hit = column[paths].any(axis=1)
                 counts[started, j] += np.bincount(starts[hit], minlength=len(started))
     hits = np.where(already, n_samples, counts)
     return [
@@ -486,6 +487,8 @@ def score_batch(
     ]
     workers = min(workers, len(units))  # the pool starts every worker it is allowed
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(predictor,)
         ) as pool:

@@ -1,13 +1,17 @@
+import concurrent.futures
 import functools
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from journeynet import simulator
 from journeynet.errors import CapacityError, ConfigError, SamplingError
-from journeynet.journeydata import NULL_PAGE, PageVocabulary, build_vocab, generate_synthetic
+from journeynet.journeydata import NULL_PAGE, UNKNOWN_PAGE, PageVocabulary, build_vocab, generate_synthetic
 from journeynet.rng import stream, stream_at, blocks_for
 from journeynet.seqmodel import ModelConfig, SequenceModel
 from journeynet.simulator import (
@@ -354,8 +358,9 @@ def test_score_batch_pool_has_no_more_workers_than_blocks(
     monkeypatch, n_prefixes, workers, pool_sizes
 ):
     # a pool starts all of its workers at the first submit, so 64 workers
-    # for 3 blocks would fork 61 idle copies of the model
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+    # for 3 blocks would fork 61 idle copies of the model.  score_batch
+    # imports the pool class from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     pred = random_predictor(21)
     prefixes = [JourneyPrefix("", (f"pg{i % 3}",)) for i in range(n_prefixes)]
@@ -471,6 +476,53 @@ def test_path_sharing_paths_equal_per_rollout_paths(make, n_objectives, monkeypa
     for (n, h, seed), paths in new.items():
         assert paths.shape == (n, h)
         assert np.array_equal(paths, simulated_paths(pred, JourneyPrefix(), n, h, seed, is_target))
+
+
+def test_block_hit_counts_equal_an_isin_count_of_the_same_paths():
+    # UNKNOWN_PAGE is the last class, the one that a gather at the -1 padding
+    # after a path's end would read if the padding were not its own entry
+    vocab = abc_vocab()
+    rows = {
+        0: [0.1, 0.3, 0.2, 0.3, 0.1],
+        1: [0.2, 0.1, 0.2, 0.4, 0.1],
+        2: [0.3, 0.2, 0.1, 0.3, 0.1],
+        4: [0.3, 0.3, 0.1, 0.3, 0.0],
+    }
+    pred = MarkovPredictor(vocab, rows[0], rows)
+    prefixes = [JourneyPrefix("", ("A",)), JourneyPrefix("", ("C",)), JourneyPrefix("", ("B", "A"))]
+    objectives = [Objective("b", {"B"}), Objective("unknown", {UNKNOWN_PAGE}), Objective("bc", {"B", "C"})]
+    n, horizon, seed = CHUNK + 150, 6, 3
+
+    targets = [sorted(simulator._target_indices(o, vocab)) for o in objectives]
+    already = np.array([[simulator._prefix_hit(p, o) for o in objectives] for p in prefixes])
+    started = np.flatnonzero(~already.all(axis=1))
+    is_target = np.zeros((len(vocab), len(objectives)), dtype=bool)
+    for j, target in enumerate(targets):
+        is_target[target, j] = True
+    state, dists = pred.start([prefixes[k] for k in started])
+    streams = [(seed, "conversion", k) for k in started.tolist()]
+    counts = np.zeros(already.shape, dtype=int)
+    ended_early = 0
+    for starts, paths in simulator._simulate(pred, state, dists, streams, n, horizon, is_target, ~already[started]):
+        ended_early += int((paths[:, -1] == -1).sum())
+        for j, target in enumerate(targets):
+            counts[started, j] += np.bincount(starts[np.isin(paths, target).any(axis=1)], minlength=len(started))
+    expected = np.where(already, n, counts)
+    assert ended_early > 0
+    assert 0 < expected[:, 1].min() and expected[:, 1].max() < n
+
+    cells = simulator._estimate_block(pred, prefixes, objectives, n, horizon, seed, 0)
+    assert [[round(c.probability * n) for c in row] for row in cells] == expected.tolist()
+
+
+def test_importing_the_package_leaves_the_process_pool_unloaded():
+    # score_batch imports the pool only when workers > 1
+    code = "import sys, journeynet; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"
 
 
 class RowCounter:
