@@ -11,10 +11,11 @@ float64.  A :class:`ComputeTape` watches the leaves it is given: inside
 its block they are tracked, and every operation with a tracked operand is
 recorded and tracks its result.
 Calling :func:`backward` on the tape then accumulates ``dL/dx`` into the
-``grad`` buffer of every leaf.  A Matrix no tape watches is untracked, so
-operations on it are plain numpy computations and record nothing, also
-inside another tape's block; inference on a model whose weights a tape
-watches does record.
+``grad`` buffer of every leaf, and frees each intermediate gradient as
+soon as the op that made it has used it.  A Matrix no tape watches is
+untracked, so operations on it are plain numpy computations and record
+nothing, also inside another tape's block; inference on a model whose
+weights a tape watches does record.
 
 Gradient accumulation is explicit: grads add up across backward calls until
 the caller zeroes them (see :func:`zero_gradients`).
@@ -176,9 +177,11 @@ def record(output: Matrix, inputs: Sequence[Matrix], backward_fn: Callable) -> M
 def backward(tape: ComputeTape, loss: Matrix) -> None:
     """Populate gradients of everything `loss` depends on, walking `tape` backward.
 
-    Gradients of the tape's leaves accumulate across calls; per-pass
-    intermediate gradients are discarded at the end, so calling backward
-    twice adds the same leaf gradients twice.
+    Gradients of the tape's leaves accumulate across calls.  An
+    intermediate gradient is freed as soon as its node has used it, so a
+    pass holds only the gradients still to be consumed; each node keeps its
+    forward arrays, so calling backward twice adds the same leaf gradients
+    twice.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"loss must be a 1x1 scalar, got {loss.shape}")
@@ -189,15 +192,15 @@ def backward(tape: ComputeTape, loss: Matrix) -> None:
     else:
         loss.grad = np.ones((1, 1))
     for node in reversed(tape._nodes):
-        g = node.output.grad
+        # tape order is topological, so every consumer of this output has
+        # added its part: the gradient is complete, and dead after this node
+        g, node.output.grad = node.output.grad, None
         if g is None:
             continue
         grads = node.backward_fn(g)
         for inp, gi in zip(node.inputs, grads):
             if gi is not None and inp is not None:
                 inp.accumulate_grad(gi)
-    for node in tape._nodes:
-        node.output.zero_grad()
     if not leaf:
         loss.grad = None
 
@@ -450,6 +453,7 @@ def lstm_sequence(
             dc = dc * f[r]
             if t:
                 dh = dz[r] @ w.T
+        del di, df, dg, do, dtc  # dead once dz is whole: free them before the products
         dwh = hidden[:-batch].T @ dz[batch:] + h0.T @ dz[:batch]
         return dz, dwh, dz.sum(axis=0, keepdims=True)
 

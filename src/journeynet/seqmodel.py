@@ -43,6 +43,9 @@ CHECKPOINT_FORMAT = "journeynet-checkpoint"
 CHECKPOINT_VERSION = 1
 # dtype of a training batch's pass and of the LSTM and head of a compute copy
 COMPUTE_DTYPE = np.float32
+# most weights a model may lay out, and most entries of one phrase's one-hot:
+# 10**8 float64 masters take 0.8 GB (the paper's config has 385 292 weights)
+MAX_WEIGHTS = 10**8
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,10 @@ class ModelConfig:
         sizes = (self.max_len, self.fc_width, *self.lstm_hidden, *sum(self.conv_stages, ()))
         if min(sizes) < 1:
             raise ConfigError("max_len, fc_width, LSTM sizes and conv stage values must be >= 1")
+        if self.max_len * len(self.alphabet) > MAX_WEIGHTS:
+            raise ConfigError(
+                f"max_len {self.max_len} gives a one-hot of more than {MAX_WEIGHTS} entries per phrase"
+            )
 
     def to_dict(self) -> dict:
         """The ModelConfig fields, also of a subclass (JSON writes the tuples as arrays)."""
@@ -91,7 +98,8 @@ def parameter_shapes(config: ModelConfig, n_classes: int) -> dict[str, tuple[int
     assembles its stages and layers from it and `parameters` lists it.  A
     conv stage turns `length` rows into ceil((length - width + 1) / pool);
     the embedding width is the last stage's length times its filters
-    (ShapeError if a stage gets fewer rows than its kernel width).
+    (ShapeError if a stage gets fewer rows than its kernel width, ConfigError
+    if the layout holds more than MAX_WEIGHTS weights).
     """
     shapes, length, channels = {}, config.max_len, len(config.alphabet)
     for i, (width, filters, pool) in enumerate(config.conv_stages):
@@ -110,6 +118,9 @@ def parameter_shapes(config: ModelConfig, n_classes: int) -> dict[str, tuple[int
     shapes["fc.bias"] = (1, config.fc_width)
     shapes["out.weight"] = (config.fc_width, n_classes)
     shapes["out.bias"] = (1, n_classes)
+    count = sum(rows * cols for rows, cols in shapes.values())
+    if count > MAX_WEIGHTS:
+        raise ConfigError(f"the model would have {count} weights, more than {MAX_WEIGHTS}")
     return shapes
 
 
@@ -463,10 +474,10 @@ def model_from_dict(d: dict) -> SequenceModel:
     """The model stored in `d`, assembled from its arrays; loading draws no weights.
 
     Every stored weight must be one that :func:`parameter_shapes` lays out
-    for the stored config (CheckpointError naming any other), and each
-    decoded array is checked against its shape before any model is built,
-    so a config naming absurd sizes fails on the first mismatched array
-    instead of allocating for it.
+    for the stored config (CheckpointError naming any other, and for a
+    layout over MAX_WEIGHTS), and each decoded array is checked against its
+    shape before any model is built, so a config naming absurd sizes fails
+    on the first mismatched array instead of allocating for it.
     """
     config, vocab, weights = (
         checkpoint_field(d, key, dict, "checkpoint model") for key in ("config", "vocab", "weights")
@@ -475,9 +486,9 @@ def model_from_dict(d: dict) -> SequenceModel:
         config = ModelConfig.from_dict(config)
         vocab = PageVocabulary.from_dict(vocab)
         Alphabet(config.alphabet)  # rejects a duplicate or empty alphabet
+        shapes = parameter_shapes(config, len(vocab))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"checkpoint model has a bad config or vocabulary ({exc!r})") from exc
-    shapes = parameter_shapes(config, len(vocab))
     unknown = sorted(set(weights).difference(shapes))
     if unknown:
         raise CheckpointError(f"checkpoint has weights {unknown} that its config does not lay out")

@@ -109,10 +109,14 @@ class TrainReport:
 class _AdaptiveStep:
     """Per-parameter scaling by a running average of squared gradients.
 
-    `step` copies each gradient, of any float dtype, into a float64 buffer
-    of its own and updates the float64 weights in place, allocating nothing.
-    A parameter without a gradient counts as a zero gradient: its running
-    average decays and its weights stay as they are.
+    It keeps one float64 running average per weight and one float64 scratch
+    pair sized to the largest weight, whose reshaped views serve every
+    weight in turn.  `step` copies each gradient, of any float dtype, into
+    the pair's first array and updates the float64 weights in place,
+    allocating nothing, so at its peak a step holds only the weights, their
+    gradients, their running averages and the pair.  A parameter without a
+    gradient counts as a zero gradient: its running average decays and its
+    weights stay as they are.
     """
 
     def __init__(self, params, config: TrainConfig):
@@ -120,21 +124,29 @@ class _AdaptiveStep:
         self.lr = config.learning_rate
         self.clip = config.gradient_clip_norm
         self.sq = [np.zeros_like(p.data) for p in params]
-        self.grads = [np.zeros_like(p.data) for p in params]
-        self.scratch = [np.zeros_like(p.data) for p in params]
+        largest = max(p.data.size for p in params)
+        self.pair = np.zeros(largest), np.zeros(largest)
+
+    def _views(self, v: np.ndarray):
+        """The scratch pair's first v.size entries, each shaped as `v`."""
+        return (b[:v.size].reshape(v.shape) for b in self.pair)
 
     def step(self) -> None:
         live = []
         sumsq = 0.0
-        for p, g, t, v in zip(self.params, self.grads, self.scratch, self.sq):
+        for p, v in zip(self.params, self.sq):
             if p.grad is None:
                 v *= RMS_DECAY
                 continue
+            g, t = self._views(v)
             np.copyto(g, p.grad)
             sumsq += float(np.multiply(g, g, out=t).sum())
-            live.append((p, g, t, v))
+            live.append((p, v))
         norm = np.sqrt(sumsq)
-        for p, g, t, v in live:
+        for p, v in live:
+            # the pair held other weights' gradients since: copy this one again
+            g, t = self._views(v)
+            np.copyto(g, p.grad)
             if norm > self.clip:
                 g *= self.clip / norm
             # v = d * v + ((1 - d) * g) * g;  w -= (lr * g) / (sqrt(v) + eps), associated

@@ -563,6 +563,27 @@ def test_train_out_of_range_flag_is_a_clean_error(pipeline, tmp_path, capsys, fl
     _assert_clean_error(capsys)
 
 
+# 10**15 wide: each of these models, or one phrase's one-hot, fits no
+# address space, so a missing size check fails at once, without allocating
+HUGE = str(10**15)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--max-len", HUGE],
+    ["--lstm-hidden", HUGE],
+    ["--fc-width", HUGE],
+    ["--conv-stages", f"3x{HUGE}x4"],
+    ["--max-len", HUGE, "--conv-stages", f"3x4x{HUGE}"],  # small weights, a huge one-hot
+], ids=["max-len", "lstm-hidden", "fc-width", "conv-filters", "max-len-pooled-away"])
+def test_train_model_too_large_to_allocate_is_a_clean_error(pipeline, tmp_path, capsys, flags):
+    _, data = pipeline
+    code = main([
+        "train", "--data", str(data), "--out-dir", str(tmp_path), *TRAIN_FLAGS, *flags,
+    ])
+    assert code == 1
+    _assert_clean_error(capsys, "more than 100000000")
+
+
 @pytest.mark.parametrize("flag, setting, value", [
     pytest.param("--learning-rate", "learning_rate", "nan", id="--learning-rate-learning_rate"),
     pytest.param("--clip-norm", "gradient_clip_norm", "nan", id="--clip-norm-gradient_clip_norm"),

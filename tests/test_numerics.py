@@ -173,6 +173,29 @@ def test_backward_accumulates_across_calls():
     assert x.grad is None
 
 
+def test_backward_frees_each_intermediate_gradient_once_its_node_has_run():
+    x = parameter([[1.0, 2.0]])
+    seen = []
+
+    def back_y(g):
+        # z's node ran before y's: its gradient, and y's own, are already freed
+        seen.append((z.grad is None, y.grad is None))
+        return (g * 2.0,)
+
+    with ComputeTape([x]) as tape:
+        y = nm.record(Matrix._result(x.data * 2.0), (x,), back_y)
+        z = scale(y, 3.0)
+        loss = nm.record(
+            Matrix._result(z.data.sum(keepdims=True)), (z,), lambda g: (np.full(z.shape, g[0, 0]),)
+        )
+    backward(tape, loss)
+    assert seen == [(True, True)]
+    assert y.grad is None and z.grad is None and loss.grad is None
+    assert np.array_equal(x.grad, [[6.0, 6.0]])
+    backward(tape, loss)  # each node keeps its forward arrays: a second pass adds the same
+    assert np.array_equal(x.grad, [[12.0, 12.0]])
+
+
 def test_backward_linear_in_loss():
     rng = np.random.default_rng(11)
     w = parameter(rng.normal(size=(3, 3)))

@@ -31,6 +31,7 @@ from journeynet.seqmodel import (
     load_model,
     model_from_dict,
     model_to_dict,
+    parameter_shapes,
     predict_next,
     save_model,
     session_loss,
@@ -846,6 +847,27 @@ def test_load_rejects_weights_the_config_does_not_lay_out():
     d = model_to_dict(toy_model(seed=8, config=replace(TOY_CONFIG, lstm_hidden=(6, 6))))
     d["config"]["lstm_hidden"] = [6]
     with pytest.raises(CheckpointError, match="lstm1.wx"):
+        model_from_dict(d)
+
+
+def test_layout_and_one_hot_are_capped_at_max_weights(monkeypatch):
+    from journeynet import seqmodel
+    from journeynet.errors import ConfigError
+
+    config = ModelConfig()  # the paper's architecture
+    count = sum(r * c for r, c in parameter_shapes(config, 12).values())
+    assert count == 385_292
+    monkeypatch.setattr(seqmodel, "MAX_WEIGHTS", count)
+    parameter_shapes(config, 12)
+    with pytest.raises(ConfigError, match=f"{count + 257} weights"):
+        parameter_shapes(config, 13)  # one more class: 256 output weights and a bias
+    one_hot = count // len(config.alphabet)
+    ModelConfig(max_len=one_hot)
+    with pytest.raises(ConfigError, match="one-hot"):
+        ModelConfig(max_len=one_hot + 1)
+    d = model_to_dict(toy_model(seed=8))
+    d["config"]["max_len"] = one_hot + 1
+    with pytest.raises(CheckpointError, match="one-hot"):
         model_from_dict(d)
 
 

@@ -528,3 +528,53 @@ def test_adaptive_step_is_bitwise_the_reference_formula(clip, missing):
             assert np.array_equal(p.data, q.data)
         for v, w in zip(opt.sq, ref_sq):
             assert np.array_equal(v, w)
+
+
+@pytest.mark.parametrize("clip", [1e-3, 1e6], ids=["clipped", "unclipped"])
+@pytest.mark.parametrize("missing", [None, 0, 1], ids=["all-grads", "largest-missing", "row-missing"])
+def test_adaptive_step_views_of_other_shapes_share_its_scratch_bitwise(clip, missing):
+    """The largest weight first, then a 1-row one: every weight's views of
+    the shared scratch pair start where the largest weight's did."""
+    from journeynet import numerics as nm
+    from journeynet.training import RMS_DECAY, RMS_EPSILON, _AdaptiveStep
+
+    rng = np.random.default_rng(10)
+    shapes = [(33, 20), (1, 40), (7, 5), (20, 33)]
+    mine = [nm.parameter(rng.standard_normal(s)) for s in shapes]
+    ref = [nm.parameter(p.data) for p in mine]
+    config = TrainConfig(learning_rate=3e-3, gradient_clip_norm=clip, **TOY_TRAIN)
+    opt = _AdaptiveStep(mine, config)
+    ref_sq = [np.zeros(s) for s in shapes]
+    for _ in range(4):
+        for i, (p, q) in enumerate(zip(mine, ref)):
+            g = None if i == missing else rng.standard_normal(p.shape)
+            p.grad, q.grad = g, None if g is None else g.copy()
+        opt.step()
+        _reference_step(ref, ref_sq, config.learning_rate, clip, RMS_DECAY, RMS_EPSILON)
+        for p, q, v, w in zip(mine, ref, opt.sq, ref_sq):
+            assert p.grad is None or np.array_equal(p.grad, q.grad)
+            assert np.array_equal(p.data, q.data) and np.array_equal(v, w)
+
+
+def _float64_entries(obj) -> int:
+    """Entries of every float64 array `obj` holds, through lists, tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        return obj.size if obj.dtype == np.float64 else 0
+    if isinstance(obj, (list, tuple)):
+        return sum(_float64_entries(o) for o in obj)
+    if isinstance(obj, dict):
+        return sum(_float64_entries(o) for o in obj.values())
+    return 0
+
+
+def test_adaptive_step_keeps_one_average_per_weight_and_one_scratch_pair(chain_data):
+    from journeynet.training import _AdaptiveStep
+
+    _, _, vocab = chain_data
+    config = TrainConfig()  # the paper's architecture
+    params = [p for _, p in SequenceModel.build(config.model_config(), vocab, 0).parameters()]
+    opt = _AdaptiveStep(params, config)
+    total = sum(p.data.size for p in params)
+    largest = max(p.data.size for p in params)
+    assert largest == 131_072  # lstm0.wx
+    assert _float64_entries(vars(opt)) <= total + 2 * largest
