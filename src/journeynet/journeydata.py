@@ -202,15 +202,24 @@ def replicate_dwell(session: Session, unit_seconds: float = UNIT_SECONDS, cap: i
 
     Each event contributes min(cap, max(1, ceil(dwell / unit_seconds)))
     consecutive copies of its page, and NULL_PAGE is appended once at the end.
+    A session whose copies add up to more than MAX_SESSION_EVENTS * DWELL_CAP,
+    the most a generated session expands to at the default cap, raises
+    ConfigError before anything is allocated.
     """
     if not unit_seconds > 0:  # also rejects NaN
         raise ConfigError(f"unit_seconds must be > 0, got {unit_seconds}")
     if cap < 1:
         raise ConfigError(f"cap must be >= 1, got {cap}")
+    copies = [min(cap, max(1, math.ceil(ev.dwell_seconds / unit_seconds))) for ev in session.events]
+    total, bound = sum(copies), MAX_SESSION_EVENTS * DWELL_CAP
+    if total > bound:
+        raise ConfigError(
+            f"session {session.session_id!r} expands to {total} pages, more than {bound}; "
+            "lower the dwell cap or raise the dwell unit"
+        )
     expanded = []
-    for ev in session.events:
-        copies = min(cap, max(1, math.ceil(ev.dwell_seconds / unit_seconds)))
-        expanded.extend([ev.page_name] * copies)
+    for ev, n in zip(session.events, copies):
+        expanded.extend([ev.page_name] * n)
     expanded.append(NULL_PAGE)
     return expanded
 

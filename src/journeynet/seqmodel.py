@@ -13,16 +13,18 @@ evaluation, `forward_session` and `start` run padded batches
 (`padded_batch`) from the zero state.  The incremental (start / step)
 interface lets simulations feed sampled pages back in without re-running
 the prefix: `start` keeps each prefix's state at its own last step; `step`
-runs one step from the rows it continues.  The page names never change, so
-`start` reads their CNN embeddings from a snapshot the model checks against
-the encoder weights on every call, and encodes only the call's other
-phrases.  `compute_copy` casts the LSTM and head weights to float32 for
-the simulator's rollouts; the model itself computes in float64.  A tape
-records the ops on what it watches: inference records nothing on a tape
-that does not watch the model's weights, and records on one that does,
-with the same bits.  Every product goes through
-:func:`numerics.rows_product`, so a row's bits never depend on the other
-rows of its batch.
+runs one step from the rows it continues.  The page names never change and
+keyword phrases recur, so `start` reads CNN embeddings from a phrase memo
+the model checks against the encoder weights on every call, and encodes
+only the phrases the memo lacks.  `compute_copy` casts the LSTM and head
+weights to float32 for the simulator's rollouts; the model itself computes
+in float64.  A tape records the ops on what it watches: inference records
+nothing on a tape that does not watch the model's weights, and records on
+one that does, with the same bits.  Every product goes through
+:func:`numerics.rows_product`, so a row's bits do not depend on the other
+rows of its batch for the product shapes tier-1 checks (the CNN's im2col
+products, and the LSTM and head products of models of 8 and 12 classes at
+up to 70 rows); the BLAS does not promise it for every shape.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ COMPUTE_DTYPE = np.float32
 # most weights a model may lay out, and most entries of one phrase's one-hot:
 # 10**8 float64 masters take 0.8 GB (the paper's config has 385 292 weights)
 MAX_WEIGHTS = 10**8
+# most phrases besides the page names whose CNN rows a model's memo keeps:
+# 8 MB of rows at the paper's 256-wide embedding
+MAX_MEMO_PHRASES = 4096
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,7 @@ class LstmState:
 
     `SequenceModel.start` builds the table once per call, from the weights
     of that moment (the page names' embeddings may come from the model's
-    checked snapshot, the product with layer 0's `wx` is always fresh), and
+    checked phrase memo, the product with layer 0's `wx` is always fresh), and
     gives it to all P prefix rows; `step` gathers its rows and hands the
     same table on to the new state.
     """
@@ -197,8 +202,9 @@ class SequenceModel:
         self.layers = [LstmLayer(next(it), next(it), next(it)) for _ in config.lstm_hidden]
         self.w_fc, self.b_fc, self.w_out, self.b_out = it
         # [(V x width page-name embeddings, copies of the encoder weights they
-        # came from)], or [None]; one holder for the model and its compute copies
-        self._names: list[tuple[np.ndarray, list[np.ndarray]] | None] = [None]
+        # came from, phrase -> embedding of every other phrase encoded since)],
+        # or [None]; one holder for the model and its compute copies
+        self._memo: list[tuple[np.ndarray, list[np.ndarray], dict[str, np.ndarray]] | None] = [None]
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: PageVocabulary, seed: int) -> "SequenceModel":
@@ -231,8 +237,8 @@ class SequenceModel:
         """A model whose LSTM and head weights are COMPUTE_DTYPE casts of this one's, made now.
 
         The copy shares this model's config, vocabulary, float64 encoder
-        weights and page-name snapshot, so its `start` reads and refreshes
-        the one snapshot; it computes the LSTM and the head in COMPUTE_DTYPE.
+        weights and phrase memo, so its `start` reads and refreshes the one
+        memo; it computes the LSTM and the head in COMPUTE_DTYPE.
         The weights here are never written: edits to them reach the next copy.
         """
         weights = {
@@ -240,7 +246,7 @@ class SequenceModel:
             for name, w in self.weights.items()
         }
         copy = SequenceModel(self.config, self.vocab, weights)
-        copy._names = self._names
+        copy._memo = self._memo
         return copy
 
     # -- forward pieces ----------------------------------------------------
@@ -307,29 +313,34 @@ class SequenceModel:
         return self.head(layers[-1][0], dropout_rng)
 
     def _embed_after_page_names(self, extras: list[str]) -> Matrix:
-        """CNN embeddings of the V page names, then of the phrases `extras`.
+        """CNN embeddings of the V page names, then of the distinct phrases `extras`.
 
-        The page names' rows come from a snapshot, reused only while every
-        encoder weight is untracked and equal, in dtype and bits, to the copy
-        the snapshot keeps of it; otherwise one CNN pass encodes the names
-        and `extras` together and refreshes the snapshot.  A row of the CNN
-        does not depend on the other phrases of its pass (every product is a
-        `rows_product`), so the snapshot's rows are bit for bit a fresh pass.
+        The rows come from the phrase memo, read only while every encoder
+        weight is untracked and equal, in dtype and bits, to the copy the
+        memo keeps of it; one CNN pass encodes the phrases the memo lacks.
+        Otherwise one CNN pass encodes the names and `extras` together and
+        the memo restarts from it.  A row of the CNN does not depend on the
+        other phrases of its pass (every product is a `rows_product`), so a
+        memo row is bit for bit a fresh pass.
         """
         weights = [w for st in self.encoder.stages for w in (st.kernels, st.bias)]
-        kept = self._names[0]
-        if kept is not None and not any(w.track for w in weights) and all(
+        kept = self._memo[0]
+        if kept is None or any(w.track for w in weights) or not all(
             w.data.dtype == k.dtype and np.array_equal(w.data, k) for w, k in zip(weights, kept[1])
         ):
-            names = kept[0]
-            if not extras:
-                return Matrix._result(names)
-            return Matrix._result(np.concatenate([names, self.encoder.embed_batch(extras).data]))
-        embedded = self.encoder.embed_batch([*self.vocab.page_names, *extras])
-        names = embedded.data[:self.n_classes].copy()
-        names.flags.writeable = False
-        self._names[0] = names, [w.data.copy() for w in weights]
-        return embedded
+            embedded = self.encoder.embed_batch([*self.vocab.page_names, *extras])
+            names = embedded.data[:self.n_classes].copy()
+            names.flags.writeable = False
+            memo = {}
+            _remember(memo, dict(zip(extras, embedded.data[self.n_classes:])))
+            self._memo[0] = names, [w.data.copy() for w in weights], memo
+            return embedded
+        names, _, memo = kept
+        missing = [p for p in extras if p not in memo]
+        fresh = dict(zip(missing, self.encoder.embed_batch(missing).data)) if missing else {}
+        rows = [fresh[p] if p in fresh else memo[p] for p in extras]
+        _remember(memo, fresh)
+        return Matrix._result(np.vstack([names, *rows]) if rows else names)
 
     # -- whole-session paths -------------------------------------------------
 
@@ -371,13 +382,14 @@ class SequenceModel:
         from the weights of this moment (so an in-place edit of the weights
         is seen by the next `start`): the page names come first in the
         batch's phrases, so the first V rows of layer 0's projection are the
-        table.  The page names' CNN embeddings come from the model's checked
-        snapshot (:meth:`_embed_after_page_names`), so a call encodes only
-        its other phrases (keywords and out-of-vocabulary pages), if any;
+        table.  The CNN embeddings come from the model's checked phrase memo
+        (:meth:`_embed_after_page_names`), so a call encodes only the
+        phrases no call since the last encoder change has encoded, if any;
         the table product itself runs on every call.  All prefixes run
         through one padded pass, and each prefix's state is taken at its own
         last step; since every product is a `rows_product`, row k is bit for
-        bit that of ``start([prefixes[k]])``, warm or cold.
+        bit that of ``start([prefixes[k]])``, warm or cold, wherever the BLAS
+        keeps rows independent (see the module notes).
         """
         sequences = [[p.keywords, *p.pages] for p in prefixes]
         if not sequences:
@@ -405,6 +417,13 @@ class SequenceModel:
         layers = self.cell_steps(Matrix._result(state.table[pages]), prev)
         new = LstmState([(h.data, c) for h, c in layers], state.table)
         return new, self.head(layers[-1][0]).data
+
+
+def _remember(memo: dict[str, np.ndarray], rows: dict[str, np.ndarray]) -> None:
+    """Keep copies of `rows` in `memo`, emptied first if they would take it past MAX_MEMO_PHRASES."""
+    if len(memo) + len(rows) > MAX_MEMO_PHRASES:
+        memo.clear()
+    memo.update((p, row.copy()) for p, row in list(rows.items())[:MAX_MEMO_PHRASES])
 
 
 def predict_next(model, prefix) -> np.ndarray:

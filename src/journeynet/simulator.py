@@ -11,16 +11,16 @@ other prefixes of the call.  Row j of `step`'s result continues row
 `rows[j]` of `state` after feeding page index `pages[j]`, and must not
 depend on the other rows of the call either.  `step` must not
 mutate `state`, so one state can branch into several futures; trained
-models and ensembles both satisfy this.  A model encodes its page names
-once, keeping a snapshot it checks on every `start`, but builds its page
-table afresh per `start` call, so `score_batch` starts a whole block of
+models and ensembles both satisfy this.  A model encodes a phrase once,
+keeping its CNN row in a memo it checks on every `start`, but builds its
+page table afresh per `start` call, so `score_batch` starts a whole block of
 prefixes at once and every one-prefix entry point calls `start([prefix])`.
 
 The Monte Carlo entry points (`score_batch`, `estimate_conversion`,
 `rollout`, `step_distribution`) serve a float32 compute copy of a model or
 ensemble, cast from its float64 weights once per call (its
 `compute_copy`); a predictor without one runs as it is.  The copy shares
-the model's page-name snapshot, its masters are never written, and sampling
+the model's phrase memo, its masters are never written, and sampling
 accumulates each distribution's CDF in float64.  The exact oracle
 (`conversion_path_mass`, `exact_conversion`) runs the float64 masters, so
 it checks the served estimates independently.
@@ -39,17 +39,23 @@ enumeration, one `step` per depth of up to CHUNK nodes, is the oracle.
 
 Randomness is counter-based: rollout i of prefix k draws from the stream
 keyed (seed, prefix k) at block offset i, so estimates do not depend on how
-samples are scheduled across workers.  Rollouts are stepped in chunks of
-CHUNK, which may hold samples of several prefixes.  `rollout` and
+samples are scheduled across workers.  A simulation builds one Philox bit
+generator and restarts it at each prefix's key (`rng.restart`), advanced
+to the block where the prefix's samples in a chunk begin, instead of
+building a generator per prefix and chunk.  Rollouts are stepped in chunks
+of CHUNK, which may hold samples of several prefixes.  `rollout` and
 `step_distribution` score no objective, so their rollouts run to NULL or
 the horizon.  Bit-reproducibility rests on one fact:
 every row of a model's step is computed on its own, its bits independent of
-the other rows of the batch (`numerics.rows_product`; a tier-1 test checks
-the BLAS for it).  A sample's path therefore depends only on its prefix's
-row of the start state and its own uniforms, up to where it stops, and a
-stop comes only once the sample's hits are decided; so a batch cell, a
-standalone estimate, any block of prefixes and any worker count agree bit
-for bit.
+the other rows of the batch (`numerics.rows_product`).  A sample's path
+therefore depends only on its prefix's row of the start state and its own
+uniforms, up to where it stops, and a stop comes only once the sample's
+hits are decided; so a batch cell, a standalone estimate, any block of
+prefixes and any worker count agree bit for bit.  Row independence is a
+property of the BLAS, not a promise of numpy's: tier-1 checks it for the
+paper config's product shapes with heads of 8 and 12 classes at up to 70
+rows, and OpenBLAS breaks it for some other head widths and row counts, so
+outside that envelope the agreement is not guaranteed.
 """
 
 from __future__ import annotations
@@ -149,6 +155,19 @@ def _check_horizon(horizon: int, name: str = "horizon") -> None:
         raise SamplingError(f"{name} must be <= {MAX_SESSION_EVENTS}, got {horizon}")
 
 
+def _distinct(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of integer keys in [0, size), without a sort.
+
+    One boolean table of `size` entries marks the keys present; its marked
+    positions, in order, are the distinct keys, and each key's index among
+    them is a binary search.
+    """
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    return distinct, np.searchsorted(distinct, keys)
+
+
 def _sample_paths(
     predictor, state, dists, starts: np.ndarray, uniforms: np.ndarray, null_index: int,
     is_target: np.ndarray | None = None, open_objectives: np.ndarray | None = None,
@@ -158,7 +177,8 @@ def _sample_paths(
     Sample i takes class min(#{c : cdf[c] <= u}, N - 1) at each step, the
     index searchsorted(cdf, u, side="right") gives, clamped.  Each distinct
     live path is one row of `state`: a step feeds each distinct (row, page)
-    pair once, and every rollout follows the row of its pair.  A rollout
+    pair once (found with :func:`_distinct` over a table of rows x N
+    entries), and every rollout follows the row of its pair.  A rollout
     ends at the NULL page, the horizon, or once every open objective of its
     prefix is hit: `is_target[c, j]` says class c is a target of objective
     j, and `open_objectives[r, j]` that objective j is open for start row r.
@@ -182,7 +202,7 @@ def _sample_paths(
         if t + 1 == horizon or not going.any():
             break
         live, todo = live[going], todo[going]
-        pairs, rows = np.unique(rows[going] * n_classes + idx[going], return_inverse=True)
+        pairs, rows = _distinct(rows[going] * n_classes + idx[going], len(cdf) * n_classes)
         state, dist = predictor.step(state, pairs // n_classes, pairs % n_classes)
         cdf = np.cumsum(dist, axis=1, dtype=np.float64)
     return paths
@@ -210,19 +230,25 @@ def _simulate(predictor, state, dists, streams, n_samples: int, horizon: int, is
     Rollout r * n_samples + i is sample i of row r; the rollouts are stepped
     CHUNK at a time, whatever row they start from, and sample i of row r
     always reads the same positions of `streams[r]` (blocks i * stride ..).
-    A rollout ends at the NULL page, the horizon, or once every objective
-    open for its row is hit (`is_target`, `open_objectives`; see
-    _sample_paths).  Yields, chunk by chunk, (the start row of each
-    rollout, its sampled path).
+    One Philox serves the call: each row's key is derived once, and the bit
+    generator is restarted at it and advanced to each chunk's first block,
+    which draws what ``rng.stream_at`` gives there.  A rollout ends at the
+    NULL page, the horizon, or once every objective open for its row is hit
+    (`is_target`, `open_objectives`; see _sample_paths).  Yields, chunk by
+    chunk, (the start row of each rollout, its sampled path).
     """
     stride = rngmod.blocks_for(horizon)
     total = len(streams) * n_samples
+    keys = [rngmod.derive_key(*parts) for parts in streams]
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
     for g in range(0, total, CHUNK):
         starts = np.arange(g, min(g + CHUNK, total)) // n_samples
         us = []
         for r in range(starts[0], starts[-1] + 1):
             a, b = max(g - r * n_samples, 0), min(g + CHUNK - r * n_samples, n_samples)
-            gen = rngmod.stream_at(streams[r], a * stride)
+            rngmod.restart(bitgen, keys[r])
+            bitgen.advance(a * stride)
             us.append(gen.random((b - a) * stride * rngmod.BLOCK).reshape(b - a, -1)[:, :horizon])
         uniforms = np.concatenate(us)
         yield starts, _sample_paths(

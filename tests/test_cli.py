@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from journeynet.cli import main
-from journeynet.journeydata import MarkovSpec, load_sessions
+from journeynet.journeydata import MarkovSpec, PageEvent, Session, load_sessions, save_sessions
 
 TRAIN_FLAGS = [
     "--epochs", "2",
@@ -582,6 +582,22 @@ def test_train_model_too_large_to_allocate_is_a_clean_error(pipeline, tmp_path, 
     ])
     assert code == 1
     _assert_clean_error(capsys, "more than 100000000")
+
+
+def test_train_dwell_expansion_past_its_bound_is_a_clean_error(pipeline, tmp_path, capsys):
+    _, data = pipeline
+    sessions = [
+        Session(s.session_id, s.keywords, tuple(PageEvent(ev.page_name, 1e13) for ev in s.events))
+        for s in load_sessions(data)
+    ]
+    long_dwell = tmp_path / "long_dwell.jsonl"
+    save_sessions(sessions, long_dwell)
+    code = main([
+        "train", "--data", str(long_dwell), "--out-dir", str(tmp_path), *TRAIN_FLAGS,
+        "--dwell-cap", str(10**15),
+    ])
+    assert code == 1
+    _assert_clean_error(capsys, "more than 50000")
 
 
 @pytest.mark.parametrize("flag, setting, value", [

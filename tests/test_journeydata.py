@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from journeynet.errors import ConfigError, MarkovSpecError, ParseError, SchemaError
 from journeynet.journeydata import (
+    DWELL_CAP,
+    MAX_SESSION_EVENTS,
     NULL_PAGE,
     UNKNOWN_PAGE,
     MarkovSpec,
@@ -187,6 +189,18 @@ def test_replicate_cap():
 def test_replicate_preserves_order():
     s = Session("s", "", (PageEvent("a", 35.0), PageEvent("b", 1.0)))
     assert replicate_dwell(s, unit_seconds=30, cap=5) == ["a", "a", "b", NULL_PAGE]
+
+
+def test_replicate_rejects_a_session_past_the_longest_generated_expansion():
+    bound = MAX_SESSION_EVENTS * DWELL_CAP  # a generated session at the default cap
+    fits = Session("s", "", (PageEvent("a", 30.0 * (bound - 1)), PageEvent("b", 30.0)))
+    assert len(replicate_dwell(fits, unit_seconds=30, cap=bound)) == bound + 1
+    over = Session("s", "", (PageEvent("a", 30.0 * bound), PageEvent("b", 30.0)))
+    with pytest.raises(ConfigError, match=f"{bound + 1} pages"):
+        replicate_dwell(over, unit_seconds=30, cap=bound)
+    # a dwell of 1e13 s at a cap of 10**15 would be 3.3e11 copies: refused before any is made
+    with pytest.raises(ConfigError, match="333333333334 pages"):
+        replicate_dwell(make_session(["p"], dwell=1e13), unit_seconds=30, cap=10**15)
 
 
 def test_replicate_parameter_validation():

@@ -711,10 +711,10 @@ def test_snapshot_sees_in_place_edits_and_float32_copies_of_the_encoder(index, e
         got = start_outputs(warm, prefixes)
         assert len(embed_calls) == 1 and embed_calls[0][:len(page_names)] == page_names
         assert_same_outputs(got, start_outputs(cold, prefixes))
-        # the refreshed snapshot serves the next call
+        # the refreshed memo serves the next call: it encodes nothing
         embed_calls.clear()
         assert_same_outputs(start_outputs(warm, prefixes), got)
-        assert embed_calls and not set(embed_calls[0]) & set(page_names)
+        assert embed_calls == []
 
 
 def test_snapshot_is_not_read_under_a_tape_that_watches_the_weights(embed_calls):
@@ -733,6 +733,105 @@ def test_snapshot_is_not_read_under_a_tape_that_watches_the_weights(embed_calls)
     assert nodes[0] == nodes[1] > 0
     assert_same_outputs(outputs[0], outputs[1])
     assert_same_outputs(outputs[0], off)
+
+
+def phrase_extras(predictor, prefixes):
+    """The phrases of `prefixes` besides the page names, sorted, as a `start` lists them."""
+    phrases = {p for prefix in prefixes for p in (prefix.keywords, *prefix.pages)}
+    return sorted(phrases - set(predictor.vocab.page_names))
+
+
+def warm_and_cold(ensemble):
+    """`snapshot_pair`'s two models, or two ensembles of them with a second model each."""
+    from journeynet.training import Ensemble
+
+    warm, cold = snapshot_pair()
+    if ensemble:
+        other = snapshot_pair(seed=54)
+        warm, cold = Ensemble([warm, other[0]]), Ensemble([cold, other[1]])
+    return warm, cold
+
+
+@pytest.mark.parametrize("case", sorted(SNAPSHOT_CALLS))
+@pytest.mark.parametrize("ensemble", [False, True], ids=["model", "ensemble"])
+def test_memo_serves_repeated_calls_and_compute_copies_with_the_bits_of_a_cold_start(case, ensemble, embed_calls):
+    warm, cold = warm_and_cold(ensemble)
+    prefixes = SNAPSHOT_CALLS[case]
+    first = start_outputs(warm, prefixes)
+    embed_calls.clear()
+    # the first call's memo serves every phrase of a repeat, also to a compute copy
+    again = [start_outputs(warm, prefixes), start_outputs(warm, prefixes)]
+    served = start_outputs(warm.compute_copy(), prefixes)
+    assert embed_calls == []
+    for got in again:
+        assert_same_outputs(got, first)
+    assert_same_outputs(first, start_outputs(cold, prefixes))
+    assert_same_outputs(served, start_outputs(cold.compute_copy(), prefixes))
+
+
+@pytest.mark.parametrize("ensemble", [False, True], ids=["model", "ensemble"])
+def test_memo_encodes_only_the_unseen_phrases_of_a_call_once(ensemble, embed_calls):
+    warm, cold = warm_and_cold(ensemble)
+    seen = SNAPSHOT_CALLS["one prefix"]
+    prefixes = SNAPSHOT_CALLS["16 prefixes"] + seen
+    warm.start(seen)
+    embed_calls.clear()
+    got = start_outputs(warm.compute_copy(), prefixes)
+    unseen = [p for p in phrase_extras(warm, prefixes) if p not in phrase_extras(warm, seen)]
+    assert unseen and embed_calls == [unseen] * (2 if ensemble else 1)
+    embed_calls.clear()
+    warm.start(prefixes)  # the copy's call filled the model's memo
+    assert embed_calls == []
+    assert_same_outputs(got, start_outputs(cold.compute_copy(), prefixes))
+
+
+@pytest.mark.parametrize("edit", [shift, to_float32, None], ids=["in-place", "float32", "watching-tape"])
+@pytest.mark.parametrize("index", [0, 3])  # conv0 kernels, conv1 bias
+def test_memo_is_dropped_after_an_encoder_edit_and_under_a_tape_that_watches_the_weights(edit, index, embed_calls):
+    warm, cold = snapshot_pair()
+    for model in (warm, cold):
+        # float32-representable values, so the float32 copy compares equal
+        w = encoder_weight(model, index)
+        w.data[...] = w.data.astype(np.float32)
+    warm.start(SNAPSHOT_CALLS["one prefix"])
+    prefixes = SNAPSHOT_CALLS["out-of-vocabulary page"] + SNAPSHOT_CALLS["one prefix"]
+    warm.start(prefixes)
+    embed_calls.clear()
+    if edit is None:
+        with nm.ComputeTape([p for _, p in warm.parameters()]):
+            got = start_outputs(warm, prefixes)
+    else:
+        for model in (warm, cold):
+            edit(encoder_weight(model, index))
+        got = start_outputs(warm, prefixes)
+    # nothing of the memo is read: one pass encodes the page names and every other phrase
+    assert embed_calls == [list(warm.vocab.page_names) + phrase_extras(warm, prefixes)]
+    assert_same_outputs(got, start_outputs(cold, prefixes))
+    # and the memo restarts from that pass
+    embed_calls.clear()
+    assert_same_outputs(start_outputs(warm, prefixes), got)
+    assert embed_calls == []
+
+
+def test_memo_past_its_bound_keeps_the_page_names_and_the_bits(monkeypatch, embed_calls):
+    from journeynet import seqmodel
+
+    monkeypatch.setattr(seqmodel, "MAX_MEMO_PHRASES", 3)
+    warm, _ = snapshot_pair()
+    calls = [
+        ([Prefix("k1", ("a",)), Prefix("k2", ("b",))], [*warm.vocab.page_names, "k1", "k2"]),
+        ([Prefix("k3", ())], ["k3"]),  # fills the memo
+        ([Prefix("k4", ("c",)), Prefix("k1", ())], ["k4"]),  # k4 would pass the bound: the memo empties
+        ([Prefix("k2", ("zz-1", "zz-2", "zz-3", "zz-4"))], ["k2", "zz-1", "zz-2", "zz-3", "zz-4"]),
+        ([Prefix("zz-2", ("a",)), Prefix("k2", ("zz-1",))], []),  # the memo kept k2, zz-1 and zz-2
+        ([Prefix("k1", ()), Prefix("k4", ())], ["k1", "k4"]),
+    ]
+    for prefixes, encoded in calls:
+        embed_calls.clear()
+        got = start_outputs(warm, prefixes)
+        assert embed_calls == ([encoded] if encoded else [])
+        assert len(warm._memo[0][2]) <= 3
+        assert_same_outputs(got, start_outputs(snapshot_pair()[1], prefixes))
 
 
 def step_outputs(model, prefixes):

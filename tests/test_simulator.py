@@ -5,9 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from journeynet import simulator
 from journeynet.errors import CapacityError, ConfigError, SamplingError
@@ -478,6 +481,43 @@ def test_path_sharing_paths_equal_per_rollout_paths(make, n_objectives, monkeypa
         assert np.array_equal(paths, simulated_paths(pred, JourneyPrefix(), n, h, seed, is_target))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60).flatmap(
+    lambda size: st.tuples(st.just(size), st.lists(st.integers(0, size - 1), min_size=1, max_size=90))
+))
+def test_distinct_equals_np_unique_with_its_inverse(case):
+    size, keys = case
+    keys = np.array(keys, dtype=np.intp)
+    distinct, inverse = simulator._distinct(keys, size)
+    want, want_inverse = np.unique(keys, return_inverse=True)
+    assert np.array_equal(distinct, want) and np.array_equal(inverse, want_inverse)
+    assert distinct.dtype == inverse.dtype == np.intp
+
+
+@pytest.mark.parametrize("n_samples", [1, 5, 9])
+def test_simulate_draws_the_uniforms_stream_at_gives_across_chunks(n_samples, monkeypatch):
+    recorded = []
+
+    def recording(predictor, state, dists, starts, uniforms, *args):
+        recorded.append((starts, uniforms))
+        return np.full(uniforms.shape, -1, dtype=np.intp)
+
+    monkeypatch.setattr(simulator, "_sample_paths", recording)
+    monkeypatch.setattr(simulator, "CHUNK", 4)  # with 5 or 9 samples a prefix spans two or three chunks
+    streams = [(9, "conversion", k) for k in (0, 3, 1)]
+    horizon = 6
+    pred = types.SimpleNamespace(vocab=abc_vocab())  # _simulate reads only the NULL index
+    assert len(list(simulator._simulate(pred, None, None, streams, n_samples, horizon))) == len(recorded)
+    assert all(len(starts) <= 4 for starts, _ in recorded)
+    starts = np.concatenate([starts for starts, _ in recorded])
+    uniforms = np.vstack([u for _, u in recorded])
+    assert np.array_equal(starts, np.arange(len(streams) * n_samples) // n_samples)
+    stride = blocks_for(horizon)
+    for j, (r, u) in enumerate(zip(starts.tolist(), uniforms)):
+        i = j - r * n_samples  # sample i of row r reads its stream from block i * stride
+        assert np.array_equal(u, stream_at(streams[r], i * stride).random(stride * 4)[:horizon]), (r, i)
+
+
 def test_block_hit_counts_equal_an_isin_count_of_the_same_paths():
     # UNKNOWN_PAGE is the last class, the one that a gather at the -1 padding
     # after a path's end would read if the padding were not its own entry
@@ -806,8 +846,8 @@ def test_score_batch_encodes_the_page_names_once(funnel_model, monkeypatch):
     for seed in (3, 4):
         rows = score_batch(model, prefixes, objectives, n_samples=200, horizon=8, seed=seed, workers=1)
         assert len(rows) == len(prefixes) * len(objectives)
-    # one CNN pass per block; over both calls each page name is encoded exactly once
-    assert len(calls) == 2
+    # one CNN pass for the first call, whose phrases the memo serves to the second
+    assert len(calls) == 1
     assert all(sum(c.count(name) for c in calls) == 1 for name in model.vocab.page_names)
 
 
