@@ -44,8 +44,8 @@ class PageEvent:
     def __post_init__(self):
         if not self.page_name:
             raise ValueError("page_name must be non-empty")
-        if not (self.dwell_seconds >= 0):
-            raise ValueError(f"dwell_seconds must be >= 0, got {self.dwell_seconds}")
+        if not (self.dwell_seconds >= 0) or not math.isfinite(self.dwell_seconds):
+            raise ValueError(f"dwell_seconds must be >= 0 and finite, got {self.dwell_seconds}")
 
 
 @dataclass(frozen=True)

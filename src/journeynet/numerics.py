@@ -6,9 +6,12 @@ see only float64.  Every operation follows its operands' dtype, so a pass
 over float32 copies of the weights computes, records and back-propagates
 in float32: training runs each batch so (see :mod:`journeynet.training`),
 and the simulator's Monte Carlo rollouts run on a float32 compute copy of
-the model (`SequenceModel.compute_copy`).  Only 1 x 1 loss scalars stay
-float64.  A :class:`ComputeTape` watches the leaves it is given: inside
-its block they are tracked, and every operation with a tracked operand is
+the model (`SequenceModel.compute_copy`), which the model keeps while its
+weights, frozen read-only by serving, are unchanged.  So :func:`grad_check`,
+which writes into the weights, needs a model that was never served (or
+weights made writeable again).  Only 1 x 1 loss scalars stay float64.
+A :class:`ComputeTape` watches the leaves it is given: inside its block
+they are tracked, and every operation with a tracked operand is
 recorded and tracks its result.
 Calling :func:`backward` on the tape then accumulates ``dL/dx`` into the
 ``grad`` buffer of every leaf, and frees each intermediate gradient as
@@ -469,7 +472,9 @@ def grad_check(f: Callable[[], Matrix], params: Sequence[Matrix], h: float = 1e-
 
     `f` must rebuild its forward pass on every call (it runs once under a
     fresh tape for the analytic side, then twice per parameter entry for the
-    numeric side) and must be deterministic across calls.
+    numeric side) and must be deterministic across calls.  It writes into
+    the params' arrays, so on the weights of a served model, which serving
+    froze read-only, it raises numpy's ValueError.
     """
     params = list(params)
     with ComputeTape(params) as tape:

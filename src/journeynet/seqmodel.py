@@ -15,10 +15,26 @@ interface lets simulations feed sampled pages back in without re-running
 the prefix: `start` keeps each prefix's state at its own last step; `step`
 runs one step from the rows it continues.  The page names never change and
 keyword phrases recur, so `start` reads CNN embeddings from a phrase memo
-the model checks against the encoder weights on every call, and encodes
-only the phrases the memo lacks.  `compute_copy` casts the LSTM and head
-weights to float32 for the simulator's rollouts; the model itself computes
-in float64.  A tape records the ops on what it watches: inference records
+and encodes only the phrases the memo lacks.  `compute_copy` keeps a
+float32 cast of the LSTM and head weights for the simulator's rollouts;
+the model itself computes in float64.
+
+Serving freezes a model: building the memo sets the encoder's weight
+arrays read-only, and building the compute copy the LSTM and head's, and
+each cache is reused while every weight it was built from is still the
+same array and still read-only (:func:`_unchanged`).  Each array is frozen
+by one cache only, since a second cache re-freezing it would hide from the
+first an edit made through ``flags.writeable``.  So a served model's
+weights are edited by assigning a new array to a `Matrix.data`, or by
+setting its ``flags.writeable = True`` first; the next serving call sees
+either edit, rebuilds, and freezes again.  A bare in-place write into a
+frozen array raises numpy's ValueError, and so does
+:func:`numerics.grad_check` of a served model.  Two edits stay unseen: a
+write through a writeable numpy view taken before the first serving call,
+and an edit made writeable and served by another model built from the same
+`Matrix` objects.  Training, evaluation, `batch_step_probs`,
+`session_nll` and `forward_session` read neither cache and freeze nothing.
+A tape records the ops on what it watches: inference records
 nothing on a tape that does not watch the model's weights, and records on
 one that does, with the same bits.  Every product goes through
 :func:`numerics.rows_product`, so a row's bits do not depend on the other
@@ -201,10 +217,12 @@ class SequenceModel:
         self.encoder = CnnEncoder(Alphabet(config.alphabet), config.max_len, stages)
         self.layers = [LstmLayer(next(it), next(it), next(it)) for _ in config.lstm_hidden]
         self.w_fc, self.b_fc, self.w_out, self.b_out = it
-        # [(V x width page-name embeddings, copies of the encoder weights they
-        # came from, phrase -> embedding of every other phrase encoded since)],
-        # or [None]; one holder for the model and its compute copies
-        self._memo: list[tuple[np.ndarray, list[np.ndarray], dict[str, np.ndarray]] | None] = [None]
+        # [(V x width page-name embeddings, the frozen encoder arrays they came
+        # from, phrase -> embedding of every other phrase encoded since)], or
+        # [None]; one holder for the model and its compute copies
+        self._memo: list[tuple[np.ndarray, tuple[np.ndarray, ...], dict[str, np.ndarray]] | None] = [None]
+        # (the frozen LSTM and head arrays it was cast from, compute copy), or None
+        self._copy: tuple[tuple[np.ndarray, ...], SequenceModel] | None = None
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: PageVocabulary, seed: int) -> "SequenceModel":
@@ -234,19 +252,26 @@ class SequenceModel:
         return list(self.weights.items())
 
     def compute_copy(self) -> "SequenceModel":
-        """A model whose LSTM and head weights are COMPUTE_DTYPE casts of this one's, made now.
+        """A model whose LSTM and head weights are COMPUTE_DTYPE casts of this one's.
 
         The copy shares this model's config, vocabulary, float64 encoder
         weights and phrase memo, so its `start` reads and refreshes the one
-        memo; it computes the LSTM and the head in COMPUTE_DTYPE.
-        The weights here are never written: edits to them reach the next copy.
+        memo; it computes the LSTM and the head in COMPUTE_DTYPE.  The copy
+        is kept and returned again while the LSTM and head weights it was
+        cast from are unchanged (:func:`_unchanged`); a cast freezes them and
+        its own arrays, so an edit goes through a new array or
+        ``flags.writeable`` (see the module notes) and reaches the next copy.
+        The encoder weights, shared with the copy, are the memo's to freeze.
         """
-        weights = {
-            name: w if name.startswith("conv") else Matrix._result(w.data.astype(COMPUTE_DTYPE))
-            for name, w in self.weights.items()
-        }
-        copy = SequenceModel(self.config, self.vocab, weights)
+        served = {name: w for name, w in self.weights.items() if not name.startswith("conv")}
+        kept = self._copy
+        if kept is not None and _unchanged(served.values(), kept[0]):
+            return kept[1]
+        cast = {name: Matrix._result(w.data.astype(COMPUTE_DTYPE)) for name, w in served.items()}
+        _freeze(cast.values())  # a caller of the copy cannot write into the kept cast
+        copy = SequenceModel(self.config, self.vocab, {**self.weights, **cast})
         copy._memo = self._memo
+        self._copy = _freeze(served.values()), copy
         return copy
 
     # -- forward pieces ----------------------------------------------------
@@ -316,24 +341,23 @@ class SequenceModel:
         """CNN embeddings of the V page names, then of the distinct phrases `extras`.
 
         The rows come from the phrase memo, read only while every encoder
-        weight is untracked and equal, in dtype and bits, to the copy the
-        memo keeps of it; one CNN pass encodes the phrases the memo lacks.
-        Otherwise one CNN pass encodes the names and `extras` together and
-        the memo restarts from it.  A row of the CNN does not depend on the
-        other phrases of its pass (every product is a `rows_product`), so a
-        memo row is bit for bit a fresh pass.
+        weight is untracked and unchanged since the memo froze it
+        (:func:`_unchanged`); one CNN pass encodes the phrases the memo lacks.
+        Otherwise one CNN pass encodes the names and `extras` together, and
+        the memo restarts from it and freezes the encoder weights.  A row of
+        the CNN does not depend on the other phrases of its pass (every
+        product is a `rows_product`), so a memo row is bit for bit a fresh
+        pass.
         """
         weights = [w for st in self.encoder.stages for w in (st.kernels, st.bias)]
         kept = self._memo[0]
-        if kept is None or any(w.track for w in weights) or not all(
-            w.data.dtype == k.dtype and np.array_equal(w.data, k) for w, k in zip(weights, kept[1])
-        ):
+        if kept is None or any(w.track for w in weights) or not _unchanged(weights, kept[1]):
             embedded = self.encoder.embed_batch([*self.vocab.page_names, *extras])
             names = embedded.data[:self.n_classes].copy()
             names.flags.writeable = False
             memo = {}
             _remember(memo, dict(zip(extras, embedded.data[self.n_classes:])))
-            self._memo[0] = names, [w.data.copy() for w in weights], memo
+            self._memo[0] = names, _freeze(weights), memo
             return embedded
         names, _, memo = kept
         missing = [p for p in extras if p not in memo]
@@ -379,10 +403,10 @@ class SequenceModel:
 
         Each of the P prefixes needs `.keywords` (text, possibly empty) and
         `.pages` (iterable of page names).  The call builds one page table,
-        from the weights of this moment (so an in-place edit of the weights
-        is seen by the next `start`): the page names come first in the
-        batch's phrases, so the first V rows of layer 0's projection are the
-        table.  The CNN embeddings come from the model's checked phrase memo
+        from the weights of this moment (so an edit of the weights, made as
+        the module notes on frozen weights say, is seen by the next
+        `start`): the page names come first in the batch's phrases, so the
+        first V rows of layer 0's projection are the table.  The CNN embeddings come from the model's checked phrase memo
         (:meth:`_embed_after_page_names`), so a call encodes only the
         phrases no call since the last encoder change has encoded, if any;
         the table product itself runs on every call.  All prefixes run
@@ -417,6 +441,23 @@ class SequenceModel:
         layers = self.cell_steps(Matrix._result(state.table[pages]), prev)
         new = LstmState([(h.data, c) for h, c in layers], state.table)
         return new, self.head(layers[-1][0]).data
+
+
+def _freeze(weights) -> tuple[np.ndarray, ...]:
+    """The arrays of `weights`, each set read-only: what a serving cache built from them keeps."""
+    arrays = tuple(w.data for w in weights)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _unchanged(weights, kept: tuple[np.ndarray, ...]) -> bool:
+    """Whether `weights` still hold the arrays `kept` (from :func:`_freeze`), each still read-only.
+
+    This is the one validity rule of the serving caches: a weight edited
+    since holds a new array or one made writeable again.
+    """
+    return all(w.data is k and not k.flags.writeable for w, k in zip(weights, kept))
 
 
 def _remember(memo: dict[str, np.ndarray], rows: dict[str, np.ndarray]) -> None:

@@ -18,10 +18,12 @@ prefixes at once and every one-prefix entry point calls `start([prefix])`.
 
 The Monte Carlo entry points (`score_batch`, `estimate_conversion`,
 `rollout`, `step_distribution`) serve a float32 compute copy of a model or
-ensemble, cast from its float64 weights once per call (its
-`compute_copy`); a predictor without one runs as it is.  The copy shares
-the model's phrase memo, its masters are never written, and sampling
-accumulates each distribution's CDF in float64.  The exact oracle
+ensemble (its `compute_copy`); a predictor without one runs as it is.  A
+model keeps its copy, cast from its float64 weights, across calls until a
+weight is edited: serving freezes the weights read-only, so an edit goes
+through a new array or ``flags.writeable`` (see :mod:`journeynet.seqmodel`).
+The copy shares the model's phrase memo, its masters are never written, and
+sampling accumulates each distribution's CDF in float64.  The exact oracle
 (`conversion_path_mass`, `exact_conversion`) runs the float64 masters, so
 it checks the served estimates independently.
 
@@ -141,7 +143,7 @@ def _prefix_hit(prefix: JourneyPrefix, objective: Objective) -> bool:
 
 
 def _served(predictor):
-    """The predictor's compute copy, cast now from its weights, if it makes one; else itself."""
+    """The predictor's compute copy, kept or cast from its weights now, if it makes one; else itself."""
     compute_copy = getattr(predictor, "compute_copy", None)
     return predictor if compute_copy is None else compute_copy()
 
@@ -504,7 +506,7 @@ def score_batch(
         raise ConfigError(f"workers must be >= 1, got {workers}")
     for objective in objectives:  # reject unknown pages before any simulation
         _target_indices(objective, predictor.vocab)
-    predictor = _served(predictor)  # one cast per call, shipped to every worker
+    predictor = _served(predictor)  # at most one cast per call, shipped to every worker
     size = min(PREFIX_BLOCK, -(-len(prefixes) // workers))
     # the arguments of _estimate_block after the predictor
     units = [

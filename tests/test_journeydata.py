@@ -90,6 +90,11 @@ def test_page_event_invariants():
         PageEvent("", 1.0)
     with pytest.raises(ValueError):
         PageEvent("p", -0.5)
+    # as the log schema: an infinite dwell would overflow replicate_dwell and
+    # save as "Infinity", which parse_log refuses
+    for dwell in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PageEvent("p", dwell)
 
 
 session_strategy = st.builds(

@@ -476,19 +476,40 @@ def test_start_step_matches_forward_session_with_odd_phrases():
     assert np.array_equal(dist3[0], full[4].probs)
 
 
+def shift(w):  # an edit through a new array
+    w.data = w.data + 0.01
+
+
+def shift_made_writeable(w):  # an in-place edit, after making the array writeable
+    w.data.flags.writeable = True
+    w.data += 0.01
+
+
+def assert_frozen(w):
+    """A bare in-place edit of `w`, a weight of a served model, raises numpy's ValueError."""
+    with pytest.raises(ValueError, match="read-only"):
+        w.data[...] *= 0.5
+
+
 def test_start_sees_in_place_weight_edits():
     model = toy_model(seed=31)
     phrases = ["kw", "a", "b"]
     prefix = Prefix(phrases[0], phrases[1:])
+    model.compute_copy()  # serving freezes the LSTM and head weights, `start` the encoder's
     old_state, (before,) = model.start([prefix])
     for weights in (model.encoder.stages[0].kernels, model.layers[0].wx):
-        weights.data[...] *= 0.5
-        state, (dist,) = model.start([prefix])
-        assert not np.array_equal(dist, before)
-        assert np.array_equal(dist, model.forward_session(phrases)[-1].probs)
-        _, stepped = model.step(state, [0], [model.vocab.encode("c")])
-        assert np.array_equal(stepped[0], model.forward_session(phrases + ["c"])[-1].probs)
-        before = dist
+        for edit in (shift, shift_made_writeable):
+            assert_frozen(weights)
+            edit(weights)
+            state, (dist,) = model.start([prefix])
+            assert not np.array_equal(dist, before)
+            assert np.array_equal(dist, model.forward_session(phrases)[-1].probs)
+            fresh = model_from_dict(model_to_dict(model))
+            assert np.array_equal(dist, fresh.start([prefix])[1][0])
+            _, stepped = model.step(state, [0], [model.vocab.encode("c")])
+            assert np.array_equal(stepped[0], model.forward_session(phrases + ["c"])[-1].probs)
+            model.compute_copy()  # freezes an edited LSTM weight again
+            before = dist
     # a state started before the edits keeps the page projections it was started with
     assert not np.array_equal(old_state.table.data, state.table.data)
 
@@ -686,10 +707,6 @@ def encoder_weight(model, index):
     return [w for st in model.encoder.stages for w in (st.kernels, st.bias)][index]
 
 
-def shift(w):  # an in-place edit
-    w.data += 0.01
-
-
 def to_float32(w):  # equal values, another dtype
     w.data = w.data.astype(np.float32)
 
@@ -699,18 +716,17 @@ def test_snapshot_sees_in_place_edits_and_float32_copies_of_the_encoder(index, e
     warm, cold = snapshot_pair()
     prefixes = SNAPSHOT_CALLS["16 prefixes"]
     page_names = list(warm.vocab.page_names)
-    for model in (warm, cold):
-        # float32-representable values, so the float32 copy compares equal
-        w = encoder_weight(model, index)
-        w.data[...] = w.data.astype(np.float32)
-    for edit in (to_float32, shift):
+    for edit in (shift, shift_made_writeable, to_float32):
         warm.start(prefixes)
+        assert_frozen(encoder_weight(warm, index))
         for model in (warm, cold):
             edit(encoder_weight(model, index))
         embed_calls.clear()
         got = start_outputs(warm, prefixes)
         assert len(embed_calls) == 1 and embed_calls[0][:len(page_names)] == page_names
         assert_same_outputs(got, start_outputs(cold, prefixes))
+        if edit is not to_float32:  # a checkpoint loads float64 weights
+            assert_same_outputs(got, start_outputs(model_from_dict(model_to_dict(warm)), prefixes))
         # the refreshed memo serves the next call: it encodes nothing
         embed_calls.clear()
         assert_same_outputs(start_outputs(warm, prefixes), got)
@@ -785,7 +801,9 @@ def test_memo_encodes_only_the_unseen_phrases_of_a_call_once(ensemble, embed_cal
     assert_same_outputs(got, start_outputs(cold.compute_copy(), prefixes))
 
 
-@pytest.mark.parametrize("edit", [shift, to_float32, None], ids=["in-place", "float32", "watching-tape"])
+@pytest.mark.parametrize(
+    "edit", [shift_made_writeable, shift, to_float32, None], ids=["in-place", "new-array", "float32", "watching-tape"]
+)
 @pytest.mark.parametrize("index", [0, 3])  # conv0 kernels, conv1 bias
 def test_memo_is_dropped_after_an_encoder_edit_and_under_a_tape_that_watches_the_weights(edit, index, embed_calls):
     warm, cold = snapshot_pair()
@@ -801,12 +819,15 @@ def test_memo_is_dropped_after_an_encoder_edit_and_under_a_tape_that_watches_the
         with nm.ComputeTape([p for _, p in warm.parameters()]):
             got = start_outputs(warm, prefixes)
     else:
+        assert_frozen(encoder_weight(warm, index))
         for model in (warm, cold):
             edit(encoder_weight(model, index))
         got = start_outputs(warm, prefixes)
     # nothing of the memo is read: one pass encodes the page names and every other phrase
     assert embed_calls == [list(warm.vocab.page_names) + phrase_extras(warm, prefixes)]
     assert_same_outputs(got, start_outputs(cold, prefixes))
+    if edit in (shift, shift_made_writeable):
+        assert_same_outputs(got, start_outputs(model_from_dict(model_to_dict(warm)), prefixes))
     # and the memo restarts from that pass
     embed_calls.clear()
     assert_same_outputs(start_outputs(warm, prefixes), got)

@@ -910,16 +910,26 @@ def test_compute_copy_serves_the_monte_carlo_and_leaves_the_checkpoint_bytes_unc
 def test_compute_copy_sees_in_place_edits_between_score_batch_calls(funnel_model):
     from journeynet.seqmodel import model_from_dict, model_to_dict
 
+    def new_array(weight):
+        weight.data = weight.data * 0.5
+
+    def made_writeable(weight):
+        weight.data.flags.writeable = True
+        weight.data *= 0.5
+
     model = model_from_dict(model_to_dict(funnel_model))
     args = (FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, 2000, 8, 7)
     rows = score_batch(model, *args)
     for weight in (model.encoder.stages[0].kernels, model.layers[0].wx, model.w_out):
-        weight.data[...] *= 0.5
-        edited = score_batch(model, *args)
-        assert edited != rows
-        # a model loaded from the edited weights, never run before, gives the same rows
-        assert edited == score_batch(model_from_dict(model_to_dict(model)), *args)
-        rows = edited
+        for edit in (new_array, made_writeable):
+            with pytest.raises(ValueError, match="read-only"):  # a served model's weights are frozen
+                weight.data[...] *= 0.5
+            edit(weight)
+            edited = score_batch(model, *args)
+            assert edited != rows
+            # a model loaded from the edited weights, never run before, gives the same rows
+            assert edited == score_batch(model_from_dict(model_to_dict(model)), *args)
+            rows = edited
 
 
 def test_compute_copy_encodes_the_page_names_once_over_calls_of_every_entry_point(funnel_model, monkeypatch):
@@ -943,3 +953,120 @@ def test_compute_copy_encodes_the_page_names_once_over_calls_of_every_entry_poin
     # every compute copy of a member reads the snapshot its first call made
     for name in ensemble.vocab.page_names:
         assert sum(c.count(name) for c in calls) == len(ensemble), name
+
+
+# ---------------------------------------------------------------------------
+# frozen serving: a served model keeps one float32 copy and one phrase memo
+
+
+def fresh_funnel(funnel_model):
+    from journeynet.seqmodel import model_from_dict, model_to_dict
+
+    return model_from_dict(model_to_dict(funnel_model))  # cold: the shared fixture may be served
+
+
+def serve_every_entry_point(predictor, seed):
+    prefix, objective = FUNNEL_PREFIXES[0], FUNNEL_OBJECTIVES[0]
+    score_batch(predictor, FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, n_samples=100, horizon=8, seed=seed)
+    estimate_conversion(predictor, prefix, objective, 100, 8, seed=seed)
+    rollout(predictor, prefix, 8, stream(seed, "trace"))
+    step_distribution(predictor, prefix, 3, 100, seed=seed)
+
+
+def test_frozen_model_builds_one_float32_copy_and_one_memo_over_repeated_serving_calls(funnel_model, monkeypatch):
+    from journeynet.textenc import CnnEncoder
+
+    model = fresh_funnel(funnel_model)
+    built, names_passes = [], []
+    init, embed = SequenceModel.__init__, CnnEncoder.embed_batch
+
+    def counting_init(self, *args):
+        built.append(self)
+        return init(self, *args)
+
+    def counting_embed(self, phrases):
+        names_passes.append(list(phrases[:model.n_classes]) == list(model.vocab.page_names))
+        return embed(self, phrases)
+
+    monkeypatch.setattr(SequenceModel, "__init__", counting_init)
+    monkeypatch.setattr(CnnEncoder, "embed_batch", counting_embed)
+    memos = set()
+    for seed in range(3):
+        serve_every_entry_point(model, seed)
+        memos.add(id(model._memo[0]))
+    assert len(built) == 1 and model.compute_copy() is built[0]
+    assert len(memos) == 1 and names_passes.count(True) == 1
+
+
+def test_frozen_weights_after_a_serving_call_are_read_only(funnel_model):
+    from journeynet import numerics as nm
+
+    model = fresh_funnel(funnel_model)
+    assert all(w.data.flags.writeable for _, w in model.parameters())
+    score_batch(model, FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, n_samples=100, horizon=8, seed=1)
+    copy = model.compute_copy()
+    for _, w in [*model.parameters(), *copy.parameters()]:
+        assert not w.data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w.data[...] = 0.0
+    # finite differences write into the weights, so a served model cannot be grad-checked
+    with pytest.raises(ValueError, match="read-only"):
+        nm.grad_check(lambda: model.session_nll(["quotes", "landing"], [0, 1]), [model.w_out])
+
+
+def test_frozen_never_by_train_or_evaluate_only_by_serving():
+    from journeynet.training import evaluate
+
+    sessions = generate_synthetic(funnel_chain(), 40, seed=6)
+    config = TrainConfig(
+        epochs=1, batch_size=16, dropout_rate=0.0, seed=6, max_len=16,
+        conv_stages=((3, 4, 4),), lstm_hidden=(6,), fc_width=6,
+    )
+    model, _ = train(sessions, config, build_vocab(sessions, min_freq=2))
+
+    def writeable():
+        return [w.data.flags.writeable for _, w in model.parameters()]
+
+    assert all(writeable())
+    evaluate(model, sessions, model.vocab)
+    model.forward_session(["quotes", "landing"])
+    assert all(writeable())
+    estimate_conversion(model, FUNNEL_PREFIXES[0], FUNNEL_OBJECTIVES[0], 50, 8, seed=1)
+    assert not any(writeable())
+
+
+def test_frozen_ensemble_members_keep_one_copy_each(funnel_model):
+    from journeynet.training import Ensemble
+
+    ensemble = Ensemble([fresh_funnel(funnel_model), SequenceModel.build(funnel_model.config, funnel_model.vocab, seed=5)])
+    serve_every_entry_point(ensemble, 1)
+    copies = [m.compute_copy() for m in ensemble.models]
+    serve_every_entry_point(ensemble, 2)
+    assert [c is m for c, m in zip(copies, ensemble.compute_copy().models)] == [True, True]
+    assert copies[0] is not copies[1]
+
+
+def test_frozen_model_scores_with_two_workers_the_bytes_of_one(funnel_model, tmp_path):
+    model = fresh_funnel(funnel_model)
+    args = (FUNNEL_PREFIXES * 3, FUNNEL_OBJECTIVES, 300, 8, 11)
+    paths = [tmp_path / "one.csv", tmp_path / "two.csv"]
+    write_scores_csv(score_batch(model, *args, workers=1), paths[0])
+    copy = model.compute_copy()
+    assert not any(w.data.flags.writeable for _, w in model.parameters())
+    write_scores_csv(score_batch(model, *args, workers=2), paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert model.compute_copy() is copy  # the pool's call cast nothing
+
+
+def test_frozen_encoder_edit_made_writeable_is_seen_when_the_copy_is_cast_again(funnel_model):
+    model = fresh_funnel(funnel_model)
+    args = (FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, 2000, 8, 7)
+    rows = score_batch(model, *args)
+    kernels = model.encoder.stages[0].kernels
+    kernels.data.flags.writeable = True
+    kernels.data *= 0.5
+    model.w_out.data = model.w_out.data * 0.5  # the next call casts a new copy
+    # the cast must not freeze the edited kernels again before the memo sees them
+    edited = score_batch(model, *args)
+    assert edited != rows
+    assert edited == score_batch(fresh_funnel(model), *args)
