@@ -176,7 +176,10 @@ class PageVocabulary:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PageVocabulary":
-        return cls(list(d["pages"]), int(d["min_freq"]))
+        pages = d["pages"]
+        if not isinstance(pages, list) or not all(isinstance(p, str) and p for p in pages):
+            raise ValueError("vocabulary pages must be a list of non-empty strings")
+        return cls(pages, int(d["min_freq"]))
 
 
 def build_vocab(sessions, min_freq: int = 5) -> PageVocabulary:

@@ -6,10 +6,10 @@ see only float64.  Every operation follows its operands' dtype, so a pass
 over float32 copies of the weights computes, records and back-propagates
 in float32: training runs each batch so (see :mod:`journeynet.training`),
 and the simulator's Monte Carlo rollouts run on a float32 compute copy of
-the model (`SequenceModel.compute_copy`), which the model keeps while its
-weights, frozen read-only by serving, are unchanged.  So :func:`grad_check`,
-which writes into the weights, needs a model that was never served (or
-weights made writeable again).  Only 1 x 1 loss scalars stay float64.
+the model (`SequenceModel.compute_copy`).  A model's first serving call
+freezes every weight read-only, so :func:`grad_check`, which writes into
+the weights, needs a model that was never served (or weights made
+writeable again).  Only 1 x 1 loss scalars stay float64.
 A :class:`ComputeTape` watches the leaves it is given: inside its block
 they are tracked, and every operation with a tracked operand is
 recorded and tracks its result.

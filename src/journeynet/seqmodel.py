@@ -13,27 +13,28 @@ evaluation, `forward_session` and `start` run padded batches
 (`padded_batch`) from the zero state.  The incremental (start / step)
 interface lets simulations feed sampled pages back in without re-running
 the prefix: `start` keeps each prefix's state at its own last step; `step`
-runs one step from the rows it continues.  The page names never change and
-keyword phrases recur, so `start` reads CNN embeddings from a phrase memo
-and encodes only the phrases the memo lacks.  `compute_copy` keeps a
-float32 cast of the LSTM and head weights for the simulator's rollouts;
-the model itself computes in float64.
+runs one step from the rows it continues.
 
-Serving freezes a model: building the memo sets the encoder's weight
-arrays read-only, and building the compute copy the LSTM and head's, and
-each cache is reused while every weight it was built from is still the
-same array and still read-only (:func:`_unchanged`).  Each array is frozen
-by one cache only, since a second cache re-freezing it would hide from the
-first an edit made through ``flags.writeable``.  So a served model's
-weights are edited by assigning a new array to a `Matrix.data`, or by
-setting its ``flags.writeable = True`` first; the next serving call sees
-either edit, rebuilds, and freezes again.  A bare in-place write into a
-frozen array raises numpy's ValueError, and so does
-:func:`numerics.grad_check` of a served model.  Two edits stay unseen: a
-write through a writeable numpy view taken before the first serving call,
-and an edit made writeable and served by another model built from the same
-`Matrix` objects.  Training, evaluation, `batch_step_probs`,
-`session_nll` and `forward_session` read neither cache and freeze nothing.
+Serving freezes a model.  Its first serving call (`start` or
+`compute_copy`) builds one serving cache, which sets every weight array
+read-only and then holds, each filled when first needed, the page names'
+CNN rows, a memo of the other phrases' rows (page names never change and
+keywords recur, so `start` encodes only what the cache lacks) and the
+compute copy: a model whose LSTM and head compute in float32 for the
+simulator's rollouts (the model itself computes in float64), and which
+reads its master's cache.  The cache is reused while every weight is still
+the same array and still read-only (:func:`_unchanged`), and restarts
+whole otherwise.  So a served model's weights are edited by assigning a
+new array to a `Matrix.data`, or by setting its ``flags.writeable = True``
+first; the next serving call sees either edit, rebuilds, and freezes every
+weight again.  A bare in-place write into a frozen array raises numpy's
+ValueError, and so does :func:`numerics.grad_check` of a served model.
+Two edits stay unseen: a write through a writeable numpy view taken before
+the first serving call, and an edit made writeable and served by another
+model built from the same `Matrix` objects.  A pickled model carries no
+cache.  A `start` under a tape that watches any weight neither reads nor
+builds the cache; training, evaluation, `batch_step_probs`, `session_nll`
+and `forward_session` never do, and freeze nothing.
 A tape records the ops on what it watches: inference records
 nothing on a tape that does not watch the model's weights, and records on
 one that does, with the same bits.  Every product goes through
@@ -163,7 +164,7 @@ class LstmState:
 
     `SequenceModel.start` builds the table once per call, from the weights
     of that moment (the page names' embeddings may come from the model's
-    checked phrase memo, the product with layer 0's `wx` is always fresh), and
+    checked serving cache, the product with layer 0's `wx` is always fresh), and
     gives it to all P prefix rows; `step` gathers its rows and hands the
     same table on to the new state.
     """
@@ -217,12 +218,12 @@ class SequenceModel:
         self.encoder = CnnEncoder(Alphabet(config.alphabet), config.max_len, stages)
         self.layers = [LstmLayer(next(it), next(it), next(it)) for _ in config.lstm_hidden]
         self.w_fc, self.b_fc, self.w_out, self.b_out = it
-        # [(V x width page-name embeddings, the frozen encoder arrays they came
-        # from, phrase -> embedding of every other phrase encoded since)], or
-        # [None]; one holder for the model and its compute copies
-        self._memo: list[tuple[np.ndarray, tuple[np.ndarray, ...], dict[str, np.ndarray]] | None] = [None]
-        # (the frozen LSTM and head arrays it was cast from, compute copy), or None
-        self._copy: tuple[tuple[np.ndarray, ...], SequenceModel] | None = None
+        # built by the first serving call, the master's in a compute copy
+        self._cache: _ServingCache | None = None
+
+    def __getstate__(self) -> dict:
+        """Pickle without the cache, so without a master: unpickled arrays are writeable, so it could not hold."""
+        return {**self.__dict__, "_cache": None}
 
     @classmethod
     def build(cls, config: ModelConfig, vocab: PageVocabulary, seed: int) -> "SequenceModel":
@@ -251,28 +252,31 @@ class SequenceModel:
         """(name, weight) pairs in the order of :func:`parameter_shapes`."""
         return list(self.weights.items())
 
+    def _serving(self) -> "_ServingCache":
+        """The serving cache of this model's master (itself, or the model a compute copy was
+        cast from), built anew if missing or if a master weight changed (:func:`_unchanged`)."""
+        master = self if self._cache is None else self._cache.master
+        if master._cache is None or not _unchanged(master.weights.values(), master._cache.arrays):
+            master._cache = _ServingCache(master)
+        return master._cache
+
     def compute_copy(self) -> "SequenceModel":
         """A model whose LSTM and head weights are COMPUTE_DTYPE casts of this one's.
 
         The copy shares this model's config, vocabulary, float64 encoder
-        weights and phrase memo, so its `start` reads and refreshes the one
-        memo; it computes the LSTM and the head in COMPUTE_DTYPE.  The copy
-        is kept and returned again while the LSTM and head weights it was
-        cast from are unchanged (:func:`_unchanged`); a cast freezes them and
-        its own arrays, so an edit goes through a new array or
-        ``flags.writeable`` (see the module notes) and reaches the next copy.
-        The encoder weights, shared with the copy, are the memo's to freeze.
+        weights and serving cache, so its `start` reads and refreshes the one
+        phrase memo; it computes the LSTM and the head in COMPUTE_DTYPE.  The
+        cache keeps the copy (see the module notes) and freezes its casts too,
+        so its callers cannot write into it.  A copy's compute copy is its master's.
         """
-        served = {name: w for name, w in self.weights.items() if not name.startswith("conv")}
-        kept = self._copy
-        if kept is not None and _unchanged(served.values(), kept[0]):
-            return kept[1]
-        cast = {name: Matrix._result(w.data.astype(COMPUTE_DTYPE)) for name, w in served.items()}
-        _freeze(cast.values())  # a caller of the copy cannot write into the kept cast
-        copy = SequenceModel(self.config, self.vocab, {**self.weights, **cast})
-        copy._memo = self._memo
-        self._copy = _freeze(served.values()), copy
-        return copy
+        cache = self._serving()
+        if cache.copy is None:
+            weights = {name: w if name.startswith("conv") else Matrix._result(w.data.astype(COMPUTE_DTYPE))
+                       for name, w in cache.master.weights.items()}
+            cache.copy = SequenceModel(self.config, self.vocab, weights)
+            cache.copy._cache = cache
+            _freeze(weights.values())  # the casts; the cache froze the shared conv weights
+        return cache.copy
 
     # -- forward pieces ----------------------------------------------------
 
@@ -340,31 +344,29 @@ class SequenceModel:
     def _embed_after_page_names(self, extras: list[str]) -> Matrix:
         """CNN embeddings of the V page names, then of the distinct phrases `extras`.
 
-        The rows come from the phrase memo, read only while every encoder
-        weight is untracked and unchanged since the memo froze it
-        (:func:`_unchanged`); one CNN pass encodes the phrases the memo lacks.
-        Otherwise one CNN pass encodes the names and `extras` together, and
-        the memo restarts from it and freezes the encoder weights.  A row of
-        the CNN does not depend on the other phrases of its pass (every
-        product is a `rows_product`), so a memo row is bit for bit a fresh
-        pass.
+        Under a tape that watches any weight, one CNN pass encodes them all,
+        and no cache is read or built.  Otherwise the rows come from the
+        serving cache (:meth:`_serving`): one CNN pass encodes the page names,
+        if the cache lacks them, and the phrases its memo lacks, if any.  A
+        row of the CNN does not depend on the other phrases of its pass
+        (every product is a `rows_product`), so a cached row is bit for bit a
+        fresh pass.
         """
-        weights = [w for st in self.encoder.stages for w in (st.kernels, st.bias)]
-        kept = self._memo[0]
-        if kept is None or any(w.track for w in weights) or not _unchanged(weights, kept[1]):
-            embedded = self.encoder.embed_batch([*self.vocab.page_names, *extras])
-            names = embedded.data[:self.n_classes].copy()
-            names.flags.writeable = False
-            memo = {}
-            _remember(memo, dict(zip(extras, embedded.data[self.n_classes:])))
-            self._memo[0] = names, _freeze(weights), memo
-            return embedded
-        names, _, memo = kept
-        missing = [p for p in extras if p not in memo]
-        fresh = dict(zip(missing, self.encoder.embed_batch(missing).data)) if missing else {}
-        rows = [fresh[p] if p in fresh else memo[p] for p in extras]
-        _remember(memo, fresh)
-        return Matrix._result(np.vstack([names, *rows]) if rows else names)
+        if any(w.track for w in self.weights.values()):
+            return self.encoder.embed_batch([*self.vocab.page_names, *extras])
+        cache = self._serving()
+        lead = list(self.vocab.page_names) if cache.names is None else []
+        missing = [p for p in extras if p not in cache.memo]
+        embedded = self.encoder.embed_batch([*lead, *missing]).data if lead or missing else None
+        if lead:
+            cache.names = embedded[:len(lead)].copy()
+            cache.names.flags.writeable = False
+        fresh = dict(zip(missing, embedded[len(lead):])) if missing else {}
+        rows = [fresh[p] if p in fresh else cache.memo[p] for p in extras]
+        if len(cache.memo) + len(fresh) > MAX_MEMO_PHRASES:  # the page names stay
+            cache.memo.clear()
+        cache.memo.update((p, row.copy()) for p, row in list(fresh.items())[:MAX_MEMO_PHRASES])
+        return Matrix._result(np.vstack([cache.names, *rows]) if rows else cache.names)
 
     # -- whole-session paths -------------------------------------------------
 
@@ -389,9 +391,7 @@ class SequenceModel:
         The session runs through :meth:`batch_step_probs` as a batch of one.
         """
         if len(inputs) != len(targets):
-            raise ValueError(
-                f"{len(inputs)} inputs vs {len(targets)} targets"
-            )
+            raise ValueError(f"{len(inputs)} inputs vs {len(targets)} targets")
         phrases, rowidx, _ = padded_batch([inputs])
         probs = self.batch_step_probs(phrases, rowidx, dropout_rng)
         return nm.masked_cross_entropy(probs, targets, np.ones(len(targets)))
@@ -406,9 +406,10 @@ class SequenceModel:
         from the weights of this moment (so an edit of the weights, made as
         the module notes on frozen weights say, is seen by the next
         `start`): the page names come first in the batch's phrases, so the
-        first V rows of layer 0's projection are the table.  The CNN embeddings come from the model's checked phrase memo
+        first V rows of layer 0's projection are the table.  The CNN
+        embeddings come from the model's checked serving cache
         (:meth:`_embed_after_page_names`), so a call encodes only the
-        phrases no call since the last encoder change has encoded, if any;
+        phrases no call since the last weight change has encoded, if any;
         the table product itself runs on every call.  All prefixes run
         through one padded pass, and each prefix's state is taken at its own
         last step; since every product is a `rows_product`, row k is bit for
@@ -443,6 +444,16 @@ class SequenceModel:
         return new, self.head(layers[-1][0]).data
 
 
+class _ServingCache:
+    """What serving builds from the weights of `master`: their frozen `arrays`, then, each when
+    first needed, the V x width page-name CNN `names` rows, the `memo` (phrase -> CNN row of every
+    other phrase a `start` has encoded, copies, at most MAX_MEMO_PHRASES) and the compute `copy`."""
+
+    def __init__(self, master: SequenceModel):
+        self.master, self.arrays = master, _freeze(master.weights.values())
+        self.names, self.memo, self.copy = None, {}, None
+
+
 def _freeze(weights) -> tuple[np.ndarray, ...]:
     """The arrays of `weights`, each set read-only: what a serving cache built from them keeps."""
     arrays = tuple(w.data for w in weights)
@@ -454,17 +465,10 @@ def _freeze(weights) -> tuple[np.ndarray, ...]:
 def _unchanged(weights, kept: tuple[np.ndarray, ...]) -> bool:
     """Whether `weights` still hold the arrays `kept` (from :func:`_freeze`), each still read-only.
 
-    This is the one validity rule of the serving caches: a weight edited
-    since holds a new array or one made writeable again.
+    This is the validity rule of the serving cache: a weight edited since
+    holds a new array or one made writeable again.
     """
     return all(w.data is k and not k.flags.writeable for w, k in zip(weights, kept))
-
-
-def _remember(memo: dict[str, np.ndarray], rows: dict[str, np.ndarray]) -> None:
-    """Keep copies of `rows` in `memo`, emptied first if they would take it past MAX_MEMO_PHRASES."""
-    if len(memo) + len(rows) > MAX_MEMO_PHRASES:
-        memo.clear()
-    memo.update((p, row.copy()) for p, row in list(rows.items())[:MAX_MEMO_PHRASES])
 
 
 def predict_next(model, prefix) -> np.ndarray:
@@ -487,9 +491,7 @@ def session_loss(
     pages = replicate_dwell(session, unit_seconds, cap)
     targets = [vocab.encode(p) for p in pages]
     if len(predictions) != len(targets):
-        raise ValueError(
-            f"{len(predictions)} predictions for {len(targets)} transition targets"
-        )
+        raise ValueError(f"{len(predictions)} predictions for {len(targets)} transition targets")
     total = 0.0
     for pred, target in zip(predictions, targets):
         probs = pred.probs if isinstance(pred, StepPrediction) else np.asarray(pred)

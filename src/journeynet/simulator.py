@@ -12,20 +12,20 @@ other prefixes of the call.  Row j of `step`'s result continues row
 depend on the other rows of the call either.  `step` must not
 mutate `state`, so one state can branch into several futures; trained
 models and ensembles both satisfy this.  A model encodes a phrase once,
-keeping its CNN row in a memo it checks on every `start`, but builds its
-page table afresh per `start` call, so `score_batch` starts a whole block of
+keeping its CNN row in its serving cache, but builds its page table
+afresh per `start` call, so `score_batch` starts a whole block of
 prefixes at once and every one-prefix entry point calls `start([prefix])`.
 
 The Monte Carlo entry points (`score_batch`, `estimate_conversion`,
 `rollout`, `step_distribution`) serve a float32 compute copy of a model or
-ensemble (its `compute_copy`); a predictor without one runs as it is.  A
-model keeps its copy, cast from its float64 weights, across calls until a
-weight is edited: serving freezes the weights read-only, so an edit goes
-through a new array or ``flags.writeable`` (see :mod:`journeynet.seqmodel`).
-The copy shares the model's phrase memo, its masters are never written, and
-sampling accumulates each distribution's CDF in float64.  The exact oracle
-(`conversion_path_mass`, `exact_conversion`) runs the float64 masters, so
-it checks the served estimates independently.
+ensemble (its `compute_copy`, kept in the same cache); a predictor without
+one runs as it is.  Every serving call, the exact oracle's
+(`conversion_path_mass`, `exact_conversion`) too, freezes every weight of
+the model read-only, so an edit goes through a new array or
+``flags.writeable`` (see :mod:`journeynet.seqmodel`).  Sampling
+accumulates each distribution's CDF in float64, and the oracle runs the
+float64 masters, which serving never writes, so it checks the served
+estimates independently.
 
 Rollouts advance together: the rollouts of every prefix started in one
 call step in lockstep, each distinct live path is one row of a batched

@@ -336,9 +336,8 @@ class Ensemble:
     def __init__(self, models: list[SequenceModel]):
         if not models:
             raise ValueError("ensemble needs at least one member")
-        n = models[0].n_classes
-        if any(m.n_classes != n for m in models):
-            raise ValueError("ensemble members must share one output dimension")
+        if any(m.vocab.page_names != models[0].vocab.page_names for m in models):
+            raise ValueError("ensemble members must share one vocabulary")
         self.models = models
 
     def __len__(self) -> int:
@@ -355,22 +354,12 @@ class Ensemble:
     def start(self, prefixes):
         """Every member's P-row start state, and the member mean of their P x N distributions."""
         prefixes = list(prefixes)  # every member reads them
-        states = []
-        dists = []
-        for m in self.models:
-            state, dist = m.start(prefixes)
-            states.append(state)
-            dists.append(dist)
-        return states, np.mean(dists, axis=0)
+        states, dists = zip(*(m.start(prefixes) for m in self.models))
+        return list(states), np.mean(dists, axis=0)
 
     def step(self, states, rows, pages):
-        new_states = []
-        dists = []
-        for m, state in zip(self.models, states):
-            state, dist = m.step(state, rows, pages)
-            new_states.append(state)
-            dists.append(dist)
-        return new_states, np.mean(dists, axis=0)
+        states, dists = zip(*(m.step(s, rows, pages) for m, s in zip(self.models, states)))
+        return list(states), np.mean(dists, axis=0)
 
     def compute_copy(self) -> "Ensemble":
         """An ensemble of the members' compute copies (`SequenceModel.compute_copy`)."""
@@ -421,8 +410,9 @@ def load_predictor(path):
     if fmt == CHECKPOINT_FORMAT:
         return model_from_dict(checkpoint_field(payload, "model", dict, str(path)))
     if fmt == ENSEMBLE_FORMAT:
-        members = checkpoint_field(payload, "members", list, str(path))
-        if not members:
-            raise CheckpointError(f"{path}: ensemble checkpoint has no members")
-        return Ensemble([model_from_dict(d) for d in members])
+        models = [model_from_dict(d) for d in checkpoint_field(payload, "members", list, str(path))]
+        try:
+            return Ensemble(models)
+        except ValueError as exc:  # no members, or members of different vocabularies
+            raise CheckpointError(f"{path}: not a valid ensemble ({exc})") from exc
     raise CheckpointError(f"{path}: unrecognised checkpoint format {fmt!r}")

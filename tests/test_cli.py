@@ -789,6 +789,51 @@ def test_score_checkpoint_with_bad_conv_stage_is_a_clean_error(pipeline, tmp_pat
     _assert_clean_error(capsys, "conv stage")
 
 
+def _checkpoint_with_other_pages(pipeline, tmp_path, case):
+    """The pipeline's checkpoint with a page name that is not a string, or an
+    ensemble of it and a member over other page names of the same or another count."""
+    from journeynet.journeydata import PageVocabulary
+    from journeynet.seqmodel import SequenceModel, model_from_dict, model_to_dict
+
+    out, _ = pipeline
+    payload = json.loads((out / "model.ckpt").read_text())
+    member = payload["model"]
+    pages = member["vocab"]["pages"]
+    if case == "page-not-a-string":
+        member["vocab"]["pages"] = [5, *pages[1:]]
+    elif case == "same-size":
+        payload = dict(_ENSEMBLE, members=[member, dict(member, vocab=dict(member["vocab"], pages=pages[::-1]))])
+    else:
+        other = SequenceModel.build(model_from_dict(member).config, PageVocabulary(pages[:-1], 1), seed=1)
+        payload = dict(_ENSEMBLE, members=[member, model_to_dict(other)])
+    ckpt = tmp_path / f"{case}.ckpt"
+    ckpt.write_text(json.dumps(payload))
+    return ckpt
+
+
+@pytest.mark.parametrize("case", ["same-size", "other-size"])
+def test_load_predictor_rejects_ensemble_members_over_other_page_names(pipeline, tmp_path, case):
+    from journeynet.errors import CheckpointError
+    from journeynet.training import load_predictor
+
+    with pytest.raises(CheckpointError, match="one vocabulary"):
+        load_predictor(_checkpoint_with_other_pages(pipeline, tmp_path, case))
+
+
+@pytest.mark.parametrize("case", ["same-size", "other-size", "page-not-a-string"])
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_checkpoint_pages_of_other_members_or_types_are_a_clean_error(pipeline, tmp_path, capsys, command, case):
+    out, _ = pipeline
+    ckpt = _checkpoint_with_other_pages(pipeline, tmp_path, case)
+    if command == "score":
+        code = _score_exit(pipeline, tmp_path, model=ckpt)
+    else:
+        code = main(["eval", "--model", str(ckpt), "--data", str(out / "eval_sessions.jsonl")])
+    assert code == 1
+    _assert_clean_error(capsys, "vocabulary" if case != "page-not-a-string" else "non-empty strings")
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("n_sessions", [0, 1])
 def test_train_on_too_few_sessions_is_a_clean_error(pipeline, tmp_path, capsys, n_sessions):
     _, data = pipeline

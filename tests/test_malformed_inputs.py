@@ -2,9 +2,11 @@
 
 Each reader gets arbitrary bytes, JSON built from arbitrary values, and
 records shaped like the real thing with arbitrary fields, so that both the
-decoding and the validation paths are explored.
+decoding and the validation paths are explored.  A checkpoint that loads
+must also score.
 """
 
+import copy
 import json
 
 from hypothesis import given, settings
@@ -14,11 +16,15 @@ from journeynet.cli import _load_prefixes, _parse_config_file
 from journeynet.errors import JourneynetError
 from journeynet.journeydata import (
     MarkovSpec,
+    PageVocabulary,
     generate_synthetic,
     load_sessions,
     parse_log,
     serialize_session,
 )
+from journeynet.seqmodel import CHECKPOINT_FORMAT, CHECKPOINT_VERSION, ModelConfig, SequenceModel, model_to_dict
+from journeynet.simulator import JourneyPrefix, Objective, score_batch
+from journeynet.training import ENSEMBLE_FORMAT, load_predictor
 
 scalars = (
     st.none()
@@ -136,3 +142,50 @@ def test_prefix_file_parses_or_raises(tmp_path_factory, data):
 @given(data=st.binary(max_size=200) | st.text(max_size=200).map(str.encode))
 def test_config_file_parses_or_raises(tmp_path_factory, data):
     parses_or_raises_journeynet_error(_parse_config_file, tmp_path_factory.getbasetemp() / "run.cfg", data)
+
+
+def _tiny_checkpoints() -> dict:
+    """A valid model checkpoint of a tiny two-page model, and a two-member ensemble checkpoint."""
+    config = ModelConfig(max_len=6, conv_stages=((3, 2, 2),), lstm_hidden=(3,), fc_width=3, dropout_rate=0.0)
+    body = model_to_dict(SequenceModel.build(config, PageVocabulary(["a", "b"], min_freq=1), seed=0))
+    return {
+        "model": {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION, "model": body},
+        "ensemble": {"format": ENSEMBLE_FORMAT, "version": CHECKPOINT_VERSION, "members": [body, copy.deepcopy(body)]},
+    }
+
+
+TINY_CHECKPOINTS = _tiny_checkpoints()
+
+
+def _json_paths(node, path=()):
+    """The path of every value inside a JSON document, below the root."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _section(path) -> str:
+    """The part of a checkpoint a JSON path lies in: a model's config, vocab or weights, or the envelope."""
+    return next((key for key in path if key in ("config", "vocab", "weights")), "envelope")
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(TINY_CHECKPOINTS)), data=st.data())
+def test_checkpoint_with_one_field_replaced_loads_and_scores_or_raises(tmp_path_factory, kind, data):
+    payload = copy.deepcopy(TINY_CHECKPOINTS[kind])
+    # a section first, so that the few vocabulary fields are drawn as often as the many weight fields
+    paths = list(_json_paths(payload))
+    section = data.draw(st.sampled_from(sorted({_section(p) for p in paths})))
+    path = data.draw(st.sampled_from([p for p in paths if _section(p) == section]))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(values)
+    ckpt = tmp_path_factory.getbasetemp() / "replaced.ckpt"
+    ckpt.write_text(json.dumps(payload))
+    try:
+        predictor = load_predictor(ckpt)
+        score_batch(predictor, [JourneyPrefix("kw", ("a",))], [Objective("o", frozenset({"b"}))], 4, 3, seed=0)
+    except JourneynetError:
+        pass

@@ -495,7 +495,7 @@ def test_start_sees_in_place_weight_edits():
     model = toy_model(seed=31)
     phrases = ["kw", "a", "b"]
     prefix = Prefix(phrases[0], phrases[1:])
-    model.compute_copy()  # serving freezes the LSTM and head weights, `start` the encoder's
+    model.compute_copy()  # serving freezes every weight
     old_state, (before,) = model.start([prefix])
     for weights in (model.encoder.stages[0].kernels, model.layers[0].wx):
         for edit in (shift, shift_made_writeable):
@@ -508,7 +508,7 @@ def test_start_sees_in_place_weight_edits():
             assert np.array_equal(dist, fresh.start([prefix])[1][0])
             _, stepped = model.step(state, [0], [model.vocab.encode("c")])
             assert np.array_equal(stepped[0], model.forward_session(phrases + ["c"])[-1].probs)
-            model.compute_copy()  # freezes an edited LSTM weight again
+            model.compute_copy()  # freezes the edited weight again
             before = dist
     # a state started before the edits keeps the page projections it was started with
     assert not np.array_equal(old_state.table.data, state.table.data)
@@ -851,7 +851,7 @@ def test_memo_past_its_bound_keeps_the_page_names_and_the_bits(monkeypatch, embe
         embed_calls.clear()
         got = start_outputs(warm, prefixes)
         assert embed_calls == ([encoded] if encoded else [])
-        assert len(warm._memo[0][2]) <= 3
+        assert len(warm._cache.memo) <= 3
         assert_same_outputs(got, start_outputs(snapshot_pair()[1], prefixes))
 
 
@@ -967,6 +967,17 @@ def test_load_rejects_weights_the_config_does_not_lay_out():
     d = model_to_dict(toy_model(seed=8, config=replace(TOY_CONFIG, lstm_hidden=(6, 6))))
     d["config"]["lstm_hidden"] = [6]
     with pytest.raises(CheckpointError, match="lstm1.wx"):
+        model_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "pages", [[5, "b", "c"], "abc", ["a", "", "c"], {"a": 0, "b": 1, "c": 2}],
+    ids=["number", "string", "empty-name", "object"],
+)
+def test_load_rejects_page_names_that_are_not_a_list_of_non_empty_strings(pages):
+    d = model_to_dict(toy_model(seed=8))  # pages a, b and c
+    d["vocab"]["pages"] = pages
+    with pytest.raises(CheckpointError, match="non-empty strings"):
         model_from_dict(d)
 
 

@@ -993,7 +993,7 @@ def test_frozen_model_builds_one_float32_copy_and_one_memo_over_repeated_serving
     memos = set()
     for seed in range(3):
         serve_every_entry_point(model, seed)
-        memos.add(id(model._memo[0]))
+        memos.add(id(model._cache))
     assert len(built) == 1 and model.compute_copy() is built[0]
     assert len(memos) == 1 and names_passes.count(True) == 1
 
@@ -1070,3 +1070,45 @@ def test_frozen_encoder_edit_made_writeable_is_seen_when_the_copy_is_cast_again(
     edited = score_batch(model, *args)
     assert edited != rows
     assert edited == score_batch(fresh_funnel(model), *args)
+
+
+# ---------------------------------------------------------------------------
+# one serving cache per model
+
+
+def test_serving_cache_of_a_first_start_freezes_every_weight(funnel_model):
+    model = fresh_funnel(funnel_model)
+    model.start([FUNNEL_PREFIXES[0]])
+    assert not any(w.data.flags.writeable for _, w in model.parameters())
+    # the compute copy reads its master's cache
+    assert model.compute_copy()._serving() is model._serving()
+
+
+def test_serving_cache_is_neither_read_nor_built_under_a_tape_that_watches_the_weights(funnel_model):
+    from journeynet import numerics as nm
+
+    model = fresh_funnel(funnel_model)
+    with nm.ComputeTape([w for _, w in model.parameters()]):
+        tracked = model.start(FUNNEL_PREFIXES)[1]
+    assert all(w.data.flags.writeable for _, w in model.parameters())
+    assert model._cache is None
+    assert np.array_equal(tracked, model.start(FUNNEL_PREFIXES)[1])
+
+
+def test_serving_cache_is_not_pickled_with_a_compute_copy(funnel_model):
+    import pickle
+
+    model = fresh_funnel(funnel_model)
+    score_batch(model, FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, n_samples=100, horizon=8, seed=1)  # fills the cache
+    copy = model.compute_copy()
+    blob = pickle.dumps(copy)
+    clone = pickle.loads(blob)
+    assert clone._cache is None and copy._cache is model._cache
+    assert {w.data.dtype for name, w in clone.parameters() if not name.startswith("conv")} == {np.dtype(np.float32)}
+    # the blob holds the copy's own weights: no float64 LSTM or head master, no memo rows
+    own = sum(w.data.nbytes for _, w in copy.parameters())
+    lstm_and_head = sum(w.data.nbytes for name, w in model.parameters() if not name.startswith("conv"))
+    assert own < len(blob) < own + lstm_and_head // 4
+    # the worker's clone builds a cache of its own, with the copy's bits
+    assert np.array_equal(clone.start(FUNNEL_PREFIXES)[1], copy.start(FUNNEL_PREFIXES)[1])
+    assert clone._cache.master is clone

@@ -5,6 +5,7 @@ from journeynet.errors import ConfigError, TrainingError
 from journeynet.journeydata import (
     MarkovSpec,
     PageEvent,
+    PageVocabulary,
     Session,
     build_vocab,
     expand_session,
@@ -310,7 +311,8 @@ class _StubModel:
     def __init__(self, dist):
         self.dist = np.asarray(dist, dtype=float)
         self.n_classes = len(self.dist)
-        self.vocab = None
+        # NULL and UNKNOWN take the last two classes; an ensemble's members share one vocabulary
+        self.vocab = PageVocabulary([f"page{i}" for i in range(self.n_classes - 2)], min_freq=1)
 
     def start(self, prefixes):
         return None, np.tile(self.dist, (len(prefixes), 1))
