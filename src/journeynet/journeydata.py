@@ -59,7 +59,8 @@ def parse_log(lines) -> list[Session]:
     """Parse line-delimited records into sessions, in file order.
 
     `lines` is any iterable of text lines (an open file works).  Blank lines
-    are skipped.  Raises ParseError / SchemaError carrying the line number.
+    are skipped.  Raises ParseError / SchemaError carrying the line number,
+    also for a page named NULL_PAGE or UNKNOWN_PAGE.
     """
     sessions = []
     for line_no, line in enumerate(lines, start=1):
@@ -93,6 +94,8 @@ def _session_from_record(raw, line_no: int) -> Session:
         page, dwell = ev["page"], ev["dwell_seconds"]
         if not isinstance(page, str) or not page:
             raise SchemaError(line_no, f"event {i}: page must be non-empty text")
+        if page in (NULL_PAGE, UNKNOWN_PAGE):
+            raise SchemaError(line_no, f"event {i}: page {page!r} is a reserved name")
         if isinstance(dwell, bool) or not isinstance(dwell, (int, float)):
             raise SchemaError(line_no, f"event {i}: dwell_seconds must be a number")
         try:
@@ -250,11 +253,12 @@ class MarkovSpec:
     """Ground-truth chain for synthetic session generation.
 
     `states` lists page states followed by one terminal state (last entry),
-    each a non-empty name.  `transitions` is row-stochastic over the full
-    state list, the terminal row must be absorbing and every page state must
-    reach it.  `initial` puts no mass on the terminal state.  Dwell times are
-    exponential with per-page means (finite, >= 0); keywords (text) are
-    chosen by the first visited state.
+    each a non-empty name; a page state (the terminal is never emitted) may
+    not be named NULL_PAGE or UNKNOWN_PAGE.  `transitions` is row-stochastic
+    over the full state list, the terminal row must be absorbing and every
+    page state must reach it.  `initial` puts no mass on the terminal
+    state.  Dwell times are exponential with per-page means (finite, >= 0);
+    keywords (text) are chosen by the first visited state.
     """
 
     states: tuple[str, ...]
@@ -285,6 +289,9 @@ class MarkovSpec:
             raise MarkovSpecError("state names must be non-empty text")
         if len(set(self.states)) != n:
             raise MarkovSpecError("duplicate state names")
+        reserved = [s for s in self.states[:-1] if s in (NULL_PAGE, UNKNOWN_PAGE)]
+        if reserved:
+            raise MarkovSpecError(f"page state {reserved[0]!r} is a reserved name")
         if self.transitions.shape != (n, n):
             raise MarkovSpecError(
                 f"transition matrix shape {self.transitions.shape} != ({n}, {n})"

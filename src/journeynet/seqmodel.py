@@ -22,7 +22,8 @@ CNN rows, a memo of the other phrases' rows (page names never change and
 keywords recur, so `start` encodes only what the cache lacks) and the
 compute copy: a model whose LSTM and head compute in float32 for the
 simulator's rollouts (the model itself computes in float64), and which
-reads its master's cache.  The cache is reused while every weight is still
+owns its arrays and its serving cache, so a copy held across an edit of
+the model is a snapshot of the weights it was made from.  The cache is reused while every weight is still
 the same array and still read-only (:func:`_unchanged`), and restarts
 whole otherwise.  So a served model's weights are edited by assigning a
 new array to a `Matrix.data`, or by setting its ``flags.writeable = True``
@@ -218,11 +219,11 @@ class SequenceModel:
         self.encoder = CnnEncoder(Alphabet(config.alphabet), config.max_len, stages)
         self.layers = [LstmLayer(next(it), next(it), next(it)) for _ in config.lstm_hidden]
         self.w_fc, self.b_fc, self.w_out, self.b_out = it
-        # built by the first serving call, the master's in a compute copy
+        # built by the first serving call
         self._cache: _ServingCache | None = None
 
     def __getstate__(self) -> dict:
-        """Pickle without the cache, so without a master: unpickled arrays are writeable, so it could not hold."""
+        """Pickle without the cache: unpickled arrays are writeable, so it could not hold."""
         return {**self.__dict__, "_cache": None}
 
     @classmethod
@@ -253,29 +254,28 @@ class SequenceModel:
         return list(self.weights.items())
 
     def _serving(self) -> "_ServingCache":
-        """The serving cache of this model's master (itself, or the model a compute copy was
-        cast from), built anew if missing or if a master weight changed (:func:`_unchanged`)."""
-        master = self if self._cache is None else self._cache.master
-        if master._cache is None or not _unchanged(master.weights.values(), master._cache.arrays):
-            master._cache = _ServingCache(master)
-        return master._cache
+        """This model's serving cache, built anew if missing or if a weight changed (:func:`_unchanged`)."""
+        if self._cache is None or not _unchanged(self.weights.values(), self._cache.arrays):
+            self._cache = _ServingCache(self)
+        return self._cache
 
     def compute_copy(self) -> "SequenceModel":
-        """A model whose LSTM and head weights are COMPUTE_DTYPE casts of this one's.
+        """A model of its own arrays: copies of this one's (float64) encoder weights
+        and COMPUTE_DTYPE casts of its LSTM and head weights.
 
-        The copy shares this model's config, vocabulary, float64 encoder
-        weights and serving cache, so its `start` reads and refreshes the one
-        phrase memo; it computes the LSTM and the head in COMPUTE_DTYPE.  The
-        cache keeps the copy (see the module notes) and freezes its casts too,
-        so its callers cannot write into it.  A copy's compute copy is its master's.
+        The copy shares no array with this model, so it computes the LSTM and
+        the head in COMPUTE_DTYPE from a snapshot of the weights of this call.
+        It builds its own serving cache at once, which freezes its weights, so
+        its callers cannot write into it; this model's cache keeps it (see the
+        module notes) until a weight of this model changes.
         """
         cache = self._serving()
         if cache.copy is None:
-            weights = {name: w if name.startswith("conv") else Matrix._result(w.data.astype(COMPUTE_DTYPE))
-                       for name, w in cache.master.weights.items()}
-            cache.copy = SequenceModel(self.config, self.vocab, weights)
-            cache.copy._cache = cache
-            _freeze(weights.values())  # the casts; the cache froze the shared conv weights
+            cache.copy = SequenceModel(self.config, self.vocab, {
+                name: Matrix._result(w.data.copy() if name.startswith("conv") else w.data.astype(COMPUTE_DTYPE))
+                for name, w in self.weights.items()
+            })
+            cache.copy._serving()
         return cache.copy
 
     # -- forward pieces ----------------------------------------------------
@@ -445,25 +445,19 @@ class SequenceModel:
 
 
 class _ServingCache:
-    """What serving builds from the weights of `master`: their frozen `arrays`, then, each when
-    first needed, the V x width page-name CNN `names` rows, the `memo` (phrase -> CNN row of every
-    other phrase a `start` has encoded, copies, at most MAX_MEMO_PHRASES) and the compute `copy`."""
+    """What serving builds from a model's weights: their `arrays`, each set read-only, then, each
+    when first needed, the V x width page-name CNN `names` rows, the `memo` (phrase -> CNN row of
+    every other phrase a `start` has encoded, copies, at most MAX_MEMO_PHRASES) and the compute `copy`."""
 
-    def __init__(self, master: SequenceModel):
-        self.master, self.arrays = master, _freeze(master.weights.values())
+    def __init__(self, model: SequenceModel):
+        self.arrays = tuple(w.data for w in model.weights.values())
+        for a in self.arrays:
+            a.flags.writeable = False
         self.names, self.memo, self.copy = None, {}, None
 
 
-def _freeze(weights) -> tuple[np.ndarray, ...]:
-    """The arrays of `weights`, each set read-only: what a serving cache built from them keeps."""
-    arrays = tuple(w.data for w in weights)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def _unchanged(weights, kept: tuple[np.ndarray, ...]) -> bool:
-    """Whether `weights` still hold the arrays `kept` (from :func:`_freeze`), each still read-only.
+    """Whether `weights` still hold the arrays `kept` (a serving cache's), each still read-only.
 
     This is the validity rule of the serving cache: a weight edited since
     holds a new array or one made writeable again.

@@ -18,14 +18,15 @@ prefixes at once and every one-prefix entry point calls `start([prefix])`.
 
 The Monte Carlo entry points (`score_batch`, `estimate_conversion`,
 `rollout`, `step_distribution`) serve a float32 compute copy of a model or
-ensemble (its `compute_copy`, kept in the same cache); a predictor without
-one runs as it is.  Every serving call, the exact oracle's
+ensemble (its `compute_copy`: a model of its own arrays, which the model's
+serving cache keeps until a weight of the model changes); a predictor
+without one runs as it is.  Every serving call, the exact oracle's
 (`conversion_path_mass`, `exact_conversion`) too, freezes every weight of
 the model read-only, so an edit goes through a new array or
 ``flags.writeable`` (see :mod:`journeynet.seqmodel`).  Sampling
 accumulates each distribution's CDF in float64, and the oracle runs the
-float64 masters, which serving never writes, so it checks the served
-estimates independently.
+float64 model, which shares no array with its copy and which serving never
+writes, so it checks the served estimates independently.
 
 Rollouts advance together: the rollouts of every prefix started in one
 call step in lockstep, each distinct live path is one row of a batched

@@ -4,8 +4,9 @@ Sessions are dwell-expanded, bucketed by length, and padded within each
 batch; padding steps are masked out of the loss.  The optimizer is plain
 gradient descent with a per-parameter adaptive step (running average of
 squared gradients) and global-norm gradient clipping.  Each batch's forward
-and backward pass runs in float32 on copies of the weights; the float64
-master weights and the optimizer state take the update (mixed precision,
+and backward pass runs in float32 on a twin model of its own arrays,
+refreshed from the float64 master weights before the batch; the masters
+and the optimizer state take the update from the twin's gradients (mixed precision,
 Micikevicius et al., arXiv:1710.03740).  Every random choice (init,
 shuffling, dropout) derives from the config seed, so a run is exactly
 repeatable.
@@ -14,7 +15,6 @@ repeatable.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -109,18 +109,20 @@ class TrainReport:
 class _AdaptiveStep:
     """Per-parameter scaling by a running average of squared gradients.
 
+    Each Matrix of `grads` holds, in its `grad`, the gradient of the weight
+    of `params` at its place (in training, a weight of the float32 twin).
     It keeps one float64 running average per weight and one float64 scratch
     pair sized to the largest weight, whose reshaped views serve every
     weight in turn.  `step` copies each gradient, of any float dtype, into
     the pair's first array and updates the float64 weights in place,
     allocating nothing, so at its peak a step holds only the weights, their
-    gradients, their running averages and the pair.  A parameter without a
+    gradients, their running averages and the pair.  A weight without a
     gradient counts as a zero gradient: its running average decays and its
     weights stay as they are.
     """
 
-    def __init__(self, params, config: TrainConfig):
-        self.params = params
+    def __init__(self, params, grads, config: TrainConfig):
+        self.params, self.grads = params, grads
         self.lr = config.learning_rate
         self.clip = config.gradient_clip_norm
         self.sq = [np.zeros_like(p.data) for p in params]
@@ -134,19 +136,19 @@ class _AdaptiveStep:
     def step(self) -> None:
         live = []
         sumsq = 0.0
-        for p, v in zip(self.params, self.sq):
-            if p.grad is None:
+        for p, src, v in zip(self.params, self.grads, self.sq):
+            if src.grad is None:
                 v *= RMS_DECAY
                 continue
             g, t = self._views(v)
-            np.copyto(g, p.grad)
+            np.copyto(g, src.grad)
             sumsq += float(np.multiply(g, g, out=t).sum())
-            live.append((p, v))
+            live.append((p, src, v))
         norm = np.sqrt(sumsq)
-        for p, v in live:
+        for p, src, v in live:
             # the pair held other weights' gradients since: copy this one again
             g, t = self._views(v)
-            np.copyto(g, p.grad)
+            np.copyto(g, src.grad)
             if norm > self.clip:
                 g *= self.clip / norm
             # v = d * v + ((1 - d) * g) * g;  w -= (lr * g) / (sqrt(v) + eps), associated
@@ -160,21 +162,6 @@ class _AdaptiveStep:
             t += RMS_EPSILON
             g /= t
             p.data -= g
-
-
-@contextmanager
-def _compute_copies(params, copies):
-    """Swap `copies` (COMPUTE_DTYPE arrays), refreshed from the weights, into
-    the params' `data` for one batch; the masters return on any exit."""
-    masters = [p.data for p in params]
-    for p, c in zip(params, copies):
-        np.copyto(c, p.data)
-        p.data = c
-    try:
-        yield
-    finally:
-        for p, m in zip(params, masters):
-            p.data = m
 
 
 @dataclass
@@ -249,8 +236,12 @@ def train(
     expanded = _expand_all(sessions, vocab, config.unit_seconds, config.dwell_cap)
     held_out = list(eval_sessions) if eval_sessions is not None else sessions
     params = [p for _, p in model.parameters()]
-    optimizer = _AdaptiveStep(params, config)
-    copies = [np.empty(p.shape, dtype=COMPUTE_DTYPE) for p in params]
+    # the float32 model each batch runs on
+    twin = SequenceModel(model.config, vocab, {
+        name: nm.Matrix._result(np.empty(p.shape, dtype=COMPUTE_DTYPE)) for name, p in model.parameters()
+    })
+    leaves = [p for _, p in twin.parameters()]
+    optimizer = _AdaptiveStep(params, leaves, config)
     report = TrainReport()
 
     for epoch in range(config.epochs):
@@ -267,16 +258,17 @@ def train(
                 if config.dropout_rate > 0
                 else None
             )
-            with _compute_copies(params, copies):
-                with nm.ComputeTape(params) as tape:
-                    total = _batch_loss(model, phrases, rowidx, targets, mask, dropout_rng)
-                    n_steps = float(mask.sum())
-                    mean_loss = nm.scale(total, 1.0 / n_steps)
-                if not np.isfinite(total.item()):
-                    raise TrainingError("training loss diverged", epoch=epoch, batch=bi)
-                nm.backward(tape, mean_loss)
+            for p, leaf in zip(params, leaves):
+                np.copyto(leaf.data, p.data)
+            with nm.ComputeTape(leaves) as tape:
+                total = _batch_loss(twin, phrases, rowidx, targets, mask, dropout_rng)
+                n_steps = float(mask.sum())
+                mean_loss = nm.scale(total, 1.0 / n_steps)
+            if not np.isfinite(total.item()):
+                raise TrainingError("training loss diverged", epoch=epoch, batch=bi)
+            nm.backward(tape, mean_loss)
             optimizer.step()
-            nm.zero_gradients(params)
+            nm.zero_gradients(leaves)
             nats += total.item()
             steps += n_steps
         eval_acc, eval_loss = evaluate(
@@ -305,11 +297,14 @@ def evaluate(
 
     Accuracy counts steps whose argmax prediction (ties to the lowest index)
     equals the true next page; dropout is disabled.  `predictor` is a model
-    or an ensemble.  Sessions run in batches of EVAL_BATCH.
+    or an ensemble, and `vocab` must hold its page names (ConfigError
+    otherwise).  Sessions run in batches of EVAL_BATCH.
     """
     sessions = list(sessions)
     if not sessions:
         raise ConfigError("no sessions to evaluate")
+    if vocab.page_names != predictor.vocab.page_names:
+        raise ConfigError("evaluate needs the vocabulary of the predictor")
     expanded = _expand_all(sessions, vocab, unit_seconds, cap)
     hits = 0.0
     nats = 0.0

@@ -723,6 +723,20 @@ def test_gen_data_bad_markov_spec_is_a_clean_error(tmp_path, capsys, content):
     assert not (tmp_path / "s.jsonl").exists()
 
 
+@pytest.mark.parametrize("name", ["<null>", "<unknown>"])
+def test_gen_data_on_a_reserved_page_state_name_is_a_clean_error(tmp_path, capsys, name):
+    spec = tmp_path / "chain.json"
+    spec.write_bytes(_spec_json(states=["a", name, "exit"]))
+    code = main(["gen-data", "--markov-spec", str(spec), "--out", str(tmp_path / "s.jsonl")])
+    assert code == 1
+    _assert_clean_error(capsys, repr(name), "reserved")
+    assert not (tmp_path / "s.jsonl").exists()
+    # the terminal state's name is never written as a page, so it may be either
+    spec.write_bytes(_spec_json(states=["a", "b", name]))
+    assert main(["gen-data", "--markov-spec", str(spec), "--n-sessions", "5", "--out", str(tmp_path / "s.jsonl")]) == 0
+    assert {ev.page_name for s in load_sessions(tmp_path / "s.jsonl") for ev in s.events} <= {"a", "b"}
+
+
 def test_gen_data_on_a_chain_that_almost_never_exits_is_a_clean_error(tmp_path):
     # valid, but one session would walk ~1e12 pages: gen-data must stop, not hang
     spec = tmp_path / "chain.json"
@@ -859,6 +873,23 @@ def test_train_on_an_eventless_session_is_a_clean_error(tmp_path, capsys):
     ])
     assert code == 1
     _assert_clean_error(capsys, "no page events")
+
+
+@pytest.mark.parametrize("page", ["<null>", "<unknown>"])
+@pytest.mark.parametrize("min_freq", ["1", "3"], ids=["kept", "below-min-freq"])
+def test_train_on_a_reserved_page_name_is_a_clean_error(tmp_path, capsys, page, min_freq):
+    # the reserved name is one page of line 2; "--min-freq 3" would drop it from the vocabulary
+    pages = [["home", "quote"], ["home", page, "quote"], ["home", "quote"], ["quote", "home"]]
+    lines = [
+        {"session_id": f"s{i}", "keywords": "kw", "events": [{"page": p, "dwell_seconds": 2.0} for p in ps]}
+        for i, ps in enumerate(pages)
+    ]
+    data = tmp_path / "s.jsonl"
+    data.write_text("".join(json.dumps(d) + "\n" for d in lines))
+    code = main(["train", "--data", str(data), "--out-dir", str(tmp_path), *TRAIN_FLAGS, "--min-freq", min_freq])
+    assert code == 1
+    _assert_clean_error(capsys, "line 2:", repr(page), "reserved")
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 # an integer literal longer than Python's int-to-string limit (4300 digits)

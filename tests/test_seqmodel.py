@@ -773,14 +773,16 @@ def warm_and_cold(ensemble):
 def test_memo_serves_repeated_calls_and_compute_copies_with_the_bits_of_a_cold_start(case, ensemble, embed_calls):
     warm, cold = warm_and_cold(ensemble)
     prefixes = SNAPSHOT_CALLS[case]
-    first = start_outputs(warm, prefixes)
+    copy = warm.compute_copy()
+    first, served = start_outputs(warm, prefixes), start_outputs(copy, prefixes)
     embed_calls.clear()
-    # the first call's memo serves every phrase of a repeat, also to a compute copy
+    # each model's first call fills its own memo, which serves every phrase of its repeats
     again = [start_outputs(warm, prefixes), start_outputs(warm, prefixes)]
-    served = start_outputs(warm.compute_copy(), prefixes)
+    served_again = start_outputs(copy, prefixes)
     assert embed_calls == []
     for got in again:
         assert_same_outputs(got, first)
+    assert_same_outputs(served_again, served)
     assert_same_outputs(first, start_outputs(cold, prefixes))
     assert_same_outputs(served, start_outputs(cold.compute_copy(), prefixes))
 
@@ -790,15 +792,17 @@ def test_memo_encodes_only_the_unseen_phrases_of_a_call_once(ensemble, embed_cal
     warm, cold = warm_and_cold(ensemble)
     seen = SNAPSHOT_CALLS["one prefix"]
     prefixes = SNAPSHOT_CALLS["16 prefixes"] + seen
-    warm.start(seen)
-    embed_calls.clear()
-    got = start_outputs(warm.compute_copy(), prefixes)
     unseen = [p for p in phrase_extras(warm, prefixes) if p not in phrase_extras(warm, seen)]
-    assert unseen and embed_calls == [unseen] * (2 if ensemble else 1)
-    embed_calls.clear()
-    warm.start(prefixes)  # the copy's call filled the model's memo
-    assert embed_calls == []
-    assert_same_outputs(got, start_outputs(cold.compute_copy(), prefixes))
+    # a model and its compute copy each keep a memo of their own
+    for model, reference in ((warm, cold), (warm.compute_copy(), cold.compute_copy())):
+        model.start(seen)
+        embed_calls.clear()
+        got = start_outputs(model, prefixes)
+        assert unseen and embed_calls == [unseen] * (2 if ensemble else 1)
+        embed_calls.clear()
+        model.start(prefixes)  # the call filled the memo
+        assert embed_calls == []
+        assert_same_outputs(got, start_outputs(reference, prefixes))
 
 
 @pytest.mark.parametrize(
@@ -870,7 +874,8 @@ def test_compute_copy_start_step_are_float32_and_match_its_forward_session():
     served = step_outputs(copy, prefixes)
     assert all(a.dtype == np.float32 for a in served)
     assert all(w.data.dtype == np.float32 for name, w in copy.parameters() if not name.startswith("conv"))
-    assert copy.encoder.stages[0].kernels is model.encoder.stages[0].kernels
+    for a, b in ((encoder_weight(copy, i).data, encoder_weight(model, i).data) for i in range(4)):
+        assert a.dtype == np.float64 and np.array_equal(a, b) and not np.shares_memory(a, b)
     for k, prefix in enumerate(prefixes):
         full = copy.forward_session([prefix.keywords, *prefix.pages, copy.vocab.page_names[0]])
         assert np.array_equal(served[0][k], full[-2].probs)
@@ -879,6 +884,30 @@ def test_compute_copy_start_step_are_float32_and_match_its_forward_session():
     assert all(w.data.dtype == np.float64 for _, w in model.parameters())
     assert all(a.dtype == np.float64 for a in before)
     assert_same_outputs(step_outputs(model, prefixes), before)
+
+
+def test_compute_copy_shares_no_array_with_its_model():
+    model = toy_model(seed=57, config=SNAPSHOT_CONFIG)
+    copy = model.compute_copy()
+    for _, w in model.parameters():
+        for _, c in copy.parameters():
+            assert not np.shares_memory(w.data, c.data)
+    assert {w.data.dtype for _, w in copy.parameters()} == {np.dtype(np.float32), np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("index", [0, 3])  # conv0 kernels, conv1 bias
+def test_compute_copy_held_across_an_in_place_encoder_edit_keeps_its_bits(index):
+    warm, cold = snapshot_pair()
+    prefixes = SNAPSHOT_CALLS["16 prefixes"]
+    copy = warm.compute_copy()
+    held = step_outputs(copy, prefixes)
+    shift_made_writeable(encoder_weight(warm, index))
+    warm.start(prefixes)  # serves the edit: the model's cache and its next copy start again
+    assert warm.compute_copy() is not copy
+    # the held copy is a snapshot: its weights and bits are those of the model before the edit
+    assert_same_outputs(step_outputs(copy, prefixes), held)
+    assert_same_outputs(held, step_outputs(cold.compute_copy(), prefixes))
+    assert not np.array_equal(encoder_weight(copy, index).data, encoder_weight(warm, index).data)
 
 
 def test_compute_copy_start_is_within_1e_6_of_float64_at_the_paper_config():

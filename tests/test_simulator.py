@@ -1080,8 +1080,11 @@ def test_serving_cache_of_a_first_start_freezes_every_weight(funnel_model):
     model = fresh_funnel(funnel_model)
     model.start([FUNNEL_PREFIXES[0]])
     assert not any(w.data.flags.writeable for _, w in model.parameters())
-    # the compute copy reads its master's cache
-    assert model.compute_copy()._serving() is model._serving()
+    # the compute copy keeps a cache of its own, built and frozen when the copy was made
+    copy = model.compute_copy()
+    assert copy._cache is not None and copy._cache is not model._cache
+    assert not any(w.data.flags.writeable for _, w in copy.parameters())
+    assert copy._serving() is copy._cache and model._serving().copy is copy
 
 
 def test_serving_cache_is_neither_read_nor_built_under_a_tape_that_watches_the_weights(funnel_model):
@@ -1103,7 +1106,7 @@ def test_serving_cache_is_not_pickled_with_a_compute_copy(funnel_model):
     copy = model.compute_copy()
     blob = pickle.dumps(copy)
     clone = pickle.loads(blob)
-    assert clone._cache is None and copy._cache is model._cache
+    assert clone._cache is None and copy._cache is not None
     assert {w.data.dtype for name, w in clone.parameters() if not name.startswith("conv")} == {np.dtype(np.float32)}
     # the blob holds the copy's own weights: no float64 LSTM or head master, no memo rows
     own = sum(w.data.nbytes for _, w in copy.parameters())
@@ -1111,4 +1114,24 @@ def test_serving_cache_is_not_pickled_with_a_compute_copy(funnel_model):
     assert own < len(blob) < own + lstm_and_head // 4
     # the worker's clone builds a cache of its own, with the copy's bits
     assert np.array_equal(clone.start(FUNNEL_PREFIXES)[1], copy.start(FUNNEL_PREFIXES)[1])
-    assert clone._cache.master is clone
+    assert all(a is w.data for a, (_, w) in zip(clone._cache.arrays, clone.parameters()))
+
+
+def test_compute_copy_replaced_and_served_model_dropped_are_freed_without_the_cyclic_gc(funnel_model):
+    import gc
+    import weakref
+
+    gc.collect()
+    gc.disable()
+    try:
+        model = fresh_funnel(funnel_model)
+        score_batch(model, FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, n_samples=50, horizon=8, seed=1)
+        replaced = weakref.ref(model.compute_copy())
+        model.w_out.data = model.w_out.data * 0.5  # the next serving call casts a new copy
+        score_batch(model, FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, n_samples=50, horizon=8, seed=1)
+        assert replaced() is None
+        dropped = weakref.ref(model)
+        del model
+        assert dropped() is None
+    finally:
+        gc.enable()

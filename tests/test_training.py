@@ -357,6 +357,18 @@ def test_ensemble_checkpoint_roundtrip(tmp_path, chain_data):
     )
 
 
+def test_evaluate_rejects_a_vocabulary_other_than_the_predictors(trained, chain_data):
+    model, _, _ = trained
+    tr, ev, vocab = chain_data
+    other = build_vocab(tr[:5], min_freq=1)
+    # the same pages in another order: encoding targets with it would score the wrong classes
+    assert len(other) == len(vocab) and other.page_names != vocab.page_names
+    with pytest.raises(ConfigError, match="vocabulary"):
+        evaluate(model, ev, other)
+    # an equal vocabulary of another object is the predictor's
+    assert evaluate(model, ev, PageVocabulary.from_dict(vocab.to_dict())) == evaluate(model, ev, vocab)
+
+
 def test_evaluate_accepts_ensemble(chain_data):
     tr, ev, vocab = chain_data
     config = TrainConfig(epochs=1, batch_size=16, seed=2, **TOY_TRAIN)
@@ -434,17 +446,53 @@ def test_paper_config_batch_records_23_tape_nodes_and_train_adds_the_mean(chain_
     assert sizes == [24, 24]  # and `scale` to the batch mean
 
 
-def test_training_error_mid_batch_restores_float64_masters(chain_data, monkeypatch):
+def _built_models(monkeypatch):
+    """Every model `SequenceModel.build` returns from now on, with its weight arrays as built."""
+    built = []
+    original = SequenceModel.build.__func__
+
+    def recording(cls, *args):
+        model = original(cls, *args)
+        built.append((model, [p.data for _, p in model.parameters()]))
+        return model
+
+    monkeypatch.setattr(SequenceModel, "build", classmethod(recording))
+    return built
+
+
+def test_training_batch_loss_runs_a_float32_twin_and_the_model_keeps_its_float64_arrays(chain_data, monkeypatch):
+    from journeynet import training as tr_mod
+
+    tr, ev, vocab = chain_data
+    config = TrainConfig(epochs=2, batch_size=8, seed=4, **TOY_TRAIN)
+    built, twins = _built_models(monkeypatch), []
+    real_loss = tr_mod._batch_loss
+
+    def recording_loss(model, *args):
+        twins.append(model)
+        return real_loss(model, *args)
+
+    monkeypatch.setattr(tr_mod, "_batch_loss", recording_loss)
+    model, _ = train(tr, config, vocab, eval_sessions=ev[:4])
+    [(first, arrays)] = built
+    assert first is model and len(twins) > 2 and len({id(t) for t in twins}) == 1
+    assert twins[0] is not model
+    assert _float_dtypes(p for _, p in twins[0].parameters()) == {np.dtype(np.float32)}
+    assert all(p.data is a and a.dtype == np.float64 for (_, p), a in zip(model.parameters(), arrays))
+    assert all(p.grad is None for _, p in model.parameters())
+
+
+def test_training_error_mid_batch_leaves_the_float64_masters_in_place(chain_data, monkeypatch):
     from journeynet import numerics as nm
     from journeynet import training as tr_mod
 
     tr, _, vocab = chain_data
     config = TrainConfig(epochs=1, batch_size=8, seed=4, **TOY_TRAIN)
-    models = []
+    built, twins = _built_models(monkeypatch), []
     real_loss = tr_mod._batch_loss
 
     def diverging_loss(model, *args):
-        models.append(model)
+        twins.append(model)
         assert _float_dtypes(p for _, p in model.parameters()) == {np.dtype(np.float32)}
         total = real_loss(model, *args)
         return nm.scale(total, np.inf)
@@ -452,41 +500,38 @@ def test_training_error_mid_batch_restores_float64_masters(chain_data, monkeypat
     monkeypatch.setattr(tr_mod, "_batch_loss", diverging_loss)
     with pytest.raises(TrainingError):
         train(tr, config, vocab)
+    [(model, arrays)] = built
+    assert twins == [twins[0]] and twins[0] is not model
     fresh = SequenceModel.build(config.model_config(), vocab, config.seed)
-    for (_, p), (_, q) in zip(models[0].parameters(), fresh.parameters()):
-        assert p.data.dtype == np.float64 and np.array_equal(p.data, q.data)
+    for (_, p), a, (_, q) in zip(model.parameters(), arrays, fresh.parameters()):
+        assert p.data is a and p.data.dtype == np.float64 and np.array_equal(p.data, q.data)
 
 
 def test_float32_batch_gradient_matches_float64(chain_data):
     from journeynet import numerics as nm
     from journeynet import rng as rngmod
-    from journeynet.training import (
-        COMPUTE_DTYPE,
-        _batch_loss,
-        _batch_tensors,
-        _compute_copies,
-        _expand_all,
-    )
+    from journeynet.training import COMPUTE_DTYPE, _batch_loss, _batch_tensors, _expand_all
 
     tr, _, vocab = chain_data
     config = TrainConfig(seed=5)  # the paper's architecture, dropout 0.5
     model = SequenceModel.build(config.model_config(), vocab, config.seed)
-    params = [p for _, p in model.parameters()]
+    twin = SequenceModel(model.config, vocab, {
+        name: nm.Matrix._result(p.data.astype(COMPUTE_DTYPE)) for name, p in model.parameters()
+    })
     expanded = _expand_all(tr[:6], vocab, config.unit_seconds, config.dwell_cap)
     assert len({len(e.inputs) for e in expanded}) > 1  # ragged
     batch = _batch_tensors(expanded, range(6))
 
-    def grads():
+    def grads(m):
+        params = [p for _, p in m.parameters()]
         with nm.ComputeTape(params) as tape:
-            loss = _batch_loss(model, *batch, rngmod.stream(0, "dropout"))
+            loss = _batch_loss(m, *batch, rngmod.stream(0, "dropout"))
         nm.backward(tape, loss)
         out = [p.grad.astype(np.float64) for p in params]
         nm.zero_gradients(params)
         return out
 
-    g64 = grads()
-    with _compute_copies(params, [np.empty(p.shape, dtype=COMPUTE_DTYPE) for p in params]):
-        g32 = grads()
+    g64, g32 = grads(model), grads(twin)
     for (name, _), a, b in zip(model.parameters(), g32, g64):
         assert np.linalg.norm(a - b) <= 1e-3 * np.linalg.norm(b), name
 
@@ -514,19 +559,20 @@ def test_adaptive_step_is_bitwise_the_reference_formula(clip, missing):
     shapes = [(7, 5), (1, 5), (33, 20)]
     mine = [nm.parameter(rng.standard_normal(s)) for s in shapes]
     ref = [nm.parameter(p.data) for p in mine]
+    grads = [nm.parameter(np.zeros(s)) for s in shapes]  # the step reads the gradients from these
     config = TrainConfig(learning_rate=3e-3, gradient_clip_norm=clip, **TOY_TRAIN)
-    opt = _AdaptiveStep(mine, config)
+    opt = _AdaptiveStep(mine, grads, config)
     ref_sq = [np.zeros(s) for s in shapes]
     for _ in range(4):
-        for i, (p, q) in enumerate(zip(mine, ref)):
-            g = None if i == missing else rng.standard_normal(p.shape)
-            p.grad, q.grad = g, None if g is None else g.copy()
+        for i, (d, q) in enumerate(zip(grads, ref)):
+            g = None if i == missing else rng.standard_normal(d.shape)
+            d.grad, q.grad = g, None if g is None else g.copy()
         opt.step()
         _reference_step(ref, ref_sq, config.learning_rate, clip, RMS_DECAY, RMS_EPSILON)
-        for p, q in zip(mine, ref):
-            assert (p.grad is None) == (q.grad is None)
-            if p.grad is not None:
-                assert np.array_equal(p.grad, q.grad)  # the step left its input alone
+        for p, d, q in zip(mine, grads, ref):
+            assert p.grad is None and (d.grad is None) == (q.grad is None)
+            if d.grad is not None:
+                assert np.array_equal(d.grad, q.grad)  # the step left its input alone
             assert np.array_equal(p.data, q.data)
         for v, w in zip(opt.sq, ref_sq):
             assert np.array_equal(v, w)
@@ -545,7 +591,7 @@ def test_adaptive_step_views_of_other_shapes_share_its_scratch_bitwise(clip, mis
     mine = [nm.parameter(rng.standard_normal(s)) for s in shapes]
     ref = [nm.parameter(p.data) for p in mine]
     config = TrainConfig(learning_rate=3e-3, gradient_clip_norm=clip, **TOY_TRAIN)
-    opt = _AdaptiveStep(mine, config)
+    opt = _AdaptiveStep(mine, mine, config)
     ref_sq = [np.zeros(s) for s in shapes]
     for _ in range(4):
         for i, (p, q) in enumerate(zip(mine, ref)):
@@ -575,7 +621,7 @@ def test_adaptive_step_keeps_one_average_per_weight_and_one_scratch_pair(chain_d
     _, _, vocab = chain_data
     config = TrainConfig()  # the paper's architecture
     params = [p for _, p in SequenceModel.build(config.model_config(), vocab, 0).parameters()]
-    opt = _AdaptiveStep(params, config)
+    opt = _AdaptiveStep(params, params, config)
     total = sum(p.data.size for p in params)
     largest = max(p.data.size for p in params)
     assert largest == 131_072  # lstm0.wx
