@@ -97,9 +97,21 @@ def test_page_event_invariants():
             PageEvent("p", dwell)
 
 
+def test_reserved_page_name_is_schema_error():
+    good = '{"session_id": "a", "keywords": "", "events": []}'
+    for name in (NULL_PAGE, UNKNOWN_PAGE):
+        line = '{"session_id": "b", "keywords": "", "events": [{"page": "%s", "dwell_seconds": 1}]}' % name
+        with pytest.raises(SchemaError, match="reserved") as exc:
+            parse_log(io.StringIO(good + "\n" + line + "\n"))
+        assert exc.value.line_no == 2
+
+
+# a log page may take any non-empty name but the two reserved ones
+page_name = st.text(min_size=1, max_size=12).filter(lambda p: p not in (NULL_PAGE, UNKNOWN_PAGE))
+
 session_strategy = st.builds(
     make_session,
-    pages=st.lists(st.text(min_size=1, max_size=12), min_size=0, max_size=5),
+    pages=st.lists(page_name, min_size=0, max_size=5),
     keywords=st.text(max_size=20),
     dwell=st.floats(min_value=0, max_value=1e6, allow_nan=False),
     sid=st.text(min_size=1, max_size=8),
