@@ -196,11 +196,21 @@ def build_vocab(sessions, min_freq: int = 5) -> PageVocabulary:
     for s in sessions:
         for ev in s.events:
             counts[ev.page_name] += 1
+    if NULL_PAGE in counts or UNKNOWN_PAGE in counts:
+        for s in sessions:
+            _check_page_names(s)
     retained = sorted(
         (name for name, n in counts.items() if n >= min_freq),
         key=lambda name: (-counts[name], name),
     )
     return PageVocabulary(retained, min_freq)
+
+
+def _check_page_names(session: Session) -> None:
+    """ConfigError naming `session` if one of its pages has a reserved name."""
+    for ev in session.events:
+        if ev.page_name in (NULL_PAGE, UNKNOWN_PAGE):
+            raise ConfigError(f"session {session.session_id!r}: page {ev.page_name!r} is a reserved name")
 
 
 def replicate_dwell(session: Session, unit_seconds: float = UNIT_SECONDS, cap: int = DWELL_CAP) -> list[str]:
@@ -240,8 +250,9 @@ def expand_session(
 
     Inputs are the keyword phrase followed by the expanded page names; the
     target at each step is the class index of the next expanded page, ending
-    with NULL_PAGE.
+    with NULL_PAGE.  A page named NULL_PAGE or UNKNOWN_PAGE raises ConfigError.
     """
+    _check_page_names(session)
     pages = replicate_dwell(session, unit_seconds, cap)
     inputs = [session.keywords] + pages[:-1]
     targets = [vocab.encode(p) for p in pages]

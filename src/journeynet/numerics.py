@@ -21,6 +21,12 @@ untracked, so operations on it are plain numpy computations and record
 nothing, also inside another tape's block; inference on a model whose
 weights a tape watches does record.
 
+Each entry into a tape's block starts a new recording.  A recorded
+:func:`lstm_sequence` takes its (T*B)-row arrays and its backward's ``dz``
+from slots that the tape's next recording reuses, so what a recording
+returns, the cell rows included, is valid until the tape records again;
+a leaf's gradient is never a slot.
+
 Gradient accumulation is explicit: grads add up across backward calls until
 the caller zeroes them (see :func:`zero_gradients`).
 """
@@ -129,6 +135,27 @@ class _TapeNode:
 _active = threading.local()
 
 
+class _Slots:
+    """The arrays a recording takes in turn: the k-th views the last recording's k-th,
+    grown only when a larger batch needs more, so a tape re-entered for every
+    batch keeps their pages instead of faulting fresh ones in."""
+
+    __slots__ = ("arrays", "taken")
+
+    def __init__(self):
+        self.arrays: list[np.ndarray] = []
+        self.taken = 0
+
+    def take(self, rows: int, cols: int, dtype) -> np.ndarray:
+        k, size = self.taken, rows * cols
+        self.taken += 1
+        if k == len(self.arrays):
+            self.arrays.append(np.empty(size, dtype))
+        elif self.arrays[k].size < size or self.arrays[k].dtype != dtype:
+            self.arrays[k] = np.empty(size, dtype)
+        return self.arrays[k][:size].reshape(rows, cols)
+
+
 class ComputeTape:
     """Ordered record of the primitive operations on the leaves it watches.
 
@@ -138,15 +165,19 @@ class ComputeTape:
     nothing it tracked stays tracked, and :func:`backward` after the block
     still gives the leaves their gradients.  One tape at a time may be
     active on a thread, and a leaf must be watched by one tape at a time.
+    Entering it again starts a new recording, which drops the last one
+    and reuses its slots (see the module notes).
     """
 
     def __init__(self, leaves: Iterable[Matrix] = ()):
         self.leaves = tuple(leaves)
         self._nodes: list[_TapeNode] = []
+        self._slots = _Slots()
 
     def __enter__(self) -> "ComputeTape":
         if getattr(_active, "tape", None) is not None:
             raise RuntimeError("a ComputeTape is already active on this thread")
+        self._nodes, self._slots.taken = [], 0  # a new recording: the last one's arrays are dead
         for m in self.leaves:
             m.track = True
         _active.tape = self
@@ -185,7 +216,7 @@ def backward(tape: ComputeTape, loss: Matrix) -> None:
     intermediate gradient is freed as soon as its node has used it, so a
     pass holds only the gradients still to be consumed; each node keeps its
     forward arrays, so calling backward twice adds the same leaf gradients
-    twice.
+    twice, until the tape records again and reuses their slots.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"loss must be a 1x1 scalar, got {loss.shape}")
@@ -403,7 +434,8 @@ def lstm_sequence(
     is written.  Returns the (T*B) x H hidden states, the tracked output, and
     the (T*B) x H cell states as a plain array, both in that row order.  The
     backward pass runs BPTT one step at a time, where only ``dh = dz_t @ wh.T``
-    is a product, and forms the gradients of `wh` and `bias` once.
+    is a product, and forms the gradients of `wh` and `bias` once.  Recorded,
+    both row arrays are slots of the active tape (see the module notes).
     """
     hs = wh.rows
     if wh.cols != 4 * hs or xproj.cols != wh.cols or bias.shape != (1, wh.cols):
@@ -416,50 +448,52 @@ def lstm_sequence(
         raise ShapeError(f"{xproj.rows} input rows do not fit states {h0.shape} and {c0.shape}")
     steps = xproj.rows // batch
     x, w = xproj.data, wh.data
-    # the backward pass also needs every step's gates; with no tracked operand none are kept
-    taped = xproj.track or wh.track or bias.track
-    if steps > 1:  # a one-step call keeps the cell's own arrays as its rows
-        hidden = np.empty((x.shape[0], hs), dtype=x.dtype)
-        cells = np.empty_like(hidden)
-        if taped:
-            acts, tcells = np.empty_like(x), np.empty_like(hidden)
+    # only a tape keeps every step's gates, for the backward pass
+    tape = getattr(_active, "tape", None) if xproj.track or wh.track or bias.track else None
+    if tape is not None:  # the rows live in the tape's slots, and so does the backward's dz
+        slots = tape._slots
+        hidden, cells, acts, tcells = (slots.take(len(x), n, x.dtype) for n in (hs, hs, 4 * hs, hs))
+        leaf = any(xproj is m for m in tape.leaves)  # a leaf keeps its gradient: never a slot
+    elif steps > 1:  # a one-step call keeps the cell's own arrays as its rows
+        hidden, cells = np.empty((len(x), hs), x.dtype), np.empty((len(x), hs), x.dtype)
     h, c = h0, c0
     for t in range(steps):
         r = slice(t * batch, (t + 1) * batch)
         a, c, tc, h = lstm_cell((x[r] + rows_product(h, w)) + bias.data, c)
-        if steps == 1:
-            hidden, cells, acts, tcells = h, c, a, tc
+        if tape is not None:
+            hidden[r], cells[r], acts[r], tcells[r] = h, c, a, tc
+        elif steps == 1:
+            hidden, cells = h, c
         else:
             hidden[r], cells[r] = h, c
-            if taped:
-                acts[r], tcells[r] = a, tc
     out = Matrix._result(hidden)
 
     def back(gh):
         i, f, g, o = acts[:, :hs], acts[:, hs:2 * hs], acts[:, 2 * hs:3 * hs], acts[:, 3 * hs:]
-        # local derivatives of every gate, for all steps at once
-        di = g * i * (1.0 - i)
-        df = f * (1.0 - f)
-        dg = i * (1.0 - g * g)
-        do = tcells * o * (1.0 - o)
+        dz = slots.take(len(x), 4 * hs, x.dtype)
+        zi, zf, zg, zo = dz[:, :hs], dz[:, hs:2 * hs], dz[:, 2 * hs:3 * hs], dz[:, 3 * hs:]
+        # each gate's local derivative, for all steps at once, in its block of dz:
+        # g * i * (1 - i), f * (1 - f), i * (1 - g * g) and tcells * o * (1 - o)
+        np.multiply(np.multiply(g, i, out=zi), 1.0 - i, out=zi)
+        np.multiply(np.subtract(1.0, f, out=zf), f, out=zf)
+        np.multiply(np.subtract(1.0, np.multiply(g, g, out=zg), out=zg), i, out=zg)
+        np.multiply(np.multiply(tcells, o, out=zo), 1.0 - o, out=zo)
         dtc = o * (1.0 - tcells * tcells)
-        dz = np.empty_like(acts)
         dh = np.zeros((batch, hs), dtype=x.dtype)
         dc = np.zeros((batch, hs), dtype=x.dtype)
         for t in reversed(range(steps)):
             r = slice(t * batch, (t + 1) * batch)
             dh = gh[r] + dh
             dc = dc + dh * dtc[r]
-            dz[r, :hs] = dc * di[r]
-            dz[r, hs:2 * hs] = dc * (cells[r.start - batch:r.start] if t else c0) * df[r]
-            dz[r, 2 * hs:3 * hs] = dc * dg[r]
-            dz[r, 3 * hs:] = dh * do[r]
+            zi[r] *= dc
+            zf[r] *= dc * (cells[r.start - batch:r.start] if t else c0)
+            zg[r] *= dc
+            zo[r] *= dh
             dc = dc * f[r]
             if t:
                 dh = dz[r] @ w.T
-        del di, df, dg, do, dtc  # dead once dz is whole: free them before the products
         dwh = hidden[:-batch].T @ dz[batch:] + h0.T @ dz[:batch]
-        return dz, dwh, dz.sum(axis=0, keepdims=True)
+        return (dz.copy() if leaf else dz), dwh, dz.sum(axis=0, keepdims=True)
 
     return record(out, (xproj, wh, bias), back), cells
 

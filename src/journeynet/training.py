@@ -242,6 +242,8 @@ def train(
     })
     leaves = [p for _, p in twin.parameters()]
     optimizer = _AdaptiveStep(params, leaves, config)
+    # one tape, entered once per batch, so its LSTM rows serve every batch
+    tape = nm.ComputeTape(leaves)
     report = TrainReport()
 
     for epoch in range(config.epochs):
@@ -260,7 +262,7 @@ def train(
             )
             for p, leaf in zip(params, leaves):
                 np.copyto(leaf.data, p.data)
-            with nm.ComputeTape(leaves) as tape:
+            with tape:
                 total = _batch_loss(twin, phrases, rowidx, targets, mask, dropout_rng)
                 n_steps = float(mask.sum())
                 mean_loss = nm.scale(total, 1.0 / n_steps)

@@ -106,6 +106,24 @@ def test_reserved_page_name_is_schema_error():
         assert exc.value.line_no == 2
 
 
+@pytest.mark.parametrize("name", [NULL_PAGE, UNKNOWN_PAGE])
+def test_build_vocab_names_the_session_with_a_reserved_page(name):
+    # sessions built in code skip the log parser's check
+    sessions = [make_session(["home", "quote"], sid=f"s{i}") for i in range(3)]
+    sessions.append(make_session(["home", name, "quote"], sid="odd"))
+    for min_freq in (1, 2):
+        with pytest.raises(ConfigError, match=r"'odd'.*reserved"):
+            build_vocab(sessions, min_freq=min_freq)
+
+
+@pytest.mark.parametrize("name", [NULL_PAGE, UNKNOWN_PAGE])
+def test_expand_session_names_the_session_with_a_reserved_page(name):
+    # mid-session, a NULL_PAGE would otherwise be encoded as the exit class
+    vocab = build_vocab([make_session(["home", "quote"], sid=f"s{i}") for i in range(3)], min_freq=2)
+    with pytest.raises(ConfigError, match=r"'odd'.*reserved"):
+        expand_session(make_session(["home", name, "quote"], sid="odd"), vocab)
+
+
 # a log page may take any non-empty name but the two reserved ones
 page_name = st.text(min_size=1, max_size=12).filter(lambda p: p not in (NULL_PAGE, UNKNOWN_PAGE))
 

@@ -588,3 +588,108 @@ def test_matmul_of_one_row_is_that_row_of_a_batch():
     batch = nm.matmul(a, w).data
     for i in range(3):
         assert np.array_equal(nm.matmul(Matrix(a.data[i:i + 1]), w).data[0], batch[i])
+
+
+# ---------------------------------------------------------------------------
+# recycled slots: a tape re-entered for every batch reuses its LSTM arrays
+
+
+SLOT_BATCH, SLOT_HIDDEN = 4, 3
+
+
+def slot_weights(dtype):
+    """Two stacked LSTM layers over 5 input columns, as parameters of `dtype`."""
+    gen = np.random.default_rng(26)
+    shapes = [(5, 4 * SLOT_HIDDEN), (SLOT_HIDDEN, 4 * SLOT_HIDDEN), (1, 4 * SLOT_HIDDEN)]
+    shapes += [(SLOT_HIDDEN, 4 * SLOT_HIDDEN)] + shapes[1:]
+    weights = [parameter(gen.uniform(-1, 1, size=s)) for s in shapes]
+    for w in weights:
+        w.data = w.data.astype(dtype)
+    return weights
+
+
+def slot_loss(weights, steps):
+    """A scalar of both layers' hidden rows over `steps` steps of a fixed batch."""
+    gen = np.random.default_rng(steps)
+    dtype = weights[0].data.dtype
+    x = Matrix._result(gen.uniform(-1, 1, size=(steps * SLOT_BATCH, 5)).astype(dtype))
+    zero = np.zeros((SLOT_BATCH, SLOT_HIDDEN), dtype=dtype)
+    wx0, wh0, b0, wx1, wh1, b1 = weights
+    h0, _ = nm.lstm_sequence(matmul(x, wx0), wh0, b0, zero, zero)
+    h1, _ = nm.lstm_sequence(matmul(h0, wx1), wh1, b1, zero, zero)
+    ones = Matrix._result(np.ones((1, steps * SLOT_BATCH), dtype=dtype))
+    return matmul(ones, matmul(add(h0, h1), Matrix._result(np.ones((SLOT_HIDDEN, 1), dtype=dtype))))
+
+
+def fresh_tape_gradients(weights, steps):
+    with ComputeTape(weights) as tape:
+        loss = slot_loss(weights, steps)
+    backward(tape, loss)
+    grads = [w.grad.tobytes() for w in weights]
+    zero_gradients(weights)
+    return grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_slot_reentered_tape_gives_every_batch_a_fresh_tapes_gradients(dtype):
+    weights = slot_weights(dtype)
+    tape = ComputeTape(weights)
+    for steps in (9, 3, 12):  # grow, view a prefix, grow again
+        expected = fresh_tape_gradients(weights, steps)
+        with tape:
+            loss = slot_loss(weights, steps)
+        backward(tape, loss)
+        assert [w.grad.tobytes() for w in weights] == expected, steps
+        slots = tape._slots.arrays
+        assert not any(np.shares_memory(w.grad, a) for w in weights for a in slots)
+        zero_gradients(weights)
+    assert len(tape._slots.arrays) == 10  # two layers: four forward arrays and one dz each
+
+
+def test_slot_backward_twice_in_one_recording_adds_the_same_gradients_twice():
+    weights = slot_weights(np.float64)
+    once = fresh_tape_gradients(weights, 5)
+    tape = ComputeTape(weights)
+    for steps in (7, 5):  # the second recording reuses the first's slots
+        with tape:
+            loss = slot_loss(weights, steps)
+    backward(tape, loss)
+    backward(tape, loss)
+    for w, g in zip(weights, once):
+        g = np.frombuffer(g, dtype=w.grad.dtype).reshape(w.shape)
+        assert np.array_equal(w.grad, g + g)
+
+
+def test_slot_never_becomes_a_leaf_gradient():
+    # an input projection watched as a leaf keeps its gradient across recordings
+    gen = np.random.default_rng(3)
+    xproj, wh, bias = (parameter(gen.uniform(-1, 1, size=s)) for s in [(8, 8), (2, 8), (1, 8)])
+    zero = np.zeros((2, 2))
+    tape = ComputeTape([xproj, wh, bias])
+    with tape:
+        h, _ = nm.lstm_sequence(xproj, wh, bias, zero, zero)
+        loss = matmul(Matrix(np.ones((1, 8))), matmul(h, Matrix(np.ones((2, 1)))))
+    backward(tape, loss)
+    first = xproj.grad.copy()
+    assert not any(np.shares_memory(xproj.grad, a) for a in tape._slots.arrays)
+    with tape:
+        h, _ = nm.lstm_sequence(xproj, wh, bias, zero, zero)
+        loss = scale(matmul(Matrix(np.ones((1, 8))), matmul(h, Matrix(np.ones((2, 1))))), 3.0)
+    backward(tape, loss)  # writes the same slots again, with three times the gradient
+    np.testing.assert_allclose(xproj.grad, 4.0 * first, rtol=1e-12)
+
+
+def test_slot_two_tapes_never_share_one():
+    weights = slot_weights(np.float32)
+    tapes = [ComputeTape(weights), ComputeTape(weights)]
+    outputs = []
+    for tape in tapes:
+        with tape:
+            loss = slot_loss(weights, 6)
+        backward(tape, loss)
+        outputs.append([node.output.data for node in tape._nodes])
+    zero_gradients(weights)
+    a, b = (t._slots.arrays for t in tapes)
+    assert a and b
+    assert not any(np.shares_memory(x, y) for x in a for y in b)
+    assert not any(np.shares_memory(x, y) for x in outputs[0] for y in outputs[1])

@@ -446,6 +446,37 @@ def test_paper_config_batch_records_23_tape_nodes_and_train_adds_the_mean(chain_
     assert sizes == [24, 24]  # and `scale` to the batch mean
 
 
+def test_slot_reentered_tape_gives_long_short_long_batches_a_fresh_tapes_gradients(chain_data):
+    from journeynet import numerics as nm
+    from journeynet.seqmodel import COMPUTE_DTYPE
+    from journeynet.training import _batch_loss, _batch_tensors, _expand_all
+
+    tr, _, vocab = chain_data
+    config = TrainConfig(seed=2)  # the paper's architecture, with dropout
+    model = SequenceModel.build(config.model_config(), vocab, config.seed)
+    twin = SequenceModel(model.config, vocab, {
+        name: nm.Matrix._result(p.data.astype(COMPUTE_DTYPE)) for name, p in model.parameters()
+    })
+    leaves = [p for _, p in twin.parameters()]
+    expanded = _expand_all(tr, vocab, config.unit_seconds, config.dwell_cap)
+    by_len = sorted(range(len(expanded)), key=lambda i: len(expanded[i].inputs))
+    batches = [_batch_tensors(expanded, idx) for idx in (by_len[-8:-4], by_len[:4], by_len[-4:])]
+    steps = [rowidx.shape[1] for _, rowidx, _, _ in batches]
+    assert steps[1] < steps[0] < steps[2]  # the last batch grows every slot
+
+    def gradients(tape, bi, batch):
+        with tape:
+            loss = _batch_loss(twin, *batch, np.random.default_rng(bi))
+        nm.backward(tape, loss)
+        grads = [p.grad.tobytes() for p in leaves]
+        nm.zero_gradients(leaves)
+        return grads
+
+    fresh = [gradients(nm.ComputeTape(leaves), bi, batch) for bi, batch in enumerate(batches)]
+    tape = nm.ComputeTape(leaves)
+    assert [gradients(tape, bi, batch) for bi, batch in enumerate(batches)] == fresh
+
+
 def _built_models(monkeypatch):
     """Every model `SequenceModel.build` returns from now on, with its weight arrays as built."""
     built = []
