@@ -116,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=_DEFAULTS.learning_rate)
     p.add_argument("--dropout", type=float, default=_DEFAULTS.dropout_rate)
     p.add_argument("--clip-norm", type=float, default=_DEFAULTS.gradient_clip_norm)
-    p.add_argument("--unit-seconds", type=float, default=_DEFAULTS.unit_seconds)
-    p.add_argument("--dwell-cap", type=int, default=_DEFAULTS.dwell_cap)
     p.add_argument("--max-len", type=int, default=_DEFAULTS.max_len)
     stages = ",".join("x".join(map(str, s)) for s in _DEFAULTS.conv_stages)
     p.add_argument("--conv-stages", default=stages, help="widthxfiltersxpool,...")
@@ -130,8 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("--data", required=True, help="session log to evaluate on")
-    p.add_argument("--unit-seconds", type=float, default=_DEFAULTS.unit_seconds)
-    p.add_argument("--dwell-cap", type=int, default=_DEFAULTS.dwell_cap)
 
     p = sub.add_parser("simulate", help="write sampled future journeys for one prefix")
     _add_common(p)
@@ -190,8 +186,6 @@ def _train_config(args) -> TrainConfig:
         dropout_rate=args.dropout,
         seed=args.seed,
         gradient_clip_norm=args.clip_norm,
-        unit_seconds=args.unit_seconds,
-        dwell_cap=args.dwell_cap,
         max_len=args.max_len,
         conv_stages=_parse_stages(args.conv_stages),
         lstm_hidden=_parse_ints(args.lstm_hidden),
@@ -229,7 +223,7 @@ def _cmd_train(args) -> int:
         save_ensemble(ensemble, ckpt)
         for i, report in enumerate(reports):
             report.save_csv(out_dir / f"train_report_m{i}.csv")
-        acc, loss = evaluate(ensemble, eval_set, vocab, config.unit_seconds, config.dwell_cap)
+        acc, loss = evaluate(ensemble, eval_set, vocab)
     else:
         model, report = train(train_set, config, vocab, eval_sessions=eval_set)
         ckpt = out_dir / "model.ckpt"
@@ -244,9 +238,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     predictor = load_predictor(args.model)
     sessions = load_sessions(args.data)
-    acc, loss = evaluate(
-        predictor, sessions, predictor.vocab, args.unit_seconds, args.dwell_cap
-    )
+    acc, loss = evaluate(predictor, sessions, predictor.vocab)
     print(f"accuracy={acc:.6f} loss={loss:.6f} sessions={len(sessions)}")
     return 0
 

@@ -31,7 +31,8 @@ NULL_PAGE = "<null>"
 UNKNOWN_PAGE = "<unknown>"
 # longest session generate_synthetic walks before it gives up on a chain
 MAX_SESSION_EVENTS = 10_000
-# dwell expansion defaults: one page copy per UNIT_SECONDS of dwell, at most DWELL_CAP
+# the step unit: one page copy per UNIT_SECONDS of dwell, at most DWELL_CAP; every
+# loss, horizon and rate counts these steps
 UNIT_SECONDS = 30.0
 DWELL_CAP = 5
 
@@ -230,8 +231,7 @@ def replicate_dwell(session: Session, unit_seconds: float = UNIT_SECONDS, cap: i
     total, bound = sum(copies), MAX_SESSION_EVENTS * DWELL_CAP
     if total > bound:
         raise ConfigError(
-            f"session {session.session_id!r} expands to {total} pages, more than {bound}; "
-            "lower the dwell cap or raise the dwell unit"
+            f"session {session.session_id!r} expands to {total} pages, more than {bound}"
         )
     expanded = []
     for ev, n in zip(session.events, copies):
@@ -240,12 +240,7 @@ def replicate_dwell(session: Session, unit_seconds: float = UNIT_SECONDS, cap: i
     return expanded
 
 
-def expand_session(
-    session: Session,
-    vocab: PageVocabulary,
-    unit_seconds: float = UNIT_SECONDS,
-    cap: int = DWELL_CAP,
-) -> tuple[list[str], list[int]]:
+def expand_session(session: Session, vocab: PageVocabulary) -> tuple[list[str], list[int]]:
     """Model-ready (inputs, targets) for one session.
 
     Inputs are the keyword phrase followed by the expanded page names; the
@@ -253,7 +248,7 @@ def expand_session(
     with NULL_PAGE.  A page named NULL_PAGE or UNKNOWN_PAGE raises ConfigError.
     """
     _check_page_names(session)
-    pages = replicate_dwell(session, unit_seconds, cap)
+    pages = replicate_dwell(session)
     inputs = [session.keywords] + pages[:-1]
     targets = [vocab.encode(p) for p in pages]
     return inputs, targets

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import CheckpointError, ConfigError, ShapeError
-from .journeydata import DWELL_CAP, UNIT_SECONDS, PageVocabulary, Session, replicate_dwell
+from .journeydata import PageVocabulary, Session, replicate_dwell
 from .numerics import Matrix
 from .textenc import DEFAULT_ALPHABET, Alphabet, CnnEncoder, ConvStage
 
@@ -470,19 +470,13 @@ def predict_next(model, prefix) -> np.ndarray:
     return model.start([prefix])[1][0]
 
 
-def session_loss(
-    predictions: list[StepPrediction],
-    session: Session,
-    vocab: PageVocabulary,
-    unit_seconds: float = UNIT_SECONDS,
-    cap: int = DWELL_CAP,
-) -> float:
+def session_loss(predictions: list[StepPrediction], session: Session, vocab: PageVocabulary) -> float:
     """Summed next-page cross-entropy (nats) of a session under `predictions`.
 
     The target sequence is the dwell-expanded page list followed by the NULL
     page; `predictions` must contain exactly one entry per target.
     """
-    pages = replicate_dwell(session, unit_seconds, cap)
+    pages = replicate_dwell(session)
     targets = [vocab.encode(p) for p in pages]
     if len(predictions) != len(targets):
         raise ValueError(f"{len(predictions)} predictions for {len(targets)} transition targets")

@@ -22,7 +22,7 @@ import numpy as np
 from . import numerics as nm
 from . import rng as rngmod
 from .errors import CheckpointError, ConfigError, TrainingError
-from .journeydata import DWELL_CAP, UNIT_SECONDS, PageVocabulary, expand_session
+from .journeydata import PageVocabulary, expand_session
 from .seqmodel import (
     CHECKPOINT_FORMAT,
     COMPUTE_DTYPE,
@@ -57,8 +57,6 @@ class TrainConfig(ModelConfig):
     learning_rate: float = 1e-3
     seed: int = 0
     gradient_clip_norm: float = 5.0
-    unit_seconds: float = UNIT_SECONDS
-    dwell_cap: int = DWELL_CAP
 
     def __post_init__(self):
         super().__post_init__()
@@ -69,10 +67,6 @@ class TrainConfig(ModelConfig):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not self.gradient_clip_norm > 0:
             raise ConfigError(f"gradient_clip_norm must be > 0, got {self.gradient_clip_norm}")
-        if not self.unit_seconds > 0:
-            raise ConfigError(f"unit_seconds must be > 0, got {self.unit_seconds}")
-        if self.dwell_cap < 1:
-            raise ConfigError(f"dwell_cap must be >= 1, got {self.dwell_cap}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**self.to_dict())
@@ -170,10 +164,10 @@ class _Expanded:
     targets: np.ndarray
 
 
-def _expand_all(sessions, vocab, unit_seconds: float, cap: int) -> list[_Expanded]:
+def _expand_all(sessions, vocab) -> list[_Expanded]:
     out = []
     for s in sessions:
-        inputs, targets = expand_session(s, vocab, unit_seconds, cap)
+        inputs, targets = expand_session(s, vocab)
         out.append(_Expanded(inputs, np.asarray(targets, dtype=np.intp)))
     return out
 
@@ -223,7 +217,8 @@ def train(
     """Train a model on `sessions`; returns the model and per-epoch stats.
 
     Per-epoch evaluation runs on `eval_sessions` when provided, otherwise on
-    the training sessions.  Identical (data, config, seed) give identical
+    the training sessions; an empty `eval_sessions` is a ConfigError before
+    the first batch.  Identical (data, config, seed) give identical
     final weights and report.
     """
     sessions = list(sessions)
@@ -232,9 +227,11 @@ def train(
     for s in sessions:
         if not s.events:
             raise ConfigError(f"training session {s.session_id!r} has no page events")
-    model = SequenceModel.build(config.model_config(), vocab, config.seed)
-    expanded = _expand_all(sessions, vocab, config.unit_seconds, config.dwell_cap)
     held_out = list(eval_sessions) if eval_sessions is not None else sessions
+    if not held_out:
+        raise ConfigError("no sessions to evaluate")
+    model = SequenceModel.build(config.model_config(), vocab, config.seed)
+    expanded = _expand_all(sessions, vocab)
     params = [p for _, p in model.parameters()]
     # the float32 model each batch runs on
     twin = SequenceModel(model.config, vocab, {
@@ -273,9 +270,7 @@ def train(
             nm.zero_gradients(leaves)
             nats += total.item()
             steps += n_steps
-        eval_acc, eval_loss = evaluate(
-            model, held_out, vocab, unit_seconds=config.unit_seconds, cap=config.dwell_cap
-        )
+        eval_acc, eval_loss = evaluate(model, held_out, vocab)
         report.epochs.append(
             EpochStats(
                 epoch=epoch,
@@ -288,13 +283,7 @@ def train(
     return model, report
 
 
-def evaluate(
-    predictor,
-    sessions,
-    vocab: PageVocabulary,
-    unit_seconds: float = UNIT_SECONDS,
-    cap: int = DWELL_CAP,
-) -> tuple[float, float]:
+def evaluate(predictor, sessions, vocab: PageVocabulary) -> tuple[float, float]:
     """(next-page accuracy, mean loss in nats), pooled over every step.
 
     Accuracy counts steps whose argmax prediction (ties to the lowest index)
@@ -307,7 +296,7 @@ def evaluate(
         raise ConfigError("no sessions to evaluate")
     if vocab.page_names != predictor.vocab.page_names:
         raise ConfigError("evaluate needs the vocabulary of the predictor")
-    expanded = _expand_all(sessions, vocab, unit_seconds, cap)
+    expanded = _expand_all(sessions, vocab)
     hits = 0.0
     nats = 0.0
     steps = 0.0
@@ -380,6 +369,9 @@ def train_ensemble(
     """Train k models with seeds seed+0 .. seed+k-1."""
     if k < 1:
         raise ValueError(f"ensemble size must be >= 1, got {k}")
+    # every member reads them
+    sessions = list(sessions)
+    eval_sessions = None if eval_sessions is None else list(eval_sessions)
     models = []
     reports = []
     for member in range(k):

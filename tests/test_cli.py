@@ -552,7 +552,6 @@ def _assert_clean_error(capsys, *words):
     ["--fc-width", "0"],
     ["--train-fraction", "1.5"],
     ["--min-freq", "0"],
-    ["--unit-seconds", "0"],
 ], ids=" ".join)
 def test_train_out_of_range_flag_is_a_clean_error(pipeline, tmp_path, capsys, flags):
     _, data = pipeline
@@ -586,24 +585,51 @@ def test_train_model_too_large_to_allocate_is_a_clean_error(pipeline, tmp_path, 
 
 def test_train_dwell_expansion_past_its_bound_is_a_clean_error(pipeline, tmp_path, capsys):
     _, data = pipeline
+    # 10 001 events of 150 s each: 50 005 copies at the default unit (30 s) and cap (5)
     sessions = [
-        Session(s.session_id, s.keywords, tuple(PageEvent(ev.page_name, 1e13) for ev in s.events))
-        for s in load_sessions(data)
+        Session(s.session_id, s.keywords, tuple(
+            PageEvent(s.events[i % len(s.events)].page_name, 150.0) for i in range(10_001)
+        ))
+        for s in load_sessions(data)[:5]
     ]
     long_dwell = tmp_path / "long_dwell.jsonl"
     save_sessions(sessions, long_dwell)
-    code = main([
-        "train", "--data", str(long_dwell), "--out-dir", str(tmp_path), *TRAIN_FLAGS,
-        "--dwell-cap", str(10**15),
-    ])
+    code = main(["train", "--data", str(long_dwell), "--out-dir", str(tmp_path), *TRAIN_FLAGS])
     assert code == 1
-    _assert_clean_error(capsys, "more than 50000")
+    _assert_clean_error(capsys, "expands to 50005 pages, more than 50000")
+
+
+def _train_or_eval(pipeline, tmp_path, command) -> list[str]:
+    """A `train` or `eval` command line that runs on the pipeline's files."""
+    out, data = pipeline
+    if command == "train":
+        return ["train", "--data", str(data), "--out-dir", str(tmp_path), *TRAIN_FLAGS]
+    return ["eval", "--model", str(out / "model.ckpt"), "--data", str(out / "eval_sessions.jsonl")]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("flag", [["--unit-seconds", "30"], ["--dwell-cap", "5"]], ids=" ".join)
+def test_a_removed_dwell_flag_is_a_usage_error(pipeline, tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*_train_or_eval(pipeline, tmp_path, command), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("line", ["unit_seconds = 30", "dwell_cap = 5"])
+def test_a_removed_dwell_config_key_is_a_clean_error(pipeline, tmp_path, capsys, command, line):
+    config = tmp_path / "dwell.conf"
+    config.write_text(line + "\n")
+    code = main([*_train_or_eval(pipeline, tmp_path, command), "--config", str(config)])
+    assert code == 1
+    key = line.split(" ")[0]
+    assert _assert_clean_error(capsys).startswith(f"error: unknown config keys for {command}: {key}")
 
 
 @pytest.mark.parametrize("flag, setting, value", [
     pytest.param("--learning-rate", "learning_rate", "nan", id="--learning-rate-learning_rate"),
     pytest.param("--clip-norm", "gradient_clip_norm", "nan", id="--clip-norm-gradient_clip_norm"),
-    pytest.param("--unit-seconds", "unit_seconds", "nan", id="--unit-seconds-unit_seconds"),
     pytest.param("--learning-rate", "learning_rate", "inf", id="--learning-rate-learning_rate-inf"),
 ])
 def test_train_nan_setting_is_a_clean_error(pipeline, tmp_path, capsys, flag, setting, value):
@@ -613,16 +639,6 @@ def test_train_nan_setting_is_a_clean_error(pipeline, tmp_path, capsys, flag, se
     ])
     assert code == 1
     _assert_clean_error(capsys, setting)
-
-
-def test_eval_nan_unit_seconds_is_a_clean_error(pipeline, capsys):
-    out, _ = pipeline
-    code = main([
-        "eval", "--model", str(out / "model.ckpt"),
-        "--data", str(out / "eval_sessions.jsonl"), "--unit-seconds", "nan",
-    ])
-    assert code == 1
-    _assert_clean_error(capsys, "unit_seconds")
 
 
 @pytest.mark.parametrize("content", ["", "\n  \n\n"], ids=["empty", "blank-lines"])

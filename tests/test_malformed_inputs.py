@@ -107,11 +107,11 @@ def test_markov_spec_load_parses_or_raises(tmp_path_factory, data):
 
 @settings(max_examples=200, deadline=None)
 @given(chain=chain_like)
-def test_a_chain_spec_that_loads_generates_a_readable_log(tmp_path_factory, chain):
-    path = tmp_path_factory.getbasetemp() / "chain.json"
-    path.write_bytes(json.dumps(chain).encode())
+def test_a_chain_spec_that_loads_generates_a_readable_log(chain):
+    # decoded in memory as MarkovSpec.load decodes its file, which
+    # test_markov_spec_load_parses_or_raises covers
     try:
-        sessions = generate_synthetic(MarkovSpec.load(path), 5, seed=0)
+        sessions = generate_synthetic(MarkovSpec.from_dict(json.loads(json.dumps(chain))), 5, seed=0)
     except JourneynetError:
         return
     assert parse_log([serialize_session(s) for s in sessions]) == sessions

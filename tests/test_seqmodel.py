@@ -316,10 +316,10 @@ def test_session_nll_gradients_pass_grad_check():
 # the sequence kernel that training runs on
 
 
-def _ragged_batch(vocab, sessions, unit_seconds=30.0, cap=5):
+def _ragged_batch(vocab, sessions):
     from journeynet.training import _batch_tensors, _expand_all
 
-    expanded = _expand_all(sessions, vocab, unit_seconds, cap)
+    expanded = _expand_all(sessions, vocab)
     return _batch_tensors(expanded, list(range(len(sessions))))
 
 

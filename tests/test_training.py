@@ -111,9 +111,6 @@ def test_trained_model_holds_a_plain_model_config(trained):
     dict(learning_rate=float("nan")),
     dict(gradient_clip_norm=0.0),
     dict(gradient_clip_norm=float("nan")),
-    dict(unit_seconds=0.0),
-    dict(unit_seconds=float("nan")),
-    dict(dwell_cap=0),
     dict(learning_rate=float("inf")),
 ])
 def test_train_config_rejects_out_of_range_values_at_construction(bad):
@@ -241,6 +238,24 @@ def test_train_rejects_eventless_sessions(chain_data):
         train([], config, vocab)
 
 
+def test_train_rejects_an_empty_held_out_set_before_the_first_batch(chain_data, monkeypatch):
+    from journeynet import training as tr_mod
+
+    tr, _, vocab = chain_data
+    calls = []
+    batch_loss = tr_mod._batch_loss
+
+    def counting_batch_loss(*args):
+        calls.append(1)
+        return batch_loss(*args)
+
+    monkeypatch.setattr(tr_mod, "_batch_loss", counting_batch_loss)
+    config = TrainConfig(epochs=1, batch_size=16, seed=0, **TOY_TRAIN)
+    with pytest.raises(ConfigError, match="no sessions to evaluate"):
+        train(tr, config, vocab, eval_sessions=[])
+    assert calls == []
+
+
 def test_divergence_raises_training_error(chain_data, monkeypatch):
     tr, _, vocab = chain_data
     from journeynet import numerics as nm
@@ -282,6 +297,17 @@ def test_ensemble_of_one_is_bitwise_identical(chain_data):
     assert np.array_equal(
         ensemble_predict(ensemble, prefix), predict_next(single, prefix)
     )
+
+
+def test_ensemble_trained_from_iterators_is_bitwise_the_list_trained_one(chain_data):
+    tr, ev, vocab = chain_data
+    config = TrainConfig(epochs=1, batch_size=16, seed=5, **TOY_TRAIN)
+    listed, listed_reports = train_ensemble(tr, config, vocab, k=2, eval_sessions=ev)
+    iterated, iterated_reports = train_ensemble(iter(tr), config, vocab, k=2, eval_sessions=iter(ev))
+    assert [r.to_csv() for r in iterated_reports] == [r.to_csv() for r in listed_reports]
+    for m1, m2 in zip(listed.models, iterated.models):
+        for (_, p1), (_, p2) in zip(m1.parameters(), m2.parameters()):
+            assert p1.data.tobytes() == p2.data.tobytes()
 
 
 def test_ensemble_members_differ(chain_data):
@@ -430,7 +456,7 @@ def test_paper_config_batch_records_23_tape_nodes_and_train_adds_the_mean(chain_
     tr, ev, vocab = chain_data
     config = TrainConfig(epochs=1, batch_size=4, seed=2)  # the paper's architecture
     model = SequenceModel.build(config.model_config(), vocab, config.seed)
-    batch = _batch_tensors(_expand_all(tr[:4], vocab, config.unit_seconds, config.dwell_cap), range(4))
+    batch = _batch_tensors(_expand_all(tr[:4], vocab), range(4))
     with nm.ComputeTape(p for _, p in model.parameters()) as tape:
         _batch_loss(model, *batch, rngmod.stream(0, "dropout"))
     assert len(tape) == 23
@@ -458,7 +484,7 @@ def test_slot_reentered_tape_gives_long_short_long_batches_a_fresh_tapes_gradien
         name: nm.Matrix._result(p.data.astype(COMPUTE_DTYPE)) for name, p in model.parameters()
     })
     leaves = [p for _, p in twin.parameters()]
-    expanded = _expand_all(tr, vocab, config.unit_seconds, config.dwell_cap)
+    expanded = _expand_all(tr, vocab)
     by_len = sorted(range(len(expanded)), key=lambda i: len(expanded[i].inputs))
     batches = [_batch_tensors(expanded, idx) for idx in (by_len[-8:-4], by_len[:4], by_len[-4:])]
     steps = [rowidx.shape[1] for _, rowidx, _, _ in batches]
@@ -549,7 +575,7 @@ def test_float32_batch_gradient_matches_float64(chain_data):
     twin = SequenceModel(model.config, vocab, {
         name: nm.Matrix._result(p.data.astype(COMPUTE_DTYPE)) for name, p in model.parameters()
     })
-    expanded = _expand_all(tr[:6], vocab, config.unit_seconds, config.dwell_cap)
+    expanded = _expand_all(tr[:6], vocab)
     assert len({len(e.inputs) for e in expanded}) > 1  # ragged
     batch = _batch_tensors(expanded, range(6))
 
