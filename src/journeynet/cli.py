@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import rng as rngmod
-from .errors import CliError, JourneynetError
+from .errors import CliError, ConfigError, JourneynetError
 from .journeydata import (
     MarkovSpec,
     build_vocab,
@@ -299,7 +299,10 @@ def _load_prefixes(path) -> tuple[list[JourneyPrefix], list[str]]:
         prefix_id = str(raw.get("prefix_id", f"p{line_no - 1:04d}"))
         if prefix_id in prefixes:
             raise CliError(f"{path}:{line_no}: duplicate prefix_id {prefix_id!r}")
-        prefixes[prefix_id] = JourneyPrefix(raw["keywords"], tuple(raw.get("pages", ())))
+        try:
+            prefixes[prefix_id] = JourneyPrefix(raw["keywords"], raw.get("pages", ()))
+        except ConfigError as exc:  # an empty page name
+            raise CliError(f"{path}:{line_no}: {exc}") from exc
     if not prefixes:
         raise CliError(f"{path}: no prefix records")
     return list(prefixes.values()), list(prefixes)

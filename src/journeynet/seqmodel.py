@@ -17,13 +17,15 @@ runs one step from the rows it continues.
 
 Serving freezes a model.  Its first serving call (`start` or
 `compute_copy`) builds one serving cache, which sets every weight array
-read-only and then holds, each filled when first needed, the page names'
-CNN rows, a memo of the other phrases' rows (page names never change and
-keywords recur, so `start` encodes only what the cache lacks) and the
-compute copy: a model whose LSTM and head compute in float32 for the
-simulator's rollouts (the model itself computes in float64), and which
-owns its arrays and its serving cache, so a copy held across an edit of
-the model is a snapshot of the weights it was made from.  The cache is reused while every weight is still
+read-only and then holds, each filled when first needed, the page table
+(layer 0's projection of the page names), a start memo of every prefix a
+`start` has run (its state rows and next-page distribution: a frozen
+model's start depends only on the prefix, and prefixes recur, so `start`
+runs only the prefixes the memo lacks) and the compute copy: a model whose
+LSTM and head compute in float32 for the simulator's rollouts (the model
+itself computes in float64), and which owns its arrays and its serving
+cache, so a copy held across an edit of the model is a snapshot of the
+weights it was made from.  The cache is reused while every weight is still
 the same array and still read-only (:func:`_unchanged`), and restarts
 whole otherwise.  So a served model's weights are edited by assigning a
 new array to a `Matrix.data`, or by setting its ``flags.writeable = True``
@@ -66,9 +68,10 @@ COMPUTE_DTYPE = np.float32
 # most weights a model may lay out, and most entries of one phrase's one-hot:
 # 10**8 float64 masters take 0.8 GB (the paper's config has 385 292 weights)
 MAX_WEIGHTS = 10**8
-# most phrases besides the page names whose CNN rows a model's memo keeps:
-# 8 MB of rows at the paper's 256-wide embedding
-MAX_MEMO_PHRASES = 4096
+# most prefixes whose start rows a model's memo keeps: at the paper's config
+# in float32 an entry holds 2 096 bytes of rows, ~2.9 kB with its objects
+# (~12 MB in all)
+MAX_MEMO_PREFIXES = 4096
 
 
 @dataclass(frozen=True)
@@ -163,11 +166,10 @@ class LstmState:
     arrays in the dtype of the model's LSTM weights (float64, float32 in a
     compute copy), so nothing in a state can reach a tape.
 
-    `SequenceModel.start` builds the table once per call, from the weights
-    of that moment (the page names' embeddings may come from the model's
-    checked serving cache, the product with layer 0's `wx` is always fresh), and
-    gives it to all P prefix rows; `step` gathers its rows and hands the
-    same table on to the new state.
+    `SequenceModel.start` gives all P prefix rows the read-only table of the
+    model's serving cache, built by the first pass after the last weight
+    change (a `start` under a tape that watches the weights builds its own);
+    `step` gathers its rows and hands the same table on to the new state.
     """
 
     layers: list[tuple[np.ndarray, np.ndarray]]
@@ -304,22 +306,32 @@ class SequenceModel:
         logits = nm.add(nm.matmul(fc, self.w_out), self.b_out)
         return nm.softmax(logits)
 
-    def _sequence_pass(self, embedded: Matrix, rowidx) -> tuple[Matrix, list[tuple[Matrix, np.ndarray]]]:
+    def _sequence_pass(
+        self, embedded: Matrix | None, rowidx, table: np.ndarray | None = None
+    ) -> tuple[Matrix, list[tuple[Matrix, np.ndarray]]]:
         """Run a padded batch of encoded phrases through the LSTM stack.
 
         `embedded` holds one CNN embedding per phrase of the batch, and
         `rowidx[b, t]` selects the row fed to sequence b at step t.  Layer 0
         gathers its input projection from the phrases' projections, and the
-        stack runs through :meth:`cell_steps` from the zero state.  Returns
+        stack runs through :meth:`cell_steps` from the zero state.  Given a
+        `table`, the kept projection of the phrases that lead the batch,
+        `embedded` holds only the phrases after them (None if there are
+        none), and the projection is the table stacked over theirs.  Returns
         the layer-0 projection of every phrase and the layers of
         :meth:`cell_steps`.  An untracked `embedded` is cast to layer 0's
         dtype, so a compute copy runs its float64 encoder's rows in its own.
         """
         rowidx = np.asarray(rowidx)
         dtype = self.layers[0].wx.data.dtype
-        if not embedded.track and embedded.data.dtype != dtype:
-            embedded = Matrix._result(embedded.data.astype(dtype))
-        proj = nm.matmul(embedded, self.layers[0].wx)
+        if embedded is None:
+            proj = Matrix._result(table)
+        else:
+            if not embedded.track and embedded.data.dtype != dtype:
+                embedded = Matrix._result(embedded.data.astype(dtype))
+            proj = nm.matmul(embedded, self.layers[0].wx)
+            if table is not None:
+                proj = Matrix._result(np.vstack([table, proj.data]))
         zero = [np.zeros((rowidx.shape[0], hs), dtype=proj.data.dtype) for hs in self.config.lstm_hidden]
         return proj, self.cell_steps(nm.take_rows(proj, rowidx.T.ravel()), [(z, z) for z in zero])
 
@@ -340,33 +352,6 @@ class SequenceModel:
         """
         _, layers = self._sequence_pass(self.encoder.embed_batch(phrases), rowidx)
         return self.head(layers[-1][0], dropout_rng)
-
-    def _embed_after_page_names(self, extras: list[str]) -> Matrix:
-        """CNN embeddings of the V page names, then of the distinct phrases `extras`.
-
-        Under a tape that watches any weight, one CNN pass encodes them all,
-        and no cache is read or built.  Otherwise the rows come from the
-        serving cache (:meth:`_serving`): one CNN pass encodes the page names,
-        if the cache lacks them, and the phrases its memo lacks, if any.  A
-        row of the CNN does not depend on the other phrases of its pass
-        (every product is a `rows_product`), so a cached row is bit for bit a
-        fresh pass.
-        """
-        if any(w.track for w in self.weights.values()):
-            return self.encoder.embed_batch([*self.vocab.page_names, *extras])
-        cache = self._serving()
-        lead = list(self.vocab.page_names) if cache.names is None else []
-        missing = [p for p in extras if p not in cache.memo]
-        embedded = self.encoder.embed_batch([*lead, *missing]).data if lead or missing else None
-        if lead:
-            cache.names = embedded[:len(lead)].copy()
-            cache.names.flags.writeable = False
-        fresh = dict(zip(missing, embedded[len(lead):])) if missing else {}
-        rows = [fresh[p] if p in fresh else cache.memo[p] for p in extras]
-        if len(cache.memo) + len(fresh) > MAX_MEMO_PHRASES:  # the page names stay
-            cache.memo.clear()
-        cache.memo.update((p, row.copy()) for p, row in list(fresh.items())[:MAX_MEMO_PHRASES])
-        return Matrix._result(np.vstack([cache.names, *rows]) if rows else cache.names)
 
     # -- whole-session paths -------------------------------------------------
 
@@ -402,28 +387,55 @@ class SequenceModel:
         """Consume each prefix's keywords + visited pages; return (P-row state, P x N distributions).
 
         Each of the P prefixes needs `.keywords` (text, possibly empty) and
-        `.pages` (iterable of page names).  The call builds one page table,
-        from the weights of this moment (so an edit of the weights, made as
-        the module notes on frozen weights say, is seen by the next
-        `start`): the page names come first in the batch's phrases, so the
-        first V rows of layer 0's projection are the table.  The CNN
-        embeddings come from the model's checked serving cache
-        (:meth:`_embed_after_page_names`), so a call encodes only the
-        phrases no call since the last weight change has encoded, if any;
-        the table product itself runs on every call.  All prefixes run
-        through one padded pass, and each prefix's state is taken at its own
-        last step; since every product is a `rows_product`, row k is bit for
-        bit that of ``start([prefixes[k]])``, warm or cold, wherever the BLAS
-        keeps rows independent (see the module notes).
+        `.pages` (iterable of page names).  The rows of each distinct prefix
+        come from the model's checked serving cache, whose start memo holds
+        every prefix run since the last weight change (so an edit of the
+        weights, made as the module notes on frozen weights say, is seen by
+        the next `start`), and whose page table is every state's.  The
+        prefixes the memo lacks run through one padded pass
+        (:meth:`_start_rows`), and the memo keeps their rows; the returned
+        arrays are fresh, so no caller writes into the memo.  Since every
+        product is a `rows_product`, row k is bit for bit that of
+        ``start([prefixes[k]])``, warm or cold, wherever the BLAS keeps rows
+        independent (see the module notes).  Under a tape that watches any
+        weight, one pass runs every prefix and no cache is read or built.
         """
-        sequences = [[p.keywords, *p.pages] for p in prefixes]
-        if not sequences:
+        keys = [(p.keywords, *p.pages) for p in prefixes]
+        if not keys:
             raise ValueError("start needs at least one prefix")
+        if any(w.track for w in self.weights.values()):
+            table, rows = self._start_rows(keys)
+        else:
+            cache = self._serving()
+            entries = {key: cache.memo.get(key) for key in keys}
+            fresh = [key for key, entry in entries.items() if entry is None]
+            if fresh:
+                table, rows = self._start_rows(fresh, cache.table)
+                if cache.table is None:
+                    cache.table = table.copy()
+                    cache.table.flags.writeable = False
+                entries.update((key, tuple(a[i].copy() for a in rows)) for i, key in enumerate(fresh))
+                if len(cache.memo) + len(fresh) > MAX_MEMO_PREFIXES:
+                    cache.memo.clear()
+                cache.memo.update((key, entries[key]) for key in fresh[:MAX_MEMO_PREFIXES])
+            table, rows = cache.table, [np.stack(column) for column in zip(*(entries[key] for key in keys))]
+        return LstmState(list(zip(rows[:-1:2], rows[1:-1:2])), table), rows[-1]
+
+    def _start_rows(self, sequences, table=None) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(page table, rows) of one padded pass over phrase sequences, each taken at its own last step.
+
+        `rows` holds each layer's hidden and cell rows, then the next-page
+        distributions.  The page names lead the batch's phrases, so the
+        first V rows of layer 0's projection are the table; given a kept
+        `table`, the CNN encodes only the other phrases.
+        """
         phrases, rowidx, lengths = padded_batch(sequences, self.vocab.page_names)
-        proj, layers = self._sequence_pass(self._embed_after_page_names(phrases[self.n_classes:]), rowidx)
+        lead = 0 if table is None else self.n_classes
+        embedded = self.encoder.embed_batch(phrases[lead:]) if len(phrases) > lead else None
+        proj, layers = self._sequence_pass(embedded, rowidx, table)
         last = (lengths - 1) * len(lengths) + np.arange(len(lengths))
-        state = LstmState([(h.data[last], c[last]) for h, c in layers], proj.data[:self.n_classes])
-        return state, self.head(Matrix._result(state.layers[-1][0])).data
+        rows = [a[last] for h, c in layers for a in (h.data, c)]
+        return proj.data[:self.n_classes], [*rows, self.head(Matrix._result(rows[-2])).data]
 
     def step(self, state: LstmState, rows, pages) -> tuple[LstmState, np.ndarray]:
         """Feed page `pages[j]` to row `rows[j]` of `state`, for every j at once.
@@ -446,14 +458,15 @@ class SequenceModel:
 
 class _ServingCache:
     """What serving builds from a model's weights: their `arrays`, each set read-only, then, each
-    when first needed, the V x width page-name CNN `names` rows, the `memo` (phrase -> CNN row of
-    every other phrase a `start` has encoded, copies, at most MAX_MEMO_PHRASES) and the compute `copy`."""
+    when first needed, the V x 4H page `table` (read-only), the start `memo` ((keywords, *pages)
+    -> that prefix's h and c row of each layer and its next-page distribution row, at most
+    MAX_MEMO_PREFIXES) and the compute `copy`."""
 
     def __init__(self, model: SequenceModel):
         self.arrays = tuple(w.data for w in model.weights.values())
         for a in self.arrays:
             a.flags.writeable = False
-        self.names, self.memo, self.copy = None, {}, None
+        self.table, self.memo, self.copy = None, {}, None
 
 
 def _unchanged(weights, kept: tuple[np.ndarray, ...]) -> bool:

@@ -11,10 +11,12 @@ other prefixes of the call.  Row j of `step`'s result continues row
 `rows[j]` of `state` after feeding page index `pages[j]`, and must not
 depend on the other rows of the call either.  `step` must not
 mutate `state`, so one state can branch into several futures; trained
-models and ensembles both satisfy this.  A model encodes a phrase once,
-keeping its CNN row in its serving cache, but builds its page table
-afresh per `start` call, so `score_batch` starts a whole block of
-prefixes at once and every one-prefix entry point calls `start([prefix])`.
+models and ensembles both satisfy this.  A model keeps its page table and
+every prefix it has started in its serving cache, so a prefix that recurs
+(a funnel prefix in every `score_batch` call, the one prefix of every
+`rollout` of `journeynet simulate`) runs no pass again.  `score_batch`
+starts a whole block of prefixes at once and every one-prefix entry point
+calls `start([prefix])`.
 
 The Monte Carlo entry points (`score_batch`, `estimate_conversion`,
 `rollout`, `step_distribution`) serve a float32 compute copy of a model or
@@ -64,6 +66,7 @@ outside that envelope the agreement is not guaranteed.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,13 +86,23 @@ PREFIX_BLOCK = 16
 
 @dataclass(frozen=True)
 class JourneyPrefix:
-    """Observed start of a journey: keywords plus already-visited pages."""
+    """Observed start of a journey: keywords plus already-visited pages.
+
+    ConfigError unless `keywords` is text and `pages` an iterable (not a
+    string) of non-empty page names: a model's start memo keys on them.
+    """
 
     keywords: str = ""
     pages: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.keywords, str):
+            raise ConfigError(f"prefix keywords must be text, got {type(self.keywords).__name__}")
+        if isinstance(self.pages, str) or not isinstance(self.pages, Iterable):
+            raise ConfigError(f"prefix pages must be a sequence of page names, got {self.pages!r}")
         object.__setattr__(self, "pages", tuple(self.pages))
+        if not all(isinstance(p, str) and p for p in self.pages):
+            raise ConfigError(f"prefix pages must be non-empty page names, got {self.pages!r}")
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,39 @@ def test_simulate_writes_traces(pipeline, tmp_path, capsys):
     assert "home" in text
 
 
+def test_simulate_memo_runs_one_padded_pass_and_writes_the_traces_of_cold_starts(pipeline, tmp_path, monkeypatch):
+    from journeynet.seqmodel import SequenceModel
+
+    out, _ = pipeline
+    passes = []
+    sequence_pass, start = SequenceModel._sequence_pass, SequenceModel.start
+
+    def counting_pass(self, *args):
+        passes.append(len(args[1]))
+        return sequence_pass(self, *args)
+
+    def simulate(name):
+        trace_file = tmp_path / name
+        assert main([
+            "simulate", "--model", str(out / "model.ckpt"), "--steps", "30", "--n-traces", "3",
+            "--seed", "5", "--seed-prefix", "car insurance+home+quote", "--out", str(trace_file),
+        ]) == 0
+        return trace_file.read_bytes()
+
+    monkeypatch.setattr(SequenceModel, "_sequence_pass", counting_pass)
+    memo = simulate("memo.txt")
+    # the first trace's start runs the prefix; the memo serves the other two
+    assert passes == [1]
+
+    def cold_start(self, prefixes):
+        self._cache = None  # every start runs on a cold cache, as a start without a memo
+        return start(self, prefixes)
+
+    monkeypatch.setattr(SequenceModel, "start", cold_start)
+    assert simulate("cold.txt") == memo
+    assert len(passes) == 4
+
+
 def test_score_writes_csv(pipeline, tmp_path):
     out, _ = pipeline
     prefixes = tmp_path / "prefixes.jsonl"
@@ -450,6 +483,7 @@ def test_simulate_steps_beyond_the_longest_session_is_a_clean_error(pipeline, tm
     '{"keywords": "kw", "pages": "home"}',
     '{"keywords": "kw", "pages": [1, 2]}',
     '{"keywords": 7, "pages": ["home"]}',
+    '{"keywords": "kw", "pages": ["home", ""]}',
     '["kw", "home"]',
     '"keywords"',
     '12',

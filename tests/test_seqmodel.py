@@ -536,7 +536,8 @@ def assert_start_rows_equal_single_starts(predictor, prefixes):
     assert dists.shape == (len(prefixes), predictor.n_classes)
     members = states if isinstance(states, list) else [states]
     for k, prefix in enumerate(prefixes):
-        one_states, one_dists = predictor.start([prefix])
+        # a cold copy for each: the batch's memo would serve the prefix its own row
+        one_states, one_dists = copy.deepcopy(predictor).start([prefix])
         assert np.array_equal(dists[k], one_dists[0])
         one_members = one_states if isinstance(one_states, list) else [one_states]
         for batch, one in zip(members, one_members):
@@ -627,6 +628,10 @@ def test_batched_start_encodes_the_page_names_once(monkeypatch):
     # one CNN pass: the page names, then every other phrase of the call once
     extras = ["", "car insurance", "kw", "yy", "zz-not-a-page"]
     assert calls == [list(model.vocab.page_names) + extras]
+    # the page table is kept: a later call encodes the other phrases of its new prefixes only
+    calls.clear()
+    model.start([BATCHED_PREFIXES[0], Prefix("kw", ("zz-new",)), Prefix("c", ("a",))])
+    assert calls == [["kw", "zz-new"]]
 
 
 # the paper's encoder (62 and 14 windows per phrase) over a small vocabulary
@@ -674,6 +679,26 @@ def embed_calls(monkeypatch):
     return calls
 
 
+def phrase_extras(predictor, prefixes):
+    """The phrases of `prefixes` besides the page names, sorted, as a `start` lists them."""
+    phrases = {p for prefix in prefixes for p in (prefix.keywords, *prefix.pages)}
+    return sorted(phrases - set(predictor.vocab.page_names))
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The row count of every SequenceModel._sequence_pass call."""
+    calls = []
+    original = SequenceModel._sequence_pass
+
+    def counting(self, embedded, rowidx, *rest):
+        calls.append(len(rowidx))
+        return original(self, embedded, rowidx, *rest)
+
+    monkeypatch.setattr(SequenceModel, "_sequence_pass", counting)
+    return calls
+
+
 def snapshot_pair(seed=53):
     """Two freshly loaded copies of one paper-encoder model: one to warm, one left cold."""
     d = model_to_dict(toy_model(seed=seed, config=SNAPSHOT_CONFIG))
@@ -690,16 +715,17 @@ def test_snapshot_start_gives_the_bits_of_a_cold_start(case, ensemble, embed_cal
         other = snapshot_pair(seed=54)
         warm, cold = Ensemble([warm, other[0]]), Ensemble([cold, other[1]])
     prefixes = SNAPSHOT_CALLS[case]
-    warm.start([Prefix("warm up", ("a",))])
+    warm.start(prefixes[:1])
     embed_calls.clear()
     got = start_outputs(warm, prefixes)
-    names = set(warm.vocab.page_names)
-    extras = sorted({p for prefix in prefixes for p in (prefix.keywords, *prefix.pages)} - names)
-    # a warm start encodes only its other phrases, once per member, and none if it has none
+    # a warm start encodes only the other phrases of the prefixes its memo lacks,
+    # once per member, and none if they have none
+    extras = phrase_extras(warm, prefixes[1:])
     assert embed_calls == ([extras] * (2 if ensemble else 1) if extras else [])
     embed_calls.clear()
     assert_same_outputs(got, start_outputs(cold, prefixes))
-    assert all(call[:len(names)] == list(warm.vocab.page_names) for call in embed_calls)
+    names = warm.vocab.page_names
+    assert all(call[:len(names)] == list(names) for call in embed_calls)
 
 
 def encoder_weight(model, index):
@@ -751,12 +777,6 @@ def test_snapshot_is_not_read_under_a_tape_that_watches_the_weights(embed_calls)
     assert_same_outputs(outputs[0], off)
 
 
-def phrase_extras(predictor, prefixes):
-    """The phrases of `prefixes` besides the page names, sorted, as a `start` lists them."""
-    phrases = {p for prefix in prefixes for p in (prefix.keywords, *prefix.pages)}
-    return sorted(phrases - set(predictor.vocab.page_names))
-
-
 def warm_and_cold(ensemble):
     """`snapshot_pair`'s two models, or two ensembles of them with a second model each."""
     from journeynet.training import Ensemble
@@ -770,16 +790,19 @@ def warm_and_cold(ensemble):
 
 @pytest.mark.parametrize("case", sorted(SNAPSHOT_CALLS))
 @pytest.mark.parametrize("ensemble", [False, True], ids=["model", "ensemble"])
-def test_memo_serves_repeated_calls_and_compute_copies_with_the_bits_of_a_cold_start(case, ensemble, embed_calls):
+def test_memo_serves_repeated_calls_and_compute_copies_with_the_bits_of_a_cold_start(
+    case, ensemble, embed_calls, passes
+):
     warm, cold = warm_and_cold(ensemble)
     prefixes = SNAPSHOT_CALLS[case]
     copy = warm.compute_copy()
     first, served = start_outputs(warm, prefixes), start_outputs(copy, prefixes)
     embed_calls.clear()
-    # each model's first call fills its own memo, which serves every phrase of its repeats
+    passes.clear()
+    # each model's first call fills its own memo, which serves every prefix of its repeats
     again = [start_outputs(warm, prefixes), start_outputs(warm, prefixes)]
     served_again = start_outputs(copy, prefixes)
-    assert embed_calls == []
+    assert embed_calls == [] and passes == []
     for got in again:
         assert_same_outputs(got, first)
     assert_same_outputs(served_again, served)
@@ -787,22 +810,36 @@ def test_memo_serves_repeated_calls_and_compute_copies_with_the_bits_of_a_cold_s
     assert_same_outputs(served, start_outputs(cold.compute_copy(), prefixes))
 
 
+def start_rows_and_tables(predictor, prefixes):
+    """A `start`'s arrays of one row per prefix (distributions, then each member's state rows), and its tables."""
+    states, dists = predictor.start(prefixes)
+    members = states if isinstance(states, list) else [states]
+    return [dists, *(a for s in members for pair in s.layers for a in pair)], [s.table for s in members]
+
+
 @pytest.mark.parametrize("ensemble", [False, True], ids=["model", "ensemble"])
-def test_memo_encodes_only_the_unseen_phrases_of_a_call_once(ensemble, embed_calls):
+def test_memo_runs_the_pass_over_the_new_prefixes_of_a_call_only(ensemble, embed_calls, passes):
     warm, cold = warm_and_cold(ensemble)
-    seen = SNAPSHOT_CALLS["one prefix"]
-    prefixes = SNAPSHOT_CALLS["16 prefixes"] + seen
-    unseen = [p for p in phrase_extras(warm, prefixes) if p not in phrase_extras(warm, seen)]
+    seen = SNAPSHOT_CALLS["16 prefixes"][:6]
+    new = SNAPSHOT_CALLS["16 prefixes"][6:] + SNAPSHOT_CALLS["one prefix"]
+    # memoized, new and duplicated prefixes, interleaved
+    prefixes = [new[0], seen[3], new[1], new[0], *seen, *new[2:], seen[3], new[1]]
+    distinct = (seen + new)[::-1]
+    order = [distinct.index(prefix) for prefix in prefixes]
+    members = 2 if ensemble else 1
     # a model and its compute copy each keep a memo of their own
     for model, reference in ((warm, cold), (warm.compute_copy(), cold.compute_copy())):
         model.start(seen)
         embed_calls.clear()
-        got = start_outputs(model, prefixes)
-        assert unseen and embed_calls == [unseen] * (2 if ensemble else 1)
-        embed_calls.clear()
-        model.start(prefixes)  # the call filled the memo
-        assert embed_calls == []
-        assert_same_outputs(got, start_outputs(reference, prefixes))
+        passes.clear()
+        rows, tables = start_rows_and_tables(model, prefixes)
+        # one pass over the distinct new prefixes, which encodes their phrases besides the page names
+        assert passes == [len(new)] * members
+        assert embed_calls == [phrase_extras(model, new)] * members
+        # row k is the row of prefixes[k], with the bits of a cold start
+        want_rows, want_tables = start_rows_and_tables(reference, distinct)
+        assert_same_outputs(rows, [a[order] for a in want_rows])
+        assert_same_outputs(tables, want_tables)
 
 
 @pytest.mark.parametrize(
@@ -838,25 +875,73 @@ def test_memo_is_dropped_after_an_encoder_edit_and_under_a_tape_that_watches_the
     assert embed_calls == []
 
 
-def test_memo_past_its_bound_keeps_the_page_names_and_the_bits(monkeypatch, embed_calls):
+def test_memo_past_its_bound_empties_and_keeps_the_bits(monkeypatch, passes):
     from journeynet import seqmodel
 
-    monkeypatch.setattr(seqmodel, "MAX_MEMO_PHRASES", 3)
+    monkeypatch.setattr(seqmodel, "MAX_MEMO_PREFIXES", 3)
     warm, _ = snapshot_pair()
-    calls = [
-        ([Prefix("k1", ("a",)), Prefix("k2", ("b",))], [*warm.vocab.page_names, "k1", "k2"]),
-        ([Prefix("k3", ())], ["k3"]),  # fills the memo
-        ([Prefix("k4", ("c",)), Prefix("k1", ())], ["k4"]),  # k4 would pass the bound: the memo empties
-        ([Prefix("k2", ("zz-1", "zz-2", "zz-3", "zz-4"))], ["k2", "zz-1", "zz-2", "zz-3", "zz-4"]),
-        ([Prefix("zz-2", ("a",)), Prefix("k2", ("zz-1",))], []),  # the memo kept k2, zz-1 and zz-2
-        ([Prefix("k1", ()), Prefix("k4", ())], ["k1", "k4"]),
+    k = [Prefix(f"k{i}", ("a",)) for i in range(6)]
+    calls = [  # prefixes, rows of the call's pass, memo entries after it
+        ([k[0], k[1]], 2, 2),
+        ([k[2], k[0]], 1, 3),  # fills the memo
+        ([k[3], k[1]], 1, 1),  # k3 would pass the bound: the memo empties, then keeps k3
+        ([k[4], k[5], k[0], k[1]], 4, 3),  # the memo empties and keeps the first three
+        ([k[0], k[4], k[5]], 0, 3),
+        ([k[1], k[3], k[1]], 2, 2),
     ]
-    for prefixes, encoded in calls:
-        embed_calls.clear()
+    for prefixes, rows, entries in calls:
+        passes.clear()
         got = start_outputs(warm, prefixes)
-        assert embed_calls == ([encoded] if encoded else [])
-        assert len(warm._cache.memo) <= 3
+        assert passes == ([rows] if rows else [])
+        assert len(warm._cache.memo) == entries
         assert_same_outputs(got, start_outputs(snapshot_pair()[1], prefixes))
+
+
+@pytest.mark.parametrize("name", ["lstm1.wh", "out.bias"])
+def test_memo_sees_an_in_place_edit_made_writeable(name, passes):
+    warm, cold = snapshot_pair()
+    prefixes = SNAPSHOT_CALLS["16 prefixes"]
+    before = start_outputs(warm, prefixes)
+    assert_frozen(warm.weights[name])
+    for model in (warm, cold):  # one entry: a shift of all of out.bias leaves the softmax as it is
+        w = model.weights[name].data
+        w.flags.writeable = True
+        w[0, 0] += 0.5
+    passes.clear()
+    got = start_outputs(warm, prefixes)
+    # the edit restarts the cache: one pass runs every prefix again
+    assert passes == [len(prefixes)]
+    assert not np.array_equal(got[0], before[0])
+    assert_same_outputs(got, start_outputs(cold, prefixes))
+
+
+def test_memo_is_neither_read_nor_written_under_a_watching_tape(passes):
+    warm, cold = snapshot_pair()
+    prefixes = SNAPSHOT_CALLS["16 prefixes"] + SNAPSHOT_CALLS["one prefix"]
+    warm.start(prefixes[:8])
+    memo = dict(warm._cache.memo)
+    passes.clear()
+    with nm.ComputeTape([p for _, p in warm.parameters()]):
+        got = start_outputs(warm, prefixes)
+    # one pass over every prefix, memoized or not, and the memo is as it was
+    assert passes == [len(prefixes)]
+    assert warm._cache.memo.keys() == memo.keys()
+    assert all(warm._cache.memo[key] is entry for key, entry in memo.items())
+    assert_same_outputs(got, start_outputs(cold, prefixes))
+
+
+def test_memo_rows_are_not_written_through_the_arrays_a_start_returns():
+    warm, cold = snapshot_pair()
+    prefixes = SNAPSHOT_CALLS["16 prefixes"]
+    for _ in range(2):  # a first call fills the memo, a second reads it
+        state, dists = warm.start(prefixes)
+        dists[...] = 0.0
+        for h, c in state.layers:
+            h[...] = 0.0
+            c[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):  # every state carries the kept table
+            state.table[...] = 0.0
+    assert_same_outputs(start_outputs(warm, prefixes), start_outputs(cold, prefixes))
 
 
 def step_outputs(model, prefixes):

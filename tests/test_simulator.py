@@ -103,6 +103,20 @@ def test_simulated_journey_null_must_be_last():
         SimulatedJourney(JourneyPrefix(), (NULL_PAGE, "A"), "null_page")
 
 
+@pytest.mark.parametrize("keywords, pages", [
+    ("kw", "landing"),  # a string, not a sequence of page names
+    (None, ("landing",)),
+    (7, ()),
+    ("kw", 7),  # not iterable
+    ("kw", ("landing", "")),
+    ("kw", ("landing", None)),
+    ("kw", [["landing"]]),
+])
+def test_journey_prefix_rejects_fields_that_are_not_text_and_page_names(keywords, pages):
+    with pytest.raises(ConfigError, match="prefix"):
+        JourneyPrefix(keywords, pages)
+
+
 # ---------------------------------------------------------------------------
 # exact enumeration
 
@@ -823,19 +837,24 @@ def test_one_objective_call_never_steps_a_target_page(funnel_model):
     assert not any(np.isin(pages, targets).any() for _, pages in pred.calls)
 
 
-def test_score_batch_encodes_the_page_names_once(funnel_model, monkeypatch):
+def test_score_batch_memo_serves_a_repeated_call_without_a_pass(funnel_model, monkeypatch):
     from journeynet.seqmodel import model_from_dict, model_to_dict
     from journeynet.textenc import CnnEncoder
 
     model = model_from_dict(model_to_dict(funnel_model))  # cold: the shared fixture may be warm
-    calls = []
-    original = CnnEncoder.embed_batch
+    calls, passes = [], []
+    original, original_pass = CnnEncoder.embed_batch, SequenceModel._sequence_pass
 
     def counting(self, phrases):
         calls.append(list(phrases))
         return original(self, phrases)
 
+    def counting_pass(self, *args):
+        passes.append(len(args[1]))
+        return original_pass(self, *args)
+
     monkeypatch.setattr(CnnEncoder, "embed_batch", counting)
+    monkeypatch.setattr(SequenceModel, "_sequence_pass", counting_pass)
     prefixes = [
         JourneyPrefix("car insurance quotes online", ("landing",)),
         JourneyPrefix("quotes", ("landing", "form_car")),
@@ -843,12 +862,15 @@ def test_score_batch_encodes_the_page_names_once(funnel_model, monkeypatch):
         JourneyPrefix("", ("landing", "price")),
     ]
     objectives = [Objective("converted", frozenset({"converted"})), Objective("price", frozenset({"price"}))]
-    for seed in (3, 4):
-        rows = score_batch(model, prefixes, objectives, n_samples=200, horizon=8, seed=seed, workers=1)
-        assert len(rows) == len(prefixes) * len(objectives)
-    # one CNN pass for the first call, whose phrases the memo serves to the second
-    assert len(calls) == 1
+    args = (prefixes, objectives, 200, 8, 3)
+    rows = [score_batch(model, *args, workers=1) for _ in range(2)]
+    assert len(rows[0]) == len(prefixes) * len(objectives)
+    # one CNN pass and one padded pass, of every prefix, for the first call;
+    # the memo serves every prefix of the second
+    assert passes == [len(prefixes)] and len(calls) == 1
     assert all(sum(c.count(name) for c in calls) == 1 for name in model.vocab.page_names)
+    cold = model_from_dict(model_to_dict(funnel_model))
+    assert rows[0] == rows[1] == score_batch(cold, *args, workers=1)
 
 
 # ---------------------------------------------------------------------------
@@ -939,24 +961,30 @@ def test_compute_copy_encodes_the_page_names_once_over_calls_of_every_entry_poin
 
     # freshly loaded members: the shared fixture may be warm
     ensemble = Ensemble([model_from_dict(model_to_dict(m)) for m in funnel_ensemble(funnel_model).models])
-    calls = []
-    original = CnnEncoder.embed_batch
+    calls, passes = [], []
+    original, original_pass = CnnEncoder.embed_batch, SequenceModel._sequence_pass
 
     def counting(self, phrases):
         calls.append(list(phrases))
         return original(self, phrases)
 
+    def counting_pass(self, *args):
+        passes.append(self)
+        return original_pass(self, *args)
+
     monkeypatch.setattr(CnnEncoder, "embed_batch", counting)
+    monkeypatch.setattr(SequenceModel, "_sequence_pass", counting_pass)
     for seed in (3, 4):
         score_batch(ensemble, FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, n_samples=100, horizon=8, seed=seed)
         estimate_conversion(ensemble, FUNNEL_PREFIXES[0], FUNNEL_OBJECTIVES[0], 100, 8, seed=seed)
-    # every compute copy of a member reads the snapshot its first call made
+    # every compute copy of a member runs one pass, its first, whose table and memo serve the rest
+    assert passes == [m.compute_copy() for m in ensemble.models]
     for name in ensemble.vocab.page_names:
         assert sum(c.count(name) for c in calls) == len(ensemble), name
 
 
 # ---------------------------------------------------------------------------
-# frozen serving: a served model keeps one float32 copy and one phrase memo
+# frozen serving: a served model keeps one float32 copy and one start memo
 
 
 def fresh_funnel(funnel_model):
@@ -977,8 +1005,8 @@ def test_frozen_model_builds_one_float32_copy_and_one_memo_over_repeated_serving
     from journeynet.textenc import CnnEncoder
 
     model = fresh_funnel(funnel_model)
-    built, names_passes = [], []
-    init, embed = SequenceModel.__init__, CnnEncoder.embed_batch
+    built, names_passes, passes = [], [], []
+    init, embed, sequence_pass = SequenceModel.__init__, CnnEncoder.embed_batch, SequenceModel._sequence_pass
 
     def counting_init(self, *args):
         built.append(self)
@@ -988,14 +1016,21 @@ def test_frozen_model_builds_one_float32_copy_and_one_memo_over_repeated_serving
         names_passes.append(list(phrases[:model.n_classes]) == list(model.vocab.page_names))
         return embed(self, phrases)
 
+    def counting_pass(self, *args):
+        passes.append(self)
+        return sequence_pass(self, *args)
+
     monkeypatch.setattr(SequenceModel, "__init__", counting_init)
     monkeypatch.setattr(CnnEncoder, "embed_batch", counting_embed)
+    monkeypatch.setattr(SequenceModel, "_sequence_pass", counting_pass)
     memos = set()
     for seed in range(3):
         serve_every_entry_point(model, seed)
         memos.add(id(model._cache))
     assert len(built) == 1 and model.compute_copy() is built[0]
     assert len(memos) == 1 and names_passes.count(True) == 1
+    # every entry point serves prefixes of the first call, which the copy's memo keeps
+    assert passes == [built[0]]
 
 
 def test_frozen_weights_after_a_serving_call_are_read_only(funnel_model):
