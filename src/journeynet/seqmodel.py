@@ -18,10 +18,14 @@ runs one step from the rows it continues.
 Serving freezes a model.  Its first serving call (`start` or
 `compute_copy`) builds one serving cache, which sets every weight array
 read-only and then holds, each filled when first needed, the page table
-(layer 0's projection of the page names), a start memo of every prefix a
-`start` has run (its state rows and next-page distribution: a frozen
-model's start depends only on the prefix, and prefixes recur, so `start`
-runs only the prefixes the memo lacks) and the compute copy: a model whose
+(layer 0's projection of the page names), a node store with its start
+memo, and the compute copy.  The memo maps every prefix a `start` has run
+to its root node, which holds its state rows and next-page distribution: a
+frozen model's start depends only on the prefix, and prefixes recur, so
+`start` runs only the prefixes the memo lacks.  A `start` the memo serves
+whole returns a kept state, and `step` of a kept state adds the children
+it reaches to that prefix's rollout tree, so each sampled path of a
+recurring prefix is stepped once per cache.  The compute copy is a model whose
 LSTM and head compute in float32 for the simulator's rollouts (the model
 itself computes in float64), and which owns its arrays and its serving
 cache, so a copy held across an edit of the model is a snapshot of the
@@ -36,8 +40,11 @@ Two edits stay unseen: a write through a writeable numpy view taken before
 the first serving call, and an edit made writeable and served by another
 model built from the same `Matrix` objects.  A pickled model carries no
 cache.  A `start` under a tape that watches any weight neither reads nor
-builds the cache; training, evaluation, `batch_step_probs`, `session_nll`
-and `forward_session` never do, and freeze nothing.
+builds the cache, and a `step` under one, or of a state whose store is no
+longer its model's (after an edit, or after the store restarted at its
+bound), steps plain; training, evaluation, `batch_step_probs`,
+`session_nll` and `forward_session` never read the cache, and freeze
+nothing.
 A tape records the ops on what it watches: inference records
 nothing on a tape that does not watch the model's weights, and records on
 one that does, with the same bits.  Every product goes through
@@ -68,10 +75,10 @@ COMPUTE_DTYPE = np.float32
 # most weights a model may lay out, and most entries of one phrase's one-hot:
 # 10**8 float64 masters take 0.8 GB (the paper's config has 385 292 weights)
 MAX_WEIGHTS = 10**8
-# most prefixes whose start rows a model's memo keeps: at the paper's config
-# in float32 an entry holds 2 096 bytes of rows, ~2.9 kB with its objects
-# (~12 MB in all)
-MAX_MEMO_PREFIXES = 4096
+# most nodes (started prefixes and the rollout steps after them) a serving
+# cache keeps: at the paper's config with V classes a node holds 2 048 + 8V
+# bytes in float32 and 4 096 + 12V in float64 (~8.8 and ~17 MB in all at V = 12)
+MAX_KEPT_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,6 @@ class LstmLayer:
     bias: Matrix
 
 
-@dataclass
 class LstmState:
     """Per-layer (hidden, cell) arrays of B rows, one per live sequence, and
     the V x 4H array of layer-0 input projections of every page class: plain
@@ -169,11 +175,26 @@ class LstmState:
     `SequenceModel.start` gives all P prefix rows the read-only table of the
     model's serving cache, built by the first pass after the last weight
     change (a `start` under a tape that watches the weights builds its own);
-    `step` gathers its rows and hands the same table on to the new state.
+    `step` hands the same table on to the new state.  A plain state holds
+    its rows.  A kept state holds `nodes`, the ids of its rows in `store`, a
+    serving cache's node store, and gathers `layers` from it at each read.
     """
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    table: np.ndarray
+    def __init__(self, layers, table: np.ndarray, nodes: np.ndarray | None = None, store=None):
+        self._layers, self.table, self.nodes, self.store = layers, table, nodes, store
+
+    @property
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return self._layers if self.nodes is None else _pairs([col[self.nodes] for col in self.store.columns[:-1]])
+
+    def __len__(self) -> int:
+        return len(self._layers[0][0]) if self.nodes is None else len(self.nodes)
+
+
+def _pairs(rows) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (hidden, cell) pair of `rows`: every layer's hidden and cell rows, in layer
+    order, then any other rows (a next-page distribution), which it leaves out."""
+    return list(zip(rows[0::2], rows[1::2]))
 
 
 def padded_batch(sequences, lead=()) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -308,32 +329,39 @@ class SequenceModel:
 
     def _sequence_pass(
         self, embedded: Matrix | None, rowidx, table: np.ndarray | None = None
-    ) -> tuple[Matrix, list[tuple[Matrix, np.ndarray]]]:
+    ) -> tuple[Matrix | None, list[tuple[Matrix, np.ndarray]]]:
         """Run a padded batch of encoded phrases through the LSTM stack.
 
         `embedded` holds one CNN embedding per phrase of the batch, and
         `rowidx[b, t]` selects the row fed to sequence b at step t.  Layer 0
-        gathers its input projection from the phrases' projections, and the
-        stack runs through :meth:`cell_steps` from the zero state.  Given a
+        gathers its input rows from the phrases' projections, and the stack
+        runs through :meth:`cell_steps` from the zero state.  Given a
         `table`, the kept projection of the phrases that lead the batch,
         `embedded` holds only the phrases after them (None if there are
-        none), and the projection is the table stacked over theirs.  Returns
-        the layer-0 projection of every phrase and the layers of
+        none), and each input row is gathered from the table or from their
+        projection, whichever holds its phrase.  Returns layer 0's
+        projection of `embedded` (None without it) and the layers of
         :meth:`cell_steps`.  An untracked `embedded` is cast to layer 0's
         dtype, so a compute copy runs its float64 encoder's rows in its own.
         """
         rowidx = np.asarray(rowidx)
         dtype = self.layers[0].wx.data.dtype
-        if embedded is None:
-            proj = Matrix._result(table)
-        else:
+        proj = None
+        if embedded is not None:
             if not embedded.track and embedded.data.dtype != dtype:
                 embedded = Matrix._result(embedded.data.astype(dtype))
             proj = nm.matmul(embedded, self.layers[0].wx)
-            if table is not None:
-                proj = Matrix._result(np.vstack([table, proj.data]))
-        zero = [np.zeros((rowidx.shape[0], hs), dtype=proj.data.dtype) for hs in self.config.lstm_hidden]
-        return proj, self.cell_steps(nm.take_rows(proj, rowidx.T.ravel()), [(z, z) for z in zero])
+        zero = [np.zeros((rowidx.shape[0], hs), dtype=(table if proj is None else proj.data).dtype)
+                for hs in self.config.lstm_hidden]
+        idx = rowidx.T.ravel()
+        if table is None:  # no local holds the input rows: cell_steps frees them after layer 0
+            return proj, self.cell_steps(nm.take_rows(proj, idx), [(z, z) for z in zero])
+        x = np.empty((len(idx), table.shape[1]), table.dtype)
+        new = idx >= len(table)
+        x[~new] = table[idx[~new]]
+        if proj is not None:
+            x[new] = proj.data[idx[new] - len(table)]
+        return proj, self.cell_steps(Matrix._result(x), [(z, z) for z in zero])
 
     def batch_step_probs(
         self,
@@ -388,38 +416,49 @@ class SequenceModel:
 
         Each of the P prefixes needs `.keywords` (text, possibly empty) and
         `.pages` (iterable of page names).  The rows of each distinct prefix
-        come from the model's checked serving cache, whose start memo holds
+        come from the model's checked serving cache, whose start memo maps
         every prefix run since the last weight change (so an edit of the
         weights, made as the module notes on frozen weights say, is seen by
-        the next `start`), and whose page table is every state's.  The
-        prefixes the memo lacks run through one padded pass
-        (:meth:`_start_rows`), and the memo keeps their rows; the returned
-        arrays are fresh, so no caller writes into the memo.  Since every
-        product is a `rows_product`, row k is bit for bit that of
-        ``start([prefixes[k]])``, warm or cold, wherever the BLAS keeps rows
-        independent (see the module notes).  Under a tape that watches any
-        weight, one pass runs every prefix and no cache is read or built.
+        the next `start`) to its root node in the cache's node store, and
+        whose page table is every state's.  If the memo holds every prefix,
+        the state is kept: the nodes' ids, from which `step` reuses the
+        paths stepped before.  Otherwise the prefixes the memo lacks run
+        through one padded pass (:meth:`_start_rows`), the store keeps their
+        rows as new roots, and the state is plain.  The returned arrays are
+        fresh, so no caller writes into the store.  Since every product is a
+        `rows_product`, row k is bit for bit that of ``start([prefixes[k]])``,
+        warm or cold, wherever the BLAS keeps rows independent (see the
+        module notes).  Under a tape that watches any weight, one pass runs
+        every prefix and no cache is read or built.
         """
         keys = [(p.keywords, *p.pages) for p in prefixes]
         if not keys:
             raise ValueError("start needs at least one prefix")
         if any(w.track for w in self.weights.values()):
             table, rows = self._start_rows(keys)
-        else:
-            cache = self._serving()
-            entries = {key: cache.memo.get(key) for key in keys}
-            fresh = [key for key, entry in entries.items() if entry is None]
-            if fresh:
-                table, rows = self._start_rows(fresh, cache.table)
-                if cache.table is None:
-                    cache.table = table.copy()
-                    cache.table.flags.writeable = False
-                entries.update((key, tuple(a[i].copy() for a in rows)) for i, key in enumerate(fresh))
-                if len(cache.memo) + len(fresh) > MAX_MEMO_PREFIXES:
-                    cache.memo.clear()
-                cache.memo.update((key, entries[key]) for key in fresh[:MAX_MEMO_PREFIXES])
-            table, rows = cache.table, [np.stack(column) for column in zip(*(entries[key] for key in keys))]
-        return LstmState(list(zip(rows[:-1:2], rows[1:-1:2])), table), rows[-1]
+            return LstmState(_pairs(rows), table), rows[-1]
+        cache = self._serving()
+        nodes = cache.nodes
+        ids = [cache.memo.get(key) for key in keys]
+        if None not in ids:
+            ids = np.array(ids)
+            return LstmState(None, cache.table, ids, nodes), nodes.columns[-1][ids]
+        fresh = list(dict.fromkeys(key for key, i in zip(keys, ids) if i is None))
+        table, rows = self._start_rows(fresh, cache.table)
+        if cache.table is None:
+            cache.table = table.copy()
+            cache.table.flags.writeable = False
+        hits = {key: i for key, i in zip(keys, ids) if i is not None}
+        served = rows
+        if hits:  # their rows after the pass's
+            served = [np.concatenate([a, col[list(hits.values())]]) for a, col in zip(rows, nodes.columns)]
+        if nodes.size + len(fresh) > MAX_KEPT_NODES:  # hits are read first: a restart drops them
+            cache.memo, cache.nodes = {}, _NodeStore()
+        kept = [a[:MAX_KEPT_NODES] for a in rows]
+        cache.memo.update(zip(fresh[:MAX_KEPT_NODES], cache.nodes.add(kept).tolist()))
+        at = {key: r for r, key in enumerate([*fresh, *hits])}
+        served = [a[[at[key] for key in keys]] for a in served]
+        return LstmState(_pairs(served), cache.table), served[-1]
 
     def _start_rows(self, sequences, table=None) -> tuple[np.ndarray, list[np.ndarray]]:
         """(page table, rows) of one padded pass over phrase sequences, each taken at its own last step.
@@ -435,7 +474,8 @@ class SequenceModel:
         proj, layers = self._sequence_pass(embedded, rowidx, table)
         last = (lengths - 1) * len(lengths) + np.arange(len(lengths))
         rows = [a[last] for h, c in layers for a in (h.data, c)]
-        return proj.data[:self.n_classes], [*rows, self.head(Matrix._result(rows[-2])).data]
+        table = proj.data[:self.n_classes] if table is None else table
+        return table, [*rows, self.head(Matrix._result(rows[-2])).data]
 
     def step(self, state: LstmState, rows, pages) -> tuple[LstmState, np.ndarray]:
         """Feed page `pages[j]` to row `rows[j]` of `state`, for every j at once.
@@ -443,30 +483,97 @@ class SequenceModel:
         Returns (new B-row state, B x N next-page distributions), B = len(pages);
         `state` is left untouched, so one state can branch into several futures.
         `rows` must index rows of `state` and `pages` rows of its page table
-        (ShapeError otherwise); after that one check each layer's rows and
-        layer 0's input projections are plain gathers, fed to :meth:`cell_steps`.
+        (ShapeError otherwise).  A kept state whose store is still its model's
+        (:meth:`_keeps`) looks up each row's child through its page: one
+        :meth:`cell_steps` and head run over the children the store lacks,
+        from their parents' stored rows, the store keeps them, and the new
+        state is kept, its distributions gathered from the store.  If the
+        new children would pass MAX_KEPT_NODES, or the state is plain, each
+        layer's rows and layer 0's input projections are plain gathers, fed
+        to :meth:`cell_steps`, and the new state is plain.
         """
-        rows = nm.row_index(rows, len(state.layers[0][0]))
+        rows = nm.row_index(rows, len(state))
         pages = nm.row_index(pages, len(state.table))
         if rows.shape != pages.shape:
             raise ShapeError(f"{rows.size} rows for {pages.size} pages")
-        prev = [(h[rows], c[rows]) for h, c in state.layers]
-        layers = self.cell_steps(Matrix._result(state.table[pages]), prev)
-        new = LstmState([(h.data, c) for h, c in layers], state.table)
-        return new, self.head(layers[-1][0]).data
+        nodes = state.store
+        if nodes is not None and self._keeps(nodes):
+            parents = state.nodes[rows]
+            ids = nodes.child[parents, pages]
+            new = np.flatnonzero(ids < 0)
+            if nodes.size + len(new) <= MAX_KEPT_NODES:
+                if len(new):
+                    parents, pages = parents[new], pages[new]
+                    prev = _pairs([col[parents] for col in nodes.columns[:-1]])
+                    ids[new] = nodes.add(self._step_rows(prev, state.table, pages), parents, pages)
+                return LstmState(None, state.table, ids, nodes), nodes.columns[-1][ids]
+        rows = self._step_rows([(h[rows], c[rows]) for h, c in state.layers], state.table, pages)
+        return LstmState(_pairs(rows), state.table), rows[-1]
+
+    def _step_rows(self, prev, table: np.ndarray, pages: np.ndarray) -> list[np.ndarray]:
+        """Each layer's hidden and cell rows, then the next-page distributions, of one step
+        from `prev` (each layer's hidden and cell rows) on the `table` rows of `pages`."""
+        layers = self.cell_steps(Matrix._result(table[pages]), prev)  # cell_steps frees the gather
+        rows = [a for h, c in layers for a in (h.data, c)]
+        rows.append(self.head(layers[-1][0]).data)
+        return rows
+
+    def _keeps(self, nodes: "_NodeStore") -> bool:
+        """Whether `step` may read and extend `nodes`: the node store of this model's serving
+        cache, still valid (:func:`_unchanged`), and no tape watches a weight."""
+        cache = self._cache
+        return (
+            cache is not None and cache.nodes is nodes and _unchanged(self.weights.values(), cache.arrays)
+            and not any(w.track for w in self.weights.values())
+        )
+
+
+class _NodeStore:
+    """The rollout trees of a serving cache's started prefixes, in the dtype of its rows.
+
+    Node i holds row i of each of `columns` (each layer's hidden and cell
+    row, then the next-page distribution row) and `child[i, page]`, the node
+    one step further through `page` (-1 until a kept `step` computes it).
+    A started prefix is a root.  Nodes are only added, never changed, so an
+    id stays valid while any state holds the store; the arrays grow by
+    doubling, up to MAX_KEPT_NODES rows.
+    """
+
+    def __init__(self):
+        self.size, self.columns, self.child = 0, [], np.empty((0, 0), np.int32)
+
+    def add(self, rows: list[np.ndarray], parents=None, pages=None) -> np.ndarray:
+        """Keep row j of `rows` (laid out as `columns`) as a new node, the child of
+        node `parents[j]` through page `pages[j]` if given; return the new ids."""
+        n, m = self.size, len(rows[0])
+        if n + m > len(self.child):
+            cap = min(max(2 * len(self.child), n + m, 64), MAX_KEPT_NODES)
+            grown = [np.empty((cap, a.shape[1]), a.dtype) for a in rows]
+            grown.append(np.full((cap, rows[-1].shape[1]), -1, np.int32))
+            if n:
+                for new, old in zip(grown, [*self.columns, self.child]):
+                    new[:n] = old[:n]
+            *self.columns, self.child = grown
+        for col, a in zip(self.columns, rows):
+            col[n:n + m] = a
+        ids = np.arange(n, n + m)
+        if parents is not None:
+            self.child[parents, pages] = ids
+        self.size = n + m
+        return ids
 
 
 class _ServingCache:
     """What serving builds from a model's weights: their `arrays`, each set read-only, then, each
     when first needed, the V x 4H page `table` (read-only), the start `memo` ((keywords, *pages)
-    -> that prefix's h and c row of each layer and its next-page distribution row, at most
-    MAX_MEMO_PREFIXES) and the compute `copy`."""
+    -> that prefix's root in `nodes`), the `nodes` themselves (a :class:`_NodeStore`) and the
+    compute `copy`."""
 
     def __init__(self, model: SequenceModel):
         self.arrays = tuple(w.data for w in model.weights.values())
         for a in self.arrays:
             a.flags.writeable = False
-        self.table, self.memo, self.copy = None, {}, None
+        self.table, self.memo, self.nodes, self.copy = None, {}, _NodeStore(), None
 
 
 def _unchanged(weights, kept: tuple[np.ndarray, ...]) -> bool:

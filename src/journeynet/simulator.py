@@ -14,9 +14,12 @@ mutate `state`, so one state can branch into several futures; trained
 models and ensembles both satisfy this.  A model keeps its page table and
 every prefix it has started in its serving cache, so a prefix that recurs
 (a funnel prefix in every `score_batch` call, the one prefix of every
-`rollout` of `journeynet simulate`) runs no pass again.  `score_batch`
-starts a whole block of prefixes at once and every one-prefix entry point
-calls `start([prefix])`.
+`rollout` of `journeynet simulate`) runs no pass again; from its second
+start on, the cache also keeps the rollout tree of the paths stepped from
+it, so the model computes each sampled path once (up to the cache's node
+bound, `seqmodel.MAX_KEPT_NODES`).
+`score_batch` starts a whole block of prefixes at once and every
+one-prefix entry point calls `start([prefix])`.
 
 The Monte Carlo entry points (`score_batch`, `estimate_conversion`,
 `rollout`, `step_distribution`) serve a float32 compute copy of a model or

@@ -7,13 +7,15 @@ must also score.
 """
 
 import copy
+import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from journeynet.cli import _load_prefixes, _parse_config_file
-from journeynet.errors import JourneynetError
+from journeynet.errors import JourneynetError, MarkovSpecError, ParseError
 from journeynet.journeydata import (
     MarkovSpec,
     PageVocabulary,
@@ -99,10 +101,28 @@ def parses_or_raises_journeynet_error(read, path, data: bytes):
         pass
 
 
+def file_text(data: bytes) -> str:
+    """The text a loader reads from a file of `data`: UTF-8 with universal newlines, where
+    undecodable bytes, which the loaders reject (see the file-level cases), are replaced."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace").read()
+
+
+def chain_spec_of(data: bytes) -> None:
+    """MarkovSpec.load of a file of `data`, in memory: its JSON, then from_dict."""
+    try:
+        raw = json.loads(file_text(data))
+    except (ValueError, RecursionError):  # load's MarkovSpecError, checked by the file-level case
+        return
+    MarkovSpec.from_dict(raw)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=fuzz(spec_like, chain_like))
-def test_markov_spec_load_parses_or_raises(tmp_path_factory, data):
-    parses_or_raises_journeynet_error(MarkovSpec.load, tmp_path_factory.getbasetemp() / "chain.json", data)
+def test_markov_spec_load_parses_or_raises(data):
+    try:
+        chain_spec_of(data)
+    except JourneynetError:
+        pass
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,8 +139,23 @@ def test_a_chain_spec_that_loads_generates_a_readable_log(chain):
 
 @settings(max_examples=300, deadline=None)
 @given(data=lines_of(fuzz(record_like)))
-def test_session_log_parses_or_raises(tmp_path_factory, data):
-    parses_or_raises_journeynet_error(load_sessions, tmp_path_factory.getbasetemp() / "log.jsonl", data)
+def test_session_log_parses_or_raises(data):
+    # load_sessions in memory: parse_log over the file's lines
+    try:
+        parse_log(file_text(data).split("\n"))
+    except JourneynetError:
+        pass
+
+
+@pytest.mark.parametrize("read, error, data", [
+    (MarkovSpec.load, MarkovSpecError, b"not json"),
+    (load_sessions, ParseError, b'{"session_id": "s", "keywords": "", "events": []}\n\xff\xfe'),  # not UTF-8
+], ids=["chain spec", "session log"])
+def test_a_malformed_file_is_a_clean_error(tmp_path, read, error, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(error):
+        read(path)
 
 
 @settings(max_examples=200, deadline=None)

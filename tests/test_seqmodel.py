@@ -878,22 +878,22 @@ def test_memo_is_dropped_after_an_encoder_edit_and_under_a_tape_that_watches_the
 def test_memo_past_its_bound_empties_and_keeps_the_bits(monkeypatch, passes):
     from journeynet import seqmodel
 
-    monkeypatch.setattr(seqmodel, "MAX_MEMO_PREFIXES", 3)
+    monkeypatch.setattr(seqmodel, "MAX_KEPT_NODES", 3)
     warm, _ = snapshot_pair()
     k = [Prefix(f"k{i}", ("a",)) for i in range(6)]
-    calls = [  # prefixes, rows of the call's pass, memo entries after it
+    calls = [  # prefixes, rows of the call's pass, kept nodes (all roots) after it
         ([k[0], k[1]], 2, 2),
-        ([k[2], k[0]], 1, 3),  # fills the memo
-        ([k[3], k[1]], 1, 1),  # k3 would pass the bound: the memo empties, then keeps k3
-        ([k[4], k[5], k[0], k[1]], 4, 3),  # the memo empties and keeps the first three
+        ([k[2], k[0]], 1, 3),  # fills the store
+        ([k[3], k[1]], 1, 1),  # k3 would pass the bound: the store restarts, then keeps k3
+        ([k[4], k[5], k[0], k[1]], 4, 3),  # the store restarts and keeps the first three
         ([k[0], k[4], k[5]], 0, 3),
         ([k[1], k[3], k[1]], 2, 2),
     ]
-    for prefixes, rows, entries in calls:
+    for prefixes, rows, nodes in calls:
         passes.clear()
         got = start_outputs(warm, prefixes)
         assert passes == ([rows] if rows else [])
-        assert len(warm._cache.memo) == entries
+        assert warm._cache.nodes.size == len(warm._cache.memo) == nodes
         assert_same_outputs(got, start_outputs(snapshot_pair()[1], prefixes))
 
 
@@ -942,6 +942,187 @@ def test_memo_rows_are_not_written_through_the_arrays_a_start_returns():
         with pytest.raises(ValueError, match="read-only"):  # every state carries the kept table
             state.table[...] = 0.0
     assert_same_outputs(start_outputs(warm, prefixes), start_outputs(cold, prefixes))
+
+
+# ---------------------------------------------------------------------------
+# rollout trees: the node store steps each path of a recurring prefix once
+
+
+@pytest.fixture
+def stepped_rows(monkeypatch):
+    """The row count of every SequenceModel.cell_steps call."""
+    calls = []
+    original = SequenceModel.cell_steps
+
+    def counting(self, xproj, state):
+        calls.append(len(state[0][0]))
+        return original(self, xproj, state)
+
+    monkeypatch.setattr(SequenceModel, "cell_steps", counting)
+    return calls
+
+
+TREE_PREFIXES = SNAPSHOT_CALLS["16 prefixes"][:5]
+# (rows, pages) of steps from a start state of TREE_PREFIXES: new pairs, the
+# same pairs again, and a mix of two of them with three new ones
+TREE_STEPS = [
+    ([0, 1, 2, 3], [0, 1, 2, 0]),
+    ([0, 1, 2, 3], [0, 1, 2, 0]),
+    ([3, 0, 4, 2, 1], [0, 3, 4, 1, 1]),
+]
+
+
+def state_outputs(state, dists):
+    """A step's or start's distributions and its state's rows, member by member for an ensemble."""
+    members = state if isinstance(state, list) else [state]
+    return [dists, *(a for s in members for pair in s.layers for a in pair)]
+
+
+def kept_start(model, prefixes):
+    """The state of a second `start` of `prefixes`, which the memo serves whole: a kept state."""
+    model.start(prefixes)
+    state, dists = model.start(prefixes)
+    assert all(s.nodes is not None for s in (state if isinstance(state, list) else [state]))
+    return state, dists
+
+
+def stepped_both(warm, cold, states, rows, pages):
+    """`step` of a warm model's state and of a cold one's plain state, their outputs compared bit for bit."""
+    (new, got), want = warm.step(states[0], rows, pages), cold.step(states[1], rows, pages)
+    assert_same_outputs(state_outputs(new, got), state_outputs(*want))
+    return new, want[0]
+
+
+def test_tree_kept_steps_give_a_cold_models_rows_on_hits_misses_and_mixed_calls(stepped_rows):
+    warm, cold = snapshot_pair()
+    state, dists = kept_start(warm, TREE_PREFIXES)
+    cold_state, cold_dists = cold.start(TREE_PREFIXES)
+    assert cold_state.nodes is None
+    assert_same_outputs(state_outputs(state, dists), state_outputs(cold_state, cold_dists))
+    computed = []
+    for rows, pages in TREE_STEPS:
+        stepped_rows.clear()
+        new, _ = warm.step(state, rows, pages)
+        computed.append(stepped_rows[:])
+        assert new.nodes is not None
+        new, cold_new = stepped_both(warm, cold, (state, cold_state), rows, pages)
+    # only the children the store lacks run, in one call
+    assert computed == [[4], [], [3]]
+    # one step deeper from the mixed call: misses, then hits
+    for computes in ([3], []):
+        stepped_rows.clear()
+        deeper, dists = warm.step(new, [4, 0, 1], [2, 2, 0])
+        assert stepped_rows == computes and deeper.nodes is not None
+        stepped_both(warm, cold, (new, cold_new), [4, 0, 1], [2, 2, 0])
+    # start, then step through the tree, gives forward_session's bits
+    names, (mixed_rows, mixed_pages) = warm.vocab.page_names, TREE_STEPS[2]
+    for j, (row, page) in enumerate(zip([4, 0, 1], [2, 2, 0])):
+        prefix = TREE_PREFIXES[mixed_rows[row]]
+        phrases = [prefix.keywords, *prefix.pages, names[mixed_pages[row]], names[page]]
+        assert np.array_equal(dists[j], warm.forward_session(phrases)[-1].probs)
+
+
+def test_tree_of_a_one_shot_prefix_adds_no_child(stepped_rows):
+    warm, _ = snapshot_pair()
+    state, _ = warm.start(TREE_PREFIXES)
+    stepped_rows.clear()
+    for _ in range(2):  # a state the pass made steps plain, however often
+        new, _ = warm.step(state, [0, 1, 2], [0, 1, 2])
+        warm.step(new, [0, 1, 2], [1, 1, 1])
+    assert state.nodes is None and new.nodes is None
+    assert stepped_rows == [3, 3] * 2
+    nodes = warm._cache.nodes
+    assert nodes.size == len(TREE_PREFIXES) and (nodes.child[:nodes.size] < 0).all()
+
+
+@pytest.mark.parametrize("edit", [shift, shift_made_writeable], ids=["new-array", "in-place"])
+@pytest.mark.parametrize("name", ["lstm1.wh", "fc.weight"])
+def test_tree_state_held_across_a_weight_edit_steps_plain_with_the_new_weights(edit, name, stepped_rows):
+    warm, cold = snapshot_pair()
+    state, _ = kept_start(warm, TREE_PREFIXES)
+    cold_state, _ = cold.start(TREE_PREFIXES)
+    _, before = warm.step(state, [0, 1], [0, 1])  # the store keeps these children
+    nodes = warm._cache.nodes
+    size = nodes.size
+    for model in (warm, cold):
+        edit(model.weights[name])
+    # before and after the next serving call restarts the cache
+    for serve in (False, True):
+        if serve:
+            warm.start(TREE_PREFIXES)
+            assert warm._cache.nodes is not nodes
+        stepped_rows.clear()
+        new, _ = stepped_both(warm, cold, (state, cold_state), [0, 1], [0, 1])
+        # the held state runs both rows from its own rows and table, with the edited weights
+        assert new.nodes is None and stepped_rows == [2, 2]
+        assert not np.array_equal(warm.step(state, [0, 1], [0, 1])[1], before)
+        assert nodes.size == size
+
+
+def test_tree_step_under_a_watching_tape_records_and_leaves_the_store_alone(stepped_rows):
+    warm, cold = snapshot_pair()
+    state, _ = kept_start(warm, TREE_PREFIXES)
+    warm.step(state, [0, 1], [0, 1])  # the store keeps these children
+    nodes = warm._cache.nodes
+    kept = [nodes.child.copy(), *(a.copy() for a in nodes.columns)]
+    size = nodes.size
+    cold_state, _ = cold.start(TREE_PREFIXES)
+    outputs, lengths = [], []
+    for model, s in ((warm, state), (cold, cold_state)):
+        stepped_rows.clear()
+        with nm.ComputeTape([p for _, p in model.parameters()]) as tape:
+            new, dists = model.step(s, [0, 1, 2], [0, 1, 2])  # two pairs the store holds, one it lacks
+        # every row runs, and is recorded
+        assert new.nodes is None and stepped_rows == [3]
+        outputs.append(state_outputs(new, dists))
+        lengths.append(len(tape))
+    assert lengths[0] == lengths[1] > 0
+    assert_same_outputs(*outputs)
+    assert nodes.size == size and warm._cache.nodes is nodes
+    assert_same_outputs([nodes.child, *nodes.columns], kept)
+    assert_same_outputs(state_outputs(*warm.step(state, [0, 1, 2], [0, 1, 2])), outputs[0])
+
+
+def test_tree_past_its_bound_restarts_or_steps_plain_with_the_same_bits(monkeypatch, stepped_rows):
+    from journeynet import seqmodel
+
+    monkeypatch.setattr(seqmodel, "MAX_KEPT_NODES", 10)
+    warm, cold = snapshot_pair()
+    prefixes = TREE_PREFIXES[:3]
+    root = kept_start(warm, prefixes)[0], cold.start(prefixes)[0]
+    nodes = warm._cache.nodes
+    first = stepped_both(warm, cold, root, [0, 1, 2, 0], [0, 1, 2, 1])
+    assert first[0].nodes is not None and nodes.size == 7
+    # four new children would pass the bound: the call steps plain and keeps nothing
+    second = stepped_both(warm, cold, first, [0, 1, 2, 3], [0, 0, 0, 0])
+    assert second[0].nodes is None and nodes.size == 7
+    stepped_both(warm, cold, second, [0, 3], [1, 1])
+    # two hits and one new child fit
+    stepped_rows.clear()
+    third = stepped_both(warm, cold, root, [0, 1, 2], [0, 1, 0])
+    assert third[0].nodes is not None and nodes.size == 8 and stepped_rows[0] == 1
+    # a start whose three new prefixes do not fit restarts the store; its two hits keep their bits
+    mixed = [*prefixes[:2], *SNAPSHOT_CALLS["16 prefixes"][5:8]]
+    assert_same_outputs(start_outputs(warm, mixed), start_outputs(snapshot_pair()[1], mixed))
+    assert warm._cache.nodes is not nodes and warm._cache.nodes.size == 3
+    # states of the old store step plain
+    for states in (root, third):
+        new, _ = stepped_both(warm, cold, states, [0, 1], [2, 2])
+        assert new.nodes is None
+
+
+def test_tree_of_kept_ensemble_members_gives_the_same_bits(stepped_rows):
+    warm, cold = warm_and_cold(ensemble=True)
+    states = kept_start(warm, TREE_PREFIXES)[0], cold.start(TREE_PREFIXES)[0]
+    for rows, pages in TREE_STEPS:
+        stepped_rows.clear()
+        new = stepped_both(warm, cold, states, rows, pages)
+        assert all(s.nodes is not None for s in new[0])
+    deeper = stepped_both(warm, cold, new, [4, 0, 1], [2, 2, 0])
+    stepped_rows.clear()
+    stepped_both(warm, cold, new, [4, 0, 1], [2, 2, 0])
+    # the warm members serve the repeat from their trees; the cold ones run it
+    assert stepped_rows == [3, 3] and all(s.nodes is not None for s in deeper[0])
 
 
 def step_outputs(model, prefixes):

@@ -1170,3 +1170,40 @@ def test_compute_copy_replaced_and_served_model_dropped_are_freed_without_the_cy
         assert dropped() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# rollout trees: a served model steps each path of a recurring prefix once
+
+
+@pytest.mark.parametrize("ensemble", [False, True], ids=["model", "ensemble"])
+def test_tree_serves_a_repeated_score_batch_without_cell_steps(funnel_model, ensemble, monkeypatch):
+    from journeynet.training import Ensemble
+
+    def cold():
+        members = [fresh_funnel(m) for m in (funnel_ensemble(funnel_model).models if ensemble else [funnel_model])]
+        return Ensemble(members) if ensemble else members[0]
+
+    pred, rows_stepped = cold(), []
+    original = SequenceModel.cell_steps
+
+    def counting(self, xproj, state):
+        rows_stepped.append(len(state[0][0]))
+        return original(self, xproj, state)
+
+    monkeypatch.setattr(SequenceModel, "cell_steps", counting)
+    args = (FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, 300, 8, 3)
+    score_batch(pred, *args[:-1], 4)  # the memo keeps the prefixes
+    first = score_batch(pred, *args)  # their trees keep every path this seed samples
+    rows_stepped.clear()
+    second = score_batch(pred, *args)
+    assert rows_stepped == []
+    assert first == second == score_batch(cold(), *args)
+
+
+def test_tree_of_one_shot_prefixes_adds_no_child(funnel_model):
+    model = fresh_funnel(funnel_model)
+    for k, prefix in enumerate(FUNNEL_PREFIXES[:2]):  # each prefix started once
+        score_batch(model, [prefix], FUNNEL_OBJECTIVES, n_samples=300, horizon=8, seed=k)
+    nodes = model.compute_copy()._cache.nodes
+    assert nodes.size == 2 and (nodes.child[:2] < 0).all()
