@@ -7,10 +7,10 @@ over a model of float32 weights computes, records and back-propagates in
 float32.  Two such models exist, each owning its arrays: training runs
 each batch on a float32 twin of the model (see :mod:`journeynet.training`),
 and the simulator's Monte Carlo rollouts run on a compute copy
-(`SequenceModel.compute_copy`).  A model's first serving call
-freezes every weight read-only, so :func:`grad_check`, which writes into
-the weights, needs a model that was never served (or weights made
-writeable again).  Only 1 x 1 loss scalars stay float64.
+(`SequenceModel.compute_copy`).  A model's first serving call, under
+any tape, freezes every weight read-only, so :func:`grad_check`, which
+writes into the weights, needs a model that was never served (or weights
+made writeable again).  Only 1 x 1 loss scalars stay float64.
 A :class:`ComputeTape` watches the leaves it is given: inside its block
 they are tracked, and every operation with a tracked operand is
 recorded and tracks its result.
@@ -18,8 +18,8 @@ Calling :func:`backward` on the tape then accumulates ``dL/dx`` into the
 ``grad`` buffer of every leaf, and frees each intermediate gradient as
 soon as the op that made it has used it.  A Matrix no tape watches is
 untracked, so operations on it are plain numpy computations and record
-nothing, also inside another tape's block; inference on a model whose
-weights a tape watches does record.
+nothing, also inside another tape's block; serving a model whose weights a
+tape watches records the passes and steps its cache does not serve.
 
 Each entry into a tape's block starts a new recording.  A recorded
 :func:`lstm_sequence` takes its (T*B)-row arrays and its backward's ``dz``

@@ -39,19 +39,17 @@ ValueError, and so does :func:`numerics.grad_check` of a served model.
 Two edits stay unseen: a write through a writeable numpy view taken before
 the first serving call, and an edit made writeable and served by another
 model built from the same `Matrix` objects.  A pickled model carries no
-cache.  A `start` under a tape that watches any weight neither reads nor
-builds the cache, and a `step` under one, or of a state whose store is no
-longer its model's (after an edit, or after the store restarted at its
-bound), steps plain; training, evaluation, `batch_step_probs`,
-`session_nll` and `forward_session` never read the cache, and freeze
-nothing.
-A tape records the ops on what it watches: inference records
-nothing on a tape that does not watch the model's weights, and records on
-one that does, with the same bits.  Every product goes through
-:func:`numerics.rows_product`, so a row's bits do not depend on the other
-rows of its batch for the product shapes tier-1 checks (the CNN's im2col
-products, and the LSTM and head products of models of 8 and 12 classes at
-up to 70 rows); the BLAS does not promise it for every shape.
+cache.  A `step` of a state whose store is no longer its model's (after an
+edit, or after the store restarted at its bound) steps plain; training,
+evaluation, `batch_step_probs`, `session_nll` and `forward_session` never
+read the cache, and freeze nothing.  Serving is the same under any tape:
+one that watches the weights records the passes and steps that run, on
+frozen weights, and `start` and `step` return plain arrays, which reach no
+loss.  Every product goes through :func:`numerics.rows_product`, so a row's
+bits do not depend on the other rows of its batch for the product shapes
+tier-1 checks (the CNN's im2col products, and the LSTM and head products
+of models of 8 and 12 classes at up to 70 rows); the BLAS does not promise
+it for every shape.
 """
 
 from __future__ import annotations
@@ -76,8 +74,9 @@ COMPUTE_DTYPE = np.float32
 # 10**8 float64 masters take 0.8 GB (the paper's config has 385 292 weights)
 MAX_WEIGHTS = 10**8
 # most nodes (started prefixes and the rollout steps after them) a serving
-# cache keeps: at the paper's config with V classes a node holds 2 048 + 8V
-# bytes in float32 and 4 096 + 12V in float64 (~8.8 and ~17 MB in all at V = 12)
+# cache keeps, unless one `start` adds more: at the paper's config with V
+# classes a node holds 2 048 + 8V bytes in float32 and 4 096 + 12V in
+# float64 (~8.8 and ~17 MB in all at V = 12)
 MAX_KEPT_NODES = 4096
 
 
@@ -173,11 +172,10 @@ class LstmState:
     compute copy), so nothing in a state can reach a tape.
 
     `SequenceModel.start` gives all P prefix rows the read-only table of the
-    model's serving cache, built by the first pass after the last weight
-    change (a `start` under a tape that watches the weights builds its own);
-    `step` hands the same table on to the new state.  A plain state holds
-    its rows.  A kept state holds `nodes`, the ids of its rows in `store`, a
-    serving cache's node store, and gathers `layers` from it at each read.
+    model's serving cache, built by the cache's first pass; `step` hands the
+    same table on to the new state.  A plain state holds its rows.  A kept
+    state holds `nodes`, the ids of its rows in `store`, a serving cache's
+    node store, and gathers `layers` from it at each read.
     """
 
     def __init__(self, layers, table: np.ndarray, nodes: np.ndarray | None = None, store=None):
@@ -415,50 +413,41 @@ class SequenceModel:
         """Consume each prefix's keywords + visited pages; return (P-row state, P x N distributions).
 
         Each of the P prefixes needs `.keywords` (text, possibly empty) and
-        `.pages` (iterable of page names).  The rows of each distinct prefix
-        come from the model's checked serving cache, whose start memo maps
-        every prefix run since the last weight change (so an edit of the
-        weights, made as the module notes on frozen weights say, is seen by
-        the next `start`) to its root node in the cache's node store, and
-        whose page table is every state's.  If the memo holds every prefix,
-        the state is kept: the nodes' ids, from which `step` reuses the
-        paths stepped before.  Otherwise the prefixes the memo lacks run
-        through one padded pass (:meth:`_start_rows`), the store keeps their
-        rows as new roots, and the state is plain.  The returned arrays are
-        fresh, so no caller writes into the store.  Since every product is a
-        `rows_product`, row k is bit for bit that of ``start([prefixes[k]])``,
-        warm or cold, wherever the BLAS keeps rows independent (see the
-        module notes).  Under a tape that watches any weight, one pass runs
-        every prefix and no cache is read or built.
+        `.pages` (iterable of page names).  Every row comes from the model's
+        checked serving cache, whose start memo maps every prefix run since
+        the last weight change (so an edit of the weights, made as the module
+        notes on frozen weights say, is seen by the next `start`) to its root
+        node in the cache's node store, and whose page table is every
+        state's.  If the memo holds every prefix, the state is kept: the
+        nodes' ids, from which `step` reuses the paths stepped before.
+        Otherwise the distinct prefixes the memo lacks run through one padded
+        pass (:meth:`_start_rows`) and the store keeps them all as new roots;
+        if they would pass MAX_KEPT_NODES, the store restarts first and the
+        call's hits run with them.  The state is then plain, its rows fresh
+        gathers from the store, so no caller writes into it.  Since every
+        product is a `rows_product`, row k is bit for bit that of
+        ``start([prefixes[k]])``, warm or cold, wherever the BLAS keeps rows
+        independent (see the module notes).
         """
         keys = [(p.keywords, *p.pages) for p in prefixes]
         if not keys:
             raise ValueError("start needs at least one prefix")
-        if any(w.track for w in self.weights.values()):
-            table, rows = self._start_rows(keys)
-            return LstmState(_pairs(rows), table), rows[-1]
         cache = self._serving()
-        nodes = cache.nodes
-        ids = [cache.memo.get(key) for key in keys]
-        if None not in ids:
-            ids = np.array(ids)
+        fresh = list(dict.fromkeys(key for key in keys if key not in cache.memo))
+        if fresh:
+            if cache.nodes.size + len(fresh) > MAX_KEPT_NODES:  # a restart drops the hits: they run again
+                cache.memo, cache.nodes = {}, _NodeStore()
+                fresh = list(dict.fromkeys(keys))
+            table, rows = self._start_rows(fresh, cache.table)
+            if cache.table is None:
+                cache.table = table.copy()
+                cache.table.flags.writeable = False
+            cache.memo.update(zip(fresh, cache.nodes.add(rows).tolist()))
+        nodes, ids = cache.nodes, np.array([cache.memo[key] for key in keys])
+        if not fresh:
             return LstmState(None, cache.table, ids, nodes), nodes.columns[-1][ids]
-        fresh = list(dict.fromkeys(key for key, i in zip(keys, ids) if i is None))
-        table, rows = self._start_rows(fresh, cache.table)
-        if cache.table is None:
-            cache.table = table.copy()
-            cache.table.flags.writeable = False
-        hits = {key: i for key, i in zip(keys, ids) if i is not None}
-        served = rows
-        if hits:  # their rows after the pass's
-            served = [np.concatenate([a, col[list(hits.values())]]) for a, col in zip(rows, nodes.columns)]
-        if nodes.size + len(fresh) > MAX_KEPT_NODES:  # hits are read first: a restart drops them
-            cache.memo, cache.nodes = {}, _NodeStore()
-        kept = [a[:MAX_KEPT_NODES] for a in rows]
-        cache.memo.update(zip(fresh[:MAX_KEPT_NODES], cache.nodes.add(kept).tolist()))
-        at = {key: r for r, key in enumerate([*fresh, *hits])}
-        served = [a[[at[key] for key in keys]] for a in served]
-        return LstmState(_pairs(served), cache.table), served[-1]
+        rows = [col[ids] for col in nodes.columns]
+        return LstmState(_pairs(rows), cache.table), rows[-1]
 
     def _start_rows(self, sequences, table=None) -> tuple[np.ndarray, list[np.ndarray]]:
         """(page table, rows) of one padded pass over phrase sequences, each taken at its own last step.
@@ -483,29 +472,31 @@ class SequenceModel:
         Returns (new B-row state, B x N next-page distributions), B = len(pages);
         `state` is left untouched, so one state can branch into several futures.
         `rows` must index rows of `state` and `pages` rows of its page table
-        (ShapeError otherwise).  A kept state whose store is still its model's
-        (:meth:`_keeps`) looks up each row's child through its page: one
-        :meth:`cell_steps` and head run over the children the store lacks,
-        from their parents' stored rows, the store keeps them, and the new
-        state is kept, its distributions gathered from the store.  If the
-        new children would pass MAX_KEPT_NODES, or the state is plain, each
-        layer's rows and layer 0's input projections are plain gathers, fed
-        to :meth:`cell_steps`, and the new state is plain.
+        (ShapeError otherwise).  A kept state whose store is still that of
+        its model's serving cache looks up each row's child through its page:
+        one :meth:`cell_steps` and head run over the distinct children the
+        store lacks, from their parents' stored rows, the store keeps them,
+        and the new state is kept, its distributions gathered from the store.
+        If the new children would pass MAX_KEPT_NODES, or the state is plain,
+        each layer's rows and layer 0's input projections are plain gathers,
+        fed to :meth:`cell_steps`, and the new state is plain.
         """
         rows = nm.row_index(rows, len(state))
         pages = nm.row_index(pages, len(state.table))
         if rows.shape != pages.shape:
             raise ShapeError(f"{rows.size} rows for {pages.size} pages")
         nodes = state.store
-        if nodes is not None and self._keeps(nodes):
+        if nodes is not None and nodes is self._serving().nodes:
             parents = state.nodes[rows]
             ids = nodes.child[parents, pages]
             new = np.flatnonzero(ids < 0)
-            if nodes.size + len(new) <= MAX_KEPT_NODES:
-                if len(new):
-                    parents, pages = parents[new], pages[new]
-                    prev = _pairs([col[parents] for col in nodes.columns[:-1]])
-                    ids[new] = nodes.add(self._step_rows(prev, state.table, pages), parents, pages)
+            pairs = dict.fromkeys((parents[new] * len(state.table) + pages[new]).tolist()) if len(new) else {}
+            if nodes.size + len(pairs) <= MAX_KEPT_NODES:
+                if pairs:
+                    origin, page = np.divmod(np.fromiter(pairs, np.intp), len(state.table))
+                    prev = _pairs([col[origin] for col in nodes.columns[:-1]])
+                    nodes.add(self._step_rows(prev, state.table, page), origin, page)
+                    ids = nodes.child[parents, pages]
                 return LstmState(None, state.table, ids, nodes), nodes.columns[-1][ids]
         rows = self._step_rows([(h[rows], c[rows]) for h, c in state.layers], state.table, pages)
         return LstmState(_pairs(rows), state.table), rows[-1]
@@ -518,15 +509,6 @@ class SequenceModel:
         rows.append(self.head(layers[-1][0]).data)
         return rows
 
-    def _keeps(self, nodes: "_NodeStore") -> bool:
-        """Whether `step` may read and extend `nodes`: the node store of this model's serving
-        cache, still valid (:func:`_unchanged`), and no tape watches a weight."""
-        cache = self._cache
-        return (
-            cache is not None and cache.nodes is nodes and _unchanged(self.weights.values(), cache.arrays)
-            and not any(w.track for w in self.weights.values())
-        )
-
 
 class _NodeStore:
     """The rollout trees of a serving cache's started prefixes, in the dtype of its rows.
@@ -536,7 +518,7 @@ class _NodeStore:
     one step further through `page` (-1 until a kept `step` computes it).
     A started prefix is a root.  Nodes are only added, never changed, so an
     id stays valid while any state holds the store; the arrays grow by
-    doubling, up to MAX_KEPT_NODES rows.
+    doubling, up to MAX_KEPT_NODES rows or what one `start` call adds.
     """
 
     def __init__(self):
@@ -547,7 +529,7 @@ class _NodeStore:
         node `parents[j]` through page `pages[j]` if given; return the new ids."""
         n, m = self.size, len(rows[0])
         if n + m > len(self.child):
-            cap = min(max(2 * len(self.child), n + m, 64), MAX_KEPT_NODES)
+            cap = max(min(max(2 * len(self.child), 64), MAX_KEPT_NODES), n + m)
             grown = [np.empty((cap, a.shape[1]), a.dtype) for a in rows]
             grown.append(np.full((cap, rows[-1].shape[1]), -1, np.int32))
             if n:

@@ -404,15 +404,16 @@ def conversion_path_mass(
     """Enumeration of every continuation up to `horizon` steps, a block of one depth at a time.
 
     Branches end at an objective page (hit), the NULL page or the horizon
-    (miss).  With `prune_tol` > 0, branches whose path probability drops
-    below the tolerance are cut and their mass is reported in `pruned`, which
-    bounds the error of `hit`; with the default 0 the enumeration is exact
-    and guarded by the vocabulary-size ** horizon work estimate.  A block of
+    (miss); a horizon outside [0, MAX_SESSION_EVENTS] is a SamplingError.
+    With `prune_tol` > 0, branches whose path probability drops below the
+    tolerance are cut and their mass is reported in `pruned`, which bounds
+    the error of `hit`; with the default 0 the enumeration is exact and
+    guarded by the vocabulary-size ** horizon work estimate.  A block of
     up to CHUNK nodes is stepped in one call when popped, and pushes its
     children in CHUNK-row slices, so pending work holds ~one state per depth.
     """
-    if horizon < 0:
-        raise SamplingError(f"horizon must be >= 0, got {horizon}")
+    if not 0 <= horizon <= MAX_SESSION_EVENTS:
+        raise SamplingError(f"horizon must be in [0, {MAX_SESSION_EVENTS}], got {horizon}")
     if not prune_tol >= 0:
         raise ValueError(f"prune_tol must be >= 0, got {prune_tol}")
     vocab = predictor.vocab

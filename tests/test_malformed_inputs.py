@@ -9,13 +9,14 @@ must also score.
 import copy
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from journeynet.cli import _load_prefixes, _parse_config_file
-from journeynet.errors import JourneynetError, MarkovSpecError, ParseError
+from journeynet import cli
+from journeynet.errors import CliError, JourneynetError, MarkovSpecError, ParseError
 from journeynet.journeydata import (
     MarkovSpec,
     PageVocabulary,
@@ -93,14 +94,6 @@ def lines_of(strategy):
     return st.lists(strategy, max_size=3).map(lambda lines: b"\n".join(lines))
 
 
-def parses_or_raises_journeynet_error(read, path, data: bytes):
-    path.write_bytes(data)
-    try:
-        read(path)
-    except JourneynetError:
-        pass
-
-
 def file_text(data: bytes) -> str:
     """The text a loader reads from a file of `data`: UTF-8 with universal newlines, where
     undecodable bytes, which the loaders reject (see the file-level cases), are replaced."""
@@ -114,6 +107,16 @@ def chain_spec_of(data: bytes) -> None:
     except (ValueError, RecursionError):  # load's MarkovSpecError, checked by the file-level case
         return
     MarkovSpec.from_dict(raw)
+
+
+def parses_or_raises_in_memory(read, data: bytes) -> None:
+    """`read` of a file of `data`, in memory: the file reader `cli._read_text` returns the file's
+    text, so the loader parses what it would read; undecodable bytes are the file-level cases."""
+    with mock.patch.object(cli, "_read_text", lambda path: file_text(data)):
+        try:
+            read("input")
+        except JourneynetError:
+            pass
 
 
 @settings(max_examples=300, deadline=None)
@@ -150,7 +153,9 @@ def test_session_log_parses_or_raises(data):
 @pytest.mark.parametrize("read, error, data", [
     (MarkovSpec.load, MarkovSpecError, b"not json"),
     (load_sessions, ParseError, b'{"session_id": "s", "keywords": "", "events": []}\n\xff\xfe'),  # not UTF-8
-], ids=["chain spec", "session log"])
+    (cli._load_prefixes, CliError, b'{"keywords": "kw"}\n\xff\xfe'),  # not UTF-8
+    (cli._parse_config_file, CliError, b"epochs = 2\n\xff\xfe"),  # not UTF-8
+], ids=["chain spec", "session log", "prefix file", "config file"])
 def test_a_malformed_file_is_a_clean_error(tmp_path, read, error, data):
     path = tmp_path / "input"
     path.write_bytes(data)
@@ -169,14 +174,14 @@ def test_parse_log_of_any_text_parses_or_raises(text):
 
 @settings(max_examples=300, deadline=None)
 @given(data=lines_of(fuzz(prefix_like)))
-def test_prefix_file_parses_or_raises(tmp_path_factory, data):
-    parses_or_raises_journeynet_error(_load_prefixes, tmp_path_factory.getbasetemp() / "p.jsonl", data)
+def test_prefix_file_parses_or_raises(data):
+    parses_or_raises_in_memory(cli._load_prefixes, data)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.binary(max_size=200) | st.text(max_size=200).map(str.encode))
-def test_config_file_parses_or_raises(tmp_path_factory, data):
-    parses_or_raises_journeynet_error(_parse_config_file, tmp_path_factory.getbasetemp() / "run.cfg", data)
+def test_config_file_parses_or_raises(data):
+    parses_or_raises_in_memory(cli._parse_config_file, data)
 
 
 def _tiny_checkpoints() -> dict:

@@ -573,22 +573,24 @@ def test_batched_start_rows_equal_one_prefix_starts_in_an_ensemble():
 
 def test_start_and_step_under_a_tape_return_the_off_tape_bits():
     # a tape that does not watch the weights sees inference run on plain
-    # arrays; one that does records it, with the same bits
-    model = toy_model(seed=39, config=replace(TOY_CONFIG, lstm_hidden=(6, 4)))
-    enc = model.vocab.encode
-
-    def run():
+    # arrays; one that does records what runs, with the same bits
+    def run(model):
+        enc = model.vocab.encode
         state, dists = model.start(BATCHED_PREFIXES)
         new, stepped = model.step(state, [3, 0, 0, 2], [enc("a"), enc("c"), enc(UNKNOWN_PAGE), 0])
         return [dists, stepped, state.table, new.table] + [
             m for s in (state, new) for pair in s.layers for m in pair
         ]
 
-    off = run()
-    for leaves in ([], [p for _, p in model.parameters()]):
-        with nm.ComputeTape(leaves) as tape:
-            on = run()
-        assert (len(tape) > 0) == bool(leaves)
+    def cold():
+        return toy_model(seed=39, config=replace(TOY_CONFIG, lstm_hidden=(6, 4)))
+
+    off = run(cold())
+    for watched in (False, True):
+        model = cold()  # a cold model runs every prefix and step of the call
+        with nm.ComputeTape([p for _, p in model.parameters()] if watched else []) as tape:
+            on = run(model)
+        assert (len(tape) > 0) == watched
         assert len(on) == len(off) == 12
         for a, b in zip(on, off):
             assert type(a) is np.ndarray
@@ -759,24 +761,6 @@ def test_snapshot_sees_in_place_edits_and_float32_copies_of_the_encoder(index, e
         assert embed_calls == []
 
 
-def test_snapshot_is_not_read_under_a_tape_that_watches_the_weights(embed_calls):
-    warm, cold = snapshot_pair()
-    prefixes = SNAPSHOT_CALLS["16 prefixes"]
-    warm.start(prefixes)
-    off = start_outputs(warm, prefixes)
-    outputs, nodes = [], []
-    for model in (warm, cold):
-        embed_calls.clear()
-        with nm.ComputeTape([p for _, p in model.parameters()]) as tape:
-            outputs.append(start_outputs(model, prefixes))
-        nodes.append(len(tape))
-        # the tape records the whole CNN over the page names
-        assert len(embed_calls) == 1 and embed_calls[0][:warm.n_classes] == list(warm.vocab.page_names)
-    assert nodes[0] == nodes[1] > 0
-    assert_same_outputs(outputs[0], outputs[1])
-    assert_same_outputs(outputs[0], off)
-
-
 def warm_and_cold(ensemble):
     """`snapshot_pair`'s two models, or two ensembles of them with a second model each."""
     from journeynet.training import Ensemble
@@ -842,11 +826,9 @@ def test_memo_runs_the_pass_over_the_new_prefixes_of_a_call_only(ensemble, embed
         assert_same_outputs(tables, want_tables)
 
 
-@pytest.mark.parametrize(
-    "edit", [shift_made_writeable, shift, to_float32, None], ids=["in-place", "new-array", "float32", "watching-tape"]
-)
+@pytest.mark.parametrize("edit", [shift_made_writeable, shift, to_float32], ids=["in-place", "new-array", "float32"])
 @pytest.mark.parametrize("index", [0, 3])  # conv0 kernels, conv1 bias
-def test_memo_is_dropped_after_an_encoder_edit_and_under_a_tape_that_watches_the_weights(edit, index, embed_calls):
+def test_memo_is_dropped_after_an_encoder_edit(edit, index, embed_calls):
     warm, cold = snapshot_pair()
     for model in (warm, cold):
         # float32-representable values, so the float32 copy compares equal
@@ -856,14 +838,10 @@ def test_memo_is_dropped_after_an_encoder_edit_and_under_a_tape_that_watches_the
     prefixes = SNAPSHOT_CALLS["out-of-vocabulary page"] + SNAPSHOT_CALLS["one prefix"]
     warm.start(prefixes)
     embed_calls.clear()
-    if edit is None:
-        with nm.ComputeTape([p for _, p in warm.parameters()]):
-            got = start_outputs(warm, prefixes)
-    else:
-        assert_frozen(encoder_weight(warm, index))
-        for model in (warm, cold):
-            edit(encoder_weight(model, index))
-        got = start_outputs(warm, prefixes)
+    assert_frozen(encoder_weight(warm, index))
+    for model in (warm, cold):
+        edit(encoder_weight(model, index))
+    got = start_outputs(warm, prefixes)
     # nothing of the memo is read: one pass encodes the page names and every other phrase
     assert embed_calls == [list(warm.vocab.page_names) + phrase_extras(warm, prefixes)]
     assert_same_outputs(got, start_outputs(cold, prefixes))
@@ -884,9 +862,9 @@ def test_memo_past_its_bound_empties_and_keeps_the_bits(monkeypatch, passes):
     calls = [  # prefixes, rows of the call's pass, kept nodes (all roots) after it
         ([k[0], k[1]], 2, 2),
         ([k[2], k[0]], 1, 3),  # fills the store
-        ([k[3], k[1]], 1, 1),  # k3 would pass the bound: the store restarts, then keeps k3
-        ([k[4], k[5], k[0], k[1]], 4, 3),  # the store restarts and keeps the first three
-        ([k[0], k[4], k[5]], 0, 3),
+        ([k[3], k[1]], 2, 2),  # k3 would pass the bound: the store restarts, then runs and keeps both
+        ([k[4], k[5], k[0], k[1]], 4, 4),  # the store restarts and keeps all four, past the bound
+        ([k[0], k[4], k[5]], 0, 4),
         ([k[1], k[3], k[1]], 2, 2),
     ]
     for prefixes, rows, nodes in calls:
@@ -915,19 +893,21 @@ def test_memo_sees_an_in_place_edit_made_writeable(name, passes):
     assert_same_outputs(got, start_outputs(cold, prefixes))
 
 
-def test_memo_is_neither_read_nor_written_under_a_watching_tape(passes):
+def test_memo_serves_a_second_start_under_a_tape_that_watches_the_weights(passes):
     warm, cold = snapshot_pair()
-    prefixes = SNAPSHOT_CALLS["16 prefixes"] + SNAPSHOT_CALLS["one prefix"]
-    warm.start(prefixes[:8])
-    memo = dict(warm._cache.memo)
-    passes.clear()
-    with nm.ComputeTape([p for _, p in warm.parameters()]):
-        got = start_outputs(warm, prefixes)
-    # one pass over every prefix, memoized or not, and the memo is as it was
-    assert passes == [len(prefixes)]
-    assert warm._cache.memo.keys() == memo.keys()
-    assert all(warm._cache.memo[key] is entry for key, entry in memo.items())
-    assert_same_outputs(got, start_outputs(cold, prefixes))
+    prefixes = SNAPSHOT_CALLS["16 prefixes"]
+    weights = [p for _, p in warm.parameters()]
+    with nm.ComputeTape(weights) as tape:
+        first = start_outputs(warm, prefixes)  # builds the cache, and the tape records the pass
+        recorded = len(tape)
+        passes.clear()
+        second = start_outputs(warm, prefixes)
+    # the memo serves the second call: no pass runs and the tape records nothing more
+    assert recorded > 0 and passes == [] and len(tape) == recorded
+    for got in (first, second):
+        assert_same_outputs(got, start_outputs(cold, prefixes))
+    for w in weights:
+        assert_frozen(w)
 
 
 def test_memo_rows_are_not_written_through_the_arrays_a_start_returns():
@@ -1059,28 +1039,22 @@ def test_tree_state_held_across_a_weight_edit_steps_plain_with_the_new_weights(e
         assert nodes.size == size
 
 
-def test_tree_step_under_a_watching_tape_records_and_leaves_the_store_alone(stepped_rows):
+def test_tree_kept_step_under_a_tape_that_watches_the_weights_adds_the_missing_children(stepped_rows):
     warm, cold = snapshot_pair()
     state, _ = kept_start(warm, TREE_PREFIXES)
     warm.step(state, [0, 1], [0, 1])  # the store keeps these children
     nodes = warm._cache.nodes
-    kept = [nodes.child.copy(), *(a.copy() for a in nodes.columns)]
     size = nodes.size
     cold_state, _ = cold.start(TREE_PREFIXES)
-    outputs, lengths = [], []
-    for model, s in ((warm, state), (cold, cold_state)):
-        stepped_rows.clear()
-        with nm.ComputeTape([p for _, p in model.parameters()]) as tape:
-            new, dists = model.step(s, [0, 1, 2], [0, 1, 2])  # two pairs the store holds, one it lacks
-        # every row runs, and is recorded
-        assert new.nodes is None and stepped_rows == [3]
-        outputs.append(state_outputs(new, dists))
-        lengths.append(len(tape))
-    assert lengths[0] == lengths[1] > 0
-    assert_same_outputs(*outputs)
-    assert nodes.size == size and warm._cache.nodes is nodes
-    assert_same_outputs([nodes.child, *nodes.columns], kept)
-    assert_same_outputs(state_outputs(*warm.step(state, [0, 1, 2], [0, 1, 2])), outputs[0])
+    stepped_rows.clear()
+    with nm.ComputeTape([p for _, p in warm.parameters()]) as tape:
+        new, _ = stepped_both(warm, cold, (state, cold_state), [0, 1, 2], [0, 1, 2])  # two pairs held, one not
+    # the warm model runs and records the missing child only, and keeps it
+    assert stepped_rows == [1, 3] and len(tape) > 0
+    assert new.nodes is not None and warm._cache.nodes is nodes and nodes.size == size + 1
+    stepped_rows.clear()
+    again, _ = stepped_both(warm, cold, (state, cold_state), [0, 1, 2], [0, 1, 2])
+    assert stepped_rows == [3] and np.array_equal(again.nodes, new.nodes)
 
 
 def test_tree_past_its_bound_restarts_or_steps_plain_with_the_same_bits(monkeypatch, stepped_rows):
@@ -1101,14 +1075,61 @@ def test_tree_past_its_bound_restarts_or_steps_plain_with_the_same_bits(monkeypa
     stepped_rows.clear()
     third = stepped_both(warm, cold, root, [0, 1, 2], [0, 1, 0])
     assert third[0].nodes is not None and nodes.size == 8 and stepped_rows[0] == 1
-    # a start whose three new prefixes do not fit restarts the store; its two hits keep their bits
+    # a start whose three new prefixes do not fit restarts the store and runs its two hits again, with their bits
     mixed = [*prefixes[:2], *SNAPSHOT_CALLS["16 prefixes"][5:8]]
     assert_same_outputs(start_outputs(warm, mixed), start_outputs(snapshot_pair()[1], mixed))
-    assert warm._cache.nodes is not nodes and warm._cache.nodes.size == 3
+    assert warm._cache.nodes is not nodes and warm._cache.nodes.size == 5
     # states of the old store step plain
     for states in (root, third):
         new, _ = stepped_both(warm, cold, states, [0, 1], [2, 2])
         assert new.nodes is None
+
+
+def test_tree_start_whose_new_prefixes_do_not_fit_restarts_and_runs_its_hits_again(monkeypatch, passes):
+    from journeynet import seqmodel
+
+    monkeypatch.setattr(seqmodel, "MAX_KEPT_NODES", 6)
+    warm, cold = snapshot_pair()
+    seen, new = TREE_PREFIXES[:4], SNAPSHOT_CALLS["16 prefixes"][5:8]
+    warm.start(seen)
+    nodes = warm._cache.nodes
+    mixed = [new[0], seen[1], new[1], seen[3], new[2], new[0]]
+    passes.clear()
+    got = start_outputs(warm, mixed)
+    # four kept and three new prefixes pass the bound: a new store keeps the call's five distinct prefixes
+    assert passes == [5]
+    assert warm._cache.nodes is not nodes and warm._cache.nodes.size == len(warm._cache.memo) == 5
+    assert_same_outputs(got, start_outputs(cold, mixed))
+
+
+def test_tree_start_of_more_prefixes_than_the_bound_keeps_them_all_and_steps_plain(monkeypatch, stepped_rows):
+    from journeynet import seqmodel
+
+    monkeypatch.setattr(seqmodel, "MAX_KEPT_NODES", 3)
+    warm, cold = snapshot_pair()
+    state, dists = kept_start(warm, TREE_PREFIXES)
+    nodes = warm._cache.nodes
+    assert nodes.size == len(warm._cache.memo) == len(TREE_PREFIXES)
+    cold_state, cold_dists = cold.start(TREE_PREFIXES)
+    assert_same_outputs(state_outputs(state, dists), state_outputs(cold_state, cold_dists))
+    # no child fits in a store past its bound: the warm model steps every row, as the cold one does
+    stepped_rows.clear()
+    new, _ = stepped_both(warm, cold, (state, cold_state), [0, 1, 2], [0, 1, 2])
+    assert new.nodes is None and stepped_rows == [3, 3] and nodes.size == len(TREE_PREFIXES)
+
+
+@pytest.mark.parametrize("n_prefixes, rows, pages, children", [
+    (1, [0, 0], [1, 1], 1),
+    (3, [2, 0, 2, 1, 0], [1, 0, 1, 3, 0], 3),
+])
+def test_tree_kept_step_computes_and_keeps_a_repeated_pair_once(n_prefixes, rows, pages, children, stepped_rows):
+    warm, cold = snapshot_pair()
+    prefixes = TREE_PREFIXES[:n_prefixes]
+    states = kept_start(warm, prefixes)[0], cold.start(prefixes)[0]
+    stepped_rows.clear()
+    new, _ = stepped_both(warm, cold, states, rows, pages)
+    assert stepped_rows == [children, len(rows)] and warm._cache.nodes.size == n_prefixes + children
+    assert len(set(new.nodes.tolist())) == children
 
 
 def test_tree_of_kept_ensemble_members_gives_the_same_bits(stepped_rows):

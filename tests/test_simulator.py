@@ -293,6 +293,9 @@ def test_horizons_beyond_the_longest_session_are_rejected_before_sampling():
             score_batch(pred, [prefix], [objective], n_samples=10, horizon=horizon)
         with pytest.raises(SamplingError, match="t must be <="):
             step_distribution(pred, prefix, horizon, 10, seed=0)
+        for prune_tol in (0.0, 1e-3):  # before the exact oracle's work estimate
+            with pytest.raises(SamplingError, match=f"horizon must be in \\[0, {MAX_SESSION_EVENTS}\\]"):
+                conversion_path_mass(pred, prefix, objective, horizon, prune_tol)
     assert len(rollout(pred, prefix, MAX_SESSION_EVENTS, stream(0, "t")).pages) >= 1
 
 
@@ -1122,15 +1125,15 @@ def test_serving_cache_of_a_first_start_freezes_every_weight(funnel_model):
     assert copy._serving() is copy._cache and model._serving().copy is copy
 
 
-def test_serving_cache_is_neither_read_nor_built_under_a_tape_that_watches_the_weights(funnel_model):
+def test_serving_cache_is_built_under_a_tape_that_watches_the_weights(funnel_model):
     from journeynet import numerics as nm
 
     model = fresh_funnel(funnel_model)
     with nm.ComputeTape([w for _, w in model.parameters()]):
         tracked = model.start(FUNNEL_PREFIXES)[1]
-    assert all(w.data.flags.writeable for _, w in model.parameters())
-    assert model._cache is None
-    assert np.array_equal(tracked, model.start(FUNNEL_PREFIXES)[1])
+    assert not any(w.data.flags.writeable for _, w in model.parameters())
+    assert len(model._cache.memo) == len(FUNNEL_PREFIXES)
+    assert np.array_equal(tracked, fresh_funnel(funnel_model).start(FUNNEL_PREFIXES)[1])
 
 
 def test_serving_cache_is_not_pickled_with_a_compute_copy(funnel_model):
