@@ -15,14 +15,15 @@ interface lets simulations feed sampled pages back in without re-running
 the prefix: `start` keeps each prefix's state at its own last step; `step`
 runs one step from the rows it continues.
 
-Serving freezes a model.  Its first serving call (`start` or
+Serving freezes a model.  Its first serving call (`start`, `step` or
 `compute_copy`) builds one serving cache, which sets every weight array
 read-only and then holds, each filled when first needed, the page table
-(layer 0's projection of the page names), a node store with its start
-memo, and the compute copy.  The memo maps every prefix a `start` has run
-to its root node, which holds its state rows and next-page distribution: a
-frozen model's start depends only on the prefix, and prefixes recur, so
-`start` runs only the prefixes the memo lacks.  A `start` the memo serves
+(layer 0's projection of the page names, which every `start` miss and
+every `step` reads), a node store with its start memo, and the compute
+copy.  The memo maps every prefix a `start` has run to its root node,
+which holds its state rows and next-page distribution: a frozen model's
+start depends only on the prefix, and prefixes recur, so `start` runs
+only the prefixes the memo lacks.  A `start` the memo serves
 whole returns a kept state, and `step` of a kept state adds the children
 it reaches to that prefix's rollout tree, so each sampled path of a
 recurring prefix is stepped once per cache.  The compute copy is a model whose
@@ -40,9 +41,11 @@ Two edits stay unseen: a write through a writeable numpy view taken before
 the first serving call, and an edit made writeable and served by another
 model built from the same `Matrix` objects.  A pickled model carries no
 cache.  A `step` of a state whose store is no longer its model's (after an
-edit, or after the store restarted at its bound) steps plain; training,
-evaluation, `batch_step_probs`, `session_nll` and `forward_session` never
-read the cache, and freeze nothing.  Serving is the same under any tape:
+edit, or after the store restarted at its bound) steps plain, on the
+current cache's table, so a state held across an edit steps with the
+edited weights throughout; training, evaluation, `batch_step_probs`,
+`session_nll` and `forward_session` never read the cache, and freeze
+nothing.  Serving is the same under any tape:
 one that watches the weights records the passes and steps that run, on
 frozen weights, and `start` and `step` return plain arrays, which reach no
 loss.  Every product goes through :func:`numerics.rows_product`, so a row's
@@ -166,20 +169,19 @@ class LstmLayer:
 
 
 class LstmState:
-    """Per-layer (hidden, cell) arrays of B rows, one per live sequence, and
-    the V x 4H array of layer-0 input projections of every page class: plain
+    """Per-layer (hidden, cell) arrays of B rows, one per live sequence: plain
     arrays in the dtype of the model's LSTM weights (float64, float32 in a
     compute copy), so nothing in a state can reach a tape.
 
-    `SequenceModel.start` gives all P prefix rows the read-only table of the
-    model's serving cache, built by the cache's first pass; `step` hands the
-    same table on to the new state.  A plain state holds its rows.  A kept
-    state holds `nodes`, the ids of its rows in `store`, a serving cache's
-    node store, and gathers `layers` from it at each read.
+    A plain state holds its rows.  A kept state holds `nodes`, the ids of its
+    rows in `store`, a serving cache's node store, and gathers `layers` from
+    it at each read.  The page table a `step` reads is not the state's but
+    the model's serving cache's, so a state held across a weight edit steps
+    with the edited weights throughout.
     """
 
-    def __init__(self, layers, table: np.ndarray, nodes: np.ndarray | None = None, store=None):
-        self._layers, self.table, self.nodes, self.store = layers, table, nodes, store
+    def __init__(self, layers, nodes: np.ndarray | None = None, store=None):
+        self._layers, self.nodes, self.store = layers, nodes, store
 
     @property
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -195,21 +197,23 @@ def _pairs(rows) -> list[tuple[np.ndarray, np.ndarray]]:
     return list(zip(rows[0::2], rows[1::2]))
 
 
-def padded_batch(sequences, lead=()) -> tuple[list[str], np.ndarray, np.ndarray]:
+def padded_batch(sequences, known=None) -> tuple[list[str], np.ndarray, np.ndarray]:
     """(phrases, rowidx, lengths) of a batch of non-empty phrase sequences.
 
-    `phrases` lists the `lead` phrases, then every other phrase of the
-    sequences once, sorted.  `rowidx[b, t]` is the row of `phrases` fed to
-    sequence b at step t, and 0 at the padding steps past its length.
+    `known` maps some phrases to rows 0..len(known) - 1; `phrases` lists
+    every other phrase of the sequences once, sorted, at the rows after them.
+    `rowidx[b, t]` is the row fed to sequence b at step t, and 0 at the
+    padding steps past its length.
     """
     if not all(sequences):
         raise ValueError("input sequence must be non-empty")
-    phrases = [*lead, *sorted(set().union(*sequences).difference(lead))]
-    row_of = {phrase: r for r, phrase in enumerate(phrases)}
+    known = {} if known is None else known
+    phrases = sorted(set().union(*sequences).difference(known))
+    row_of = {phrase: r for r, phrase in enumerate(phrases, len(known))}
     lengths = np.array([len(seq) for seq in sequences])
     rowidx = np.zeros((len(sequences), lengths.max()), dtype=np.intp)
     for b, seq in enumerate(sequences):
-        rowidx[b, :len(seq)] = [row_of[phrase] for phrase in seq]
+        rowidx[b, :len(seq)] = [known[p] if p in known else row_of[p] for p in seq]
     return phrases, rowidx, lengths
 
 
@@ -325,41 +329,22 @@ class SequenceModel:
         logits = nm.add(nm.matmul(fc, self.w_out), self.b_out)
         return nm.softmax(logits)
 
-    def _sequence_pass(
-        self, embedded: Matrix | None, rowidx, table: np.ndarray | None = None
-    ) -> tuple[Matrix | None, list[tuple[Matrix, np.ndarray]]]:
-        """Run a padded batch of encoded phrases through the LSTM stack.
+    def _project(self, phrases: list[str]) -> Matrix:
+        """Layer 0's input projection of the CNN embeddings of `phrases`, one row each.
 
-        `embedded` holds one CNN embedding per phrase of the batch, and
-        `rowidx[b, t]` selects the row fed to sequence b at step t.  Layer 0
-        gathers its input rows from the phrases' projections, and the stack
-        runs through :meth:`cell_steps` from the zero state.  Given a
-        `table`, the kept projection of the phrases that lead the batch,
-        `embedded` holds only the phrases after them (None if there are
-        none), and each input row is gathered from the table or from their
-        projection, whichever holds its phrase.  Returns layer 0's
-        projection of `embedded` (None without it) and the layers of
-        :meth:`cell_steps`.  An untracked `embedded` is cast to layer 0's
-        dtype, so a compute copy runs its float64 encoder's rows in its own.
+        An untracked embedding is cast to layer 0's dtype, so a compute copy
+        runs its float64 encoder's rows in its own.
         """
-        rowidx = np.asarray(rowidx)
-        dtype = self.layers[0].wx.data.dtype
-        proj = None
-        if embedded is not None:
-            if not embedded.track and embedded.data.dtype != dtype:
-                embedded = Matrix._result(embedded.data.astype(dtype))
-            proj = nm.matmul(embedded, self.layers[0].wx)
-        zero = [np.zeros((rowidx.shape[0], hs), dtype=(table if proj is None else proj.data).dtype)
-                for hs in self.config.lstm_hidden]
-        idx = rowidx.T.ravel()
-        if table is None:  # no local holds the input rows: cell_steps frees them after layer 0
-            return proj, self.cell_steps(nm.take_rows(proj, idx), [(z, z) for z in zero])
-        x = np.empty((len(idx), table.shape[1]), table.dtype)
-        new = idx >= len(table)
-        x[~new] = table[idx[~new]]
-        if proj is not None:
-            x[new] = proj.data[idx[new] - len(table)]
-        return proj, self.cell_steps(Matrix._result(x), [(z, z) for z in zero])
+        embedded, dtype = self.encoder.embed_batch(phrases), self.layers[0].wx.data.dtype
+        if not embedded.track and embedded.data.dtype != dtype:
+            embedded = Matrix._result(embedded.data.astype(dtype))
+        return nm.matmul(embedded, self.layers[0].wx)
+
+    def _zero_state(self, batch: int, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each layer's zero (hidden, cell) pair for `batch` sequences: the state a padded pass
+        starts :meth:`cell_steps` from."""
+        zero = [np.zeros((batch, hs), dtype) for hs in self.config.lstm_hidden]
+        return [(z, z) for z in zero]
 
     def batch_step_probs(
         self,
@@ -376,7 +361,9 @@ class SequenceModel:
         rows of the pass at once (a dropout mask is drawn as one (T*B) x fc
         block, the same stream as T draws of B x fc).
         """
-        _, layers = self._sequence_pass(self.encoder.embed_batch(phrases), rowidx)
+        rowidx, proj = np.asarray(rowidx), self._project(phrases)
+        zero = self._zero_state(len(rowidx), proj.data.dtype)
+        layers = self.cell_steps(nm.take_rows(proj, rowidx.T.ravel()), zero)  # cell_steps frees the gather
         return self.head(layers[-1][0], dropout_rng)
 
     # -- whole-session paths -------------------------------------------------
@@ -387,7 +374,7 @@ class SequenceModel:
         It runs the pass of `start`, so a `start` of any prefix of `phrases`
         followed by `step`s of the rest gives the same distributions, bit for bit.
         """
-        phrases, rowidx, _ = padded_batch([phrases], self.vocab.page_names)
+        phrases, rowidx, _ = padded_batch([phrases])
         probs = self.batch_step_probs(phrases, rowidx).data
         return [StepPrediction(t, p) for t, p in enumerate(probs)]
 
@@ -417,17 +404,16 @@ class SequenceModel:
         checked serving cache, whose start memo maps every prefix run since
         the last weight change (so an edit of the weights, made as the module
         notes on frozen weights say, is seen by the next `start`) to its root
-        node in the cache's node store, and whose page table is every
-        state's.  If the memo holds every prefix, the state is kept: the
-        nodes' ids, from which `step` reuses the paths stepped before.
-        Otherwise the distinct prefixes the memo lacks run through one padded
-        pass (:meth:`_start_rows`) and the store keeps them all as new roots;
-        if they would pass MAX_KEPT_NODES, the store restarts first and the
-        call's hits run with them.  The state is then plain, its rows fresh
-        gathers from the store, so no caller writes into it.  Since every
-        product is a `rows_product`, row k is bit for bit that of
-        ``start([prefixes[k]])``, warm or cold, wherever the BLAS keeps rows
-        independent (see the module notes).
+        node in the cache's node store.  If the memo holds every prefix, the
+        state is kept: the nodes' ids, from which `step` reuses the paths
+        stepped before.  Otherwise the distinct prefixes the memo lacks run
+        through one padded pass (:meth:`_start_rows`) and the store keeps
+        them all as new roots; if they would pass MAX_KEPT_NODES, the store
+        restarts first and the call's hits run with them.  The state is then
+        plain, its rows fresh gathers from the store, so no caller writes
+        into it.  Since every product is a `rows_product`, row k is bit for
+        bit that of ``start([prefixes[k]])``, warm or cold, wherever the BLAS
+        keeps rows independent (see the module notes).
         """
         keys = [(p.keywords, *p.pages) for p in prefixes]
         if not keys:
@@ -438,68 +424,68 @@ class SequenceModel:
             if cache.nodes.size + len(fresh) > MAX_KEPT_NODES:  # a restart drops the hits: they run again
                 cache.memo, cache.nodes = {}, _NodeStore()
                 fresh = list(dict.fromkeys(keys))
-            table, rows = self._start_rows(fresh, cache.table)
-            if cache.table is None:
-                cache.table = table.copy()
-                cache.table.flags.writeable = False
+            rows = self._start_rows(fresh, cache.page_table(self))
             cache.memo.update(zip(fresh, cache.nodes.add(rows).tolist()))
         nodes, ids = cache.nodes, np.array([cache.memo[key] for key in keys])
         if not fresh:
-            return LstmState(None, cache.table, ids, nodes), nodes.columns[-1][ids]
+            return LstmState(None, ids, nodes), nodes.columns[-1][ids]
         rows = [col[ids] for col in nodes.columns]
-        return LstmState(_pairs(rows), cache.table), rows[-1]
+        return LstmState(_pairs(rows)), rows[-1]
 
-    def _start_rows(self, sequences, table=None) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(page table, rows) of one padded pass over phrase sequences, each taken at its own last step.
+    def _start_rows(self, sequences, table: np.ndarray) -> list[np.ndarray]:
+        """Each layer's hidden and cell rows, then the next-page distributions, of one padded
+        pass over phrase sequences, each taken at its own last step.
 
-        `rows` holds each layer's hidden and cell rows, then the next-page
-        distributions.  The page names lead the batch's phrases, so the
-        first V rows of layer 0's projection are the table; given a kept
-        `table`, the CNN encodes only the other phrases.
+        A phrase that names a page feeds that page's row of the page `table`;
+        the CNN encodes each other phrase once.
         """
-        phrases, rowidx, lengths = padded_batch(sequences, self.vocab.page_names)
-        lead = 0 if table is None else self.n_classes
-        embedded = self.encoder.embed_batch(phrases[lead:]) if len(phrases) > lead else None
-        proj, layers = self._sequence_pass(embedded, rowidx, table)
+        phrases, rowidx, lengths = padded_batch(sequences, self.vocab._index)
+        idx = rowidx.T.ravel()
+        new = idx >= len(table)
+        x = table[np.where(new, 0, idx)]
+        if phrases:
+            x[new] = self._project(phrases).data[idx[new] - len(table)]
+        layers = self.cell_steps(Matrix._result(x), self._zero_state(len(lengths), x.dtype))
         last = (lengths - 1) * len(lengths) + np.arange(len(lengths))
         rows = [a[last] for h, c in layers for a in (h.data, c)]
-        table = proj.data[:self.n_classes] if table is None else table
-        return table, [*rows, self.head(Matrix._result(rows[-2])).data]
+        return [*rows, self.head(Matrix._result(rows[-2])).data]
 
     def step(self, state: LstmState, rows, pages) -> tuple[LstmState, np.ndarray]:
         """Feed page `pages[j]` to row `rows[j]` of `state`, for every j at once.
 
         Returns (new B-row state, B x N next-page distributions), B = len(pages);
         `state` is left untouched, so one state can branch into several futures.
-        `rows` must index rows of `state` and `pages` rows of its page table
-        (ShapeError otherwise).  A kept state whose store is still that of
-        its model's serving cache looks up each row's child through its page:
+        `rows` must index rows of `state` and `pages` page classes (ShapeError
+        otherwise).  Layer 0's input rows are those of `pages` in the page
+        table of the model's checked serving cache.  A kept state whose store
+        is still that cache's looks up each row's child through its page:
         one :meth:`cell_steps` and head run over the distinct children the
         store lacks, from their parents' stored rows, the store keeps them,
         and the new state is kept, its distributions gathered from the store.
         If the new children would pass MAX_KEPT_NODES, or the state is plain,
-        each layer's rows and layer 0's input projections are plain gathers,
-        fed to :meth:`cell_steps`, and the new state is plain.
+        each layer's rows and the table rows are plain gathers, fed to
+        :meth:`cell_steps`, and the new state is plain.
         """
+        cache = self._serving()
+        table, nodes = cache.page_table(self), state.store
         rows = nm.row_index(rows, len(state))
-        pages = nm.row_index(pages, len(state.table))
+        pages = nm.row_index(pages, len(table))
         if rows.shape != pages.shape:
             raise ShapeError(f"{rows.size} rows for {pages.size} pages")
-        nodes = state.store
-        if nodes is not None and nodes is self._serving().nodes:
+        if nodes is not None and nodes is cache.nodes:
             parents = state.nodes[rows]
             ids = nodes.child[parents, pages]
             new = np.flatnonzero(ids < 0)
-            pairs = dict.fromkeys((parents[new] * len(state.table) + pages[new]).tolist()) if len(new) else {}
+            pairs = dict.fromkeys((parents[new] * len(table) + pages[new]).tolist()) if len(new) else {}
             if nodes.size + len(pairs) <= MAX_KEPT_NODES:
                 if pairs:
-                    origin, page = np.divmod(np.fromiter(pairs, np.intp), len(state.table))
+                    origin, page = np.divmod(np.fromiter(pairs, np.intp), len(table))
                     prev = _pairs([col[origin] for col in nodes.columns[:-1]])
-                    nodes.add(self._step_rows(prev, state.table, page), origin, page)
+                    nodes.add(self._step_rows(prev, table, page), origin, page)
                     ids = nodes.child[parents, pages]
-                return LstmState(None, state.table, ids, nodes), nodes.columns[-1][ids]
-        rows = self._step_rows([(h[rows], c[rows]) for h, c in state.layers], state.table, pages)
-        return LstmState(_pairs(rows), state.table), rows[-1]
+                return LstmState(None, ids, nodes), nodes.columns[-1][ids]
+        rows = self._step_rows([(h[rows], c[rows]) for h, c in state.layers], table, pages)
+        return LstmState(_pairs(rows)), rows[-1]
 
     def _step_rows(self, prev, table: np.ndarray, pages: np.ndarray) -> list[np.ndarray]:
         """Each layer's hidden and cell rows, then the next-page distributions, of one step
@@ -547,7 +533,7 @@ class _NodeStore:
 
 class _ServingCache:
     """What serving builds from a model's weights: their `arrays`, each set read-only, then, each
-    when first needed, the V x 4H page `table` (read-only), the start `memo` ((keywords, *pages)
+    when first needed, the page table (:meth:`page_table`), the start `memo` ((keywords, *pages)
     -> that prefix's root in `nodes`), the `nodes` themselves (a :class:`_NodeStore`) and the
     compute `copy`."""
 
@@ -556,6 +542,14 @@ class _ServingCache:
         for a in self.arrays:
             a.flags.writeable = False
         self.table, self.memo, self.nodes, self.copy = None, {}, _NodeStore(), None
+
+    def page_table(self, model: SequenceModel) -> np.ndarray:
+        """The V x 4H page table of `model`, the model this cache was built for: layer 0's
+        projection of the CNN embeddings of its page names, built read-only by the first call."""
+        if self.table is None:
+            self.table = model._project(list(model.vocab.page_names)).data
+            self.table.flags.writeable = False
+        return self.table
 
 
 def _unchanged(weights, kept: tuple[np.ndarray, ...]) -> bool:

@@ -506,12 +506,12 @@ def score_batch(
 
     Each prefix is simulated once, from the sub-stream keyed by its index,
     and all objectives are scored from the same rollouts.  The unit of work
-    is a block of consecutive prefixes, started in one call (one page table
-    per block): PREFIX_BLOCK of them, or fewer so that every worker gets a
-    block.  A prefix's rollouts depend only on its own row of the start
-    state and its sub-stream, so results are identical for any `workers`
-    value and match standalone estimate_conversion calls with the same
-    `prefix_index`.
+    is a block of consecutive prefixes, started in one call (one padded
+    pass over the prefixes the serving cache lacks): PREFIX_BLOCK of them,
+    or fewer so that every worker gets a block.  A prefix's rollouts
+    depend only on its own row of the start state and its sub-stream, so
+    results are identical for any `workers` value and match standalone
+    estimate_conversion calls with the same `prefix_index`.
     """
     if not prefixes or not objectives:
         raise ValueError("score_batch needs at least one prefix and one objective")

@@ -193,7 +193,8 @@ def _batch_tensors(expanded, idx_batch):
 
     The "" phrase is row 0 and feeds every padding step.
     """
-    phrases, rowidx, lengths = padded_batch([expanded[i].inputs for i in idx_batch], lead=("",))
+    phrases, rowidx, lengths = padded_batch([expanded[i].inputs for i in idx_batch], {"": 0})
+    phrases = ["", *phrases]
     targets = np.zeros(rowidx.shape, dtype=np.intp)
     mask = np.zeros(rowidx.shape)
     for bi, (i, t) in enumerate(zip(idx_batch, lengths)):

@@ -136,11 +136,11 @@ def test_simulate_memo_runs_one_padded_pass_and_writes_the_traces_of_cold_starts
 
     out, _ = pipeline
     passes = []
-    sequence_pass, start = SequenceModel._sequence_pass, SequenceModel.start
+    zero_state, start = SequenceModel._zero_state, SequenceModel.start
 
-    def counting_pass(self, *args):
-        passes.append(len(args[1]))
-        return sequence_pass(self, *args)
+    def counting_pass(self, batch, dtype):
+        passes.append(batch)
+        return zero_state(self, batch, dtype)
 
     def simulate(name):
         trace_file = tmp_path / name
@@ -150,7 +150,7 @@ def test_simulate_memo_runs_one_padded_pass_and_writes_the_traces_of_cold_starts
         ]) == 0
         return trace_file.read_bytes()
 
-    monkeypatch.setattr(SequenceModel, "_sequence_pass", counting_pass)
+    monkeypatch.setattr(SequenceModel, "_zero_state", counting_pass)
     memo = simulate("memo.txt")
     # the first trace's start runs the prefix; the memo serves the other two
     assert passes == [1]

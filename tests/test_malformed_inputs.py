@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from journeynet import cli
-from journeynet.errors import CliError, JourneynetError, MarkovSpecError, ParseError
+from journeynet import cli, seqmodel
+from journeynet.errors import CheckpointError, CliError, JourneynetError, MarkovSpecError, ParseError
 from journeynet.journeydata import (
     MarkovSpec,
     PageVocabulary,
@@ -155,7 +155,8 @@ def test_session_log_parses_or_raises(data):
     (load_sessions, ParseError, b'{"session_id": "s", "keywords": "", "events": []}\n\xff\xfe'),  # not UTF-8
     (cli._load_prefixes, CliError, b'{"keywords": "kw"}\n\xff\xfe'),  # not UTF-8
     (cli._parse_config_file, CliError, b"epochs = 2\n\xff\xfe"),  # not UTF-8
-], ids=["chain spec", "session log", "prefix file", "config file"])
+    (load_predictor, CheckpointError, b'{"format": "journeynet-checkpoint", "version": 1}\xff\xfe'),  # not UTF-8
+], ids=["chain spec", "session log", "prefix file", "config file", "checkpoint"])
 def test_a_malformed_file_is_a_clean_error(tmp_path, read, error, data):
     path = tmp_path / "input"
     path.write_bytes(data)
@@ -212,7 +213,7 @@ def _section(path) -> str:
 
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(sorted(TINY_CHECKPOINTS)), data=st.data())
-def test_checkpoint_with_one_field_replaced_loads_and_scores_or_raises(tmp_path_factory, kind, data):
+def test_checkpoint_with_one_field_replaced_loads_and_scores_or_raises(kind, data):
     payload = copy.deepcopy(TINY_CHECKPOINTS[kind])
     # a section first, so that the few vocabulary fields are drawn as often as the many weight fields
     paths = list(_json_paths(payload))
@@ -222,10 +223,12 @@ def test_checkpoint_with_one_field_replaced_loads_and_scores_or_raises(tmp_path_
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = data.draw(values)
-    ckpt = tmp_path_factory.getbasetemp() / "replaced.ckpt"
-    ckpt.write_text(json.dumps(payload))
+    # load_predictor of a file of the payload, in memory: read_checkpoint's `open` returns its
+    # text, so every check of the reader runs; undecodable bytes are a file-level case
+    text = json.dumps(payload)
     try:
-        predictor = load_predictor(ckpt)
+        with mock.patch.object(seqmodel, "open", lambda *args, **kwargs: io.StringIO(text), create=True):
+            predictor = load_predictor("replaced.ckpt")
         score_batch(predictor, [JourneyPrefix("kw", ("a",))], [Objective("o", frozenset({"b"}))], 4, 3, seed=0)
     except JourneynetError:
         pass

@@ -25,6 +25,7 @@ from journeynet.seqmodel import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
     LstmLayer,
+    LstmState,
     ModelConfig,
     SequenceModel,
     StepPrediction,
@@ -342,6 +343,7 @@ def test_batch_loss_equals_one_step_session_losses():
     # the layout the bench counts padding by: "" is row 0 and feeds every padding step
     assert phrases[0] == ""
     assert not rowidx[mask == 0].any()
+    assert rowidx[1, 0] == 0 and phrases.count("") == 1  # the empty keyword is the same row
     batched = _batch_loss(model, phrases, rowidx, targets, mask, None).item()
     one_step = sum(
         session_loss(model.forward_session(expand_session(s, vocab)[0]), s, vocab)
@@ -510,8 +512,12 @@ def test_start_sees_in_place_weight_edits():
             assert np.array_equal(stepped[0], model.forward_session(phrases + ["c"])[-1].probs)
             model.compute_copy()  # freezes the edited weight again
             before = dist
-    # a state started before the edits keeps the page projections it was started with
-    assert not np.array_equal(old_state.table.data, state.table.data)
+    # a state started before the edits steps with the edited model's page table and weights,
+    # also with no serving call between an edit and the step
+    c = model.vocab.encode("c")
+    shift(model.encoder.stages[0].kernels)
+    fresh = model_from_dict(model_to_dict(model))
+    assert np.array_equal(model.step(old_state, [0], [c])[1], fresh.step(LstmState(old_state.layers), [0], [c])[1])
 
 
 def test_extending_prefix_changes_distribution():
@@ -557,8 +563,8 @@ BATCHED_PREFIXES = [
 def test_batched_start_rows_equal_one_prefix_starts():
     model = toy_model(seed=41, config=replace(TOY_CONFIG, lstm_hidden=(6, 4)))
     assert_start_rows_equal_single_starts(model, BATCHED_PREFIXES)
-    state, _ = model.start(BATCHED_PREFIXES)
-    assert state.table.shape == (model.n_classes, 4 * 6)
+    model.start(BATCHED_PREFIXES)
+    assert model._cache.table.shape == (model.n_classes, 4 * 6)
 
 
 def test_batched_start_rows_equal_one_prefix_starts_in_an_ensemble():
@@ -578,7 +584,7 @@ def test_start_and_step_under_a_tape_return_the_off_tape_bits():
         enc = model.vocab.encode
         state, dists = model.start(BATCHED_PREFIXES)
         new, stepped = model.step(state, [3, 0, 0, 2], [enc("a"), enc("c"), enc(UNKNOWN_PAGE), 0])
-        return [dists, stepped, state.table, new.table] + [
+        return [dists, stepped, model._cache.table] + [
             m for s in (state, new) for pair in s.layers for m in pair
         ]
 
@@ -591,7 +597,7 @@ def test_start_and_step_under_a_tape_return_the_off_tape_bits():
         with nm.ComputeTape([p for _, p in model.parameters()] if watched else []) as tape:
             on = run(model)
         assert (len(tape) > 0) == watched
-        assert len(on) == len(off) == 12
+        assert len(on) == len(off) == 11
         for a, b in zip(on, off):
             assert type(a) is np.ndarray
             assert np.array_equal(a, b)
@@ -627,9 +633,9 @@ def test_batched_start_encodes_the_page_names_once(monkeypatch):
 
     monkeypatch.setattr(type(model.encoder), "embed_batch", counting)
     model.start(BATCHED_PREFIXES)
-    # one CNN pass: the page names, then every other phrase of the call once
+    # the page names in a call of their own, for the page table; then every other phrase of the call once
     extras = ["", "car insurance", "kw", "yy", "zz-not-a-page"]
-    assert calls == [list(model.vocab.page_names) + extras]
+    assert calls == [list(model.vocab.page_names), extras]
     # the page table is kept: a later call encodes the other phrases of its new prefixes only
     calls.clear()
     model.start([BATCHED_PREFIXES[0], Prefix("kw", ("zz-new",)), Prefix("c", ("a",))])
@@ -648,14 +654,24 @@ SNAPSHOT_CALLS = {
     "keyword is a page name": [Prefix("b", ("a", "c"))],  # no phrase besides the page names
     "empty keyword": [Prefix("", ("c",))],
     "out-of-vocabulary page": [Prefix("kw", ("zz-not-a-page", "a"))],
+    # phrases that name the reserved pages feed their vocabulary rows, as page or keyword
+    "null and unknown pages": [Prefix(UNKNOWN_PAGE, ("a", NULL_PAGE)), Prefix("kw", (UNKNOWN_PAGE, "b"))],
 }
 
 
+def member_models(predictor):
+    """The models of a predictor: an ensemble's members, or the model itself."""
+    return getattr(predictor, "models", [predictor])
+
+
 def start_outputs(predictor, prefixes):
-    """Every array a `start` returns: distributions, each member's table and state rows."""
+    """Every array a `start` gives: distributions, then each member's page table (its
+    serving cache's) and state rows."""
     states, dists = predictor.start(prefixes)
-    members = states if isinstance(states, list) else [states]
-    return [dists] + [a for s in members for a in (s.table, *(m for pair in s.layers for m in pair))]
+    states = states if isinstance(states, list) else [states]
+    return [dists] + [
+        a for m, s in zip(member_models(predictor), states) for a in (m._cache.table, *(x for pair in s.layers for x in pair))
+    ]
 
 
 def assert_same_outputs(got, want):
@@ -689,15 +705,15 @@ def phrase_extras(predictor, prefixes):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The row count of every SequenceModel._sequence_pass call."""
+    """The row count of every padded pass: each starts from one SequenceModel._zero_state."""
     calls = []
-    original = SequenceModel._sequence_pass
+    original = SequenceModel._zero_state
 
-    def counting(self, embedded, rowidx, *rest):
-        calls.append(len(rowidx))
-        return original(self, embedded, rowidx, *rest)
+    def counting(self, batch, dtype):
+        calls.append(batch)
+        return original(self, batch, dtype)
 
-    monkeypatch.setattr(SequenceModel, "_sequence_pass", counting)
+    monkeypatch.setattr(SequenceModel, "_zero_state", counting)
     return calls
 
 
@@ -726,8 +742,12 @@ def test_snapshot_start_gives_the_bits_of_a_cold_start(case, ensemble, embed_cal
     assert embed_calls == ([extras] * (2 if ensemble else 1) if extras else [])
     embed_calls.clear()
     assert_same_outputs(got, start_outputs(cold, prefixes))
-    names = warm.vocab.page_names
-    assert all(call[:len(names)] == list(names) for call in embed_calls)
+    # a cold start encodes the page names in a call of their own, then every other phrase once
+    extras = phrase_extras(cold, prefixes)
+    assert embed_calls == ([list(cold.vocab.page_names)] + ([extras] if extras else [])) * (2 if ensemble else 1)
+    if not ensemble:  # a phrase that names a page feeds that page's row: the bits of encoding it
+        for k, prefix in enumerate(prefixes):
+            assert np.array_equal(got[0][k], warm.forward_session([prefix.keywords, *prefix.pages])[-1].probs)
 
 
 def encoder_weight(model, index):
@@ -743,7 +763,7 @@ def to_float32(w):  # equal values, another dtype
 def test_snapshot_sees_in_place_edits_and_float32_copies_of_the_encoder(index, embed_calls):
     warm, cold = snapshot_pair()
     prefixes = SNAPSHOT_CALLS["16 prefixes"]
-    page_names = list(warm.vocab.page_names)
+    page_names, extras = list(warm.vocab.page_names), phrase_extras(warm, prefixes)
     for edit in (shift, shift_made_writeable, to_float32):
         warm.start(prefixes)
         assert_frozen(encoder_weight(warm, index))
@@ -751,7 +771,7 @@ def test_snapshot_sees_in_place_edits_and_float32_copies_of_the_encoder(index, e
             edit(encoder_weight(model, index))
         embed_calls.clear()
         got = start_outputs(warm, prefixes)
-        assert len(embed_calls) == 1 and embed_calls[0][:len(page_names)] == page_names
+        assert embed_calls == [page_names, extras]
         assert_same_outputs(got, start_outputs(cold, prefixes))
         if edit is not to_float32:  # a checkpoint loads float64 weights
             assert_same_outputs(got, start_outputs(model_from_dict(model_to_dict(warm)), prefixes))
@@ -795,10 +815,12 @@ def test_memo_serves_repeated_calls_and_compute_copies_with_the_bits_of_a_cold_s
 
 
 def start_rows_and_tables(predictor, prefixes):
-    """A `start`'s arrays of one row per prefix (distributions, then each member's state rows), and its tables."""
+    """A `start`'s arrays of one row per prefix (distributions, then each member's state rows),
+    and each member's page table."""
     states, dists = predictor.start(prefixes)
-    members = states if isinstance(states, list) else [states]
-    return [dists, *(a for s in members for pair in s.layers for a in pair)], [s.table for s in members]
+    states = states if isinstance(states, list) else [states]
+    rows = [dists, *(a for s in states for pair in s.layers for a in pair)]
+    return rows, [m._cache.table for m in member_models(predictor)]
 
 
 @pytest.mark.parametrize("ensemble", [False, True], ids=["model", "ensemble"])
@@ -842,8 +864,8 @@ def test_memo_is_dropped_after_an_encoder_edit(edit, index, embed_calls):
     for model in (warm, cold):
         edit(encoder_weight(model, index))
     got = start_outputs(warm, prefixes)
-    # nothing of the memo is read: one pass encodes the page names and every other phrase
-    assert embed_calls == [list(warm.vocab.page_names) + phrase_extras(warm, prefixes)]
+    # nothing of the cache is read: the page names are encoded again, then every other phrase
+    assert embed_calls == [list(warm.vocab.page_names), phrase_extras(warm, prefixes)]
     assert_same_outputs(got, start_outputs(cold, prefixes))
     if edit in (shift, shift_made_writeable):
         assert_same_outputs(got, start_outputs(model_from_dict(model_to_dict(warm)), prefixes))
@@ -919,8 +941,8 @@ def test_memo_rows_are_not_written_through_the_arrays_a_start_returns():
         for h, c in state.layers:
             h[...] = 0.0
             c[...] = 0.0
-        with pytest.raises(ValueError, match="read-only"):  # every state carries the kept table
-            state.table[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):  # the page table every state steps with
+            warm._cache.table[...] = 0.0
     assert_same_outputs(start_outputs(warm, prefixes), start_outputs(cold, prefixes))
 
 
@@ -1033,7 +1055,7 @@ def test_tree_state_held_across_a_weight_edit_steps_plain_with_the_new_weights(e
             assert warm._cache.nodes is not nodes
         stepped_rows.clear()
         new, _ = stepped_both(warm, cold, (state, cold_state), [0, 1], [0, 1])
-        # the held state runs both rows from its own rows and table, with the edited weights
+        # the held state runs both rows from its own rows, with the edited weights and their page table
         assert new.nodes is None and stepped_rows == [2, 2]
         assert not np.array_equal(warm.step(state, [0, 1], [0, 1])[1], before)
         assert nodes.size == size
@@ -1150,7 +1172,7 @@ def step_outputs(model, prefixes):
     """Distributions of `start` and of one `step` of every row to page 0, and every state array."""
     state, dists = model.start(prefixes)
     new, stepped = model.step(state, range(len(prefixes)), [0] * len(prefixes))
-    return [dists, stepped, state.table, *(a for s in (state, new) for pair in s.layers for a in pair)]
+    return [dists, stepped, model._cache.table, *(a for s in (state, new) for pair in s.layers for a in pair)]
 
 
 def test_compute_copy_start_step_are_float32_and_match_its_forward_session():

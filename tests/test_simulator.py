@@ -846,18 +846,18 @@ def test_score_batch_memo_serves_a_repeated_call_without_a_pass(funnel_model, mo
 
     model = model_from_dict(model_to_dict(funnel_model))  # cold: the shared fixture may be warm
     calls, passes = [], []
-    original, original_pass = CnnEncoder.embed_batch, SequenceModel._sequence_pass
+    original, original_pass = CnnEncoder.embed_batch, SequenceModel._zero_state
 
     def counting(self, phrases):
         calls.append(list(phrases))
         return original(self, phrases)
 
-    def counting_pass(self, *args):
-        passes.append(len(args[1]))
-        return original_pass(self, *args)
+    def counting_pass(self, batch, dtype):
+        passes.append(batch)
+        return original_pass(self, batch, dtype)
 
     monkeypatch.setattr(CnnEncoder, "embed_batch", counting)
-    monkeypatch.setattr(SequenceModel, "_sequence_pass", counting_pass)
+    monkeypatch.setattr(SequenceModel, "_zero_state", counting_pass)
     prefixes = [
         JourneyPrefix("car insurance quotes online", ("landing",)),
         JourneyPrefix("quotes", ("landing", "form_car")),
@@ -868,9 +868,9 @@ def test_score_batch_memo_serves_a_repeated_call_without_a_pass(funnel_model, mo
     args = (prefixes, objectives, 200, 8, 3)
     rows = [score_batch(model, *args, workers=1) for _ in range(2)]
     assert len(rows[0]) == len(prefixes) * len(objectives)
-    # one CNN pass and one padded pass, of every prefix, for the first call;
-    # the memo serves every prefix of the second
-    assert passes == [len(prefixes)] and len(calls) == 1
+    # the first call encodes the page names, in a call of their own, and runs one padded
+    # pass of every prefix; the memo serves every prefix of the second
+    assert passes == [len(prefixes)] and len(calls) == 2 and calls[0] == list(model.vocab.page_names)
     assert all(sum(c.count(name) for c in calls) == 1 for name in model.vocab.page_names)
     cold = model_from_dict(model_to_dict(funnel_model))
     assert rows[0] == rows[1] == score_batch(cold, *args, workers=1)
@@ -916,7 +916,7 @@ def test_compute_copy_serves_the_monte_carlo_and_leaves_the_checkpoint_bytes_unc
     original = SequenceModel.step
 
     def recording(self, state, rows, pages):
-        dtypes.append(state.table.dtype)
+        dtypes.extend([self._cache.table.dtype, state.layers[0][0].dtype])
         return original(self, state, rows, pages)
 
     monkeypatch.setattr(SequenceModel, "step", recording)
@@ -965,7 +965,7 @@ def test_compute_copy_encodes_the_page_names_once_over_calls_of_every_entry_poin
     # freshly loaded members: the shared fixture may be warm
     ensemble = Ensemble([model_from_dict(model_to_dict(m)) for m in funnel_ensemble(funnel_model).models])
     calls, passes = [], []
-    original, original_pass = CnnEncoder.embed_batch, SequenceModel._sequence_pass
+    original, original_pass = CnnEncoder.embed_batch, SequenceModel._zero_state
 
     def counting(self, phrases):
         calls.append(list(phrases))
@@ -976,7 +976,7 @@ def test_compute_copy_encodes_the_page_names_once_over_calls_of_every_entry_poin
         return original_pass(self, *args)
 
     monkeypatch.setattr(CnnEncoder, "embed_batch", counting)
-    monkeypatch.setattr(SequenceModel, "_sequence_pass", counting_pass)
+    monkeypatch.setattr(SequenceModel, "_zero_state", counting_pass)
     for seed in (3, 4):
         score_batch(ensemble, FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, n_samples=100, horizon=8, seed=seed)
         estimate_conversion(ensemble, FUNNEL_PREFIXES[0], FUNNEL_OBJECTIVES[0], 100, 8, seed=seed)
@@ -1009,23 +1009,23 @@ def test_frozen_model_builds_one_float32_copy_and_one_memo_over_repeated_serving
 
     model = fresh_funnel(funnel_model)
     built, names_passes, passes = [], [], []
-    init, embed, sequence_pass = SequenceModel.__init__, CnnEncoder.embed_batch, SequenceModel._sequence_pass
+    init, embed, zero_state = SequenceModel.__init__, CnnEncoder.embed_batch, SequenceModel._zero_state
 
     def counting_init(self, *args):
         built.append(self)
         return init(self, *args)
 
     def counting_embed(self, phrases):
-        names_passes.append(list(phrases[:model.n_classes]) == list(model.vocab.page_names))
+        names_passes.append(list(phrases) == list(model.vocab.page_names))
         return embed(self, phrases)
 
     def counting_pass(self, *args):
         passes.append(self)
-        return sequence_pass(self, *args)
+        return zero_state(self, *args)
 
     monkeypatch.setattr(SequenceModel, "__init__", counting_init)
     monkeypatch.setattr(CnnEncoder, "embed_batch", counting_embed)
-    monkeypatch.setattr(SequenceModel, "_sequence_pass", counting_pass)
+    monkeypatch.setattr(SequenceModel, "_zero_state", counting_pass)
     memos = set()
     for seed in range(3):
         serve_every_entry_point(model, seed)
