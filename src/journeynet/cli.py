@@ -17,6 +17,7 @@ from .errors import CliError, ConfigError, JourneynetError
 from .journeydata import (
     MarkovSpec,
     build_vocab,
+    generate_synthetic,
     load_sessions,
     save_sessions,
     split,
@@ -195,8 +196,6 @@ def _train_config(args) -> TrainConfig:
 
 def _cmd_gen_data(args) -> int:
     spec = MarkovSpec.load(args.markov_spec)
-    from .journeydata import generate_synthetic
-
     sessions = generate_synthetic(spec, args.n_sessions, args.seed)
     out = _out_path(args, "out", "sessions.jsonl")
     save_sessions(sessions, out)
@@ -367,10 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except JourneynetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (JourneynetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -277,21 +277,10 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def add(a: Matrix, b: Matrix) -> Matrix:
     """Elementwise sum; `b` may also be a 1 x cols row vector added to every row."""
-    if a.shape == b.shape:
-        out = Matrix._result(a.data + b.data)
-
-        def back(g):
-            return g, g
-
-    elif b.rows == 1 and b.cols == a.cols:
-        out = Matrix._result(a.data + b.data)
-
-        def back(g):
-            return g, g.sum(axis=0, keepdims=True)
-
-    else:
+    if b.shape != a.shape and b.shape != (1, a.cols):
         raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}")
-    return record(out, (a, b), back)
+    out = Matrix._result(a.data + b.data)
+    return record(out, (a, b), lambda g: (g, g if g.shape == b.shape else g.sum(axis=0, keepdims=True)))
 
 
 def scale(x: Matrix, c: float) -> Matrix:

@@ -28,6 +28,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 # uniforms produced per Philox counter increment
 BLOCK = 4
 _ZEROS = (0, 0, 0, 0)
@@ -45,7 +47,10 @@ def _update(h, part: int | str) -> None:
     if isinstance(part, bool) or not isinstance(part, (int, str)):
         raise TypeError(f"stream labels must be int or str, got {type(part).__name__}")
     if isinstance(part, int):
-        raw = part.to_bytes(16, "little", signed=True)
+        try:
+            raw = part.to_bytes(16, "little", signed=True)
+        except OverflowError:
+            raise ConfigError(f"seed or int label outside [-2**127, 2**127) ({part.bit_length()} bits)") from None
         h.update(b"i")
     else:
         raw = part.encode("utf-8")
@@ -65,8 +70,9 @@ def _key(h) -> tuple[int, int]:
 def derive_key(*parts: int | str) -> tuple[int, int]:
     """Hash a label tuple into a 128-bit key, as two 64-bit words.
 
-    Accepts ints and strings; the encoding is unambiguous (type-tagged and
-    length-prefixed) so e.g. (1, "23") and (12, "3") hash differently.
+    Accepts ints in [-2**127, 2**127) (ConfigError for others) and strings
+    (TypeError for other types); the encoding is unambiguous (type-tagged
+    and length-prefixed) so e.g. (1, "23") and (12, "3") hash differently.
     Philox receives ``np.asarray(key).astype(np.uint64)`` of it, which
     rounds both words when exactly one is >= 2**63 (see the module notes).
     """

@@ -65,7 +65,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import CheckpointError, ConfigError, ShapeError
-from .journeydata import PageVocabulary, Session, replicate_dwell
+from .journeydata import PageVocabulary, Session, expand_session
 from .numerics import Matrix
 from .textenc import DEFAULT_ALPHABET, Alphabet, CnnEncoder, ConvStage
 
@@ -322,9 +322,9 @@ class SequenceModel:
         return layers
 
     def head(self, h: Matrix, dropout_rng: np.random.Generator | None = None) -> Matrix:
-        """Fully connected ReLU layer, optional dropout, softmax over classes."""
+        """Fully connected ReLU layer, dropout at the config's rate if given a generator, softmax over classes."""
         fc = nm.relu(nm.add(nm.matmul(h, self.w_fc), self.b_fc))
-        if dropout_rng is not None and self.config.dropout_rate > 0:
+        if dropout_rng is not None:
             fc = nm.dropout(fc, self.config.dropout_rate, dropout_rng)
         logits = nm.add(nm.matmul(fc, self.w_out), self.b_out)
         return nm.softmax(logits)
@@ -371,8 +371,11 @@ class SequenceModel:
     def forward_session(self, phrases: list[str]) -> list[StepPrediction]:
         """Inference pass over one session: one StepPrediction per input step.
 
-        It runs the pass of `start`, so a `start` of any prefix of `phrases`
-        followed by `step`s of the rest gives the same distributions, bit for bit.
+        The CNN encodes the session's own phrases, while a `start` miss reads the
+        page table (one CNN pass over all page names).  So a `start` of a prefix of
+        `phrases` and `step`s of the rest give the same bits only where the CNN's
+        im2col products and layer 0's product keep rows independent: tier-1 checks
+        passes of 1 to 14 phrases, not a page table of more names.
         """
         phrases, rowidx, _ = padded_batch([phrases])
         probs = self.batch_step_probs(phrases, rowidx).data
@@ -446,9 +449,7 @@ class SequenceModel:
         if phrases:
             x[new] = self._project(phrases).data[idx[new] - len(table)]
         layers = self.cell_steps(Matrix._result(x), self._zero_state(len(lengths), x.dtype))
-        last = (lengths - 1) * len(lengths) + np.arange(len(lengths))
-        rows = [a[last] for h, c in layers for a in (h.data, c)]
-        return [*rows, self.head(Matrix._result(rows[-2])).data]
+        return self._pass_rows(layers, (lengths - 1) * len(lengths) + np.arange(len(lengths)))
 
     def step(self, state: LstmState, rows, pages) -> tuple[LstmState, np.ndarray]:
         """Feed page `pages[j]` to row `rows[j]` of `state`, for every j at once.
@@ -490,10 +491,13 @@ class SequenceModel:
     def _step_rows(self, prev, table: np.ndarray, pages: np.ndarray) -> list[np.ndarray]:
         """Each layer's hidden and cell rows, then the next-page distributions, of one step
         from `prev` (each layer's hidden and cell rows) on the `table` rows of `pages`."""
-        layers = self.cell_steps(Matrix._result(table[pages]), prev)  # cell_steps frees the gather
-        rows = [a for h, c in layers for a in (h.data, c)]
-        rows.append(self.head(layers[-1][0]).data)
-        return rows
+        return self._pass_rows(self.cell_steps(Matrix._result(table[pages]), prev))  # cell_steps frees the gather
+
+    def _pass_rows(self, layers, keep=slice(None)) -> list[np.ndarray]:
+        """Each layer's hidden and cell rows at `keep` of a :meth:`cell_steps` result, then the
+        next-page distributions of the head over the last layer's kept hidden rows."""
+        rows = [a[keep] for h, c in layers for a in (h.data, c)]
+        return [*rows, self.head(Matrix._result(rows[-2])).data]
 
 
 class _NodeStore:
@@ -569,11 +573,10 @@ def predict_next(model, prefix) -> np.ndarray:
 def session_loss(predictions: list[StepPrediction], session: Session, vocab: PageVocabulary) -> float:
     """Summed next-page cross-entropy (nats) of a session under `predictions`.
 
-    The target sequence is the dwell-expanded page list followed by the NULL
-    page; `predictions` must contain exactly one entry per target.
+    The targets are those of :func:`journeydata.expand_session` (ConfigError for a page
+    with a reserved name); `predictions` must contain exactly one entry per target.
     """
-    pages = replicate_dwell(session)
-    targets = [vocab.encode(p) for p in pages]
+    _, targets = expand_session(session, vocab)
     if len(predictions) != len(targets):
         raise ValueError(f"{len(predictions)} predictions for {len(targets)} transition targets")
     total = 0.0

@@ -69,7 +69,7 @@ outside that envelope the agreement is not guaranteed.
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +91,9 @@ PREFIX_BLOCK = 16
 class JourneyPrefix:
     """Observed start of a journey: keywords plus already-visited pages.
 
-    ConfigError unless `keywords` is text and `pages` an iterable (not a
-    string) of non-empty page names: a model's start memo keys on them.
+    ConfigError unless `keywords` is text and `pages` an ordered iterable
+    (not a string, set or mapping) of non-empty page names: a model's start
+    memo keys on them.
     """
 
     keywords: str = ""
@@ -101,7 +102,7 @@ class JourneyPrefix:
     def __post_init__(self):
         if not isinstance(self.keywords, str):
             raise ConfigError(f"prefix keywords must be text, got {type(self.keywords).__name__}")
-        if isinstance(self.pages, str) or not isinstance(self.pages, Iterable):
+        if isinstance(self.pages, (str, Set, Mapping)) or not isinstance(self.pages, Iterable):
             raise ConfigError(f"prefix pages must be a sequence of page names, got {self.pages!r}")
         object.__setattr__(self, "pages", tuple(self.pages))
         if not all(isinstance(p, str) and p for p in self.pages):
@@ -110,12 +111,14 @@ class JourneyPrefix:
 
 @dataclass(frozen=True)
 class Objective:
-    """A conversion event: the journey reaches any page in `target_pages`."""
+    """A conversion event: the journey reaches any page in `target_pages` (page names, not a string)."""
 
     objective_id: str
     target_pages: frozenset[str]
 
     def __post_init__(self):
+        if isinstance(self.target_pages, str):
+            raise ObjectiveError(f"objective target pages must be page names, not the string {self.target_pages!r}")
         object.__setattr__(self, "target_pages", frozenset(self.target_pages))
         if not self.target_pages:
             raise ObjectiveError("objective needs at least one target page")
@@ -275,10 +278,10 @@ def _simulate(predictor, state, dists, streams, n_samples: int, horizon: int, is
         )
 
 
-def _check_sampling(n_samples: int, horizon: int) -> None:
+def _check_sampling(n_samples: int, horizon: int, name: str = "horizon") -> None:
     if n_samples < 1:
         raise SamplingError(f"n_samples must be >= 1, got {n_samples}")
-    _check_horizon(horizon)
+    _check_horizon(horizon, name)
 
 
 def _estimate_block(
@@ -366,9 +369,7 @@ def step_distribution(
 
     Journeys that exit before step t count in the NULL page bucket.
     """
-    _check_horizon(t, "t")
-    if n_samples < 1:
-        raise SamplingError(f"n_samples must be >= 1, got {n_samples}")
+    _check_sampling(n_samples, t, "t")
     predictor = _served(predictor)
     vocab = predictor.vocab
     counts = np.zeros(len(vocab))
@@ -542,18 +543,7 @@ def score_batch(
     else:  # in-process: no module global keeps the copy alive after the call
         per_block = [_estimate_block(predictor, *u) for u in units]
     per_prefix = [estimates for block in per_block for estimates in block]
-    return [
-        ScoreRow(
-            prefix_id=prefix_id,
-            objective_id=est.objective_id,
-            probability=est.probability,
-            std_error=est.std_error,
-            n_samples=est.n_samples,
-            horizon=est.horizon,
-        )
-        for prefix_id, estimates in zip(prefix_ids, per_prefix)
-        for est in estimates
-    ]
+    return [ScoreRow(pid, **vars(est)) for pid, estimates in zip(prefix_ids, per_prefix) for est in estimates]
 
 
 def write_scores_csv(rows: list[ScoreRow], path) -> None:

@@ -307,8 +307,6 @@ def evaluate(predictor, sessions, vocab: PageVocabulary) -> tuple[float, float]:
         all_probs = predictor.batch_step_probs(phrases, rowidx).data
         for t, probs in enumerate(np.split(all_probs, rowidx.shape[1])):
             m = mask[:, t] > 0
-            if not m.any():
-                continue
             pred = probs.argmax(axis=1)
             hits += float((pred[m] == targets[m, t]).sum())
             p = np.maximum(probs[m, targets[m, t]], nm.PROB_FLOOR)

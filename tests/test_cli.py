@@ -992,3 +992,56 @@ def test_score_checkpoint_with_an_absurd_size_is_a_clean_error(pipeline, tmp_pat
     ckpt.write_text(json.dumps(payload))
     assert _score_exit(pipeline, tmp_path, model=ckpt) == 1
     _assert_clean_error(capsys, "checkpoint")
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "simulate", "score"])
+def test_a_seed_outside_128_bits_is_a_clean_error(pipeline, chain_file, tmp_path, capsys, command):
+    out, data = pipeline
+    (tmp_path / "p.jsonl").write_text('{"keywords": "car insurance", "pages": ["home"]}\n')
+    (tmp_path / "o.json").write_text('[{"id": "c", "pages": ["confirm"]}]')
+    args = {
+        "gen-data": ["--markov-spec", str(chain_file), "--n-sessions", "5"],
+        "train": ["--data", str(data), *TRAIN_FLAGS],
+        "simulate": ["--model", str(out / "model.ckpt")],
+        "score": ["--model", str(out / "model.ckpt"), "--prefixes", str(tmp_path / "p.jsonl"),
+                  "--objectives", str(tmp_path / "o.json"), "--n-samples", "20"],
+    }[command]
+    assert main([command, *args, "--out-dir", str(tmp_path), "--seed", str(2**127)]) == 1
+    _assert_clean_error(capsys, "seed or int label outside [-2**127, 2**127)")
+
+
+# runs each argv list of the JSON list in argv[1] through main; exits with the worst code
+_RUN_COMMANDS = "import json, sys; from journeynet.cli import main; sys.exit(max(map(main, json.loads(sys.argv[1]))))"
+
+
+def test_score_and_simulate_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    # CI runs the suite under one hash seed per run; this compares two in one run
+    from journeynet.journeydata import PageVocabulary
+    from journeynet.seqmodel import ModelConfig, SequenceModel, save_model
+
+    config = ModelConfig(max_len=16, conv_stages=((3, 4, 4),), lstm_hidden=(12,), fc_width=12)
+    model = SequenceModel.build(config, PageVocabulary(["home", "quote", "confirm"], 1), 5)
+    for w in model.weights.values():
+        w.data = 3 * w.data  # a peaked model, whose rollouts follow the order of a prefix's pages
+    save_model(model, tmp_path / "m.ckpt")
+    prefixes = tmp_path / "p.jsonl"
+    prefixes.write_text(
+        '{"keywords": "car insurance", "pages": ["home", "quote"]}\n{"keywords": "", "pages": ["quote", "home"]}\n'
+    )
+    objectives = tmp_path / "o.json"
+    objectives.write_text('[{"id": "c", "pages": ["confirm"]}]')
+    artifacts = []
+    for hash_seed in ("0", "1"):
+        run = tmp_path / hash_seed
+        common = ["--model", str(tmp_path / "m.ckpt"), "--seed", "3", "--out-dir", str(run)]
+        commands = [
+            ["score", *common, "--prefixes", str(prefixes), "--objectives", str(objectives), "--n-samples", "200"],
+            ["simulate", *common, "--seed-prefix", "car insurance+home+quote", "--n-traces", "4"],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append([(run / name).read_bytes() for name in ("scores.csv", "traces.txt")])
+    assert artifacts[0] == artifacts[1]

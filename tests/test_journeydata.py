@@ -27,6 +27,7 @@ from journeynet.journeydata import (
     serialize_session,
     split,
 )
+from journeynet.seqmodel import session_loss
 from toychains import funnel_chain, ten_page_chain
 
 
@@ -118,10 +119,15 @@ def test_build_vocab_names_the_session_with_a_reserved_page(name):
 
 @pytest.mark.parametrize("name", [NULL_PAGE, UNKNOWN_PAGE])
 def test_expand_session_names_the_session_with_a_reserved_page(name):
-    # mid-session, a NULL_PAGE would otherwise be encoded as the exit class
+    # mid-session, a NULL_PAGE would otherwise be encoded as the exit class;
+    # session_loss takes its targets from expand_session, so it raises the same
     vocab = build_vocab([make_session(["home", "quote"], sid=f"s{i}") for i in range(3)], min_freq=2)
+    odd = make_session(["home", name, "quote"], sid="odd")
     with pytest.raises(ConfigError, match=r"'odd'.*reserved"):
-        expand_session(make_session(["home", name, "quote"], sid="odd"), vocab)
+        expand_session(odd, vocab)
+    predictions = [np.full(len(vocab), 1 / len(vocab))] * 4  # one per target
+    with pytest.raises(ConfigError, match=r"'odd'.*reserved"):
+        session_loss(predictions, odd, vocab)
 
 
 # a log page may take any non-empty name but the two reserved ones

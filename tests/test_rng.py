@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from journeynet.errors import ConfigError, JourneynetError
 from journeynet.rng import BLOCK, derive_key, indexed_keys, restart, stream, stream_at
 
 
@@ -83,4 +84,25 @@ def test_bad_label_types_raise_type_error(bad):
     with pytest.raises(TypeError, match="stream labels"):
         stream(bad)
     with pytest.raises(TypeError, match="stream labels"):
+        stream_at((bad,), 2)
+
+
+@pytest.mark.parametrize("label", [2**127 - 1, -2**127])
+def test_int_labels_at_the_128_bit_bounds_derive_keys(label):
+    key = derive_key(label)
+    assert all(0 <= word < 2**64 for word in key)
+    assert key != derive_key(label - 1 if label > 0 else label + 1)
+    assert list(indexed_keys((label,), 2)) == [derive_key(label, 0), derive_key(label, 1)]
+    assert np.array_equal(stream(label).random(3), np.random.Generator(np.random.Philox(key=key)).random(3))
+
+
+@pytest.mark.parametrize("bad", [2**127, -2**127 - 1, 2**128, 10**60])
+def test_int_labels_outside_128_bits_raise_config_error(bad):
+    with pytest.raises(ConfigError, match=r"outside \[-2\*\*127, 2\*\*127\)"):
+        derive_key(1, bad)
+    with pytest.raises(ConfigError, match=r"outside \[-2\*\*127, 2\*\*127\)"):
+        next(indexed_keys((bad,), 3))
+    with pytest.raises(JourneynetError):
+        stream(bad)
+    with pytest.raises(JourneynetError):
         stream_at((bad,), 2)

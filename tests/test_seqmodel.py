@@ -1254,6 +1254,15 @@ def test_untaped_head_is_bitwise_taped_head():
         assert np.array_equal(model.head(h).data, taped)
 
 
+def test_rate_zero_head_given_a_generator_is_the_head_without_one():
+    model = toy_model(seed=49)  # dropout_rate 0
+    gen = rngmod.stream(3, "dropout")
+    for batch in (1, 7):
+        h = nm.Matrix(np.random.default_rng(batch).normal(size=(batch, model.layers[-1].wh.rows)))
+        assert np.array_equal(model.head(h, gen).data, model.head(h).data)
+    assert np.array_equal(gen.random(5), rngmod.stream(3, "dropout").random(5))  # no draw was taken
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from journeynet import simulator
-from journeynet.errors import CapacityError, ConfigError, SamplingError
+from journeynet.errors import CapacityError, ConfigError, ObjectiveError, SamplingError
 from journeynet.journeydata import NULL_PAGE, UNKNOWN_PAGE, PageVocabulary, build_vocab, generate_synthetic
 from journeynet.rng import stream, stream_at, blocks_for
 from journeynet.seqmodel import ModelConfig, SequenceModel
@@ -111,6 +111,9 @@ def test_simulated_journey_null_must_be_last():
     ("kw", ("landing", "")),
     ("kw", ("landing", None)),
     ("kw", [["landing"]]),
+    ("kw", {"landing", "quote", "price", "home"}),  # unordered: its order would follow the hash seed
+    ("kw", frozenset({"landing"})),
+    ("kw", {"landing": 1, "quote": 2}),  # a mapping would be taken as its keys
 ])
 def test_journey_prefix_rejects_fields_that_are_not_text_and_page_names(keywords, pages):
     with pytest.raises(ConfigError, match="prefix"):
@@ -240,9 +243,17 @@ def test_estimate_validates_arguments():
         estimate_conversion(pred, JourneyPrefix(), objective, 10, 0, seed=0)
 
 
+def test_journey_prefix_takes_ordered_pages_from_lists_tuples_and_generators():
+    for pages in (["landing", "quote"], ("landing", "quote"), (p for p in ("landing", "quote"))):
+        assert JourneyPrefix("kw", pages).pages == ("landing", "quote")
+
+
 def test_objective_validation():
     with pytest.raises(ValueError):
         Objective("empty", frozenset())
+    with pytest.raises(ObjectiveError, match="string 'quote'"):
+        Objective("o", "quote")  # would be the set of its letters
+    assert Objective("o", ["quote", "price"]).target_pages == {"quote", "price"}
     with pytest.raises(ValueError):
         Objective("null", frozenset({NULL_PAGE}))
     pred = hand_predictor()

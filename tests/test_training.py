@@ -448,6 +448,19 @@ def test_training_batches_run_in_float32_and_masters_stay_float64(chain_data, mo
         assert q.data.dtype == np.float64 and np.array_equal(p.data, q.data)
 
 
+def test_every_step_column_of_a_batch_mask_has_a_live_row():
+    # evaluate pools each step column over its live rows and never meets an empty one
+    from journeynet.training import _batch_tensors, _Expanded
+
+    gen = np.random.default_rng(11)
+    for _ in range(200):
+        lengths = gen.integers(1, 40, size=gen.integers(1, 20))
+        expanded = [_Expanded([f"p{k}" for k in gen.integers(0, 5, size=n)], np.zeros(n, np.intp)) for n in lengths]
+        _, rowidx, _, mask = _batch_tensors(expanded, gen.permutation(len(expanded)).tolist())
+        assert rowidx.shape[1] == mask.shape[1] == lengths.max()
+        assert (mask > 0).any(axis=0).all()
+
+
 def test_paper_config_batch_records_23_tape_nodes_and_train_adds_the_mean(chain_data, monkeypatch):
     from journeynet import numerics as nm
     from journeynet import rng as rngmod
