@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import rng as rngmod
-from .errors import CliError, ConfigError, JourneynetError
+from .errors import CliError, ConfigError, JourneynetError, ObjectiveError
 from .journeydata import (
     MarkovSpec,
     build_vocab,
@@ -243,8 +243,6 @@ def _cmd_eval(args) -> int:
 
 
 def _parse_seed_prefix(text: str) -> JourneyPrefix:
-    if not text:
-        return JourneyPrefix("", ())
     parts = text.split("+")
     return JourneyPrefix(parts[0], tuple(p for p in parts[1:] if p))
 
@@ -275,10 +273,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 def _load_prefixes(path) -> tuple[list[JourneyPrefix], list[str]]:
     prefixes: dict[str, JourneyPrefix] = {}  # by prefix id, in file order
     for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
@@ -291,16 +285,12 @@ def _load_prefixes(path) -> tuple[list[JourneyPrefix], list[str]]:
             raise CliError(f"{path}:{line_no}: bad prefix record: {getattr(exc, 'msg', exc)}") from exc
         if not isinstance(raw, dict):
             raise CliError(f"{path}:{line_no}: a prefix record must be a JSON object")
-        if not isinstance(raw.get("keywords"), str):
-            raise CliError(f"{path}:{line_no}: prefix record needs 'keywords' text")
-        if not _is_str_list(raw.get("pages", [])):
-            raise CliError(f"{path}:{line_no}: prefix 'pages' must be a list of page names")
         prefix_id = str(raw.get("prefix_id", f"p{line_no - 1:04d}"))
         if prefix_id in prefixes:
             raise CliError(f"{path}:{line_no}: duplicate prefix_id {prefix_id!r}")
         try:
-            prefixes[prefix_id] = JourneyPrefix(raw["keywords"], raw.get("pages", ()))
-        except ConfigError as exc:  # an empty page name
+            prefixes[prefix_id] = JourneyPrefix(raw.get("keywords"), raw.get("pages", ()))
+        except ConfigError as exc:
             raise CliError(f"{path}:{line_no}: {exc}") from exc
     if not prefixes:
         raise CliError(f"{path}: no prefix records")
@@ -319,12 +309,13 @@ def _load_objectives(path) -> list[Objective]:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "id" not in entry or "pages" not in entry:
             raise CliError(f"{path}: objective {i} must be an object with 'id' and 'pages'")
-        if not _is_str_list(entry["pages"]):
-            raise CliError(f"{path}: objective {i} 'pages' must be a list of page names")
         objective_id = str(entry["id"])
         if objective_id in objectives:
             raise CliError(f"{path}: objective {i}: duplicate id {objective_id!r}")
-        objectives[objective_id] = Objective(objective_id, frozenset(entry["pages"]))
+        try:
+            objectives[objective_id] = Objective(objective_id, entry["pages"])
+        except ObjectiveError as exc:
+            raise CliError(f"{path}: objective {i}: {exc}") from exc
     return list(objectives.values())
 
 

@@ -18,6 +18,7 @@ import math
 import numbers
 import sys
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -145,10 +146,17 @@ class PageVocabulary:
     Retained pages occupy indices 0..K-1 ordered by descending corpus
     frequency (ties broken lexicographically); NULL_PAGE and UNKNOWN_PAGE
     always take the two highest indices, so no real page ranks above them.
+    The retained pages are an iterable (not a string or mapping), read once,
+    of distinct non-empty page names; anything else is a ValueError.
     """
 
     def __init__(self, retained_pages: list[str], min_freq: int):
-        names = list(retained_pages) + [NULL_PAGE, UNKNOWN_PAGE]
+        if isinstance(retained_pages, (str, Mapping)) or not isinstance(retained_pages, Iterable):
+            raise ValueError("vocabulary pages must be a list of non-empty strings")
+        names = list(retained_pages)
+        if not all(isinstance(p, str) and p for p in names):
+            raise ValueError("vocabulary pages must be a list of non-empty strings")
+        names += [NULL_PAGE, UNKNOWN_PAGE]
         if len(set(names)) != len(names):
             raise ValueError("duplicate or reserved page names in vocabulary")
         self.page_names = tuple(names)
@@ -180,10 +188,7 @@ class PageVocabulary:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PageVocabulary":
-        pages = d["pages"]
-        if not isinstance(pages, list) or not all(isinstance(p, str) and p for p in pages):
-            raise ValueError("vocabulary pages must be a list of non-empty strings")
-        return cls(pages, int(d["min_freq"]))
+        return cls(d["pages"], int(d["min_freq"]))
 
 
 def build_vocab(sessions, min_freq: int = 5) -> PageVocabulary:

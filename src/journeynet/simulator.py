@@ -111,15 +111,25 @@ class JourneyPrefix:
 
 @dataclass(frozen=True)
 class Objective:
-    """A conversion event: the journey reaches any page in `target_pages` (page names, not a string)."""
+    """A conversion event: the journey reaches any page in `target_pages`.
+
+    The targets are an iterable (not a string or mapping) of non-empty page
+    names other than the NULL page; anything else is an ObjectiveError.
+    """
 
     objective_id: str
     target_pages: frozenset[str]
 
     def __post_init__(self):
-        if isinstance(self.target_pages, str):
-            raise ObjectiveError(f"objective target pages must be page names, not the string {self.target_pages!r}")
-        object.__setattr__(self, "target_pages", frozenset(self.target_pages))
+        pages = self.target_pages
+        if isinstance(pages, str):
+            raise ObjectiveError(f"objective target pages must be page names, not the string {pages!r}")
+        if isinstance(pages, Mapping) or not isinstance(pages, Iterable):
+            raise ObjectiveError(f"objective target pages must be an iterable of page names, got {pages!r}")
+        pages = tuple(pages)
+        if not all(isinstance(p, str) and p for p in pages):
+            raise ObjectiveError(f"objective target pages must be non-empty page names, got {pages!r}")
+        object.__setattr__(self, "target_pages", frozenset(pages))
         if not self.target_pages:
             raise ObjectiveError("objective needs at least one target page")
         if NULL_PAGE in self.target_pages:
@@ -146,16 +156,17 @@ class SimulatedJourney:
             raise ValueError("NULL page must terminate the continuation")
 
 
-def _target_indices(objective: Objective, vocab: PageVocabulary) -> frozenset[int]:
-    indices = set()
+def _target_column(objective: Objective, vocab: PageVocabulary) -> np.ndarray:
+    """Which classes of `vocab` are the objective's targets, one bool per class."""
+    column = np.zeros(len(vocab), dtype=bool)
     for name in objective.target_pages:
         idx = vocab.encode(name)
         if idx == vocab.unknown_index and name != UNKNOWN_PAGE:
             raise ObjectiveError(
                 f"objective {objective.objective_id!r}: page {name!r} is not in the vocabulary"
             )
-        indices.add(idx)
-    return frozenset(indices)
+        column[idx] = True
+    return column
 
 
 def _prefix_hit(prefix: JourneyPrefix, objective: Objective) -> bool:
@@ -303,19 +314,17 @@ def _estimate_block(
     ends at the NULL page, the horizon, or once every open objective of its
     prefix is hit: its hits are decided by then.
     """
-    targets = [sorted(_target_indices(o, predictor.vocab)) for o in objectives]
+    targets = [_target_column(o, predictor.vocab) for o in objectives]
     already = np.array([[_prefix_hit(p, o) for o in objectives] for p in prefixes])
     counts = np.zeros(already.shape, dtype=np.intp)
     started = np.flatnonzero(~already.all(axis=1))
     if started.size:
-        # one row per class, and a last row that stays False: index -1, the padding after a path
-        is_target = np.zeros((len(predictor.vocab) + 1, len(objectives)), dtype=bool)
-        for j, target in enumerate(targets):
-            is_target[target, j] = True
+        # one entry per class, and a last one that stays False: index -1, the padding after a path
+        columns = np.zeros((len(objectives), len(predictor.vocab) + 1), dtype=bool)
+        columns[:, :-1] = targets
         state, dists = predictor.start([prefixes[k] for k in started])
         streams = [(seed, "conversion", first_index + k) for k in started.tolist()]
-        chunks = _simulate(predictor, state, dists, streams, n_samples, horizon, is_target[:-1], ~already[started])
-        columns = is_target.T.copy()
+        chunks = _simulate(predictor, state, dists, streams, n_samples, horizon, columns[:, :-1].T, ~already[started])
         for starts, paths in chunks:
             for j, column in enumerate(columns):
                 hit = column[paths].any(axis=1)
@@ -418,7 +427,7 @@ def conversion_path_mass(
     if not prune_tol >= 0:
         raise ValueError(f"prune_tol must be >= 0, got {prune_tol}")
     vocab = predictor.vocab
-    targets = _target_indices(objective, vocab)
+    is_target = _target_column(objective, vocab)
     if _prefix_hit(prefix, objective):
         return PathMass(1.0, 0.0, 0.0, 0)
     if horizon == 0:
@@ -428,7 +437,6 @@ def conversion_path_mass(
             f"exact enumeration of {len(vocab)}^{horizon} paths exceeds the budget; "
             "reduce the horizon or set prune_tol"
         )
-    is_target = np.isin(np.arange(len(vocab)), list(targets))
     going = ~is_target & (np.arange(len(vocab)) != vocab.null_index)
     hit = missed = pruned = 0.0
     nodes = 0
@@ -524,7 +532,7 @@ def score_batch(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     for objective in objectives:  # reject unknown pages before any simulation
-        _target_indices(objective, predictor.vocab)
+        _target_column(objective, predictor.vocab)
     predictor = _served(predictor)  # at most one cast per call, shipped to every worker
     size = min(PREFIX_BLOCK, -(-len(prefixes) // workers))
     # the arguments of _estimate_block after the predictor

@@ -107,12 +107,13 @@ class _AdaptiveStep:
     of `params` at its place (in training, a weight of the float32 twin).
     It keeps one float64 running average per weight and one float64 scratch
     pair sized to the largest weight, whose reshaped views serve every
-    weight in turn.  `step` copies each gradient, of any float dtype, into
-    the pair's first array and updates the float64 weights in place,
-    allocating nothing, so at its peak a step holds only the weights, their
-    gradients, their running averages and the pair.  A weight without a
-    gradient counts as a zero gradient: its running average decays and its
-    weights stay as they are.
+    weight in turn.  `step` squares each gradient, of any float dtype, into
+    the pair's second array in float64 for the norm, then copies it into the
+    first and updates the float64 weights in place, allocating nothing, so
+    at its peak a step holds only the weights, their gradients, their
+    running averages and the pair.  A weight without a gradient counts as a
+    zero gradient: its running average decays and its weights stay as they
+    are.
     """
 
     def __init__(self, params, grads, config: TrainConfig):
@@ -134,13 +135,11 @@ class _AdaptiveStep:
             if src.grad is None:
                 v *= RMS_DECAY
                 continue
-            g, t = self._views(v)
-            np.copyto(g, src.grad)
-            sumsq += float(np.multiply(g, g, out=t).sum())
+            _, t = self._views(v)
+            sumsq += float(np.multiply(src.grad, src.grad, out=t, dtype=np.float64).sum())
             live.append((p, src, v))
         norm = np.sqrt(sumsq)
         for p, src, v in live:
-            # the pair held other weights' gradients since: copy this one again
             g, t = self._views(v)
             np.copyto(g, src.grad)
             if norm > self.clip:
@@ -253,11 +252,7 @@ def train(
         batches = _make_batches(expanded, list(order), config.batch_size, epoch_rng)
         for bi, idx_batch in enumerate(batches):
             phrases, rowidx, targets, mask = _batch_tensors(expanded, idx_batch)
-            dropout_rng = (
-                rngmod.stream(config.seed, "dropout", epoch, bi)
-                if config.dropout_rate > 0
-                else None
-            )
+            dropout_rng = rngmod.stream(config.seed, "dropout", epoch, bi)
             for p, leaf in zip(params, leaves):
                 np.copyto(leaf.data, p.data)
             with tape:

@@ -479,15 +479,33 @@ def test_simulate_steps_beyond_the_longest_session_is_a_clean_error(pipeline, tm
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("record", [
+BAD_PREFIX_RECORDS = [
     '{"keywords": "kw", "pages": "home"}',
     '{"keywords": "kw", "pages": [1, 2]}',
+    '{"keywords": "kw", "pages": {"home": 1}}',
+    '{"keywords": "kw", "pages": 5}',
+    '{"keywords": "kw", "pages": [["home"]]}',
     '{"keywords": 7, "pages": ["home"]}',
+    '{"pages": ["home"]}',
     '{"keywords": "kw", "pages": ["home", ""]}',
     '["kw", "home"]',
     '"keywords"',
     '12',
-])
+]
+BAD_OBJECTIVES = [
+    '[{"id": "c", "pages": "confirm"}]',
+    '[{"id": "c", "pages": [3]}]',
+    '[{"id": "c", "pages": {"confirm": 1}}]',
+    '[{"id": "c", "pages": 5}]',
+    '[{"id": "c", "pages": [["confirm"]]}]',
+    '[{"id": "c", "pages": [""]}]',
+    '[{"id": "c", "pages": []}]',
+    '["idpages"]',
+    '[7]',
+]
+
+
+@pytest.mark.parametrize("record", BAD_PREFIX_RECORDS)
 def test_bad_prefix_records_rejected(tmp_path, record):
     from journeynet.cli import _load_prefixes
     from journeynet.errors import CliError
@@ -498,21 +516,26 @@ def test_bad_prefix_records_rejected(tmp_path, record):
         _load_prefixes(path)
 
 
-@pytest.mark.parametrize("text", [
-    '[{"id": "c", "pages": "confirm"}]',
-    '[{"id": "c", "pages": [3]}]',
-    '["idpages"]',
-    '[7]',
-    'not json',
-])
+@pytest.mark.parametrize("text", [*BAD_OBJECTIVES, 'not json'])
 def test_bad_objectives_rejected(tmp_path, text):
     from journeynet.cli import _load_objectives
     from journeynet.errors import CliError
 
     path = tmp_path / "o.json"
     path.write_text(text)
-    with pytest.raises(CliError):
+    with pytest.raises(CliError, match="o.json: (objective 0|bad objectives file)"):
         _load_objectives(path)
+
+
+@pytest.mark.parametrize("prefixes, objectives, where", [
+    *((record + "\n", None, "p.jsonl:1:") for record in BAD_PREFIX_RECORDS),
+    *((None, text, "o.json: objective 0") for text in BAD_OBJECTIVES),
+])
+def test_score_on_a_bad_prefix_or_objective_record_names_its_place(pipeline, tmp_path, capsys, prefixes, objectives,
+                                                                    where):
+    assert _score_exit(pipeline, tmp_path, prefixes=prefixes, objectives=objectives) == 1
+    _assert_clean_error(capsys, where)
+    assert not (tmp_path / "s.csv").exists()
 
 
 
@@ -1014,16 +1037,50 @@ def test_a_seed_outside_128_bits_is_a_clean_error(pipeline, chain_file, tmp_path
 _RUN_COMMANDS = "import json, sys; from journeynet.cli import main; sys.exit(max(map(main, json.loads(sys.argv[1]))))"
 
 
-def test_score_and_simulate_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
-    # CI runs the suite under one hash seed per run; this compares two in one run
+def _save_peaked_model(path):
+    """Save a model whose weights are scaled by 3: peaked, so its rollouts follow the order of a prefix's pages."""
     from journeynet.journeydata import PageVocabulary
     from journeynet.seqmodel import ModelConfig, SequenceModel, save_model
 
     config = ModelConfig(max_len=16, conv_stages=((3, 4, 4),), lstm_hidden=(12,), fc_width=12)
     model = SequenceModel.build(config, PageVocabulary(["home", "quote", "confirm"], 1), 5)
     for w in model.weights.values():
-        w.data = 3 * w.data  # a peaked model, whose rollouts follow the order of a prefix's pages
-    save_model(model, tmp_path / "m.ckpt")
+        w.data = 3 * w.data
+    save_model(model, path)
+
+
+def test_score_csv_is_the_library_scores_of_the_same_inputs(tmp_path):
+    from journeynet.seqmodel import load_model
+    from journeynet.simulator import JourneyPrefix, Objective, score_batch, write_scores_csv
+
+    _save_peaked_model(tmp_path / "m.ckpt")
+    (tmp_path / "p.jsonl").write_text(
+        '{"keywords": "car insurance", "pages": ["home", "quote"]}\n'
+        '{"keywords": "car insurance", "pages": ["quote", "home"], "prefix_id": "reversed"}\n'
+        '{"keywords": "", "pages": ["home"]}\n'
+    )
+    (tmp_path / "o.json").write_text('[{"id": "c", "pages": ["confirm"]}]')
+    assert main([
+        "score", "--model", str(tmp_path / "m.ckpt"), "--prefixes", str(tmp_path / "p.jsonl"),
+        "--objectives", str(tmp_path / "o.json"), "--n-samples", "200", "--seed", "3", "--out-dir", str(tmp_path),
+    ]) == 0
+    prefixes = [
+        JourneyPrefix("car insurance", ("home", "quote")),
+        JourneyPrefix("car insurance", ("quote", "home")),
+        JourneyPrefix("", ("home",)),
+    ]
+    rows = score_batch(
+        load_model(tmp_path / "m.ckpt"), prefixes, [Objective("c", {"confirm"})], n_samples=200, horizon=30,
+        seed=3, prefix_ids=["p0000", "reversed", "p0002"],
+    )
+    write_scores_csv(rows, tmp_path / "library.csv")
+    assert (tmp_path / "scores.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+    assert rows[0].probability != rows[1].probability  # the checkpoint sees the pages' order
+
+
+def test_score_and_simulate_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    # CI runs the suite under one hash seed per run; this compares two in one run
+    _save_peaked_model(tmp_path / "m.ckpt")
     prefixes = tmp_path / "p.jsonl"
     prefixes.write_text(
         '{"keywords": "car insurance", "pages": ["home", "quote"]}\n{"keywords": "", "pages": ["quote", "home"]}\n'

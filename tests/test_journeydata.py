@@ -206,6 +206,13 @@ def test_vocab_dict_roundtrip():
     clone = PageVocabulary.from_dict(vocab.to_dict())
     assert clone.page_names == vocab.page_names
     assert clone.min_freq == vocab.min_freq
+    # the constructor owns the page-name rules: an iterator is read once
+    assert PageVocabulary(iter(["a", "b"]), 1).page_names[:2] == ("a", "b")
+    for pages in ("abc", {"a": 1}, 5, None, ["a", 5], ["a", ""], [["a"]]):
+        with pytest.raises(ValueError, match="non-empty strings"):
+            PageVocabulary(pages, 1)
+        with pytest.raises(ValueError, match="non-empty strings"):
+            PageVocabulary.from_dict({"pages": pages, "min_freq": 1})
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,16 @@ prefix_like = st.fixed_dictionaries(
     optional={"pages": st.lists(names, max_size=3) | values, "prefix_id": values},
 )
 
+# objective records whose pages are lists, strings, objects, numbers or nested lists
+objective_like = st.fixed_dictionaries({
+    "id": values,
+    "pages": st.lists(names, max_size=3)
+    | st.text(max_size=6)
+    | st.dictionaries(st.text(max_size=4), values, max_size=2)
+    | numbers
+    | st.lists(st.lists(names, max_size=2), max_size=2),
+})
+
 
 def lines_of(strategy):
     return st.lists(strategy, max_size=3).map(lambda lines: b"\n".join(lines))
@@ -177,6 +187,12 @@ def test_parse_log_of_any_text_parses_or_raises(text):
 @given(data=lines_of(fuzz(prefix_like)))
 def test_prefix_file_parses_or_raises(data):
     parses_or_raises_in_memory(cli._load_prefixes, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=fuzz(st.lists(objective_like, max_size=3)))
+def test_objectives_file_parses_or_raises(data):
+    parses_or_raises_in_memory(cli._load_objectives, data)
 
 
 @settings(max_examples=200, deadline=None)

@@ -254,8 +254,13 @@ def test_objective_validation():
     with pytest.raises(ObjectiveError, match="string 'quote'"):
         Objective("o", "quote")  # would be the set of its letters
     assert Objective("o", ["quote", "price"]).target_pages == {"quote", "price"}
+    assert Objective("o", (p for p in ("quote", "price"))).target_pages == {"quote", "price"}
     with pytest.raises(ValueError):
         Objective("null", frozenset({NULL_PAGE}))
+    # a mapping (its keys), a non-iterable, and targets that are not non-empty text
+    for pages in ({"quote": 1}, 5, None, [1, 2], [""], [["a"]]):
+        with pytest.raises(ObjectiveError, match="objective target pages"):
+            Objective("o", pages)
     pred = hand_predictor()
     with pytest.raises(ValueError, match="not-there"):
         estimate_conversion(
@@ -561,7 +566,7 @@ def test_block_hit_counts_equal_an_isin_count_of_the_same_paths():
     objectives = [Objective("b", {"B"}), Objective("unknown", {UNKNOWN_PAGE}), Objective("bc", {"B", "C"})]
     n, horizon, seed = CHUNK + 150, 6, 3
 
-    targets = [sorted(simulator._target_indices(o, vocab)) for o in objectives]
+    targets = [np.flatnonzero(simulator._target_column(o, vocab)) for o in objectives]
     already = np.array([[simulator._prefix_hit(p, o) for o in objectives] for p in prefixes])
     started = np.flatnonzero(~already.all(axis=1))
     is_target = np.zeros((len(vocab), len(objectives)), dtype=bool)

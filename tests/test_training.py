@@ -621,7 +621,8 @@ def _reference_step(params, sq, lr, clip, decay, eps):
 
 @pytest.mark.parametrize("clip", [1e-3, 1e6], ids=["clipped", "unclipped"])
 @pytest.mark.parametrize("missing", [None, 1], ids=["all-grads", "one-missing"])
-def test_adaptive_step_is_bitwise_the_reference_formula(clip, missing):
+@pytest.mark.parametrize("grad_dtype", [np.float64, np.float32], ids=["float64-grads", "float32-grads"])
+def test_adaptive_step_is_bitwise_the_reference_formula(clip, missing, grad_dtype):
     from journeynet import numerics as nm
     from journeynet.training import RMS_DECAY, RMS_EPSILON, _AdaptiveStep
 
@@ -635,8 +636,9 @@ def test_adaptive_step_is_bitwise_the_reference_formula(clip, missing):
     ref_sq = [np.zeros(s) for s in shapes]
     for _ in range(4):
         for i, (d, q) in enumerate(zip(grads, ref)):
-            g = None if i == missing else rng.standard_normal(d.shape)
-            d.grad, q.grad = g, None if g is None else g.copy()
+            g = None if i == missing else rng.standard_normal(d.shape).astype(grad_dtype)
+            # the reference formula runs in float64 on the gradients cast exactly
+            d.grad, q.grad = g, None if g is None else g.astype(np.float64)
         opt.step()
         _reference_step(ref, ref_sq, config.learning_rate, clip, RMS_DECAY, RMS_EPSILON)
         for p, d, q in zip(mine, grads, ref):
