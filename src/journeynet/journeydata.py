@@ -18,7 +18,7 @@ import math
 import numbers
 import sys
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -146,12 +146,13 @@ class PageVocabulary:
     Retained pages occupy indices 0..K-1 ordered by descending corpus
     frequency (ties broken lexicographically); NULL_PAGE and UNKNOWN_PAGE
     always take the two highest indices, so no real page ranks above them.
-    The retained pages are an iterable (not a string or mapping), read once,
-    of distinct non-empty page names; anything else is a ValueError.
+    The retained pages are an ordered iterable (not a string, set or
+    mapping, whose order is not the caller's), read once, of distinct
+    non-empty page names; anything else is a ValueError.
     """
 
     def __init__(self, retained_pages: list[str], min_freq: int):
-        if isinstance(retained_pages, (str, Mapping)) or not isinstance(retained_pages, Iterable):
+        if isinstance(retained_pages, (str, Set, Mapping)) or not isinstance(retained_pages, Iterable):
             raise ValueError("vocabulary pages must be a list of non-empty strings")
         names = list(retained_pages)
         if not all(isinstance(p, str) and p for p in names):

@@ -27,6 +27,16 @@ from slots that the tape's next recording reuses, so what a recording
 returns, the cell rows included, is valid until the tape records again;
 a leaf's gradient is never a slot.
 
+A product whose result only a leaf's gradient reads (the weight side of
+:func:`matmul`, and the recurrent weight and bias gradients of
+:func:`lstm_sequence`) is returned by its node's backward function as a
+thunk.  A tape given a `helper` (an executor with one worker) sends each
+node's thunks to it as one task, so the product runs while the walk goes
+on; a tape without one runs them inline.  The calling thread allocates
+every array a thunk writes, and :func:`backward` adds each leaf's
+gradients up in the order of the walk either way, so a helper changes no
+bit.
+
 Gradient accumulation is explicit: grads add up across backward calls until
 the caller zeroes them (see :func:`zero_gradients`).
 """
@@ -34,11 +44,14 @@ the caller zeroes them (see :func:`zero_gradients`).
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 # floor applied inside log() so cross-entropy stays finite
 PROB_FLOOR = 1e-12
@@ -166,11 +179,14 @@ class ComputeTape:
     still gives the leaves their gradients.  One tape at a time may be
     active on a thread, and a leaf must be watched by one tape at a time.
     Entering it again starts a new recording, which drops the last one
-    and reuses its slots (see the module notes).
+    and reuses its slots (see the module notes).  `helper` runs the
+    leaf-gradient thunks of :func:`backward` (see the module notes).
     """
 
-    def __init__(self, leaves: Iterable[Matrix] = ()):
+    def __init__(self, leaves: Iterable[Matrix] = (), helper: Executor | None = None):
         self.leaves = tuple(leaves)
+        self.helper = helper
+        self._leaf_ids = {id(m) for m in self.leaves}
         self._nodes: list[_TapeNode] = []
         self._slots = _Slots()
 
@@ -196,8 +212,9 @@ def record(output: Matrix, inputs: Sequence[Matrix], backward_fn: Callable) -> M
     """Register a primitive op on the active tape, if any operand is tracked.
 
     `backward_fn(g)` receives the output gradient and must return one gradient
-    array (or None) per input, in order.  This is the extension point for
-    primitives defined outside this module.
+    array (or None) per input, in order; in place of an array it may return
+    a thunk that computes it (see the module notes).  This is the extension
+    point for primitives defined outside this module.
     """
     if not any(inp.track for inp in inputs):
         return output
@@ -212,7 +229,8 @@ def record(output: Matrix, inputs: Sequence[Matrix], backward_fn: Callable) -> M
 def backward(tape: ComputeTape, loss: Matrix) -> None:
     """Populate gradients of everything `loss` depends on, walking `tape` backward.
 
-    Gradients of the tape's leaves accumulate across calls.  An
+    Gradients of the tape's leaves accumulate across calls, added up in
+    the walk's order once the walk and the helper's tasks have ended.  An
     intermediate gradient is freed as soon as its node has used it, so a
     pass holds only the gradients still to be consumed; each node keeps its
     forward arrays, so calling backward twice adds the same leaf gradients
@@ -220,24 +238,49 @@ def backward(tape: ComputeTape, loss: Matrix) -> None:
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"loss must be a 1x1 scalar, got {loss.shape}")
-    leaf = any(loss is m for m in tape.leaves)
+    leaf = id(loss) in tape._leaf_ids
     if leaf:
         # degenerate case: the loss is itself a leaf
         loss.accumulate_grad(np.ones((1, 1)))
     else:
         loss.grad = np.ones((1, 1))
-    for node in reversed(tape._nodes):
-        # tape order is topological, so every consumer of this output has
-        # added its part: the gradient is complete, and dead after this node
-        g, node.output.grad = node.output.grad, None
-        if g is None:
-            continue
-        grads = node.backward_fn(g)
-        for inp, gi in zip(node.inputs, grads):
-            if gi is not None and inp is not None:
-                inp.accumulate_grad(gi)
+    joins, tasks = [], []  # [leaf, gradient or thunk] in walk order; the helper's tasks
+    try:
+        for node in reversed(tape._nodes):
+            # tape order is topological, so every consumer of this output has
+            # added its part: the gradient is complete, and dead after this node
+            g, node.output.grad = node.output.grad, None
+            if g is None:
+                continue
+            thunks = []
+            for inp, gi in zip(node.inputs, node.backward_fn(g)):
+                if gi is None or inp is None:
+                    continue
+                if id(inp) in tape._leaf_ids:
+                    joins.append([inp, gi])
+                    if callable(gi):
+                        thunks.append(joins[-1])
+                else:
+                    inp.accumulate_grad(gi() if callable(gi) else gi)
+            if thunks and tape.helper is not None:
+                tasks.append(tape.helper.submit(_run_thunks, thunks))
+            elif thunks:
+                _run_thunks(thunks)
+    finally:
+        for task in tasks:  # no task outlives the walk, nor reads a slot the next recording takes
+            task.exception()
+    for task in tasks:
+        task.result()
+    for inp, gi in joins:
+        inp.accumulate_grad(gi)
     if not leaf:
         loss.grad = None
+
+
+def _run_thunks(entries: list[list]) -> None:
+    """Replace each entry's thunk by the array it computes."""
+    for entry in entries:
+        entry[1] = entry[1]()
 
 
 def zero_gradients(params: Iterable[Matrix]) -> None:
@@ -270,7 +313,10 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     ta, tb = a.track, b.track
 
     def back(g):
-        return (g @ b.data.T if ta else None), (a.data.T @ g if tb else None)
+        if not tb:
+            return g @ b.data.T, None
+        gb = np.empty(b.shape, np.result_type(a.data, g))
+        return (g @ b.data.T if ta else None), lambda: np.matmul(a.data.T, g, out=gb)
 
     return record(out, (a, b), back)
 
@@ -442,7 +488,7 @@ def lstm_sequence(
     if tape is not None:  # the rows live in the tape's slots, and so does the backward's dz
         slots = tape._slots
         hidden, cells, acts, tcells = (slots.take(len(x), n, x.dtype) for n in (hs, hs, 4 * hs, hs))
-        leaf = any(xproj is m for m in tape.leaves)  # a leaf keeps its gradient: never a slot
+        leaf = id(xproj) in tape._leaf_ids  # a leaf keeps its gradient: never a slot
     elif steps > 1:  # a one-step call keeps the cell's own arrays as its rows
         hidden, cells = np.empty((len(x), hs), x.dtype), np.empty((len(x), hs), x.dtype)
     h, c = h0, c0
@@ -481,8 +527,13 @@ def lstm_sequence(
             dc = dc * f[r]
             if t:
                 dh = dz[r] @ w.T
-        dwh = hidden[:-batch].T @ dz[batch:] + h0.T @ dz[:batch]
-        return (dz.copy() if leaf else dz), dwh, dz.sum(axis=0, keepdims=True)
+        dwh, step0, dbias = np.empty_like(w, x.dtype), np.empty_like(w, x.dtype), np.empty_like(bias.data, x.dtype)
+
+        def wh_grad():  # hidden[:-batch].T @ dz[batch:] + h0.T @ dz[:batch]
+            later = np.matmul(hidden[:-batch].T, dz[batch:], out=dwh)
+            return np.add(later, np.matmul(h0.T, dz[:batch], out=step0), out=dwh)
+
+        return (dz.copy() if leaf else dz), wh_grad, lambda: np.sum(dz, axis=0, keepdims=True, out=dbias)
 
     return record(out, (xproj, wh, bias), back), cells
 

@@ -49,12 +49,14 @@ def quantize(phrase: str, alphabet: Alphabet, max_len: int) -> np.ndarray:
     """One-hot matrix of shape max_len x alphabet size.
 
     Characters beyond max_len are dropped, the rest are lowercased before
-    lookup; padding positions and out-of-alphabet characters yield zero rows.
+    lookup, and the lowercased text is cut at max_len again (``'İ'.lower()``
+    is two characters); padding positions and out-of-alphabet characters
+    yield zero rows.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     out = np.zeros((max_len, len(alphabet)))
-    for pos, ch in enumerate(phrase[:max_len].lower()):
+    for pos, ch in enumerate(phrase[:max_len].lower()[:max_len]):
         col = alphabet.get(ch)
         if col is not None:
             out[pos, col] = 1.0

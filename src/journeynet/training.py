@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,6 +37,9 @@ from .seqmodel import (
     read_checkpoint,
     write_checkpoint,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 ENSEMBLE_FORMAT = "journeynet-ensemble"
 
@@ -106,27 +110,27 @@ class _AdaptiveStep:
     Each Matrix of `grads` holds, in its `grad`, the gradient of the weight
     of `params` at its place (in training, a weight of the float32 twin).
     It keeps one float64 running average per weight and one float64 scratch
-    pair sized to the largest weight, whose reshaped views serve every
-    weight in turn.  `step` squares each gradient, of any float dtype, into
-    the pair's second array in float64 for the norm, then copies it into the
-    first and updates the float64 weights in place, allocating nothing, so
-    at its peak a step holds only the weights, their gradients, their
-    running averages and the pair.  A weight without a gradient counts as a
-    zero gradient: its running average decays and its weights stay as they
-    are.
+    pair sized to the largest weight.  `step` squares each gradient, of any
+    float dtype, into the pair's second array in float64 for the norm, then
+    copies it into the first and updates the float64 weights in place,
+    allocating nothing, so at its peak a step holds only the weights, their
+    gradients, their running averages and the pair.  The update runs the
+    first half of every weight's entries in the first half of the pair and
+    the rest in the second half: the second on a `helper` (an executor with
+    one worker) while the calling thread runs the first, or after it without
+    one.  Every entry gets the same bits either way.  A weight without a
+    gradient counts as a zero gradient: its running average decays and its
+    weights stay as they are.
     """
 
-    def __init__(self, params, grads, config: TrainConfig):
+    def __init__(self, params, grads, config: TrainConfig, helper: Executor | None = None):
         self.params, self.grads = params, grads
         self.lr = config.learning_rate
         self.clip = config.gradient_clip_norm
+        self.helper = helper
         self.sq = [np.zeros_like(p.data) for p in params]
         largest = max(p.data.size for p in params)
         self.pair = np.zeros(largest), np.zeros(largest)
-
-    def _views(self, v: np.ndarray):
-        """The scratch pair's first v.size entries, each shaped as `v`."""
-        return (b[:v.size].reshape(v.shape) for b in self.pair)
 
     def step(self) -> None:
         live = []
@@ -135,15 +139,34 @@ class _AdaptiveStep:
             if src.grad is None:
                 v *= RMS_DECAY
                 continue
-            _, t = self._views(v)
+            t = self.pair[1][:v.size].reshape(v.shape)
             sumsq += float(np.multiply(src.grad, src.grad, out=t, dtype=np.float64).sum())
-            live.append((p, src, v))
+            live.append((p.data, src.grad, v))
         norm = np.sqrt(sumsq)
-        for p, src, v in live:
-            g, t = self._views(v)
-            np.copyto(g, src.grad)
-            if norm > self.clip:
-                g *= self.clip / norm
+        factor = self.clip / norm if norm > self.clip else None
+        if self.helper is None:
+            self._update(live, factor, 0)
+            self._update(live, factor, 1)
+            return
+        task = self.helper.submit(self._update, live, factor, 1)
+        try:
+            self._update(live, factor, 0)
+        finally:
+            task.exception()  # the helper's half is done, also when this half failed
+        task.result()
+
+    def _update(self, live, factor, half: int) -> None:
+        """Update half of the entries of every (weight, gradient, average) of
+        `live`, in that half of the scratch pair: the first size // 2 of each
+        (`half` 0) or the rest (`half` 1)."""
+        at = half * (len(self.pair[0]) // 2)
+        for w, grad, v in live:
+            entries = slice(v.size // 2) if half == 0 else slice(v.size // 2, None)
+            w, grad, v = (a.reshape(-1)[entries] for a in (w, grad, v))
+            g, t = (b[at:at + v.size] for b in self.pair)
+            np.copyto(g, grad)
+            if factor is not None:
+                g *= factor
             # v = d * v + ((1 - d) * g) * g;  w -= (lr * g) / (sqrt(v) + eps), associated
             # exactly so, which keeps the step bitwise that of the unfused formula
             v *= RMS_DECAY
@@ -154,7 +177,7 @@ class _AdaptiveStep:
             np.sqrt(v, out=t)
             t += RMS_EPSILON
             g /= t
-            p.data -= g
+            w -= g
 
 
 @dataclass
@@ -227,9 +250,7 @@ def train(
     for s in sessions:
         if not s.events:
             raise ConfigError(f"training session {s.session_id!r} has no page events")
-    held_out = list(eval_sessions) if eval_sessions is not None else sessions
-    if not held_out:
-        raise ConfigError("no sessions to evaluate")
+    held_out = _prepare_eval(eval_sessions if eval_sessions is not None else sessions, vocab)
     model = SequenceModel.build(config.model_config(), vocab, config.seed)
     expanded = _expand_all(sessions, vocab)
     params = [p for _, p in model.parameters()]
@@ -238,45 +259,62 @@ def train(
         name: nm.Matrix._result(np.empty(p.shape, dtype=COMPUTE_DTYPE)) for name, p in model.parameters()
     })
     leaves = [p for _, p in twin.parameters()]
-    optimizer = _AdaptiveStep(params, leaves, config)
-    # one tape, entered once per batch, so its LSTM rows serve every batch
-    tape = nm.ComputeTape(leaves)
     report = TrainReport()
+    from concurrent.futures import ThreadPoolExecutor  # only training pays its import
 
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        epoch_rng = rngmod.stream(config.seed, "shuffle", epoch)
-        order = epoch_rng.permutation(len(expanded))
-        nats = 0.0
-        steps = 0.0
-        batches = _make_batches(expanded, list(order), config.batch_size, epoch_rng)
-        for bi, idx_batch in enumerate(batches):
-            phrases, rowidx, targets, mask = _batch_tensors(expanded, idx_batch)
-            dropout_rng = rngmod.stream(config.seed, "dropout", epoch, bi)
-            for p, leaf in zip(params, leaves):
-                np.copyto(leaf.data, p.data)
-            with tape:
-                total = _batch_loss(twin, phrases, rowidx, targets, mask, dropout_rng)
-                n_steps = float(mask.sum())
-                mean_loss = nm.scale(total, 1.0 / n_steps)
-            if not np.isfinite(total.item()):
-                raise TrainingError("training loss diverged", epoch=epoch, batch=bi)
-            nm.backward(tape, mean_loss)
-            optimizer.step()
-            nm.zero_gradients(leaves)
-            nats += total.item()
-            steps += n_steps
-        eval_acc, eval_loss = evaluate(model, held_out, vocab)
-        report.epochs.append(
-            EpochStats(
-                epoch=epoch,
-                train_loss=nats / steps,
-                eval_loss=eval_loss,
-                eval_accuracy=eval_acc,
-                seconds=time.perf_counter() - t0,
+    # one helper thread for the leaf-gradient products and half of each optimizer step
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        optimizer = _AdaptiveStep(params, leaves, config, helper)
+        # one tape, entered once per batch, so its LSTM rows serve every batch
+        tape = nm.ComputeTape(leaves, helper)
+        for epoch in range(config.epochs):
+            t0 = time.perf_counter()
+            epoch_rng = rngmod.stream(config.seed, "shuffle", epoch)
+            order = epoch_rng.permutation(len(expanded))
+            nats = 0.0
+            steps = 0.0
+            batches = _make_batches(expanded, list(order), config.batch_size, epoch_rng)
+            for bi, idx_batch in enumerate(batches):
+                phrases, rowidx, targets, mask = _batch_tensors(expanded, idx_batch)
+                dropout_rng = rngmod.stream(config.seed, "dropout", epoch, bi)
+                for p, leaf in zip(params, leaves):
+                    np.copyto(leaf.data, p.data)
+                with tape:
+                    total = _batch_loss(twin, phrases, rowidx, targets, mask, dropout_rng)
+                    n_steps = float(mask.sum())
+                    mean_loss = nm.scale(total, 1.0 / n_steps)
+                if not np.isfinite(total.item()):
+                    raise TrainingError("training loss diverged", epoch=epoch, batch=bi)
+                nm.backward(tape, mean_loss)
+                optimizer.step()
+                nm.zero_gradients(leaves)
+                nats += total.item()
+                steps += n_steps
+            eval_acc, eval_loss = evaluate(model, held_out, vocab)
+            report.epochs.append(
+                EpochStats(
+                    epoch=epoch,
+                    train_loss=nats / steps,
+                    eval_loss=eval_loss,
+                    eval_accuracy=eval_acc,
+                    seconds=time.perf_counter() - t0,
+                )
             )
-        )
     return model, report
+
+
+class _EvalBatches(tuple):
+    """The (phrases, rowidx, targets, mask) batches `evaluate` scores, prepared from sessions once."""
+
+
+def _prepare_eval(sessions, vocab: PageVocabulary) -> _EvalBatches:
+    """`sessions` expanded and padded in batches of EVAL_BATCH; ConfigError if there are none."""
+    sessions = list(sessions)
+    if not sessions:
+        raise ConfigError("no sessions to evaluate")
+    expanded = _expand_all(sessions, vocab)
+    batches = _make_batches(expanded, list(range(len(expanded))), EVAL_BATCH)
+    return _EvalBatches(_batch_tensors(expanded, idx_batch) for idx_batch in batches)
 
 
 def evaluate(predictor, sessions, vocab: PageVocabulary) -> tuple[float, float]:
@@ -285,20 +323,17 @@ def evaluate(predictor, sessions, vocab: PageVocabulary) -> tuple[float, float]:
     Accuracy counts steps whose argmax prediction (ties to the lowest index)
     equals the true next page; dropout is disabled.  `predictor` is a model
     or an ensemble, and `vocab` must hold its page names (ConfigError
-    otherwise).  Sessions run in batches of EVAL_BATCH.
+    otherwise).  Sessions run in batches of EVAL_BATCH; `train` passes its
+    held-out sessions as the batches it prepared once.
     """
-    sessions = list(sessions)
-    if not sessions:
-        raise ConfigError("no sessions to evaluate")
     if vocab.page_names != predictor.vocab.page_names:
         raise ConfigError("evaluate needs the vocabulary of the predictor")
-    expanded = _expand_all(sessions, vocab)
+    if not isinstance(sessions, _EvalBatches):
+        sessions = _prepare_eval(sessions, vocab)
     hits = 0.0
     nats = 0.0
     steps = 0.0
-    batches = _make_batches(expanded, list(range(len(expanded))), EVAL_BATCH)
-    for idx_batch in batches:
-        phrases, rowidx, targets, mask = _batch_tensors(expanded, idx_batch)
+    for phrases, rowidx, targets, mask in sessions:
         all_probs = predictor.batch_step_probs(phrases, rowidx).data
         for t, probs in enumerate(np.split(all_probs, rowidx.shape[1])):
             m = mask[:, t] > 0

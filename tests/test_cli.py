@@ -359,6 +359,13 @@ def _score_exit(pipeline, tmp_path, model=None, prefixes=None, objectives=None, 
     ])
 
 
+def test_score_keywords_that_lowercasing_lengthens(pipeline, tmp_path):
+    # 'İ'.lower() is two characters, so the lowercased keywords outgrow max_len
+    prefixes = json.dumps({"keywords": "İ" * 64, "pages": ["home"]}) + "\n"
+    assert _score_exit(pipeline, tmp_path, prefixes=prefixes) == 0
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 2
+
+
 def test_score_non_json_checkpoint_is_a_clean_error(pipeline, tmp_path, capsys):
     ckpt = tmp_path / "broken.ckpt"
     ckpt.write_text("this is not json\n")

@@ -213,6 +213,10 @@ def test_vocab_dict_roundtrip():
             PageVocabulary(pages, 1)
         with pytest.raises(ValueError, match="non-empty strings"):
             PageVocabulary.from_dict({"pages": pages, "min_freq": 1})
+    # a set's order follows the hash seed, so its classes would too
+    for pages in ({"a", "b"}, frozenset({"a"}), {"a": 1}.keys()):
+        with pytest.raises(ValueError, match="non-empty strings"):
+            PageVocabulary(pages, 1)
 
 
 # ---------------------------------------------------------------------------

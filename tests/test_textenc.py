@@ -63,6 +63,14 @@ def test_quantize_truncates():
     assert q[2, a.lookup("c")] == 1.0
 
 
+def test_quantize_cuts_a_phrase_that_lowercasing_lengthens():
+    # 'İ'.lower() is 'i' and a combining dot, which the alphabet does not hold
+    a = Alphabet()
+    q = quantize("İ" * 4, a, 4)
+    assert q.shape == (4, 42) and q.sum() == 2.0
+    assert q[0, a.lookup("i")] == q[2, a.lookup("i")] == 1.0
+
+
 def test_quantize_requires_positive_max_len():
     with pytest.raises(ValueError):
         quantize("a", Alphabet(), 0)

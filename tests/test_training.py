@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -272,6 +275,34 @@ def test_divergence_raises_training_error(chain_data, monkeypatch):
     assert exc.value.batch == 0
 
 
+def test_train_runs_one_helper_thread_and_leaves_none_running(chain_data, monkeypatch):
+    from journeynet import numerics as nm
+    from journeynet import training as tr_mod
+
+    tr, ev, vocab = chain_data
+    config = TrainConfig(epochs=1, batch_size=16, seed=0, **TOY_TRAIN)
+    before, during = threading.active_count(), []
+    real_loss = tr_mod._batch_loss
+
+    def counting_loss(*args):
+        during.append(threading.active_count())
+        return real_loss(*args)
+
+    monkeypatch.setattr(tr_mod, "_batch_loss", counting_loss)
+    train(tr, config, vocab, eval_sessions=ev[:4])
+    assert max(during) == before + 1 and threading.active_count() == before
+
+    def diverging_loss(*args):
+        during.append(threading.active_count())
+        return nm.scale(real_loss(*args), np.inf) if len(during) > 2 else real_loss(*args)
+
+    during.clear()
+    monkeypatch.setattr(tr_mod, "_batch_loss", diverging_loss)
+    with pytest.raises(TrainingError):
+        train(tr, config, vocab)
+    assert max(during) == before + 1 and threading.active_count() == before
+
+
 def test_report_csv_shape(trained):
     _, report, config = trained
     csv = report.to_csv()
@@ -514,6 +545,10 @@ def test_slot_reentered_tape_gives_long_short_long_batches_a_fresh_tapes_gradien
     fresh = [gradients(nm.ComputeTape(leaves), bi, batch) for bi, batch in enumerate(batches)]
     tape = nm.ComputeTape(leaves)
     assert [gradients(tape, bi, batch) for bi, batch in enumerate(batches)] == fresh
+    # a helper runs the leaf-gradient products and changes no bit
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        tape = nm.ComputeTape(leaves, helper)
+        assert [gradients(tape, bi, batch) for bi, batch in enumerate(batches)] == fresh
 
 
 def _built_models(monkeypatch):
@@ -619,20 +654,30 @@ def _reference_step(params, sq, lr, clip, decay, eps):
         p.data -= lr * g / (np.sqrt(v) + eps)
 
 
+@pytest.fixture(params=[False, True], ids=["inline", "helper"])
+def helper(request):
+    """None, or a one-thread executor that runs half of each optimizer step."""
+    if not request.param:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield pool
+
+
 @pytest.mark.parametrize("clip", [1e-3, 1e6], ids=["clipped", "unclipped"])
 @pytest.mark.parametrize("missing", [None, 1], ids=["all-grads", "one-missing"])
 @pytest.mark.parametrize("grad_dtype", [np.float64, np.float32], ids=["float64-grads", "float32-grads"])
-def test_adaptive_step_is_bitwise_the_reference_formula(clip, missing, grad_dtype):
+def test_adaptive_step_is_bitwise_the_reference_formula(clip, missing, grad_dtype, helper):
     from journeynet import numerics as nm
     from journeynet.training import RMS_DECAY, RMS_EPSILON, _AdaptiveStep
 
     rng = np.random.default_rng(9)
-    shapes = [(7, 5), (1, 5), (33, 20)]
+    shapes = [(7, 5), (1, 5), (33, 20), (9, 77)]  # odd sizes, the largest too, split unevenly
     mine = [nm.parameter(rng.standard_normal(s)) for s in shapes]
     ref = [nm.parameter(p.data) for p in mine]
     grads = [nm.parameter(np.zeros(s)) for s in shapes]  # the step reads the gradients from these
     config = TrainConfig(learning_rate=3e-3, gradient_clip_norm=clip, **TOY_TRAIN)
-    opt = _AdaptiveStep(mine, grads, config)
+    opt = _AdaptiveStep(mine, grads, config, helper)
     ref_sq = [np.zeros(s) for s in shapes]
     for _ in range(4):
         for i, (d, q) in enumerate(zip(grads, ref)):
@@ -652,18 +697,20 @@ def test_adaptive_step_is_bitwise_the_reference_formula(clip, missing, grad_dtyp
 
 @pytest.mark.parametrize("clip", [1e-3, 1e6], ids=["clipped", "unclipped"])
 @pytest.mark.parametrize("missing", [None, 0, 1], ids=["all-grads", "largest-missing", "row-missing"])
-def test_adaptive_step_views_of_other_shapes_share_its_scratch_bitwise(clip, missing):
+def test_adaptive_step_views_of_other_shapes_share_its_scratch_bitwise(clip, missing, helper):
     """The largest weight first, then a 1-row one: every weight's views of
-    the shared scratch pair start where the largest weight's did."""
+    the shared scratch pair start where the largest weight's did (each
+    half's, with a helper).  The largest is large enough that numpy lets
+    the two halves of its update run at once."""
     from journeynet import numerics as nm
     from journeynet.training import RMS_DECAY, RMS_EPSILON, _AdaptiveStep
 
     rng = np.random.default_rng(10)
-    shapes = [(33, 20), (1, 40), (7, 5), (20, 33)]
+    shapes = [(300, 701), (1, 40), (7, 5), (20, 33), (33, 20), (1, 1)]
     mine = [nm.parameter(rng.standard_normal(s)) for s in shapes]
     ref = [nm.parameter(p.data) for p in mine]
     config = TrainConfig(learning_rate=3e-3, gradient_clip_norm=clip, **TOY_TRAIN)
-    opt = _AdaptiveStep(mine, mine, config)
+    opt = _AdaptiveStep(mine, mine, config, helper)
     ref_sq = [np.zeros(s) for s in shapes]
     for _ in range(4):
         for i, (p, q) in enumerate(zip(mine, ref)):
