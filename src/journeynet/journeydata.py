@@ -40,29 +40,53 @@ DWELL_CAP = 5
 
 @dataclass(frozen=True)
 class PageEvent:
+    """One page view: the page's name, non-empty text other than NULL_PAGE and
+    UNKNOWN_PAGE, and its dwell, an int or float >= 0 and finite (not a bool),
+    stored as a float.  Anything else is a ValueError."""
+
     page_name: str
     dwell_seconds: float
 
     def __post_init__(self):
-        if not self.page_name:
-            raise ValueError("page_name must be non-empty")
-        if not (self.dwell_seconds >= 0) or not math.isfinite(self.dwell_seconds):
-            raise ValueError(f"dwell_seconds must be >= 0 and finite, got {self.dwell_seconds}")
+        page, dwell = self.page_name, self.dwell_seconds
+        if not isinstance(page, str) or not page:
+            raise ValueError("page must be non-empty text")
+        if page in (NULL_PAGE, UNKNOWN_PAGE):
+            raise ValueError(f"page {page!r} is a reserved name")
+        if type(dwell) is not float:  # an int, or a float subclass: stored as a plain float
+            if isinstance(dwell, bool) or not isinstance(dwell, (int, float)):
+                raise ValueError(f"dwell_seconds must be a number, got {dwell!r}")
+            try:
+                dwell = float(dwell)
+            except OverflowError:  # an integer beyond the float range
+                dwell = math.inf
+            object.__setattr__(self, "dwell_seconds", dwell)
+        if not (dwell >= 0) or not math.isfinite(dwell):
+            raise ValueError(f"dwell_seconds must be >= 0 and finite, got {dwell!r}")
 
 
 @dataclass(frozen=True)
 class Session:
+    """A visit: its id and searched keywords, both text (ValueError otherwise), and its page events."""
+
     session_id: str
     keywords: str
     events: tuple[PageEvent, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.session_id, str):
+            raise ValueError("session_id must be text")
+        if not isinstance(self.keywords, str):
+            raise ValueError("keywords must be text")
 
 
 def parse_log(lines) -> list[Session]:
     """Parse line-delimited records into sessions, in file order.
 
     `lines` is any iterable of text lines (an open file works).  Blank lines
-    are skipped.  Raises ParseError / SchemaError carrying the line number,
-    also for a page named NULL_PAGE or UNKNOWN_PAGE.
+    are skipped.  Raises ParseError / SchemaError carrying the line number:
+    a record of the wrong shape, or one whose fields `Session` or
+    `PageEvent` reject (a page named NULL_PAGE or UNKNOWN_PAGE among them).
     """
     sessions = []
     for line_no, line in enumerate(lines, start=1):
@@ -83,31 +107,20 @@ def _session_from_record(raw, line_no: int) -> Session:
     for key in ("session_id", "keywords", "events"):
         if key not in raw:
             raise SchemaError(line_no, f"missing required field {key!r}")
-    if not isinstance(raw["session_id"], str):
-        raise SchemaError(line_no, "session_id must be text")
-    if not isinstance(raw["keywords"], str):
-        raise SchemaError(line_no, "keywords must be text")
     if not isinstance(raw["events"], list):
         raise SchemaError(line_no, "events must be an array")
     events = []
     for i, ev in enumerate(raw["events"]):
         if not isinstance(ev, dict) or "page" not in ev or "dwell_seconds" not in ev:
             raise SchemaError(line_no, f"event {i} must have page and dwell_seconds")
-        page, dwell = ev["page"], ev["dwell_seconds"]
-        if not isinstance(page, str) or not page:
-            raise SchemaError(line_no, f"event {i}: page must be non-empty text")
-        if page in (NULL_PAGE, UNKNOWN_PAGE):
-            raise SchemaError(line_no, f"event {i}: page {page!r} is a reserved name")
-        if isinstance(dwell, bool) or not isinstance(dwell, (int, float)):
-            raise SchemaError(line_no, f"event {i}: dwell_seconds must be a number")
         try:
-            dwell = float(dwell)
-        except OverflowError:  # an integer beyond the float range
-            dwell = math.inf
-        if not (dwell >= 0) or not math.isfinite(dwell):
-            raise SchemaError(line_no, f"event {i}: dwell_seconds must be >= 0 and finite")
-        events.append(PageEvent(page, dwell))
-    return Session(raw["session_id"], raw["keywords"], tuple(events))
+            events.append(PageEvent(ev["page"], ev["dwell_seconds"]))
+        except ValueError as exc:
+            raise SchemaError(line_no, f"event {i}: {exc}") from exc
+    try:
+        return Session(raw["session_id"], raw["keywords"], tuple(events))
+    except ValueError as exc:
+        raise SchemaError(line_no, str(exc)) from exc
 
 
 def serialize_session(session: Session) -> str:
@@ -178,9 +191,6 @@ class PageVocabulary:
     def encode(self, page_name: str) -> int:
         return self._index.get(page_name, self.unknown_index)
 
-    def __contains__(self, page_name: str) -> bool:
-        return page_name in self._index
-
     def decode(self, index: int) -> str:
         return self.page_names[index]
 
@@ -203,21 +213,11 @@ def build_vocab(sessions, min_freq: int = 5) -> PageVocabulary:
     for s in sessions:
         for ev in s.events:
             counts[ev.page_name] += 1
-    if NULL_PAGE in counts or UNKNOWN_PAGE in counts:
-        for s in sessions:
-            _check_page_names(s)
     retained = sorted(
         (name for name, n in counts.items() if n >= min_freq),
         key=lambda name: (-counts[name], name),
     )
     return PageVocabulary(retained, min_freq)
-
-
-def _check_page_names(session: Session) -> None:
-    """ConfigError naming `session` if one of its pages has a reserved name."""
-    for ev in session.events:
-        if ev.page_name in (NULL_PAGE, UNKNOWN_PAGE):
-            raise ConfigError(f"session {session.session_id!r}: page {ev.page_name!r} is a reserved name")
 
 
 def replicate_dwell(session: Session, unit_seconds: float = UNIT_SECONDS, cap: int = DWELL_CAP) -> list[str]:
@@ -251,9 +251,8 @@ def expand_session(session: Session, vocab: PageVocabulary) -> tuple[list[str], 
 
     Inputs are the keyword phrase followed by the expanded page names; the
     target at each step is the class index of the next expanded page, ending
-    with NULL_PAGE.  A page named NULL_PAGE or UNKNOWN_PAGE raises ConfigError.
+    with NULL_PAGE.
     """
-    _check_page_names(session)
     pages = replicate_dwell(session)
     inputs = [session.keywords] + pages[:-1]
     targets = [vocab.encode(p) for p in pages]
@@ -288,10 +287,6 @@ class MarkovSpec:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    @property
-    def terminal(self) -> str:
-        return self.states[-1]
 
     def validate(self) -> None:
         n = self.n_states

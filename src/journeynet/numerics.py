@@ -120,18 +120,13 @@ class Matrix:
         return f"Matrix(shape={self.shape})"
 
 
-def parameter(data) -> Matrix:
-    """A weight Matrix; like every Matrix it is untracked until a tape watches it."""
-    return Matrix(data)
-
-
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Matrix:
-    """A fan_in x fan_out parameter, uniform in +-sqrt(6 / (fan_in + fan_out)).
+    """A fan_in x fan_out weight Matrix, uniform in +-sqrt(6 / (fan_in + fan_out)).
 
     The initialiser of Glorot & Bengio (2010), used for every weight matrix.
     """
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return parameter(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+    return Matrix(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
 
 
 class _TapeNode:

@@ -265,14 +265,10 @@ class SequenceModel:
                 bias = np.zeros((rows, cols))
                 if name.startswith("lstm"):
                     bias[0, cols // 4:cols // 2] = 1.0
-                weights[name] = nm.parameter(bias)
+                weights[name] = Matrix(bias)
             else:
                 weights[name] = nm.glorot(gen, rows, cols)
         return cls(config, vocab, weights)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.vocab)
 
     def parameters(self) -> list[tuple[str, Matrix]]:
         """(name, weight) pairs in the order of :func:`parameter_shapes`."""
@@ -381,12 +377,7 @@ class SequenceModel:
         probs = self.batch_step_probs(phrases, rowidx).data
         return [StepPrediction(t, p) for t, p in enumerate(probs)]
 
-    def session_nll(
-        self,
-        inputs: list[str],
-        targets: list[int],
-        dropout_rng: np.random.Generator | None = None,
-    ) -> Matrix:
+    def session_nll(self, inputs: list[str], targets: list[int]) -> Matrix:
         """Summed cross-entropy of `targets` under the per-step predictions.
 
         The session runs through :meth:`batch_step_probs` as a batch of one.
@@ -394,7 +385,7 @@ class SequenceModel:
         if len(inputs) != len(targets):
             raise ValueError(f"{len(inputs)} inputs vs {len(targets)} targets")
         phrases, rowidx, _ = padded_batch([inputs])
-        probs = self.batch_step_probs(phrases, rowidx, dropout_rng)
+        probs = self.batch_step_probs(phrases, rowidx)
         return nm.masked_cross_entropy(probs, targets, np.ones(len(targets)))
 
     # -- incremental inference (simulation protocol) -------------------------
@@ -573,8 +564,8 @@ def predict_next(model, prefix) -> np.ndarray:
 def session_loss(predictions: list[StepPrediction], session: Session, vocab: PageVocabulary) -> float:
     """Summed next-page cross-entropy (nats) of a session under `predictions`.
 
-    The targets are those of :func:`journeydata.expand_session` (ConfigError for a page
-    with a reserved name); `predictions` must contain exactly one entry per target.
+    The targets are those of :func:`journeydata.expand_session`; `predictions` must
+    contain exactly one entry per target.
     """
     _, targets = expand_session(session, vocab)
     if len(predictions) != len(targets):
@@ -651,7 +642,7 @@ def model_from_dict(d: dict) -> SequenceModel:
             raise CheckpointError(f"checkpoint weights for {name!r} are not an array") from exc
         if arr.shape != shape:
             raise ShapeError(f"checkpoint weight {name!r} has shape {arr.shape}, expected {shape}")
-        return nm.parameter(arr)
+        return Matrix(arr)
 
     return SequenceModel(config, vocab, {name: weight(name, shape) for name, shape in shapes.items()})
 

@@ -156,17 +156,23 @@ class SimulatedJourney:
             raise ValueError("NULL page must terminate the continuation")
 
 
-def _target_column(objective: Objective, vocab: PageVocabulary) -> np.ndarray:
-    """Which classes of `vocab` are the objective's targets, one bool per class."""
-    column = np.zeros(len(vocab), dtype=bool)
-    for name in objective.target_pages:
-        idx = vocab.encode(name)
-        if idx == vocab.unknown_index and name != UNKNOWN_PAGE:
-            raise ObjectiveError(
-                f"objective {objective.objective_id!r}: page {name!r} is not in the vocabulary"
-            )
-        column[idx] = True
-    return column
+def _targets(objectives: list[Objective], vocab: PageVocabulary) -> np.ndarray:
+    """`targets[j, c]`: whether class c of `vocab` is a target of objective j.
+
+    ObjectiveError for a target page `vocab` lacks.  Each row has one entry
+    more than `vocab` has classes, which stays False: the entry that index
+    -1, the padding after a sampled path, reads.
+    """
+    targets = np.zeros((len(objectives), len(vocab) + 1), dtype=bool)
+    for j, objective in enumerate(objectives):
+        for name in objective.target_pages:
+            idx = vocab.encode(name)
+            if idx == vocab.unknown_index and name != UNKNOWN_PAGE:
+                raise ObjectiveError(
+                    f"objective {objective.objective_id!r}: page {name!r} is not in the vocabulary"
+                )
+            targets[j, idx] = True
+    return targets
 
 
 def _prefix_hit(prefix: JourneyPrefix, objective: Objective) -> bool:
@@ -299,6 +305,7 @@ def _estimate_block(
     predictor,
     prefixes: list[JourneyPrefix],
     objectives: list[Objective],
+    targets: np.ndarray,
     n_samples: int,
     horizon: int,
     seed: int,
@@ -308,25 +315,22 @@ def _estimate_block(
 
     Prefix k draws from the sub-stream of index `first_index + k`.
     Objectives a prefix already reached convert every sample; the others
-    count the sampled paths that touch one of their pages.  The prefixes
-    with some objective still open start in one `start` call and are
-    simulated together, each from its row of the start state.  A rollout
+    count the sampled paths that touch one of their pages (`targets`, the
+    objectives' :func:`_targets`).  The prefixes with some objective
+    still open start in one `start` call and are simulated together, each
+    from its row of the start state.  A rollout
     ends at the NULL page, the horizon, or once every open objective of its
     prefix is hit: its hits are decided by then.
     """
-    targets = [_target_column(o, predictor.vocab) for o in objectives]
     already = np.array([[_prefix_hit(p, o) for o in objectives] for p in prefixes])
     counts = np.zeros(already.shape, dtype=np.intp)
     started = np.flatnonzero(~already.all(axis=1))
     if started.size:
-        # one entry per class, and a last one that stays False: index -1, the padding after a path
-        columns = np.zeros((len(objectives), len(predictor.vocab) + 1), dtype=bool)
-        columns[:, :-1] = targets
         state, dists = predictor.start([prefixes[k] for k in started])
         streams = [(seed, "conversion", first_index + k) for k in started.tolist()]
-        chunks = _simulate(predictor, state, dists, streams, n_samples, horizon, columns[:, :-1].T, ~already[started])
+        chunks = _simulate(predictor, state, dists, streams, n_samples, horizon, targets.T, ~already[started])
         for starts, paths in chunks:
-            for j, column in enumerate(columns):
+            for j, column in enumerate(targets):
                 hit = column[paths].any(axis=1)
                 counts[started, j] += np.bincount(starts[hit], minlength=len(started))
     hits = np.where(already, n_samples, counts)
@@ -363,8 +367,9 @@ def estimate_conversion(
     cell and a standalone call with the same index agree exactly.
     """
     _check_sampling(n_samples, horizon)
+    targets = _targets([objective], predictor.vocab)
     predictor = _served(predictor)
-    return _estimate_block(predictor, [prefix], [objective], n_samples, horizon, seed, prefix_index)[0][0]
+    return _estimate_block(predictor, [prefix], [objective], targets, n_samples, horizon, seed, prefix_index)[0][0]
 
 
 def step_distribution(
@@ -427,7 +432,7 @@ def conversion_path_mass(
     if not prune_tol >= 0:
         raise ValueError(f"prune_tol must be >= 0, got {prune_tol}")
     vocab = predictor.vocab
-    is_target = _target_column(objective, vocab)
+    is_target = _targets([objective], vocab)[0, :-1]
     if _prefix_hit(prefix, objective):
         return PathMass(1.0, 0.0, 0.0, 0)
     if horizon == 0:
@@ -463,16 +468,9 @@ def conversion_path_mass(
     return PathMass(float(hit), float(missed), float(pruned), nodes)
 
 
-def exact_conversion(
-    predictor,
-    prefix: JourneyPrefix,
-    objective: Objective,
-    horizon: int,
-    prune_tol: float = 0.0,
-    max_nodes: int = 2_000_000,
-) -> float:
-    """Conversion probability by explicit path enumeration (see conversion_path_mass)."""
-    return conversion_path_mass(predictor, prefix, objective, horizon, prune_tol, max_nodes).hit
+def exact_conversion(predictor, prefix: JourneyPrefix, objective: Objective, horizon: int) -> float:
+    """Conversion probability by exact path enumeration, no branch pruned (see conversion_path_mass)."""
+    return conversion_path_mass(predictor, prefix, objective, horizon).hit
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +529,12 @@ def score_batch(
     _check_sampling(n_samples, horizon)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    for objective in objectives:  # reject unknown pages before any simulation
-        _target_column(objective, predictor.vocab)
+    targets = _targets(objectives, predictor.vocab)  # rejects unknown pages before any simulation
     predictor = _served(predictor)  # at most one cast per call, shipped to every worker
     size = min(PREFIX_BLOCK, -(-len(prefixes) // workers))
     # the arguments of _estimate_block after the predictor
     units = [
-        (prefixes[a:a + size], objectives, n_samples, horizon, seed, a)
+        (prefixes[a:a + size], objectives, targets, n_samples, horizon, seed, a)
         for a in range(0, len(prefixes), size)
     ]
     workers = min(workers, len(units))  # the pool starts every worker it is allowed

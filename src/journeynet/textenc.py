@@ -35,12 +35,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.chars)
 
-    def __contains__(self, c: str) -> bool:
-        return c in self._index
-
-    def lookup(self, c: str) -> int:
-        return self._index[c]
-
     def get(self, c: str) -> int | None:
         return self._index.get(c)
 

@@ -116,14 +116,14 @@ class _AdaptiveStep:
     allocating nothing, so at its peak a step holds only the weights, their
     gradients, their running averages and the pair.  The update runs the
     first half of every weight's entries in the first half of the pair and
-    the rest in the second half: the second on a `helper` (an executor with
-    one worker) while the calling thread runs the first, or after it without
-    one.  Every entry gets the same bits either way.  A weight without a
-    gradient counts as a zero gradient: its running average decays and its
-    weights stay as they are.
+    the rest in the second half: the second on `helper` (an executor with
+    one worker) while the calling thread runs the first.  Every entry gets
+    the bits one thread would give it.  A weight without a gradient counts
+    as a zero gradient: its running average decays and its weights stay as
+    they are.
     """
 
-    def __init__(self, params, grads, config: TrainConfig, helper: Executor | None = None):
+    def __init__(self, params, grads, config: TrainConfig, helper: Executor):
         self.params, self.grads = params, grads
         self.lr = config.learning_rate
         self.clip = config.gradient_clip_norm
@@ -144,10 +144,6 @@ class _AdaptiveStep:
             live.append((p.data, src.grad, v))
         norm = np.sqrt(sumsq)
         factor = self.clip / norm if norm > self.clip else None
-        if self.helper is None:
-            self._update(live, factor, 0)
-            self._update(live, factor, 1)
-            return
         task = self.helper.submit(self._update, live, factor, 1)
         try:
             self._update(live, factor, 0)
@@ -362,10 +358,6 @@ class Ensemble:
     def vocab(self) -> PageVocabulary:
         return self.models[0].vocab
 
-    @property
-    def n_classes(self) -> int:
-        return self.models[0].n_classes
-
     def start(self, prefixes):
         """Every member's P-row start state, and the member mean of their P x N distributions."""
         prefixes = list(prefixes)  # every member reads them
@@ -380,10 +372,8 @@ class Ensemble:
         """An ensemble of the members' compute copies (`SequenceModel.compute_copy`)."""
         return Ensemble([m.compute_copy() for m in self.models])
 
-    def batch_step_probs(self, phrases, rowidx, dropout_rng=None) -> nm.Matrix:
-        """Member-averaged time-major batch distributions (a constant matrix)."""
-        if dropout_rng is not None:
-            raise ValueError("ensembles are inference-only; dropout is not supported")
+    def batch_step_probs(self, phrases, rowidx) -> nm.Matrix:
+        """Member-averaged time-major batch distributions (a constant matrix); no dropout."""
         per_member = [m.batch_step_probs(phrases, rowidx).data for m in self.models]
         return nm.Matrix._result(np.mean(per_member, axis=0))
 

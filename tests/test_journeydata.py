@@ -27,7 +27,6 @@ from journeynet.journeydata import (
     serialize_session,
     split,
 )
-from journeynet.seqmodel import session_loss
 from toychains import funnel_chain, ten_page_chain
 
 
@@ -93,9 +92,30 @@ def test_page_event_invariants():
         PageEvent("p", -0.5)
     # as the log schema: an infinite dwell would overflow replicate_dwell and
     # save as "Infinity", which parse_log refuses
-    for dwell in (math.inf, math.nan, -math.inf):
+    for dwell in (math.inf, math.nan, -math.inf, 10**400):
         with pytest.raises(ValueError, match="finite"):
             PageEvent("p", dwell)
+
+
+def test_page_event_rejects_what_the_log_schema_rejects():
+    for dwell in (True, "1", None, [1.0]):
+        with pytest.raises(ValueError, match="must be a number"):
+            PageEvent("p", dwell)
+    for page in (1, None, ""):
+        with pytest.raises(ValueError, match="non-empty text"):
+            PageEvent(page, 1.0)
+
+
+def test_page_event_stores_an_integer_dwell_as_a_float():
+    event = PageEvent("p", 30)
+    assert type(event.dwell_seconds) is float
+    assert '"dwell_seconds": 30.0' in serialize_session(Session("s", "", (event,)))
+
+
+@pytest.mark.parametrize("session_id, keywords", [(1, ""), ("s", None), ("s", ["kw"])])
+def test_session_fields_must_be_text(session_id, keywords):
+    with pytest.raises(ValueError, match="must be text"):
+        Session(session_id, keywords, ())
 
 
 def test_reserved_page_name_is_schema_error():
@@ -108,26 +128,13 @@ def test_reserved_page_name_is_schema_error():
 
 
 @pytest.mark.parametrize("name", [NULL_PAGE, UNKNOWN_PAGE])
-def test_build_vocab_names_the_session_with_a_reserved_page(name):
-    # sessions built in code skip the log parser's check
-    sessions = [make_session(["home", "quote"], sid=f"s{i}") for i in range(3)]
-    sessions.append(make_session(["home", name, "quote"], sid="odd"))
-    for min_freq in (1, 2):
-        with pytest.raises(ConfigError, match=r"'odd'.*reserved"):
-            build_vocab(sessions, min_freq=min_freq)
-
-
-@pytest.mark.parametrize("name", [NULL_PAGE, UNKNOWN_PAGE])
-def test_expand_session_names_the_session_with_a_reserved_page(name):
-    # mid-session, a NULL_PAGE would otherwise be encoded as the exit class;
-    # session_loss takes its targets from expand_session, so it raises the same
-    vocab = build_vocab([make_session(["home", "quote"], sid=f"s{i}") for i in range(3)], min_freq=2)
-    odd = make_session(["home", name, "quote"], sid="odd")
-    with pytest.raises(ConfigError, match=r"'odd'.*reserved"):
-        expand_session(odd, vocab)
-    predictions = [np.full(len(vocab), 1 / len(vocab))] * 4  # one per target
-    with pytest.raises(ConfigError, match=r"'odd'.*reserved"):
-        session_loss(predictions, odd, vocab)
+def test_a_page_event_may_not_take_a_reserved_name(name):
+    # so no session built in code holds one either: build_vocab, expand_session
+    # and session_loss never see a page that would be encoded as the exit class
+    with pytest.raises(ValueError, match=r"reserved"):
+        PageEvent(name, 1.0)
+    with pytest.raises(ValueError, match=r"reserved"):
+        make_session(["home", name, "quote"], sid="odd")
 
 
 # a log page may take any non-empty name but the two reserved ones
@@ -172,7 +179,7 @@ def test_vocab_minimal_corpus():
 def test_vocab_threshold_boundary():
     sessions = [make_session(["rare"] * 4 + ["common"] * 5)]
     vocab = build_vocab(sessions, min_freq=5)
-    assert "common" in vocab
+    assert "common" in vocab.page_names
     assert vocab.encode("rare") == vocab.unknown_index
 
 
@@ -450,7 +457,7 @@ def test_no_page_follows_terminal():
     # appears among events at all
     spec = chain_spec()
     for s in generate_synthetic(spec, 200, seed=3):
-        assert spec.terminal not in [ev.page_name for ev in s.events]
+        assert spec.states[-1] not in [ev.page_name for ev in s.events]
         assert len(s.events) >= 1
 
 

@@ -14,7 +14,6 @@ from journeynet.numerics import (
     grad_check,
     masked_cross_entropy,
     matmul,
-    parameter,
     relu,
     reshape,
     scale,
@@ -138,7 +137,7 @@ def test_stable_sigmoid_never_overflows():
 
 
 def test_backward_square():
-    x = parameter([[3.0]])
+    x = Matrix([[3.0]])
     with ComputeTape([x]) as tape:
         y = matmul(x, x)
     backward(tape, y)
@@ -146,7 +145,7 @@ def test_backward_square():
 
 
 def test_backward_constant_function_gives_zero():
-    x = parameter([[2.0]])
+    x = Matrix([[2.0]])
     c = Matrix([[5.0]])
     with ComputeTape([x]) as tape:
         y = add(matmul(x, Matrix([[0.0]])), c)
@@ -155,7 +154,7 @@ def test_backward_constant_function_gives_zero():
 
 
 def test_backward_requires_scalar():
-    x = parameter([[1.0, 2.0]])
+    x = Matrix([[1.0, 2.0]])
     with ComputeTape([x]) as tape:
         y = scale(x, 2.0)
     with pytest.raises(ShapeError):
@@ -163,7 +162,7 @@ def test_backward_requires_scalar():
 
 
 def test_backward_accumulates_across_calls():
-    x = parameter([[3.0]])
+    x = Matrix([[3.0]])
     with ComputeTape([x]) as tape:
         y = matmul(x, x)
     backward(tape, y)
@@ -174,7 +173,7 @@ def test_backward_accumulates_across_calls():
 
 
 def test_backward_frees_each_intermediate_gradient_once_its_node_has_run():
-    x = parameter([[1.0, 2.0]])
+    x = Matrix([[1.0, 2.0]])
     seen = []
 
     def back_y(g):
@@ -198,7 +197,7 @@ def test_backward_frees_each_intermediate_gradient_once_its_node_has_run():
 
 def test_backward_linear_in_loss():
     rng = np.random.default_rng(11)
-    w = parameter(rng.normal(size=(3, 3)))
+    w = Matrix(rng.normal(size=(3, 3)))
     x1 = Matrix(rng.normal(size=(1, 3)))
     x2 = Matrix(rng.normal(size=(1, 3)))
 
@@ -223,10 +222,10 @@ def test_backward_linear_in_loss():
 
 def test_three_layer_composition_matches_finite_differences():
     rng = np.random.default_rng(42)
-    w1 = parameter(rng.normal(scale=0.5, size=(4, 5)))
-    b1 = parameter(rng.normal(scale=0.1, size=(1, 5)))
-    w2 = parameter(rng.normal(scale=0.5, size=(5, 4)))
-    w3 = parameter(rng.normal(scale=0.5, size=(4, 3)))
+    w1 = Matrix(rng.normal(scale=0.5, size=(4, 5)))
+    b1 = Matrix(rng.normal(scale=0.1, size=(1, 5)))
+    w2 = Matrix(rng.normal(scale=0.5, size=(5, 4)))
+    w3 = Matrix(rng.normal(scale=0.5, size=(4, 3)))
     x = Matrix(rng.normal(size=(2, 4)))
     t = np.array([2, 0])
     m = np.ones(2)
@@ -243,7 +242,7 @@ def test_three_layer_composition_matches_finite_differences():
 def test_grad_check_quadratic_form_is_nearly_exact():
     rng = np.random.default_rng(5)
     a = Matrix(rng.normal(size=(3, 3)))
-    x = parameter(rng.normal(size=(1, 3)))
+    x = Matrix(rng.normal(size=(1, 3)))
 
     def f():
         xt = reshape(x, 3, 1)
@@ -258,7 +257,7 @@ def test_grad_check_no_parameters_returns_zero():
 
 
 def test_grad_check_rejects_non_finite():
-    x = parameter([[1e308]])
+    x = Matrix([[1e308]])
 
     def f():
         return matmul(x, x)
@@ -298,7 +297,7 @@ def test_primitive_gradients_match_finite_differences(op_name):
             d = rng.uniform(-2, 2, size=(rows, cols))
             if away_from_zero:
                 d = np.where(np.abs(d) < 1e-3, d + np.sign(d + 0.5) * 0.1, d)
-            return parameter(d)
+            return Matrix(d)
 
         def projector(rows, cols):
             pr = np.random.default_rng(stable_seed(op_name, trial, "proj"))
@@ -382,7 +381,7 @@ def test_masked_cross_entropy_matches_sum_of_rows():
 
 
 def test_dropout_inverted_scaling_and_gradient():
-    x = parameter(np.full((20, 10), 3.0))
+    x = Matrix(np.full((20, 10), 3.0))
     rng = np.random.default_rng(0)
     y = dropout(x, 0.5, rng)
     kept = y.data != 0
@@ -403,7 +402,7 @@ def test_dropout_inverted_scaling_and_gradient():
 @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
 def test_dropout_mask_is_bitwise_the_divided_keep_mask(rate, dtype):
     # the mask once was (keep / (1 - rate)) in float64, cast to the operand's dtype
-    x = parameter(np.random.default_rng(1).normal(size=(64, 48)))
+    x = Matrix(np.random.default_rng(1).normal(size=(64, 48)))
     x.data = x.data.astype(dtype)
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)
     with ComputeTape([x]) as tape:
@@ -452,7 +451,7 @@ def test_nested_tapes_rejected():
 
 
 def test_a_tape_tracks_its_leaves_only_inside_its_block_also_on_an_exception():
-    w = parameter([[2.0]])
+    w = Matrix([[2.0]])
     with pytest.raises(ValueError):
         with ComputeTape([w]):
             assert w.track
@@ -480,7 +479,7 @@ def test_accumulate_grad_never_writes_into_a_shared_gradient():
     g = np.arange(6.0).reshape(2, 3)
     other = np.ones((2, 3))
     kept = g.copy()
-    a, b = parameter(np.zeros((2, 3))), parameter(np.zeros((2, 3)))
+    a, b = Matrix(np.zeros((2, 3))), Matrix(np.zeros((2, 3)))
     a.accumulate_grad(g)
     b.accumulate_grad(g)
     a.accumulate_grad(other)
@@ -493,7 +492,7 @@ def test_accumulate_grad_never_writes_into_a_shared_gradient():
 def test_accumulate_grad_same_array_twice_into_one_parameter():
     g = np.arange(6.0).reshape(2, 3)
     kept = g.copy()
-    a = parameter(np.zeros((2, 3)))
+    a = Matrix(np.zeros((2, 3)))
     a.accumulate_grad(g)
     a.accumulate_grad(g)
     a.accumulate_grad(g)
@@ -511,9 +510,9 @@ def test_ops_follow_float32_operands(monkeypatch):
 
     monkeypatch.setattr(nm, "lstm_cell", recording_cell)
     rng = np.random.default_rng(4)
-    w = parameter(rng.standard_normal((3, 8)))
-    wh = parameter(rng.standard_normal((2, 8)))
-    bias = parameter(np.zeros((1, 8)))
+    w = Matrix(rng.standard_normal((3, 8)))
+    wh = Matrix(rng.standard_normal((2, 8)))
+    bias = Matrix(np.zeros((1, 8)))
     for m in (w, wh, bias):
         m.data = m.data.astype(np.float32)
     x = Matrix._result(rng.standard_normal((6, 3)).astype(np.float32))
@@ -584,7 +583,7 @@ def test_rows_product_rows_of_a_phrase_do_not_depend_on_the_phrases_sharing_its_
 
 def test_matmul_of_one_row_is_that_row_of_a_batch():
     gen = np.random.default_rng(5)
-    a, w = Matrix(gen.normal(size=(3, 40))), nm.parameter(gen.normal(size=(40, 9)))
+    a, w = Matrix(gen.normal(size=(3, 40))), nm.Matrix(gen.normal(size=(40, 9)))
     batch = nm.matmul(a, w).data
     for i in range(3):
         assert np.array_equal(nm.matmul(Matrix(a.data[i:i + 1]), w).data[0], batch[i])
@@ -602,7 +601,7 @@ def slot_weights(dtype):
     gen = np.random.default_rng(26)
     shapes = [(5, 4 * SLOT_HIDDEN), (SLOT_HIDDEN, 4 * SLOT_HIDDEN), (1, 4 * SLOT_HIDDEN)]
     shapes += [(SLOT_HIDDEN, 4 * SLOT_HIDDEN)] + shapes[1:]
-    weights = [parameter(gen.uniform(-1, 1, size=s)) for s in shapes]
+    weights = [Matrix(gen.uniform(-1, 1, size=s)) for s in shapes]
     for w in weights:
         w.data = w.data.astype(dtype)
     return weights
@@ -663,7 +662,7 @@ def test_slot_backward_twice_in_one_recording_adds_the_same_gradients_twice():
 def test_slot_never_becomes_a_leaf_gradient():
     # an input projection watched as a leaf keeps its gradient across recordings
     gen = np.random.default_rng(3)
-    xproj, wh, bias = (parameter(gen.uniform(-1, 1, size=s)) for s in [(8, 8), (2, 8), (1, 8)])
+    xproj, wh, bias = (Matrix(gen.uniform(-1, 1, size=s)) for s in [(8, 8), (2, 8), (1, 8)])
     zero = np.zeros((2, 2))
     tape = ComputeTape([xproj, wh, bias])
     with tape:

@@ -67,9 +67,9 @@ def toy_model(seed=0, config=TOY_CONFIG, vocab=None):
 
 
 def zero_layer(input_dim=3, hidden=2):
-    wx = nm.parameter(np.zeros((input_dim, 4 * hidden)))
-    wh = nm.parameter(np.zeros((hidden, 4 * hidden)))
-    b = nm.parameter(np.zeros((1, 4 * hidden)))
+    wx = nm.Matrix(np.zeros((input_dim, 4 * hidden)))
+    wh = nm.Matrix(np.zeros((hidden, 4 * hidden)))
+    b = nm.Matrix(np.zeros((1, 4 * hidden)))
     return LstmLayer(wx, wh, b)
 
 
@@ -105,9 +105,9 @@ def test_lstm_single_unit_hand_oracle():
     # all weights one, bias zero, x = [1], zero state:
     #   every gate pre-activation is 1, so c' = sigmoid(1)*tanh(1),
     #   h = sigmoid(1)*tanh(c'); values computed with the scalar formulas
-    wx = nm.parameter(np.ones((1, 4)))
-    wh = nm.parameter(np.ones((1, 4)))
-    b = nm.parameter(np.zeros((1, 4)))
+    wx = nm.Matrix(np.ones((1, 4)))
+    wh = nm.Matrix(np.ones((1, 4)))
+    b = nm.Matrix(np.zeros((1, 4)))
     layer = LstmLayer(wx, wh, b)
     h, c = cell(layer, project(layer, [[1.0]]), np.zeros((1, 1)), np.zeros((1, 1)))
     assert c.item() == pytest.approx(0.5567699411459397, abs=1e-12)
@@ -195,7 +195,7 @@ def test_forward_session_one_prediction_per_step():
     assert len(preds) == 4
     for t, p in enumerate(preds):
         assert p.step == t
-        assert p.probs.shape == (model.n_classes,)
+        assert p.probs.shape == (len(model.vocab),)
         assert np.all(p.probs >= 0)
         assert abs(p.probs.sum() - 1.0) < 1e-6
 
@@ -460,7 +460,7 @@ def test_start_step_matches_forward_session():
     state, dist2 = model.step(state, [0], [model.vocab.encode("b")])
     full = model.forward_session(["kw", "a", "b"])
     assert np.array_equal(dist, full[1].probs)
-    assert dist2.shape == (1, model.n_classes)
+    assert dist2.shape == (1, len(model.vocab))
     assert np.array_equal(dist2[0], full[2].probs)
 
 
@@ -534,12 +534,12 @@ def test_state_size_constant_over_long_sequences():
     for _ in range(40):
         state, dist = model.step(state, [0], [model.vocab.encode("a")])
         assert [(h.shape, c.shape) for h, c in state.layers] == shapes
-        assert dist.shape == (1, model.n_classes)
+        assert dist.shape == (1, len(model.vocab))
 
 
 def assert_start_rows_equal_single_starts(predictor, prefixes):
     states, dists = predictor.start(prefixes)
-    assert dists.shape == (len(prefixes), predictor.n_classes)
+    assert dists.shape == (len(prefixes), len(predictor.vocab))
     members = states if isinstance(states, list) else [states]
     for k, prefix in enumerate(prefixes):
         # a cold copy for each: the batch's memo would serve the prefix its own row
@@ -564,7 +564,7 @@ def test_batched_start_rows_equal_one_prefix_starts():
     model = toy_model(seed=41, config=replace(TOY_CONFIG, lstm_hidden=(6, 4)))
     assert_start_rows_equal_single_starts(model, BATCHED_PREFIXES)
     model.start(BATCHED_PREFIXES)
-    assert model._cache.table.shape == (model.n_classes, 4 * 6)
+    assert model._cache.table.shape == (len(model.vocab), 4 * 6)
 
 
 def test_batched_start_rows_equal_one_prefix_starts_in_an_ensemble():
@@ -605,7 +605,7 @@ def test_start_and_step_under_a_tape_return_the_off_tape_bits():
 
 def test_inference_records_nothing_on_an_active_tape():
     model = toy_model(seed=39, config=replace(TOY_CONFIG, lstm_hidden=(6, 4)))
-    unrelated = nm.parameter(np.ones((model.w_fc.cols, 2)))
+    unrelated = nm.Matrix(np.ones((model.w_fc.cols, 2)))
     with nm.ComputeTape([unrelated]) as tape:
         state, _ = model.start([Prefix("kw", ("a",))])
         model.start(BATCHED_PREFIXES)
@@ -1353,7 +1353,7 @@ def test_constructor_rejects_weights_off_the_layout():
     model = toy_model(seed=9)
     missing = dict(model.parameters())
     del missing["out.bias"]
-    resized = {**dict(model.parameters()), "out.bias": nm.parameter(np.zeros((1, 2)))}
+    resized = {**dict(model.parameters()), "out.bias": nm.Matrix(np.zeros((1, 2)))}
     for weights in (missing, resized):
         with pytest.raises(ShapeError):
             SequenceModel(model.config, model.vocab, weights)

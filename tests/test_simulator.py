@@ -566,12 +566,11 @@ def test_block_hit_counts_equal_an_isin_count_of_the_same_paths():
     objectives = [Objective("b", {"B"}), Objective("unknown", {UNKNOWN_PAGE}), Objective("bc", {"B", "C"})]
     n, horizon, seed = CHUNK + 150, 6, 3
 
-    targets = [np.flatnonzero(simulator._target_column(o, vocab)) for o in objectives]
+    columns = simulator._targets(objectives, vocab)
+    targets = [np.flatnonzero(column[:-1]) for column in columns]
+    is_target = columns.T
     already = np.array([[simulator._prefix_hit(p, o) for o in objectives] for p in prefixes])
     started = np.flatnonzero(~already.all(axis=1))
-    is_target = np.zeros((len(vocab), len(objectives)), dtype=bool)
-    for j, target in enumerate(targets):
-        is_target[target, j] = True
     state, dists = pred.start([prefixes[k] for k in started])
     streams = [(seed, "conversion", k) for k in started.tolist()]
     counts = np.zeros(already.shape, dtype=int)
@@ -584,8 +583,20 @@ def test_block_hit_counts_equal_an_isin_count_of_the_same_paths():
     assert ended_early > 0
     assert 0 < expected[:, 1].min() and expected[:, 1].max() < n
 
-    cells = simulator._estimate_block(pred, prefixes, objectives, n, horizon, seed, 0)
+    cells = simulator._estimate_block(pred, prefixes, objectives, columns, n, horizon, seed, 0)
     assert [[round(c.probability * n) for c in row] for row in cells] == expected.tolist()
+
+
+def test_score_batch_decides_the_objectives_targets_once(monkeypatch):
+    decided, targets = [], simulator._targets
+    monkeypatch.setattr(
+        simulator, "_targets", lambda objectives, vocab: decided.append(objectives) or targets(objectives, vocab)
+    )
+    objectives = [Objective("b", {"B"}), Objective("c", {"C"})]
+    prefixes = [JourneyPrefix("", ("A",))] * (2 * simulator.PREFIX_BLOCK + 1)  # three blocks
+    rows = score_batch(hand_predictor(), prefixes, objectives, n_samples=20, horizon=3, seed=0)
+    assert len(rows) == len(prefixes) * len(objectives)
+    assert decided == [objectives]
 
 
 def test_importing_the_package_leaves_the_process_pool_unloaded():
@@ -744,7 +755,7 @@ def test_batched_step_matches_one_row_steps(funnel_model):
     rows = [2, 0, 1, 0, 2]
     pages = [enc("checkout"), enc("price"), enc("converted"), enc("form_driver"), enc("landing")]
     batch_state, batch_dists = model.step(state3, rows, pages)
-    assert batch_dists.shape == (len(rows), model.n_classes)
+    assert batch_dists.shape == (len(rows), len(model.vocab))
     for j, (r, page) in enumerate(zip(rows, pages)):
         one, _ = model.step(state1, [0], [firsts[r]])
         one, dist = model.step(one, [0], [page])

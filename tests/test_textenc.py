@@ -25,10 +25,10 @@ def test_alphabet_rejects_duplicates():
         Alphabet("aba")
 
 
-def test_alphabet_lookup_below_size():
+def test_alphabet_get_below_size():
     a = Alphabet()
     for c in DEFAULT_ALPHABET:
-        assert a.lookup(c) < len(a)
+        assert a.get(c) < len(a)
 
 
 def test_quantize_empty_phrase_is_all_zero():
@@ -60,7 +60,7 @@ def test_quantize_truncates():
     a = Alphabet()
     q = quantize("abcdef", a, 3)
     assert q.shape == (3, 42)
-    assert q[2, a.lookup("c")] == 1.0
+    assert q[2, a.get("c")] == 1.0
 
 
 def test_quantize_cuts_a_phrase_that_lowercasing_lengthens():
@@ -68,7 +68,7 @@ def test_quantize_cuts_a_phrase_that_lowercasing_lengthens():
     a = Alphabet()
     q = quantize("İ" * 4, a, 4)
     assert q.shape == (4, 42) and q.sum() == 2.0
-    assert q[0, a.lookup("i")] == q[2, a.lookup("i")] == 1.0
+    assert q[0, a.get("i")] == q[2, a.get("i")] == 1.0
 
 
 def test_quantize_requires_positive_max_len():
@@ -164,9 +164,9 @@ def test_conv_pool_gradients_pass_grad_check():
         filters = int(rng.integers(1, 4))
         width = int(rng.integers(1, 4))
         # keep entries away from tie/kink points so finite differences are valid
-        x = nm.parameter(rng.uniform(0.1, 1.0, size=(length, channels)))
-        k = nm.parameter(rng.uniform(0.1, 1.0, size=(width * channels, filters)))
-        b = nm.parameter(rng.uniform(0.05, 0.2, size=(1, filters)))
+        x = nm.Matrix(rng.uniform(0.1, 1.0, size=(length, channels)))
+        k = nm.Matrix(rng.uniform(0.1, 1.0, size=(width * channels, filters)))
+        b = nm.Matrix(rng.uniform(0.05, 0.2, size=(1, filters)))
         n_out = -(-(length - width + 1) // 2)
         w_out = nm.Matrix(rng.uniform(0.5, 1.5, size=(filters, 1)))
         w_rows = nm.Matrix(rng.uniform(0.5, 1.5, size=(1, n_out)))
@@ -254,7 +254,7 @@ def test_off_tape_maxpool_equals_taped_forward():
     n, length, cols, window = 3, 10, 5, 4
     x = rng.integers(-3, 2, size=(n * length, cols)).astype(float)
     x[length - 2:length] = -7.0
-    leaf = nm.parameter(x)
+    leaf = nm.Matrix(x)
     off = maxpool1d(leaf, window, n).data
     with nm.ComputeTape([leaf]) as tape:
         taped = maxpool1d(leaf, window, n).data

@@ -654,12 +654,9 @@ def _reference_step(params, sq, lr, clip, decay, eps):
         p.data -= lr * g / (np.sqrt(v) + eps)
 
 
-@pytest.fixture(params=[False, True], ids=["inline", "helper"])
-def helper(request):
-    """None, or a one-thread executor that runs half of each optimizer step."""
-    if not request.param:
-        yield None
-        return
+@pytest.fixture
+def helper():
+    """A one-thread executor that runs half of each optimizer step, as `train` gives one."""
     with ThreadPoolExecutor(max_workers=1) as pool:
         yield pool
 
@@ -673,9 +670,9 @@ def test_adaptive_step_is_bitwise_the_reference_formula(clip, missing, grad_dtyp
 
     rng = np.random.default_rng(9)
     shapes = [(7, 5), (1, 5), (33, 20), (9, 77)]  # odd sizes, the largest too, split unevenly
-    mine = [nm.parameter(rng.standard_normal(s)) for s in shapes]
-    ref = [nm.parameter(p.data) for p in mine]
-    grads = [nm.parameter(np.zeros(s)) for s in shapes]  # the step reads the gradients from these
+    mine = [nm.Matrix(rng.standard_normal(s)) for s in shapes]
+    ref = [nm.Matrix(p.data) for p in mine]
+    grads = [nm.Matrix(np.zeros(s)) for s in shapes]  # the step reads the gradients from these
     config = TrainConfig(learning_rate=3e-3, gradient_clip_norm=clip, **TOY_TRAIN)
     opt = _AdaptiveStep(mine, grads, config, helper)
     ref_sq = [np.zeros(s) for s in shapes]
@@ -700,15 +697,15 @@ def test_adaptive_step_is_bitwise_the_reference_formula(clip, missing, grad_dtyp
 def test_adaptive_step_views_of_other_shapes_share_its_scratch_bitwise(clip, missing, helper):
     """The largest weight first, then a 1-row one: every weight's views of
     the shared scratch pair start where the largest weight's did (each
-    half's, with a helper).  The largest is large enough that numpy lets
-    the two halves of its update run at once."""
+    half's).  The largest is large enough that numpy lets the two halves
+    of its update run at once."""
     from journeynet import numerics as nm
     from journeynet.training import RMS_DECAY, RMS_EPSILON, _AdaptiveStep
 
     rng = np.random.default_rng(10)
     shapes = [(300, 701), (1, 40), (7, 5), (20, 33), (33, 20), (1, 1)]
-    mine = [nm.parameter(rng.standard_normal(s)) for s in shapes]
-    ref = [nm.parameter(p.data) for p in mine]
+    mine = [nm.Matrix(rng.standard_normal(s)) for s in shapes]
+    ref = [nm.Matrix(p.data) for p in mine]
     config = TrainConfig(learning_rate=3e-3, gradient_clip_norm=clip, **TOY_TRAIN)
     opt = _AdaptiveStep(mine, mine, config, helper)
     ref_sq = [np.zeros(s) for s in shapes]
@@ -734,13 +731,13 @@ def _float64_entries(obj) -> int:
     return 0
 
 
-def test_adaptive_step_keeps_one_average_per_weight_and_one_scratch_pair(chain_data):
+def test_adaptive_step_keeps_one_average_per_weight_and_one_scratch_pair(chain_data, helper):
     from journeynet.training import _AdaptiveStep
 
     _, _, vocab = chain_data
     config = TrainConfig()  # the paper's architecture
     params = [p for _, p in SequenceModel.build(config.model_config(), vocab, 0).parameters()]
-    opt = _AdaptiveStep(params, params, config)
+    opt = _AdaptiveStep(params, params, config, helper)
     total = sum(p.data.size for p in params)
     largest = max(p.data.size for p in params)
     assert largest == 131_072  # lstm0.wx
