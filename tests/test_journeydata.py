@@ -85,6 +85,37 @@ def test_negative_dwell_is_schema_error():
     assert exc.value.line_no == 1
 
 
+# each rule of the record's shape and of the types it builds, broken on line 2
+MALFORMED_RECORDS = {
+    "record-not-object": ('["a", "", []]', "must be an object"),
+    "events-not-array": ('{"session_id": "b", "keywords": "", "events": {}}', "events must be an array"),
+    "event-not-object": ('{"session_id": "b", "keywords": "", "events": ["p"]}', "event 0 must have"),
+    "event-without-dwell": ('{"session_id": "b", "keywords": "", "events": [{"page": "p"}]}', "event 0 must have"),
+    "bool-dwell": ('{"session_id": "b", "keywords": "", "events": [{"page": "p", "dwell_seconds": true}]}',
+                   "event 0: dwell_seconds must be a number"),
+    "text-dwell": ('{"session_id": "b", "keywords": "", "events": [{"page": "p", "dwell_seconds": "1"}]}',
+                   "event 0: dwell_seconds must be a number"),
+    "null-dwell": ('{"session_id": "b", "keywords": "", "events": [{"page": "p", "dwell_seconds": null}]}',
+                   "event 0: dwell_seconds must be a number"),
+    "int-dwell-past-float": ('{"session_id": "b", "keywords": "", "events": [{"page": "p", "dwell_seconds": 1%s}]}'
+                             % ("0" * 400), "event 0: dwell_seconds must be >= 0 and finite"),
+    "empty-page": ('{"session_id": "b", "keywords": "", "events": [{"page": "p", "dwell_seconds": 1},'
+                   ' {"page": "", "dwell_seconds": 1}]}', "event 1: page must be non-empty text"),
+    "null-page": ('{"session_id": "b", "keywords": "", "events": [{"page": null, "dwell_seconds": 1}]}',
+                  "event 0: page must be non-empty text"),
+    "int-session-id": ('{"session_id": 7, "keywords": "", "events": []}', "session_id must be text"),
+    "null-keywords": ('{"session_id": "b", "keywords": null, "events": []}', "keywords must be text"),
+}
+
+
+@pytest.mark.parametrize("record, message", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS.keys())
+def test_a_malformed_record_is_a_schema_error_on_its_line(record, message):
+    good = '{"session_id": "a", "keywords": "", "events": []}'
+    with pytest.raises(SchemaError, match=message) as exc:
+        parse_log(io.StringIO(good + "\n" + record + "\n" + good + "\n"))
+    assert exc.value.line_no == 2
+
+
 def test_page_event_invariants():
     with pytest.raises(ValueError):
         PageEvent("", 1.0)
