@@ -305,11 +305,9 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out = Matrix._result(rows_product(a.data, b.data))
-    ta, tb = a.track, b.track
+    ta = a.track
 
-    def back(g):
-        if not tb:
-            return g @ b.data.T, None
+    def back(g):  # backward never runs the thunk of an untracked `b`
         gb = np.empty(b.shape, np.result_type(a.data, g))
         return (g @ b.data.T if ta else None), lambda: np.matmul(a.data.T, g, out=gb)
 
@@ -343,8 +341,6 @@ def relu(x: Matrix) -> Matrix:
 
 def softmax(logits: Matrix) -> Matrix:
     """Row-wise softmax, stabilised by max subtraction."""
-    if logits.data.size == 0:
-        raise ValueError("softmax needs at least one element")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=1, keepdims=True)
@@ -420,9 +416,8 @@ def take_rows(x: Matrix, indices) -> Matrix:
 
 
 def dropout(x: Matrix, rate: float, rng: np.random.Generator) -> Matrix:
-    """Inverted dropout: surviving entries are scaled by 1/(1-rate)."""
-    if not 0 <= rate < 1:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    """Inverted dropout: surviving entries are scaled by 1/(1-rate), a rate
+    in [0, 1) as `ModelConfig` keeps it."""
     if rate == 0.0:
         return x
     keep = (rng.random(x.shape) >= rate) * x.data.dtype.type(1.0 / (1.0 - rate))
@@ -466,13 +461,10 @@ def lstm_sequence(
     backward pass runs BPTT one step at a time, where only ``dh = dz_t @ wh.T``
     is a product, and forms the gradients of `wh` and `bias` once.  Recorded,
     both row arrays are slots of the active tape (see the module notes).
+    `xproj`, `wh` and `bias` follow the model's weight layout
+    (:func:`seqmodel.parameter_shapes`); the states must fit the batch.
     """
     hs = wh.rows
-    if wh.cols != 4 * hs or xproj.cols != wh.cols or bias.shape != (1, wh.cols):
-        raise ShapeError(
-            f"LSTM shapes are inconsistent: input {xproj.shape}, recurrent {wh.shape}, "
-            f"bias {bias.shape}"
-        )
     batch = len(h0)
     if batch < 1 or h0.shape != (batch, hs) or c0.shape != h0.shape or xproj.rows % batch:
         raise ShapeError(f"{xproj.rows} input rows do not fit states {h0.shape} and {c0.shape}")

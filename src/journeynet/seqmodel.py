@@ -97,6 +97,10 @@ class ModelConfig:
         object.__setattr__(self, "lstm_hidden", tuple(self.lstm_hidden))
         if not 0 <= self.dropout_rate < 1:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        try:
+            Alphabet(self.alphabet)
+        except ValueError as exc:  # an empty or repeating alphabet
+            raise ConfigError(str(exc)) from exc
         if not self.conv_stages or not self.lstm_hidden:
             raise ConfigError("need at least one conv stage and one LSTM layer")
         if any(len(s) != 3 for s in self.conv_stages):
@@ -625,7 +629,6 @@ def model_from_dict(d: dict) -> SequenceModel:
     try:
         config = ModelConfig.from_dict(config)
         vocab = PageVocabulary.from_dict(vocab)
-        Alphabet(config.alphabet)  # rejects a duplicate or empty alphabet
         shapes = parameter_shapes(config, len(vocab))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"checkpoint model has a bad config or vocabulary ({exc!r})") from exc

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import ShapeError
 from .numerics import Matrix
 
 # 26 letters + 10 digits + space hyphen underscore slash period apostrophe
@@ -57,26 +56,17 @@ def quantize(phrase: str, alphabet: Alphabet, max_len: int) -> np.ndarray:
     return out
 
 
-def conv1d(x: Matrix, kernels: Matrix, bias: Matrix, width: int, n: int = 1) -> Matrix:
+def conv1d(x: Matrix, kernels: Matrix, bias: Matrix, width: int, n: int) -> Matrix:
     """Valid 1-D convolution over rows followed by ReLU.
 
     `x` stacks `n` equal-length sequences, each length x channels, one under
     the other; every sequence is convolved on its own and the outputs are
     stacked the same way.  `kernels` holds the width x channels x filters
     bank laid out row-major as (width * channels) x filters, position-major;
-    `bias` is 1 x filters.
+    `bias` is 1 x filters.  Every shape here comes from the model's config
+    and weight layout (:func:`seqmodel.parameter_shapes` rejects a stage
+    input shorter than its kernel).
     """
-    length, channels = x.rows // n, x.cols
-    if width < 1:
-        raise ValueError(f"kernel width must be >= 1, got {width}")
-    if length * n != x.rows:
-        raise ShapeError(f"{x.rows} rows do not split into {n} sequences")
-    if length < width:
-        raise ShapeError(f"input length {length} shorter than kernel width {width}")
-    if kernels.rows != width * channels:
-        raise ShapeError(
-            f"kernel bank {kernels.shape} does not match width {width} x channels {channels}"
-        )
     windows = _window_rows(x, width, n)
     return nm.relu(nm.add(nm.matmul(windows, kernels), bias))
 
@@ -100,16 +90,12 @@ def _window_rows(x: Matrix, width: int, n: int) -> Matrix:
     return nm.record(out, (x,), back)
 
 
-def maxpool1d(x: Matrix, window: int, n: int = 1) -> Matrix:
+def maxpool1d(x: Matrix, window: int, n: int) -> Matrix:
     """Non-overlapping per-column max over row windows of each of `n` stacked
     equal-length sequences; a partial tail window is kept, so each sequence
     gives ceil(length / window) rows.  The gradient routes to the first
     maximal position in each window."""
-    if window < 1:
-        raise ValueError(f"pool window must be >= 1, got {window}")
     length, cols = x.rows // n, x.cols
-    if length * n != x.rows:
-        raise ShapeError(f"{x.rows} rows do not split into {n} sequences")
     n_out = -(-length // window)
     # -inf fills the tail window, so it never wins against a real entry
     seg = np.full((n, n_out * window, cols), -np.inf, dtype=x.data.dtype)

@@ -118,9 +118,8 @@ class _AdaptiveStep:
     first half of every weight's entries in the first half of the pair and
     the rest in the second half: the second on `helper` (an executor with
     one worker) while the calling thread runs the first.  Every entry gets
-    the bits one thread would give it.  A weight without a gradient counts
-    as a zero gradient: its running average decays and its weights stay as
-    they are.
+    the bits one thread would give it.  Every weight of the training graph
+    feeds every batch's loss, so every one has a gradient.
     """
 
     def __init__(self, params, grads, config: TrainConfig, helper: Executor):
@@ -133,32 +132,27 @@ class _AdaptiveStep:
         self.pair = np.zeros(largest), np.zeros(largest)
 
     def step(self) -> None:
-        live = []
         sumsq = 0.0
-        for p, src, v in zip(self.params, self.grads, self.sq):
-            if src.grad is None:
-                v *= RMS_DECAY
-                continue
+        for src, v in zip(self.grads, self.sq):
             t = self.pair[1][:v.size].reshape(v.shape)
             sumsq += float(np.multiply(src.grad, src.grad, out=t, dtype=np.float64).sum())
-            live.append((p.data, src.grad, v))
         norm = np.sqrt(sumsq)
         factor = self.clip / norm if norm > self.clip else None
-        task = self.helper.submit(self._update, live, factor, 1)
+        task = self.helper.submit(self._update, factor, 1)
         try:
-            self._update(live, factor, 0)
+            self._update(factor, 0)
         finally:
             task.exception()  # the helper's half is done, also when this half failed
         task.result()
 
-    def _update(self, live, factor, half: int) -> None:
-        """Update half of the entries of every (weight, gradient, average) of
-        `live`, in that half of the scratch pair: the first size // 2 of each
+    def _update(self, factor, half: int) -> None:
+        """Update half of the entries of every weight, gradient and average,
+        in that half of the scratch pair: the first size // 2 of each
         (`half` 0) or the rest (`half` 1)."""
         at = half * (len(self.pair[0]) // 2)
-        for w, grad, v in live:
+        for p, src, v in zip(self.params, self.grads, self.sq):
             entries = slice(v.size // 2) if half == 0 else slice(v.size // 2, None)
-            w, grad, v = (a.reshape(-1)[entries] for a in (w, grad, v))
+            w, grad, v = (a.reshape(-1)[entries] for a in (p.data, src.grad, v))
             g, t = (b[at:at + v.size] for b in self.pair)
             np.copyto(g, grad)
             if factor is not None:
@@ -176,22 +170,9 @@ class _AdaptiveStep:
             w -= g
 
 
-@dataclass
-class _Expanded:
-    inputs: list[str]
-    targets: np.ndarray
-
-
-def _expand_all(sessions, vocab) -> list[_Expanded]:
-    out = []
-    for s in sessions:
-        inputs, targets = expand_session(s, vocab)
-        out.append(_Expanded(inputs, np.asarray(targets, dtype=np.intp)))
-    return out
-
-
 def _make_batches(expanded, order, batch_size, rng=None):
-    """Chunk a shuffled index order into batches of similar length.
+    """Chunk a shuffled index order of `expanded`, (inputs, targets) pairs of
+    `expand_session`, into batches of similar length.
 
     The shuffled order is stably re-sorted by expanded length so padding waste
     stays low, and batch composition still varies per epoch.  The batch list
@@ -199,9 +180,9 @@ def _make_batches(expanded, order, batch_size, rng=None):
     would end every epoch on the longest sessions, whose early steps are
     never exit transitions, and that ordering bias leaks into the weights.
     """
-    by_len = sorted(order, key=lambda i: len(expanded[i].inputs))
+    by_len = sorted(order, key=lambda i: len(expanded[i][0]))
     batches = [by_len[i:i + batch_size] for i in range(0, len(by_len), batch_size)]
-    if rng is not None and len(batches) > 1:
+    if rng is not None:
         batches = [batches[i] for i in rng.permutation(len(batches))]
     return batches
 
@@ -211,12 +192,12 @@ def _batch_tensors(expanded, idx_batch):
 
     The "" phrase is row 0 and feeds every padding step.
     """
-    phrases, rowidx, lengths = padded_batch([expanded[i].inputs for i in idx_batch], {"": 0})
+    phrases, rowidx, lengths = padded_batch([expanded[i][0] for i in idx_batch], {"": 0})
     phrases = ["", *phrases]
     targets = np.zeros(rowidx.shape, dtype=np.intp)
     mask = np.zeros(rowidx.shape)
     for bi, (i, t) in enumerate(zip(idx_batch, lengths)):
-        targets[bi, :t] = expanded[i].targets
+        targets[bi, :t] = expanded[i][1]
         mask[bi, :t] = 1.0
     return phrases, rowidx, targets, mask
 
@@ -248,7 +229,7 @@ def train(
             raise ConfigError(f"training session {s.session_id!r} has no page events")
     held_out = _prepare_eval(eval_sessions if eval_sessions is not None else sessions, vocab)
     model = SequenceModel.build(config.model_config(), vocab, config.seed)
-    expanded = _expand_all(sessions, vocab)
+    expanded = [expand_session(s, vocab) for s in sessions]
     params = [p for _, p in model.parameters()]
     # the float32 model each batch runs on
     twin = SequenceModel(model.config, vocab, {
@@ -308,7 +289,7 @@ def _prepare_eval(sessions, vocab: PageVocabulary) -> _EvalBatches:
     sessions = list(sessions)
     if not sessions:
         raise ConfigError("no sessions to evaluate")
-    expanded = _expand_all(sessions, vocab)
+    expanded = [expand_session(s, vocab) for s in sessions]
     batches = _make_batches(expanded, list(range(len(expanded))), EVAL_BATCH)
     return _EvalBatches(_batch_tensors(expanded, idx_batch) for idx_batch in batches)
 

@@ -19,12 +19,21 @@ What counts, by name, since the scan knows no types:
   `__init__`, of its class) that passes `p` by keyword or by position, or
   that unpacks `*args` or `**kwargs`, and by any use of `f` other than a
   call (a callable handed on may be called with anything).
+
+Nor does a name outside `journeynet.__all__` keep a default that every call
+in `src/` overrides: such a default decides nothing, and only a test that
+leaves the parameter out takes it.  A call sets a parameter for sure when it
+passes it by keyword, or by position before any `*args`.  Exported names
+and their methods keep their public defaults.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 from test_bench_hooks import load_spans
+
+import journeynet
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "journeynet"
 
@@ -128,8 +137,9 @@ def _read(node):
     return None
 
 
-def unreferenced() -> set[str]:
-    """Every function, alias, method and defaulted parameter of the package that no code in it references."""
+def _scan():
+    """(syntax trees by module, names read by kind, the calls by the name they call,
+    the names read other than as a call) of the package."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     reads = {"name": set(), "attr": set()}
     calls, handed_on = {}, set()
@@ -145,6 +155,12 @@ def unreferenced() -> set[str]:
                 calls.setdefault(read[1], []).append(call_of[id(node)])
             else:
                 handed_on.add(read[1])
+    return trees, reads, calls, handed_on
+
+
+def unreferenced() -> set[str]:
+    """Every function, alias, method and defaulted parameter of the package that no code in it references."""
+    trees, reads, calls, handed_on = _scan()
     found = set()
     for qualified, name, fn, method in _definitions(trees):
         attr_only = method and fn.name != "__init__"
@@ -156,6 +172,35 @@ def unreferenced() -> set[str]:
             if not any(_passes(call, param, position) for call in calls.get(name, [])):
                 found.add(f"{qualified}({param})")
     return found
+
+
+def overridden_defaults() -> set[str]:
+    """Every defaulted parameter of a name outside `journeynet.__all__` that each of
+    its calls in the package sets, when there is a call and no other use."""
+    trees, _, calls, handed_on = _scan()
+    found = set()
+    for qualified, name, fn, method in _definitions(trees):
+        module, top = qualified.split(".")[:2]
+        if fn is None or name in handed_on or not calls.get(name) or _exported(module, top):
+            continue
+        for param, position in _defaulted(fn, method):
+            if all(_sets(call, param, position) for call in calls[name]):
+                found.add(f"{qualified}({param})")
+    return found
+
+
+def _exported(module: str, top: str) -> bool:
+    """Whether the module-level `top` of `journeynet.<module>` is one of `journeynet.__all__`."""
+    obj = getattr(importlib.import_module(f"journeynet.{module}"), top)
+    return top in journeynet.__all__ and getattr(journeynet, top) is obj
+
+
+def _sets(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether `call` surely sets `param`: by keyword, or at argument `position` before any `*args`."""
+    if any(k.arg == param for k in call.keywords):
+        return True
+    starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+    return position is not None and position < min(starred, default=len(call.args))
 
 
 def _passes(call: ast.Call, param: str, position: int | None) -> bool:
@@ -173,6 +218,11 @@ def test_every_way_in_has_a_caller_in_src_or_a_named_reason():
     assert not unexplained, f"no src/ caller and no reason to stay: {unexplained}"
     stale = sorted(set(ALLOWED) - found)
     assert not stale, f"allowed without need, src/ now references them: {stale}"
+
+
+def test_no_default_outside_the_api_that_every_src_call_overrides():
+    found = sorted(overridden_defaults())
+    assert not found, f"every src/ call sets these, so their defaults decide nothing: {found}"
 
 
 def test_every_allowed_name_has_a_reason():

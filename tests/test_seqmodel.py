@@ -114,18 +114,6 @@ def test_lstm_single_unit_hand_oracle():
     assert h.item() == pytest.approx(0.36960635293570576, abs=1e-12)
 
 
-def test_lstm_dimension_mismatch():
-    layer = zero_layer(input_dim=3)
-    with pytest.raises(ShapeError):
-        nm.lstm_sequence(
-            nm.Matrix([[1.0, 2.0, 3.0]]),  # an input row, not its 4H projection
-            layer.wh,
-            layer.bias,
-            np.zeros((1, 2)),
-            np.zeros((1, 2)),
-        )
-
-
 @pytest.mark.parametrize("h0, c0, rows", [
     ((2, 3), (2, 2), 4),  # hidden state 3 wide for H = 2
     ((2, 2), (1, 2), 4),  # cells for another batch
@@ -318,9 +306,9 @@ def test_session_nll_gradients_pass_grad_check():
 
 
 def _ragged_batch(vocab, sessions):
-    from journeynet.training import _batch_tensors, _expand_all
+    from journeynet.training import _batch_tensors
 
-    expanded = _expand_all(sessions, vocab)
+    expanded = [expand_session(s, vocab) for s in sessions]
     return _batch_tensors(expanded, list(range(len(sessions))))
 
 

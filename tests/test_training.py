@@ -104,10 +104,14 @@ def test_trained_model_holds_a_plain_model_config(trained):
     dict(conv_stages=()),
     dict(lstm_hidden=(8, 0)),
     dict(conv_stages=((3, 4, 0),)),
+    dict(conv_stages=((0, 4, 4),)),
     dict(conv_stages=((3, 4),)),
     dict(max_len=0),
     dict(fc_width=0),
     dict(dropout_rate=1.0),
+    dict(dropout_rate=-0.1),
+    dict(alphabet="aa"),
+    dict(alphabet=""),
     dict(epochs=0),
     dict(batch_size=0),
     dict(learning_rate=0.0),
@@ -481,12 +485,12 @@ def test_training_batches_run_in_float32_and_masters_stay_float64(chain_data, mo
 
 def test_every_step_column_of_a_batch_mask_has_a_live_row():
     # evaluate pools each step column over its live rows and never meets an empty one
-    from journeynet.training import _batch_tensors, _Expanded
+    from journeynet.training import _batch_tensors
 
     gen = np.random.default_rng(11)
     for _ in range(200):
         lengths = gen.integers(1, 40, size=gen.integers(1, 20))
-        expanded = [_Expanded([f"p{k}" for k in gen.integers(0, 5, size=n)], np.zeros(n, np.intp)) for n in lengths]
+        expanded = [([f"p{k}" for k in gen.integers(0, 5, size=n)], [0] * n) for n in lengths]
         _, rowidx, _, mask = _batch_tensors(expanded, gen.permutation(len(expanded)).tolist())
         assert rowidx.shape[1] == mask.shape[1] == lengths.max()
         assert (mask > 0).any(axis=0).all()
@@ -495,12 +499,12 @@ def test_every_step_column_of_a_batch_mask_has_a_live_row():
 def test_paper_config_batch_records_23_tape_nodes_and_train_adds_the_mean(chain_data, monkeypatch):
     from journeynet import numerics as nm
     from journeynet import rng as rngmod
-    from journeynet.training import _batch_loss, _batch_tensors, _expand_all
+    from journeynet.training import _batch_loss, _batch_tensors
 
     tr, ev, vocab = chain_data
     config = TrainConfig(epochs=1, batch_size=4, seed=2)  # the paper's architecture
     model = SequenceModel.build(config.model_config(), vocab, config.seed)
-    batch = _batch_tensors(_expand_all(tr[:4], vocab), range(4))
+    batch = _batch_tensors([expand_session(s, vocab) for s in tr[:4]], range(4))
     with nm.ComputeTape(p for _, p in model.parameters()) as tape:
         _batch_loss(model, *batch, rngmod.stream(0, "dropout"))
     assert len(tape) == 23
@@ -519,7 +523,7 @@ def test_paper_config_batch_records_23_tape_nodes_and_train_adds_the_mean(chain_
 def test_slot_reentered_tape_gives_long_short_long_batches_a_fresh_tapes_gradients(chain_data):
     from journeynet import numerics as nm
     from journeynet.seqmodel import COMPUTE_DTYPE
-    from journeynet.training import _batch_loss, _batch_tensors, _expand_all
+    from journeynet.training import _batch_loss, _batch_tensors
 
     tr, _, vocab = chain_data
     config = TrainConfig(seed=2)  # the paper's architecture, with dropout
@@ -528,8 +532,8 @@ def test_slot_reentered_tape_gives_long_short_long_batches_a_fresh_tapes_gradien
         name: nm.Matrix._result(p.data.astype(COMPUTE_DTYPE)) for name, p in model.parameters()
     })
     leaves = [p for _, p in twin.parameters()]
-    expanded = _expand_all(tr, vocab)
-    by_len = sorted(range(len(expanded)), key=lambda i: len(expanded[i].inputs))
+    expanded = [expand_session(s, vocab) for s in tr]
+    by_len = sorted(range(len(expanded)), key=lambda i: len(expanded[i][0]))
     batches = [_batch_tensors(expanded, idx) for idx in (by_len[-8:-4], by_len[:4], by_len[-4:])]
     steps = [rowidx.shape[1] for _, rowidx, _, _ in batches]
     assert steps[1] < steps[0] < steps[2]  # the last batch grows every slot
@@ -615,7 +619,7 @@ def test_training_error_mid_batch_leaves_the_float64_masters_in_place(chain_data
 def test_float32_batch_gradient_matches_float64(chain_data):
     from journeynet import numerics as nm
     from journeynet import rng as rngmod
-    from journeynet.training import COMPUTE_DTYPE, _batch_loss, _batch_tensors, _expand_all
+    from journeynet.training import COMPUTE_DTYPE, _batch_loss, _batch_tensors
 
     tr, _, vocab = chain_data
     config = TrainConfig(seed=5)  # the paper's architecture, dropout 0.5
@@ -623,8 +627,8 @@ def test_float32_batch_gradient_matches_float64(chain_data):
     twin = SequenceModel(model.config, vocab, {
         name: nm.Matrix._result(p.data.astype(COMPUTE_DTYPE)) for name, p in model.parameters()
     })
-    expanded = _expand_all(tr[:6], vocab)
-    assert len({len(e.inputs) for e in expanded}) > 1  # ragged
+    expanded = [expand_session(s, vocab) for s in tr[:6]]
+    assert len({len(inputs) for inputs, _ in expanded}) > 1  # ragged
     batch = _batch_tensors(expanded, range(6))
 
     def grads(m):
@@ -643,7 +647,7 @@ def test_float32_batch_gradient_matches_float64(chain_data):
 
 def _reference_step(params, sq, lr, clip, decay, eps):
     """The optimizer step as first written, with a temporary per operation."""
-    grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+    grads = [p.grad for p in params]
     norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
     if norm > clip:
         factor = clip / norm
@@ -662,9 +666,8 @@ def helper():
 
 
 @pytest.mark.parametrize("clip", [1e-3, 1e6], ids=["clipped", "unclipped"])
-@pytest.mark.parametrize("missing", [None, 1], ids=["all-grads", "one-missing"])
 @pytest.mark.parametrize("grad_dtype", [np.float64, np.float32], ids=["float64-grads", "float32-grads"])
-def test_adaptive_step_is_bitwise_the_reference_formula(clip, missing, grad_dtype, helper):
+def test_adaptive_step_is_bitwise_the_reference_formula(clip, grad_dtype, helper):
     from journeynet import numerics as nm
     from journeynet.training import RMS_DECAY, RMS_EPSILON, _AdaptiveStep
 
@@ -677,24 +680,22 @@ def test_adaptive_step_is_bitwise_the_reference_formula(clip, missing, grad_dtyp
     opt = _AdaptiveStep(mine, grads, config, helper)
     ref_sq = [np.zeros(s) for s in shapes]
     for _ in range(4):
-        for i, (d, q) in enumerate(zip(grads, ref)):
-            g = None if i == missing else rng.standard_normal(d.shape).astype(grad_dtype)
+        for d, q in zip(grads, ref):
+            g = rng.standard_normal(d.shape).astype(grad_dtype)
             # the reference formula runs in float64 on the gradients cast exactly
-            d.grad, q.grad = g, None if g is None else g.astype(np.float64)
+            d.grad, q.grad = g, g.astype(np.float64)
         opt.step()
         _reference_step(ref, ref_sq, config.learning_rate, clip, RMS_DECAY, RMS_EPSILON)
         for p, d, q in zip(mine, grads, ref):
-            assert p.grad is None and (d.grad is None) == (q.grad is None)
-            if d.grad is not None:
-                assert np.array_equal(d.grad, q.grad)  # the step left its input alone
+            assert p.grad is None
+            assert np.array_equal(d.grad, q.grad)  # the step left its input alone
             assert np.array_equal(p.data, q.data)
         for v, w in zip(opt.sq, ref_sq):
             assert np.array_equal(v, w)
 
 
 @pytest.mark.parametrize("clip", [1e-3, 1e6], ids=["clipped", "unclipped"])
-@pytest.mark.parametrize("missing", [None, 0, 1], ids=["all-grads", "largest-missing", "row-missing"])
-def test_adaptive_step_views_of_other_shapes_share_its_scratch_bitwise(clip, missing, helper):
+def test_adaptive_step_views_of_other_shapes_share_its_scratch_bitwise(clip, helper):
     """The largest weight first, then a 1-row one: every weight's views of
     the shared scratch pair start where the largest weight's did (each
     half's).  The largest is large enough that numpy lets the two halves
@@ -710,13 +711,13 @@ def test_adaptive_step_views_of_other_shapes_share_its_scratch_bitwise(clip, mis
     opt = _AdaptiveStep(mine, mine, config, helper)
     ref_sq = [np.zeros(s) for s in shapes]
     for _ in range(4):
-        for i, (p, q) in enumerate(zip(mine, ref)):
-            g = None if i == missing else rng.standard_normal(p.shape)
-            p.grad, q.grad = g, None if g is None else g.copy()
+        for p, q in zip(mine, ref):
+            g = rng.standard_normal(p.shape)
+            p.grad, q.grad = g, g.copy()
         opt.step()
         _reference_step(ref, ref_sq, config.learning_rate, clip, RMS_DECAY, RMS_EPSILON)
         for p, q, v, w in zip(mine, ref, opt.sq, ref_sq):
-            assert p.grad is None or np.array_equal(p.grad, q.grad)
+            assert np.array_equal(p.grad, q.grad)
             assert np.array_equal(p.data, q.data) and np.array_equal(v, w)
 
 
