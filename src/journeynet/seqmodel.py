@@ -97,6 +97,8 @@ class ModelConfig:
         object.__setattr__(self, "lstm_hidden", tuple(self.lstm_hidden))
         if not 0 <= self.dropout_rate < 1:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if not isinstance(self.alphabet, str):
+            raise ConfigError(f"alphabet must be text, got {type(self.alphabet).__name__}")
         try:
             Alphabet(self.alphabet)
         except ValueError as exc:  # an empty or repeating alphabet

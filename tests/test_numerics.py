@@ -435,6 +435,18 @@ def test_matrix_shape_bookkeeping():
         Matrix(np.zeros((2, 2, 2)))
 
 
+def test_matmul_backward_with_an_untracked_weight_gives_only_the_input_a_gradient():
+    x = Matrix([[1.0, 2.0], [3.0, -1.0]])
+    w = Matrix([[0.5, -1.0, 2.0], [1.5, 0.0, -0.5]])
+    with ComputeTape([x]) as tape:
+        loss = masked_cross_entropy(softmax(matmul(x, w)), [0, 2], [1.0, 1.0])
+    backward(tape, loss)
+    assert w.grad is None
+    y = softmax(matmul(x, w)).data
+    dz = y - np.eye(3)[[0, 2]]  # d(cross-entropy)/d(logits), row by row
+    assert np.allclose(x.grad, dz @ w.data.T, rtol=1e-12, atol=1e-12)
+
+
 def test_untracked_ops_record_nothing():
     a = Matrix([[1.0, 2.0]])
     b = Matrix([[3.0], [4.0]])

@@ -1347,6 +1347,24 @@ def test_constructor_rejects_weights_off_the_layout():
             SequenceModel(model.config, model.vocab, weights)
 
 
+def test_constructor_rejects_a_conv_kernel_bank_off_the_layout():
+    # the encoder's convolution reads its kernel bank as the layout gives it
+    model = toy_model(seed=9)
+    kernels = dict(model.parameters())["conv0.kernels"]
+    for shape in ((kernels.rows - 1, kernels.cols), (kernels.rows, kernels.cols + 1)):
+        weights = {**dict(model.parameters()), "conv0.kernels": nm.Matrix(np.zeros(shape))}
+        with pytest.raises(ShapeError):
+            SequenceModel(model.config, model.vocab, weights)
+
+
+@pytest.mark.parametrize("alphabet", ["abca", "", ["a", "b"]], ids=["repeating", "empty", "not-text"])
+def test_load_rejects_an_alphabet_the_config_rejects(alphabet):
+    d = model_to_dict(toy_model(seed=8))
+    d["config"]["alphabet"] = alphabet
+    with pytest.raises(CheckpointError, match="alphabet"):
+        model_from_dict(d)
+
+
 def _json_paths(node, path=()):
     """The path of every value inside a JSON document, the root's () first."""
     yield path

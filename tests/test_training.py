@@ -112,6 +112,9 @@ def test_trained_model_holds_a_plain_model_config(trained):
     dict(dropout_rate=-0.1),
     dict(alphabet="aa"),
     dict(alphabet=""),
+    dict(alphabet=123),
+    dict(alphabet=None),
+    dict(alphabet=["a", "b"]),
     dict(epochs=0),
     dict(batch_size=0),
     dict(learning_rate=0.0),
@@ -643,6 +646,29 @@ def test_float32_batch_gradient_matches_float64(chain_data):
     g64, g32 = grads(model), grads(twin)
     for (name, _), a, b in zip(model.parameters(), g32, g64):
         assert np.linalg.norm(a - b) <= 1e-3 * np.linalg.norm(b), name
+
+
+@pytest.mark.parametrize("case", ["paper", "one-event"])
+def test_one_batch_loss_gives_every_weight_of_the_training_graph_a_gradient(chain_data, case):
+    # the optimizer reads every weight's gradient after each batch
+    from journeynet import numerics as nm
+    from journeynet import rng as rngmod
+    from journeynet.training import _batch_loss, _batch_tensors
+
+    tr, _, vocab = chain_data
+    if case == "paper":
+        config, sessions = TrainConfig(seed=5), tr[:6]  # dropout 0.5
+    else:  # a batch of one single-step session, two LSTM layers
+        config = TrainConfig(seed=5, **{**TOY_TRAIN, "lstm_hidden": (16, 8)})
+        sessions = [Session("s", "", (PageEvent("home", 1.0),))]
+    model = SequenceModel.build(config.model_config(), vocab, config.seed)
+    batch = _batch_tensors([expand_session(s, vocab) for s in sessions], range(len(sessions)))
+    params = [p for _, p in model.parameters()]
+    with nm.ComputeTape(params) as tape:
+        loss = _batch_loss(model, *batch, rngmod.stream(0, "dropout"))
+    nm.backward(tape, loss)
+    missing = [name for name, p in model.parameters() if p.grad is None]
+    assert not missing
 
 
 def _reference_step(params, sq, lr, clip, decay, eps):
