@@ -204,17 +204,14 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.ensemble < 1:
-        raise CliError(f"--ensemble must be >= 1, got {args.ensemble}")
     config = _train_config(args)
     sessions = load_sessions(args.data)
     train_set, eval_set = split(sessions, args.train_fraction, args.seed)
     vocab = build_vocab(train_set, min_freq=args.min_freq)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_sessions(eval_set, out_dir / "eval_sessions.jsonl")
 
-    if args.ensemble > 1:
+    if args.ensemble != 1:  # train_ensemble rejects a size below 1
         ensemble, reports = train_ensemble(
             train_set, config, vocab, k=args.ensemble, eval_sessions=eval_set
         )
@@ -229,6 +226,7 @@ def _cmd_train(args) -> int:
         save_model(model, ckpt)
         report.save_csv(out_dir / "train_report.csv")
         acc, loss = report.final.eval_accuracy, report.final.eval_loss
+    save_sessions(eval_set, out_dir / "eval_sessions.jsonl")  # after training, so a rejected run writes none
     print(f"checkpoint {ckpt}")
     print(f"eval_accuracy={acc:.4f} eval_loss={loss:.4f} classes={len(vocab)}")
     return 0

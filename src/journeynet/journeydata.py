@@ -161,7 +161,8 @@ class PageVocabulary:
     always take the two highest indices, so no real page ranks above them.
     The retained pages are an ordered iterable (not a string, set or
     mapping, whose order is not the caller's), read once, of distinct
-    non-empty page names; anything else is a ValueError.
+    non-empty page names; anything else is a ValueError.  `min_freq`, the
+    count a page needed to be retained, is an int >= 1 (ConfigError).
     """
 
     def __init__(self, retained_pages: list[str], min_freq: int):
@@ -173,6 +174,8 @@ class PageVocabulary:
         names += [NULL_PAGE, UNKNOWN_PAGE]
         if len(set(names)) != len(names):
             raise ValueError("duplicate or reserved page names in vocabulary")
+        if isinstance(min_freq, bool) or not isinstance(min_freq, int) or min_freq < 1:
+            raise ConfigError(f"min_freq must be an int >= 1, got {min_freq!r}")
         self.page_names = tuple(names)
         self.min_freq = min_freq
         self._index = {name: i for i, name in enumerate(names)}
@@ -199,13 +202,11 @@ class PageVocabulary:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PageVocabulary":
-        return cls(d["pages"], int(d["min_freq"]))
+        return cls(d["pages"], d["min_freq"])
 
 
 def build_vocab(sessions, min_freq: int = 5) -> PageVocabulary:
     """Vocabulary over pages seen at least `min_freq` times across `sessions`."""
-    if min_freq < 1:
-        raise ConfigError(f"min_freq must be >= 1, got {min_freq}")
     sessions = list(sessions)
     if not sessions:
         raise ValueError("cannot build a vocabulary from an empty session list")
@@ -279,6 +280,8 @@ class MarkovSpec:
     dwell_mean_by_state: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if isinstance(self.states, (str, Mapping)):
+            raise MarkovSpecError("states must be a list of names")
         self.states = tuple(self.states)
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
         self.initial = np.asarray(self.initial, dtype=np.float64)
@@ -350,12 +353,10 @@ class MarkovSpec:
         if not isinstance(d, dict):
             raise MarkovSpecError("a chain spec must be a JSON object")
         try:
-            if not isinstance(d["states"], list):
-                raise MarkovSpecError("states must be a list of names")
             return cls(
-                states=tuple(d["states"]),
-                transitions=np.asarray(d["transitions"], dtype=np.float64),
-                initial=np.asarray(d["initial"], dtype=np.float64),
+                states=d["states"],
+                transitions=d["transitions"],
+                initial=d["initial"],
                 keywords_by_state=dict(d.get("keywords_by_state", {})),
                 dwell_mean_by_state=dict(d.get("dwell_mean_by_state", {})),
             )

@@ -302,8 +302,6 @@ def rows_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out = Matrix._result(rows_product(a.data, b.data))
     ta = a.track
 
@@ -315,11 +313,9 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
-    """Elementwise sum; `b` may also be a 1 x cols row vector added to every row."""
-    if b.shape != a.shape and b.shape != (1, a.cols):
-        raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}")
+    """`a` with the 1 x cols bias row `b` added to every row."""
     out = Matrix._result(a.data + b.data)
-    return record(out, (a, b), lambda g: (g, g if g.shape == b.shape else g.sum(axis=0, keepdims=True)))
+    return record(out, (a, b), lambda g: (g, g.sum(axis=0, keepdims=True)))
 
 
 def scale(x: Matrix, c: float) -> Matrix:
@@ -382,8 +378,6 @@ def masked_cross_entropy(predicted: Matrix, targets: np.ndarray, mask: np.ndarra
 
 
 def reshape(x: Matrix, rows: int, cols: int) -> Matrix:
-    if rows * cols != x.data.size:
-        raise ShapeError(f"cannot reshape {x.shape} to ({rows}, {cols})")
     out = Matrix._result(x.data.reshape(rows, cols).copy())
     return record(out, (x,), lambda g: (g.reshape(x.shape),))
 
@@ -462,12 +456,11 @@ def lstm_sequence(
     is a product, and forms the gradients of `wh` and `bias` once.  Recorded,
     both row arrays are slots of the active tape (see the module notes).
     `xproj`, `wh` and `bias` follow the model's weight layout
-    (:func:`seqmodel.parameter_shapes`); the states must fit the batch.
+    (:func:`seqmodel.parameter_shapes`), and the states hold B >= 1 rows,
+    which the model's entries own: ``start`` (a prefix),
+    ``batch_step_probs`` (a sequence of a step) and ``step`` (a row).
     """
-    hs = wh.rows
-    batch = len(h0)
-    if batch < 1 or h0.shape != (batch, hs) or c0.shape != h0.shape or xproj.rows % batch:
-        raise ShapeError(f"{xproj.rows} input rows do not fit states {h0.shape} and {c0.shape}")
+    hs, batch = wh.rows, len(h0)
     steps = xproj.rows // batch
     x, w = xproj.data, wh.data
     # only a tape keeps every step's gates, for the backward pass

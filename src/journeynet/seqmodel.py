@@ -95,8 +95,9 @@ class ModelConfig:
     def __post_init__(self):
         object.__setattr__(self, "conv_stages", tuple(tuple(s) for s in self.conv_stages))
         object.__setattr__(self, "lstm_hidden", tuple(self.lstm_hidden))
-        if not 0 <= self.dropout_rate < 1:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        rate = self.dropout_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate < 1:
+            raise ConfigError(f"dropout_rate must be an int or float in [0, 1), got {rate!r}")
         if not isinstance(self.alphabet, str):
             raise ConfigError(f"alphabet must be text, got {type(self.alphabet).__name__}")
         try:
@@ -108,8 +109,8 @@ class ModelConfig:
         if any(len(s) != 3 for s in self.conv_stages):
             raise ConfigError(f"conv stages must be (width, filters, pool), got {self.conv_stages}")
         sizes = (self.max_len, self.fc_width, *self.lstm_hidden, *sum(self.conv_stages, ()))
-        if min(sizes) < 1:
-            raise ConfigError("max_len, fc_width, LSTM sizes and conv stage values must be >= 1")
+        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sizes):
+            raise ConfigError(f"max_len, fc_width, LSTM sizes and conv stage values must be ints >= 1: {sizes}")
         if self.max_len * len(self.alphabet) > MAX_WEIGHTS:
             raise ConfigError(
                 f"max_len {self.max_len} gives a one-hot of more than {MAX_WEIGHTS} entries per phrase"
@@ -121,14 +122,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            alphabet=d["alphabet"],
-            max_len=int(d["max_len"]),
-            conv_stages=tuple(tuple(int(v) for v in s) for s in d["conv_stages"]),
-            lstm_hidden=tuple(int(v) for v in d["lstm_hidden"]),
-            fc_width=int(d["fc_width"]),
-            dropout_rate=float(d["dropout_rate"]),
-        )
+        """The config of the stored fields, as stored: `__post_init__` checks them."""
+        return cls(**{f.name: d[f.name] for f in fields(ModelConfig)})
 
 
 def parameter_shapes(config: ModelConfig, n_classes: int) -> dict[str, tuple[int, int]]:
@@ -357,13 +352,16 @@ class SequenceModel:
         """Next-page distributions for every step of a padded batch, time-major.
 
         `rowidx[b, t]` selects the row of `phrases` fed to sequence b at step
-        t.  Returns a (T*B) x classes matrix whose row t*B + b is the
+        t; a pass needs B >= 1 sequences of T >= 1 steps (ShapeError
+        otherwise).  Returns a (T*B) x classes matrix whose row t*B + b is the
         prediction after sequence b consumed step t; rows at padding steps
         are garbage and must be masked by the caller.  The head runs on all
         rows of the pass at once (a dropout mask is drawn as one (T*B) x fc
         block, the same stream as T draws of B x fc).
         """
         rowidx, proj = np.asarray(rowidx), self._project(phrases)
+        if not rowidx.size:
+            raise ShapeError(f"a pass needs at least one sequence of at least one step, got rows {rowidx.shape}")
         zero = self._zero_state(len(rowidx), proj.data.dtype)
         layers = self.cell_steps(nm.take_rows(proj, rowidx.T.ravel()), zero)  # cell_steps frees the gather
         return self.head(layers[-1][0], dropout_rng)
@@ -453,9 +451,10 @@ class SequenceModel:
 
         Returns (new B-row state, B x N next-page distributions), B = len(pages);
         `state` is left untouched, so one state can branch into several futures.
-        `rows` must index rows of `state` and `pages` page classes (ShapeError
-        otherwise).  Layer 0's input rows are those of `pages` in the page
-        table of the model's checked serving cache.  A kept state whose store
+        `rows` must index rows of `state` and `pages` page classes, one
+        page for each of at least one row (ShapeError otherwise).  Layer 0's
+        input rows are those of `pages` in the page table of the model's
+        checked serving cache.  A kept state whose store
         is still that cache's looks up each row's child through its page:
         one :meth:`cell_steps` and head run over the distinct children the
         store lacks, from their parents' stored rows, the store keeps them,
@@ -468,8 +467,8 @@ class SequenceModel:
         table, nodes = cache.page_table(self), state.store
         rows = nm.row_index(rows, len(state))
         pages = nm.row_index(pages, len(table))
-        if rows.shape != pages.shape:
-            raise ShapeError(f"{rows.size} rows for {pages.size} pages")
+        if rows.shape != pages.shape or not rows.size:
+            raise ShapeError(f"{rows.size} rows for {pages.size} pages; a step feeds at least one row")
         if nodes is not None and nodes is cache.nodes:
             parents = state.nodes[rows]
             ids = nodes.child[parents, pages]
@@ -621,9 +620,9 @@ def model_from_dict(d: dict) -> SequenceModel:
 
     Every stored weight must be one that :func:`parameter_shapes` lays out
     for the stored config (CheckpointError naming any other, and for a
-    layout over MAX_WEIGHTS), and each decoded array is checked against its
-    shape before any model is built, so a config naming absurd sizes fails
-    on the first mismatched array instead of allocating for it.
+    layout over MAX_WEIGHTS, so a config naming absurd sizes fails before
+    any array is decoded), and `SequenceModel` checks each decoded array's
+    shape against that layout (ShapeError).
     """
     config, vocab, weights = (
         checkpoint_field(d, key, dict, "checkpoint model") for key in ("config", "vocab", "weights")
@@ -638,18 +637,16 @@ def model_from_dict(d: dict) -> SequenceModel:
     if unknown:
         raise CheckpointError(f"checkpoint has weights {unknown} that its config does not lay out")
 
-    def weight(name: str, shape: tuple[int, int]) -> Matrix:
+    def weight(name: str) -> Matrix:
         if name not in weights:
             raise CheckpointError(f"checkpoint is missing weights for {name!r}")
         try:
             arr = _decode_array(weights[name])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"checkpoint weights for {name!r} are not an array") from exc
-        if arr.shape != shape:
-            raise ShapeError(f"checkpoint weight {name!r} has shape {arr.shape}, expected {shape}")
         return Matrix(arr)
 
-    return SequenceModel(config, vocab, {name: weight(name, shape) for name, shape in shapes.items()})
+    return SequenceModel(config, vocab, {name: weight(name) for name in shapes})
 
 
 def write_checkpoint(path, fmt: str, key: str, body) -> None:

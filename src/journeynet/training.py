@@ -366,9 +366,9 @@ def train_ensemble(
     k: int = 5,
     eval_sessions=None,
 ) -> tuple[Ensemble, list[TrainReport]]:
-    """Train k models with seeds seed+0 .. seed+k-1."""
+    """Train k models with seeds seed+0 .. seed+k-1 (ConfigError unless k >= 1)."""
     if k < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {k}")
+        raise ConfigError(f"ensemble size must be >= 1, got {k}")
     # every member reads them
     sessions = list(sessions)
     eval_sessions = None if eval_sessions is None else list(eval_sessions)

@@ -420,6 +420,9 @@ _ENSEMBLE = {"format": "journeynet-ensemble", "version": 1}
     ("no members", lambda p: p.update(_ENSEMBLE)),
     ("empty members", lambda p: p.update(_ENSEMBLE, members=[])),
     ("members not objects", lambda p: p.update(_ENSEMBLE, members=[7])),
+    ("duplicate vocabulary page", lambda p: p["model"]["vocab"]["pages"].append(p["model"]["vocab"]["pages"][0])),
+    ("vocabulary min_freq below 1", lambda p: p["model"]["vocab"].update(min_freq=0)),
+    ("config max_len not an int", lambda p: p["model"]["config"].update(max_len=16.5)),
 ])
 def test_score_checkpoint_with_missing_parts_is_a_clean_error(
     pipeline, tmp_path, capsys, name, edit
@@ -432,6 +435,19 @@ def test_score_checkpoint_with_missing_parts_is_a_clean_error(
     assert _score_exit(pipeline, tmp_path, model=ckpt) == 1, name
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "score"])
+def test_a_checkpoint_that_is_a_json_array_is_a_clean_error(pipeline, tmp_path, capsys, command):
+    out, _ = pipeline
+    ckpt = tmp_path / "array.ckpt"
+    ckpt.write_text("[1, 2]\n")
+    if command == "eval":
+        code = main(["eval", "--model", str(ckpt), "--data", str(out / "eval_sessions.jsonl")])
+    else:
+        code = _score_exit(pipeline, tmp_path, model=ckpt)
+    assert code == 1
+    _assert_clean_error(capsys, "a checkpoint must be a JSON object")
 
 
 @pytest.mark.parametrize("flags", [["--n-samples", "0"], ["--horizon", "-1"], ["--horizon", "0"]])
@@ -626,6 +642,29 @@ def test_train_out_of_range_flag_is_a_clean_error(pipeline, tmp_path, capsys, fl
     _assert_clean_error(capsys)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--conv-stages", "3xfourx4"], "bad conv stage spec '3xfourx4'"),
+    (["--lstm-hidden", "12,x"], "bad integer list '12,x'"),
+], ids=["conv-stages", "lstm-hidden"])
+def test_train_unparsable_size_flag_is_a_clean_error(pipeline, tmp_path, capsys, flags, message):
+    _, data = pipeline
+    code = main(["train", "--data", str(data), "--out-dir", str(tmp_path), *TRAIN_FLAGS, *flags])
+    assert code == 1
+    _assert_clean_error(capsys, message)
+
+
+@pytest.mark.parametrize("quote", ["'", '"'])
+def test_train_config_value_in_quotes_is_read_without_them(pipeline, tmp_path, capsys, quote):
+    # unquoted, so `--min-freq`'s int parses it and the vocabulary rejects 0;
+    # with the quotes kept, argparse would exit 2 on an invalid int
+    _, data = pipeline
+    config = tmp_path / "quoted.conf"
+    config.write_text(f"min_freq = {quote}0{quote}\n")
+    code = main(["train", "--data", str(data), "--out-dir", str(tmp_path), "--config", str(config)])
+    assert code == 1
+    _assert_clean_error(capsys, "min_freq must be an int >= 1, got 0")
+
+
 # 10**15 wide: each of these models, or one phrase's one-hot, fits no
 # address space, so a missing size check fails at once, without allocating
 HUGE = str(10**15)
@@ -721,8 +760,8 @@ def test_train_ensemble_below_one_is_a_clean_error(pipeline, tmp_path, capsys):
         "train", "--data", str(data), "--out-dir", str(tmp_path), *TRAIN_FLAGS, "--ensemble", "0",
     ])
     assert code == 1
-    _assert_clean_error(capsys, "--ensemble")
-    assert not (tmp_path / "model.ckpt").exists()
+    _assert_clean_error(capsys, "ensemble size must be >= 1, got 0")
+    assert not list(tmp_path.iterdir())
 
 
 def test_simulate_negative_trace_count_is_a_clean_error(pipeline, tmp_path, capsys):
@@ -781,13 +820,18 @@ def _spec_json(**fields) -> bytes:
     _spec_json(transitions=[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]),
     _spec_json(transitions=[[1.0, 0.0, 0.0], [0.4, 0.1, 0.5], [0.0, 0.0, 1.0]]),
     _spec_json(initial=[float("nan"), 0.0, 0.0]),
+    _spec_json(transitions=[[0.5, 0.5], [0.0, 1.0]]),
+    _spec_json(initial=[1.0, 0.0]),
+    _spec_json(initial=[0.5, 0.0, 0.5]),
+    _spec_json(states={"a": 0, "b": 1, "exit": 2}),
     b"[" * 100_000,
 ], ids=[
     "not-json", "not-utf8", "json-array", "ragged-transitions",
     "text-dwell", "null-dwell", "infinite-dwell", "negative-dwell", "boolean-dwell",
     "huge-integer-dwell", "empty-state", "integer-states", "states-as-text", "integer-keyword",
     "nan-transition", "huge-integer-transition", "cycle-never-ends", "self-loop-never-ends",
-    "nan-initial",
+    "nan-initial", "transitions-of-two-states", "initial-of-two-states", "initial-on-the-exit",
+    "states-as-object",
     "nested-too-deep",
 ])
 def test_gen_data_bad_markov_spec_is_a_clean_error(tmp_path, capsys, content):

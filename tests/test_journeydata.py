@@ -255,6 +255,21 @@ def test_vocab_dict_roundtrip():
     for pages in ({"a", "b"}, frozenset({"a"}), {"a": 1}.keys()):
         with pytest.raises(ValueError, match="non-empty strings"):
             PageVocabulary(pages, 1)
+    for pages in (["a", "b", "a"], ["a", NULL_PAGE]):
+        with pytest.raises(ValueError, match="duplicate or reserved"):
+            PageVocabulary(pages, 1)
+
+
+@pytest.mark.parametrize("min_freq", [-3, 0, 5.9, True, "5"])
+def test_vocab_min_freq_must_be_an_int_of_at_least_one(min_freq):
+    # no count below 1, and no float, bool or string that int() would turn into one
+    with pytest.raises(ConfigError, match="min_freq must be an int >= 1"):
+        PageVocabulary(["a"], min_freq)
+    with pytest.raises(ConfigError, match="min_freq must be an int >= 1"):
+        PageVocabulary.from_dict({"pages": ["a"], "min_freq": min_freq})
+    if not isinstance(min_freq, str):  # build_vocab compares counts with it
+        with pytest.raises(ConfigError, match="min_freq must be an int >= 1"):
+            build_vocab([make_session(["a"])], min_freq=min_freq)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +468,24 @@ def test_generate_rejects_non_absorbing_terminal():
             transitions=np.array([[0.5, 0.5], [0.5, 0.5]]),
             initial=np.array([1.0, 0.0]),
         )
+
+
+@pytest.mark.parametrize("states", ["ab", {"a": 0, "b": 1}], ids=["text", "mapping"])
+def test_markov_spec_states_must_be_a_list_of_names(states):
+    # a string's characters or a mapping's keys are no list of names
+    with pytest.raises(MarkovSpecError, match="states must be a list of names"):
+        MarkovSpec(states=states, transitions=[[0.0, 1.0], [0.0, 1.0]], initial=[1.0, 0.0])
+
+
+def test_generate_stops_a_session_that_does_not_exit():
+    # valid (the exit is reachable), but a session would walk ~1e12 pages
+    spec = MarkovSpec(
+        states=("a", "exit"),
+        transitions=np.array([[1.0 - 1e-12, 1e-12], [0.0, 1.0]]),
+        initial=np.array([1.0, 0.0]),
+    )
+    with pytest.raises(MarkovSpecError, match="did not exit within"):
+        generate_synthetic(spec, 1, seed=0)
 
 
 def test_generate_rejects_a_dwell_mean_too_large_to_sample():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from journeynet import numerics as nm
 from journeynet import rng as rngmod
-from journeynet.errors import CheckpointError, JourneynetError, ShapeError
+from journeynet.errors import CheckpointError, ConfigError, JourneynetError, ShapeError
 from journeynet.journeydata import (
     NULL_PAGE,
     UNKNOWN_PAGE,
@@ -112,18 +112,6 @@ def test_lstm_single_unit_hand_oracle():
     h, c = cell(layer, project(layer, [[1.0]]), np.zeros((1, 1)), np.zeros((1, 1)))
     assert c.item() == pytest.approx(0.5567699411459397, abs=1e-12)
     assert h.item() == pytest.approx(0.36960635293570576, abs=1e-12)
-
-
-@pytest.mark.parametrize("h0, c0, rows", [
-    ((2, 3), (2, 2), 4),  # hidden state 3 wide for H = 2
-    ((2, 2), (1, 2), 4),  # cells for another batch
-    ((2, 2), (2, 2), 3),  # input rows not whole steps of 2
-    ((0, 2), (0, 2), 4),  # no sequences
-], ids=["wide-h0", "short-c0", "ragged-rows", "empty"])
-def test_lstm_state_mismatch(h0, c0, rows):
-    layer = zero_layer()
-    with pytest.raises(ShapeError):
-        nm.lstm_sequence(nm.Matrix(np.zeros((rows, 8))), layer.wh, layer.bias, np.zeros(h0), np.zeros(c0))
 
 
 def test_lstm_forget_bias_initialised_to_one():
@@ -299,6 +287,15 @@ def test_session_nll_gradients_pass_grad_check():
 
     err = nm.grad_check(lambda: model.session_nll(inputs, targets), params, h=1e-5)
     assert err < 1e-4
+
+
+def test_session_nll_rejects_targets_that_do_not_match_the_inputs():
+    model = toy_model(seed=5)
+    inputs, targets = expand_session(make_session(["a", "b"]), model.vocab)
+    with pytest.raises(ValueError, match="inputs vs"):
+        model.session_nll(inputs, targets[:-1])
+    with pytest.raises(ShapeError, match="targets/mask"):  # one target per step, not a column
+        model.session_nll(inputs, [[t] for t in targets])
 
 
 # ---------------------------------------------------------------------------
@@ -1231,6 +1228,24 @@ def test_step_rejects_bad_rows_and_pages(rows, pages):
         model.step(state, rows, pages)
 
 
+@pytest.mark.parametrize("kept", [True, False], ids=["kept", "plain"])
+def test_step_of_no_rows_is_a_shape_error(kept):
+    # both the kept and the plain path refuse, before any cell runs
+    model = toy_model(seed=47)
+    prefixes = [Prefix("kw", ("a",)), Prefix("kw", ("b",))]
+    state, _ = kept_start(model, prefixes) if kept else model.start(prefixes)
+    assert (state.nodes is not None) == kept
+    with pytest.raises(ShapeError, match="at least one row"):
+        model.step(state, [], [])
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0)], ids=["no-sequence", "no-step"])
+def test_batch_step_probs_of_an_empty_pass_is_a_shape_error(shape):
+    # the LSTM kernel takes its states as given: without this rule it divided by zero or read no rows
+    with pytest.raises(ShapeError, match="at least one sequence of at least one step"):
+        toy_model(seed=47).batch_step_probs(["a"], np.zeros(shape, np.intp))
+
+
 def test_untaped_head_is_bitwise_taped_head():
     model = toy_model(seed=49, config=replace(TOY_CONFIG, dropout_rate=0.5))
     gen = np.random.default_rng(3)
@@ -1294,6 +1309,33 @@ def test_load_rejects_other_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_model(path)
+    path.write_text("[1, 2]")
+    with pytest.raises(CheckpointError, match="must be a JSON object"):
+        load_model(path)
+    path.write_text(json.dumps(TOY_CHECKPOINTS["ensemble"]))
+    with pytest.raises(CheckpointError, match="not a model checkpoint"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_len", 12.7),
+    ("max_len", "12"),
+    ("fc_width", 5.0),
+    ("lstm_hidden", [6.0]),
+    ("conv_stages", [[3, 4, 4.0]]),
+    ("fc_width", True),
+    ("dropout_rate", False),
+    ("dropout_rate", "0"),
+])
+def test_config_and_checkpoint_reject_a_size_or_rate_of_another_type(field, value):
+    # the loader passes the stored fields unconverted, so a stored 12.7 or "12" is no max_len 12
+    rule = "dropout_rate must be an int or float" if field == "dropout_rate" else "must be ints >= 1"
+    with pytest.raises(ConfigError, match=rule):
+        ModelConfig(**{field: value})
+    d = model_to_dict(toy_model(seed=8))
+    d["config"][field] = value
+    with pytest.raises(CheckpointError, match="ConfigError"):
+        model_from_dict(d)
 
 
 def test_load_rejects_weights_the_config_does_not_lay_out():
@@ -1318,7 +1360,6 @@ def test_load_rejects_page_names_that_are_not_a_list_of_non_empty_strings(pages)
 
 def test_layout_and_one_hot_are_capped_at_max_weights(monkeypatch):
     from journeynet import seqmodel
-    from journeynet.errors import ConfigError
 
     config = ModelConfig()  # the paper's architecture
     count = sum(r * c for r, c in parameter_shapes(config, 12).values())

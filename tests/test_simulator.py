@@ -343,6 +343,12 @@ def test_score_batch_degenerate_matches_standalone():
     assert rows[0].std_error == standalone.std_error
 
 
+def test_score_batch_needs_one_id_per_prefix():
+    prefixes = [JourneyPrefix(), JourneyPrefix("", ("pg0",))]
+    with pytest.raises(ValueError, match="prefix_ids length"):
+        score_batch(random_predictor(13), prefixes, [Objective("o", frozenset({"pg0"}))], 10, 3, prefix_ids=["a"])
+
+
 def test_score_batch_cartesian_order():
     pred = random_predictor(17)
     prefixes = [JourneyPrefix(), JourneyPrefix("", ("pg0",)), JourneyPrefix("", ("pg2",))]

@@ -10,6 +10,7 @@ from journeynet.seqmodel import ModelConfig, SequenceModel
 from journeynet.textenc import (
     DEFAULT_ALPHABET,
     Alphabet,
+    CnnEncoder,
     conv1d,
     maxpool1d,
     quantize,
@@ -171,6 +172,13 @@ def _toy_model(seed=0, max_len=12, stages=((3, 4, 2), (3, 4, 2))):
     """A model whose encoder has `stages`; its layer 0 takes the embedding width the layout gives."""
     config = ModelConfig(max_len=max_len, conv_stages=stages, lstm_hidden=(2,), fc_width=2)
     return SequenceModel.build(config, PageVocabulary(["a"], min_freq=1), seed)
+
+
+def test_encoder_needs_a_stage_and_a_phrase():
+    with pytest.raises(ValueError, match="at least one stage"):
+        CnnEncoder(Alphabet(), 12, [])
+    with pytest.raises(ValueError, match="at least one phrase"):
+        _toy_model().encoder.embed_batch([])
 
 
 def _conv_weights(model):
