@@ -166,6 +166,8 @@ class PageVocabulary:
     """
 
     def __init__(self, retained_pages: list[str], min_freq: int):
+        if isinstance(min_freq, bool) or not isinstance(min_freq, int) or min_freq < 1:
+            raise ConfigError(f"min_freq must be an int >= 1, got {min_freq!r}")
         if isinstance(retained_pages, (str, Set, Mapping)) or not isinstance(retained_pages, Iterable):
             raise ValueError("vocabulary pages must be a list of non-empty strings")
         names = list(retained_pages)
@@ -174,8 +176,6 @@ class PageVocabulary:
         names += [NULL_PAGE, UNKNOWN_PAGE]
         if len(set(names)) != len(names):
             raise ValueError("duplicate or reserved page names in vocabulary")
-        if isinstance(min_freq, bool) or not isinstance(min_freq, int) or min_freq < 1:
-            raise ConfigError(f"min_freq must be an int >= 1, got {min_freq!r}")
         self.page_names = tuple(names)
         self.min_freq = min_freq
         self._index = {name: i for i, name in enumerate(names)}
@@ -214,11 +214,9 @@ def build_vocab(sessions, min_freq: int = 5) -> PageVocabulary:
     for s in sessions:
         for ev in s.events:
             counts[ev.page_name] += 1
-    retained = sorted(
-        (name for name, n in counts.items() if n >= min_freq),
-        key=lambda name: (-counts[name], name),
-    )
-    return PageVocabulary(retained, min_freq)
+    ranked = sorted(counts, key=lambda name: (-counts[name], name))
+    # the vocabulary reads this only once it has checked min_freq
+    return PageVocabulary((name for name in ranked if counts[name] >= min_freq), min_freq)
 
 
 def replicate_dwell(session: Session, unit_seconds: float = UNIT_SECONDS, cap: int = DWELL_CAP) -> list[str]:

@@ -37,8 +37,8 @@ every array a thunk writes, and :func:`backward` adds each leaf's
 gradients up in the order of the walk either way, so a helper changes no
 bit.
 
-Gradient accumulation is explicit: grads add up across backward calls until
-the caller zeroes them (see :func:`zero_gradients`).
+Gradient accumulation is explicit: a leaf's grads add up across backward
+calls until the caller sets its ``grad`` to None.
 """
 
 from __future__ import annotations
@@ -112,9 +112,6 @@ class Matrix:
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Add `g` to `grad`, never writing into an existing array."""
         self.grad = g if self.grad is None else self.grad + g
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Matrix(shape={self.shape})"
@@ -276,11 +273,6 @@ def _run_thunks(entries: list[list]) -> None:
     """Replace each entry's thunk by the array it computes."""
     for entry in entries:
         entry[1] = entry[1]()
-
-
-def zero_gradients(params: Iterable[Matrix]) -> None:
-    for p in params:
-        p.zero_grad()
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,9 @@ class JourneyPrefix:
     """Observed start of a journey: keywords plus already-visited pages.
 
     ConfigError unless `keywords` is text and `pages` an ordered iterable
-    (not a string, set or mapping) of non-empty page names: a model's start
-    memo keys on them.
+    (not a string, set or mapping) of non-empty page names other than
+    NULL_PAGE and UNKNOWN_PAGE, as a logged page is: a model's start memo
+    keys on them.
     """
 
     keywords: str = ""
@@ -107,6 +108,8 @@ class JourneyPrefix:
         object.__setattr__(self, "pages", tuple(self.pages))
         if not all(isinstance(p, str) and p for p in self.pages):
             raise ConfigError(f"prefix pages must be non-empty page names, got {self.pages!r}")
+        if NULL_PAGE in self.pages or UNKNOWN_PAGE in self.pages:
+            raise ConfigError(f"prefix pages must not be a reserved name, got {self.pages!r}")
 
 
 @dataclass(frozen=True)
@@ -173,10 +176,6 @@ def _targets(objectives: list[Objective], vocab: PageVocabulary) -> np.ndarray:
                 )
             targets[j, idx] = True
     return targets
-
-
-def _prefix_hit(prefix: JourneyPrefix, objective: Objective) -> bool:
-    return any(p in objective.target_pages for p in prefix.pages)
 
 
 def _served(predictor):
@@ -314,7 +313,8 @@ def _estimate_block(
     """Conversion estimates of each prefix for every objective, one simulation per prefix.
 
     Prefix k draws from the sub-stream of index `first_index + k`.
-    Objectives a prefix already reached convert every sample; the others
+    Objectives a prefix already reached, by the class of one of its pages
+    (an unlisted page reaches UNKNOWN_PAGE), convert every sample; the others
     count the sampled paths that touch one of their pages (`targets`, the
     objectives' :func:`_targets`).  The prefixes with some objective
     still open start in one `start` call and are simulated together, each
@@ -322,7 +322,8 @@ def _estimate_block(
     ends at the NULL page, the horizon, or once every open objective of its
     prefix is hit: its hits are decided by then.
     """
-    already = np.array([[_prefix_hit(p, o) for o in objectives] for p in prefixes])
+    encode = predictor.vocab.encode
+    already = np.array([targets[:, [encode(page) for page in p.pages]].any(axis=1) for p in prefixes])
     counts = np.zeros(already.shape, dtype=np.intp)
     started = np.flatnonzero(~already.all(axis=1))
     if started.size:
@@ -362,8 +363,9 @@ def estimate_conversion(
 ) -> ConversionEstimate:
     """Monte Carlo conversion probability with its binomial standard error.
 
-    A rollout converts when any objective page appears in the prefix or the
-    sampled continuation.  `prefix_index` selects the sub-stream, so a batch
+    A rollout converts when the prefix or the sampled continuation holds a
+    page of an objective's class (a page outside the vocabulary is of
+    UNKNOWN_PAGE's).  `prefix_index` selects the sub-stream, so a batch
     cell and a standalone call with the same index agree exactly.
     """
     _check_sampling(n_samples, horizon)
@@ -418,6 +420,7 @@ def conversion_path_mass(
 ) -> PathMass:
     """Enumeration of every continuation up to `horizon` steps, a block of one depth at a time.
 
+    A prefix that holds a page of an objective's class is a hit at once.
     Branches end at an objective page (hit), the NULL page or the horizon
     (miss); a horizon outside [0, MAX_SESSION_EVENTS] is a SamplingError.
     With `prune_tol` > 0, branches whose path probability drops below the
@@ -433,7 +436,7 @@ def conversion_path_mass(
         raise ValueError(f"prune_tol must be >= 0, got {prune_tol}")
     vocab = predictor.vocab
     is_target = _targets([objective], vocab)[0, :-1]
-    if _prefix_hit(prefix, objective):
+    if is_target[[vocab.encode(page) for page in prefix.pages]].any():
         return PathMass(1.0, 0.0, 0.0, 0)
     if horizon == 0:
         return PathMass(0.0, 1.0, 0.0, 0)

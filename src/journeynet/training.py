@@ -4,12 +4,13 @@ Sessions are dwell-expanded, bucketed by length, and padded within each
 batch; padding steps are masked out of the loss.  The optimizer is plain
 gradient descent with a per-parameter adaptive step (running average of
 squared gradients) and global-norm gradient clipping.  Each batch's forward
-and backward pass runs in float32 on a twin model of its own arrays,
-refreshed from the float64 master weights before the batch; the masters
-and the optimizer state take the update from the twin's gradients (mixed precision,
-Micikevicius et al., arXiv:1710.03740).  Every random choice (init,
-shuffling, dropout) derives from the config seed, so a run is exactly
-repeatable.
+and backward pass runs in float32 on a twin model of its own arrays, built
+as the cast of the float64 master weights; the masters and the optimizer
+state take the update from the twin's gradients, and the step writes the
+cast of each updated master into the twin and clears the twin's gradients
+(mixed precision, Micikevicius et al., arXiv:1710.03740).  Every random
+choice (init, shuffling, dropout) derives from the config seed, so a run is
+exactly repeatable.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ class TrainConfig(ModelConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        counts = (self.epochs, self.batch_size, self.seed)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in counts):
+            raise ConfigError(f"epochs, batch_size and seed must be ints: {counts}")
+        rates = (self.learning_rate, self.gradient_clip_norm)
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in rates):
+            raise ConfigError(f"learning_rate and gradient_clip_norm must be ints or floats: {rates}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         # `not x > 0` also rejects NaN
@@ -107,23 +114,28 @@ class TrainReport:
 class _AdaptiveStep:
     """Per-parameter scaling by a running average of squared gradients.
 
-    Each Matrix of `grads` holds, in its `grad`, the gradient of the weight
-    of `params` at its place (in training, a weight of the float32 twin).
+    Each Matrix of `twin` is the twin of the weight of `params` at its place
+    (in training, a weight of the float32 twin model): its `grad` holds the
+    weight's gradient, and its data the weight cast to its dtype.  The step
+    is the one writer of both once the twin is built.
     It keeps one float64 running average per weight and one float64 scratch
     pair sized to the largest weight.  `step` squares each gradient, of any
     float dtype, into the pair's second array in float64 for the norm, then
-    copies it into the first and updates the float64 weights in place,
-    allocating nothing, so at its peak a step holds only the weights, their
-    gradients, their running averages and the pair.  The update runs the
+    copies it into the first, updates the float64 weights in place and
+    copies each updated entry into its twin, allocating nothing, so at its
+    peak a step holds only the weights, their twins and gradients, their
+    running averages and the pair.  The update runs the
     first half of every weight's entries in the first half of the pair and
     the rest in the second half: the second on `helper` (an executor with
     one worker) while the calling thread runs the first.  Every entry gets
-    the bits one thread would give it.  Every weight of the training graph
-    feeds every batch's loss, so every one has a gradient.
+    the bits one thread would give it.  Once both halves are done, every
+    twin's `grad` is None, so the next backward pass starts from none.
+    Every weight of the training graph feeds every batch's loss, so every
+    one has a gradient.
     """
 
-    def __init__(self, params, grads, config: TrainConfig, helper: Executor):
-        self.params, self.grads = params, grads
+    def __init__(self, params, twin, config: TrainConfig, helper: Executor):
+        self.params, self.twin = params, twin
         self.lr = config.learning_rate
         self.clip = config.gradient_clip_norm
         self.helper = helper
@@ -133,7 +145,7 @@ class _AdaptiveStep:
 
     def step(self) -> None:
         sumsq = 0.0
-        for src, v in zip(self.grads, self.sq):
+        for src, v in zip(self.twin, self.sq):
             t = self.pair[1][:v.size].reshape(v.shape)
             sumsq += float(np.multiply(src.grad, src.grad, out=t, dtype=np.float64).sum())
         norm = np.sqrt(sumsq)
@@ -144,15 +156,17 @@ class _AdaptiveStep:
         finally:
             task.exception()  # the helper's half is done, also when this half failed
         task.result()
+        for leaf in self.twin:
+            leaf.grad = None
 
     def _update(self, factor, half: int) -> None:
-        """Update half of the entries of every weight, gradient and average,
+        """Update half of the entries of every weight, its twin and average,
         in that half of the scratch pair: the first size // 2 of each
         (`half` 0) or the rest (`half` 1)."""
         at = half * (len(self.pair[0]) // 2)
-        for p, src, v in zip(self.params, self.grads, self.sq):
+        for p, leaf, v in zip(self.params, self.twin, self.sq):
             entries = slice(v.size // 2) if half == 0 else slice(v.size // 2, None)
-            w, grad, v = (a.reshape(-1)[entries] for a in (p.data, src.grad, v))
+            w, cast, grad, v = (a.reshape(-1)[entries] for a in (p.data, leaf.data, leaf.grad, v))
             g, t = (b[at:at + v.size] for b in self.pair)
             np.copyto(g, grad)
             if factor is not None:
@@ -168,6 +182,7 @@ class _AdaptiveStep:
             t += RMS_EPSILON
             g /= t
             w -= g
+            np.copyto(cast, w)
 
 
 def _make_batches(expanded, order, batch_size, rng=None):
@@ -231,9 +246,9 @@ def train(
     model = SequenceModel.build(config.model_config(), vocab, config.seed)
     expanded = [expand_session(s, vocab) for s in sessions]
     params = [p for _, p in model.parameters()]
-    # the float32 model each batch runs on
+    # the float32 model each batch runs on; the optimizer step keeps it the cast of the masters
     twin = SequenceModel(model.config, vocab, {
-        name: nm.Matrix._result(np.empty(p.shape, dtype=COMPUTE_DTYPE)) for name, p in model.parameters()
+        name: nm.Matrix._result(p.data.astype(COMPUTE_DTYPE)) for name, p in model.parameters()
     })
     leaves = [p for _, p in twin.parameters()]
     report = TrainReport()
@@ -254,8 +269,6 @@ def train(
             for bi, idx_batch in enumerate(batches):
                 phrases, rowidx, targets, mask = _batch_tensors(expanded, idx_batch)
                 dropout_rng = rngmod.stream(config.seed, "dropout", epoch, bi)
-                for p, leaf in zip(params, leaves):
-                    np.copyto(leaf.data, p.data)
                 with tape:
                     total = _batch_loss(twin, phrases, rowidx, targets, mask, dropout_rng)
                     n_steps = float(mask.sum())
@@ -264,7 +277,6 @@ def train(
                     raise TrainingError("training loss diverged", epoch=epoch, batch=bi)
                 nm.backward(tape, mean_loss)
                 optimizer.step()
-                nm.zero_gradients(leaves)
                 nats += total.item()
                 steps += n_steps
             eval_acc, eval_loss = evaluate(model, held_out, vocab)

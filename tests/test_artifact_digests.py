@@ -19,7 +19,8 @@ def test_tiny_pipeline_prints_a_digest_of_every_artifact(capsys):
         ("single", "model.ckpt", ["train_report.csv"]),
         ("ensemble", "ensemble.ckpt", ["train_report_m0.csv", "train_report_m1.csv"]),
     ):
-        for name in (checkpoint, *reports, "eval.txt", "eval_sessions.jsonl", "scores_w1.csv", "scores_w2.csv"):
+        for name in (checkpoint, *reports, "eval.txt", "eval_sessions.jsonl", "scores_w1.csv", "scores_w2.csv",
+                     "traces.txt"):
             assert f"{run}/{name}" in rows
         # scores do not depend on the worker count
         assert rows[f"{run}/scores_w1.csv"] == rows[f"{run}/scores_w2.csv"]

@@ -511,6 +511,8 @@ BAD_PREFIX_RECORDS = [
     '{"keywords": 7, "pages": ["home"]}',
     '{"pages": ["home"]}',
     '{"keywords": "kw", "pages": ["home", ""]}',
+    '{"keywords": "kw", "pages": ["home", "<null>"]}',
+    '{"keywords": "kw", "pages": ["<unknown>"]}',
     '["kw", "home"]',
     '"keywords"',
     '12',
@@ -772,6 +774,19 @@ def test_simulate_negative_trace_count_is_a_clean_error(pipeline, tmp_path, caps
     ])
     assert code == 1
     _assert_clean_error(capsys, "--n-traces")
+
+
+@pytest.mark.parametrize("page", ["<null>", "<unknown>"])
+def test_simulate_seed_prefix_of_a_reserved_page_is_a_clean_error(pipeline, tmp_path, capsys, page):
+    # training never feeds a reserved page as an input, so no prefix does
+    out, _ = pipeline
+    code = main([
+        "simulate", "--model", str(out / "model.ckpt"), "--seed-prefix", f"kw+{page}",
+        "--out", str(tmp_path / "t.txt"),
+    ])
+    assert code == 1
+    _assert_clean_error(capsys, "reserved", page)
+    assert not (tmp_path / "t.txt").exists()
 
 
 def test_score_zero_workers_is_a_clean_error(pipeline, tmp_path, capsys):

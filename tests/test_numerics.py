@@ -19,7 +19,6 @@ from journeynet.numerics import (
     scale,
     softmax,
     take_rows,
-    zero_gradients,
 )
 
 
@@ -161,8 +160,9 @@ def test_backward_accumulates_across_calls():
     backward(tape, y)
     backward(tape, y)
     assert x.grad[0, 0] == pytest.approx(12.0)
-    zero_gradients([x])
-    assert x.grad is None
+    x.grad = None  # the caller ends the accumulation
+    backward(tape, y)
+    assert x.grad[0, 0] == pytest.approx(6.0)
 
 
 def test_backward_frees_each_intermediate_gradient_once_its_node_has_run():
@@ -205,7 +205,7 @@ def test_backward_linear_in_loss():
     backward(tape, total)
     g_sum = w.grad.copy()
 
-    zero_gradients([w])
+    w.grad = None
     with ComputeTape([w]) as tape:
         l1, l2 = losses()
     backward(tape, l1)
@@ -639,7 +639,8 @@ def fresh_tape_gradients(weights, steps):
         loss = slot_loss(weights, steps)
     backward(tape, loss)
     grads = [w.grad.tobytes() for w in weights]
-    zero_gradients(weights)
+    for w in weights:
+        w.grad = None
     return grads
 
 
@@ -655,7 +656,8 @@ def test_slot_reentered_tape_gives_every_batch_a_fresh_tapes_gradients(dtype):
         assert [w.grad.tobytes() for w in weights] == expected, steps
         slots = tape._slots.arrays
         assert not any(np.shares_memory(w.grad, a) for w in weights for a in slots)
-        zero_gradients(weights)
+        for w in weights:
+            w.grad = None
     assert len(tape._slots.arrays) == 10  # two layers: four forward arrays and one dz each
 
 
@@ -701,7 +703,8 @@ def test_slot_two_tapes_never_share_one():
             loss = slot_loss(weights, 6)
         backward(tape, loss)
         outputs.append([node.output.data for node in tape._nodes])
-    zero_gradients(weights)
+    for w in weights:
+        w.grad = None
     a, b = (t._slots.arrays for t in tapes)
     assert a and b
     assert not any(np.shares_memory(x, y) for x in a for y in b)

@@ -114,6 +114,8 @@ def test_simulated_journey_null_must_be_last():
     ("kw", {"landing", "quote", "price", "home"}),  # unordered: its order would follow the hash seed
     ("kw", frozenset({"landing"})),
     ("kw", {"landing": 1, "quote": 2}),  # a mapping would be taken as its keys
+    ("kw", ("landing", NULL_PAGE)),  # training never feeds a reserved page as an input
+    ("kw", (UNKNOWN_PAGE,)),
 ])
 def test_journey_prefix_rejects_fields_that_are_not_text_and_page_names(keywords, pages):
     with pytest.raises(ConfigError, match="prefix"):
@@ -575,7 +577,8 @@ def test_block_hit_counts_equal_an_isin_count_of_the_same_paths():
     columns = simulator._targets(objectives, vocab)
     targets = [np.flatnonzero(column[:-1]) for column in columns]
     is_target = columns.T
-    already = np.array([[simulator._prefix_hit(p, o) for o in objectives] for p in prefixes])
+    classes = [[vocab.encode(page) for page in p.pages] for p in prefixes]
+    already = np.array([[np.isin(c, t).any() for t in targets] for c in classes])
     started = np.flatnonzero(~already.all(axis=1))
     state, dists = pred.start([prefixes[k] for k in started])
     streams = [(seed, "conversion", k) for k in started.tolist()]
@@ -689,6 +692,25 @@ def test_frontier_chunk_size_does_not_change_the_masses(make, prefix, objective,
     assert chunked.nodes == whole.nodes
     for field in ("hit", "missed", "pruned"):
         assert getattr(chunked, field) == pytest.approx(getattr(whole, field), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("objective", [
+    Objective("unknown", {UNKNOWN_PAGE}), Objective("a-or-unknown", {"a", UNKNOWN_PAGE}),
+], ids=["unknown", "a-or-unknown"])
+def test_a_prefix_page_outside_the_vocabulary_reaches_an_unknown_objective(objective):
+    # the model reads an unlisted page as the <unknown> class, as rollouts hit by class
+    config = ModelConfig(max_len=16, conv_stages=((3, 4, 4),), lstm_hidden=(8,), fc_width=8, dropout_rate=0.0)
+    model = SequenceModel.build(config, PageVocabulary(["a", "b", "c"], min_freq=1), seed=3)
+    prefixes = [JourneyPrefix("kw", ("b", "zzz-not-a-page")), JourneyPrefix("kw", ("b",))]
+    estimates = [
+        estimate_conversion(model, p, objective, 400, 4, seed=1, prefix_index=k) for k, p in enumerate(prefixes)
+    ]
+    assert estimates[0].probability == 1.0 and estimates[0].std_error == 0.0
+    assert estimates[1].probability < 1.0
+    rows = score_batch(model, prefixes, [objective], n_samples=400, horizon=4, seed=1)
+    assert [r.probability for r in rows] == [e.probability for e in estimates]
+    assert conversion_path_mass(model, prefixes[0], objective, 4) == simulator.PathMass(1.0, 0.0, 0.0, 0)
+    assert exact_conversion(model, prefixes[1], objective, 4) < 1.0
 
 
 def brute_force_path_mass(pred, targets, horizon):

@@ -122,6 +122,14 @@ def test_trained_model_holds_a_plain_model_config(trained):
     dict(gradient_clip_norm=0.0),
     dict(gradient_clip_norm=float("nan")),
     dict(learning_rate=float("inf")),
+    dict(epochs=2.5),  # each field of a run is an int, or an int or float, and no bool
+    dict(epochs=True),
+    dict(batch_size="4"),
+    dict(seed=1.5),
+    dict(seed="7"),
+    dict(learning_rate="0.1"),
+    dict(learning_rate=True),
+    dict(gradient_clip_norm=None),
 ])
 def test_train_config_rejects_out_of_range_values_at_construction(bad):
     with pytest.raises(ConfigError):
@@ -546,7 +554,8 @@ def test_slot_reentered_tape_gives_long_short_long_batches_a_fresh_tapes_gradien
             loss = _batch_loss(twin, *batch, np.random.default_rng(bi))
         nm.backward(tape, loss)
         grads = [p.grad.tobytes() for p in leaves]
-        nm.zero_gradients(leaves)
+        for p in leaves:
+            p.grad = None
         return grads
 
     fresh = [gradients(nm.ComputeTape(leaves), bi, batch) for bi, batch in enumerate(batches)]
@@ -640,7 +649,8 @@ def test_float32_batch_gradient_matches_float64(chain_data):
             loss = _batch_loss(m, *batch, rngmod.stream(0, "dropout"))
         nm.backward(tape, loss)
         out = [p.grad.astype(np.float64) for p in params]
-        nm.zero_gradients(params)
+        for p in params:
+            p.grad = None
         return out
 
     g64, g32 = grads(model), grads(twin)
@@ -701,21 +711,23 @@ def test_adaptive_step_is_bitwise_the_reference_formula(clip, grad_dtype, helper
     shapes = [(7, 5), (1, 5), (33, 20), (9, 77)]  # odd sizes, the largest too, split unevenly
     mine = [nm.Matrix(rng.standard_normal(s)) for s in shapes]
     ref = [nm.Matrix(p.data) for p in mine]
-    grads = [nm.Matrix(np.zeros(s)) for s in shapes]  # the step reads the gradients from these
+    # the step reads the gradients from the twin and writes the twin
+    twin = [nm.Matrix._result(p.data.astype(grad_dtype)) for p in mine]
     config = TrainConfig(learning_rate=3e-3, gradient_clip_norm=clip, **TOY_TRAIN)
-    opt = _AdaptiveStep(mine, grads, config, helper)
+    opt = _AdaptiveStep(mine, twin, config, helper)
     ref_sq = [np.zeros(s) for s in shapes]
     for _ in range(4):
-        for d, q in zip(grads, ref):
-            g = rng.standard_normal(d.shape).astype(grad_dtype)
+        grads = [rng.standard_normal(s).astype(grad_dtype) for s in shapes]
+        for d, q, g in zip(twin, ref, grads):
             # the reference formula runs in float64 on the gradients cast exactly
             d.grad, q.grad = g, g.astype(np.float64)
         opt.step()
         _reference_step(ref, ref_sq, config.learning_rate, clip, RMS_DECAY, RMS_EPSILON)
-        for p, d, q in zip(mine, grads, ref):
-            assert p.grad is None
-            assert np.array_equal(d.grad, q.grad)  # the step left its input alone
+        for p, d, q, g in zip(mine, twin, ref, grads):
+            assert p.grad is None and d.grad is None
+            assert np.array_equal(g, q.grad)  # the step left its input alone
             assert np.array_equal(p.data, q.data)
+            assert d.data.dtype == grad_dtype and np.array_equal(d.data, q.data.astype(grad_dtype))
         for v, w in zip(opt.sq, ref_sq):
             assert np.array_equal(v, w)
 
@@ -733,18 +745,51 @@ def test_adaptive_step_views_of_other_shapes_share_its_scratch_bitwise(clip, hel
     shapes = [(300, 701), (1, 40), (7, 5), (20, 33), (33, 20), (1, 1)]
     mine = [nm.Matrix(rng.standard_normal(s)) for s in shapes]
     ref = [nm.Matrix(p.data) for p in mine]
+    twin = [nm.Matrix._result(p.data.astype(np.float32)) for p in mine]
     config = TrainConfig(learning_rate=3e-3, gradient_clip_norm=clip, **TOY_TRAIN)
-    opt = _AdaptiveStep(mine, mine, config, helper)
+    opt = _AdaptiveStep(mine, twin, config, helper)
     ref_sq = [np.zeros(s) for s in shapes]
     for _ in range(4):
-        for p, q in zip(mine, ref):
-            g = rng.standard_normal(p.shape)
-            p.grad, q.grad = g, g.copy()
+        grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        for d, q, g in zip(twin, ref, grads):
+            d.grad, q.grad = g, g.astype(np.float64)
         opt.step()
         _reference_step(ref, ref_sq, config.learning_rate, clip, RMS_DECAY, RMS_EPSILON)
-        for p, q, v, w in zip(mine, ref, opt.sq, ref_sq):
-            assert np.array_equal(p.grad, q.grad)
+        for p, d, q, g, v, w in zip(mine, twin, ref, grads, opt.sq, ref_sq):
+            assert d.grad is None and np.array_equal(g, q.grad)
             assert np.array_equal(p.data, q.data) and np.array_equal(v, w)
+            assert np.array_equal(d.data, q.data.astype(np.float32))
+
+
+def test_adaptive_step_writes_the_twin_as_the_cast_of_its_masters_and_clears_its_gradients(chain_data, helper):
+    # after each step the next batch can run on the twin as it stands: no refresh, no gradient to clear
+    from journeynet import numerics as nm
+    from journeynet import rng as rngmod
+    from journeynet.seqmodel import COMPUTE_DTYPE
+    from journeynet.training import _AdaptiveStep, _batch_loss, _batch_tensors
+
+    tr, _, vocab = chain_data
+    config = TrainConfig(seed=3, learning_rate=0.05, **TOY_TRAIN)
+    model = SequenceModel.build(config.model_config(), vocab, config.seed)
+    twin = SequenceModel(model.config, vocab, {
+        name: nm.Matrix._result(p.data.astype(COMPUTE_DTYPE)) for name, p in model.parameters()
+    })
+    params, leaves = [p for _, p in model.parameters()], [p for _, p in twin.parameters()]
+    opt = _AdaptiveStep(params, leaves, config, helper)
+    tape = nm.ComputeTape(leaves)
+    expanded = [expand_session(s, vocab) for s in tr[:12]]
+    for bi in range(3):
+        batch = _batch_tensors(expanded, range(4 * bi, 4 * bi + 4))
+        with tape:
+            loss = _batch_loss(twin, *batch, rngmod.stream(0, "dropout", bi))
+        nm.backward(tape, loss)
+        before = [leaf.data.copy() for leaf in leaves]
+        opt.step()
+        assert not all(np.array_equal(b, leaf.data) for b, leaf in zip(before, leaves))
+        for (name, p), leaf in zip(model.parameters(), leaves):
+            assert leaf.grad is None, name
+            assert leaf.data.dtype == COMPUTE_DTYPE, name
+            assert np.array_equal(leaf.data, p.data.astype(COMPUTE_DTYPE)), name
 
 
 def _float64_entries(obj) -> int:

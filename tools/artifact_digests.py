@@ -2,11 +2,11 @@
 
 The pipeline runs in a temporary directory, through `journeynet.cli.main`:
 gen-data on a four-page chain, then train at the paper's architecture (one
-model, and an ensemble of two), eval of each checkpoint, and score of each
-checkpoint with one and with two workers.  Every input derives from fixed
-seeds, so two checkouts whose training and scoring give the same bits print
-the same lines; compare their output to see whether a change moved any
-artifact.  `--tiny` runs a small architecture instead (for tests).
+model, and an ensemble of two), eval of each checkpoint, score of each
+checkpoint with one and with two workers, and simulate of each checkpoint.
+Every input derives from fixed seeds, so two checkouts whose training,
+scoring and sampling give the same bits print the same lines; compare their
+output to see whether a change moved any artifact.  `--tiny` runs a small architecture instead (for tests).
 
 Run from the repository root:
 
@@ -89,6 +89,8 @@ def run_pipeline(root: Path, tiny: bool) -> None:
                   "--objectives", str(root / "objectives.json"), "--n-samples", "200",
                   "--horizon", "10", *seed, "--workers", str(workers),
                   "--out", str(out_dir / f"scores_w{workers}.csv")])
+        _run(["simulate", "--model", str(model), "--seed-prefix", "car insurance+home", "--steps", "10",
+              "--n-traces", "4", *seed, "--out-dir", str(out_dir)])
 
 
 def digests(root: Path) -> list[tuple[str, str]]:
