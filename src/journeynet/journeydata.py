@@ -38,7 +38,7 @@ UNIT_SECONDS = 30.0
 DWELL_CAP = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PageEvent:
     """One page view: the page's name, non-empty text other than NULL_PAGE and
     UNKNOWN_PAGE, and its dwell, an int or float >= 0 and finite (not a bool),
@@ -65,7 +65,7 @@ class PageEvent:
             raise ValueError(f"dwell_seconds must be >= 0 and finite, got {dwell!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Session:
     """A visit: its id and searched keywords, both text (ValueError otherwise), and its page events."""
 

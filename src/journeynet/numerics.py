@@ -15,11 +15,14 @@ A :class:`ComputeTape` watches the leaves it is given: inside its block
 they are tracked, and every operation with a tracked operand is
 recorded and tracks its result.
 Calling :func:`backward` on the tape then accumulates ``dL/dx`` into the
-``grad`` buffer of every leaf, and frees each intermediate gradient as
-soon as the op that made it has used it.  A Matrix no tape watches is
-untracked, so operations on it are plain numpy computations and record
-nothing, also inside another tape's block; serving a model whose weights a
-tape watches records the passes and steps its cache does not serve.
+``grad`` buffer of every leaf.  The walk drops each node from the
+recording once it has run, so an intermediate gradient, and every forward
+array that only the tape held, is freed as soon as nothing will read it;
+a recording is therefore walked once, and a second walk raises.  A Matrix
+no tape watches is untracked, so operations on it are plain numpy
+computations and record nothing, also inside another tape's block;
+serving a model whose weights a tape watches records the passes and
+steps its cache does not serve.
 
 Each entry into a tape's block starts a new recording.  A recorded
 :func:`lstm_sequence` takes its (T*B)-row arrays and its backward's ``dz``
@@ -28,7 +31,7 @@ returns, the cell rows included, is valid until the tape records again;
 a leaf's gradient is never a slot.
 
 A product whose result only a leaf's gradient reads (the weight side of
-:func:`matmul`, and the recurrent weight and bias gradients of
+:func:`matmul` and :func:`dense`, and the recurrent weight and bias gradients of
 :func:`lstm_sequence`) is returned by its node's backward function as a
 thunk.  A tape given a `helper` (an executor with one worker) sends each
 node's thunks to it as one task, so the product runs while the walk goes
@@ -180,12 +183,14 @@ class ComputeTape:
         self.helper = helper
         self._leaf_ids = {id(m) for m in self.leaves}
         self._nodes: list[_TapeNode] = []
+        self._walked = False
         self._slots = _Slots()
 
     def __enter__(self) -> "ComputeTape":
         if getattr(_active, "tape", None) is not None:
             raise RuntimeError("a ComputeTape is already active on this thread")
-        self._nodes, self._slots.taken = [], 0  # a new recording: the last one's arrays are dead
+        # a new recording: the last one's arrays are dead
+        self._nodes, self._walked, self._slots.taken = [], False, 0
         for m in self.leaves:
             m.track = True
         _active.tape = self
@@ -222,14 +227,17 @@ def backward(tape: ComputeTape, loss: Matrix) -> None:
     """Populate gradients of everything `loss` depends on, walking `tape` backward.
 
     Gradients of the tape's leaves accumulate across calls, added up in
-    the walk's order once the walk and the helper's tasks have ended.  An
-    intermediate gradient is freed as soon as its node has used it, so a
-    pass holds only the gradients still to be consumed; each node keeps its
-    forward arrays, so calling backward twice adds the same leaf gradients
-    twice, until the tape records again and reuses their slots.
+    the walk's order once the walk and the helper's tasks have ended.  Each
+    node leaves the recording as soon as it has run, and with it its output's
+    gradient and the forward arrays only it held, so a pass holds only what
+    is still to be read.  A walked recording is empty: walking it again
+    raises RuntimeError, and the tape must record again first.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"loss must be a 1x1 scalar, got {loss.shape}")
+    if tape._walked:
+        raise RuntimeError("this recording was walked already: record again to walk again")
+    tape._walked, nodes = True, tape._nodes
     leaf = id(loss) in tape._leaf_ids
     if leaf:
         # degenerate case: the loss is itself a leaf
@@ -238,9 +246,11 @@ def backward(tape: ComputeTape, loss: Matrix) -> None:
         loss.grad = np.ones((1, 1))
     joins, tasks = [], []  # [leaf, gradient or thunk] in walk order; the helper's tasks
     try:
-        for node in reversed(tape._nodes):
+        while nodes:
             # tape order is topological, so every consumer of this output has
-            # added its part: the gradient is complete, and dead after this node
+            # added its part and left the recording: the gradient is complete,
+            # and this node's arrays are dead once it has run
+            node = nodes.pop()
             g, node.output.grad = node.output.grad, None
             if g is None:
                 continue
@@ -304,10 +314,28 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return record(out, (a, b), back)
 
 
-def add(a: Matrix, b: Matrix) -> Matrix:
-    """`a` with the 1 x cols bias row `b` added to every row."""
-    out = Matrix._result(a.data + b.data)
-    return record(out, (a, b), lambda g: (g, g.sum(axis=0, keepdims=True)))
+def dense(x: Matrix, w: Matrix, b: Matrix, relu: bool) -> Matrix:
+    """``x @ w`` with the 1 x cols bias row `b` added to every row, through ReLU if `relu`.
+
+    One node: the bias and the ReLU are applied in place to the
+    :func:`rows_product`, so no product or sum array outlives the call.  Its
+    backward masks by the output (positive exactly where the sum was), sums
+    the bias gradient and multiplies as :func:`matmul` does.
+    """
+    y = rows_product(x.data, w.data)
+    y += b.data
+    if relu:
+        np.maximum(y, 0.0, out=y)
+    tx = x.track
+
+    def back(g):  # backward never runs the thunk of an untracked `w`
+        if relu:
+            g = g * (y > 0)
+        gb = g.sum(axis=0, keepdims=True)
+        gw = np.empty(w.shape, np.result_type(x.data, g))
+        return (g @ w.data.T if tx else None), lambda: np.matmul(x.data.T, g, out=gw), gb
+
+    return record(Matrix._result(y), (x, w, b), back)
 
 
 def scale(x: Matrix, c: float) -> Matrix:
@@ -319,12 +347,6 @@ def _sigmoid(d: np.ndarray) -> np.ndarray:
     """Logistic function that never exponentiates a positive number:
     1 / (1 + exp(-d)) for d >= 0 and exp(d) / (1 + exp(d)) below."""
     return np.exp(np.minimum(d, 0.0)) / (1.0 + np.exp(-np.abs(d)))
-
-
-def relu(x: Matrix) -> Matrix:
-    out = Matrix._result(np.maximum(x.data, 0.0))
-    mask = x.data > 0
-    return record(out, (x,), lambda g: (g * mask,))
 
 
 def softmax(logits: Matrix) -> Matrix:
@@ -401,12 +423,29 @@ def take_rows(x: Matrix, indices) -> Matrix:
     return record(out, (x,), back)
 
 
+# float64 uniforms per block of dropout's draw: half of glibc's default mmap
+# threshold, so the one buffer a call reuses comes from the heap, not fresh pages
+DROPOUT_BLOCK_BYTES = 1 << 16
+
+
 def dropout(x: Matrix, rate: float, rng: np.random.Generator) -> Matrix:
     """Inverted dropout: surviving entries are scaled by 1/(1-rate), a rate
-    in [0, 1) as `ModelConfig` keeps it."""
+    in [0, 1) as `ModelConfig` keeps it.
+
+    The uniforms are drawn in blocks of rows into one reused float64
+    buffer, which reads the stream in the order of one ``rng.random(x.shape)``.
+    """
     if rate == 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate) * x.data.dtype.type(1.0 / (1.0 - rate))
+    rows, cols = x.shape
+    keep = np.empty(x.shape, x.data.dtype)
+    block = max(1, DROPOUT_BLOCK_BYTES // (8 * max(cols, 1)))
+    uniforms = np.empty(min(block, rows) * cols)
+    for a in range(0, rows, block):
+        part = keep[a:a + block]
+        u = rng.random(out=uniforms[:part.size].reshape(part.shape))
+        np.greater_equal(u, rate, out=part)
+    keep *= x.data.dtype.type(1.0 / (1.0 - rate))
     out = Matrix._result(x.data * keep)
     return record(out, (x,), lambda g: (g * keep,))
 

@@ -320,11 +320,10 @@ class SequenceModel:
 
     def head(self, h: Matrix, dropout_rng: np.random.Generator | None = None) -> Matrix:
         """Fully connected ReLU layer, dropout at the config's rate if given a generator, softmax over classes."""
-        fc = nm.relu(nm.add(nm.matmul(h, self.w_fc), self.b_fc))
+        fc = nm.dense(h, self.w_fc, self.b_fc, relu=True)
         if dropout_rng is not None:
             fc = nm.dropout(fc, self.config.dropout_rate, dropout_rng)
-        logits = nm.add(nm.matmul(fc, self.w_out), self.b_out)
-        return nm.softmax(logits)
+        return nm.softmax(nm.dense(fc, self.w_out, self.b_out, relu=False))
 
     def _project(self, phrases: list[str]) -> Matrix:
         """Layer 0's input projection of the CNN embeddings of `phrases`, one row each.

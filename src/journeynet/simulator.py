@@ -184,9 +184,17 @@ def _served(predictor):
     return predictor if compute_copy is None else compute_copy()
 
 
+def _check_int(value, name: str, error=SamplingError) -> None:
+    """`error` (SamplingError by default) unless `value` is an int and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an int, got {value!r}")
+
+
 def _check_horizon(horizon: int, name: str = "horizon") -> None:
-    """SamplingError unless 1 <= horizon <= MAX_SESSION_EVENTS, the longest
-    session the generator walks; checked before anything is sized by it."""
+    """SamplingError unless `horizon` is an int (not a bool) and 1 <= horizon <=
+    MAX_SESSION_EVENTS, the longest session the generator walks; checked
+    before anything is sized by it."""
+    _check_int(horizon, name)
     if horizon < 1:
         raise SamplingError(f"{name} must be >= 1, got {horizon}")
     if horizon > MAX_SESSION_EVENTS:
@@ -295,6 +303,7 @@ def _simulate(predictor, state, dists, streams, n_samples: int, horizon: int, is
 
 
 def _check_sampling(n_samples: int, horizon: int, name: str = "horizon") -> None:
+    _check_int(n_samples, "n_samples")
     if n_samples < 1:
         raise SamplingError(f"n_samples must be >= 1, got {n_samples}")
     _check_horizon(horizon, name)
@@ -422,7 +431,8 @@ def conversion_path_mass(
 
     A prefix that holds a page of an objective's class is a hit at once.
     Branches end at an objective page (hit), the NULL page or the horizon
-    (miss); a horizon outside [0, MAX_SESSION_EVENTS] is a SamplingError.
+    (miss); a horizon that is not an int, or is outside [0, MAX_SESSION_EVENTS],
+    is a SamplingError.
     With `prune_tol` > 0, branches whose path probability drops below the
     tolerance are cut and their mass is reported in `pruned`, which bounds
     the error of `hit`; with the default 0 the enumeration is exact and
@@ -430,6 +440,7 @@ def conversion_path_mass(
     up to CHUNK nodes is stepped in one call when popped, and pushes its
     children in CHUNK-row slices, so pending work holds ~one state per depth.
     """
+    _check_int(horizon, "horizon")
     if not 0 <= horizon <= MAX_SESSION_EVENTS:
         raise SamplingError(f"horizon must be in [0, {MAX_SESSION_EVENTS}], got {horizon}")
     if not prune_tol >= 0:
@@ -530,6 +541,7 @@ def score_batch(
     if len(prefix_ids) != len(prefixes):
         raise ValueError("prefix_ids length must match prefixes")
     _check_sampling(n_samples, horizon)
+    _check_int(workers, "workers", ConfigError)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     targets = _targets(objectives, predictor.vocab)  # rejects unknown pages before any simulation

@@ -67,8 +67,7 @@ def conv1d(x: Matrix, kernels: Matrix, bias: Matrix, width: int, n: int) -> Matr
     and weight layout (:func:`seqmodel.parameter_shapes` rejects a stage
     input shorter than its kernel).
     """
-    windows = _window_rows(x, width, n)
-    return nm.relu(nm.add(nm.matmul(windows, kernels), bias))
+    return nm.dense(_window_rows(x, width, n), kernels, bias, relu=True)
 
 
 def _window_rows(x: Matrix, width: int, n: int) -> Matrix:

@@ -22,13 +22,13 @@ def test_traced_training_reports_its_batches_and_tape_nodes():
     tracer.install()
     try:
         with tracer.region("bench.timed"):
-            # the paper's architecture: 24 tape nodes per batch
+            # the paper's architecture: 17 tape nodes per batch
             training.train(sessions, training.TrainConfig(epochs=1, batch_size=4, seed=2), vocab)
     finally:
         tracer.uninstall()
     metrics = spans.summarize(tracer.spans)
     assert metrics["training.batches"] == 2
-    assert metrics["numerics.tape_nodes_per_batch"] == 24
+    assert metrics["numerics.tape_nodes_per_batch"] == 17
 
 
 def test_training_makes_every_traced_call_on_the_calling_thread():

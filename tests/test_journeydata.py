@@ -143,6 +143,25 @@ def test_page_event_stores_an_integer_dwell_as_a_float():
     assert '"dwell_seconds": 30.0' in serialize_session(Session("s", "", (event,)))
 
 
+def test_page_event_and_session_are_slotted_and_still_compare_hash_and_pickle():
+    import pickle
+    from dataclasses import FrozenInstanceError, fields
+
+    event = PageEvent("p", 30)
+    session = Session("s", "kw", (event, PageEvent("q", 1.5)))
+    for value, same, other in [
+        (event, PageEvent("p", 30.0), PageEvent("p", 31.0)),
+        (session, Session("s", "kw", (PageEvent("p", 30), PageEvent("q", 1.5))), Session("t", "kw", ())),
+    ]:
+        assert not hasattr(value, "__dict__")
+        assert value == same and hash(value) == hash(same) and value != other
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and hash(back) == hash(value)
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, fields(value)[0].name, "x")
+    assert type(pickle.loads(pickle.dumps(event)).dwell_seconds) is float
+
+
 @pytest.mark.parametrize("session_id, keywords", [(1, ""), ("s", None), ("s", ["kw"])])
 def test_session_fields_must_be_text(session_id, keywords):
     with pytest.raises(ValueError, match="must be text"):

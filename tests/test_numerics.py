@@ -1,3 +1,4 @@
+import weakref
 import zlib
 
 import numpy as np
@@ -8,13 +9,12 @@ from journeynet.errors import NumericError, ShapeError
 from journeynet.numerics import (
     ComputeTape,
     Matrix,
-    add,
     backward,
+    dense,
     dropout,
     grad_check,
     masked_cross_entropy,
     matmul,
-    relu,
     reshape,
     scale,
     softmax,
@@ -140,7 +140,7 @@ def test_backward_constant_function_gives_zero():
     x = Matrix([[2.0]])
     c = Matrix([[5.0]])
     with ComputeTape([x]) as tape:
-        y = add(matmul(x, Matrix([[0.0]])), c)
+        y = dense(x, Matrix([[0.0]]), c, relu=False)
     backward(tape, y)
     assert x.grad[0, 0] == 0.0
 
@@ -155,14 +155,53 @@ def test_backward_requires_scalar():
 
 def test_backward_accumulates_across_calls():
     x = Matrix([[3.0]])
-    with ComputeTape([x]) as tape:
-        y = matmul(x, x)
-    backward(tape, y)
-    backward(tape, y)
+    tape = ComputeTape([x])
+
+    def walk():  # a recording is walked once: record again for each walk
+        with tape:
+            y = matmul(x, x)
+        backward(tape, y)
+
+    walk()
+    walk()
     assert x.grad[0, 0] == pytest.approx(12.0)
     x.grad = None  # the caller ends the accumulation
-    backward(tape, y)
+    walk()
     assert x.grad[0, 0] == pytest.approx(6.0)
+
+
+def test_backward_frees_each_forward_array_once_nothing_reads_it():
+    rng = np.random.default_rng(8)
+    w = Matrix(rng.normal(size=(3, 4)))
+    x = Matrix(rng.normal(size=(2, 3)))
+    with ComputeTape([w]) as tape:
+        h = matmul(x, w)
+        refs = [weakref.ref(h.data)]
+        p = softmax(h)
+        refs.append(weakref.ref(p.data))
+        loss = masked_cross_entropy(p, [0, 3], [1.0, 1.0])
+    value = loss.item()
+    del h, p  # only the recording holds them now
+    assert all(ref() is not None for ref in refs)
+    backward(tape, loss)
+    assert [ref() for ref in refs] == [None, None]
+    assert len(tape) == 0 and loss.item() == value
+    assert w.grad.shape == (3, 4)
+
+
+def test_backward_walks_a_recording_once():
+    x = Matrix([[3.0]])
+    tape = ComputeTape([x])
+    with tape:
+        y = matmul(x, x)
+    backward(tape, y)
+    with pytest.raises(RuntimeError, match="walked already"):
+        backward(tape, y)
+    assert x.grad[0, 0] == 6.0  # the refused walk added nothing
+    with tape:  # a new recording can be walked
+        y = matmul(x, x)
+    backward(tape, y)
+    assert x.grad[0, 0] == 12.0
 
 
 def test_backward_frees_each_intermediate_gradient_once_its_node_has_run():
@@ -174,18 +213,18 @@ def test_backward_frees_each_intermediate_gradient_once_its_node_has_run():
         seen.append((z.grad is None, y.grad is None))
         return (g * 2.0,)
 
-    with ComputeTape([x]) as tape:
-        y = nm.record(Matrix._result(x.data * 2.0), (x,), back_y)
-        z = scale(y, 3.0)
-        loss = nm.record(
-            Matrix._result(z.data.sum(keepdims=True)), (z,), lambda g: (np.full(z.shape, g[0, 0]),)
-        )
-    backward(tape, loss)
-    assert seen == [(True, True)]
-    assert y.grad is None and z.grad is None and loss.grad is None
-    assert np.array_equal(x.grad, [[6.0, 6.0]])
-    backward(tape, loss)  # each node keeps its forward arrays: a second pass adds the same
-    assert np.array_equal(x.grad, [[12.0, 12.0]])
+    tape = ComputeTape([x])
+    for passes in (1, 2):  # the second walk records again, and adds the same
+        with tape:
+            y = nm.record(Matrix._result(x.data * 2.0), (x,), back_y)
+            z = scale(y, 3.0)
+            loss = nm.record(
+                Matrix._result(z.data.sum(keepdims=True)), (z,), lambda g: (np.full(z.shape, g[0, 0]),)
+            )
+        backward(tape, loss)
+        assert seen == [(True, True)] * passes
+        assert y.grad is None and z.grad is None and loss.grad is None
+        assert np.array_equal(x.grad, [[6.0 * passes] * 2])
 
 
 def test_backward_linear_in_loss():
@@ -201,15 +240,16 @@ def test_backward_linear_in_loss():
 
     with ComputeTape([w]) as tape:
         l1, l2 = losses()
-        total = add(l1, l2)
+        total = dense(l1, Matrix([[1.0]]), l2, relu=False)
     backward(tape, total)
     g_sum = w.grad.copy()
 
     w.grad = None
-    with ComputeTape([w]) as tape:
-        l1, l2 = losses()
-    backward(tape, l1)
-    backward(tape, l2)
+    tape = ComputeTape([w])
+    for k in range(2):  # one recording per walk
+        with tape:
+            loss = losses()[k]
+        backward(tape, loss)
     assert np.allclose(w.grad, g_sum, rtol=1e-12, atol=1e-15)
 
 
@@ -224,7 +264,7 @@ def test_three_layer_composition_matches_finite_differences():
     m = np.ones(2)
 
     def f():
-        h1 = relu(add(matmul(x, w1), b1))
+        h1 = dense(x, w1, b1, relu=True)
         h2 = softmax(matmul(h1, w2))
         return masked_cross_entropy(softmax(matmul(h2, w3)), t, m)
 
@@ -269,10 +309,10 @@ def test_grad_check_and_item_need_a_1x1_matrix():
 
 PRIMITIVE_CASES = [
     "matmul",
-    "add",
-    "add_bias",
+    "dense",
+    "dense_one_row",
+    "dense_relu",
     "scale",
-    "relu",
     "softmax_ce",
     "reshape",
     "take_rows",
@@ -294,11 +334,8 @@ def test_primitive_gradients_match_finite_differences(op_name):
         rng = np.random.default_rng(stable_seed(op_name, trial))
         r, c = int(rng.integers(1, 5)), int(rng.integers(1, 5))
 
-        def rand(rows, cols, away_from_zero=False):
-            d = rng.uniform(-2, 2, size=(rows, cols))
-            if away_from_zero:
-                d = np.where(np.abs(d) < 1e-3, d + np.sign(d + 0.5) * 0.1, d)
-            return Matrix(d)
+        def rand(rows, cols):
+            return Matrix(rng.uniform(-2, 2, size=(rows, cols)))
 
         def projector(rows, cols):
             pr = np.random.default_rng(stable_seed(op_name, trial, "proj"))
@@ -313,25 +350,23 @@ def test_primitive_gradients_match_finite_differences(op_name):
             proj = projector(r, r)
             f = lambda: proj(matmul(a, b))
             params = [a, b]
-        elif op_name == "add":  # a one-row `a`, whose bias gradient is its own
-            a, b = rand(1, c), rand(1, c)
-            proj = projector(1, c)
-            f = lambda: proj(add(a, b))
-            params = [a, b]
-        elif op_name == "add_bias":
-            a, b = rand(r, c), rand(1, c)
-            proj = projector(r, c)
-            f = lambda: proj(add(a, b))
-            params = [a, b]
+        elif op_name in ("dense", "dense_one_row"):  # one row: its bias gradient is its own
+            rows = 1 if op_name == "dense_one_row" else r
+            x, w, b = rand(rows, c), rand(c, r), rand(1, r)
+            proj = projector(rows, r)
+            f = lambda: proj(dense(x, w, b, relu=False))
+            params = [x, w, b]
+        elif op_name == "dense_relu":
+            x, w, b = rand(r, c), rand(c, r), rand(1, r)
+            while np.abs(x.data @ w.data + b.data).min() < 0.05:  # every sum away from the kink
+                x, w, b = rand(r, c), rand(c, r), rand(1, r)
+            proj = projector(r, r)
+            f = lambda: proj(dense(x, w, b, relu=True))
+            params = [x, w, b]
         elif op_name == "scale":
             a = rand(r, c)
             proj = projector(r, c)
             f = lambda: proj(scale(a, 1.7))
-            params = [a]
-        elif op_name == "relu":
-            a = rand(r, c, away_from_zero=True)
-            proj = projector(r, c)
-            f = lambda: proj(relu(a))
             params = [a]
         elif op_name == "softmax_ce":
             a = rand(1, c + 1)
@@ -414,6 +449,20 @@ def test_dropout_mask_is_bitwise_the_divided_keep_mask(rate, dtype):
     g = np.random.default_rng(2).normal(size=x.shape).astype(dtype)
     assert tape._nodes[-1].backward_fn(g)[0].tobytes() == (g * keep).tobytes()
     assert rng.random() == ref.random()  # the same stream draws
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_mask_drawn_in_blocks_is_bitwise_one_draw(dtype):
+    cols, rate = 40, 0.3
+    block = nm.DROPOUT_BLOCK_BYTES // (8 * cols)  # rows of one block
+    scale_ = dtype(1.0 / (1.0 - rate))
+    for rows in (1, block - 1, block, block + 1, 3 * block + 5):
+        ones = Matrix._result(np.ones((rows, cols), dtype))
+        rng, ref = np.random.default_rng(rows), np.random.default_rng(rows)
+        keep = dropout(ones, rate, rng).data
+        assert keep.dtype == dtype
+        assert keep.tobytes() == ((ref.random((rows, cols)) >= rate) * scale_).tobytes(), rows
+        assert rng.random() == ref.random(), rows  # the same stream position
 
 
 def test_dropout_rate_zero_is_identity():
@@ -526,20 +575,24 @@ def test_ops_follow_float32_operands(monkeypatch):
     w = Matrix(rng.standard_normal((3, 8)))
     wh = Matrix(rng.standard_normal((2, 8)))
     bias = Matrix(np.zeros((1, 8)))
-    for m in (w, wh, bias):
+    w_fc, b_fc = Matrix(rng.standard_normal((2, 3))), Matrix(rng.standard_normal((1, 3)))
+    w_out, b_out = Matrix(rng.standard_normal((3, 2))), Matrix(rng.standard_normal((1, 2)))
+    leaves = (w, wh, bias, w_fc, b_fc, w_out, b_out)
+    for m in leaves:
         m.data = m.data.astype(np.float32)
     x = Matrix._result(rng.standard_normal((6, 3)).astype(np.float32))
-    with ComputeTape([w, wh, bias]) as tape:
+    with ComputeTape(leaves) as tape:
         zero = np.zeros((2, 2), dtype=np.float32)
         h, _ = nm.lstm_sequence(matmul(x, w), wh, bias, zero, zero)
-        fc = dropout(relu(take_rows(h, [5, 0, 3, 3])), 0.5, np.random.default_rng(0))
-        loss = masked_cross_entropy(softmax(fc), [0, 1, 0, 1], np.ones(4))
+        fc = dense(take_rows(h, [5, 0, 3, 3]), w_fc, b_fc, relu=True)
+        logits = dense(dropout(fc, 0.5, np.random.default_rng(0)), w_out, b_out, relu=False)
+        loss = masked_cross_entropy(softmax(logits), [0, 1, 0, 1], np.ones(4))
     assert all(
         node.output.data.dtype == np.float32 for node in tape._nodes if node.output.shape != (1, 1)
     )
     assert cell_dtypes == {np.dtype(np.float32)}
     backward(tape, loss)
-    assert all(m.grad.dtype == np.float32 for m in (w, wh, bias))
+    assert all(m.grad.dtype == np.float32 for m in leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +684,8 @@ def slot_loss(weights, steps):
     h1, _ = nm.lstm_sequence(matmul(h0, wx1), wh1, b1, zero, zero)
     ones = Matrix._result(np.ones((1, steps * SLOT_BATCH), dtype=dtype))
     column = Matrix._result(np.ones((SLOT_HIDDEN, 1), dtype=dtype))
-    return add(matmul(ones, matmul(h0, column)), matmul(ones, matmul(h1, column)))
+    one = Matrix._result(np.ones((1, 1), dtype=dtype))
+    return dense(matmul(ones, matmul(h0, column)), one, matmul(ones, matmul(h1, column)), relu=False)
 
 
 def fresh_tape_gradients(weights, steps):
@@ -661,15 +715,16 @@ def test_slot_reentered_tape_gives_every_batch_a_fresh_tapes_gradients(dtype):
     assert len(tape._slots.arrays) == 10  # two layers: four forward arrays and one dz each
 
 
-def test_slot_backward_twice_in_one_recording_adds_the_same_gradients_twice():
+def test_slot_backward_of_two_recordings_on_reused_slots_adds_the_same_gradients_twice():
     weights = slot_weights(np.float64)
     once = fresh_tape_gradients(weights, 5)
     tape = ComputeTape(weights)
-    for steps in (7, 5):  # the second recording reuses the first's slots
+    with tape:  # the later recordings reuse this one's slots
+        slot_loss(weights, 7)
+    for _ in range(2):  # a recording is walked once: record again for the second walk
         with tape:
-            loss = slot_loss(weights, steps)
-    backward(tape, loss)
-    backward(tape, loss)
+            loss = slot_loss(weights, 5)
+        backward(tape, loss)
     for w, g in zip(weights, once):
         g = np.frombuffer(g, dtype=w.grad.dtype).reshape(w.shape)
         assert np.array_equal(w.grad, g + g)
@@ -701,8 +756,8 @@ def test_slot_two_tapes_never_share_one():
     for tape in tapes:
         with tape:
             loss = slot_loss(weights, 6)
+        outputs.append([node.output.data for node in tape._nodes])  # the walk drops the nodes
         backward(tape, loss)
-        outputs.append([node.output.data for node in tape._nodes])
     for w in weights:
         w.grad = None
     a, b = (t._slots.arrays for t in tapes)

@@ -317,6 +317,32 @@ def test_horizons_beyond_the_longest_session_are_rejected_before_sampling():
     assert len(rollout(pred, prefix, MAX_SESSION_EVENTS, stream(0, "t")).pages) >= 1
 
 
+SAMPLING_TYPE_CASES = [
+    pytest.param("score_batch", "n_samples", True, SamplingError, id="score_batch-n_samples-True"),
+    pytest.param("score_batch", "n_samples", 10.5, SamplingError, id="score_batch-n_samples-10.5"),
+    pytest.param("estimate_conversion", "horizon", True, SamplingError, id="estimate-horizon-True"),
+    pytest.param("estimate_conversion", "horizon", 5.5, SamplingError, id="estimate-horizon-5.5"),
+    pytest.param("conversion_path_mass", "horizon", 2.5, SamplingError, id="path_mass-horizon-2.5"),
+    pytest.param("score_batch", "workers", 2.5, ConfigError, id="score_batch-workers-2.5"),
+    pytest.param("score_batch", "workers", True, ConfigError, id="score_batch-workers-True"),
+]
+
+
+@pytest.mark.parametrize("entry, name, value, error", SAMPLING_TYPE_CASES)
+def test_sampling_arguments_must_be_ints_and_not_bools(entry, name, value, error):
+    pred = hand_predictor()
+    prefix, objective = JourneyPrefix(), Objective("o", frozenset({"B"}))
+    calls = {
+        "score_batch": lambda **kw: score_batch(pred, [prefix], [objective], **{"n_samples": 10, "horizon": 3, **kw}),
+        "estimate_conversion": lambda **kw: estimate_conversion(
+            pred, prefix, objective, **{"n_samples": 10, "horizon": 3, "seed": 0, **kw}
+        ),
+        "conversion_path_mass": lambda **kw: conversion_path_mass(pred, prefix, objective, **kw),
+    }
+    with pytest.raises(error, match=f"{name} must be an int"):
+        calls[entry](**{name: value})
+
+
 def test_step_distribution_rejects_t_zero():
     with pytest.raises(SamplingError, match="t must be >= 1"):
         step_distribution(hand_predictor(), JourneyPrefix(), t=0, n_samples=10, seed=0)

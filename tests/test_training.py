@@ -507,7 +507,7 @@ def test_every_step_column_of_a_batch_mask_has_a_live_row():
         assert (mask > 0).any(axis=0).all()
 
 
-def test_paper_config_batch_records_23_tape_nodes_and_train_adds_the_mean(chain_data, monkeypatch):
+def test_paper_config_batch_records_16_tape_nodes_and_train_adds_the_mean(chain_data, monkeypatch):
     from journeynet import numerics as nm
     from journeynet import rng as rngmod
     from journeynet.training import _batch_loss, _batch_tensors
@@ -518,7 +518,7 @@ def test_paper_config_batch_records_23_tape_nodes_and_train_adds_the_mean(chain_
     batch = _batch_tensors([expand_session(s, vocab) for s in tr[:4]], range(4))
     with nm.ComputeTape(p for _, p in model.parameters()) as tape:
         _batch_loss(model, *batch, rngmod.stream(0, "dropout"))
-    assert len(tape) == 23
+    assert len(tape) == 16
     sizes = []
     original = nm.backward
 
@@ -528,7 +528,7 @@ def test_paper_config_batch_records_23_tape_nodes_and_train_adds_the_mean(chain_
 
     monkeypatch.setattr(nm, "backward", counting_backward)
     train(tr[:8], config, vocab, eval_sessions=ev[:4])
-    assert sizes == [24, 24]  # and `scale` to the batch mean
+    assert sizes == [17, 17]  # and `scale` to the batch mean
 
 
 def test_slot_reentered_tape_gives_long_short_long_batches_a_fresh_tapes_gradients(chain_data):
