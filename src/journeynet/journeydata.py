@@ -393,8 +393,8 @@ def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Ses
     MAX_SESSION_EVENTS pages raises MarkovSpecError: its chain almost never
     exits.
     """
-    if n_sessions < 1:
-        raise ConfigError(f"n_sessions must be >= 1, got {n_sessions}")
+    if isinstance(n_sessions, bool) or not isinstance(n_sessions, int) or n_sessions < 1:
+        raise ConfigError(f"n_sessions must be an int >= 1, got {n_sessions!r}")
     spec.validate()
     terminal = spec.n_states - 1
     # plain lists, so that a draw is one bisect and no numpy call

@@ -4,13 +4,13 @@ Everything is a 2-D array wrapped in a :class:`Matrix`.  Weights are
 float64 at rest: a Matrix built from data holds float64, and checkpoints
 see only float64.  Every operation follows its operands' dtype, so a pass
 over a model of float32 weights computes, records and back-propagates in
-float32.  Two such models exist, each owning its arrays: training runs
-each batch on a float32 twin of the model (see :mod:`journeynet.training`),
-and the simulator's Monte Carlo rollouts run on a compute copy
-(`SequenceModel.compute_copy`).  A model's first serving call, under
-any tape, freezes every weight read-only, so :func:`grad_check`, which
-writes into the weights, needs a model that was never served (or weights
-made writeable again).  Only 1 x 1 loss scalars stay float64.
+float32.  One cast, `SequenceModel.cast`, builds every such model, which
+owns its arrays: training runs each batch on a float32 twin of the model
+(see :mod:`journeynet.training`), and the simulator's Monte Carlo rollouts
+run on a compute copy (`SequenceModel.compute_copy`).  A model's first
+serving call, under any tape, freezes every weight read-only, so
+:func:`grad_check`, which writes into the weights, needs a model that was
+never served (or weights made writeable again).  Only 1 x 1 loss scalars stay float64.
 A :class:`ComputeTape` watches the leaves it is given: inside its block
 they are tracked, and every operation with a tracked operand is
 recorded and tracks its result.

@@ -26,11 +26,12 @@ start depends only on the prefix, and prefixes recur, so `start` runs
 only the prefixes the memo lacks.  A `start` the memo serves
 whole returns a kept state, and `step` of a kept state adds the children
 it reaches to that prefix's rollout tree, so each sampled path of a
-recurring prefix is stepped once per cache.  The compute copy is a model whose
-LSTM and head compute in float32 for the simulator's rollouts (the model
-itself computes in float64), and which owns its arrays and its serving
-cache, so a copy held across an edit of the model is a snapshot of the
-weights it was made from.  The cache is reused while every weight is still
+recurring prefix is stepped once per cache.  The compute copy is the
+model's `cast`, the cast that also builds training's twin: it computes
+every pass, the CNN's included, in float32 for the simulator's rollouts
+(the model itself computes in float64), and it owns its arrays and its
+serving cache, so a copy held across an edit of the model is a snapshot of
+the weights it was made from.  The cache is reused while every weight is still
 the same array and still read-only (:func:`_unchanged`), and restarts
 whole otherwise.  So a served model's weights are edited by assigning a
 new array to a `Matrix.data`, or by setting its ``flags.writeable = True``
@@ -50,9 +51,9 @@ one that watches the weights records the passes and steps that run, on
 frozen weights, and `start` and `step` return plain arrays, which reach no
 loss.  Every product goes through :func:`numerics.rows_product`, so a row's
 bits do not depend on the other rows of its batch for the product shapes
-tier-1 checks (the CNN's im2col products, and the LSTM and head products
-of models of 8 and 12 classes at up to 70 rows); the BLAS does not promise
-it for every shape.
+tier-1 checks in float64 and float32 (the CNN's im2col products, and the
+LSTM and head products of models of 8 and 12 classes at up to 70 rows);
+the BLAS does not promise it for every shape.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .textenc import DEFAULT_ALPHABET, Alphabet, CnnEncoder, ConvStage
 
 CHECKPOINT_FORMAT = "journeynet-checkpoint"
 CHECKPOINT_VERSION = 1
-# dtype of a training batch's pass and of the LSTM and head of a compute copy
+# dtype of every weight of a `SequenceModel.cast`: training's twin and the compute copy
 COMPUTE_DTYPE = np.float32
 # most weights a model may lay out, and most entries of one phrase's one-hot:
 # 10**8 float64 masters take 0.8 GB (the paper's config has 385 292 weights)
@@ -281,22 +282,23 @@ class SequenceModel:
             self._cache = _ServingCache(self)
         return self._cache
 
-    def compute_copy(self) -> "SequenceModel":
-        """A model of its own arrays: copies of this one's (float64) encoder weights
-        and COMPUTE_DTYPE casts of its LSTM and head weights.
+    def cast(self) -> "SequenceModel":
+        """A model of its own arrays, each the COMPUTE_DTYPE cast of this model's weight at its place."""
+        return SequenceModel(self.config, self.vocab, {
+            name: Matrix._result(w.data.astype(COMPUTE_DTYPE)) for name, w in self.weights.items()
+        })
 
-        The copy shares no array with this model, so it computes the LSTM and
-        the head in COMPUTE_DTYPE from a snapshot of the weights of this call.
+    def compute_copy(self) -> "SequenceModel":
+        """This model's :meth:`cast`, which computes every pass in COMPUTE_DTYPE
+        from a snapshot of the weights of this call.
+
         It builds its own serving cache at once, which freezes its weights, so
         its callers cannot write into it; this model's cache keeps it (see the
         module notes) until a weight of this model changes.
         """
         cache = self._serving()
         if cache.copy is None:
-            cache.copy = SequenceModel(self.config, self.vocab, {
-                name: Matrix._result(w.data.copy() if name.startswith("conv") else w.data.astype(COMPUTE_DTYPE))
-                for name, w in self.weights.items()
-            })
+            cache.copy = self.cast()
             cache.copy._serving()
         return cache.copy
 
@@ -326,15 +328,8 @@ class SequenceModel:
         return nm.softmax(nm.dense(fc, self.w_out, self.b_out, relu=False))
 
     def _project(self, phrases: list[str]) -> Matrix:
-        """Layer 0's input projection of the CNN embeddings of `phrases`, one row each.
-
-        An untracked embedding is cast to layer 0's dtype, so a compute copy
-        runs its float64 encoder's rows in its own.
-        """
-        embedded, dtype = self.encoder.embed_batch(phrases), self.layers[0].wx.data.dtype
-        if not embedded.track and embedded.data.dtype != dtype:
-            embedded = Matrix._result(embedded.data.astype(dtype))
-        return nm.matmul(embedded, self.layers[0].wx)
+        """Layer 0's input projection of the CNN embeddings of `phrases`, one row each."""
+        return nm.matmul(self.encoder.embed_batch(phrases), self.layers[0].wx)
 
     def _zero_state(self, batch: int, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
         """Each layer's zero (hidden, cell) pair for `batch` sequences: the state a padded pass
@@ -576,8 +571,7 @@ def session_loss(predictions: list[StepPrediction], session: Session, vocab: Pag
         raise ValueError(f"{len(predictions)} predictions for {len(targets)} transition targets")
     total = 0.0
     for pred, target in zip(predictions, targets):
-        probs = pred.probs if isinstance(pred, StepPrediction) else np.asarray(pred)
-        total += -np.log(max(float(probs[target]), nm.PROB_FLOOR))
+        total += -np.log(max(float(pred.probs[target]), nm.PROB_FLOOR))
     return total
 
 

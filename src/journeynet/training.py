@@ -4,11 +4,13 @@ Sessions are dwell-expanded, bucketed by length, and padded within each
 batch; padding steps are masked out of the loss.  The optimizer is plain
 gradient descent with a per-parameter adaptive step (running average of
 squared gradients) and global-norm gradient clipping.  Each batch's forward
-and backward pass runs in float32 on a twin model of its own arrays, built
-as the cast of the float64 master weights; the masters and the optimizer
-state take the update from the twin's gradients, and the step writes the
-cast of each updated master into the twin and clears the twin's gradients
-(mixed precision, Micikevicius et al., arXiv:1710.03740).  Every random
+and backward pass runs in float32 on a twin model of its own arrays, the
+`SequenceModel.cast` of the float64 master weights (the cast that also
+builds the served compute copy, so the model that trains is the model that
+serves); the masters and the optimizer state take the update from the
+twin's gradients, and the step writes the cast of each updated master into
+the twin and clears the twin's gradients (mixed precision, Micikevicius et
+al., arXiv:1710.03740).  Every random
 choice (init, shuffling, dropout) derives from the config seed, so a run is
 exactly repeatable.
 """
@@ -27,7 +29,6 @@ from .errors import CheckpointError, ConfigError, TrainingError
 from .journeydata import PageVocabulary, expand_session
 from .seqmodel import (
     CHECKPOINT_FORMAT,
-    COMPUTE_DTYPE,
     ModelConfig,
     SequenceModel,
     checkpoint_field,
@@ -247,9 +248,7 @@ def train(
     expanded = [expand_session(s, vocab) for s in sessions]
     params = [p for _, p in model.parameters()]
     # the float32 model each batch runs on; the optimizer step keeps it the cast of the masters
-    twin = SequenceModel(model.config, vocab, {
-        name: nm.Matrix._result(p.data.astype(COMPUTE_DTYPE)) for name, p in model.parameters()
-    })
+    twin = model.cast()
     leaves = [p for _, p in twin.parameters()]
     report = TrainReport()
     from concurrent.futures import ThreadPoolExecutor  # only training pays its import
@@ -378,9 +377,9 @@ def train_ensemble(
     k: int = 5,
     eval_sessions=None,
 ) -> tuple[Ensemble, list[TrainReport]]:
-    """Train k models with seeds seed+0 .. seed+k-1 (ConfigError unless k >= 1)."""
-    if k < 1:
-        raise ConfigError(f"ensemble size must be >= 1, got {k}")
+    """Train k models with seeds seed+0 .. seed+k-1 (ConfigError unless k is an int >= 1)."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ConfigError(f"ensemble size must be an int >= 1, got {k!r}")
     # every member reads them
     sessions = list(sessions)
     eval_sessions = None if eval_sessions is None else list(eval_sessions)

@@ -762,7 +762,7 @@ def test_train_ensemble_below_one_is_a_clean_error(pipeline, tmp_path, capsys):
         "train", "--data", str(data), "--out-dir", str(tmp_path), *TRAIN_FLAGS, "--ensemble", "0",
     ])
     assert code == 1
-    _assert_clean_error(capsys, "ensemble size must be >= 1, got 0")
+    _assert_clean_error(capsys, "ensemble size must be an int >= 1, got 0")
     assert not list(tmp_path.iterdir())
 
 

@@ -391,6 +391,13 @@ def test_degenerate_chain_is_deterministic():
         assert [ev.page_name for ev in s.events] == ["a", "b"]
 
 
+@pytest.mark.parametrize("n_sessions", [True, 2.5, "5"])
+def test_generate_session_count_must_be_an_int_of_at_least_one(n_sessions):
+    # no bool that counts as one session, and no float or string left for range() to reject
+    with pytest.raises(ConfigError, match="n_sessions must be an int >= 1"):
+        generate_synthetic(chain_spec(), n_sessions, seed=0)
+
+
 def test_generate_same_seed_identical():
     spec = chain_spec()
     a = generate_synthetic(spec, 50, seed=4)

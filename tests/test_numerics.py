@@ -628,16 +628,20 @@ def test_rows_product_rows_equal_their_own_one_row_product(k, n, dtype):
 # gives 62 windows of 3 x 42 per phrase and stage 1 gives 14 of 3 x 64;
 # 62 x 192 also runs stage 1's width at stage 0's row count
 PAPER_IM2COL_SHAPES = [(62, 126, 64), (14, 192, 64), (62, 192, 64)]
+# float64 for the model API, float32 for training and the simulator's compute copies
+IM2COL_CASES = [pytest.param(*s, np.float64, id="-".join(map(str, s))) for s in PAPER_IM2COL_SHAPES] + [
+    pytest.param(*s, np.float32, id="-".join(map(str, s)) + "-float32") for s in PAPER_IM2COL_SHAPES
+]
 
 
-@pytest.mark.parametrize("per_phrase, k, n", PAPER_IM2COL_SHAPES)
-def test_rows_product_rows_of_a_phrase_do_not_depend_on_the_phrases_sharing_its_pass(per_phrase, k, n):
-    # the page-name snapshot of `SequenceModel.start` reuses a phrase's CNN rows
-    # from a pass over other phrases: a pass of 1 to 14 phrases must give each
-    # phrase the bits of its pass alone
+@pytest.mark.parametrize("per_phrase, k, n, dtype", IM2COL_CASES)
+def test_rows_product_rows_of_a_phrase_do_not_depend_on_the_phrases_sharing_its_pass(per_phrase, k, n, dtype):
+    # the page table and the start memo of `SequenceModel.start` reuse a phrase's
+    # CNN rows from a pass over other phrases: a pass of 1 to 14 phrases must give
+    # each phrase the bits of its pass alone
     gen = np.random.default_rng(per_phrase * 1000 + k)
-    w = gen.normal(size=(k, n))
-    a = gen.normal(size=(14 * per_phrase, k))
+    w = gen.normal(size=(k, n)).astype(dtype)
+    a = gen.normal(size=(14 * per_phrase, k)).astype(dtype)
     alone = np.concatenate(
         [nm.rows_product(a[j * per_phrase:(j + 1) * per_phrase], w) for j in range(14)]
     )

@@ -345,6 +345,15 @@ def test_ensemble_of_one_is_bitwise_identical(chain_data):
     )
 
 
+@pytest.mark.parametrize("k", [True, 2.5, "2"])
+def test_ensemble_size_must_be_an_int_of_at_least_one(chain_data, k):
+    # no bool that counts as one member, and no float or string left for range() to reject
+    tr, ev, vocab = chain_data
+    config = TrainConfig(epochs=1, batch_size=16, seed=5, **TOY_TRAIN)
+    with pytest.raises(ConfigError, match="ensemble size must be an int >= 1"):
+        train_ensemble(tr, config, vocab, k=k, eval_sessions=ev)
+
+
 def test_ensemble_trained_from_iterators_is_bitwise_the_list_trained_one(chain_data):
     tr, ev, vocab = chain_data
     config = TrainConfig(epochs=1, batch_size=16, seed=5, **TOY_TRAIN)
@@ -533,15 +542,12 @@ def test_paper_config_batch_records_16_tape_nodes_and_train_adds_the_mean(chain_
 
 def test_slot_reentered_tape_gives_long_short_long_batches_a_fresh_tapes_gradients(chain_data):
     from journeynet import numerics as nm
-    from journeynet.seqmodel import COMPUTE_DTYPE
     from journeynet.training import _batch_loss, _batch_tensors
 
     tr, _, vocab = chain_data
     config = TrainConfig(seed=2)  # the paper's architecture, with dropout
     model = SequenceModel.build(config.model_config(), vocab, config.seed)
-    twin = SequenceModel(model.config, vocab, {
-        name: nm.Matrix._result(p.data.astype(COMPUTE_DTYPE)) for name, p in model.parameters()
-    })
+    twin = model.cast()
     leaves = [p for _, p in twin.parameters()]
     expanded = [expand_session(s, vocab) for s in tr]
     by_len = sorted(range(len(expanded)), key=lambda i: len(expanded[i][0]))
@@ -603,6 +609,29 @@ def test_training_batch_loss_runs_a_float32_twin_and_the_model_keeps_its_float64
     assert all(p.grad is None for _, p in model.parameters())
 
 
+def test_compute_copy_after_training_holds_the_bits_the_optimizer_last_wrote_into_the_twin(chain_data, monkeypatch):
+    # one cast builds the model that trains and the model that serves
+    from journeynet.seqmodel import COMPUTE_DTYPE
+
+    tr, ev, vocab = chain_data
+    config = TrainConfig(epochs=2, batch_size=8, seed=4, **TOY_TRAIN)
+    casts, original = [], SequenceModel.cast
+
+    def recording(self):
+        casts.append(original(self))
+        return casts[-1]
+
+    monkeypatch.setattr(SequenceModel, "cast", recording)
+    model, _ = train(tr, config, vocab, eval_sessions=ev[:4])
+    [twin] = casts
+    copy = model.compute_copy()
+    assert casts == [twin, copy]
+    for (name, p), (_, t), (_, c) in zip(model.parameters(), twin.parameters(), copy.parameters()):
+        assert c.data.dtype == t.data.dtype == COMPUTE_DTYPE, name
+        assert c.data.tobytes() == t.data.tobytes() and not np.shares_memory(c.data, t.data), name
+        assert np.array_equal(c.data, p.data.astype(COMPUTE_DTYPE)), name
+
+
 def test_training_error_mid_batch_leaves_the_float64_masters_in_place(chain_data, monkeypatch):
     from journeynet import numerics as nm
     from journeynet import training as tr_mod
@@ -631,14 +660,12 @@ def test_training_error_mid_batch_leaves_the_float64_masters_in_place(chain_data
 def test_float32_batch_gradient_matches_float64(chain_data):
     from journeynet import numerics as nm
     from journeynet import rng as rngmod
-    from journeynet.training import COMPUTE_DTYPE, _batch_loss, _batch_tensors
+    from journeynet.training import _batch_loss, _batch_tensors
 
     tr, _, vocab = chain_data
     config = TrainConfig(seed=5)  # the paper's architecture, dropout 0.5
     model = SequenceModel.build(config.model_config(), vocab, config.seed)
-    twin = SequenceModel(model.config, vocab, {
-        name: nm.Matrix._result(p.data.astype(COMPUTE_DTYPE)) for name, p in model.parameters()
-    })
+    twin = model.cast()
     expanded = [expand_session(s, vocab) for s in tr[:6]]
     assert len({len(inputs) for inputs, _ in expanded}) > 1  # ragged
     batch = _batch_tensors(expanded, range(6))
@@ -771,9 +798,7 @@ def test_adaptive_step_writes_the_twin_as_the_cast_of_its_masters_and_clears_its
     tr, _, vocab = chain_data
     config = TrainConfig(seed=3, learning_rate=0.05, **TOY_TRAIN)
     model = SequenceModel.build(config.model_config(), vocab, config.seed)
-    twin = SequenceModel(model.config, vocab, {
-        name: nm.Matrix._result(p.data.astype(COMPUTE_DTYPE)) for name, p in model.parameters()
-    })
+    twin = model.cast()
     params, leaves = [p for _, p in model.parameters()], [p for _, p in twin.parameters()]
     opt = _AdaptiveStep(params, leaves, config, helper)
     tape = nm.ComputeTape(leaves)
