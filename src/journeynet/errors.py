@@ -67,3 +67,9 @@ class ConfigError(JourneynetError, ValueError):
 
 class CliError(JourneynetError, ValueError):
     """Bad command-line or config-file input."""
+
+
+def check_int(value, name: str, error: type[JourneynetError]) -> None:
+    """`error` unless `value` is an int and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an int, got {value!r}")

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigError, MarkovSpecError, ParseError, SchemaError
+from .errors import ConfigError, MarkovSpecError, ParseError, SchemaError, check_int
 
 # reserved vocabulary entries; NULL_PAGE marks "visitor left the site"
 NULL_PAGE = "<null>"
@@ -395,6 +395,7 @@ def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Ses
     """
     if isinstance(n_sessions, bool) or not isinstance(n_sessions, int) or n_sessions < 1:
         raise ConfigError(f"n_sessions must be an int >= 1, got {n_sessions!r}")
+    check_int(seed, "seed", ConfigError)
     spec.validate()
     terminal = spec.n_states - 1
     # plain lists, so that a draw is one bisect and no numpy call
@@ -433,6 +434,7 @@ def split(sessions, train_fraction: float, seed: int) -> tuple[list[Session], li
         raise ConfigError(f"need at least 2 sessions to split, got {len(sessions)}")
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    check_int(seed, "seed", ConfigError)
     order = rngmod.stream(seed, "split").permutation(len(sessions))
     n_train = int(math.floor(len(sessions) * train_fraction + 1e-9))
     n_train = min(max(n_train, 1), len(sessions) - 1)

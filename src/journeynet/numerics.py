@@ -423,28 +423,16 @@ def take_rows(x: Matrix, indices) -> Matrix:
     return record(out, (x,), back)
 
 
-# float64 uniforms per block of dropout's draw: half of glibc's default mmap
-# threshold, so the one buffer a call reuses comes from the heap, not fresh pages
-DROPOUT_BLOCK_BYTES = 1 << 16
-
-
 def dropout(x: Matrix, rate: float, rng: np.random.Generator) -> Matrix:
     """Inverted dropout: surviving entries are scaled by 1/(1-rate), a rate
     in [0, 1) as `ModelConfig` keeps it.
 
-    The uniforms are drawn in blocks of rows into one reused float64
-    buffer, which reads the stream in the order of one ``rng.random(x.shape)``.
+    The keep mask is one ``rng.random(x.shape) >= rate`` draw, written in
+    the operand's dtype and scaled there.
     """
     if rate == 0.0:
         return x
-    rows, cols = x.shape
-    keep = np.empty(x.shape, x.data.dtype)
-    block = max(1, DROPOUT_BLOCK_BYTES // (8 * max(cols, 1)))
-    uniforms = np.empty(min(block, rows) * cols)
-    for a in range(0, rows, block):
-        part = keep[a:a + block]
-        u = rng.random(out=uniforms[:part.size].reshape(part.shape))
-        np.greater_equal(u, rate, out=part)
+    keep = np.greater_equal(rng.random(x.shape), rate, out=np.empty(x.shape, x.data.dtype))
     keep *= x.data.dtype.type(1.0 / (1.0 - rate))
     out = Matrix._result(x.data * keep)
     return record(out, (x,), lambda g: (g * keep,))

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .errors import CapacityError, ConfigError, ObjectiveError, SamplingError
+from .errors import CapacityError, ConfigError, ObjectiveError, SamplingError, check_int
 from .journeydata import MAX_SESSION_EVENTS, NULL_PAGE, UNKNOWN_PAGE, PageVocabulary
 
 TERMINATED_NULL = "null_page"
@@ -184,17 +184,11 @@ def _served(predictor):
     return predictor if compute_copy is None else compute_copy()
 
 
-def _check_int(value, name: str, error=SamplingError) -> None:
-    """`error` (SamplingError by default) unless `value` is an int and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise error(f"{name} must be an int, got {value!r}")
-
-
 def _check_horizon(horizon: int, name: str = "horizon") -> None:
     """SamplingError unless `horizon` is an int (not a bool) and 1 <= horizon <=
     MAX_SESSION_EVENTS, the longest session the generator walks; checked
     before anything is sized by it."""
-    _check_int(horizon, name)
+    check_int(horizon, name, SamplingError)
     if horizon < 1:
         raise SamplingError(f"{name} must be >= 1, got {horizon}")
     if horizon > MAX_SESSION_EVENTS:
@@ -303,7 +297,7 @@ def _simulate(predictor, state, dists, streams, n_samples: int, horizon: int, is
 
 
 def _check_sampling(n_samples: int, horizon: int, name: str = "horizon") -> None:
-    _check_int(n_samples, "n_samples")
+    check_int(n_samples, "n_samples", SamplingError)
     if n_samples < 1:
         raise SamplingError(f"n_samples must be >= 1, got {n_samples}")
     _check_horizon(horizon, name)
@@ -378,6 +372,8 @@ def estimate_conversion(
     cell and a standalone call with the same index agree exactly.
     """
     _check_sampling(n_samples, horizon)
+    check_int(seed, "seed", ConfigError)
+    check_int(prefix_index, "prefix_index", SamplingError)
     targets = _targets([objective], predictor.vocab)
     predictor = _served(predictor)
     return _estimate_block(predictor, [prefix], [objective], targets, n_samples, horizon, seed, prefix_index)[0][0]
@@ -395,6 +391,7 @@ def step_distribution(
     Journeys that exit before step t count in the NULL page bucket.
     """
     _check_sampling(n_samples, t, "t")
+    check_int(seed, "seed", ConfigError)
     predictor = _served(predictor)
     vocab = predictor.vocab
     counts = np.zeros(len(vocab))
@@ -440,11 +437,12 @@ def conversion_path_mass(
     up to CHUNK nodes is stepped in one call when popped, and pushes its
     children in CHUNK-row slices, so pending work holds ~one state per depth.
     """
-    _check_int(horizon, "horizon")
+    check_int(horizon, "horizon", SamplingError)
     if not 0 <= horizon <= MAX_SESSION_EVENTS:
         raise SamplingError(f"horizon must be in [0, {MAX_SESSION_EVENTS}], got {horizon}")
-    if not prune_tol >= 0:
-        raise ValueError(f"prune_tol must be >= 0, got {prune_tol}")
+    # `not x >= 0` also rejects NaN
+    if isinstance(prune_tol, bool) or not isinstance(prune_tol, (int, float)) or not prune_tol >= 0:
+        raise SamplingError(f"prune_tol must be an int or float >= 0, got {prune_tol!r}")
     vocab = predictor.vocab
     is_target = _targets([objective], vocab)[0, :-1]
     if is_target[[vocab.encode(page) for page in prefix.pages]].any():
@@ -541,7 +539,8 @@ def score_batch(
     if len(prefix_ids) != len(prefixes):
         raise ValueError("prefix_ids length must match prefixes")
     _check_sampling(n_samples, horizon)
-    _check_int(workers, "workers", ConfigError)
+    check_int(seed, "seed", ConfigError)
+    check_int(workers, "workers", ConfigError)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     targets = _targets(objectives, predictor.vocab)  # rejects unknown pages before any simulation

@@ -12,7 +12,8 @@ twin's gradients, and the step writes the cast of each updated master into
 the twin and clears the twin's gradients (mixed precision, Micikevicius et
 al., arXiv:1710.03740).  Every random
 choice (init, shuffling, dropout) derives from the config seed, so a run is
-exactly repeatable.
+exactly repeatable.  Each epoch ends with a plain `evaluate` of the float64
+model on the held-out sessions, which it expands and pads on every call.
 """
 
 from __future__ import annotations
@@ -243,7 +244,9 @@ def train(
     for s in sessions:
         if not s.events:
             raise ConfigError(f"training session {s.session_id!r} has no page events")
-    held_out = _prepare_eval(eval_sessions if eval_sessions is not None else sessions, vocab)
+    held_out = sessions if eval_sessions is None else list(eval_sessions)
+    if not held_out:
+        raise ConfigError("no sessions to evaluate")
     model = SequenceModel.build(config.model_config(), vocab, config.seed)
     expanded = [expand_session(s, vocab) for s in sessions]
     params = [p for _, p in model.parameters()]
@@ -291,37 +294,25 @@ def train(
     return model, report
 
 
-class _EvalBatches(tuple):
-    """The (phrases, rowidx, targets, mask) batches `evaluate` scores, prepared from sessions once."""
-
-
-def _prepare_eval(sessions, vocab: PageVocabulary) -> _EvalBatches:
-    """`sessions` expanded and padded in batches of EVAL_BATCH; ConfigError if there are none."""
-    sessions = list(sessions)
-    if not sessions:
-        raise ConfigError("no sessions to evaluate")
-    expanded = [expand_session(s, vocab) for s in sessions]
-    batches = _make_batches(expanded, list(range(len(expanded))), EVAL_BATCH)
-    return _EvalBatches(_batch_tensors(expanded, idx_batch) for idx_batch in batches)
-
-
 def evaluate(predictor, sessions, vocab: PageVocabulary) -> tuple[float, float]:
     """(next-page accuracy, mean loss in nats), pooled over every step.
 
     Accuracy counts steps whose argmax prediction (ties to the lowest index)
     equals the true next page; dropout is disabled.  `predictor` is a model
     or an ensemble, and `vocab` must hold its page names (ConfigError
-    otherwise).  Sessions run in batches of EVAL_BATCH; `train` passes its
-    held-out sessions as the batches it prepared once.
+    otherwise, and for no sessions).  Sessions run in batches of EVAL_BATCH,
+    in `_make_batches` order.
     """
     if vocab.page_names != predictor.vocab.page_names:
         raise ConfigError("evaluate needs the vocabulary of the predictor")
-    if not isinstance(sessions, _EvalBatches):
-        sessions = _prepare_eval(sessions, vocab)
+    expanded = [expand_session(s, vocab) for s in sessions]
+    if not expanded:
+        raise ConfigError("no sessions to evaluate")
     hits = 0.0
     nats = 0.0
     steps = 0.0
-    for phrases, rowidx, targets, mask in sessions:
+    for idx_batch in _make_batches(expanded, list(range(len(expanded))), EVAL_BATCH):
+        phrases, rowidx, targets, mask = _batch_tensors(expanded, idx_batch)
         all_probs = predictor.batch_step_probs(phrases, rowidx).data
         for t, probs in enumerate(np.split(all_probs, rowidx.shape[1])):
             m = mask[:, t] > 0

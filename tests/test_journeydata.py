@@ -391,6 +391,18 @@ def test_degenerate_chain_is_deterministic():
         assert [ev.page_name for ev in s.events] == ["a", "b"]
 
 
+@pytest.mark.parametrize("seed", ["7", True, 7.0])
+@pytest.mark.parametrize("entry", ["generate_synthetic", "split"])
+def test_generate_and_split_seeds_must_be_ints(entry, seed):
+    # a string seed would draw the stream of that string label, not of the int
+    calls = {
+        "generate_synthetic": lambda: generate_synthetic(chain_spec(), 5, seed),
+        "split": lambda: split(generate_synthetic(chain_spec(), 5, 7), 0.5, seed),
+    }
+    with pytest.raises(ConfigError, match="seed must be an int"):
+        calls[entry]()
+
+
 @pytest.mark.parametrize("n_sessions", [True, 2.5, "5"])
 def test_generate_session_count_must_be_an_int_of_at_least_one(n_sessions):
     # no bool that counts as one session, and no float or string left for range() to reject

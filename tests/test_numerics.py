@@ -437,32 +437,20 @@ def test_dropout_inverted_scaling_and_gradient():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
 def test_dropout_mask_is_bitwise_the_divided_keep_mask(rate, dtype):
-    # the mask once was (keep / (1 - rate)) in float64, cast to the operand's dtype
-    x = Matrix(np.random.default_rng(1).normal(size=(64, 48)))
-    x.data = x.data.astype(dtype)
-    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
-    with ComputeTape([x]) as tape:
-        y = dropout(x, rate, rng)
-    keep = ((ref.random(x.shape) >= rate) / (1.0 - rate)).astype(dtype)
-    assert y.data.dtype == dtype
-    assert y.data.tobytes() == (x.data * keep).tobytes()
-    g = np.random.default_rng(2).normal(size=x.shape).astype(dtype)
-    assert tape._nodes[-1].backward_fn(g)[0].tobytes() == (g * keep).tobytes()
-    assert rng.random() == ref.random()  # the same stream draws
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_dropout_mask_drawn_in_blocks_is_bitwise_one_draw(dtype):
-    cols, rate = 40, 0.3
-    block = nm.DROPOUT_BLOCK_BYTES // (8 * cols)  # rows of one block
-    scale_ = dtype(1.0 / (1.0 - rate))
-    for rows in (1, block - 1, block, block + 1, 3 * block + 5):
-        ones = Matrix._result(np.ones((rows, cols), dtype))
-        rng, ref = np.random.default_rng(rows), np.random.default_rng(rows)
-        keep = dropout(ones, rate, rng).data
-        assert keep.dtype == dtype
-        assert keep.tobytes() == ((ref.random((rows, cols)) >= rate) * scale_).tobytes(), rows
-        assert rng.random() == ref.random(), rows  # the same stream position
+    # the mask once was (keep / (1 - rate)) in float64, cast to the operand's dtype;
+    # (800, 256): the (T*B) x fc_width mask of a 32-session, 25-step batch at the paper config
+    for shape in ((64, 48), (800, 256)):
+        x = Matrix(np.random.default_rng(1).normal(size=shape))
+        x.data = x.data.astype(dtype)
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        with ComputeTape([x]) as tape:
+            y = dropout(x, rate, rng)
+        keep = ((ref.random(x.shape) >= rate) / (1.0 - rate)).astype(dtype)
+        assert y.data.dtype == dtype
+        assert y.data.tobytes() == (x.data * keep).tobytes(), shape
+        g = np.random.default_rng(2).normal(size=x.shape).astype(dtype)
+        assert tape._nodes[-1].backward_fn(g)[0].tobytes() == (g * keep).tobytes(), shape
+        assert rng.random() == ref.random(), shape  # the same stream draws
 
 
 def test_dropout_rate_zero_is_identity():

@@ -184,11 +184,12 @@ def test_exact_node_budget():
         conversion_path_mass(pred, JourneyPrefix(), objective, horizon=5, max_nodes=3)
 
 
-@pytest.mark.parametrize("prune_tol", [-1e-3, float("nan")])
+@pytest.mark.parametrize("prune_tol", [-1e-3, float("nan"), True, "0.1", None])
 def test_exact_rejects_a_prune_tol_that_is_not_a_nonnegative_number(prune_tol):
-    # at horizon 12 the 5^12 exact paths exceed the budget, so NaN must not pass as "pruned"
+    # at horizon 12 the 5^12 exact paths exceed the budget, so NaN must not pass as "pruned";
+    # True would compare as 1 and prune every branch at depth 1
     objective = Objective("reach-b", frozenset({"B"}))
-    with pytest.raises(ValueError, match="prune_tol"):
+    with pytest.raises(SamplingError, match="prune_tol must be an int or float >= 0"):
         conversion_path_mass(hand_predictor(), JourneyPrefix(), objective, horizon=12, prune_tol=prune_tol)
 
 
@@ -325,6 +326,16 @@ SAMPLING_TYPE_CASES = [
     pytest.param("conversion_path_mass", "horizon", 2.5, SamplingError, id="path_mass-horizon-2.5"),
     pytest.param("score_batch", "workers", 2.5, ConfigError, id="score_batch-workers-2.5"),
     pytest.param("score_batch", "workers", True, ConfigError, id="score_batch-workers-True"),
+    # a string seed would draw the stream of that string label, not of the int
+    *(
+        pytest.param(entry, "seed", value, ConfigError, id=f"{entry}-seed-{value!r}")
+        for entry in ("score_batch", "estimate_conversion", "step_distribution")
+        for value in ("7", True, 7.0)
+    ),
+    *(
+        pytest.param("estimate_conversion", "prefix_index", value, SamplingError, id=f"estimate-prefix_index-{value!r}")
+        for value in (True, "0", 0.0)
+    ),
 ]
 
 
@@ -338,6 +349,7 @@ def test_sampling_arguments_must_be_ints_and_not_bools(entry, name, value, error
             pred, prefix, objective, **{"n_samples": 10, "horizon": 3, "seed": 0, **kw}
         ),
         "conversion_path_mass": lambda **kw: conversion_path_mass(pred, prefix, objective, **kw),
+        "step_distribution": lambda **kw: step_distribution(pred, prefix, **{"t": 3, "n_samples": 10, **kw}),
     }
     with pytest.raises(error, match=f"{name} must be an int"):
         calls[entry](**{name: value})

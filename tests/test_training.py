@@ -1,3 +1,4 @@
+import copy
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -272,6 +273,28 @@ def test_train_rejects_an_empty_held_out_set_before_the_first_batch(chain_data, 
     with pytest.raises(ConfigError, match="no sessions to evaluate"):
         train(tr, config, vocab, eval_sessions=[])
     assert calls == []
+
+
+def test_each_epochs_report_is_a_standalone_evaluate_of_that_epochs_weights(chain_data, monkeypatch):
+    from journeynet import training as tr_mod
+
+    tr, ev, vocab = chain_data
+    snapshots = []
+    evaluate_ = tr_mod.evaluate
+
+    def snapshotting_evaluate(predictor, sessions, vocab_):
+        # train hands over the held-out sessions themselves, once per epoch
+        assert list(sessions) == ev and vocab_ is vocab
+        snapshots.append(copy.deepcopy(predictor))
+        return evaluate_(predictor, sessions, vocab_)
+
+    monkeypatch.setattr(tr_mod, "evaluate", snapshotting_evaluate)
+    config = TrainConfig(epochs=3, batch_size=16, seed=4, **{**TOY_TRAIN, "dropout_rate": 0.2})
+    # a one-shot iterator: every epoch still scores every held-out session
+    _, report = train(tr, config, vocab, eval_sessions=iter(ev))
+    assert len(snapshots) == config.epochs
+    for stats, snapshot in zip(report.epochs, snapshots):
+        assert (stats.eval_accuracy, stats.eval_loss) == evaluate(snapshot, ev, vocab)
 
 
 def test_divergence_raises_training_error(chain_data, monkeypatch):
