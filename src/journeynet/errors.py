@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the owners of its two scalar rules.
+
+Every int argument the package takes is checked by :func:`check_int` (an
+int, not a bool, within the bounds given), and every int-or-float argument
+by :func:`check_number` (an int or a float, not a bool); no other code tests
+a scalar's type.  A number keeps its own range check where it is used, as
+the ranges differ: open or closed, finite or not, NaN refused or not.
+"""
 
 
 class JourneynetError(Exception):
@@ -58,7 +65,7 @@ class ObjectiveError(JourneynetError, ValueError):
 
 
 class SamplingError(JourneynetError, ValueError):
-    """A sample count or simulation horizon is out of range."""
+    """A sample count, simulation horizon or enumeration setting is out of range."""
 
 
 class ConfigError(JourneynetError, ValueError):
@@ -69,7 +76,18 @@ class CliError(JourneynetError, ValueError):
     """Bad command-line or config-file input."""
 
 
-def check_int(value, name: str, error: type[JourneynetError]) -> None:
-    """`error` unless `value` is an int and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise error(f"{name} must be an int, got {value!r}")
+def check_int(value, name: str, error: type[Exception], low: int | None = None, high: int | None = None) -> None:
+    """`error` unless `value` is an int, not a bool, and lies within `low` and
+    `high` (inclusive, each only if given; `high` only with `low`)."""
+    if (
+        isinstance(value, bool) or not isinstance(value, int)
+        or (low is not None and value < low) or (high is not None and value > high)
+    ):
+        rule = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+        raise error(f"{name} must be an int{rule}, got {value!r}")
+
+
+def check_number(value, name: str, error: type[Exception]) -> None:
+    """`error` unless `value` is an int or a float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{name} must be an int or float, got {value!r}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import numbers
 import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping, Set
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigError, MarkovSpecError, ParseError, SchemaError, check_int
+from .errors import ConfigError, MarkovSpecError, ParseError, SchemaError, check_int, check_number
 
 # reserved vocabulary entries; NULL_PAGE marks "visitor left the site"
 NULL_PAGE = "<null>"
@@ -41,8 +40,8 @@ DWELL_CAP = 5
 @dataclass(frozen=True, slots=True)
 class PageEvent:
     """One page view: the page's name, non-empty text other than NULL_PAGE and
-    UNKNOWN_PAGE, and its dwell, an int or float >= 0 and finite (not a bool),
-    stored as a float.  Anything else is a ValueError."""
+    UNKNOWN_PAGE, and its dwell, a number (`errors.check_number`) >= 0 and
+    finite, stored as a float.  Anything else is a ValueError."""
 
     page_name: str
     dwell_seconds: float
@@ -54,8 +53,7 @@ class PageEvent:
         if page in (NULL_PAGE, UNKNOWN_PAGE):
             raise ValueError(f"page {page!r} is a reserved name")
         if type(dwell) is not float:  # an int, or a float subclass: stored as a plain float
-            if isinstance(dwell, bool) or not isinstance(dwell, (int, float)):
-                raise ValueError(f"dwell_seconds must be a number, got {dwell!r}")
+            check_number(dwell, "dwell_seconds", ValueError)
             try:
                 dwell = float(dwell)
             except OverflowError:  # an integer beyond the float range
@@ -166,8 +164,7 @@ class PageVocabulary:
     """
 
     def __init__(self, retained_pages: list[str], min_freq: int):
-        if isinstance(min_freq, bool) or not isinstance(min_freq, int) or min_freq < 1:
-            raise ConfigError(f"min_freq must be an int >= 1, got {min_freq!r}")
+        check_int(min_freq, "min_freq", ConfigError, low=1)
         if isinstance(retained_pages, (str, Set, Mapping)) or not isinstance(retained_pages, Iterable):
             raise ValueError("vocabulary pages must be a list of non-empty strings")
         names = list(retained_pages)
@@ -224,14 +221,15 @@ def replicate_dwell(session: Session, unit_seconds: float = UNIT_SECONDS, cap: i
 
     Each event contributes min(cap, max(1, ceil(dwell / unit_seconds)))
     consecutive copies of its page, and NULL_PAGE is appended once at the end.
-    A session whose copies add up to more than MAX_SESSION_EVENTS * DWELL_CAP,
-    the most a generated session expands to at the default cap, raises
-    ConfigError before anything is allocated.
+    `unit_seconds` is a number > 0 and `cap` an int >= 1 (ConfigError
+    otherwise).  A session whose copies add up to more than
+    MAX_SESSION_EVENTS * DWELL_CAP, the most a generated session expands to
+    at the default cap, raises ConfigError before anything is allocated.
     """
+    check_number(unit_seconds, "unit_seconds", ConfigError)
     if not unit_seconds > 0:  # also rejects NaN
         raise ConfigError(f"unit_seconds must be > 0, got {unit_seconds}")
-    if cap < 1:
-        raise ConfigError(f"cap must be >= 1, got {cap}")
+    check_int(cap, "cap", ConfigError, low=1)
     copies = [min(cap, max(1, math.ceil(ev.dwell_seconds / unit_seconds))) for ev in session.events]
     total, bound = sum(copies), MAX_SESSION_EVENTS * DWELL_CAP
     if total > bound:
@@ -267,8 +265,8 @@ class MarkovSpec:
     not be named NULL_PAGE or UNKNOWN_PAGE.  `transitions` is row-stochastic
     over the full state list, the terminal row must be absorbing and every
     page state must reach it.  `initial` puts no mass on the terminal
-    state.  Dwell times are exponential with per-page means (finite, >= 0);
-    keywords (text) are chosen by the first visited state.
+    state.  Dwell times are exponential with per-page means (numbers,
+    finite and >= 0); keywords (text) are chosen by the first visited state.
     """
 
     states: tuple[str, ...]
@@ -331,8 +329,8 @@ class MarkovSpec:
         if not all(isinstance(k, str) and isinstance(v, str) for k, v in self.keywords_by_state.items()):
             raise MarkovSpecError("keywords_by_state must map state names to text")
         for name, mean in self.dwell_mean_by_state.items():
-            real = isinstance(mean, numbers.Real) and not isinstance(mean, bool)
-            if not (isinstance(name, str) and real and 0 <= mean <= sys.float_info.max):
+            check_number(mean, f"dwell mean of {name!r}", MarkovSpecError)
+            if not (isinstance(name, str) and 0 <= mean <= sys.float_info.max):
                 raise MarkovSpecError(
                     f"dwell mean of {name!r} must be a finite number >= 0, got {mean!r}"
                 )
@@ -393,8 +391,7 @@ def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Ses
     MAX_SESSION_EVENTS pages raises MarkovSpecError: its chain almost never
     exits.
     """
-    if isinstance(n_sessions, bool) or not isinstance(n_sessions, int) or n_sessions < 1:
-        raise ConfigError(f"n_sessions must be an int >= 1, got {n_sessions!r}")
+    check_int(n_sessions, "n_sessions", ConfigError, low=1)
     check_int(seed, "seed", ConfigError)
     spec.validate()
     terminal = spec.n_states - 1
@@ -428,10 +425,12 @@ def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Ses
 
 
 def split(sessions, train_fraction: float, seed: int) -> tuple[list[Session], list[Session]]:
-    """Deterministic shuffled partition into (train, eval)."""
+    """Deterministic shuffled partition into (train, eval); ConfigError unless
+    `train_fraction` is a number in (0, 1) and `seed` an int."""
     sessions = list(sessions)
     if len(sessions) < 2:
         raise ConfigError(f"need at least 2 sessions to split, got {len(sessions)}")
+    check_number(train_fraction, "train_fraction", ConfigError)
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     check_int(seed, "seed", ConfigError)

@@ -65,7 +65,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import numerics as nm
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError, check_int, check_number
 from .journeydata import PageVocabulary, Session, expand_session
 from .numerics import Matrix
 from .textenc import DEFAULT_ALPHABET, Alphabet, CnnEncoder, ConvStage
@@ -96,9 +96,9 @@ class ModelConfig:
     def __post_init__(self):
         object.__setattr__(self, "conv_stages", tuple(tuple(s) for s in self.conv_stages))
         object.__setattr__(self, "lstm_hidden", tuple(self.lstm_hidden))
-        rate = self.dropout_rate
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate < 1:
-            raise ConfigError(f"dropout_rate must be an int or float in [0, 1), got {rate!r}")
+        check_number(self.dropout_rate, "dropout_rate", ConfigError)
+        if not 0 <= self.dropout_rate < 1:
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate!r}")
         if not isinstance(self.alphabet, str):
             raise ConfigError(f"alphabet must be text, got {type(self.alphabet).__name__}")
         try:
@@ -109,9 +109,11 @@ class ModelConfig:
             raise ConfigError("need at least one conv stage and one LSTM layer")
         if any(len(s) != 3 for s in self.conv_stages):
             raise ConfigError(f"conv stages must be (width, filters, pool), got {self.conv_stages}")
-        sizes = (self.max_len, self.fc_width, *self.lstm_hidden, *sum(self.conv_stages, ()))
-        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sizes):
-            raise ConfigError(f"max_len, fc_width, LSTM sizes and conv stage values must be ints >= 1: {sizes}")
+        layers = [(f"lstm_hidden[{i}]", h) for i, h in enumerate(self.lstm_hidden)]
+        stages = [(f"conv stage {i} {part}", v) for i, s in enumerate(self.conv_stages)
+                  for part, v in zip(("width", "filters", "pool"), s)]
+        for name, size in [("max_len", self.max_len), ("fc_width", self.fc_width), *layers, *stages]:
+            check_int(size, name, ConfigError, low=1)
         if self.max_len * len(self.alphabet) > MAX_WEIGHTS:
             raise ConfigError(
                 f"max_len {self.max_len} gives a one-hot of more than {MAX_WEIGHTS} entries per phrase"

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .errors import CapacityError, ConfigError, ObjectiveError, SamplingError, check_int
+from .errors import CapacityError, ConfigError, ObjectiveError, SamplingError, check_int, check_number
 from .journeydata import MAX_SESSION_EVENTS, NULL_PAGE, UNKNOWN_PAGE, PageVocabulary
 
 TERMINATED_NULL = "null_page"
@@ -184,17 +184,6 @@ def _served(predictor):
     return predictor if compute_copy is None else compute_copy()
 
 
-def _check_horizon(horizon: int, name: str = "horizon") -> None:
-    """SamplingError unless `horizon` is an int (not a bool) and 1 <= horizon <=
-    MAX_SESSION_EVENTS, the longest session the generator walks; checked
-    before anything is sized by it."""
-    check_int(horizon, name, SamplingError)
-    if horizon < 1:
-        raise SamplingError(f"{name} must be >= 1, got {horizon}")
-    if horizon > MAX_SESSION_EVENTS:
-        raise SamplingError(f"{name} must be <= {MAX_SESSION_EVENTS}, got {horizon}")
-
-
 def _distinct(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(keys, return_inverse=True)`` of integer keys in [0, size), without a sort.
 
@@ -250,7 +239,7 @@ def _sample_paths(
 
 def rollout(predictor, prefix: JourneyPrefix, horizon: int, rng: np.random.Generator) -> SimulatedJourney:
     """Sample one future journey of at most `horizon` steps."""
-    _check_horizon(horizon)
+    check_int(horizon, "horizon", SamplingError, low=1, high=MAX_SESSION_EVENTS)
     predictor = _served(predictor)
     vocab = predictor.vocab
     state, dists = predictor.start([prefix])
@@ -297,10 +286,11 @@ def _simulate(predictor, state, dists, streams, n_samples: int, horizon: int, is
 
 
 def _check_sampling(n_samples: int, horizon: int, name: str = "horizon") -> None:
-    check_int(n_samples, "n_samples", SamplingError)
-    if n_samples < 1:
-        raise SamplingError(f"n_samples must be >= 1, got {n_samples}")
-    _check_horizon(horizon, name)
+    """SamplingError unless `n_samples` is an int >= 1 and `horizon` an int in
+    [1, MAX_SESSION_EVENTS], the longest session the generator walks; checked
+    before anything is sized by them."""
+    check_int(n_samples, "n_samples", SamplingError, low=1)
+    check_int(horizon, name, SamplingError, low=1, high=MAX_SESSION_EVENTS)
 
 
 def _estimate_block(
@@ -428,8 +418,8 @@ def conversion_path_mass(
 
     A prefix that holds a page of an objective's class is a hit at once.
     Branches end at an objective page (hit), the NULL page or the horizon
-    (miss); a horizon that is not an int, or is outside [0, MAX_SESSION_EVENTS],
-    is a SamplingError.
+    (miss).  SamplingError unless `horizon` is an int in [0,
+    MAX_SESSION_EVENTS], `prune_tol` a number >= 0 and `max_nodes` an int >= 1.
     With `prune_tol` > 0, branches whose path probability drops below the
     tolerance are cut and their mass is reported in `pruned`, which bounds
     the error of `hit`; with the default 0 the enumeration is exact and
@@ -437,12 +427,11 @@ def conversion_path_mass(
     up to CHUNK nodes is stepped in one call when popped, and pushes its
     children in CHUNK-row slices, so pending work holds ~one state per depth.
     """
-    check_int(horizon, "horizon", SamplingError)
-    if not 0 <= horizon <= MAX_SESSION_EVENTS:
-        raise SamplingError(f"horizon must be in [0, {MAX_SESSION_EVENTS}], got {horizon}")
-    # `not x >= 0` also rejects NaN
-    if isinstance(prune_tol, bool) or not isinstance(prune_tol, (int, float)) or not prune_tol >= 0:
-        raise SamplingError(f"prune_tol must be an int or float >= 0, got {prune_tol!r}")
+    check_int(horizon, "horizon", SamplingError, low=0, high=MAX_SESSION_EVENTS)
+    check_number(prune_tol, "prune_tol", SamplingError)
+    if not prune_tol >= 0:  # also rejects NaN
+        raise SamplingError(f"prune_tol must be >= 0, got {prune_tol!r}")
+    check_int(max_nodes, "max_nodes", SamplingError, low=1)
     vocab = predictor.vocab
     is_target = _targets([objective], vocab)[0, :-1]
     if is_target[[vocab.encode(page) for page in prefix.pages]].any():
@@ -540,9 +529,7 @@ def score_batch(
         raise ValueError("prefix_ids length must match prefixes")
     _check_sampling(n_samples, horizon)
     check_int(seed, "seed", ConfigError)
-    check_int(workers, "workers", ConfigError)
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    check_int(workers, "workers", ConfigError, low=1)
     targets = _targets(objectives, predictor.vocab)  # rejects unknown pages before any simulation
     predictor = _served(predictor)  # at most one cast per call, shipped to every worker
     size = min(PREFIX_BLOCK, -(-len(prefixes) // workers))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
+from .errors import check_int
 from .numerics import Matrix
 
 # 26 letters + 10 digits + space hyphen underscore slash period apostrophe
@@ -44,10 +45,9 @@ def quantize(phrase: str, alphabet: Alphabet, max_len: int) -> np.ndarray:
     Characters beyond max_len are dropped, the rest are lowercased before
     lookup, and the lowercased text is cut at max_len again (``'İ'.lower()``
     is two characters); padding positions and out-of-alphabet characters
-    yield zero rows.
+    yield zero rows.  `max_len` is an int >= 1 (ValueError otherwise).
     """
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    check_int(max_len, "max_len", ValueError, low=1)
     out = np.zeros((max_len, len(alphabet)))
     for pos, ch in enumerate(phrase[:max_len].lower()[:max_len]):
         col = alphabet.get(ch)

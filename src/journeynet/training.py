@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import rng as rngmod
-from .errors import CheckpointError, ConfigError, TrainingError
+from .errors import CheckpointError, ConfigError, TrainingError, check_int, check_number
 from .journeydata import PageVocabulary, expand_session
 from .seqmodel import (
     CHECKPOINT_FORMAT,
@@ -67,14 +67,11 @@ class TrainConfig(ModelConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        counts = (self.epochs, self.batch_size, self.seed)
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in counts):
-            raise ConfigError(f"epochs, batch_size and seed must be ints: {counts}")
-        rates = (self.learning_rate, self.gradient_clip_norm)
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in rates):
-            raise ConfigError(f"learning_rate and gradient_clip_norm must be ints or floats: {rates}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        check_int(self.epochs, "epochs", ConfigError, low=1)
+        check_int(self.batch_size, "batch_size", ConfigError, low=1)
+        check_int(self.seed, "seed", ConfigError)
+        check_number(self.learning_rate, "learning_rate", ConfigError)
+        check_number(self.gradient_clip_norm, "gradient_clip_norm", ConfigError)
         # `not x > 0` also rejects NaN
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
@@ -225,6 +222,15 @@ def _batch_loss(model, phrases, rowidx, targets, mask, dropout_rng):
     return nm.masked_cross_entropy(probs, targets.T.ravel(), mask.T.ravel())
 
 
+def _session_list(sessions, name: str) -> list:
+    """`sessions` read into a list; ConfigError naming `name` if it is not iterable."""
+    try:
+        items = iter(sessions)
+    except TypeError:
+        raise ConfigError(f"{name} must be an iterable of sessions, got {type(sessions).__name__}") from None
+    return list(items)
+
+
 def train(
     sessions,
     config: TrainConfig,
@@ -234,17 +240,18 @@ def train(
     """Train a model on `sessions`; returns the model and per-epoch stats.
 
     Per-epoch evaluation runs on `eval_sessions` when provided, otherwise on
-    the training sessions; an empty `eval_sessions` is a ConfigError before
-    the first batch.  Identical (data, config, seed) give identical
+    the training sessions; an empty `eval_sessions`, and `sessions` or
+    `eval_sessions` that cannot be iterated, are a ConfigError before the
+    first batch.  Identical (data, config, seed) give identical
     final weights and report.
     """
-    sessions = list(sessions)
+    sessions = _session_list(sessions, "sessions")
     if not sessions:
         raise ConfigError("no training sessions")
     for s in sessions:
         if not s.events:
             raise ConfigError(f"training session {s.session_id!r} has no page events")
-    held_out = sessions if eval_sessions is None else list(eval_sessions)
+    held_out = sessions if eval_sessions is None else _session_list(eval_sessions, "eval_sessions")
     if not held_out:
         raise ConfigError("no sessions to evaluate")
     model = SequenceModel.build(config.model_config(), vocab, config.seed)
@@ -305,7 +312,7 @@ def evaluate(predictor, sessions, vocab: PageVocabulary) -> tuple[float, float]:
     """
     if vocab.page_names != predictor.vocab.page_names:
         raise ConfigError("evaluate needs the vocabulary of the predictor")
-    expanded = [expand_session(s, vocab) for s in sessions]
+    expanded = [expand_session(s, vocab) for s in _session_list(sessions, "sessions")]
     if not expanded:
         raise ConfigError("no sessions to evaluate")
     hits = 0.0
@@ -369,11 +376,10 @@ def train_ensemble(
     eval_sessions=None,
 ) -> tuple[Ensemble, list[TrainReport]]:
     """Train k models with seeds seed+0 .. seed+k-1 (ConfigError unless k is an int >= 1)."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ConfigError(f"ensemble size must be an int >= 1, got {k!r}")
+    check_int(k, "ensemble size", ConfigError, low=1)
     # every member reads them
-    sessions = list(sessions)
-    eval_sessions = None if eval_sessions is None else list(eval_sessions)
+    sessions = _session_list(sessions, "sessions")
+    eval_sessions = None if eval_sessions is None else _session_list(eval_sessions, "eval_sessions")
     models = []
     reports = []
     for member in range(k):

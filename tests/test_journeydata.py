@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,11 +93,11 @@ MALFORMED_RECORDS = {
     "event-not-object": ('{"session_id": "b", "keywords": "", "events": ["p"]}', "event 0 must have"),
     "event-without-dwell": ('{"session_id": "b", "keywords": "", "events": [{"page": "p"}]}', "event 0 must have"),
     "bool-dwell": ('{"session_id": "b", "keywords": "", "events": [{"page": "p", "dwell_seconds": true}]}',
-                   "event 0: dwell_seconds must be a number"),
+                   "event 0: dwell_seconds must be an int or float"),
     "text-dwell": ('{"session_id": "b", "keywords": "", "events": [{"page": "p", "dwell_seconds": "1"}]}',
-                   "event 0: dwell_seconds must be a number"),
+                   "event 0: dwell_seconds must be an int or float"),
     "null-dwell": ('{"session_id": "b", "keywords": "", "events": [{"page": "p", "dwell_seconds": null}]}',
-                   "event 0: dwell_seconds must be a number"),
+                   "event 0: dwell_seconds must be an int or float"),
     "int-dwell-past-float": ('{"session_id": "b", "keywords": "", "events": [{"page": "p", "dwell_seconds": 1%s}]}'
                              % ("0" * 400), "event 0: dwell_seconds must be >= 0 and finite"),
     "empty-page": ('{"session_id": "b", "keywords": "", "events": [{"page": "p", "dwell_seconds": 1},'
@@ -130,7 +131,7 @@ def test_page_event_invariants():
 
 def test_page_event_rejects_what_the_log_schema_rejects():
     for dwell in (True, "1", None, [1.0]):
-        with pytest.raises(ValueError, match="must be a number"):
+        with pytest.raises(ValueError, match="dwell_seconds must be an int or float"):
             PageEvent("p", dwell)
     for page in (1, None, ""):
         with pytest.raises(ValueError, match="non-empty text"):
@@ -336,6 +337,16 @@ def test_replicate_parameter_validation():
         replicate_dwell(s, cap=0)
 
 
+@pytest.mark.parametrize("setting, value, rule", [
+    ("cap", True, "an int >= 1"),  # would expand a 65 s dwell to one copy
+    ("cap", 2.5, "an int >= 1"),  # would end in a bare TypeError
+    ("unit_seconds", "30", "an int or float"),
+], ids=["cap-True", "cap-2.5", "unit_seconds-text"])
+def test_replicate_settings_of_another_type_are_config_errors(setting, value, rule):
+    with pytest.raises(ConfigError, match=f"{setting} must be {rule}, got {value!r}"):
+        replicate_dwell(make_session(["p"], dwell=65.0), **{setting: value})
+
+
 @given(
     dwells=st.lists(st.floats(min_value=0, max_value=1e5, allow_nan=False), min_size=1, max_size=8),
     unit=st.floats(min_value=0.5, max_value=500),
@@ -458,6 +469,15 @@ def zero_column_chain():
         keywords_by_state={"a": "kw a", "c": "kw c"},
         dwell_mean_by_state={"a": 0.0, "b": 30.0},
     )
+
+
+def test_a_dwell_mean_follows_the_int_or_float_rule():
+    # a numpy scalar that is no float subclass is refused, as TrainConfig's rates are;
+    # numpy's float64 subclasses float and passes
+    means = zero_column_chain().dwell_mean_by_state
+    with pytest.raises(MarkovSpecError, match="dwell mean of 'a' must be an int or float"):
+        replace(zero_column_chain(), dwell_mean_by_state={**means, "a": np.float32(4.0)})
+    assert replace(zero_column_chain(), dwell_mean_by_state={**means, "a": np.float64(4.0)})
 
 
 @pytest.mark.parametrize("make", [ten_page_chain, funnel_chain, zero_column_chain])
@@ -606,6 +626,13 @@ def test_split_validation():
         split(sessions, 1.0, seed=0)
     with pytest.raises(ValueError):
         split(sessions, 0.0, seed=0)
+
+
+@pytest.mark.parametrize("fraction", ["0.8", None])
+def test_split_fraction_of_another_type_is_a_config_error(fraction):
+    sessions = [make_session(["p"], sid=str(i)) for i in range(5)]
+    with pytest.raises(ConfigError, match=f"train_fraction must be an int or float, got {fraction!r}"):
+        split(sessions, fraction, seed=0)
 
 
 @pytest.mark.parametrize("n", [0, 1])

@@ -1329,7 +1329,7 @@ def test_load_rejects_other_files(tmp_path):
 ])
 def test_config_and_checkpoint_reject_a_size_or_rate_of_another_type(field, value):
     # the loader passes the stored fields unconverted, so a stored 12.7 or "12" is no max_len 12
-    rule = "dropout_rate must be an int or float" if field == "dropout_rate" else "must be ints >= 1"
+    rule = "dropout_rate must be an int or float" if field == "dropout_rate" else "must be an int >= 1"
     with pytest.raises(ConfigError, match=rule):
         ModelConfig(**{field: value})
     d = model_to_dict(toy_model(seed=8))

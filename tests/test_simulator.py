@@ -189,8 +189,17 @@ def test_exact_rejects_a_prune_tol_that_is_not_a_nonnegative_number(prune_tol):
     # at horizon 12 the 5^12 exact paths exceed the budget, so NaN must not pass as "pruned";
     # True would compare as 1 and prune every branch at depth 1
     objective = Objective("reach-b", frozenset({"B"}))
-    with pytest.raises(SamplingError, match="prune_tol must be an int or float >= 0"):
+    with pytest.raises(SamplingError, match="prune_tol must be (an int or float|>= 0), got"):
         conversion_path_mass(hand_predictor(), JourneyPrefix(), objective, horizon=12, prune_tol=prune_tol)
+
+
+@pytest.mark.parametrize("max_nodes", ["5", True, 0])
+def test_exact_rejects_a_node_budget_that_is_not_an_int_of_at_least_one(max_nodes):
+    # "5" would fail at the first budget comparison, True would run as a budget of 1
+    # and 0 would end the enumeration in a CapacityError
+    objective = Objective("reach-b", frozenset({"B"}))
+    with pytest.raises(SamplingError, match=f"max_nodes must be an int >= 1, got {max_nodes!r}"):
+        conversion_path_mass(hand_predictor(), JourneyPrefix(), objective, horizon=3, max_nodes=max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +313,17 @@ def test_horizons_beyond_the_longest_session_are_rejected_before_sampling():
     pred = hand_predictor()
     prefix, objective = JourneyPrefix(), Objective("o", frozenset({"B"}))
     for horizon in (MAX_SESSION_EVENTS + 1, 10**15):
-        with pytest.raises(SamplingError, match="horizon must be <="):
+        rule = f"must be an int in \\[1, {MAX_SESSION_EVENTS}\\], got {horizon}"
+        with pytest.raises(SamplingError, match=f"horizon {rule}"):
             rollout(pred, prefix, horizon, stream(0, "t"))
-        with pytest.raises(SamplingError, match="horizon must be <="):
+        with pytest.raises(SamplingError, match=f"horizon {rule}"):
             estimate_conversion(pred, prefix, objective, 10, horizon, seed=0)
-        with pytest.raises(SamplingError, match="horizon must be <="):
+        with pytest.raises(SamplingError, match=f"horizon {rule}"):
             score_batch(pred, [prefix], [objective], n_samples=10, horizon=horizon)
-        with pytest.raises(SamplingError, match="t must be <="):
+        with pytest.raises(SamplingError, match=f"t {rule}"):
             step_distribution(pred, prefix, horizon, 10, seed=0)
         for prune_tol in (0.0, 1e-3):  # before the exact oracle's work estimate
-            with pytest.raises(SamplingError, match=f"horizon must be in \\[0, {MAX_SESSION_EVENTS}\\]"):
+            with pytest.raises(SamplingError, match=f"horizon must be an int in \\[0, {MAX_SESSION_EVENTS}\\]"):
                 conversion_path_mass(pred, prefix, objective, horizon, prune_tol)
     assert len(rollout(pred, prefix, MAX_SESSION_EVENTS, stream(0, "t")).pages) >= 1
 
@@ -356,7 +366,7 @@ def test_sampling_arguments_must_be_ints_and_not_bools(entry, name, value, error
 
 
 def test_step_distribution_rejects_t_zero():
-    with pytest.raises(SamplingError, match="t must be >= 1"):
+    with pytest.raises(SamplingError, match="t must be an int in \\[1, "):
         step_distribution(hand_predictor(), JourneyPrefix(), t=0, n_samples=10, seed=0)
 
 

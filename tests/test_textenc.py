@@ -77,6 +77,13 @@ def test_quantize_requires_positive_max_len():
         quantize("a", Alphabet(), 0)
 
 
+@pytest.mark.parametrize("max_len", ["3", 2.5])
+def test_quantize_requires_an_int_max_len(max_len):
+    # neither may reach the comparison or np.zeros, which raise a bare TypeError
+    with pytest.raises(ValueError, match=f"max_len must be an int >= 1, got {max_len!r}"):
+        quantize("a", Alphabet(), max_len)
+
+
 @given(st.text(max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_quantize_idempotent_on_normalised_phrase(phrase):

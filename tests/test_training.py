@@ -275,6 +275,26 @@ def test_train_rejects_an_empty_held_out_set_before_the_first_batch(chain_data, 
     assert calls == []
 
 
+@pytest.mark.parametrize("call, name", [
+    ("train", "sessions"),
+    ("train", "eval_sessions"),
+    ("train_ensemble", "eval_sessions"),
+    ("evaluate", "sessions"),
+])
+def test_sessions_that_are_not_iterable_are_a_config_error_naming_the_argument(chain_data, call, name):
+    # each used to end in "TypeError: 'int' object is not iterable"
+    tr, ev, vocab = chain_data
+    config = TrainConfig(epochs=1, batch_size=16, seed=0, **TOY_TRAIN)
+    model = SequenceModel.build(config.model_config(), vocab, seed=0)
+    calls = {
+        "train": lambda **kw: train(**{"sessions": tr, "config": config, "vocab": vocab, **kw}),
+        "train_ensemble": lambda **kw: train_ensemble(tr, config, vocab, k=1, **kw),
+        "evaluate": lambda **kw: evaluate(model, vocab=vocab, **kw),
+    }
+    with pytest.raises(ConfigError, match=f"^{name} must be an iterable of sessions, got int$"):
+        calls[call](**{name: 5})
+
+
 def test_each_epochs_report_is_a_standalone_evaluate_of_that_epochs_weights(chain_data, monkeypatch):
     from journeynet import training as tr_mod
 
