@@ -1,11 +1,21 @@
-"""Exception types shared across the package, and the owners of its two scalar rules.
+"""Exception types shared across the package, and the owners of its four argument rules.
 
 Every int argument the package takes is checked by :func:`check_int` (an
 int, not a bool, within the bounds given), and every int-or-float argument
 by :func:`check_number` (an int or a float, not a bool); no other code tests
 a scalar's type.  A number keeps its own range check where it is used, as
 the ranges differ: open or closed, finite or not, NaN refused or not.
+
+Every text argument (an id, a keyword phrase, an alphabet) is checked by
+:func:`check_text`, and every collection of page or state names by
+:func:`check_names` (an iterable of non-empty text, read into a tuple).
+The collection half of that rule, :func:`check_iterable`, refuses a string,
+a mapping and, where order matters, a set; it also checks the ordered
+collections that hold no names (a session's events, the sessions training
+reads).  No other code tests whether a value is text or a collection.
 """
+
+from collections.abc import Iterable, Mapping, Set
 
 
 class JourneynetError(Exception):
@@ -91,3 +101,29 @@ def check_number(value, name: str, error: type[Exception]) -> None:
     """`error` unless `value` is an int or a float, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error(f"{name} must be an int or float, got {value!r}")
+
+
+def check_text(value, name: str, error: type[Exception]) -> None:
+    """`error` unless `value` is a str (empty or not)."""
+    if not isinstance(value, str):
+        raise error(f"{name} must be text, got {value!r}")
+
+
+def check_iterable(values, name: str, error: type[Exception], ordered: bool) -> tuple:
+    """`values` read once into a tuple; `error` if they are a string, a mapping
+    or no iterable, or, when `ordered`, a set, whose order is the hash seed's."""
+    refused = (str, Mapping, Set) if ordered else (str, Mapping)
+    if isinstance(values, refused) or not isinstance(values, Iterable):
+        kind = "an ordered iterable, not a string, set" if ordered else "an iterable, not a string"
+        raise error(f"{name} must be {kind} or mapping, got {values!r}")
+    return tuple(values)
+
+
+def check_names(values, name: str, error: type[Exception], ordered: bool) -> tuple[str, ...]:
+    """`values` as a tuple of non-empty str (`check_iterable` for the collection);
+    `error` naming the first entry that is not one."""
+    names = check_iterable(values, name, error, ordered)
+    for i, value in enumerate(names):
+        if not isinstance(value, str) or not value:
+            raise error(f"{name}[{i}] must be non-empty text, got {value!r}")
+    return names

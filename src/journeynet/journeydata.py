@@ -17,18 +17,20 @@ import json
 import math
 import sys
 from collections import Counter
-from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigError, MarkovSpecError, ParseError, SchemaError, check_int, check_number
+from .errors import ConfigError, MarkovSpecError, ParseError, SchemaError
+from .errors import check_int, check_iterable, check_names, check_number, check_text
 
 # reserved vocabulary entries; NULL_PAGE marks "visitor left the site"
 NULL_PAGE = "<null>"
 UNKNOWN_PAGE = "<unknown>"
+# the names no logged page, prefix page or page state may take
+RESERVED_PAGES = (NULL_PAGE, UNKNOWN_PAGE)
 # longest session generate_synthetic walks before it gives up on a chain
 MAX_SESSION_EVENTS = 10_000
 # the step unit: one page copy per UNIT_SECONDS of dwell, at most DWELL_CAP; every
@@ -39,8 +41,8 @@ DWELL_CAP = 5
 
 @dataclass(frozen=True, slots=True)
 class PageEvent:
-    """One page view: the page's name, non-empty text other than NULL_PAGE and
-    UNKNOWN_PAGE, and its dwell, a number (`errors.check_number`) >= 0 and
+    """One page view: the page's name, non-empty text (`errors.check_text`) other
+    than RESERVED_PAGES, and its dwell, a number (`errors.check_number`) >= 0 and
     finite, stored as a float.  Anything else is a ValueError."""
 
     page_name: str
@@ -48,10 +50,9 @@ class PageEvent:
 
     def __post_init__(self):
         page, dwell = self.page_name, self.dwell_seconds
-        if not isinstance(page, str) or not page:
-            raise ValueError("page must be non-empty text")
-        if page in (NULL_PAGE, UNKNOWN_PAGE):
-            raise ValueError(f"page {page!r} is a reserved name")
+        check_text(page, "page", ValueError)
+        if not page or page in RESERVED_PAGES:
+            raise ValueError(f"page must be non-empty text and no reserved name, got {page!r}")
         if type(dwell) is not float:  # an int, or a float subclass: stored as a plain float
             check_number(dwell, "dwell_seconds", ValueError)
             try:
@@ -65,17 +66,21 @@ class PageEvent:
 
 @dataclass(frozen=True, slots=True)
 class Session:
-    """A visit: its id and searched keywords, both text (ValueError otherwise), and its page events."""
+    """A visit: its id and searched keywords, both text, and its page events, an
+    ordered iterable of PageEvent stored as a tuple.  Anything else is a ValueError."""
 
     session_id: str
     keywords: str
     events: tuple[PageEvent, ...]
 
     def __post_init__(self):
-        if not isinstance(self.session_id, str):
-            raise ValueError("session_id must be text")
-        if not isinstance(self.keywords, str):
-            raise ValueError("keywords must be text")
+        check_text(self.session_id, "session_id", ValueError)
+        check_text(self.keywords, "keywords", ValueError)
+        events = check_iterable(self.events, "events", ValueError, ordered=True)
+        for i, event in enumerate(events):
+            if not isinstance(event, PageEvent):
+                raise ValueError(f"events[{i}] must be a PageEvent, got {event!r}")
+        object.__setattr__(self, "events", events)
 
 
 def parse_log(lines) -> list[Session]:
@@ -157,23 +162,17 @@ class PageVocabulary:
     Retained pages occupy indices 0..K-1 ordered by descending corpus
     frequency (ties broken lexicographically); NULL_PAGE and UNKNOWN_PAGE
     always take the two highest indices, so no real page ranks above them.
-    The retained pages are an ordered iterable (not a string, set or
-    mapping, whose order is not the caller's), read once, of distinct
-    non-empty page names; anything else is a ValueError.  `min_freq`, the
+    The retained pages are ordered names (`errors.check_names`), read once,
+    distinct and none of RESERVED_PAGES; anything else is a ValueError.  `min_freq`, the
     count a page needed to be retained, is an int >= 1 (ConfigError).
     """
 
     def __init__(self, retained_pages: list[str], min_freq: int):
         check_int(min_freq, "min_freq", ConfigError, low=1)
-        if isinstance(retained_pages, (str, Set, Mapping)) or not isinstance(retained_pages, Iterable):
-            raise ValueError("vocabulary pages must be a list of non-empty strings")
-        names = list(retained_pages)
-        if not all(isinstance(p, str) and p for p in names):
-            raise ValueError("vocabulary pages must be a list of non-empty strings")
-        names += [NULL_PAGE, UNKNOWN_PAGE]
+        names = check_names(retained_pages, "vocabulary pages", ValueError, ordered=True) + RESERVED_PAGES
         if len(set(names)) != len(names):
             raise ValueError("duplicate or reserved page names in vocabulary")
-        self.page_names = tuple(names)
+        self.page_names = names
         self.min_freq = min_freq
         self._index = {name: i for i, name in enumerate(names)}
 
@@ -207,10 +206,7 @@ def build_vocab(sessions, min_freq: int = 5) -> PageVocabulary:
     sessions = list(sessions)
     if not sessions:
         raise ValueError("cannot build a vocabulary from an empty session list")
-    counts = Counter()
-    for s in sessions:
-        for ev in s.events:
-            counts[ev.page_name] += 1
+    counts = Counter(ev.page_name for s in sessions for ev in s.events)
     ranked = sorted(counts, key=lambda name: (-counts[name], name))
     # the vocabulary reads this only once it has checked min_freq
     return PageVocabulary((name for name in ranked if counts[name] >= min_freq), min_freq)
@@ -261,12 +257,15 @@ class MarkovSpec:
     """Ground-truth chain for synthetic session generation.
 
     `states` lists page states followed by one terminal state (last entry),
-    each a non-empty name; a page state (the terminal is never emitted) may
-    not be named NULL_PAGE or UNKNOWN_PAGE.  `transitions` is row-stochastic
-    over the full state list, the terminal row must be absorbing and every
-    page state must reach it.  `initial` puts no mass on the terminal
-    state.  Dwell times are exponential with per-page means (numbers,
-    finite and >= 0); keywords (text) are chosen by the first visited state.
+    as ordered names (`errors.check_names`); a page state (the terminal is
+    never emitted) may not be one of RESERVED_PAGES.  `transitions` is
+    row-stochastic over the full state list, the terminal row must be
+    absorbing and every page state must reach it.  `initial` puts no mass on
+    the terminal state.  Dwell times are exponential with per-page means
+    (numbers, finite and >= 0); keywords (text) are chosen by the first
+    visited state.  Each key of `keywords_by_state` and `dwell_mean_by_state`
+    names a page state; a page state without one takes no keywords and a
+    10 s mean.
     """
 
     states: tuple[str, ...]
@@ -276,9 +275,7 @@ class MarkovSpec:
     dwell_mean_by_state: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if isinstance(self.states, (str, Mapping)):
-            raise MarkovSpecError("states must be a list of names")
-        self.states = tuple(self.states)
+        self.states = check_names(self.states, "states", MarkovSpecError, ordered=True)
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
         self.initial = np.asarray(self.initial, dtype=np.float64)
         self.validate()
@@ -288,14 +285,12 @@ class MarkovSpec:
         return len(self.states)
 
     def validate(self) -> None:
-        n = self.n_states
+        n, pages = self.n_states, self.states[:-1]
         if n < 2:
             raise MarkovSpecError("need at least one page state and one terminal state")
-        if not all(isinstance(s, str) and s for s in self.states):
-            raise MarkovSpecError("state names must be non-empty text")
         if len(set(self.states)) != n:
             raise MarkovSpecError("duplicate state names")
-        reserved = [s for s in self.states[:-1] if s in (NULL_PAGE, UNKNOWN_PAGE)]
+        reserved = [s for s in pages if s in RESERVED_PAGES]
         if reserved:
             raise MarkovSpecError(f"page state {reserved[0]!r} is a reserved name")
         if self.transitions.shape != (n, n):
@@ -326,11 +321,15 @@ class MarkovSpec:
         if not reaches.all():
             stuck = self.states[int(np.argmin(reaches))]
             raise MarkovSpecError(f"state {stuck!r} never reaches the terminal state")
-        if not all(isinstance(k, str) and isinstance(v, str) for k, v in self.keywords_by_state.items()):
-            raise MarkovSpecError("keywords_by_state must map state names to text")
+        for field_name in ("keywords_by_state", "dwell_mean_by_state"):
+            for name in getattr(self, field_name):
+                if name not in pages:
+                    raise MarkovSpecError(f"{field_name} key {name!r} names no page state")
+        for name, keywords in self.keywords_by_state.items():
+            check_text(keywords, f"keywords of {name!r}", MarkovSpecError)
         for name, mean in self.dwell_mean_by_state.items():
             check_number(mean, f"dwell mean of {name!r}", MarkovSpecError)
-            if not (isinstance(name, str) and 0 <= mean <= sys.float_info.max):
+            if not 0 <= mean <= sys.float_info.max:
                 raise MarkovSpecError(
                     f"dwell mean of {name!r} must be a finite number >= 0, got {mean!r}"
                 )
@@ -426,8 +425,9 @@ def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Ses
 
 def split(sessions, train_fraction: float, seed: int) -> tuple[list[Session], list[Session]]:
     """Deterministic shuffled partition into (train, eval); ConfigError unless
-    `train_fraction` is a number in (0, 1) and `seed` an int."""
-    sessions = list(sessions)
+    `sessions` are an ordered iterable (`errors.check_iterable`: a set's order
+    is the hash seed's), `train_fraction` is a number in (0, 1) and `seed` an int."""
+    sessions = check_iterable(sessions, "sessions", ConfigError, ordered=True)
     if len(sessions) < 2:
         raise ConfigError(f"need at least 2 sessions to split, got {len(sessions)}")
     check_number(train_fraction, "train_fraction", ConfigError)

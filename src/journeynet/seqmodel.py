@@ -65,7 +65,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import numerics as nm
-from .errors import CheckpointError, ConfigError, ShapeError, check_int, check_number
+from .errors import CheckpointError, ConfigError, ShapeError, check_int, check_number, check_text
 from .journeydata import PageVocabulary, Session, expand_session
 from .numerics import Matrix
 from .textenc import DEFAULT_ALPHABET, Alphabet, CnnEncoder, ConvStage
@@ -99,8 +99,7 @@ class ModelConfig:
         check_number(self.dropout_rate, "dropout_rate", ConfigError)
         if not 0 <= self.dropout_rate < 1:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate!r}")
-        if not isinstance(self.alphabet, str):
-            raise ConfigError(f"alphabet must be text, got {type(self.alphabet).__name__}")
+        check_text(self.alphabet, "alphabet", ConfigError)
         try:
             Alphabet(self.alphabet)
         except ValueError as exc:  # an empty or repeating alphabet

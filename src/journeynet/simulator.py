@@ -69,14 +69,14 @@ outside that envelope the agreement is not guaranteed.
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as rngmod
-from .errors import CapacityError, ConfigError, ObjectiveError, SamplingError, check_int, check_number
-from .journeydata import MAX_SESSION_EVENTS, NULL_PAGE, UNKNOWN_PAGE, PageVocabulary
+from .errors import CapacityError, ConfigError, ObjectiveError, SamplingError
+from .errors import check_int, check_names, check_number, check_text
+from .journeydata import MAX_SESSION_EVENTS, NULL_PAGE, RESERVED_PAGES, UNKNOWN_PAGE, PageVocabulary
 
 TERMINATED_NULL = "null_page"
 TERMINATED_HORIZON = "horizon"
@@ -91,47 +91,37 @@ PREFIX_BLOCK = 16
 class JourneyPrefix:
     """Observed start of a journey: keywords plus already-visited pages.
 
-    ConfigError unless `keywords` is text and `pages` an ordered iterable
-    (not a string, set or mapping) of non-empty page names other than
-    NULL_PAGE and UNKNOWN_PAGE, as a logged page is: a model's start memo
-    keys on them.
+    ConfigError unless `keywords` is text and `pages` ordered names
+    (`errors.check_names`) none of which is one of RESERVED_PAGES, as a
+    logged page is: a model's start memo keys on them.
     """
 
     keywords: str = ""
     pages: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.keywords, str):
-            raise ConfigError(f"prefix keywords must be text, got {type(self.keywords).__name__}")
-        if isinstance(self.pages, (str, Set, Mapping)) or not isinstance(self.pages, Iterable):
-            raise ConfigError(f"prefix pages must be a sequence of page names, got {self.pages!r}")
-        object.__setattr__(self, "pages", tuple(self.pages))
-        if not all(isinstance(p, str) and p for p in self.pages):
-            raise ConfigError(f"prefix pages must be non-empty page names, got {self.pages!r}")
-        if NULL_PAGE in self.pages or UNKNOWN_PAGE in self.pages:
-            raise ConfigError(f"prefix pages must not be a reserved name, got {self.pages!r}")
+        check_text(self.keywords, "prefix keywords", ConfigError)
+        pages = check_names(self.pages, "prefix pages", ConfigError, ordered=True)
+        object.__setattr__(self, "pages", pages)
+        reserved = [p for p in pages if p in RESERVED_PAGES]
+        if reserved:
+            raise ConfigError(f"prefix page {reserved[0]!r} is a reserved name")
 
 
 @dataclass(frozen=True)
 class Objective:
     """A conversion event: the journey reaches any page in `target_pages`.
 
-    The targets are an iterable (not a string or mapping) of non-empty page
-    names other than the NULL page; anything else is an ObjectiveError.
+    The id is text and the targets are names (`errors.check_names`, in any
+    order) other than the NULL page; anything else is an ObjectiveError.
     """
 
     objective_id: str
     target_pages: frozenset[str]
 
     def __post_init__(self):
-        pages = self.target_pages
-        if isinstance(pages, str):
-            raise ObjectiveError(f"objective target pages must be page names, not the string {pages!r}")
-        if isinstance(pages, Mapping) or not isinstance(pages, Iterable):
-            raise ObjectiveError(f"objective target pages must be an iterable of page names, got {pages!r}")
-        pages = tuple(pages)
-        if not all(isinstance(p, str) and p for p in pages):
-            raise ObjectiveError(f"objective target pages must be non-empty page names, got {pages!r}")
+        check_text(self.objective_id, "objective id", ObjectiveError)
+        pages = check_names(self.target_pages, "objective target pages", ObjectiveError, ordered=False)
         object.__setattr__(self, "target_pages", frozenset(pages))
         if not self.target_pages:
             raise ObjectiveError("objective needs at least one target page")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import rng as rngmod
-from .errors import CheckpointError, ConfigError, TrainingError, check_int, check_number
+from .errors import CheckpointError, ConfigError, TrainingError, check_int, check_iterable, check_number
 from .journeydata import PageVocabulary, expand_session
 from .seqmodel import (
     CHECKPOINT_FORMAT,
@@ -222,15 +222,6 @@ def _batch_loss(model, phrases, rowidx, targets, mask, dropout_rng):
     return nm.masked_cross_entropy(probs, targets.T.ravel(), mask.T.ravel())
 
 
-def _session_list(sessions, name: str) -> list:
-    """`sessions` read into a list; ConfigError naming `name` if it is not iterable."""
-    try:
-        items = iter(sessions)
-    except TypeError:
-        raise ConfigError(f"{name} must be an iterable of sessions, got {type(sessions).__name__}") from None
-    return list(items)
-
-
 def train(
     sessions,
     config: TrainConfig,
@@ -241,17 +232,19 @@ def train(
 
     Per-epoch evaluation runs on `eval_sessions` when provided, otherwise on
     the training sessions; an empty `eval_sessions`, and `sessions` or
-    `eval_sessions` that cannot be iterated, are a ConfigError before the
-    first batch.  Identical (data, config, seed) give identical
-    final weights and report.
+    `eval_sessions` that are no ordered iterable (`errors.check_iterable`: a
+    set's order is the hash seed's), are a ConfigError before the first
+    batch.  Identical (data, config, seed) give identical final weights and
+    report.
     """
-    sessions = _session_list(sessions, "sessions")
+    sessions = check_iterable(sessions, "sessions", ConfigError, ordered=True)
     if not sessions:
         raise ConfigError("no training sessions")
     for s in sessions:
         if not s.events:
             raise ConfigError(f"training session {s.session_id!r} has no page events")
-    held_out = sessions if eval_sessions is None else _session_list(eval_sessions, "eval_sessions")
+    held_out = sessions if eval_sessions is None else check_iterable(
+        eval_sessions, "eval_sessions", ConfigError, ordered=True)
     if not held_out:
         raise ConfigError("no sessions to evaluate")
     model = SequenceModel.build(config.model_config(), vocab, config.seed)
@@ -312,7 +305,7 @@ def evaluate(predictor, sessions, vocab: PageVocabulary) -> tuple[float, float]:
     """
     if vocab.page_names != predictor.vocab.page_names:
         raise ConfigError("evaluate needs the vocabulary of the predictor")
-    expanded = [expand_session(s, vocab) for s in _session_list(sessions, "sessions")]
+    expanded = [expand_session(s, vocab) for s in check_iterable(sessions, "sessions", ConfigError, ordered=True)]
     if not expanded:
         raise ConfigError("no sessions to evaluate")
     hits = 0.0
@@ -378,8 +371,9 @@ def train_ensemble(
     """Train k models with seeds seed+0 .. seed+k-1 (ConfigError unless k is an int >= 1)."""
     check_int(k, "ensemble size", ConfigError, low=1)
     # every member reads them
-    sessions = _session_list(sessions, "sessions")
-    eval_sessions = None if eval_sessions is None else _session_list(eval_sessions, "eval_sessions")
+    sessions = check_iterable(sessions, "sessions", ConfigError, ordered=True)
+    if eval_sessions is not None:
+        eval_sessions = check_iterable(eval_sessions, "eval_sessions", ConfigError, ordered=True)
     models = []
     reports = []
     for member in range(k):

@@ -983,7 +983,7 @@ def test_checkpoint_pages_of_other_members_or_types_are_a_clean_error(pipeline, 
     else:
         code = main(["eval", "--model", str(ckpt), "--data", str(out / "eval_sessions.jsonl")])
     assert code == 1
-    _assert_clean_error(capsys, "vocabulary" if case != "page-not-a-string" else "non-empty strings")
+    _assert_clean_error(capsys, "vocabulary" if case != "page-not-a-string" else "non-empty text")
     assert not (tmp_path / "s.csv").exists()
 
 

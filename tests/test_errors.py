@@ -1,11 +1,14 @@
-"""The two scalar rules of `errors`, and a scan that keeps them their only owners."""
+"""The argument rules of `errors`, and scans that keep them their only owners."""
 
 import ast
 
 import numpy as np
 import pytest
 
-from journeynet.errors import ConfigError, SamplingError, check_int, check_number
+from journeynet.errors import (
+    ConfigError, ObjectiveError, SamplingError,
+    check_int, check_iterable, check_names, check_number, check_text,
+)
 from test_second_ways_in import SRC, _walk
 
 # (value, low, high, the message, or None where the value passes)
@@ -61,21 +64,89 @@ def test_check_number_takes_an_int_or_float_that_is_no_bool(value, passes):
             check_number(value, "x", SamplingError)
 
 
+# (value, whether it passes); empty text is text
+CHECK_TEXT_CASES = [
+    ("kw", True),
+    ("", True),
+    (np.str_("kw"), True),  # a str subclass
+    (None, False),
+    (7, False),
+    (b"kw", False),
+    (["kw"], False),
+]
+
+
+@pytest.mark.parametrize("value, passes", CHECK_TEXT_CASES)
+def test_check_text_takes_a_str(value, passes):
+    if passes:
+        check_text(value, "keywords", ConfigError)
+    else:
+        with pytest.raises(ConfigError, match=r"^keywords must be text, got "):
+            check_text(value, "keywords", ConfigError)
+
+
+# (values, ordered, the names returned, or the start of the message)
+CHECK_NAMES_CASES = [
+    (["a", "b"], True, ("a", "b")),
+    (("a", "b"), True, ("a", "b")),
+    ((p for p in ("a", "b")), True, ("a", "b")),  # read once
+    ([], True, ()),
+    (["b", "a", "b"], True, ("b", "a", "b")),  # distinctness is the caller's rule
+    (frozenset({"a"}), False, ("a",)),
+    ({"a": 1}.keys(), False, ("a",)),
+    ({"a", "b"}, True, "pages must be an ordered iterable, not a string, set or mapping, got "),
+    (frozenset({"a"}), True, "pages must be an ordered iterable, not a string, set or mapping, got "),
+    ({"a": 1}.keys(), True, "pages must be an ordered iterable, not a string, set or mapping, got "),
+    ("ab", True, "pages must be an ordered iterable, not a string, set or mapping, got 'ab'"),
+    ("ab", False, "pages must be an iterable, not a string or mapping, got 'ab'"),
+    ({"a": 1}, False, "pages must be an iterable, not a string or mapping, got {'a': 1}"),
+    (5, False, "pages must be an iterable, not a string or mapping, got 5"),
+    (None, True, "pages must be an ordered iterable, not a string, set or mapping, got None"),
+    (["a", ""], True, "pages[1] must be non-empty text, got ''"),
+    (["a", 5], True, "pages[1] must be non-empty text, got 5"),
+    ([None], False, "pages[0] must be non-empty text, got None"),
+    ([["a"]], True, "pages[0] must be non-empty text, got ['a']"),
+]
+
+
+@pytest.mark.parametrize("values, ordered, expected", CHECK_NAMES_CASES)
+def test_check_names_takes_an_iterable_of_non_empty_text_as_a_tuple(values, ordered, expected):
+    if isinstance(expected, tuple):
+        assert check_names(values, "pages", ObjectiveError, ordered=ordered) == expected
+    else:
+        with pytest.raises(ObjectiveError) as exc:
+            check_names(values, "pages", ObjectiveError, ordered=ordered)
+        assert str(exc.value).startswith(expected)
+
+
+def test_check_iterable_is_the_collection_half_of_check_names():
+    # any entries, as a tuple, from a collection check_names would take
+    assert check_iterable([1, None], "events", ValueError, ordered=True) == (1, None)
+    assert check_iterable({1}, "events", ValueError, ordered=False) == (1,)
+    for values in ({1}, "ab", {1: 2}, 1):
+        with pytest.raises(ValueError, match=r"^events must be an ordered iterable, not a string, set or mapping"):
+            check_iterable(values, "events", ValueError, ordered=True)
+
+
 def test_the_rules_raise_the_callers_exception_class():
     # PageEvent raises ValueError, which is no JourneynetError
     with pytest.raises(ValueError, match="dwell must be an int or float"):
         check_number("1", "dwell", ValueError)
     with pytest.raises(KeyError):
         check_int(0, "k", KeyError, low=1)
+    with pytest.raises(ValueError, match="session_id must be text"):
+        check_text(1, "session_id", ValueError)
 
 
-# the one test of a scalar's type left outside errors.py: a stream label is an int or a string
+# the one test of a scalar's or text's type left outside errors.py: a stream label is an int or a string
 OUTSIDE_THE_OWNERS = {("rng.py", "_update")}
+SCALAR_CLASSES = {"int", "float", "bool"}
+TEXT_AND_NAME_CLASSES = {"str", "Set", "Mapping", "Iterable"}
 
 
-def hand_written_scalar_rules() -> list[str]:
+def hand_written_rules(classes: set[str]) -> list[str]:
     """`file:line` of every line with an isinstance call in the package whose class argument
-    names int, float or bool, outside errors.py and OUTSIDE_THE_OWNERS."""
+    names one of `classes`, outside errors.py and OUTSIDE_THE_OWNERS."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "errors.py":
@@ -84,11 +155,16 @@ def hand_written_scalar_rules() -> list[str]:
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
                 continue
             names = {n.id for arg in node.args[1:] for n in ast.walk(arg) if isinstance(n, ast.Name)}
-            if names & {"int", "float", "bool"} and not any((path.name, f) in OUTSIDE_THE_OWNERS for f in within):
+            if names & classes and not any((path.name, f) in OUTSIDE_THE_OWNERS for f in within):
                 found.add(f"{path.name}:{node.lineno}")
     return sorted(found)
 
 
 def test_no_scalar_rule_is_written_by_hand_outside_errors():
-    found = hand_written_scalar_rules()
+    found = hand_written_rules(SCALAR_CLASSES)
     assert not found, f"use errors.check_int or errors.check_number instead: {found}"
+
+
+def test_no_text_or_name_rule_is_written_by_hand_outside_errors():
+    found = hand_written_rules(TEXT_AND_NAME_CLASSES)
+    assert not found, f"use errors.check_text, errors.check_names or errors.check_iterable instead: {found}"

@@ -103,7 +103,7 @@ MALFORMED_RECORDS = {
     "empty-page": ('{"session_id": "b", "keywords": "", "events": [{"page": "p", "dwell_seconds": 1},'
                    ' {"page": "", "dwell_seconds": 1}]}', "event 1: page must be non-empty text"),
     "null-page": ('{"session_id": "b", "keywords": "", "events": [{"page": null, "dwell_seconds": 1}]}',
-                  "event 0: page must be non-empty text"),
+                  "event 0: page must be text, got None"),
     "int-session-id": ('{"session_id": 7, "keywords": "", "events": []}', "session_id must be text"),
     "null-keywords": ('{"session_id": "b", "keywords": null, "events": []}', "keywords must be text"),
 }
@@ -134,7 +134,7 @@ def test_page_event_rejects_what_the_log_schema_rejects():
         with pytest.raises(ValueError, match="dwell_seconds must be an int or float"):
             PageEvent("p", dwell)
     for page in (1, None, ""):
-        with pytest.raises(ValueError, match="non-empty text"):
+        with pytest.raises(ValueError, match=r"^page must be (non-empty )?text"):
             PageEvent(page, 1.0)
 
 
@@ -167,6 +167,21 @@ def test_page_event_and_session_are_slotted_and_still_compare_hash_and_pickle():
 def test_session_fields_must_be_text(session_id, keywords):
     with pytest.raises(ValueError, match="must be text"):
         Session(session_id, keywords, ())
+
+
+def test_a_session_holds_its_events_as_a_tuple_of_page_events():
+    # a list is stored as a tuple, so the frozen session hashes
+    events = [PageEvent("p", 1.0), PageEvent("q", 2.0)]
+    session = Session("s", "kw", events)
+    assert session.events == tuple(events) and hash(session) == hash(Session("s", "kw", tuple(events)))
+    assert Session("s", "kw", iter(events)).events == tuple(events)
+    # a pair is no PageEvent: it used to build and end in AttributeError inside build_vocab
+    with pytest.raises(ValueError, match=r"^events\[0\] must be a PageEvent, got \('p', 1.0\)$"):
+        Session("a", "", [("p", 1.0)])
+    # a set's order follows the hash seed, not the visit
+    for events in (set(events), "pq", None):
+        with pytest.raises(ValueError, match="^events must be an ordered iterable"):
+            Session("s", "kw", events)
 
 
 def test_reserved_page_name_is_schema_error():
@@ -267,13 +282,13 @@ def test_vocab_dict_roundtrip():
     # the constructor owns the page-name rules: an iterator is read once
     assert PageVocabulary(iter(["a", "b"]), 1).page_names[:2] == ("a", "b")
     for pages in ("abc", {"a": 1}, 5, None, ["a", 5], ["a", ""], [["a"]]):
-        with pytest.raises(ValueError, match="non-empty strings"):
+        with pytest.raises(ValueError, match=r"^vocabulary pages(\[\d+\])? must be"):
             PageVocabulary(pages, 1)
-        with pytest.raises(ValueError, match="non-empty strings"):
+        with pytest.raises(ValueError, match=r"^vocabulary pages(\[\d+\])? must be"):
             PageVocabulary.from_dict({"pages": pages, "min_freq": 1})
     # a set's order follows the hash seed, so its classes would too
     for pages in ({"a", "b"}, frozenset({"a"}), {"a": 1}.keys()):
-        with pytest.raises(ValueError, match="non-empty strings"):
+        with pytest.raises(ValueError, match="^vocabulary pages must be an ordered iterable"):
             PageVocabulary(pages, 1)
     for pages in (["a", "b", "a"], ["a", NULL_PAGE]):
         with pytest.raises(ValueError, match="duplicate or reserved"):
@@ -530,8 +545,37 @@ def test_generate_rejects_non_absorbing_terminal():
 @pytest.mark.parametrize("states", ["ab", {"a": 0, "b": 1}], ids=["text", "mapping"])
 def test_markov_spec_states_must_be_a_list_of_names(states):
     # a string's characters or a mapping's keys are no list of names
-    with pytest.raises(MarkovSpecError, match="states must be a list of names"):
+    with pytest.raises(MarkovSpecError, match="^states must be an ordered iterable"):
         MarkovSpec(states=states, transitions=[[0.0, 1.0], [0.0, 1.0]], initial=[1.0, 0.0])
+
+
+def test_markov_spec_states_may_not_be_a_set():
+    # a set's order is the hash seed's, so the transition rows would describe other states
+    with pytest.raises(MarkovSpecError, match="^states must be an ordered iterable"):
+        MarkovSpec(
+            states={"a", "b", "exit"}, transitions=[[0, 0.5, 0.5], [0.5, 0, 0.5], [0, 0, 1]], initial=[1, 0, 0]
+        )
+
+
+def test_a_bad_state_name_in_dwell_mean_by_state_is_blamed_on_the_name():
+    # it used to read "dwell mean of 1 must be a finite number >= 0, got 4.0"
+    with pytest.raises(MarkovSpecError, match=r"^dwell_mean_by_state key 1 names no page state$"):
+        replace(chain_spec(), dwell_mean_by_state={1: 4.0})
+
+
+@pytest.mark.parametrize("field_name", ["keywords_by_state", "dwell_mean_by_state"])
+@pytest.mark.parametrize("key", ["typo", "exit", ""])
+def test_every_key_of_a_by_state_map_names_a_page_state(field_name, key):
+    # "typo" used to fall back silently to no keywords or the 10 s mean; the terminal state
+    # ("exit") is never visited, so its entry would be read by no session either
+    value = "kw" if field_name == "keywords_by_state" else 4.0
+    with pytest.raises(MarkovSpecError, match=f"^{field_name} key {key!r} names no page state$"):
+        replace(chain_spec(), **{field_name: {"a": value, key: value}})
+
+
+def test_keywords_by_state_maps_to_text():
+    with pytest.raises(MarkovSpecError, match=r"^keywords of 'a' must be text, got 7$"):
+        replace(chain_spec(), keywords_by_state={"a": 7})
 
 
 def test_generate_stops_a_session_that_does_not_exit():
@@ -626,6 +670,9 @@ def test_split_validation():
         split(sessions, 1.0, seed=0)
     with pytest.raises(ValueError):
         split(sessions, 0.0, seed=0)
+    # a set's order, and so the partition, would follow the hash seed
+    with pytest.raises(ConfigError, match="^sessions must be an ordered iterable"):
+        split(set(sessions), 0.5, seed=0)
 
 
 @pytest.mark.parametrize("fraction", ["0.8", None])

@@ -263,7 +263,7 @@ def test_journey_prefix_takes_ordered_pages_from_lists_tuples_and_generators():
 def test_objective_validation():
     with pytest.raises(ValueError):
         Objective("empty", frozenset())
-    with pytest.raises(ObjectiveError, match="string 'quote'"):
+    with pytest.raises(ObjectiveError, match="^objective target pages must be an iterable, not a string or mapping"):
         Objective("o", "quote")  # would be the set of its letters
     assert Objective("o", ["quote", "price"]).target_pages == {"quote", "price"}
     assert Objective("o", (p for p in ("quote", "price"))).target_pages == {"quote", "price"}

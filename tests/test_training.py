@@ -291,8 +291,20 @@ def test_sessions_that_are_not_iterable_are_a_config_error_naming_the_argument(c
         "train_ensemble": lambda **kw: train_ensemble(tr, config, vocab, k=1, **kw),
         "evaluate": lambda **kw: evaluate(model, vocab=vocab, **kw),
     }
-    with pytest.raises(ConfigError, match=f"^{name} must be an iterable of sessions, got int$"):
+    with pytest.raises(ConfigError, match=f"^{name} must be an ordered iterable, not a string, set or mapping, got 5$"):
         calls[call](**{name: 5})
+
+
+def test_a_set_of_sessions_is_refused_as_its_order_would_follow_the_hash_seed(chain_data):
+    tr, ev, vocab = chain_data
+    config = TrainConfig(epochs=1, batch_size=16, seed=0, **TOY_TRAIN)
+    model = SequenceModel.build(config.model_config(), vocab, seed=0)
+    with pytest.raises(ConfigError, match="^sessions must be an ordered iterable"):
+        train(set(tr), config, vocab)
+    with pytest.raises(ConfigError, match="^eval_sessions must be an ordered iterable"):
+        train_ensemble(tr, config, vocab, k=1, eval_sessions=frozenset(ev))
+    with pytest.raises(ConfigError, match="^sessions must be an ordered iterable"):
+        evaluate(model, set(ev), vocab)
 
 
 def test_each_epochs_report_is_a_standalone_evaluate_of_that_epochs_weights(chain_data, monkeypatch):
