@@ -25,20 +25,28 @@ serving a model whose weights a tape watches records the passes and
 steps its cache does not serve.
 
 Each entry into a tape's block starts a new recording.  A recorded
-:func:`lstm_sequence` takes its (T*B)-row arrays and its backward's ``dz``
-from slots that the tape's next recording reuses, so what a recording
-returns, the cell rows included, is valid until the tape records again;
-a leaf's gradient is never a slot.
+:func:`lstm_sequence` takes its (T*B)-row arrays from slots that the
+tape's next recording reuses: the hidden rows, the cell rows, the packed
+gate activations and the tanh of the cells, and in its backward an H-wide
+copy of the forget gate, the one activation the recurrence still reads
+once the backward has written the gate derivatives ``dz`` over the
+activations' slot.  So what a recording returns, the cell rows included,
+is valid until the tape records again; a leaf's gradient is never a slot.
+A recording keeps no layer input that its backward does not read: layer 0
+reads the rows of the phrase projection through the batch's row index (no
+gathered copy), and a deeper layer forms its input projection from the
+hidden rows below and frees it when its forward pass ends, since the
+products of its backward read only those rows and the input weight.
 
 A product whose result only a leaf's gradient reads (the weight side of
-:func:`matmul` and :func:`dense`, and the recurrent weight and bias gradients of
-:func:`lstm_sequence`) is returned by its node's backward function as a
-thunk.  A tape given a `helper` (an executor with one worker) sends each
-node's thunks to it as one task, so the product runs while the walk goes
-on; a tape without one runs them inline.  The calling thread allocates
-every array a thunk writes, and :func:`backward` adds each leaf's
-gradients up in the order of the walk either way, so a helper changes no
-bit.
+:func:`matmul` and :func:`dense`, and the input weight, recurrent weight
+and bias gradients of :func:`lstm_sequence`) is returned by its node's
+backward function as a thunk.  A tape given a `helper` (an executor with
+one worker) sends each node's thunks to it as one task, so the product
+runs while the walk goes on; a tape without one runs them inline.  The
+calling thread allocates every array a thunk writes, and :func:`backward`
+adds each leaf's gradients up in the order of the walk either way, so a
+helper changes no bit.
 
 Gradient accumulation is explicit: a leaf's grads add up across backward
 calls until the caller sets its ``grad`` to None.
@@ -406,23 +414,6 @@ def row_index(indices, n: int) -> np.ndarray:
     return idx
 
 
-def take_rows(x: Matrix, indices) -> Matrix:
-    """Gather rows of `x`; gradients accumulate back into the gathered rows."""
-    idx = row_index(indices, x.rows)
-    out = Matrix._result(x.data[idx])
-
-    def back(g):
-        # one reduceat over index-sorted rows; np.add.at is slow on wide rows
-        gx = np.zeros_like(x.data)
-        if idx.size:
-            order = np.argsort(idx, kind="stable")
-            rows, starts = np.unique(idx[order], return_index=True)
-            gx[rows] = np.add.reduceat(g[order], starts, axis=0)
-        return (gx,)
-
-    return record(out, (x,), back)
-
-
 def dropout(x: Matrix, rate: float, rng: np.random.Generator) -> Matrix:
     """Inverted dropout: surviving entries are scaled by 1/(1-rate), a rate
     in [0, 1) as `ModelConfig` keeps it.
@@ -461,39 +452,61 @@ def lstm_cell(z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def lstm_sequence(
-    xproj: Matrix, wh: Matrix, bias: Matrix, h0: np.ndarray, c0: np.ndarray
+    x: Matrix,
+    wh: Matrix,
+    bias: Matrix,
+    h0: np.ndarray,
+    c0: np.ndarray,
+    rows: np.ndarray | None = None,
+    wx: Matrix | None = None,
 ) -> tuple[Matrix, np.ndarray]:
     """One LSTM layer over a whole padded batch, recorded as a single tape node.
 
-    `xproj` is the time-major (T*B) x 4H input projection: rows t*B .. t*B+B-1
-    hold step t of the B sequences, which start from the B x H constant arrays
-    `h0` and `c0`.  Each step feeds ``(x + h @ wh) + bias``, the product a
-    :func:`rows_product`, to :func:`lstm_cell`, the only place the recurrence
-    is written.  Returns the (T*B) x H hidden states, the tracked output, and
-    the (T*B) x H cell states as a plain array, both in that row order.  The
-    backward pass runs BPTT one step at a time, where only ``dh = dz_t @ wh.T``
-    is a product, and forms the gradients of `wh` and `bias` once.  Recorded,
-    both row arrays are slots of the active tape (see the module notes).
-    `xproj`, `wh` and `bias` follow the model's weight layout
+    The layer's time-major input projection is `x`, or ``x @ wx`` if given
+    `wx` (a deeper layer passes the hidden rows below it and its input
+    weight): a :func:`rows_product` formed here and freed when the forward
+    pass ends.  Step t of the B sequences, which start from the B x H
+    constant arrays `h0` and `c0`, reads projection rows t*B .. t*B+B-1, or,
+    if given `rows`, the rows ``rows[t*B:t*B+B]`` (layer 0 reads the phrase
+    projection or the page table through the batch's row index, with no
+    gather of its own).  Each step adds its input rows and then `bias` in
+    place to the :func:`rows_product` ``h @ wh`` and feeds the sum to
+    :func:`lstm_cell`, the only place the recurrence is written.  Returns
+    the (T*B) x H hidden states, the tracked output, and the (T*B) x H cell
+    states as a plain array, both in that row order.  The backward pass
+    runs BPTT one step at a time, where only ``dh = dz_t @ wh.T`` is a
+    product, forms the gradients of `wh` and `bias` once, scatters ``dz``
+    back through `rows` as one index-sorted reduceat, and runs
+    :func:`matmul`'s two products through `wx`.  Recorded, both row arrays
+    are slots of the active tape (see the module notes).  `x`, `wx`, `wh`
+    and `bias` follow the model's weight layout
     (:func:`seqmodel.parameter_shapes`), and the states hold B >= 1 rows,
     which the model's entries own: ``start`` (a prefix),
     ``batch_step_probs`` (a sequence of a step) and ``step`` (a row).
     """
     hs, batch = wh.rows, len(h0)
-    steps = xproj.rows // batch
-    x, w = xproj.data, wh.data
+    w = wh.data
+    proj = x.data if wx is None else rows_product(x.data, wx.data)
+    n, dtype = len(proj if rows is None else rows), proj.dtype
+    steps = n // batch
     # only a tape keeps every step's gates, for the backward pass
-    tape = getattr(_active, "tape", None) if xproj.track or wh.track or bias.track else None
-    if tape is not None:  # the rows live in the tape's slots, and so does the backward's dz
+    inputs = (x, wh, bias) if wx is None else (x, wh, bias, wx)
+    tracked = x.track or wh.track or bias.track or (wx is not None and wx.track)
+    tape = getattr(_active, "tape", None) if tracked else None
+    if tape is not None:  # the rows live in the tape's slots
         slots = tape._slots
-        hidden, cells, acts, tcells = (slots.take(len(x), n, x.dtype) for n in (hs, hs, 4 * hs, hs))
-        leaf = id(xproj) in tape._leaf_ids  # a leaf keeps its gradient: never a slot
+        hidden, cells, acts, tcells = (slots.take(n, k, dtype) for k in (hs, hs, 4 * hs, hs))
+        # a leaf keeps its gradient, so it is never a slot; the tape's exit untracks `x`
+        leaf, tx = id(x) in tape._leaf_ids, x.track
     elif steps > 1:  # a one-step call keeps the cell's own arrays as its rows
-        hidden, cells = np.empty((len(x), hs), x.dtype), np.empty((len(x), hs), x.dtype)
+        hidden, cells = np.empty((n, hs), dtype), np.empty((n, hs), dtype)
     h, c = h0, c0
     for t in range(steps):
         r = slice(t * batch, (t + 1) * batch)
-        a, c, tc, h = lstm_cell((x[r] + rows_product(h, w)) + bias.data, c)
+        z = rows_product(h, w)
+        z += proj[r] if rows is None else proj[rows[r]]
+        z += bias.data
+        a, c, tc, h = lstm_cell(z, c)
         if tape is not None:
             hidden[r], cells[r], acts[r], tcells[r] = h, c, a, tc
         elif steps == 1:
@@ -503,38 +516,55 @@ def lstm_sequence(
     out = Matrix._result(hidden)
 
     def back(gh):
-        i, f, g, o = acts[:, :hs], acts[:, hs:2 * hs], acts[:, 2 * hs:3 * hs], acts[:, 3 * hs:]
-        dz = slots.take(len(x), 4 * hs, x.dtype)
-        zi, zf, zg, zo = dz[:, :hs], dz[:, hs:2 * hs], dz[:, 2 * hs:3 * hs], dz[:, 3 * hs:]
-        # each gate's local derivative, for all steps at once, in its block of dz:
+        # the gate derivatives overwrite the activations they are formed from,
+        # once the forget gate, which the recurrence reads, has a slot of its own
+        dz = acts
+        i, f, g, o = dz[:, :hs], dz[:, hs:2 * hs], dz[:, 2 * hs:3 * hs], dz[:, 3 * hs:]
+        forget = slots.take(n, hs, dtype)
+        np.copyto(forget, f)
+        # each gate's local derivative, for all steps at once, in its block:
         # g * i * (1 - i), f * (1 - f), i * (1 - g * g) and tcells * o * (1 - o)
-        np.multiply(np.multiply(g, i, out=zi), 1.0 - i, out=zi)
-        np.multiply(np.subtract(1.0, f, out=zf), f, out=zf)
-        np.multiply(np.subtract(1.0, np.multiply(g, g, out=zg), out=zg), i, out=zg)
-        np.multiply(np.multiply(tcells, o, out=zo), 1.0 - o, out=zo)
         dtc = o * (1.0 - tcells * tcells)
-        dh = np.zeros((batch, hs), dtype=x.dtype)
-        dc = np.zeros((batch, hs), dtype=x.dtype)
+        np.multiply(np.multiply(tcells, o, out=tcells), np.subtract(1.0, o, out=o), out=o)
+        gi = np.multiply(g, i, out=tcells)  # no one reads tcells again
+        np.multiply(np.subtract(1.0, np.multiply(g, g, out=g), out=g), i, out=g)
+        np.multiply(gi, np.subtract(1.0, i, out=i), out=i)
+        np.multiply(np.subtract(1.0, f, out=f), forget, out=f)
+        # from here i, f, g and o are the blocks of dz
+        dh = np.zeros((batch, hs), dtype=dtype)
+        dc = np.zeros((batch, hs), dtype=dtype)
         for t in reversed(range(steps)):
             r = slice(t * batch, (t + 1) * batch)
             dh = gh[r] + dh
             dc = dc + dh * dtc[r]
-            zi[r] *= dc
-            zf[r] *= dc * (cells[r.start - batch:r.start] if t else c0)
-            zg[r] *= dc
-            zo[r] *= dh
-            dc = dc * f[r]
+            i[r] *= dc
+            f[r] *= dc * (cells[r.start - batch:r.start] if t else c0)
+            g[r] *= dc
+            o[r] *= dh
+            dc = dc * forget[r]
             if t:
                 dh = dz[r] @ w.T
-        dwh, step0, dbias = np.empty_like(w, x.dtype), np.empty_like(w, x.dtype), np.empty_like(bias.data, x.dtype)
+        dwh, step0, dbias = np.empty_like(w, dtype), np.empty_like(w, dtype), np.empty_like(bias.data, dtype)
 
         def wh_grad():  # hidden[:-batch].T @ dz[batch:] + h0.T @ dz[:batch]
             later = np.matmul(hidden[:-batch].T, dz[batch:], out=dwh)
             return np.add(later, np.matmul(h0.T, dz[:batch], out=step0), out=dwh)
 
-        return (dz.copy() if leaf else dz), wh_grad, lambda: np.sum(dz, axis=0, keepdims=True, out=dbias)
+        def bias_grad():
+            return np.sum(dz, axis=0, keepdims=True, out=dbias)
 
-    return record(out, (xproj, wh, bias), back), cells
+        dproj = dz
+        if rows is not None:  # one reduceat over index-sorted rows; np.add.at is slow on wide rows
+            dproj = np.zeros((x.rows, 4 * hs), dtype)
+            order = np.argsort(rows, kind="stable")
+            first, starts = np.unique(rows[order], return_index=True)
+            dproj[first] = np.add.reduceat(dz[order], starts, axis=0)
+        if wx is None:
+            return (dproj.copy() if dproj is dz and leaf else dproj), wh_grad, bias_grad
+        dwx = np.empty(wx.shape, dtype)  # backward never runs the thunk of an untracked `wx`
+        return (dproj @ wx.data.T if tx else None), wh_grad, bias_grad, lambda: np.matmul(x.data.T, dproj, out=dwx)
+
+    return record(out, inputs, back), cells
 
 
 # ---------------------------------------------------------------------------

@@ -305,20 +305,23 @@ class SequenceModel:
 
     # -- forward pieces ----------------------------------------------------
 
-    def cell_steps(self, xproj: Matrix, state) -> list[tuple[Matrix, np.ndarray]]:
-        """Run the LSTM stack over layer 0's (T*B) x 4H input projection `xproj`.
+    def cell_steps(self, xproj: Matrix, state, rows=None) -> list[tuple[Matrix, np.ndarray]]:
+        """Run the LSTM stack over layer 0's input projection `xproj`.
 
-        `state` holds each layer's B x H (hidden, cell) arrays to start from;
-        deeper layers project the hidden rows below them.  Returns, per layer,
-        the time-major (T*B) x H hidden rows and cell rows of its
+        `state` holds each layer's B x H (hidden, cell) arrays to start from.
+        Layer 0 reads its (T*B) step rows of `xproj` in order, or through the
+        row index `rows` if given; each deeper layer projects the hidden rows
+        below it inside its :func:`numerics.lstm_sequence`, which frees the
+        projection once its forward pass ends.  Returns, per layer, the
+        time-major (T*B) x H hidden rows and cell rows of its
         :func:`numerics.lstm_sequence` (row t*B + b is sequence b after step t).
         """
         layers = []
         for layer, (h0, c0) in zip(self.layers, state):
             if layers:
-                xproj = nm.matmul(layers[-1][0], layer.wx)
-            layers.append(nm.lstm_sequence(xproj, layer.wh, layer.bias, h0, c0))
-            del xproj  # inference frees each projection before the next is built
+                layers.append(nm.lstm_sequence(layers[-1][0], layer.wh, layer.bias, h0, c0, wx=layer.wx))
+            else:
+                layers.append(nm.lstm_sequence(xproj, layer.wh, layer.bias, h0, c0, rows=rows))
         return layers
 
     def head(self, h: Matrix, dropout_rng: np.random.Generator | None = None) -> Matrix:
@@ -358,7 +361,7 @@ class SequenceModel:
         if not rowidx.size:
             raise ShapeError(f"a pass needs at least one sequence of at least one step, got rows {rowidx.shape}")
         zero = self._zero_state(len(rowidx), proj.data.dtype)
-        layers = self.cell_steps(nm.take_rows(proj, rowidx.T.ravel()), zero)  # cell_steps frees the gather
+        layers = self.cell_steps(proj, zero, nm.row_index(rowidx.T.ravel(), proj.rows))
         return self.head(layers[-1][0], dropout_rng)
 
     # -- whole-session paths -------------------------------------------------
@@ -455,8 +458,8 @@ class SequenceModel:
         store lacks, from their parents' stored rows, the store keeps them,
         and the new state is kept, its distributions gathered from the store.
         If the new children would pass MAX_KEPT_NODES, or the state is plain,
-        each layer's rows and the table rows are plain gathers, fed to
-        :meth:`cell_steps`, and the new state is plain.
+        each layer's rows are plain gathers, fed to :meth:`cell_steps` with
+        the table and `pages` as its row index, and the new state is plain.
         """
         cache = self._serving()
         table, nodes = cache.page_table(self), state.store
@@ -482,7 +485,7 @@ class SequenceModel:
     def _step_rows(self, prev, table: np.ndarray, pages: np.ndarray) -> list[np.ndarray]:
         """Each layer's hidden and cell rows, then the next-page distributions, of one step
         from `prev` (each layer's hidden and cell rows) on the `table` rows of `pages`."""
-        return self._pass_rows(self.cell_steps(Matrix._result(table[pages]), prev))  # cell_steps frees the gather
+        return self._pass_rows(self.cell_steps(Matrix._result(table), prev, pages))
 
     def _pass_rows(self, layers, keep=slice(None)) -> list[np.ndarray]:
         """Each layer's hidden and cell rows at `keep` of a :meth:`cell_steps` result, then the

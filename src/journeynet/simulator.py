@@ -75,7 +75,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import CapacityError, ConfigError, ObjectiveError, SamplingError
-from .errors import check_int, check_names, check_number, check_text
+from .errors import check_int, check_iterable, check_names, check_number, check_text
 from .journeydata import MAX_SESSION_EVENTS, NULL_PAGE, RESERVED_PAGES, UNKNOWN_PAGE, PageVocabulary
 
 TERMINATED_NULL = "null_page"
@@ -509,8 +509,13 @@ def score_batch(
     or fewer so that every worker gets a block.  A prefix's rollouts
     depend only on its own row of the start state and its sub-stream, so
     results are identical for any `workers` value and match standalone
-    estimate_conversion calls with the same `prefix_index`.
+    estimate_conversion calls with the same `prefix_index`.  `prefixes`
+    and `objectives` are each read once from an ordered iterable, so
+    iterators score as lists do (ConfigError for a set, whose order is the
+    hash seed's, a string, a mapping or a non-iterable).
     """
+    prefixes = check_iterable(prefixes, "prefixes", ConfigError, ordered=True)
+    objectives = check_iterable(objectives, "objectives", ConfigError, ordered=True)
     if not prefixes or not objectives:
         raise ValueError("score_batch needs at least one prefix and one objective")
     if prefix_ids is None:

@@ -118,17 +118,18 @@ class _AdaptiveStep:
     weight's gradient, and its data the weight cast to its dtype.  The step
     is the one writer of both once the twin is built.
     It keeps one float64 running average per weight and one float64 scratch
-    pair sized to the largest weight.  `step` squares each gradient, of any
-    float dtype, into the pair's second array in float64 for the norm, then
-    copies it into the first, updates the float64 weights in place and
-    copies each updated entry into its twin, allocating nothing, so at its
-    peak a step holds only the weights, their twins and gradients, their
-    running averages and the pair.  The update runs the
-    first half of every weight's entries in the first half of the pair and
-    the rest in the second half: the second on `helper` (an executor with
-    one worker) while the calling thread runs the first.  Every entry gets
-    the bits one thread would give it.  Once both halves are done, every
-    twin's `grad` is None, so the next backward pass starts from none.
+    buffer sized to the largest weight (rounded up to four quarters).
+    `step` squares each gradient, of any float dtype, into the buffer in
+    float64 for the norm; then each thread updates its half of every weight
+    in chunks of a quarter of the buffer, using its two quarters: it copies
+    a chunk of the gradient into the first, updates the float64 weights in
+    place and copies each updated entry into its twin, allocating nothing,
+    so at its peak a step holds only the weights, their twins and
+    gradients, their running averages and the buffer.  The first half of
+    every weight's entries runs on the calling thread and the rest on
+    `helper` (an executor with one worker) at the same time.  Every entry
+    gets the bits one thread would give it.  Once both halves are done,
+    every twin's `grad` is None, so the next backward pass starts from none.
     Every weight of the training graph feeds every batch's loss, so every
     one has a gradient.
     """
@@ -139,13 +140,13 @@ class _AdaptiveStep:
         self.clip = config.gradient_clip_norm
         self.helper = helper
         self.sq = [np.zeros_like(p.data) for p in params]
-        largest = max(p.data.size for p in params)
-        self.pair = np.zeros(largest), np.zeros(largest)
+        self.quarter = -(-max(p.data.size for p in params) // 4)
+        self.scratch = np.zeros(4 * self.quarter)
 
     def step(self) -> None:
         sumsq = 0.0
         for src, v in zip(self.twin, self.sq):
-            t = self.pair[1][:v.size].reshape(v.shape)
+            t = self.scratch[:v.size].reshape(v.shape)
             sumsq += float(np.multiply(src.grad, src.grad, out=t, dtype=np.float64).sum())
         norm = np.sqrt(sumsq)
         factor = self.clip / norm if norm > self.clip else None
@@ -159,29 +160,32 @@ class _AdaptiveStep:
             leaf.grad = None
 
     def _update(self, factor, half: int) -> None:
-        """Update half of the entries of every weight, its twin and average,
-        in that half of the scratch pair: the first size // 2 of each
-        (`half` 0) or the rest (`half` 1)."""
-        at = half * (len(self.pair[0]) // 2)
-        for p, leaf, v in zip(self.params, self.twin, self.sq):
-            entries = slice(v.size // 2) if half == 0 else slice(v.size // 2, None)
-            w, cast, grad, v = (a.reshape(-1)[entries] for a in (p.data, leaf.data, leaf.grad, v))
-            g, t = (b[at:at + v.size] for b in self.pair)
-            np.copyto(g, grad)
-            if factor is not None:
-                g *= factor
-            # v = d * v + ((1 - d) * g) * g;  w -= (lr * g) / (sqrt(v) + eps), associated
-            # exactly so, which keeps the step bitwise that of the unfused formula
-            v *= RMS_DECAY
-            np.multiply(g, 1.0 - RMS_DECAY, out=t)
-            t *= g
-            v += t
-            g *= self.lr
-            np.sqrt(v, out=t)
-            t += RMS_EPSILON
-            g /= t
-            w -= g
-            np.copyto(cast, w)
+        """Update half of the entries of every weight, its twin and average:
+        the first size // 2 of each (`half` 0, in the buffer's first two
+        quarters) or the rest (`half` 1, in its last two)."""
+        q = self.quarter
+        gbuf, tbuf = (self.scratch[k * q:(k + 1) * q] for k in (2 * half, 2 * half + 1))
+        for p, leaf, avg in zip(self.params, self.twin, self.sq):
+            entries = slice(avg.size // 2) if half == 0 else slice(avg.size // 2, None)
+            flat = [a.reshape(-1)[entries] for a in (p.data, leaf.data, leaf.grad, avg)]
+            for at in range(0, len(flat[0]), q):
+                w, cast, grad, v = (a[at:at + q] for a in flat)
+                g, t = gbuf[:v.size], tbuf[:v.size]
+                np.copyto(g, grad)
+                if factor is not None:
+                    g *= factor
+                # v = d * v + ((1 - d) * g) * g;  w -= (lr * g) / (sqrt(v) + eps), associated
+                # exactly so, which keeps the step bitwise that of the unfused formula
+                v *= RMS_DECAY
+                np.multiply(g, 1.0 - RMS_DECAY, out=t)
+                t *= g
+                v += t
+                g *= self.lr
+                np.sqrt(v, out=t)
+                t += RMS_EPSILON
+                g /= t
+                w -= g
+                np.copyto(cast, w)
 
 
 def _make_batches(expanded, order, batch_size, rng=None):

@@ -18,7 +18,6 @@ from journeynet.numerics import (
     reshape,
     scale,
     softmax,
-    take_rows,
 )
 
 
@@ -315,9 +314,10 @@ PRIMITIVE_CASES = [
     "scale",
     "softmax_ce",
     "reshape",
-    "take_rows",
     "lstm_sequence",
     "lstm_sequence_from_state",
+    "lstm_sequence_rows",
+    "lstm_sequence_wx",
 ]
 
 
@@ -378,12 +378,6 @@ def test_primitive_gradients_match_finite_differences(op_name):
             proj = projector(c, r)
             f = lambda: proj(reshape(a, c, r))
             params = [a]
-        elif op_name == "take_rows":
-            a = rand(r + 1, c)
-            idx = rng.integers(0, r + 1, size=4)
-            proj = projector(4, c)
-            f = lambda: proj(take_rows(a, idx))
-            params = [a]
         elif op_name == "lstm_sequence":
             # r steps of a batch of 2, hidden size c: every gate's sigmoid or
             # tanh derivative and the recurrent carry are on the path
@@ -400,6 +394,22 @@ def test_primitive_gradients_match_finite_differences(op_name):
             proj = projector(2 * r, c)
             f = lambda: proj(nm.lstm_sequence(x, wh, b, h0, c0)[0])
             params = [x, wh, b]
+        elif op_name == "lstm_sequence_rows":
+            # r steps of a batch of 2 read rows of a 3-row projection through
+            # an index that may repeat and skip rows
+            x, wh, b = rand(3, 4 * c), rand(c, 4 * c), rand(1, 4 * c)
+            idx = rng.integers(0, 3, size=2 * r)
+            proj = projector(2 * r, c)
+            zero = np.zeros((2, c))
+            f = lambda: proj(nm.lstm_sequence(x, wh, b, zero, zero, rows=idx)[0])
+            params = [x, wh, b]
+        elif op_name == "lstm_sequence_wx":
+            # the layer projects its 2r input rows through wx itself
+            x, wx, wh, b = rand(2 * r, 3), rand(3, 4 * c), rand(c, 4 * c), rand(1, 4 * c)
+            proj = projector(2 * r, c)
+            zero = np.zeros((2, c))
+            f = lambda: proj(nm.lstm_sequence(x, wh, b, zero, zero, wx=wx)[0])
+            params = [x, wx, wh, b]
         assert grad_check(f, params, h=1e-5) < 1e-4, f"{op_name} trial {trial}"
 
 
@@ -565,16 +575,19 @@ def test_ops_follow_float32_operands(monkeypatch):
     bias = Matrix(np.zeros((1, 8)))
     w_fc, b_fc = Matrix(rng.standard_normal((2, 3))), Matrix(rng.standard_normal((1, 3)))
     w_out, b_out = Matrix(rng.standard_normal((3, 2))), Matrix(rng.standard_normal((1, 2)))
-    leaves = (w, wh, bias, w_fc, b_fc, w_out, b_out)
+    wx1, wh1 = Matrix(rng.standard_normal((2, 8))), Matrix(rng.standard_normal((2, 8)))
+    leaves = (w, wh, bias, wx1, wh1, w_fc, b_fc, w_out, b_out)
     for m in leaves:
         m.data = m.data.astype(np.float32)
-    x = Matrix._result(rng.standard_normal((6, 3)).astype(np.float32))
+    x = Matrix._result(rng.standard_normal((3, 3)).astype(np.float32))
     with ComputeTape(leaves) as tape:
         zero = np.zeros((2, 2), dtype=np.float32)
-        h, _ = nm.lstm_sequence(matmul(x, w), wh, bias, zero, zero)
-        fc = dense(take_rows(h, [5, 0, 3, 3]), w_fc, b_fc, relu=True)
+        # layer 0 reads 3 steps of 2 rows of the projection through an index, layer 1 projects them
+        h, _ = nm.lstm_sequence(matmul(x, w), wh, bias, zero, zero, rows=np.array([2, 0, 1, 1, 0, 2]))
+        h, _ = nm.lstm_sequence(h, wh1, bias, zero, zero, wx=wx1)
+        fc = dense(h, w_fc, b_fc, relu=True)
         logits = dense(dropout(fc, 0.5, np.random.default_rng(0)), w_out, b_out, relu=False)
-        loss = masked_cross_entropy(softmax(logits), [0, 1, 0, 1], np.ones(4))
+        loss = masked_cross_entropy(softmax(logits), [0, 1, 0, 1, 1, 0], np.ones(6))
     assert all(
         node.output.data.dtype == np.float32 for node in tape._nodes if node.output.shape != (1, 1)
     )
@@ -704,7 +717,7 @@ def test_slot_reentered_tape_gives_every_batch_a_fresh_tapes_gradients(dtype):
         assert not any(np.shares_memory(w.grad, a) for w in weights for a in slots)
         for w in weights:
             w.grad = None
-    assert len(tape._slots.arrays) == 10  # two layers: four forward arrays and one dz each
+    assert len(tape._slots.arrays) == 10  # two layers: four forward arrays and a forget-gate copy each
 
 
 def test_slot_backward_of_two_recordings_on_reused_slots_adds_the_same_gradients_twice():
@@ -756,3 +769,100 @@ def test_slot_two_tapes_never_share_one():
     assert a and b
     assert not any(np.shares_memory(x, y) for x in a for y in b)
     assert not any(np.shares_memory(x, y) for x in outputs[0] for y in outputs[1])
+
+
+# ---------------------------------------------------------------------------
+# the LSTM backward: the bits of the formulas it replaced
+
+
+def reference_lstm_gradients(x, wh, bias, h0, c0, gh):
+    """(dz, dwh, dbias) of one layer over the time-major rows `x`, by the
+    formulas of a backward that kept the gate activations and wrote the gate
+    derivatives into a separate (T*B) x 4H array."""
+    hs, batch = wh.shape[0], len(h0)
+    steps = len(x) // batch
+    acts, cells, tcells, hidden = [], [], [], []
+    h, c = h0, c0
+    for t in range(steps):
+        a, c, tc, h = nm.lstm_cell((x[t * batch:(t + 1) * batch] + nm.rows_product(h, wh)) + bias, c)
+        acts.append(a), cells.append(c), tcells.append(tc), hidden.append(h)
+    acts, cells, tcells, hidden = map(np.concatenate, (acts, cells, tcells, hidden))
+    i, f, g, o = acts[:, :hs], acts[:, hs:2 * hs], acts[:, 2 * hs:3 * hs], acts[:, 3 * hs:]
+    dz = np.empty_like(acts)
+    zi, zf, zg, zo = dz[:, :hs], dz[:, hs:2 * hs], dz[:, 2 * hs:3 * hs], dz[:, 3 * hs:]
+    np.multiply(np.multiply(g, i, out=zi), 1.0 - i, out=zi)
+    np.multiply(np.subtract(1.0, f, out=zf), f, out=zf)
+    np.multiply(np.subtract(1.0, np.multiply(g, g, out=zg), out=zg), i, out=zg)
+    np.multiply(np.multiply(tcells, o, out=zo), 1.0 - o, out=zo)
+    dtc = o * (1.0 - tcells * tcells)
+    dh = np.zeros((batch, hs), dtype=x.dtype)
+    dc = np.zeros((batch, hs), dtype=x.dtype)
+    for t in reversed(range(steps)):
+        r = slice(t * batch, (t + 1) * batch)
+        dh = gh[r] + dh
+        dc = dc + dh * dtc[r]
+        zi[r] *= dc
+        zf[r] *= dc * (cells[r.start - batch:r.start] if t else c0)
+        zg[r] *= dc
+        zo[r] *= dh
+        dc = dc * f[r]
+        if t:
+            dh = dz[r] @ wh.T
+    dwh = np.matmul(hidden[:-batch].T, dz[batch:]) + np.matmul(h0.T, dz[:batch])
+    return dz, dwh, np.sum(dz, axis=0, keepdims=True)
+
+
+def fixed_gradient_loss(h: Matrix, gh: np.ndarray) -> Matrix:
+    """A 1 x 1 node whose backward hands `h` exactly `gh`."""
+    return nm.record(Matrix._result(np.zeros((1, 1))), (h,), lambda g: (gh,))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("steps", [1, 2, 7])
+@pytest.mark.parametrize("batch", [1, 3, 32])
+@pytest.mark.parametrize("form", ["leaf", "intermediate", "rows", "wx"])
+def test_lstm_backward_gives_the_bits_of_the_separate_dz_formulas(dtype, steps, batch, form):
+    # leaf: the input's gradient is a copy of the gate derivatives, never the slot;
+    # intermediate: the slot itself, handed on (here through an exact scale by 1);
+    # rows: scattered through a row index as one index-sorted reduceat;
+    # wx: through the input weight's two products, as a separate matmul node gave them
+    hs, n = 5, steps * batch
+    gen = np.random.default_rng(stable_seed(form, steps, batch))
+    rand = lambda *shape: gen.uniform(-1, 1, size=shape).astype(dtype)
+    wh, bias, gh = Matrix._result(rand(hs, 4 * hs)), Matrix._result(rand(1, 4 * hs)), rand(n, hs)
+    h0, c0 = rand(batch, hs), rand(batch, hs)
+    if form == "rows":
+        x, rows = Matrix._result(rand(4, 4 * hs)), gen.integers(0, 4, size=n)
+        xproj = x.data[rows]
+    elif form == "wx":
+        x, wx = Matrix._result(rand(n, 3)), Matrix._result(rand(3, 4 * hs))
+        xproj = nm.rows_product(x.data, wx.data)
+    else:
+        x = Matrix._result(rand(n, 4 * hs))
+        xproj = x.data
+    dz, dwh, dbias = reference_lstm_gradients(xproj, wh.data, bias.data, h0, c0, gh)
+    leaves = [x, wh, bias] + ([wx] if form == "wx" else [])
+    with ComputeTape(leaves) as tape:
+        if form == "rows":
+            h, _ = nm.lstm_sequence(x, wh, bias, h0, c0, rows=rows)
+        elif form == "wx":
+            h, _ = nm.lstm_sequence(x, wh, bias, h0, c0, wx=wx)
+        else:
+            h, _ = nm.lstm_sequence(scale(x, 1.0) if form == "intermediate" else x, wh, bias, h0, c0)
+        loss = fixed_gradient_loss(h, gh)
+    backward(tape, loss)
+    if form == "rows":  # the scatter of a gather node's backward
+        order = np.argsort(rows, kind="stable")
+        first, starts = np.unique(rows[order], return_index=True)
+        dx = np.zeros_like(x.data)
+        dx[first] = np.add.reduceat(dz[order], starts, axis=0)
+    elif form == "wx":
+        dx = dz @ wx.data.T
+        assert np.array_equal(wx.grad, x.data.T @ dz)
+    else:
+        dx = dz
+    assert np.array_equal(x.grad, dx)
+    assert np.array_equal(wh.grad, dwh)
+    assert np.array_equal(bias.grad, dbias)
+    assert all(m.grad.dtype == dtype for m in leaves)
+    assert not any(np.shares_memory(m.grad, a) for m in leaves for a in tape._slots.arrays)

@@ -407,9 +407,9 @@ def test_every_pass_runs_the_one_layer_loop(monkeypatch):
     calls = []
     original = SequenceModel.cell_steps
 
-    def counting(self, xproj, state):
-        calls.append((xproj.rows, len(state[0][0])))
-        return original(self, xproj, state)
+    def counting(self, xproj, state, rows=None):
+        calls.append((xproj.rows if rows is None else len(rows), len(state[0][0])))
+        return original(self, xproj, state, rows)
 
     monkeypatch.setattr(SequenceModel, "cell_steps", counting)
     phrases, rowidx, targets, mask = _ragged_batch(vocab, RAGGED)
@@ -424,6 +424,38 @@ def test_every_pass_runs_the_one_layer_loop(monkeypatch):
     longest = max(len(p.pages) + 1 for p in BATCHED_PREFIXES)
     n = len(BATCHED_PREFIXES)
     assert calls == [(27, 3), (27, 3), (longest * n, n), (3, 3), (3, 1)]
+
+
+def test_a_recorded_batch_frees_its_layer_inputs_before_backward(monkeypatch):
+    # layer 0 reads the phrase projection through the row index (no (T*B) x 4H gather),
+    # and each deeper layer frees the projection it forms once its forward pass ends
+    import gc
+    import weakref
+
+    from journeynet.training import _batch_loss
+
+    vocab = toy_vocab()
+    model = toy_model(seed=52, config=replace(TOY_CONFIG, lstm_hidden=(6, 4)), vocab=vocab)
+    phrases, rowidx, targets, mask = _ragged_batch(vocab, RAGGED)
+    n, widths = rowidx.size, {4 * hs for hs in model.config.lstm_hidden}
+    refs = []
+
+    def note(a):  # every (T*B) x 4H array a product or an op result makes
+        if a.shape[0] == n and a.shape[1] in widths:
+            refs.append(weakref.ref(a))
+        return a
+
+    product, result = nm.rows_product, nm.Matrix._result
+    monkeypatch.setattr(nm, "rows_product", lambda a, w: note(product(a, w)))
+    monkeypatch.setattr(nm.Matrix, "_result", classmethod(lambda cls, data: result(note(data))))
+    weights = [p for _, p in model.parameters()]
+    with nm.ComputeTape(weights) as tape:
+        loss = _batch_loss(model, phrases, rowidx, targets, mask, None)
+    gc.collect()
+    assert refs  # layer 1's projection
+    assert all(ref() is None for ref in refs)
+    nm.backward(tape, loss)
+    assert all(p.grad is not None for p in weights)
 
 
 # ---------------------------------------------------------------------------
@@ -941,9 +973,9 @@ def stepped_rows(monkeypatch):
     calls = []
     original = SequenceModel.cell_steps
 
-    def counting(self, xproj, state):
+    def counting(self, xproj, state, rows=None):
         calls.append(len(state[0][0]))
-        return original(self, xproj, state)
+        return original(self, xproj, state, rows)
 
     monkeypatch.setattr(SequenceModel, "cell_steps", counting)
     return calls

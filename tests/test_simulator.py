@@ -488,6 +488,29 @@ def test_score_batch_validates_inputs():
         score_batch(pred, [JourneyPrefix()], [])
 
 
+@pytest.mark.parametrize("which", ["prefixes", "objectives"])
+@pytest.mark.parametrize("collection", ["set", "string", "mapping", "number"])
+def test_score_batch_takes_prefixes_and_objectives_in_an_order_of_the_caller(which, collection):
+    # a set's order is the hash seed's: it would decide the CSV's row order
+    args = {
+        "prefixes": [JourneyPrefix(), JourneyPrefix("", ("pg0",))],
+        "objectives": [Objective("a", frozenset({"pg0"})), Objective("b", frozenset({"pg1"}))],
+    }
+    items = args[which]
+    args[which] = {"set": set(items), "string": "pg0", "mapping": dict.fromkeys(items), "number": 3}[collection]
+    with pytest.raises(ConfigError, match=f"{which} must be an ordered iterable"):
+        score_batch(random_predictor(13), args["prefixes"], args["objectives"], n_samples=10, horizon=3)
+
+
+def test_score_batch_scores_generators_as_lists():
+    pred = random_predictor(13)
+    prefixes = [JourneyPrefix(), JourneyPrefix("", ("pg0",))]
+    objectives = [Objective("b", frozenset({"pg1"})), Objective("a", frozenset({"pg0"}))]
+    rows = score_batch(pred, prefixes, objectives, n_samples=20, horizon=3, seed=5)
+    assert [r.objective_id for r in rows] == ["b", "a", "b", "a"]
+    assert score_batch(pred, iter(prefixes), (o for o in objectives), n_samples=20, horizon=3, seed=5) == rows
+
+
 def test_scores_csv(tmp_path):
     rows = [
         ScoreRow("p0000", "quote", 0.25, 0.01, 1000, 30),
@@ -653,7 +676,7 @@ def test_score_batch_decides_the_objectives_targets_once(monkeypatch):
     prefixes = [JourneyPrefix("", ("A",))] * (2 * simulator.PREFIX_BLOCK + 1)  # three blocks
     rows = score_batch(hand_predictor(), prefixes, objectives, n_samples=20, horizon=3, seed=0)
     assert len(rows) == len(prefixes) * len(objectives)
-    assert decided == [objectives]
+    assert decided == [tuple(objectives)]  # read once into a tuple
 
 
 def test_importing_the_package_leaves_the_process_pool_unloaded():
@@ -1293,9 +1316,9 @@ def test_tree_serves_a_repeated_score_batch_without_cell_steps(funnel_model, ens
     pred, rows_stepped = cold(), []
     original = SequenceModel.cell_steps
 
-    def counting(self, xproj, state):
+    def counting(self, xproj, state, rows=None):
         rows_stepped.append(len(state[0][0]))
-        return original(self, xproj, state)
+        return original(self, xproj, state, rows)
 
     monkeypatch.setattr(SequenceModel, "cell_steps", counting)
     args = (FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, 300, 8, 3)

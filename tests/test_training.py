@@ -571,7 +571,7 @@ def test_every_step_column_of_a_batch_mask_has_a_live_row():
         assert (mask > 0).any(axis=0).all()
 
 
-def test_paper_config_batch_records_16_tape_nodes_and_train_adds_the_mean(chain_data, monkeypatch):
+def test_paper_config_batch_records_14_tape_nodes_and_train_adds_the_mean(chain_data, monkeypatch):
     from journeynet import numerics as nm
     from journeynet import rng as rngmod
     from journeynet.training import _batch_loss, _batch_tensors
@@ -582,7 +582,7 @@ def test_paper_config_batch_records_16_tape_nodes_and_train_adds_the_mean(chain_
     batch = _batch_tensors([expand_session(s, vocab) for s in tr[:4]], range(4))
     with nm.ComputeTape(p for _, p in model.parameters()) as tape:
         _batch_loss(model, *batch, rngmod.stream(0, "dropout"))
-    assert len(tape) == 16
+    assert len(tape) == 14
     sizes = []
     original = nm.backward
 
@@ -592,7 +592,7 @@ def test_paper_config_batch_records_16_tape_nodes_and_train_adds_the_mean(chain_
 
     monkeypatch.setattr(nm, "backward", counting_backward)
     train(tr[:8], config, vocab, eval_sessions=ev[:4])
-    assert sizes == [17, 17]  # and `scale` to the batch mean
+    assert sizes == [15, 15]  # and `scale` to the batch mean
 
 
 def test_slot_reentered_tape_gives_long_short_long_batches_a_fresh_tapes_gradients(chain_data):
@@ -817,9 +817,9 @@ def test_adaptive_step_is_bitwise_the_reference_formula(clip, grad_dtype, helper
 @pytest.mark.parametrize("clip", [1e-3, 1e6], ids=["clipped", "unclipped"])
 def test_adaptive_step_views_of_other_shapes_share_its_scratch_bitwise(clip, helper):
     """The largest weight first, then a 1-row one: every weight's views of
-    the shared scratch pair start where the largest weight's did (each
-    half's).  The largest is large enough that numpy lets the two halves
-    of its update run at once."""
+    the shared scratch buffer start where the largest weight's did (each
+    half's), and the largest runs each half in two chunks.  The largest is
+    large enough that numpy lets the two halves of its update run at once."""
     from journeynet import numerics as nm
     from journeynet.training import RMS_DECAY, RMS_EPSILON, _AdaptiveStep
 
@@ -883,7 +883,7 @@ def _float64_entries(obj) -> int:
     return 0
 
 
-def test_adaptive_step_keeps_one_average_per_weight_and_one_scratch_pair(chain_data, helper):
+def test_adaptive_step_keeps_one_average_per_weight_and_one_scratch_buffer(chain_data, helper):
     from journeynet.training import _AdaptiveStep
 
     _, _, vocab = chain_data
@@ -893,4 +893,4 @@ def test_adaptive_step_keeps_one_average_per_weight_and_one_scratch_pair(chain_d
     total = sum(p.data.size for p in params)
     largest = max(p.data.size for p in params)
     assert largest == 131_072  # lstm0.wx
-    assert _float64_entries(vars(opt)) <= total + 2 * largest
+    assert _float64_entries(vars(opt)) == total + largest

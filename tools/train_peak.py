@@ -1,13 +1,24 @@
-"""Print the tracemalloc peak, in MB (2**20 bytes), of a one-epoch `train()`.
+"""Print the tracemalloc peak of a one-epoch `train()` and the minor page faults of later epochs.
 
-The run trains at the paper's architecture (`TrainConfig` defaults, one
-epoch) on 1 000 sessions of a fixed seeded ten-page chain, none longer than
-20 pages, and evaluates on 250 more, after a small warm-up `train` that the
-reading leaves out.  Every input derives from fixed seeds, and tracemalloc
-counts the bytes Python and numpy ask for, not the pages the allocator
-keeps, so the reading repeats to 0.01 MB where the process's peak RSS
-spreads by about half a MB between runs; compare two checkouts' readings to
-see whether a change moved the training peak.  `--tiny` runs a small
+The runs train at the paper's architecture (`TrainConfig` defaults) on
+1 000 sessions of a fixed seeded ten-page chain, none longer than 20 pages,
+and evaluate on 250 more, after a small warm-up `train` that neither
+reading includes.  Two lines are printed:
+
+    peak_mb <MB of 2**20 bytes>
+    later_epoch_minor_faults <count>
+
+`peak_mb` is the tracemalloc peak of a one-epoch run.  Every input derives
+from fixed seeds, and tracemalloc counts the bytes Python and numpy ask
+for, not the pages the allocator keeps, so it repeats to 0.01 MB where the
+process's peak RSS spreads by about half a MB between runs.
+`later_epoch_minor_faults` is the process's minor page faults
+(`getrusage`) from the end of the first epoch to the end of the third of an
+untraced three-epoch run, each epoch ending with its held-out evaluation:
+the pages the allocator hands back and faults in again once training is
+warm.  It depends on the C library's allocator and the machine, so compare
+two checkouts' readings on one machine to see whether a change moved the
+training peak or the steady-state faults.  `--tiny` runs a small
 architecture instead (for tests).
 
 Run from the repository root:
@@ -16,6 +27,7 @@ Run from the repository root:
 """
 
 import argparse
+import resource
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -25,6 +37,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from journeynet import training  # noqa: E402
 from journeynet.journeydata import MarkovSpec, build_vocab, generate_synthetic  # noqa: E402
 from journeynet.training import TrainConfig, train  # noqa: E402
 
@@ -59,14 +72,17 @@ def _chain() -> MarkovSpec:
     )
 
 
-def train_peak_mb(tiny: bool) -> float:
-    """The tracemalloc peak of one epoch of `train`, warm-up excluded."""
+def _inputs(tiny: bool):
+    """(training sessions, held-out sessions, vocabulary, one-epoch config) of both readings."""
     pool = generate_synthetic(_chain(), POOL_SESSIONS, SEED)
     sessions = [s for s in pool if len(s.events) <= MAX_PAGES][:TRAIN_SESSIONS + HELD_OUT_SESSIONS]
     train_set, held_out = sessions[:TRAIN_SESSIONS], sessions[TRAIN_SESSIONS:]
     vocab = build_vocab(train_set, min_freq=5)
-    config = TrainConfig(epochs=1, seed=SEED, **(TINY if tiny else {}))
-    train(train_set[:8], replace(config, batch_size=4), vocab)  # imports and BLAS set-up
+    return train_set, held_out, vocab, TrainConfig(epochs=1, seed=SEED, **(TINY if tiny else {}))
+
+
+def train_peak_mb(train_set, held_out, vocab, config) -> float:
+    """The tracemalloc peak of one epoch of `train`."""
     tracemalloc.start()
     try:
         train(train_set, config, vocab, eval_sessions=held_out)
@@ -75,11 +91,35 @@ def train_peak_mb(tiny: bool) -> float:
         tracemalloc.stop()
 
 
+def later_epoch_faults(train_set, held_out, vocab, config) -> int:
+    """Minor page faults of epochs 2 and 3 of an untraced three-epoch `train`.
+
+    `train` ends each epoch with a call of the module's `evaluate`, which is
+    wrapped here to read the fault count when it returns.
+    """
+    marks, evaluate = [], training.evaluate
+
+    def marking(*args):
+        result = evaluate(*args)
+        marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        return result
+
+    training.evaluate = marking
+    try:
+        train(train_set, replace(config, epochs=3), vocab, eval_sessions=held_out)
+    finally:
+        training.evaluate = evaluate
+    return marks[2] - marks[0]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tiny", action="store_true", help="a small architecture instead of the paper's")
     args = parser.parse_args(argv)
-    print(f"{train_peak_mb(args.tiny):.2f}")
+    train_set, held_out, vocab, config = _inputs(args.tiny)
+    train(train_set[:8], replace(config, batch_size=4), vocab)  # imports and BLAS set-up
+    print(f"peak_mb {train_peak_mb(train_set, held_out, vocab, config):.2f}")
+    print(f"later_epoch_minor_faults {later_epoch_faults(train_set, held_out, vocab, config)}")
     return 0
 
 
