@@ -8,12 +8,11 @@ from --seed, so reruns with the same inputs produce identical artifacts.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import rng as rngmod
-from .errors import CliError, ConfigError, JourneynetError, ObjectiveError
+from .errors import CliError, ConfigError, JourneynetError, ObjectiveError, parse_json, read_text
 from .journeydata import (
     MarkovSpec,
     build_vocab,
@@ -42,14 +41,6 @@ from .training import (
 _DEFAULTS = TrainConfig()
 
 
-def _read_text(path) -> str:
-    """The text of a UTF-8 input file; other bytes are a CliError naming the file."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-
-
 def _parse_config_file(path: str) -> dict:
     """Flat key = value lines, '#' comments.
 
@@ -58,8 +49,7 @@ def _parse_config_file(path: str) -> dict:
     conversion as command-line flags.
     """
     values = {}
-    text = _read_text(path)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -273,14 +263,11 @@ def _cmd_simulate(args) -> int:
 
 def _load_prefixes(path) -> tuple[list[JourneyPrefix], list[str]]:
     prefixes: dict[str, JourneyPrefix] = {}  # by prefix id, in file order
-    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
-        try:
-            raw = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise CliError(f"{path}:{line_no}: bad prefix record: {getattr(exc, 'msg', exc)}") from exc
+        raw = parse_json(line, CliError, f"{path}:{line_no}: bad prefix record")
         if not isinstance(raw, dict):
             raise CliError(f"{path}:{line_no}: a prefix record must be a JSON object")
         prefix_id = str(raw.get("prefix_id", f"p{line_no - 1:04d}"))
@@ -296,11 +283,7 @@ def _load_prefixes(path) -> tuple[list[JourneyPrefix], list[str]]:
 
 
 def _load_objectives(path) -> list[Objective]:
-    text = _read_text(path)
-    try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # not JSON, a too long integer, too deep
-        raise CliError(f"{path}: bad objectives file: {getattr(exc, 'msg', exc)}") from exc
+    raw = parse_json(read_text(path), CliError, f"{path}: bad objectives file")
     if not isinstance(raw, list) or not raw:
         raise CliError(f"{path}: expected a non-empty JSON array of objectives")
     objectives: dict[str, Objective] = {}  # by id, in file order

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the owners of its four argument rules.
+"""Exception types shared across the package, the owners of its four argument
+rules, and the owners of its two input-file rules.
 
 Every int argument the package takes is checked by :func:`check_int` (an
 int, not a bool, within the bounds given), and every int-or-float argument
@@ -13,8 +14,15 @@ The collection half of that rule, :func:`check_iterable`, refuses a string,
 a mapping and, where order matters, a set; it also checks the ordered
 collections that hold no names (a session's events, the sessions training
 reads).  No other code tests whether a value is text or a collection.
+
+Every input file (a session log, a chain spec, a checkpoint, a prefix,
+objectives or config file) is read by :func:`read_text`, which decodes it
+as UTF-8 or raises a ParseError naming the file and the line, and every
+JSON document or record in one is decoded by :func:`parse_json`.  No other
+code opens a file to read it or decodes JSON.
 """
 
+import json
 from collections.abc import Iterable, Mapping, Set
 
 
@@ -31,7 +39,7 @@ class NumericError(JourneynetError, ArithmeticError):
 
 
 class ParseError(JourneynetError, ValueError):
-    """A log line could not be parsed as a structured record."""
+    """A line of an input file could not be decoded or parsed."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -127,3 +135,23 @@ def check_names(values, name: str, error: type[Exception], ordered: bool) -> tup
         if not isinstance(value, str) or not value:
             raise error(f"{name}[{i}] must be non-empty text, got {value!r}")
     return names
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file at `path`, with universal newlines; ParseError
+    naming the file and the line of the first byte that is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, f"{path} is not UTF-8 text ({exc.reason})") from exc
+
+
+def parse_json(text: str, error, what: str):
+    """`json.loads(text)`; `error("what: why")` if `text` is not JSON, holds an
+    integer too long to convert or nests too deep."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what}: {getattr(exc, 'msg', exc)}") from exc

@@ -18,13 +18,13 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigError, MarkovSpecError, ParseError, SchemaError
-from .errors import check_int, check_iterable, check_names, check_number, check_text
+from .errors import check_int, check_iterable, check_names, check_number, check_text, parse_json, read_text
 
 # reserved vocabulary entries; NULL_PAGE marks "visitor left the site"
 NULL_PAGE = "<null>"
@@ -96,10 +96,7 @@ def parse_log(lines) -> list[Session]:
         stripped = line.strip()
         if not stripped:
             continue
-        try:
-            raw = json.loads(stripped)
-        except (ValueError, RecursionError) as exc:  # not JSON, a too long integer, too deep
-            raise ParseError(line_no, f"not a valid record: {getattr(exc, 'msg', exc)}") from exc
+        raw = parse_json(stripped, partial(ParseError, line_no), "not a valid record")
         sessions.append(_session_from_record(raw, line_no))
     return sessions
 
@@ -148,12 +145,7 @@ def save_sessions(sessions, path) -> None:
 
 
 def load_sessions(path) -> list[Session]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ParseError(line_no, f"{path} is not UTF-8 text ({exc.reason})") from exc
-    return parse_log(text.split("\n"))
+    return parse_log(read_text(path).split("\n"))
 
 
 class PageVocabulary:
@@ -371,11 +363,7 @@ class MarkovSpec:
 
     @classmethod
     def load(cls, path) -> "MarkovSpec":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-            raise MarkovSpecError(f"{path}: not a JSON chain spec ({exc})") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(parse_json(read_text(path), MarkovSpecError, f"{path}: not a JSON chain spec"))
 
 
 def generate_synthetic(spec: MarkovSpec, n_sessions: int, seed: int) -> list[Session]:

@@ -65,7 +65,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import numerics as nm
-from .errors import CheckpointError, ConfigError, ShapeError, check_int, check_number, check_text
+from .errors import CheckpointError, ConfigError, ShapeError, check_int, check_number, check_text, parse_json, read_text
 from .journeydata import PageVocabulary, Session, expand_session
 from .numerics import Matrix
 from .textenc import DEFAULT_ALPHABET, Alphabet, CnnEncoder, ConvStage
@@ -656,11 +656,7 @@ def write_checkpoint(path, fmt: str, key: str, body) -> None:
 
 def read_checkpoint(path) -> dict:
     """The JSON object stored in a checkpoint file of any format, at CHECKPOINT_VERSION."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too long or too deep
-            raise CheckpointError(f"{path}: not a JSON checkpoint ({exc})") from exc
+    payload = parse_json(read_text(path), CheckpointError, f"{path}: not a JSON checkpoint")
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: a checkpoint must be a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:

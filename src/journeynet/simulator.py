@@ -512,7 +512,8 @@ def score_batch(
     estimate_conversion calls with the same `prefix_index`.  `prefixes`
     and `objectives` are each read once from an ordered iterable, so
     iterators score as lists do (ConfigError for a set, whose order is the
-    hash seed's, a string, a mapping or a non-iterable).
+    hash seed's, a string, a mapping or a non-iterable); so are
+    `prefix_ids`, whose entries are non-empty text.
     """
     prefixes = check_iterable(prefixes, "prefixes", ConfigError, ordered=True)
     objectives = check_iterable(objectives, "objectives", ConfigError, ordered=True)
@@ -520,6 +521,7 @@ def score_batch(
         raise ValueError("score_batch needs at least one prefix and one objective")
     if prefix_ids is None:
         prefix_ids = [f"p{i:04d}" for i in range(len(prefixes))]
+    prefix_ids = check_names(prefix_ids, "prefix_ids", ConfigError, ordered=True)
     if len(prefix_ids) != len(prefixes):
         raise ValueError("prefix_ids length must match prefixes")
     _check_sampling(n_samples, horizon)

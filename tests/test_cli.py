@@ -366,6 +366,13 @@ def test_score_keywords_that_lowercasing_lengthens(pipeline, tmp_path):
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 2
 
 
+def test_score_on_an_empty_prefix_id_is_a_clean_error(pipeline, tmp_path, capsys):
+    prefixes = '{"prefix_id": "", "keywords": "car insurance", "pages": ["home"]}\n'
+    assert _score_exit(pipeline, tmp_path, prefixes=prefixes) == 1
+    _assert_clean_error(capsys, "prefix_ids[0] must be non-empty text")
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_score_non_json_checkpoint_is_a_clean_error(pipeline, tmp_path, capsys):
     ckpt = tmp_path / "broken.ckpt"
     ckpt.write_text("this is not json\n")
@@ -813,9 +820,13 @@ def _spec_json(**fields) -> bytes:
     return json.dumps(spec).encode()
 
 
+# undecodable bytes are a ParseError naming the line, whichever file holds them
+LATIN1_SPEC = '{"states": ["café", "exit"]}'.encode("latin-1")
+
+
 @pytest.mark.parametrize("content", [
     b"not json\n",
-    '{"states": ["café", "exit"]}'.encode("latin-1"),
+    LATIN1_SPEC,
     b'[["home", "exit"], [[0.5, 0.5], [0.0, 1.0]]]',
     json.dumps({
         "states": ["home", "exit"], "transitions": [[0.5, 0.5], [1.0]], "initial": [1.0, 0.0],
@@ -850,11 +861,11 @@ def _spec_json(**fields) -> bytes:
     "nested-too-deep",
 ])
 def test_gen_data_bad_markov_spec_is_a_clean_error(tmp_path, capsys, content):
-    from journeynet.errors import MarkovSpecError
+    from journeynet.errors import MarkovSpecError, ParseError
 
     spec = tmp_path / "chain.json"
     spec.write_bytes(content)
-    with pytest.raises(MarkovSpecError):
+    with pytest.raises(ParseError if content == LATIN1_SPEC else MarkovSpecError):
         MarkovSpec.load(spec)
     code = main(["gen-data", "--markov-spec", str(spec), "--out", str(tmp_path / "s.jsonl")])
     assert code == 1

@@ -1,13 +1,14 @@
-"""The argument rules of `errors`, and scans that keep them their only owners."""
+"""The argument and input-file rules of `errors`, and scans that keep them their only owners."""
 
 import ast
+import re
 
 import numpy as np
 import pytest
 
 from journeynet.errors import (
-    ConfigError, ObjectiveError, SamplingError,
-    check_int, check_iterable, check_names, check_number, check_text,
+    CliError, ConfigError, ObjectiveError, ParseError, SamplingError,
+    check_int, check_iterable, check_names, check_number, check_text, parse_json, read_text,
 )
 from test_second_ways_in import SRC, _walk
 
@@ -138,6 +139,27 @@ def test_the_rules_raise_the_callers_exception_class():
         check_text(1, "session_id", ValueError)
 
 
+def test_read_text_decodes_utf8_with_universal_newlines_or_names_the_line(tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes("a\r\nb\rcafé".encode())
+    assert read_text(path) == "a\nb\ncafé"
+    path.write_bytes(b"a\r\nb\nc\xff")
+    with pytest.raises(ParseError, match=f"^line 3: {re.escape(str(path))} is not UTF-8 text ") as exc:
+        read_text(path)
+    assert exc.value.line_no == 3
+
+
+@pytest.mark.parametrize("text, why", [
+    ("[1,", "Expecting value"),
+    ("1" * 5000, "Exceeds the limit"),  # an integer too long to convert
+    ("[" * 100_000, "maximum recursion depth"),
+], ids=["not-json", "huge-integer", "too-deep"])
+def test_parse_json_raises_the_callers_error_with_what_and_why(text, why):
+    assert parse_json('{"a": [1]}', CliError, "f") == {"a": [1]}
+    with pytest.raises(CliError, match=f"^f: bad record: {why}"):
+        parse_json(text, CliError, "f: bad record")
+
+
 # the one test of a scalar's or text's type left outside errors.py: a stream label is an int or a string
 OUTSIDE_THE_OWNERS = {("rng.py", "_update")}
 SCALAR_CLASSES = {"int", "float", "bool"}
@@ -168,3 +190,27 @@ def test_no_scalar_rule_is_written_by_hand_outside_errors():
 def test_no_text_or_name_rule_is_written_by_hand_outside_errors():
     found = hand_written_rules(TEXT_AND_NAME_CLASSES)
     assert not found, f"use errors.check_text, errors.check_names or errors.check_iterable instead: {found}"
+
+
+def reads_a_file_or_json(node) -> bool:
+    """Whether `node` is a json.load/json.loads call, a .read_text/.read_bytes call, or an
+    open call in read mode (no mode given, or one with 'r' or '+')."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        on_json = isinstance(func.value, ast.Name) and func.value.id == "json"
+        return func.attr in ("read_text", "read_bytes") or (on_json and func.attr in ("load", "loads"))
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("r+"))
+
+
+def test_no_input_file_rule_is_written_by_hand_outside_errors():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if reads_a_file_or_json(node)
+    ]
+    assert not found, f"use errors.read_text and errors.parse_json instead: {found}"

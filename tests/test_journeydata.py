@@ -542,6 +542,11 @@ def test_generate_rejects_non_absorbing_terminal():
         )
 
 
+def test_markov_spec_rejects_duplicate_state_names():
+    with pytest.raises(MarkovSpecError, match="^duplicate state names$"):
+        MarkovSpec(states=("a", "a", "exit"), transitions=np.eye(3), initial=[0.5, 0.5, 0.0])
+
+
 @pytest.mark.parametrize("states", ["ab", {"a": 0, "b": 1}], ids=["text", "mapping"])
 def test_markov_spec_states_must_be_a_list_of_names(states):
     # a string's characters or a mapping's keys are no list of names

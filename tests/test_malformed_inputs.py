@@ -1,22 +1,20 @@
 """Property tests: every input file either parses or ends in a JourneynetError.
 
-Each reader gets arbitrary bytes, JSON built from arbitrary values, and
-records shaped like the real thing with arbitrary fields, so that both the
-decoding and the validation paths are explored.  A checkpoint that loads
+Each reader gets a file of arbitrary bytes, JSON built from arbitrary values,
+and records shaped like the real thing with arbitrary fields, so that both
+the decoding and the validation paths are explored.  A checkpoint that loads
 must also score.
 """
 
 import copy
-import io
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from journeynet import cli, seqmodel
-from journeynet.errors import CheckpointError, CliError, JourneynetError, MarkovSpecError, ParseError
+from journeynet import cli
+from journeynet.errors import JourneynetError, MarkovSpecError, ParseError
 from journeynet.journeydata import (
     MarkovSpec,
     PageVocabulary,
@@ -104,38 +102,25 @@ def lines_of(strategy):
     return st.lists(strategy, max_size=3).map(lambda lines: b"\n".join(lines))
 
 
-def file_text(data: bytes) -> str:
-    """The text a loader reads from a file of `data`: UTF-8 with universal newlines, where
-    undecodable bytes, which the loaders reject (see the file-level cases), are replaced."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace").read()
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    """One file path that each example overwrites."""
+    return tmp_path_factory.mktemp("fuzz") / "input"
 
 
-def chain_spec_of(data: bytes) -> None:
-    """MarkovSpec.load of a file of `data`, in memory: its JSON, then from_dict."""
+def reads_or_raises(read, path, data: bytes):
+    """`read` of `path` holding `data`: what it returns, or None after a JourneynetError."""
+    path.write_bytes(data)
     try:
-        raw = json.loads(file_text(data))
-    except (ValueError, RecursionError):  # load's MarkovSpecError, checked by the file-level case
-        return
-    MarkovSpec.from_dict(raw)
-
-
-def parses_or_raises_in_memory(read, data: bytes) -> None:
-    """`read` of a file of `data`, in memory: the file reader `cli._read_text` returns the file's
-    text, so the loader parses what it would read; undecodable bytes are the file-level cases."""
-    with mock.patch.object(cli, "_read_text", lambda path: file_text(data)):
-        try:
-            read("input")
-        except JourneynetError:
-            pass
+        return read(path)
+    except JourneynetError:
+        return None
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=fuzz(spec_like, chain_like))
-def test_markov_spec_load_parses_or_raises(data):
-    try:
-        chain_spec_of(data)
-    except JourneynetError:
-        pass
+def test_markov_spec_load_parses_or_raises(input_file, data):
+    reads_or_raises(MarkovSpec.load, input_file, data)
 
 
 @settings(max_examples=200, deadline=None)
@@ -152,20 +137,16 @@ def test_a_chain_spec_that_loads_generates_a_readable_log(chain):
 
 @settings(max_examples=300, deadline=None)
 @given(data=lines_of(fuzz(record_like)))
-def test_session_log_parses_or_raises(data):
-    # load_sessions in memory: parse_log over the file's lines
-    try:
-        parse_log(file_text(data).split("\n"))
-    except JourneynetError:
-        pass
+def test_session_log_parses_or_raises(input_file, data):
+    reads_or_raises(load_sessions, input_file, data)
 
 
 @pytest.mark.parametrize("read, error, data", [
     (MarkovSpec.load, MarkovSpecError, b"not json"),
     (load_sessions, ParseError, b'{"session_id": "s", "keywords": "", "events": []}\n\xff\xfe'),  # not UTF-8
-    (cli._load_prefixes, CliError, b'{"keywords": "kw"}\n\xff\xfe'),  # not UTF-8
-    (cli._parse_config_file, CliError, b"epochs = 2\n\xff\xfe"),  # not UTF-8
-    (load_predictor, CheckpointError, b'{"format": "journeynet-checkpoint", "version": 1}\xff\xfe'),  # not UTF-8
+    (cli._load_prefixes, ParseError, b'{"keywords": "kw"}\n\xff\xfe'),  # not UTF-8
+    (cli._parse_config_file, ParseError, b"epochs = 2\n\xff\xfe"),  # not UTF-8
+    (load_predictor, ParseError, b'{"format": "journeynet-checkpoint", "version": 1}\xff\xfe'),  # not UTF-8
 ], ids=["chain spec", "session log", "prefix file", "config file", "checkpoint"])
 def test_a_malformed_file_is_a_clean_error(tmp_path, read, error, data):
     path = tmp_path / "input"
@@ -185,20 +166,20 @@ def test_parse_log_of_any_text_parses_or_raises(text):
 
 @settings(max_examples=300, deadline=None)
 @given(data=lines_of(fuzz(prefix_like)))
-def test_prefix_file_parses_or_raises(data):
-    parses_or_raises_in_memory(cli._load_prefixes, data)
+def test_prefix_file_parses_or_raises(input_file, data):
+    reads_or_raises(cli._load_prefixes, input_file, data)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=fuzz(st.lists(objective_like, max_size=3)))
-def test_objectives_file_parses_or_raises(data):
-    parses_or_raises_in_memory(cli._load_objectives, data)
+def test_objectives_file_parses_or_raises(input_file, data):
+    reads_or_raises(cli._load_objectives, input_file, data)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.binary(max_size=200) | st.text(max_size=200).map(str.encode))
-def test_config_file_parses_or_raises(data):
-    parses_or_raises_in_memory(cli._parse_config_file, data)
+def test_config_file_parses_or_raises(input_file, data):
+    reads_or_raises(cli._parse_config_file, input_file, data)
 
 
 def _tiny_checkpoints() -> dict:
@@ -229,7 +210,7 @@ def _section(path) -> str:
 
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(sorted(TINY_CHECKPOINTS)), data=st.data())
-def test_checkpoint_with_one_field_replaced_loads_and_scores_or_raises(kind, data):
+def test_checkpoint_with_one_field_replaced_loads_and_scores_or_raises(input_file, kind, data):
     payload = copy.deepcopy(TINY_CHECKPOINTS[kind])
     # a section first, so that the few vocabulary fields are drawn as often as the many weight fields
     paths = list(_json_paths(payload))
@@ -239,12 +220,10 @@ def test_checkpoint_with_one_field_replaced_loads_and_scores_or_raises(kind, dat
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = data.draw(values)
-    # load_predictor of a file of the payload, in memory: read_checkpoint's `open` returns its
-    # text, so every check of the reader runs; undecodable bytes are a file-level case
-    text = json.dumps(payload)
+    predictor = reads_or_raises(load_predictor, input_file, json.dumps(payload).encode())
+    if predictor is None:
+        return
     try:
-        with mock.patch.object(seqmodel, "open", lambda *args, **kwargs: io.StringIO(text), create=True):
-            predictor = load_predictor("replaced.ckpt")
         score_batch(predictor, [JourneyPrefix("kw", ("a",))], [Objective("o", frozenset({"b"}))], 4, 3, seed=0)
     except JourneynetError:
         pass

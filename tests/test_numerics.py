@@ -144,6 +144,16 @@ def test_backward_constant_function_gives_zero():
     assert x.grad[0, 0] == 0.0
 
 
+def test_backward_of_a_loss_that_is_a_watched_leaf():
+    w = Matrix([[2.0]])
+    with ComputeTape([w]) as tape:
+        loss = w
+    backward(tape, loss)
+    np.testing.assert_array_equal(w.grad, [[1.0]])
+    w.grad = None
+    assert grad_check(lambda: w, [w]) < 1e-6
+
+
 def test_backward_requires_scalar():
     x = Matrix([[1.0, 2.0]])
     with ComputeTape([x]) as tape:

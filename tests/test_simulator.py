@@ -488,18 +488,20 @@ def test_score_batch_validates_inputs():
         score_batch(pred, [JourneyPrefix()], [])
 
 
-@pytest.mark.parametrize("which", ["prefixes", "objectives"])
+@pytest.mark.parametrize("which", ["prefixes", "objectives", "prefix_ids"])
 @pytest.mark.parametrize("collection", ["set", "string", "mapping", "number"])
 def test_score_batch_takes_prefixes_and_objectives_in_an_order_of_the_caller(which, collection):
-    # a set's order is the hash seed's: it would decide the CSV's row order
+    # a set's order is the hash seed's: it would decide the CSV's row order or
+    # its ids' ('x', 'y' in either order); a string's characters are no ids
     args = {
         "prefixes": [JourneyPrefix(), JourneyPrefix("", ("pg0",))],
         "objectives": [Objective("a", frozenset({"pg0"})), Objective("b", frozenset({"pg1"}))],
+        "prefix_ids": ["x", "y"],
     }
     items = args[which]
     args[which] = {"set": set(items), "string": "pg0", "mapping": dict.fromkeys(items), "number": 3}[collection]
     with pytest.raises(ConfigError, match=f"{which} must be an ordered iterable"):
-        score_batch(random_predictor(13), args["prefixes"], args["objectives"], n_samples=10, horizon=3)
+        score_batch(random_predictor(13), n_samples=10, horizon=3, **args)
 
 
 def test_score_batch_scores_generators_as_lists():
@@ -509,6 +511,20 @@ def test_score_batch_scores_generators_as_lists():
     rows = score_batch(pred, prefixes, objectives, n_samples=20, horizon=3, seed=5)
     assert [r.objective_id for r in rows] == ["b", "a", "b", "a"]
     assert score_batch(pred, iter(prefixes), (o for o in objectives), n_samples=20, horizon=3, seed=5) == rows
+
+
+def test_score_batch_takes_prefix_ids_that_are_non_empty_text():
+    prefixes = [JourneyPrefix(), JourneyPrefix("", ("pg0",))]
+    with pytest.raises(ConfigError, match=r"^prefix_ids\[0\] must be non-empty text, got 1$"):
+        score_batch(random_predictor(13), prefixes, [Objective("o", frozenset({"pg0"}))], 10, 3, prefix_ids=[1, None])
+
+
+def test_score_batch_reads_prefix_ids_from_an_iterator():
+    prefixes = [JourneyPrefix(), JourneyPrefix("", ("pg0",))]
+    objectives = [Objective("o", frozenset({"pg0"}))]
+    rows = score_batch(random_predictor(13), prefixes, objectives, 10, 3, prefix_ids=iter(["x", "y"]))
+    assert rows == score_batch(random_predictor(13), prefixes, objectives, 10, 3, prefix_ids=["x", "y"])
+    assert [r.prefix_id for r in rows] == ["x", "y"]
 
 
 def test_scores_csv(tmp_path):
