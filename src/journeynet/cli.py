@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import rng as rngmod
-from .errors import CliError, ConfigError, JourneynetError, ObjectiveError, parse_json, read_text
+from .errors import CliError, ConfigError, JourneynetError, ObjectiveError, check_text, parse_json, read_text
 from .journeydata import (
     MarkovSpec,
     build_vocab,
@@ -49,7 +49,7 @@ def _parse_config_file(path: str) -> dict:
     conversion as command-line flags.
     """
     values = {}
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -270,13 +270,15 @@ def _load_prefixes(path) -> tuple[list[JourneyPrefix], list[str]]:
         raw = parse_json(line, CliError, f"{path}:{line_no}: bad prefix record")
         if not isinstance(raw, dict):
             raise CliError(f"{path}:{line_no}: a prefix record must be a JSON object")
-        prefix_id = str(raw.get("prefix_id", f"p{line_no - 1:04d}"))
-        if prefix_id in prefixes:
-            raise CliError(f"{path}:{line_no}: duplicate prefix_id {prefix_id!r}")
+        prefix_id = raw.get("prefix_id", f"p{line_no - 1:04d}")
         try:
-            prefixes[prefix_id] = JourneyPrefix(raw.get("keywords"), raw.get("pages", ()))
+            check_text(prefix_id, "prefix_id", ConfigError, empty=False)
+            prefix = JourneyPrefix(raw.get("keywords"), raw.get("pages", ()))
         except ConfigError as exc:
             raise CliError(f"{path}:{line_no}: {exc}") from exc
+        if prefix_id in prefixes:
+            raise CliError(f"{path}:{line_no}: duplicate prefix_id {prefix_id!r}")
+        prefixes[prefix_id] = prefix
     if not prefixes:
         raise CliError(f"{path}: no prefix records")
     return list(prefixes.values()), list(prefixes)
@@ -290,13 +292,13 @@ def _load_objectives(path) -> list[Objective]:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "id" not in entry or "pages" not in entry:
             raise CliError(f"{path}: objective {i} must be an object with 'id' and 'pages'")
-        objective_id = str(entry["id"])
-        if objective_id in objectives:
-            raise CliError(f"{path}: objective {i}: duplicate id {objective_id!r}")
         try:
-            objectives[objective_id] = Objective(objective_id, entry["pages"])
+            objective = Objective(entry["id"], entry["pages"])
         except ObjectiveError as exc:
             raise CliError(f"{path}: objective {i}: {exc}") from exc
+        if objective.objective_id in objectives:
+            raise CliError(f"{path}: objective {i}: duplicate id {objective.objective_id!r}")
+        objectives[objective.objective_id] = objective
     return list(objectives.values())
 
 

@@ -8,8 +8,9 @@ a scalar's type.  A number keeps its own range check where it is used, as
 the ranges differ: open or closed, finite or not, NaN refused or not.
 
 Every text argument (an id, a keyword phrase, an alphabet) is checked by
-:func:`check_text`, and every collection of page or state names by
-:func:`check_names` (an iterable of non-empty text, read into a tuple).
+:func:`check_text`, which can also refuse the empty string, and every
+collection of page or state names by :func:`check_names` (an iterable of
+non-empty text, read into a tuple).
 The collection half of that rule, :func:`check_iterable`, refuses a string,
 a mapping and, where order matters, a set; it also checks the ordered
 collections that hold no names (a session's events, the sessions training
@@ -111,10 +112,10 @@ def check_number(value, name: str, error: type[Exception]) -> None:
         raise error(f"{name} must be an int or float, got {value!r}")
 
 
-def check_text(value, name: str, error: type[Exception]) -> None:
-    """`error` unless `value` is a str (empty or not)."""
-    if not isinstance(value, str):
-        raise error(f"{name} must be text, got {value!r}")
+def check_text(value, name: str, error: type[Exception], empty: bool = True) -> None:
+    """`error` unless `value` is a str, and a non-empty one unless `empty`."""
+    if not isinstance(value, str) or not (empty or value):
+        raise error(f"{name} must be {'' if empty else 'non-empty '}text, got {value!r}")
 
 
 def check_iterable(values, name: str, error: type[Exception], ordered: bool) -> tuple:
@@ -132,8 +133,7 @@ def check_names(values, name: str, error: type[Exception], ordered: bool) -> tup
     `error` naming the first entry that is not one."""
     names = check_iterable(values, name, error, ordered)
     for i, value in enumerate(names):
-        if not isinstance(value, str) or not value:
-            raise error(f"{name}[{i}] must be non-empty text, got {value!r}")
+        check_text(value, f"{name}[{i}]", error, empty=False)
     return names
 
 
@@ -144,7 +144,9 @@ def read_text(path) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        # the line as universal newlines number it: "\r\n", "\r" and "\n" each end one
+        head = exc.object[:exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(line_no, f"{path} is not UTF-8 text ({exc.reason})") from exc
 
 

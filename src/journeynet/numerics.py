@@ -27,7 +27,9 @@ steps its cache does not serve.
 Each entry into a tape's block starts a new recording.  A recorded
 :func:`lstm_sequence` takes its (T*B)-row arrays from slots that the
 tape's next recording reuses: the hidden rows, the cell rows, the packed
-gate activations and the tanh of the cells, and in its backward an H-wide
+gate activations and the tanh of the cells, which each step writes in
+place (its recurrent product into its rows of the activations, and the
+cell its results into their rows), and in its backward an H-wide
 copy of the forget gate, the one activation the recurrence still reads
 once the backward has written the gate derivatives ``dz`` over the
 activations' slot.  So what a recording returns, the cell rows included,
@@ -297,8 +299,9 @@ def _run_thunks(entries: list[list]) -> None:
 # primitive operations
 
 
-def rows_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``a @ w``, with every row's bits independent of the other rows of `a`.
+def rows_product(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ w``, with every row's bits independent of the other rows of `a`;
+    written into `out` if given.
 
     numpy sends a product of two or more rows to BLAS gemm, whose row of
     the result depends on that row of `a` alone (a tier-1 test checks this
@@ -307,8 +310,12 @@ def rows_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     and row 0 returned, so a row gets the same bits alone as in any batch.
     """
     if len(a) == 1:
-        return (np.concatenate([a, a]) @ w)[:1]
-    return a @ w
+        pair = np.concatenate([a, a]) @ w
+        if out is None:
+            return pair[:1]
+        np.copyto(out, pair[:1])
+        return out
+    return np.matmul(a, w, out=out)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -351,10 +358,15 @@ def scale(x: Matrix, c: float) -> Matrix:
     return record(out, (x,), lambda g: (g * c,))
 
 
-def _sigmoid(d: np.ndarray) -> np.ndarray:
-    """Logistic function that never exponentiates a positive number:
-    1 / (1 + exp(-d)) for d >= 0 and exp(d) / (1 + exp(d)) below."""
-    return np.exp(np.minimum(d, 0.0)) / (1.0 + np.exp(-np.abs(d)))
+def _sigmoid(d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Logistic function that never exponentiates a positive number, written
+    into `out` (which may be `d`): with e = exp(-|d|), max(e, d >= 0) / (1 + e),
+    which is 1 / (1 + exp(-d)) for d >= 0 and exp(d) / (1 + exp(d)) below."""
+    pos = d >= 0
+    e = np.exp(np.negative(np.abs(d, out=out), out=out), out=out)
+    den = 1.0 + e
+    np.maximum(e, pos, out=e)
+    return np.divide(e, den, out=e)
 
 
 def softmax(logits: Matrix) -> Matrix:
@@ -433,22 +445,29 @@ def dropout(x: Matrix, rate: float, rng: np.random.Generator) -> Matrix:
 # LSTM
 
 
-def lstm_cell(z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+def lstm_cell(z: np.ndarray, c: np.ndarray, out: Sequence[np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
     """One LSTM cell update on plain arrays; the only definition of its arithmetic.
 
     `z` holds B x 4H gate pre-activations packed (input, forget, candidate,
     output) and `c` the B x H cell state.  Returns (acts, c2, tanh(c2), h2):
-    the packed gate activations, the new cell state and the new hidden state
-    h2 = o * tanh(c2), where c2 = f * c + i * g.
+    the packed gate activations, written over `z`, the new cell state and
+    the new hidden state h2 = o * tanh(c2), where c2 = f * c + i * g.  The
+    last three are written into the three arrays of `out` if given, and
+    into new arrays otherwise.
     """
     hs = c.shape[1]
-    # elementwise, so one sigmoid over all gates gives each gate's bits
-    acts = _sigmoid(z)
-    acts[:, 2 * hs:3 * hs] = np.tanh(z[:, 2 * hs:3 * hs])
-    i, f, g, o = acts[:, :hs], acts[:, hs:2 * hs], acts[:, 2 * hs:3 * hs], acts[:, 3 * hs:]
-    c2 = f * c + i * g
-    tc2 = np.tanh(c2)
-    return acts, c2, tc2, o * tc2
+    c2, tc2, h2 = (np.empty_like(c), np.empty_like(c), np.empty_like(c)) if out is None else out
+    i, f, g, o = z[:, :hs], z[:, hs:2 * hs], z[:, 2 * hs:3 * hs], z[:, 3 * hs:]
+    # elementwise, so one sigmoid over all gates gives each gate's bits; the
+    # candidate gate's tanh waits in h2 while the sigmoid writes over `z`
+    np.tanh(g, out=h2)
+    _sigmoid(z, z)
+    np.copyto(g, h2)
+    ig = np.multiply(i, g, out=h2)  # h2 holds i * g until h2 itself is formed
+    np.add(np.multiply(f, c, out=c2), ig, out=c2)
+    np.tanh(c2, out=tc2)
+    np.multiply(o, tc2, out=h2)
+    return z, c2, tc2, h2
 
 
 def lstm_sequence(
@@ -471,11 +490,19 @@ def lstm_sequence(
     projection or the page table through the batch's row index, with no
     gather of its own).  Each step adds its input rows and then `bias` in
     place to the :func:`rows_product` ``h @ wh`` and feeds the sum to
-    :func:`lstm_cell`, the only place the recurrence is written.  Returns
+    :func:`lstm_cell`, the only place the recurrence is written.  A pass of
+    more than one step, or a recorded one, writes that product into the
+    step's rows of the gate activations, over which the cell writes them,
+    and the cell writes the step's cell, tanh(cell) and hidden rows in
+    place: recorded, into the rows of the tape's slots, and otherwise into
+    the pass's own rows, with one step's array for the activations and the
+    tanh.  An unrecorded one-step pass (serving's ``step``) keeps the
+    cell's own arrays as its rows.  Returns
     the (T*B) x H hidden states, the tracked output, and the (T*B) x H cell
     states as a plain array, both in that row order.  The backward pass
     runs BPTT one step at a time, where only ``dh = dz_t @ wh.T`` is a
-    product, forms the gradients of `wh` and `bias` once, scatters ``dz``
+    product and every step writes into the same three B x H arrays, forms
+    the gradients of `wh` and `bias` once, scatters ``dz``
     back through `rows` as one index-sorted reduceat, and runs
     :func:`matmul`'s two products through `wx`.  Recorded, both row arrays
     are slots of the active tape (see the module notes).  `x`, `wx`, `wh`
@@ -493,26 +520,27 @@ def lstm_sequence(
     inputs = (x, wh, bias) if wx is None else (x, wh, bias, wx)
     tracked = x.track or wh.track or bias.track or (wx is not None and wx.track)
     tape = getattr(_active, "tape", None) if tracked else None
+    # a one-step call that no tape records keeps the cell's own arrays as its rows
+    fresh = tape is None and steps == 1
     if tape is not None:  # the rows live in the tape's slots
         slots = tape._slots
         hidden, cells, acts, tcells = (slots.take(n, k, dtype) for k in (hs, hs, 4 * hs, hs))
         # a leaf keeps its gradient, so it is never a slot; the tape's exit untracks `x`
         leaf, tx = id(x) in tape._leaf_ids, x.track
-    elif steps > 1:  # a one-step call keeps the cell's own arrays as its rows
+    elif not fresh:  # one step's activations and tanh(cells), which nothing reads after it
         hidden, cells = np.empty((n, hs), dtype), np.empty((n, hs), dtype)
+        acts, tcells = np.empty((batch, 4 * hs), dtype), np.empty((batch, hs), dtype)
     h, c = h0, c0
     for t in range(steps):
         r = slice(t * batch, (t + 1) * batch)
-        z = rows_product(h, w)
+        k = r if tape is not None else slice(None)  # the step's rows of `acts` and `tcells`
+        # the product is the step's pre-activations, over which the cell writes its activations
+        z = rows_product(h, w) if fresh else rows_product(h, w, acts[k])
         z += proj[r] if rows is None else proj[rows[r]]
         z += bias.data
-        a, c, tc, h = lstm_cell(z, c)
-        if tape is not None:
-            hidden[r], cells[r], acts[r], tcells[r] = h, c, a, tc
-        elif steps == 1:
-            hidden, cells = h, c
-        else:
-            hidden[r], cells[r] = h, c
+        _, c, _, h = lstm_cell(z, c) if fresh else lstm_cell(z, c, (cells[r], tcells[k], hidden[r]))
+    if fresh:
+        hidden, cells = h, c
     out = Matrix._result(hidden)
 
     def back(gh):
@@ -531,19 +559,19 @@ def lstm_sequence(
         np.multiply(gi, np.subtract(1.0, i, out=i), out=i)
         np.multiply(np.subtract(1.0, f, out=f), forget, out=f)
         # from here i, f, g and o are the blocks of dz
-        dh = np.zeros((batch, hs), dtype=dtype)
-        dc = np.zeros((batch, hs), dtype=dtype)
+        # the loop's three B x H arrays, each operation written into one of them
+        dh, dc, tmp = np.zeros((batch, hs), dtype), np.zeros((batch, hs), dtype), np.empty((batch, hs), dtype)
         for t in reversed(range(steps)):
             r = slice(t * batch, (t + 1) * batch)
-            dh = gh[r] + dh
-            dc = dc + dh * dtc[r]
+            np.add(gh[r], dh, out=dh)
+            np.add(dc, np.multiply(dh, dtc[r], out=tmp), out=dc)
             i[r] *= dc
-            f[r] *= dc * (cells[r.start - batch:r.start] if t else c0)
+            f[r] *= np.multiply(dc, cells[r.start - batch:r.start] if t else c0, out=tmp)
             g[r] *= dc
             o[r] *= dh
-            dc = dc * forget[r]
+            dc *= forget[r]
             if t:
-                dh = dz[r] @ w.T
+                np.matmul(dz[r], w.T, out=dh)
         dwh, step0, dbias = np.empty_like(w, dtype), np.empty_like(w, dtype), np.empty_like(bias.data, dtype)
 
         def wh_grad():  # hidden[:-batch].T @ dz[batch:] + h0.T @ dz[:batch]

@@ -10,7 +10,10 @@ builds the served compute copy, so the model that trains is the model that
 serves); the masters and the optimizer state take the update from the
 twin's gradients, and the step writes the cast of each updated master into
 the twin and clears the twin's gradients (mixed precision, Micikevicius et
-al., arXiv:1710.03740).  Every random
+al., arXiv:1710.03740).  One helper thread runs the leaf-gradient products
+of the backward pass and, in each optimizer step, its own set of whole
+weights, fixed when training starts, while the calling thread runs the
+rest; neither changes a bit.  Every random
 choice (init, shuffling, dropout) derives from the config seed, so a run is
 exactly repeatable.  Each epoch ends with a plain `evaluate` of the float64
 model on the held-out sessions, which it expands and pads on every call.
@@ -117,21 +120,24 @@ class _AdaptiveStep:
     (in training, a weight of the float32 twin model): its `grad` holds the
     weight's gradient, and its data the weight cast to its dtype.  The step
     is the one writer of both once the twin is built.
-    It keeps one float64 running average per weight and one float64 scratch
-    buffer sized to the largest weight (rounded up to four quarters).
-    `step` squares each gradient, of any float dtype, into the buffer in
-    float64 for the norm; then each thread updates its half of every weight
-    in chunks of a quarter of the buffer, using its two quarters: it copies
-    a chunk of the gradient into the first, updates the float64 weights in
-    place and copies each updated entry into its twin, allocating nothing,
-    so at its peak a step holds only the weights, their twins and
-    gradients, their running averages and the buffer.  The first half of
-    every weight's entries runs on the calling thread and the rest on
-    `helper` (an executor with one worker) at the same time.  Every entry
-    gets the bits one thread would give it.  Once both halves are done,
-    every twin's `grad` is None, so the next backward pass starts from none.
-    Every weight of the training graph feeds every batch's loss, so every
-    one has a gradient.
+    Each whole weight belongs to one of two sides, fixed here: the weights
+    are taken largest first, each onto the side with fewer entries so far
+    (the calling thread's on a tie).  Side 0 runs on the calling thread and
+    side 1 on `helper` (an executor with one worker), at the same time.
+    The step keeps one float64 running average per weight and one float64
+    scratch buffer per side, sized to the side's largest weight (rounded up
+    to two halves), which the calling thread allocates.  `step` first has
+    each side square each of its gradients, of any float dtype, into its
+    buffer in float64 and sum it; the calling thread adds the sums up in
+    layout order for the norm.  Then each side updates its weights in chunks
+    of half its buffer, using both halves: it copies a chunk of the gradient
+    into the first, updates the float64 weights in place and copies each
+    updated entry into its twin, allocating nothing, so at its peak a step
+    holds only the weights, their twins and gradients, their running
+    averages and the two buffers.  Every entry gets the bits one thread
+    would give it.  Once both sides are done, every twin's `grad` is None,
+    so the next backward pass starts from none.  Every weight of the
+    training graph feeds every batch's loss, so every one has a gradient.
     """
 
     def __init__(self, params, twin, config: TrainConfig, helper: Executor):
@@ -140,36 +146,53 @@ class _AdaptiveStep:
         self.clip = config.gradient_clip_norm
         self.helper = helper
         self.sq = [np.zeros_like(p.data) for p in params]
-        self.quarter = -(-max(p.data.size for p in params) // 4)
-        self.scratch = np.zeros(4 * self.quarter)
+        self.sides, load = ([], []), [0, 0]
+        for k in sorted(range(len(params)), key=lambda k: -params[k].data.size):  # stable: layout order on ties
+            side = 0 if load[0] <= load[1] else 1
+            self.sides[side].append(k)
+            load[side] += params[k].data.size
+        largest = [max((params[k].data.size for k in ks), default=0) for ks in self.sides]
+        self.scratch = [np.zeros(2 * -(-size // 2)) for size in largest]
 
     def step(self) -> None:
+        sums = [0.0] * len(self.sq)
+        self._on_both_sides(self._sum_squares, sums)
         sumsq = 0.0
-        for src, v in zip(self.twin, self.sq):
-            t = self.scratch[:v.size].reshape(v.shape)
-            sumsq += float(np.multiply(src.grad, src.grad, out=t, dtype=np.float64).sum())
+        for part in sums:  # in layout order, one float add at a time (Python 3.12's `sum` compensates)
+            sumsq += part
         norm = np.sqrt(sumsq)
         factor = self.clip / norm if norm > self.clip else None
-        task = self.helper.submit(self._update, factor, 1)
-        try:
-            self._update(factor, 0)
-        finally:
-            task.exception()  # the helper's half is done, also when this half failed
-        task.result()
+        self._on_both_sides(self._update, factor)
         for leaf in self.twin:
             leaf.grad = None
 
-    def _update(self, factor, half: int) -> None:
-        """Update half of the entries of every weight, its twin and average:
-        the first size // 2 of each (`half` 0, in the buffer's first two
-        quarters) or the rest (`half` 1, in its last two)."""
-        q = self.quarter
-        gbuf, tbuf = (self.scratch[k * q:(k + 1) * q] for k in (2 * half, 2 * half + 1))
-        for p, leaf, avg in zip(self.params, self.twin, self.sq):
-            entries = slice(avg.size // 2) if half == 0 else slice(avg.size // 2, None)
-            flat = [a.reshape(-1)[entries] for a in (p.data, leaf.data, leaf.grad, avg)]
-            for at in range(0, len(flat[0]), q):
-                w, cast, grad, v = (a[at:at + q] for a in flat)
+    def _on_both_sides(self, work, arg) -> None:
+        """`work(arg, 1)` on the helper while `work(arg, 0)` runs here."""
+        task = self.helper.submit(work, arg, 1)
+        try:
+            work(arg, 0)
+        finally:
+            task.exception()  # the helper's side is done, also when this side failed
+        task.result()
+
+    def _sum_squares(self, sums: list, side: int) -> None:
+        """Write the float64 sum of squares of each gradient of the side's weights into `sums`."""
+        buf = self.scratch[side]
+        for k in self.sides[side]:
+            grad = self.twin[k].grad
+            t = buf[:grad.size].reshape(grad.shape)
+            sums[k] = float(np.multiply(grad, grad, out=t, dtype=np.float64).sum())
+
+    def _update(self, factor, side: int) -> None:
+        """Update the side's weights, their twins and averages, in chunks of half its buffer."""
+        buf = self.scratch[side]
+        half = len(buf) // 2
+        gbuf, tbuf = buf[:half], buf[half:]
+        for k in self.sides[side]:
+            leaf = self.twin[k]
+            flat = [a.reshape(-1) for a in (self.params[k].data, leaf.data, leaf.grad, self.sq[k])]
+            for at in range(0, len(flat[0]), half):
+                w, cast, grad, v = (a[at:at + half] for a in flat)
                 g, t = gbuf[:v.size], tbuf[:v.size]
                 np.copyto(g, grad)
                 if factor is not None:
@@ -260,7 +283,7 @@ def train(
     report = TrainReport()
     from concurrent.futures import ThreadPoolExecutor  # only training pays its import
 
-    # one helper thread for the leaf-gradient products and half of each optimizer step
+    # one helper thread for the leaf-gradient products and one side of each optimizer step
     with ThreadPoolExecutor(max_workers=1) as helper:
         optimizer = _AdaptiveStep(params, leaves, config, helper)
         # one tape, entered once per batch, so its LSTM rows serve every batch

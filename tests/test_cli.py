@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -369,7 +370,7 @@ def test_score_keywords_that_lowercasing_lengthens(pipeline, tmp_path):
 def test_score_on_an_empty_prefix_id_is_a_clean_error(pipeline, tmp_path, capsys):
     prefixes = '{"prefix_id": "", "keywords": "car insurance", "pages": ["home"]}\n'
     assert _score_exit(pipeline, tmp_path, prefixes=prefixes) == 1
-    _assert_clean_error(capsys, "prefix_ids[0] must be non-empty text")
+    _assert_clean_error(capsys, "p.jsonl:1: prefix_id must be non-empty text, got ''")
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -399,8 +400,7 @@ def test_score_objective_outside_vocabulary_is_a_clean_error(pipeline, tmp_path,
     ('{"keywords": "a", "pages": []}\n'
      '{"prefix_id": "p0000", "keywords": "b", "pages": []}\n', None, "'p0000'"),
     (None, '[{"id": "c", "pages": ["confirm"]}, {"id": "c", "pages": ["quote"]}]', "'c'"),
-    (None, '[{"id": 1, "pages": ["confirm"]}, {"id": "1", "pages": ["quote"]}]', "'1'"),
-], ids=["prefix-id", "prefix-id-equals-default", "objective-id", "objective-id-as-number"])
+], ids=["prefix-id", "prefix-id-equals-default", "objective-id"])
 def test_score_duplicate_ids_are_a_clean_error(pipeline, tmp_path, capsys, prefixes, objectives, dup):
     # two rows of scores.csv with one (prefix_id, objective_id) could not be told apart
     assert _score_exit(pipeline, tmp_path, prefixes=prefixes, objectives=objectives) == 1
@@ -520,6 +520,10 @@ BAD_PREFIX_RECORDS = [
     '{"keywords": "kw", "pages": ["home", ""]}',
     '{"keywords": "kw", "pages": ["home", "<null>"]}',
     '{"keywords": "kw", "pages": ["<unknown>"]}',
+    # ids reach their rule unconverted: none of these becomes the text "None", "5" or "['a']"
+    '{"prefix_id": null, "keywords": "kw", "pages": ["home"]}',
+    '{"prefix_id": 5, "keywords": "kw", "pages": ["home"]}',
+    '{"prefix_id": ["a"], "keywords": "kw", "pages": ["home"]}',
     '["kw", "home"]',
     '"keywords"',
     '12',
@@ -532,6 +536,9 @@ BAD_OBJECTIVES = [
     '[{"id": "c", "pages": [["confirm"]]}]',
     '[{"id": "c", "pages": [""]}]',
     '[{"id": "c", "pages": []}]',
+    '[{"id": null, "pages": ["confirm"]}]',
+    '[{"id": 5, "pages": ["confirm"]}]',
+    '[{"id": ["c"], "pages": ["confirm"]}]',
     '["idpages"]',
     '[7]',
 ]
@@ -602,6 +609,19 @@ def test_score_non_utf8_input_is_a_clean_error(pipeline, tmp_path, capsys, which
     ])
     assert code == 1
     _assert_clean_utf8_error(capsys, files[which].name)
+
+
+def test_config_file_lines_end_only_at_newlines(tmp_path):
+    from journeynet.cli import _parse_config_file
+    from journeynet.errors import CliError
+
+    # a form feed, a file separator and a line separator are text within a line, as in every other reader
+    config = tmp_path / "odd.conf"
+    config.write_bytes("# a\x0cb\x1cc\u2028d\nepochs = 2\r\nbroken\n".encode())
+    with pytest.raises(CliError, match="^" + re.escape(f"{config}:3: expected 'key = value', got 'broken'")):
+        _parse_config_file(str(config))
+    config.write_bytes("epochs = 2\x0c3\u2028\n".encode())
+    assert _parse_config_file(str(config)) == {"epochs": "2\x0c3"}
 
 
 def test_non_utf8_config_file_is_a_clean_error(pipeline, tmp_path, capsys):

@@ -149,6 +149,21 @@ def test_read_text_decodes_utf8_with_universal_newlines_or_names_the_line(tmp_pa
     assert exc.value.line_no == 3
 
 
+@pytest.mark.parametrize("data, line_no", [
+    (b"a\rb\r\xff", 3),
+    (b"a\r\r\nb\n\r\xff", 5),
+    (b"\xff", 1),
+    (b"a\x0cb\x1cc\xe2\x80\xa8d\n\xff", 2),  # form feed, file separator and U+2028 end no line
+])
+def test_read_text_names_the_line_of_a_bad_byte_as_universal_newlines_count_it(tmp_path, data, line_no):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        read_text(path)
+    assert exc.value.line_no == line_no
+    assert data[:data.index(b"\xff")].decode().replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1 == line_no
+
+
 @pytest.mark.parametrize("text, why", [
     ("[1,", "Expecting value"),
     ("1" * 5000, "Exceeds the limit"),  # an integer too long to convert

@@ -119,12 +119,33 @@ def test_cross_entropy_floor_keeps_loss_finite():
 def test_stable_sigmoid_never_overflows():
     d = np.array([-1e4, -745.0, -30.0, -1.0, 0.0, 1.0, 30.0, 745.0, 1e4])
     with np.errstate(over="raise"):
-        s = nm._sigmoid(d)
+        s = nm._sigmoid(d, np.empty_like(d))
     assert np.all((s >= 0) & (s <= 1))
     assert s[4] == 0.5 and s[0] == 0.0 and s[-1] == 1.0
     mid = d[2:-2]
     np.testing.assert_allclose(s[2:-2], 1.0 / (1.0 + np.exp(-mid)), rtol=1e-15, atol=0)
-    np.testing.assert_allclose(nm._sigmoid(-d), 1.0 - s, rtol=0, atol=np.finfo(float).eps)
+    np.testing.assert_allclose(nm._sigmoid(-d, np.empty_like(d)), 1.0 - s, rtol=0, atol=np.finfo(float).eps)
+
+
+def _two_exp_sigmoid(d):
+    """The logistic function as first written, with two exps:
+    exp(min(d, 0)) / (1 + exp(-|d|))."""
+    return np.exp(np.minimum(d, 0.0)) / (1.0 + np.exp(-np.abs(d)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_exp_sigmoid_is_bitwise_the_two_exp_formula(dtype):
+    info = np.finfo(dtype)
+    edges = [0.0, -0.0, np.inf, -np.inf, info.max, -info.max, info.tiny, -info.tiny,
+             info.smallest_subnormal, -info.smallest_subnormal, 3 * info.smallest_subnormal, -info.tiny / 3]
+    d = np.concatenate([np.linspace(-120.0, 120.0, 100_001).astype(dtype), np.array(edges, dtype)])
+    ref = _two_exp_sigmoid(d)
+    out = np.empty_like(d)
+    with np.errstate(over="raise"):
+        assert nm._sigmoid(d, out) is out
+    assert out.dtype == dtype and out.tobytes() == ref.tobytes()
+    nm._sigmoid(d, d)  # written over its operand
+    assert d.tobytes() == ref.tobytes()
 
 
 def test_backward_square():
@@ -574,9 +595,9 @@ def test_ops_follow_float32_operands(monkeypatch):
     cell_dtypes = set()
     cell = nm.lstm_cell
 
-    def recording_cell(z, c):
-        cell_dtypes.update((z.dtype, c.dtype))
-        return cell(z, c)
+    def recording_cell(z, c, out=None):
+        cell_dtypes.update((z.dtype, c.dtype, *(a.dtype for a in out or ())))
+        return cell(z, c, out)
 
     monkeypatch.setattr(nm, "lstm_cell", recording_cell)
     rng = np.random.default_rng(4)

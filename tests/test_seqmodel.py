@@ -446,7 +446,7 @@ def test_a_recorded_batch_frees_its_layer_inputs_before_backward(monkeypatch):
         return a
 
     product, result = nm.rows_product, nm.Matrix._result
-    monkeypatch.setattr(nm, "rows_product", lambda a, w: note(product(a, w)))
+    monkeypatch.setattr(nm, "rows_product", lambda a, w, out=None: note(product(a, w, out)))
     monkeypatch.setattr(nm.Matrix, "_result", classmethod(lambda cls, data: result(note(data))))
     weights = [p for _, p in model.parameters()]
     with nm.ComputeTape(weights) as tape:

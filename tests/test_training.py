@@ -1,4 +1,5 @@
 import copy
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -778,25 +779,43 @@ def _reference_step(params, sq, lr, clip, decay, eps):
 
 @pytest.fixture
 def helper():
-    """A one-thread executor that runs half of each optimizer step, as `train` gives one."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        yield pool
+    """A one-thread executor that runs one side of each optimizer step, as `train` gives one;
+    meanwhile threads switch every microsecond, so the two sides, which write one list of
+    sums, interleave as finely as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            yield pool
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# (shapes, the layout indices of each side's weights, in layout order)
+SPLITS = {
+    # odd sizes, the largest too, each side holding two
+    "two-two": ([(7, 5), (1, 5), (33, 20), (9, 77)], ([1, 3], [0, 2])),
+    # one large weight alone on the calling thread, every small one on the helper
+    "one-many": ([(1, 5), (3, 7), (61, 99), (20, 33), (1, 1), (9, 77), (5, 5), (1, 40)], ([2], [0, 1, 3, 4, 5, 6, 7])),
+}
 
 
 @pytest.mark.parametrize("clip", [1e-3, 1e6], ids=["clipped", "unclipped"])
 @pytest.mark.parametrize("grad_dtype", [np.float64, np.float32], ids=["float64-grads", "float32-grads"])
-def test_adaptive_step_is_bitwise_the_reference_formula(clip, grad_dtype, helper):
+@pytest.mark.parametrize("split", sorted(SPLITS))
+def test_adaptive_step_is_bitwise_the_reference_formula(clip, grad_dtype, split, helper):
     from journeynet import numerics as nm
     from journeynet.training import RMS_DECAY, RMS_EPSILON, _AdaptiveStep
 
     rng = np.random.default_rng(9)
-    shapes = [(7, 5), (1, 5), (33, 20), (9, 77)]  # odd sizes, the largest too, split unevenly
+    shapes, sides = SPLITS[split]
     mine = [nm.Matrix(rng.standard_normal(s)) for s in shapes]
     ref = [nm.Matrix(p.data) for p in mine]
     # the step reads the gradients from the twin and writes the twin
     twin = [nm.Matrix._result(p.data.astype(grad_dtype)) for p in mine]
     config = TrainConfig(learning_rate=3e-3, gradient_clip_norm=clip, **TOY_TRAIN)
     opt = _AdaptiveStep(mine, twin, config, helper)
+    assert tuple(sorted(side) for side in opt.sides) == sides
     ref_sq = [np.zeros(s) for s in shapes]
     for _ in range(4):
         grads = [rng.standard_normal(s).astype(grad_dtype) for s in shapes]
@@ -817,9 +836,9 @@ def test_adaptive_step_is_bitwise_the_reference_formula(clip, grad_dtype, helper
 @pytest.mark.parametrize("clip", [1e-3, 1e6], ids=["clipped", "unclipped"])
 def test_adaptive_step_views_of_other_shapes_share_its_scratch_bitwise(clip, helper):
     """The largest weight first, then a 1-row one: every weight's views of
-    the shared scratch buffer start where the largest weight's did (each
-    half's), and the largest runs each half in two chunks.  The largest is
-    large enough that numpy lets the two halves of its update run at once."""
+    its side's scratch buffer start where that side's largest weight's did,
+    and each side's largest runs in two chunks.  The largest is large enough
+    that numpy lets the two sides of the update run at once."""
     from journeynet import numerics as nm
     from journeynet.training import RMS_DECAY, RMS_EPSILON, _AdaptiveStep
 
@@ -883,14 +902,16 @@ def _float64_entries(obj) -> int:
     return 0
 
 
-def test_adaptive_step_keeps_one_average_per_weight_and_one_scratch_buffer(chain_data, helper):
+def test_adaptive_step_keeps_one_average_per_weight_and_one_scratch_buffer_per_thread(chain_data, helper):
     from journeynet.training import _AdaptiveStep
 
     _, _, vocab = chain_data
     config = TrainConfig()  # the paper's architecture
-    params = [p for _, p in SequenceModel.build(config.model_config(), vocab, 0).parameters()]
-    opt = _AdaptiveStep(params, params, config, helper)
+    model = SequenceModel.build(config.model_config(), vocab, 0)
+    names, params = zip(*model.parameters())
+    opt = _AdaptiveStep(list(params), list(params), config, helper)
+    assert [names[k] for k in opt.sides[0]] == ["lstm0.wx", "lstm1.wh"]
     total = sum(p.data.size for p in params)
-    largest = max(p.data.size for p in params)
-    assert largest == 131_072  # lstm0.wx
-    assert _float64_entries(vars(opt)) == total + largest
+    largest = [max(params[k].data.size for k in side) for side in opt.sides]
+    assert largest == [131_072, 65_536]  # lstm0.wx, and lstm0.wh or lstm1.wx
+    assert _float64_entries(vars(opt)) == total + sum(largest)

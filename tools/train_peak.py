@@ -2,24 +2,25 @@
 
 The runs train at the paper's architecture (`TrainConfig` defaults) on
 1 000 sessions of a fixed seeded ten-page chain, none longer than 20 pages,
-and evaluate on 250 more, after a small warm-up `train` that neither
-reading includes.  Two lines are printed:
+and evaluate on 250 more, after a small warm-up `train` that no reading
+includes.  Two lines are printed:
 
     peak_mb <MB of 2**20 bytes>
-    later_epoch_minor_faults <count>
+    later_epoch_minor_faults median <count> min <count> max <count> runs 5
 
 `peak_mb` is the tracemalloc peak of a one-epoch run.  Every input derives
 from fixed seeds, and tracemalloc counts the bytes Python and numpy ask
 for, not the pages the allocator keeps, so it repeats to 0.01 MB where the
 process's peak RSS spreads by about half a MB between runs.
-`later_epoch_minor_faults` is the process's minor page faults
-(`getrusage`) from the end of the first epoch to the end of the third of an
-untraced three-epoch run, each epoch ending with its held-out evaluation:
-the pages the allocator hands back and faults in again once training is
-warm.  It depends on the C library's allocator and the machine, so compare
-two checkouts' readings on one machine to see whether a change moved the
-training peak or the steady-state faults.  `--tiny` runs a small
-architecture instead (for tests).
+`later_epoch_minor_faults` reads, for each of 5 untraced three-epoch runs
+in turn, the process's minor page faults (`getrusage`) from the end of the
+first epoch to the end of the third, each epoch ending with its held-out
+evaluation: the pages the allocator hands back and faults in again once
+training is warm.  One run's count spreads between runs, so the line gives
+their median, min and max.  The counts depend on the C library's allocator
+and the machine, so compare two checkouts' readings on one machine to see
+whether a change moved the training peak or the steady-state faults.
+`--tiny` runs a small architecture instead (for tests).
 
 Run from the repository root:
 
@@ -28,6 +29,7 @@ Run from the repository root:
 
 import argparse
 import resource
+import statistics
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -48,6 +50,8 @@ HELD_OUT_SESSIONS = 250
 # pool keeps more than the 1 250 needed), so no rare long session sets a batch's width
 POOL_SESSIONS = 1400
 MAX_PAGES = 20
+# three-epoch runs whose later-epoch faults are read
+FAULT_RUNS = 5
 TINY = dict(max_len=16, conv_stages=((3, 4, 4),), lstm_hidden=(12,), fc_width=12)
 PAGES = ("home", "quote", "vehicle", "personal", "price", "confirm", "contact", "branches", "help", "claims")
 
@@ -119,7 +123,8 @@ def main(argv: list[str]) -> int:
     train_set, held_out, vocab, config = _inputs(args.tiny)
     train(train_set[:8], replace(config, batch_size=4), vocab)  # imports and BLAS set-up
     print(f"peak_mb {train_peak_mb(train_set, held_out, vocab, config):.2f}")
-    print(f"later_epoch_minor_faults {later_epoch_faults(train_set, held_out, vocab, config)}")
+    faults = [later_epoch_faults(train_set, held_out, vocab, config) for _ in range(FAULT_RUNS)]
+    print(f"later_epoch_minor_faults median {statistics.median(faults):g} min {min(faults)} max {max(faults)} runs {FAULT_RUNS}")
     return 0
 
 
