@@ -358,12 +358,12 @@ def scale(x: Matrix, c: float) -> Matrix:
     return record(out, (x,), lambda g: (g * c,))
 
 
-def _sigmoid(d: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _sigmoid(d: np.ndarray) -> np.ndarray:
     """Logistic function that never exponentiates a positive number, written
-    into `out` (which may be `d`): with e = exp(-|d|), max(e, d >= 0) / (1 + e),
-    which is 1 / (1 + exp(-d)) for d >= 0 and exp(d) / (1 + exp(d)) below."""
+    over `d`: with e = exp(-|d|), max(e, d >= 0) / (1 + e), which is
+    1 / (1 + exp(-d)) for d >= 0 and exp(d) / (1 + exp(d)) below."""
     pos = d >= 0
-    e = np.exp(np.negative(np.abs(d, out=out), out=out), out=out)
+    e = np.exp(np.negative(np.abs(d, out=d), out=d), out=d)
     den = 1.0 + e
     np.maximum(e, pos, out=e)
     return np.divide(e, den, out=e)
@@ -445,23 +445,22 @@ def dropout(x: Matrix, rate: float, rng: np.random.Generator) -> Matrix:
 # LSTM
 
 
-def lstm_cell(z: np.ndarray, c: np.ndarray, out: Sequence[np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
+def lstm_cell(z: np.ndarray, c: np.ndarray, out: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     """One LSTM cell update on plain arrays; the only definition of its arithmetic.
 
     `z` holds B x 4H gate pre-activations packed (input, forget, candidate,
     output) and `c` the B x H cell state.  Returns (acts, c2, tanh(c2), h2):
     the packed gate activations, written over `z`, the new cell state and
     the new hidden state h2 = o * tanh(c2), where c2 = f * c + i * g.  The
-    last three are written into the three arrays of `out` if given, and
-    into new arrays otherwise.
+    last three are written into the three B x H arrays of `out`.
     """
     hs = c.shape[1]
-    c2, tc2, h2 = (np.empty_like(c), np.empty_like(c), np.empty_like(c)) if out is None else out
+    c2, tc2, h2 = out
     i, f, g, o = z[:, :hs], z[:, hs:2 * hs], z[:, 2 * hs:3 * hs], z[:, 3 * hs:]
     # elementwise, so one sigmoid over all gates gives each gate's bits; the
     # candidate gate's tanh waits in h2 while the sigmoid writes over `z`
     np.tanh(g, out=h2)
-    _sigmoid(z, z)
+    _sigmoid(z)
     np.copyto(g, h2)
     ig = np.multiply(i, g, out=h2)  # h2 holds i * g until h2 itself is formed
     np.add(np.multiply(f, c, out=c2), ig, out=c2)
@@ -490,16 +489,14 @@ def lstm_sequence(
     projection or the page table through the batch's row index, with no
     gather of its own).  Each step adds its input rows and then `bias` in
     place to the :func:`rows_product` ``h @ wh`` and feeds the sum to
-    :func:`lstm_cell`, the only place the recurrence is written.  A pass of
-    more than one step, or a recorded one, writes that product into the
-    step's rows of the gate activations, over which the cell writes them,
-    and the cell writes the step's cell, tanh(cell) and hidden rows in
-    place: recorded, into the rows of the tape's slots, and otherwise into
-    the pass's own rows, with one step's array for the activations and the
-    tanh.  An unrecorded one-step pass (serving's ``step``) keeps the
-    cell's own arrays as its rows.  Returns
-    the (T*B) x H hidden states, the tracked output, and the (T*B) x H cell
-    states as a plain array, both in that row order.  The backward pass
+    :func:`lstm_cell`, the only place the recurrence is written.  Each
+    step writes that product into its rows of the gate activations, over
+    which the cell writes them, and the cell writes the step's cell,
+    tanh(cell) and hidden rows in place: recorded, into the rows of the
+    tape's slots, and otherwise into the pass's own rows, with one step's
+    array for the activations and the tanh.  Returns the (T*B) x H hidden
+    states, the tracked output, and the (T*B) x H cell states as a plain
+    array, both in that row order.  The backward pass
     runs BPTT one step at a time, where only ``dh = dz_t @ wh.T`` is a
     product and every step writes into the same three B x H arrays, forms
     the gradients of `wh` and `bias` once, scatters ``dz``
@@ -520,14 +517,12 @@ def lstm_sequence(
     inputs = (x, wh, bias) if wx is None else (x, wh, bias, wx)
     tracked = x.track or wh.track or bias.track or (wx is not None and wx.track)
     tape = getattr(_active, "tape", None) if tracked else None
-    # a one-step call that no tape records keeps the cell's own arrays as its rows
-    fresh = tape is None and steps == 1
     if tape is not None:  # the rows live in the tape's slots
         slots = tape._slots
         hidden, cells, acts, tcells = (slots.take(n, k, dtype) for k in (hs, hs, 4 * hs, hs))
         # a leaf keeps its gradient, so it is never a slot; the tape's exit untracks `x`
         leaf, tx = id(x) in tape._leaf_ids, x.track
-    elif not fresh:  # one step's activations and tanh(cells), which nothing reads after it
+    else:  # one step's activations and tanh(cells), which nothing reads after it
         hidden, cells = np.empty((n, hs), dtype), np.empty((n, hs), dtype)
         acts, tcells = np.empty((batch, 4 * hs), dtype), np.empty((batch, hs), dtype)
     h, c = h0, c0
@@ -535,12 +530,10 @@ def lstm_sequence(
         r = slice(t * batch, (t + 1) * batch)
         k = r if tape is not None else slice(None)  # the step's rows of `acts` and `tcells`
         # the product is the step's pre-activations, over which the cell writes its activations
-        z = rows_product(h, w) if fresh else rows_product(h, w, acts[k])
+        z = rows_product(h, w, acts[k])
         z += proj[r] if rows is None else proj[rows[r]]
         z += bias.data
-        _, c, _, h = lstm_cell(z, c) if fresh else lstm_cell(z, c, (cells[r], tcells[k], hidden[r]))
-    if fresh:
-        hidden, cells = h, c
+        _, c, _, h = lstm_cell(z, c, (cells[r], tcells[k], hidden[r]))
     out = Matrix._result(hidden)
 
     def back(gh):

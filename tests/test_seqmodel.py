@@ -81,7 +81,7 @@ def project(layer, x):
 def cell(layer, xproj, h, c):
     """One cell update of `layer` as inference runs it: returns (new hidden, new cell)."""
     z = (xproj + h @ layer.wh.data) + layer.bias.data
-    _, c2, _, h2 = nm.lstm_cell(z, c)
+    _, c2, _, h2 = nm.lstm_cell(z, c, (np.empty_like(c), np.empty_like(c), np.empty_like(c)))
     return h2, c2
 
 
