@@ -9,11 +9,12 @@ which initialisation, checkpoint loading and `parameters` all read.
 
 Every pass runs one layer loop, `cell_steps`, of one
 :func:`numerics.lstm_sequence` per layer from a given state.  Training,
-evaluation, `forward_session` and `start` run padded batches
-(`padded_batch`) from the zero state.  The incremental (start / step)
-interface lets simulations feed sampled pages back in without re-running
-the prefix: `start` keeps each prefix's state at its own last step; `step`
-runs one step from the rows it continues.
+`forward_session` and `start` run padded batches (`padded_batch`) from the
+zero state; evaluation steps a prefix tree one depth at a time through
+`_step_rows`, the pass serving's plain `step` runs.  The incremental
+(start / step) interface lets simulations feed sampled pages back in
+without re-running the prefix: `start` keeps each prefix's state at its
+own last step; `step` runs one step from the rows it continues.
 
 Serving freezes a model.  Its first serving call (`start`, `step` or
 `compute_copy`) builds one serving cache, which sets every weight array
@@ -52,7 +53,7 @@ frozen weights, and `start` and `step` return plain arrays, which reach no
 loss.  Every product goes through :func:`numerics.rows_product`, so a row's
 bits do not depend on the other rows of its batch for the product shapes
 tier-1 checks in float64 and float32 (the CNN's im2col products, and the
-LSTM and head products of models of 8 and 12 classes at up to 70 rows);
+LSTM and head products of models of 8 and 12 classes at up to 128 rows);
 the BLAS does not promise it for every shape.
 """
 
@@ -373,7 +374,7 @@ class SequenceModel:
         page table (one CNN pass over all page names).  So a `start` of a prefix of
         `phrases` and `step`s of the rest give the same bits only where the CNN's
         im2col products and layer 0's product keep rows independent: tier-1 checks
-        passes of 1 to 14 phrases, not a page table of more names.
+        passes of 1 to 16 phrases, not a page table of more names.
         """
         phrases, rowidx, _ = padded_batch([phrases])
         probs = self.batch_step_probs(phrases, rowidx).data

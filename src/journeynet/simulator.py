@@ -61,7 +61,7 @@ uniforms, up to where it stops, and a stop comes only once the sample's
 hits are decided; so a batch cell, a standalone estimate, any block of
 prefixes and any worker count agree bit for bit.  Row independence is a
 property of the BLAS, not a promise of numpy's: tier-1 checks it for the
-paper config's product shapes with heads of 8 and 12 classes at up to 70
+paper config's product shapes with heads of 8 and 12 classes at up to 128
 rows, and OpenBLAS breaks it for some other head widths and row counts, so
 outside that envelope the agreement is not guaranteed.
 """

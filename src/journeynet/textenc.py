@@ -100,18 +100,20 @@ def maxpool1d(x: Matrix, window: int, n: int) -> Matrix:
     seg = np.full((n, n_out * window, cols), -np.inf, dtype=x.data.dtype)
     seg[:, :length] = x.data.reshape(n, length, cols)
     seg = seg.reshape(n, n_out, window, cols)
-    out = Matrix._result(seg.max(axis=2).reshape(n * n_out, cols))
+    top = seg.max(axis=2, keepdims=True)
+    out = Matrix._result(top.reshape(n * n_out, cols))
 
     def back(g):
-        src = (
-            np.arange(n)[:, None, None] * length
-            + np.arange(n_out)[None, :, None] * window
-            + seg.argmax(axis=2)
-        ).reshape(n * n_out, cols)
-        # windows do not overlap, so every (row, column) is routed to at most once
-        gx = np.zeros_like(x.data)
-        gx[src, np.arange(cols)] = g
-        return (gx,)
+        # each window's first position equal to its max takes the gradient (no NaN
+        # reaches here: `train` raises on a non-finite loss before `backward`)
+        first = seg == top
+        seen = first[:, :, 0].copy()
+        for i in range(1, window):
+            first[:, :, i] &= ~seen
+            seen |= first[:, :, i]
+        # windows do not overlap, so every entry gets at most one gradient, and the rest +0.0
+        gx = np.where(first, g.reshape(n, n_out, 1, cols), 0)
+        return (gx.reshape(n, n_out * window, cols)[:, :length].reshape(x.shape),)
 
     return nm.record(out, (x,), back)
 

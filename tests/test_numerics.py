@@ -19,6 +19,7 @@ from journeynet.numerics import (
     scale,
     softmax,
 )
+from journeynet.training import EVAL_PHRASES, EVAL_ROWS
 
 
 def test_matmul_identity():
@@ -642,15 +643,18 @@ ROWS_PRODUCT_CASES = [pytest.param(k, n, np.float64, id=f"{k}-{n}") for k, n in 
 def test_rows_product_rows_equal_their_own_one_row_product(k, n, dtype):
     # numpy hands two or more rows to gemm; if the BLAS ever made a row's
     # bits depend on the other rows, batched inference would stop being
-    # bitwise equal to one-prefix inference, and this test says so
+    # bitwise equal to one-prefix inference, and this test says so; up to
+    # EVAL_ROWS, the most rows of a pass of `evaluate`'s prefix tree, whose
+    # result is that of a padded pass only while rows keep their bits
+    rows = max(70, EVAL_ROWS)
     gen = np.random.default_rng(k * 1000 + n)
     w = gen.normal(size=(k, n)).astype(dtype)
-    a = gen.normal(size=(70, k)).astype(dtype)
+    a = gen.normal(size=(rows, k)).astype(dtype)
     alone = np.concatenate([nm.rows_product(a[i:i + 1], w) for i in range(len(a))])
     assert np.array_equal(alone[0], (np.vstack([a[:1], a[:1]]) @ w)[0])
-    for m in range(2, 71):
+    for m in range(2, rows + 1):
         assert np.array_equal(nm.rows_product(a[:m], w), alone[:m]), m
-        assert np.array_equal(nm.rows_product(a[70 - m:], w), alone[70 - m:]), m
+        assert np.array_equal(nm.rows_product(a[rows - m:], w), alone[rows - m:]), m
 
 
 # (rows per phrase, K, N) of the paper-config CNN's im2col products: stage 0
@@ -666,15 +670,17 @@ IM2COL_CASES = [pytest.param(*s, np.float64, id="-".join(map(str, s))) for s in 
 @pytest.mark.parametrize("per_phrase, k, n, dtype", IM2COL_CASES)
 def test_rows_product_rows_of_a_phrase_do_not_depend_on_the_phrases_sharing_its_pass(per_phrase, k, n, dtype):
     # the page table and the start memo of `SequenceModel.start` reuse a phrase's
-    # CNN rows from a pass over other phrases: a pass of 1 to 14 phrases must give
-    # each phrase the bits of its pass alone
+    # CNN rows from a pass over other phrases, and `evaluate` runs its phrases in
+    # passes of up to EVAL_PHRASES: a pass of 1 to max(14, EVAL_PHRASES) phrases
+    # must give each phrase the bits of its pass alone
+    count = max(14, EVAL_PHRASES)
     gen = np.random.default_rng(per_phrase * 1000 + k)
     w = gen.normal(size=(k, n)).astype(dtype)
-    a = gen.normal(size=(14 * per_phrase, k)).astype(dtype)
+    a = gen.normal(size=(count * per_phrase, k)).astype(dtype)
     alone = np.concatenate(
-        [nm.rows_product(a[j * per_phrase:(j + 1) * per_phrase], w) for j in range(14)]
+        [nm.rows_product(a[j * per_phrase:(j + 1) * per_phrase], w) for j in range(count)]
     )
-    for phrases in range(1, 15):
+    for phrases in range(1, count + 1):
         m = phrases * per_phrase
         assert np.array_equal(nm.rows_product(a[:m], w), alone[:m]), phrases
         assert np.array_equal(nm.rows_product(a[len(a) - m:], w), alone[len(a) - m:]), phrases

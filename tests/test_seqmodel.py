@@ -419,11 +419,14 @@ def test_every_pass_runs_the_one_layer_loop(monkeypatch):
     state, _ = model.start(BATCHED_PREFIXES)
     model.step(state, [0, 2, 2], [1, 0, 4])
     model.forward_session(["kw", "a", "b"])
-    # (input rows, sequences) of each call: 3 sessions of 9 steps, twice,
-    # then every prefix to its longest, 3 rows of one step, one session of 3
+    # (input rows, sequences) of each call: 3 sessions of 9 steps, then one
+    # step per depth of evaluate's prefix tree (the 3 sessions of 2, 5 and 9
+    # inputs share no prefix), every prefix to its longest, 3 rows of one step,
+    # one session of 3
+    tree = [(3, 3), (3, 3), (2, 2), (2, 2), (2, 2), (1, 1), (1, 1), (1, 1), (1, 1)]
     longest = max(len(p.pages) + 1 for p in BATCHED_PREFIXES)
     n = len(BATCHED_PREFIXES)
-    assert calls == [(27, 3), (27, 3), (longest * n, n), (3, 3), (3, 1)]
+    assert calls == [(27, 3), *tree, (longest * n, n), (3, 3), (3, 1)]
 
 
 def test_a_recorded_batch_frees_its_layer_inputs_before_backward(monkeypatch):

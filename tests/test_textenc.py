@@ -307,3 +307,49 @@ def test_encoder_parameters_are_named_and_trainable():
         loss = nm.matmul(enc.embed("car insurance"), nm.Matrix(np.ones((model.layers[0].wx.rows, 1))))
     nm.backward(tape, loss)
     assert all(p.grad is not None and p.grad.shape == p.shape for p in params)
+
+
+def _argmax_routed_maxpool_gradient(x, window, n, g):
+    """The max-pool gradient routed through a middle-axis argmax: the first maximal
+    position of each window takes the window's gradient, every other entry +0.0."""
+    length, cols = len(x) // n, x.shape[1]
+    n_out = -(-length // window)
+    seg = np.full((n, n_out * window, cols), -np.inf, dtype=x.dtype)
+    seg[:, :length] = x.reshape(n, length, cols)
+    src = (
+        np.arange(n)[:, None, None] * length
+        + np.arange(n_out)[None, :, None] * window
+        + seg.reshape(n, n_out, window, cols).argmax(axis=2)
+    ).reshape(n * n_out, cols)
+    gx = np.zeros_like(x)
+    gx[src, np.arange(cols)] = g
+    return gx
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_maxpool_gradient_is_bitwise_the_argmax_routing(dtype):
+    # ReLU zeros and small integers tie within windows, lengths that the window does
+    # not divide leave a partial tail of -inf padding (which a -inf entry must still
+    # beat), and the output gradient carries signed zeros, which keep their sign
+    gen = np.random.default_rng(29)
+    cases = [(1, 4, 1, 4), (2, 5, 3, 4), (3, 10, 5, 4), (4, 62, 6, 4), (2, 14, 3, 4), (3, 7, 2, 3), (2, 9, 4, 1)]
+    for n, length, cols, window in cases:
+        for x in (
+            np.maximum(gen.normal(size=(n * length, cols)), 0.0),
+            gen.integers(-2, 2, size=(n * length, cols)).astype(float),
+            np.where(gen.random((n * length, cols)) < 0.3, -np.inf, gen.normal(size=(n * length, cols))),
+            np.full((n * length, cols), -np.inf),
+            gen.normal(size=(n * length, cols)),
+        ):
+            x = x.astype(dtype)
+            g = gen.normal(size=(n * -(-length // window), cols)).astype(dtype)
+            g[gen.random(g.shape) < 0.2] = -0.0
+            g[gen.random(g.shape) < 0.1] = 0.0
+            leaf = nm.Matrix._result(x)
+            with nm.ComputeTape([leaf]) as tape:
+                maxpool1d(leaf, window, n)
+            (gx,) = tape._nodes[-1].backward_fn(g)
+            want = _argmax_routed_maxpool_gradient(x, window, n, g)
+            assert gx.dtype == want.dtype == dtype
+            assert gx.shape == want.shape
+            assert np.array_equal(gx.view(f"u{gx.itemsize}"), want.view(f"u{want.itemsize}")), (n, length, window)

@@ -516,6 +516,136 @@ def test_evaluate_accepts_ensemble(chain_data):
 
 
 # ---------------------------------------------------------------------------
+# evaluate's prefix tree against a padded pass over each batch
+
+
+def padded_evaluate(predictor, sessions, vocab):
+    """`evaluate` as a padded pass over each batch: every session's whole padded
+    sequence runs, EVAL_BATCH sessions at a time in `_make_batches` order, and an
+    ensemble's distributions are the member mean of each pass."""
+    from journeynet import numerics as nm
+    from journeynet.training import EVAL_BATCH, _batch_tensors, _make_batches
+
+    expanded = [expand_session(s, vocab) for s in sessions]
+    hits = 0.0
+    nats = 0.0
+    steps = 0.0
+    for idx_batch in _make_batches(expanded, list(range(len(expanded))), EVAL_BATCH):
+        phrases, rowidx, targets, mask = _batch_tensors(expanded, idx_batch)
+        members = predictor.models if isinstance(predictor, Ensemble) else [predictor]
+        all_probs = [m.batch_step_probs(phrases, rowidx).data for m in members]
+        all_probs = np.mean(all_probs, axis=0) if isinstance(predictor, Ensemble) else all_probs[0]
+        for t, probs in enumerate(np.split(all_probs, rowidx.shape[1])):
+            m = mask[:, t] > 0
+            pred = probs.argmax(axis=1)
+            hits += float((pred[m] == targets[m, t]).sum())
+            p = np.maximum(probs[m, targets[m, t]], nm.PROB_FLOOR)
+            nats += float(-np.log(p).sum())
+            steps += float(m.sum())
+    return hits / steps, nats / steps
+
+
+def _journey(sid, keywords, pages, dwell=4.0):
+    return Session(sid, keywords, tuple(PageEvent(p, dwell) for p in pages))
+
+
+def held_out_sets(ev):
+    """Held-out sets whose prefix trees share, repeat and end prefixes in every way evaluate meets."""
+    return {
+        "two-identical": [_journey("a", "car insurance", ("home", "quote"))] * 2,
+        "strict-prefix": [
+            _journey("a", "car insurance", ("home", "quote", "confirm", "home")),
+            _journey("b", "car insurance", ("home", "quote")),
+        ],
+        # 95 s and 200 s of dwell give 4 and 5 (the cap) copies of a page
+        "long-dwell": [
+            Session("a", "car insurance", (PageEvent("home", 95.0), PageEvent("quote", 4.0))),
+            Session("b", "car insurance", (PageEvent("home", 200.0), PageEvent("confirm", 31.0))),
+            _journey("c", "car insurance", ("home", "home", "home", "quote")),
+        ],
+        "empty-keywords": [_journey("a", "", ("quote", "home")), _journey("b", "", ("quote", "confirm"))],
+        "single": [_journey("a", "insurance quote online", ("quote", "confirm", "help-page"))],
+        "many-mixed": list(ev),
+    }
+
+
+@pytest.fixture(scope="module")
+def predictors(chain_data, trained):
+    """A trained one-layer model, a built two-layer model and a two-member two-layer ensemble."""
+    _, _, vocab = chain_data
+    config = ModelConfig(**{**TOY_TRAIN, "lstm_hidden": (12, 8)})
+    members = [SequenceModel.build(config, vocab, seed) for seed in (31, 32)]
+    for model in members:  # off the zero biases of a fresh build, so rows differ and ties are rare
+        gen = np.random.default_rng(model.w_out.data.size)
+        for _, w in model.parameters():
+            w.data = w.data + gen.normal(scale=0.3, size=w.shape)
+    return {"trained": trained[0], "two-layer": members[0], "ensemble": Ensemble(members)}
+
+
+@pytest.mark.parametrize("which", ["trained", "two-layer", "ensemble"])
+@pytest.mark.parametrize("held", ["two-identical", "strict-prefix", "long-dwell", "empty-keywords", "single",
+                                  "many-mixed"])
+def test_evaluate_is_bitwise_a_padded_pass_over_each_batch(chain_data, predictors, which, held):
+    _, ev, vocab = chain_data
+    sessions = held_out_sets(ev)[held]
+    assert evaluate(predictors[which], sessions, vocab) == padded_evaluate(predictors[which], sessions, vocab)
+
+
+def test_the_held_out_sets_share_what_their_names_say(chain_data):
+    _, ev, vocab = chain_data
+    sets = {name: [expand_session(s, vocab)[0] for s in sessions] for name, sessions in held_out_sets(ev).items()}
+    assert sets["two-identical"][0] == sets["two-identical"][1]
+    longer, shorter = sets["strict-prefix"]
+    assert longer[:len(shorter)] == shorter and len(shorter) < len(longer)
+    assert [len(inputs) for inputs in sets["long-dwell"]] == [6, 8, 5]
+    assert all(inputs[0] == "" for inputs in sets["empty-keywords"])
+    assert len(sets["single"]) == 1
+    lengths = {len(inputs) for inputs in sets["many-mixed"]}
+    assert len(sets["many-mixed"]) > 16 and len(lengths) > 3
+
+
+@pytest.mark.parametrize("rows, phrases", [(1, 1), (2, 3), (5, 16)])
+def test_evaluate_in_passes_of_a_smaller_bound_gives_the_same_bits(chain_data, predictors, monkeypatch, rows, phrases):
+    import journeynet.training as tr_mod
+
+    _, ev, vocab = chain_data
+    sessions = held_out_sets(ev)["many-mixed"]
+    want = {which: evaluate(p, sessions, vocab) for which, p in predictors.items()}
+    passes = []
+    cell_steps = SequenceModel.cell_steps
+
+    def noting(self, xproj, state, rows_=None):
+        passes.append(len(rows_))
+        return cell_steps(self, xproj, state, rows_)
+
+    monkeypatch.setattr(tr_mod, "EVAL_ROWS", rows)
+    monkeypatch.setattr(tr_mod, "EVAL_PHRASES", phrases)
+    monkeypatch.setattr(SequenceModel, "cell_steps", noting)
+    for which, predictor in predictors.items():
+        assert evaluate(predictor, sessions, vocab) == want[which]
+    assert max(passes) == rows
+
+
+def test_evaluate_steps_each_distinct_input_prefix_once(chain_data, trained, monkeypatch):
+    _, ev, vocab = chain_data
+    model = trained[0]
+    sessions = [*ev, *held_out_sets(ev)["strict-prefix"], *ev[:5]]
+    rows = []
+    cell_steps = SequenceModel.cell_steps
+
+    def counting(self, xproj, state, rows_=None):
+        rows.append(len(rows_))
+        return cell_steps(self, xproj, state, rows_)
+
+    monkeypatch.setattr(SequenceModel, "cell_steps", counting)
+    evaluate(model, sessions, vocab)
+    inputs = [expand_session(s, vocab)[0] for s in sessions]
+    prefixes = {tuple(seq[:t + 1]) for seq in inputs for t in range(len(seq))}
+    assert sum(rows) == len(prefixes) < sum(map(len, inputs))
+    assert len(rows) == max(map(len, inputs))  # one pass per depth
+
+
+# ---------------------------------------------------------------------------
 # mixed precision: float32 batches over float64 master weights
 
 

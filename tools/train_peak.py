@@ -1,12 +1,13 @@
-"""Print the tracemalloc peak of a one-epoch `train()` and the minor page faults of later epochs.
+"""Print the tracemalloc peaks of a one-epoch `train()` and of one `evaluate()`, and the minor page faults of later epochs.
 
 The runs train at the paper's architecture (`TrainConfig` defaults) on
 1 000 sessions of a fixed seeded ten-page chain, none longer than 20 pages,
 and evaluate on 250 more, after a small warm-up `train` that no reading
-includes.  Two lines are printed:
+includes.  Three lines are printed:
 
     peak_mb <MB of 2**20 bytes>
     later_epoch_minor_faults median <count> min <count> max <count> runs 5
+    evaluate_peak_mb <MB of 2**20 bytes>
 
 `peak_mb` is the tracemalloc peak of a one-epoch run.  Every input derives
 from fixed seeds, and tracemalloc counts the bytes Python and numpy ask
@@ -20,6 +21,9 @@ training is warm.  One run's count spreads between runs, so the line gives
 their median, min and max.  The counts depend on the C library's allocator
 and the machine, so compare two checkouts' readings on one machine to see
 whether a change moved the training peak or the steady-state faults.
+`evaluate_peak_mb` is the tracemalloc peak of one standalone `evaluate` of
+the 250 held-out sessions by a freshly built model of the same config (the
+held-out evaluation that ends each epoch, apart from training's arrays).
 `--tiny` runs a small architecture instead (for tests).
 
 Run from the repository root:
@@ -41,6 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from journeynet import training  # noqa: E402
 from journeynet.journeydata import MarkovSpec, build_vocab, generate_synthetic  # noqa: E402
+from journeynet.seqmodel import SequenceModel  # noqa: E402
 from journeynet.training import TrainConfig, train  # noqa: E402
 
 SEED = 7
@@ -95,6 +100,17 @@ def train_peak_mb(train_set, held_out, vocab, config) -> float:
         tracemalloc.stop()
 
 
+def evaluate_peak_mb(held_out, vocab, config) -> float:
+    """The tracemalloc peak of one `evaluate` of `held_out` by a freshly built model."""
+    model = SequenceModel.build(config.model_config(), vocab, config.seed)
+    tracemalloc.start()
+    try:
+        training.evaluate(model, held_out, vocab)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def later_epoch_faults(train_set, held_out, vocab, config) -> int:
     """Minor page faults of epochs 2 and 3 of an untraced three-epoch `train`.
 
@@ -125,6 +141,7 @@ def main(argv: list[str]) -> int:
     print(f"peak_mb {train_peak_mb(train_set, held_out, vocab, config):.2f}")
     faults = [later_epoch_faults(train_set, held_out, vocab, config) for _ in range(FAULT_RUNS)]
     print(f"later_epoch_minor_faults median {statistics.median(faults):g} min {min(faults)} max {max(faults)} runs {FAULT_RUNS}")
+    print(f"evaluate_peak_mb {evaluate_peak_mb(held_out, vocab, config):.2f}")
     return 0
 
 
