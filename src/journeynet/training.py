@@ -16,8 +16,9 @@ weights, fixed when training starts, while the calling thread runs the
 rest; neither changes a bit.  Every random
 choice (init, shuffling, dropout) derives from the config seed, so a run is
 exactly repeatable.  Each epoch ends with a plain `evaluate` of the float64
-model on the held-out sessions, which runs each distinct input prefix of
-them once, through a prefix tree it builds on every call.
+model on the held-out sessions, which steps their distinct input prefixes,
+not their padded sequences, through prefix trees that it builds on every
+call.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ RMS_EPSILON = 1e-8
 # sessions per group of `evaluate`'s loss sum: its losses add up in the
 # grouping of a padded pass over batches of this many sessions
 EVAL_BATCH = 16
-# most rows of one pass of `evaluate`'s prefix tree: the prefixes of one depth
-# run through `cell_steps` and the head at most this many at a time (tier-1
-# checks that each row of the model's products keeps its bits up to this many)
+# most nodes at one depth of a prefix tree of `evaluate`, and so most rows of
+# one pass through `cell_steps` and the head and most state rows held at once
+# (tier-1 checks that each row of the model's products keeps its bits up to this many)
 EVAL_ROWS = 128
 # most phrases of one CNN pass of `evaluate` (~130 KB each at the paper's config)
 EVAL_PHRASES = 16
@@ -335,98 +336,97 @@ def evaluate(predictor, sessions, vocab: PageVocabulary) -> tuple[float, float]:
     Accuracy counts steps whose argmax prediction (ties to the lowest index)
     equals the true next page; dropout is disabled.  `predictor` is a model
     or an ensemble, and `vocab` must hold its page names (ConfigError
-    otherwise, and for no sessions).  The sessions' expanded inputs form a
-    prefix tree (:func:`_prefix_tree`), and each distinct prefix runs once,
-    one depth at a time (:func:`_depth_distributions`); an ensemble averages
-    its members' distributions at each node.  Of a depth's distributions
-    only each step's target probability and argmax hit are kept.  The
-    losses add up as a padded pass sums them: sessions in `_make_batches`
-    order, EVAL_BATCH at a time, step by step, over the live sessions in
-    batch order; since every product keeps each row's bits (see
-    `seqmodel`), the result is that of a padded pass over each batch.
+    otherwise, and for no sessions).  The sessions' expanded inputs, sorted,
+    are cut into runs whose prefix trees hold at most EVAL_ROWS nodes at each
+    depth (:func:`_runs`), and each run's distinct prefixes run once, one
+    depth to a pass (:func:`_depth_distributions`), so a prefix runs twice
+    only where it spans a cut; an ensemble averages its members'
+    distributions at each node.  Of a depth's distributions only each step's
+    target probability and argmax hit are kept, so beyond one pass the
+    memory grows only with the steps.  The losses add up as a padded pass
+    sums them: sessions in `_make_batches` order, EVAL_BATCH at a time, step
+    by step, over the live sessions in batch order; since every product
+    keeps each row's bits (see `seqmodel`), the result is that of a padded
+    pass over each batch.
     """
     if vocab.page_names != predictor.vocab.page_names:
         raise ConfigError("evaluate needs the vocabulary of the predictor")
     expanded = [expand_session(s, vocab) for s in check_iterable(sessions, "sessions", ConfigError, ordered=True)]
     if not expanded:
         raise ConfigError("no sessions to evaluate")
-    phrases, levels, node = _prefix_tree([inputs for inputs, _ in expanded])
-    lengths = np.array([len(inputs) for inputs, _ in expanded])
-    targets = np.zeros(node.shape, np.intp)
-    for i, (_, y) in enumerate(expanded):
-        targets[i, :len(y)] = y
-    prob, hit = np.zeros(node.shape), np.zeros(node.shape, bool)
+    inputs = [x for x, _ in expanded]
+    lengths = np.array([len(x) for x in inputs])
+    first = np.cumsum(lengths) - lengths  # each session's first step in the per-step arrays
+    targets = np.concatenate([y for _, y in expanded])
+    prob, hit = np.zeros(len(targets)), np.zeros(len(targets), bool)
     models = predictor.models if isinstance(predictor, Ensemble) else [predictor]
-    for t, dist in enumerate(_depth_distributions(models, phrases, levels)):
-        live = np.flatnonzero(lengths > t)
-        at, y = node[live, t], targets[live, t]
-        prob[live, t] = dist[at, y]
-        hit[live, t] = dist.argmax(axis=1)[at] == y
+    order = np.array(sorted(range(len(inputs)), key=inputs.__getitem__))
+    ordered = [inputs[i] for i in order]
+    for run in _runs(ordered):
+        for t, (live, at, dist) in enumerate(_depth_distributions(models, ordered[run])):
+            step = first[order[run][live]] + t
+            prob[step] = dist[at, targets[step]]
+            hit[step] = dist.argmax(axis=1)[at] == targets[step]
     hits = 0.0
     nats = 0.0
     steps = 0.0
     for idx_batch in _make_batches(expanded, list(range(len(expanded))), EVAL_BATCH):
         idx = np.array(idx_batch)
         for t in range(lengths[idx].max()):
-            live = idx[lengths[idx] > t]
-            p = np.maximum(prob[live, t], nm.PROB_FLOOR)
-            hits += float(hit[live, t].sum())
+            step = first[idx[lengths[idx] > t]] + t
+            p = np.maximum(prob[step], nm.PROB_FLOOR)
+            hits += float(hit[step].sum())
             nats += float(-np.log(p).sum())
-            steps += float(len(live))
+            steps += float(len(step))
     return hits / steps, nats / steps
 
 
-def _prefix_tree(sequences) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """(phrases, levels, node) of the prefix tree of non-empty phrase sequences.
-
-    `phrases` lists every phrase of the sequences once, sorted.  The nodes of
-    depth t are the distinct prefixes of t + 1 phrases; `levels[t]` holds,
-    for each node of depth t, its parent's index at depth t - 1 (-1 at
-    depth 0) and the row in `phrases` of its last phrase.  `node[i, t]` is
-    the node of sequence i's first t + 1 phrases, and -1 past its length.
-    """
-    phrases = sorted(set().union(*sequences))
-    row_of = {phrase: r for r, phrase in enumerate(phrases)}
-    lengths = np.array([len(seq) for seq in sequences])
-    node = np.full((len(sequences), lengths.max()), -1, np.intp)
-    rows = np.zeros(node.shape, np.intp)
+def _runs(sequences):
+    """Slices of sorted non-empty phrase sequences into consecutive runs whose prefix
+    trees hold at most EVAL_ROWS nodes at each depth (identical sequences share a run)."""
+    nodes = np.zeros(max(map(len, sequences)), np.intp)  # the open run's nodes at each depth
+    start = 0
     for i, seq in enumerate(sequences):
-        rows[i, :len(seq)] = [row_of[phrase] for phrase in seq]
-    levels, parent = [], np.full(len(sequences), -1, np.intp)
-    for t in range(node.shape[1]):
-        live = np.flatnonzero(lengths > t)
-        # a node is a distinct (parent, phrase) pair; floor division gives a root's parent -1
-        pairs, node[live, t] = np.unique(parent[live] * len(phrases) + rows[live, t], return_inverse=True)
-        parent[live] = node[live, t]
-        levels.append(np.divmod(pairs, len(phrases)))
-    return phrases, levels, node
+        # sorted, a sequence adds one node at each depth past its common prefix with the one before
+        prev = sequences[i - 1] if i > start else []
+        shared = next((t for t, (a, b) in enumerate(zip(prev, seq)) if a != b), len(prev))
+        if (nodes[shared:len(seq)] == EVAL_ROWS).any():
+            yield slice(start, i)
+            start, shared = i, 0
+            nodes[:] = 0
+        nodes[shared:len(seq)] += 1
+    yield slice(start, len(sequences))
 
 
-def _depth_distributions(models, phrases, levels):
-    """Yield the next-page distributions of each depth's nodes of a `_prefix_tree`, the
-    member mean of `models` (of one model, its own bits).
+def _depth_distributions(models, sequences):
+    """Yield, depth by depth, the prefix tree of non-empty phrase sequences stepped by `models`.
 
-    Each model projects the phrases for layer 0, EVAL_PHRASES to a CNN pass,
-    and steps each depth from its parents' rows of the depth before (the
-    zero state at depth 0) through `SequenceModel._step_rows`, EVAL_ROWS
-    nodes to a pass.  Only the rows of the last depth are kept.
+    The nodes of depth t are the distinct prefixes of t + 1 phrases.  Depth t
+    yields (live, node, dist): the indices of the sequences longer than t,
+    the node of each one's first t + 1 phrases, and the next-page
+    distributions of the depth's nodes, the member mean of `models` (of one
+    model, its own bits).  Each model projects every phrase once for layer 0,
+    EVAL_PHRASES to a CNN pass, and steps each depth in one pass from its
+    nodes' parents' rows of the depth before through
+    `SequenceModel._step_rows`; a root's parent -1 picks the one row of the
+    zero state.  Only the rows of the last depth are kept.
     """
+    phrases, rowidx, lengths = padded_batch(sequences)
     tables = [np.concatenate([m._project(phrases[at:at + EVAL_PHRASES]).data
                               for at in range(0, len(phrases), EVAL_PHRASES)]) for m in models]
-    states = [None] * len(models)
-    for parents, rows in levels:
+    states = [m._zero_state(1, table.dtype) for m, table in zip(models, tables)]
+    node = np.full(len(sequences), -1, np.intp)
+    for t in range(lengths.max()):
+        live = np.flatnonzero(lengths > t)
+        # a node is a distinct (parent, phrase) pair; floor division gives a root's parent -1
+        pairs, node[live] = np.unique(node[live] * len(phrases) + rowidx[live, t], return_inverse=True)
+        parents, rows = np.divmod(pairs, len(phrases))
         dists = []
         for k, (model, table) in enumerate(zip(models, tables)):
-            passes = []
-            for at in range(0, len(rows), EVAL_ROWS):
-                part = slice(at, at + EVAL_ROWS)
-                prev = (model._zero_state(len(rows[part]), table.dtype) if states[k] is None
-                        else [(h[parents[part]], c[parents[part]]) for h, c in states[k]])
-                passes.append(model._step_rows(prev, table, rows[part]))
-            *state, dist = (np.concatenate(col) for col in zip(*passes))
+            *state, dist = model._step_rows([(h[parents], c[parents]) for h, c in states[k]], table, rows)
             states[k] = _pairs(state)
             dists.append(dist)
-        yield np.mean(dists, axis=0)
+        yield live, node[live], np.mean(dists, axis=0)
 
 
 class Ensemble:

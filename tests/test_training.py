@@ -645,6 +645,29 @@ def test_evaluate_steps_each_distinct_input_prefix_once(chain_data, trained, mon
     assert len(rows) == max(map(len, inputs))  # one pass per depth
 
 
+def test_evaluate_memory_barely_grows_with_the_held_out_set(chain_data):
+    # a keyword phrase of its own makes each session a root of the prefix tree,
+    # so the tree's widest depth is the held-out set; EVAL_ROWS bounds the
+    # rows held at once, and only the per-step results grow with the set
+    import dataclasses
+    import tracemalloc
+
+    _, _, vocab = chain_data
+    model = SequenceModel.build(ModelConfig(**{**TOY_TRAIN, "lstm_hidden": (64, 64)}), vocab, 5)
+    held = [dataclasses.replace(s, keywords=f"{s.keywords} {i}")
+            for i, s in enumerate(generate_synthetic(small_chain(), 2000, seed=12))]
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            evaluate(model, held[:n], vocab)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) < 2 * peak(250)
+
+
 # ---------------------------------------------------------------------------
 # mixed precision: float32 batches over float64 master weights
 
