@@ -11,7 +11,11 @@ Every pass runs one layer loop, `cell_steps`, of one
 :func:`numerics.lstm_sequence` per layer from a given state.  Training,
 `forward_session` and `start` run padded batches (`padded_batch`) from the
 zero state; evaluation steps a prefix tree one depth at a time through
-`_step_rows`, the pass serving's plain `step` runs.  The incremental
+`_step_rows`, the pass serving's plain `step` runs.  The page table, a
+`start`'s new phrases and evaluation's phrases go through the CNN in passes
+of at most MAX_PASS_PHRASES (`_project_rows`); a padded batch of
+`batch_step_probs` (training, `session_nll`, `forward_session`) is one
+pass.  The incremental
 (start / step) interface lets simulations feed sampled pages back in
 without re-running the prefix: `start` keeps each prefix's state at its
 own last step; `step` runs one step from the rows it continues.
@@ -52,8 +56,9 @@ one that watches the weights records the passes and steps that run, on
 frozen weights, and `start` and `step` return plain arrays, which reach no
 loss.  Every product goes through :func:`numerics.rows_product`, so a row's
 bits do not depend on the other rows of its batch for the product shapes
-tier-1 checks in float64 and float32 (the CNN's im2col products, and the
-LSTM and head products of models of 8 and 12 classes at up to 128 rows);
+tier-1 checks in float64 and float32 (the CNN's im2col products of passes
+of 1 to MAX_PASS_PHRASES phrases, and the LSTM and head products of models
+of 8 and 12 classes at up to 128 rows);
 the BLAS does not promise it for every shape.
 """
 
@@ -83,6 +88,11 @@ MAX_WEIGHTS = 10**8
 # classes a node holds 2 048 + 8V bytes in float32 and 4 096 + 12V in
 # float64 (~8.8 and ~17 MB in all at V = 12)
 MAX_KEPT_NODES = 4096
+# most phrases of one CNN pass of `SequenceModel._project_rows`, which builds the
+# page table and projects a `start`'s new phrases and `evaluate`'s phrases (~130 KB
+# each at the paper's config; tier-1 checks that a phrase keeps its bits in passes
+# of up to this many)
+MAX_PASS_PHRASES = 16
 
 
 @dataclass(frozen=True)
@@ -336,6 +346,11 @@ class SequenceModel:
         """Layer 0's input projection of the CNN embeddings of `phrases`, one row each."""
         return nm.matmul(self.encoder.embed_batch(phrases), self.layers[0].wx)
 
+    def _project_rows(self, phrases: list[str]) -> np.ndarray:
+        """The rows of :meth:`_project` of `phrases` as one plain array, MAX_PASS_PHRASES to a CNN pass."""
+        return np.concatenate([self._project(phrases[at:at + MAX_PASS_PHRASES]).data
+                               for at in range(0, len(phrases), MAX_PASS_PHRASES)])
+
     def _zero_state(self, batch: int, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
         """Each layer's zero (hidden, cell) pair for `batch` sequences: the state a padded pass
         starts :meth:`cell_steps` from."""
@@ -370,11 +385,12 @@ class SequenceModel:
     def forward_session(self, phrases: list[str]) -> list[StepPrediction]:
         """Inference pass over one session: one StepPrediction per input step.
 
-        The CNN encodes the session's own phrases, while a `start` miss reads the
-        page table (one CNN pass over all page names).  So a `start` of a prefix of
-        `phrases` and `step`s of the rest give the same bits only where the CNN's
-        im2col products and layer 0's product keep rows independent: tier-1 checks
-        passes of 1 to 16 phrases, not a page table of more names.
+        The CNN encodes the session's own phrases in one pass, while a `start` miss
+        reads the page table (CNN passes of at most MAX_PASS_PHRASES page names).
+        So a `start` of a prefix of `phrases` and `step`s of the rest give the same
+        bits only where the CNN's im2col products and layer 0's product keep rows
+        independent: tier-1 checks passes of 1 to 16 phrases, which holds every
+        page-table pass, but not a session of more distinct phrases.
         """
         phrases, rowidx, _ = padded_batch([phrases])
         probs = self.batch_step_probs(phrases, rowidx).data
@@ -434,14 +450,14 @@ class SequenceModel:
         pass over phrase sequences, each taken at its own last step.
 
         A phrase that names a page feeds that page's row of the page `table`;
-        the CNN encodes each other phrase once.
+        the CNN encodes each other phrase once (:meth:`_project_rows`).
         """
         phrases, rowidx, lengths = padded_batch(sequences, self.vocab._index)
         idx = rowidx.T.ravel()
         new = idx >= len(table)
         x = table[np.where(new, 0, idx)]
         if phrases:
-            x[new] = self._project(phrases).data[idx[new] - len(table)]
+            x[new] = self._project_rows(phrases)[idx[new] - len(table)]
         layers = self.cell_steps(Matrix._result(x), self._zero_state(len(lengths), x.dtype))
         return self._pass_rows(layers, (lengths - 1) * len(lengths) + np.arange(len(lengths)))
 
@@ -544,9 +560,10 @@ class _ServingCache:
 
     def page_table(self, model: SequenceModel) -> np.ndarray:
         """The V x 4H page table of `model`, the model this cache was built for: layer 0's
-        projection of the CNN embeddings of its page names, built read-only by the first call."""
+        projection of the CNN embeddings of its page names (:meth:`SequenceModel._project_rows`),
+        built read-only by the first call."""
         if self.table is None:
-            self.table = model._project(list(model.vocab.page_names)).data
+            self.table = model._project_rows(list(model.vocab.page_names))
             self.table.flags.writeable = False
         return self.table
 
@@ -619,8 +636,9 @@ def model_from_dict(d: dict) -> SequenceModel:
     Every stored weight must be one that :func:`parameter_shapes` lays out
     for the stored config (CheckpointError naming any other, and for a
     layout over MAX_WEIGHTS, so a config naming absurd sizes fails before
-    any array is decoded), and `SequenceModel` checks each decoded array's
-    shape against that layout (ShapeError).
+    any array is decoded), each decodes to an array of finite values
+    (CheckpointError naming the weight otherwise), and `SequenceModel`
+    checks each decoded array's shape against that layout (ShapeError).
     """
     config, vocab, weights = (
         checkpoint_field(d, key, dict, "checkpoint model") for key in ("config", "vocab", "weights")
@@ -642,6 +660,8 @@ def model_from_dict(d: dict) -> SequenceModel:
             arr = _decode_array(weights[name])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"checkpoint weights for {name!r} are not an array") from exc
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"checkpoint weights for {name!r} are not all finite")
         return Matrix(arr)
 
     return SequenceModel(config, vocab, {name: weight(name) for name in shapes})

@@ -18,7 +18,8 @@ choice (init, shuffling, dropout) derives from the config seed, so a run is
 exactly repeatable.  Each epoch ends with a plain `evaluate` of the float64
 model on the held-out sessions, which steps their distinct input prefixes,
 not their padded sequences, through prefix trees that it builds on every
-call.
+call, and pools its loss and accuracy over every step in sorted-session
+order.
 """
 
 from __future__ import annotations
@@ -56,15 +57,10 @@ ENSEMBLE_FORMAT = "journeynet-ensemble"
 # adaptive step: decay of the running average of squared gradients, and its floor
 RMS_DECAY = 0.9
 RMS_EPSILON = 1e-8
-# sessions per group of `evaluate`'s loss sum: its losses add up in the
-# grouping of a padded pass over batches of this many sessions
-EVAL_BATCH = 16
 # most nodes at one depth of a prefix tree of `evaluate`, and so most rows of
 # one pass through `cell_steps` and the head and most state rows held at once
 # (tier-1 checks that each row of the model's products keeps its bits up to this many)
 EVAL_ROWS = 128
-# most phrases of one CNN pass of `evaluate` (~130 KB each at the paper's config)
-EVAL_PHRASES = 16
 
 
 @dataclass(frozen=True)
@@ -220,9 +216,9 @@ class _AdaptiveStep:
                 np.copyto(cast, w)
 
 
-def _make_batches(expanded, order, batch_size, rng=None):
+def _make_batches(expanded, order, batch_size, rng):
     """Chunk a shuffled index order of `expanded`, (inputs, targets) pairs of
-    `expand_session`, into batches of similar length.
+    `expand_session`, into batches of similar length, in an order `rng` shuffles.
 
     The shuffled order is stably re-sorted by expanded length so padding waste
     stays low, and batch composition still varies per epoch.  The batch list
@@ -232,9 +228,7 @@ def _make_batches(expanded, order, batch_size, rng=None):
     """
     by_len = sorted(order, key=lambda i: len(expanded[i][0]))
     batches = [by_len[i:i + batch_size] for i in range(0, len(by_len), batch_size)]
-    if rng is not None:
-        batches = [batches[i] for i in rng.permutation(len(batches))]
-    return batches
+    return [batches[i] for i in rng.permutation(len(batches))]
 
 
 def _batch_tensors(expanded, idx_batch):
@@ -336,22 +330,24 @@ def evaluate(predictor, sessions, vocab: PageVocabulary) -> tuple[float, float]:
     Accuracy counts steps whose argmax prediction (ties to the lowest index)
     equals the true next page; dropout is disabled.  `predictor` is a model
     or an ensemble, and `vocab` must hold its page names (ConfigError
-    otherwise, and for no sessions).  The sessions' expanded inputs, sorted,
-    are cut into runs whose prefix trees hold at most EVAL_ROWS nodes at each
-    depth (:func:`_runs`), and each run's distinct prefixes run once, one
-    depth to a pass (:func:`_depth_distributions`), so a prefix runs twice
-    only where it spans a cut; an ensemble averages its members'
-    distributions at each node.  Of a depth's distributions only each step's
-    target probability and argmax hit are kept, so beyond one pass the
-    memory grows only with the steps.  The losses add up as a padded pass
-    sums them: sessions in `_make_batches` order, EVAL_BATCH at a time, step
-    by step, over the live sessions in batch order; since every product
-    keeps each row's bits (see `seqmodel`), the result is that of a padded
-    pass over each batch.
+    otherwise, and for no sessions).  The sessions' (inputs, targets) pairs
+    of `expand_session` are sorted, and their expanded inputs cut into runs
+    whose prefix trees hold at most EVAL_ROWS nodes at each depth
+    (:func:`_runs`); each run's distinct prefixes run once, one depth to a
+    pass (:func:`_depth_distributions`), so a prefix runs twice only where it
+    spans a cut; an ensemble averages its members' distributions at each
+    node.  Of a depth's distributions only each step's target probability and
+    argmax hit are kept, so beyond one pass the memory grows only with the
+    steps.  Both results are the means of these per-step arrays, laid out
+    session by session in sorted order.  Since every product keeps each row's
+    bits (see `seqmodel`), a step's probability and hit are those of a padded
+    pass over its session alone, and the result depends only on the multiset
+    of sessions: not on their order, EVAL_ROWS or the CNN's phrase bound.
     """
     if vocab.page_names != predictor.vocab.page_names:
         raise ConfigError("evaluate needs the vocabulary of the predictor")
-    expanded = [expand_session(s, vocab) for s in check_iterable(sessions, "sessions", ConfigError, ordered=True)]
+    expanded = sorted(expand_session(s, vocab)
+                      for s in check_iterable(sessions, "sessions", ConfigError, ordered=True))
     if not expanded:
         raise ConfigError("no sessions to evaluate")
     inputs = [x for x, _ in expanded]
@@ -360,25 +356,12 @@ def evaluate(predictor, sessions, vocab: PageVocabulary) -> tuple[float, float]:
     targets = np.concatenate([y for _, y in expanded])
     prob, hit = np.zeros(len(targets)), np.zeros(len(targets), bool)
     models = predictor.models if isinstance(predictor, Ensemble) else [predictor]
-    order = np.array(sorted(range(len(inputs)), key=inputs.__getitem__))
-    ordered = [inputs[i] for i in order]
-    for run in _runs(ordered):
-        for t, (live, at, dist) in enumerate(_depth_distributions(models, ordered[run])):
-            step = first[order[run][live]] + t
+    for run in _runs(inputs):
+        for t, (live, at, dist) in enumerate(_depth_distributions(models, inputs[run])):
+            step = first[run.start + live] + t
             prob[step] = dist[at, targets[step]]
             hit[step] = dist.argmax(axis=1)[at] == targets[step]
-    hits = 0.0
-    nats = 0.0
-    steps = 0.0
-    for idx_batch in _make_batches(expanded, list(range(len(expanded))), EVAL_BATCH):
-        idx = np.array(idx_batch)
-        for t in range(lengths[idx].max()):
-            step = first[idx[lengths[idx] > t]] + t
-            p = np.maximum(prob[step], nm.PROB_FLOOR)
-            hits += float(hit[step].sum())
-            nats += float(-np.log(p).sum())
-            steps += float(len(step))
-    return hits / steps, nats / steps
+    return float(hit.mean()), float(-np.log(np.maximum(prob, nm.PROB_FLOOR)).mean())
 
 
 def _runs(sequences):
@@ -405,15 +388,14 @@ def _depth_distributions(models, sequences):
     yields (live, node, dist): the indices of the sequences longer than t,
     the node of each one's first t + 1 phrases, and the next-page
     distributions of the depth's nodes, the member mean of `models` (of one
-    model, its own bits).  Each model projects every phrase once for layer 0,
-    EVAL_PHRASES to a CNN pass, and steps each depth in one pass from its
+    model, its own bits).  Each model projects every phrase once for layer 0
+    (`SequenceModel._project_rows`), and steps each depth in one pass from its
     nodes' parents' rows of the depth before through
     `SequenceModel._step_rows`; a root's parent -1 picks the one row of the
     zero state.  Only the rows of the last depth are kept.
     """
     phrases, rowidx, lengths = padded_batch(sequences)
-    tables = [np.concatenate([m._project(phrases[at:at + EVAL_PHRASES]).data
-                              for at in range(0, len(phrases), EVAL_PHRASES)]) for m in models]
+    tables = [m._project_rows(phrases) for m in models]
     states = [m._zero_state(1, table.dtype) for m, table in zip(models, tables)]
     node = np.full(len(sequences), -1, np.intp)
     for t in range(lengths.max()):

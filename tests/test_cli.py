@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import re
@@ -412,6 +413,13 @@ def test_score_duplicate_ids_are_a_clean_error(pipeline, tmp_path, capsys, prefi
 _ENSEMBLE = {"format": "journeynet-ensemble", "version": 1}
 
 
+def _poison(weight: dict, value) -> None:
+    """Write `value` over the first entry of a stored weight."""
+    data = np.frombuffer(base64.b64decode(weight["data"]), "<f8").copy()
+    data[0] = value
+    weight["data"] = base64.b64encode(data.tobytes()).decode()
+
+
 @pytest.mark.parametrize("name, edit", [
     ("no model", lambda p: p.pop("model")),
     ("model not an object", lambda p: p.update(model=[1, 2])),
@@ -422,6 +430,8 @@ _ENSEMBLE = {"format": "journeynet-ensemble", "version": 1}
     ("weights not an array", lambda p: p["model"]["weights"].update(
         {"conv0.bias": {"shape": [3], "data": "AAAA"}})),
     ("weights entry not an object", lambda p: p["model"]["weights"].update({"conv0.bias": 7})),
+    ("weights with a NaN", lambda p: _poison(p["model"]["weights"]["conv0.bias"], np.nan)),
+    ("weights with an inf", lambda p: _poison(p["model"]["weights"]["conv0.bias"], np.inf)),
     ("weights the config does not lay out", lambda p: p["model"]["weights"].update(
         {"lstm1.wx": p["model"]["weights"]["lstm0.wh"]})),
     ("no members", lambda p: p.update(_ENSEMBLE)),
@@ -442,6 +452,17 @@ def test_score_checkpoint_with_missing_parts_is_a_clean_error(
     assert _score_exit(pipeline, tmp_path, model=ckpt) == 1, name
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_eval_of_a_checkpoint_with_a_non_finite_weight_names_the_weight(pipeline, tmp_path, capsys, value):
+    out, _ = pipeline
+    payload = json.loads((out / "model.ckpt").read_text())
+    _poison(payload["model"]["weights"]["lstm0.wh"], value)
+    ckpt = tmp_path / "poisoned.ckpt"
+    ckpt.write_text(json.dumps(payload))
+    assert main(["eval", "--model", str(ckpt), "--data", str(out / "eval_sessions.jsonl")]) == 1
+    _assert_clean_error(capsys, "'lstm0.wh' are not all finite")
 
 
 @pytest.mark.parametrize("command", ["eval", "score"])

@@ -19,7 +19,8 @@ from journeynet.numerics import (
     scale,
     softmax,
 )
-from journeynet.training import EVAL_PHRASES, EVAL_ROWS
+from journeynet.seqmodel import MAX_PASS_PHRASES
+from journeynet.training import EVAL_ROWS
 
 
 def test_matmul_identity():
@@ -670,10 +671,10 @@ IM2COL_CASES = [pytest.param(*s, np.float64, id="-".join(map(str, s))) for s in 
 @pytest.mark.parametrize("per_phrase, k, n, dtype", IM2COL_CASES)
 def test_rows_product_rows_of_a_phrase_do_not_depend_on_the_phrases_sharing_its_pass(per_phrase, k, n, dtype):
     # the page table and the start memo of `SequenceModel.start` reuse a phrase's
-    # CNN rows from a pass over other phrases, and `evaluate` runs its phrases in
-    # passes of up to EVAL_PHRASES: a pass of 1 to max(14, EVAL_PHRASES) phrases
-    # must give each phrase the bits of its pass alone
-    count = max(14, EVAL_PHRASES)
+    # CNN rows from a pass over other phrases, and every untaped pass (the page
+    # table, a start's new phrases, `evaluate`) holds up to MAX_PASS_PHRASES: a pass
+    # of 1 to max(14, MAX_PASS_PHRASES) phrases must give each phrase the bits of its pass alone
+    count = max(14, MAX_PASS_PHRASES)
     gen = np.random.default_rng(per_phrase * 1000 + k)
     w = gen.normal(size=(k, n)).astype(dtype)
     a = gen.normal(size=(count * per_phrase, k)).astype(dtype)

@@ -1,3 +1,4 @@
+import base64
 import copy
 import json
 import tempfile
@@ -1379,6 +1380,17 @@ def test_load_rejects_weights_the_config_does_not_lay_out():
     d = model_to_dict(toy_model(seed=8, config=replace(TOY_CONFIG, lstm_hidden=(6, 6))))
     d["config"]["lstm_hidden"] = [6]
     with pytest.raises(CheckpointError, match="lstm1.wx"):
+        model_from_dict(d)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_load_rejects_a_weight_that_is_not_finite_naming_it(value):
+    d = model_to_dict(toy_model(seed=8))
+    wh = d["weights"]["lstm0.wh"]
+    data = np.frombuffer(base64.b64decode(wh["data"]), dtype="<f8").copy()
+    data[3] = value
+    wh["data"] = base64.b64encode(data.tobytes()).decode()
+    with pytest.raises(CheckpointError, match="'lstm0.wh' are not all finite"):
         model_from_dict(d)
 
 

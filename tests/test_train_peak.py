@@ -21,9 +21,11 @@ def test_tiny_run_prints_the_peak_and_the_later_epoch_faults(capsys, monkeypatch
     monkeypatch.setattr(train_peak, "later_epoch_faults", counting)
     assert train_peak.main(["--tiny"]) == 0
     assert training.evaluate is evaluate  # the fault reading's wrapper is gone again
-    peak, faults, evaluate_peak = (line.split() for line in capsys.readouterr().out.splitlines())
+    peak, faults, evaluate_peak, distinct_peak = (line.split() for line in capsys.readouterr().out.splitlines())
     assert peak[0] == "peak_mb" and float(peak[1]) > 0
     assert evaluate_peak[0] == "evaluate_peak_mb" and 0 < float(evaluate_peak[1]) < float(peak[1])
+    # without shared starts the tree has more nodes and the CNN more phrases
+    assert distinct_peak[0] == "evaluate_distinct_peak_mb" and float(distinct_peak[1]) > float(evaluate_peak[1])
     assert len(counts) == 5 and min(counts) >= 0
     ordered = sorted(counts)
     assert faults == ["later_epoch_minor_faults", "median", str(ordered[2]), "min", str(ordered[0]),

@@ -516,33 +516,26 @@ def test_evaluate_accepts_ensemble(chain_data):
 
 
 # ---------------------------------------------------------------------------
-# evaluate's prefix tree against a padded pass over each batch
+# evaluate's prefix tree against a padded pass over each session
 
 
 def padded_evaluate(predictor, sessions, vocab):
-    """`evaluate` as a padded pass over each batch: every session's whole padded
-    sequence runs, EVAL_BATCH sessions at a time in `_make_batches` order, and an
-    ensemble's distributions are the member mean of each pass."""
+    """`evaluate` as a padded pass over each batch of one session: every session's
+    whole sequence runs alone, an ensemble's distributions are the member mean of
+    each pass, and each step's target probability and argmax hit are pooled in
+    the order of the sorted (inputs, targets) pairs."""
     from journeynet import numerics as nm
-    from journeynet.training import EVAL_BATCH, _batch_tensors, _make_batches
+    from journeynet.seqmodel import padded_batch
 
-    expanded = [expand_session(s, vocab) for s in sessions]
-    hits = 0.0
-    nats = 0.0
-    steps = 0.0
-    for idx_batch in _make_batches(expanded, list(range(len(expanded))), EVAL_BATCH):
-        phrases, rowidx, targets, mask = _batch_tensors(expanded, idx_batch)
-        members = predictor.models if isinstance(predictor, Ensemble) else [predictor]
-        all_probs = [m.batch_step_probs(phrases, rowidx).data for m in members]
-        all_probs = np.mean(all_probs, axis=0) if isinstance(predictor, Ensemble) else all_probs[0]
-        for t, probs in enumerate(np.split(all_probs, rowidx.shape[1])):
-            m = mask[:, t] > 0
-            pred = probs.argmax(axis=1)
-            hits += float((pred[m] == targets[m, t]).sum())
-            p = np.maximum(probs[m, targets[m, t]], nm.PROB_FLOOR)
-            nats += float(-np.log(p).sum())
-            steps += float(m.sum())
-    return hits / steps, nats / steps
+    members = predictor.models if isinstance(predictor, Ensemble) else [predictor]
+    probs, hits = [], []
+    for inputs, targets in sorted(expand_session(s, vocab) for s in sessions):
+        phrases, rowidx, _ = padded_batch([inputs])
+        dist = np.mean([m.batch_step_probs(phrases, rowidx).data for m in members], axis=0)
+        probs.append(dist[np.arange(len(targets)), targets])
+        hits.append(dist.argmax(axis=1) == targets)
+    prob, hit = np.concatenate(probs), np.concatenate(hits)
+    return float(hit.mean()), float(-np.log(np.maximum(prob, nm.PROB_FLOOR)).mean())
 
 
 def _journey(sid, keywords, pages, dwell=4.0):
@@ -591,6 +584,16 @@ def test_evaluate_is_bitwise_a_padded_pass_over_each_batch(chain_data, predictor
     assert evaluate(predictors[which], sessions, vocab) == padded_evaluate(predictors[which], sessions, vocab)
 
 
+@pytest.mark.parametrize("which", ["trained", "two-layer", "ensemble"])
+def test_evaluate_does_not_depend_on_the_order_of_the_held_out_sessions(chain_data, predictors, which):
+    _, ev, vocab = chain_data
+    sessions = held_out_sets(ev)["many-mixed"]
+    shuffled = [sessions[i] for i in np.random.default_rng(49).permutation(len(sessions))]
+    want = evaluate(predictors[which], sessions, vocab)
+    assert evaluate(predictors[which], shuffled, vocab) == want
+    assert evaluate(predictors[which], sessions[::-1], vocab) == want
+
+
 def test_the_held_out_sets_share_what_their_names_say(chain_data):
     _, ev, vocab = chain_data
     sets = {name: [expand_session(s, vocab)[0] for s in sessions] for name, sessions in held_out_sets(ev).items()}
@@ -606,6 +609,7 @@ def test_the_held_out_sets_share_what_their_names_say(chain_data):
 
 @pytest.mark.parametrize("rows, phrases", [(1, 1), (2, 3), (5, 16)])
 def test_evaluate_in_passes_of_a_smaller_bound_gives_the_same_bits(chain_data, predictors, monkeypatch, rows, phrases):
+    import journeynet.seqmodel as sm_mod
     import journeynet.training as tr_mod
 
     _, ev, vocab = chain_data
@@ -619,7 +623,7 @@ def test_evaluate_in_passes_of_a_smaller_bound_gives_the_same_bits(chain_data, p
         return cell_steps(self, xproj, state, rows_)
 
     monkeypatch.setattr(tr_mod, "EVAL_ROWS", rows)
-    monkeypatch.setattr(tr_mod, "EVAL_PHRASES", phrases)
+    monkeypatch.setattr(sm_mod, "MAX_PASS_PHRASES", phrases)
     monkeypatch.setattr(SequenceModel, "cell_steps", noting)
     for which, predictor in predictors.items():
         assert evaluate(predictor, sessions, vocab) == want[which]
@@ -643,6 +647,32 @@ def test_evaluate_steps_each_distinct_input_prefix_once(chain_data, trained, mon
     prefixes = {tuple(seq[:t + 1]) for seq in inputs for t in range(len(seq))}
     assert sum(rows) == len(prefixes) < sum(map(len, inputs))
     assert len(rows) == max(map(len, inputs))  # one pass per depth
+
+
+def test_no_cnn_pass_of_a_start_or_of_evaluate_holds_more_phrases_than_the_bound(monkeypatch):
+    # no tape is active, so every pass here is untaped: the page table of 40
+    # names, a first start's 20 new keyword phrases and evaluate's 38 keyword
+    # phrases and 38 pages go through the CNN MAX_PASS_PHRASES at a time
+    from journeynet import seqmodel
+    from journeynet.textenc import CnnEncoder
+
+    pages = [f"page-{i:02d}" for i in range(38)]
+    vocab = PageVocabulary(pages, min_freq=1)
+    assert len(vocab) == 40
+    model = SequenceModel.build(ModelConfig(**TOY_TRAIN), vocab, 40)
+    passes = []
+    embed_batch = CnnEncoder.embed_batch
+
+    def noting(self, phrases):
+        passes.append(len(phrases))
+        return embed_batch(self, phrases)
+
+    monkeypatch.setattr(CnnEncoder, "embed_batch", noting)
+    model.start([Prefix(f"keyword {i}", pages[i:i + 3]) for i in range(20)])
+    assert sum(passes) == 40 + 20 and max(passes) <= seqmodel.MAX_PASS_PHRASES
+    passes.clear()
+    evaluate(model, [_journey(f"s{i}", f"keyword {i}", pages[i:] + pages[:i]) for i in range(38)], vocab)
+    assert sum(passes) == 38 + 38 and max(passes) <= seqmodel.MAX_PASS_PHRASES
 
 
 def test_evaluate_memory_barely_grows_with_the_held_out_set(chain_data):

@@ -1,13 +1,14 @@
-"""Print the tracemalloc peaks of a one-epoch `train()` and of one `evaluate()`, and the minor page faults of later epochs.
+"""Print the tracemalloc peaks of a one-epoch `train()` and of `evaluate()`, and the minor page faults of later epochs.
 
 The runs train at the paper's architecture (`TrainConfig` defaults) on
 1 000 sessions of a fixed seeded ten-page chain, none longer than 20 pages,
 and evaluate on 250 more, after a small warm-up `train` that no reading
-includes.  Three lines are printed:
+includes.  Four lines are printed:
 
     peak_mb <MB of 2**20 bytes>
     later_epoch_minor_faults median <count> min <count> max <count> runs 5
     evaluate_peak_mb <MB of 2**20 bytes>
+    evaluate_distinct_peak_mb <MB of 2**20 bytes>
 
 `peak_mb` is the tracemalloc peak of a one-epoch run.  Every input derives
 from fixed seeds, and tracemalloc counts the bytes Python and numpy ask
@@ -24,6 +25,10 @@ whether a change moved the training peak or the steady-state faults.
 `evaluate_peak_mb` is the tracemalloc peak of one standalone `evaluate` of
 the 250 held-out sessions by a freshly built model of the same config (the
 held-out evaluation that ends each epoch, apart from training's arrays).
+The chain picks a session's keyword phrase from its first page, so those
+sessions share their starts; `evaluate_distinct_peak_mb` reads the same
+`evaluate` with each session given a keyword phrase of its own, so its
+prefix tree shares no start.
 `--tiny` runs a small architecture instead (for tests).
 
 Run from the repository root:
@@ -32,6 +37,7 @@ Run from the repository root:
 """
 
 import argparse
+import dataclasses
 import resource
 import statistics
 import sys
@@ -142,6 +148,8 @@ def main(argv: list[str]) -> int:
     faults = [later_epoch_faults(train_set, held_out, vocab, config) for _ in range(FAULT_RUNS)]
     print(f"later_epoch_minor_faults median {statistics.median(faults):g} min {min(faults)} max {max(faults)} runs {FAULT_RUNS}")
     print(f"evaluate_peak_mb {evaluate_peak_mb(held_out, vocab, config):.2f}")
+    distinct = [dataclasses.replace(s, keywords=f"{s.keywords} {i}") for i, s in enumerate(held_out)]
+    print(f"evaluate_distinct_peak_mb {evaluate_peak_mb(distinct, vocab, config):.2f}")
     return 0
 
 
