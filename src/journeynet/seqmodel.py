@@ -32,10 +32,10 @@ only the prefixes the memo lacks.  A `start` the memo serves
 whole returns a kept state, and `step` of a kept state adds the children
 it reaches to that prefix's rollout tree, so each sampled path of a
 recurring prefix is stepped once per cache.  The compute copy is the
-model's `cast`, the cast that also builds training's twin: it computes
-every pass, the CNN's included, in float32 for the simulator's rollouts
-(the model itself computes in float64), and it owns its arrays and its
-serving cache, so a copy held across an edit of the model is a snapshot of
+model's `cast`, the cast that also builds the float32 model that trains
+and the model `evaluate` steps: it computes every pass, the CNN's
+included, in float32 for the simulator's rollouts (the model itself
+computes in float64), and it owns its arrays and its serving cache, so a copy held across an edit of the model is a snapshot of
 the weights it was made from.  The cache is reused while every weight is still
 the same array and still read-only (:func:`_unchanged`), and restarts
 whole otherwise.  So a served model's weights are edited by assigning a
@@ -78,10 +78,11 @@ from .textenc import DEFAULT_ALPHABET, Alphabet, CnnEncoder, ConvStage
 
 CHECKPOINT_FORMAT = "journeynet-checkpoint"
 CHECKPOINT_VERSION = 1
-# dtype of every weight of a `SequenceModel.cast`: training's twin and the compute copy
+# dtype of a `SequenceModel.cast` by default, and so of the model that trains (which `train`
+# upcasts once to float64 when it returns it), of every model `evaluate` steps and of the compute copy
 COMPUTE_DTYPE = np.float32
 # most weights a model may lay out, and most entries of one phrase's one-hot:
-# 10**8 float64 masters take 0.8 GB (the paper's config has 385 292 weights)
+# 10**8 float64 weights take 0.8 GB (the paper's config has 385 292 weights)
 MAX_WEIGHTS = 10**8
 # most nodes (started prefixes and the rollout steps after them) a serving
 # cache keeps, unless one `start` adds more: at the paper's config with V
@@ -294,10 +295,10 @@ class SequenceModel:
             self._cache = _ServingCache(self)
         return self._cache
 
-    def cast(self) -> "SequenceModel":
-        """A model of its own arrays, each the COMPUTE_DTYPE cast of this model's weight at its place."""
+    def cast(self, dtype=COMPUTE_DTYPE) -> "SequenceModel":
+        """A model of its own arrays, each the `dtype` cast of this model's weight at its place."""
         return SequenceModel(self.config, self.vocab, {
-            name: Matrix._result(w.data.astype(COMPUTE_DTYPE)) for name, w in self.weights.items()
+            name: Matrix._result(w.data.astype(dtype)) for name, w in self.weights.items()
         })
 
     def compute_copy(self) -> "SequenceModel":

@@ -3,27 +3,28 @@
 Sessions are dwell-expanded, bucketed by length, and padded within each
 batch; padding steps are masked out of the loss.  The optimizer is plain
 gradient descent with a per-parameter adaptive step (running average of
-squared gradients) and global-norm gradient clipping.  Each batch's forward
-and backward pass runs in float32 on a twin model of its own arrays, the
-`SequenceModel.cast` of the float64 master weights (the cast that also
-builds the served compute copy, so the model that trains is the model that
-serves); the masters and the optimizer state take the update from the
-twin's gradients, and the step writes the cast of each updated master into
-the twin and clears the twin's gradients (mixed precision, Micikevicius et
-al., arXiv:1710.03740).  One helper thread runs the leaf-gradient products
-of the backward pass and, in each optimizer step, its own set of whole
-weights, fixed when training starts, while the calling thread runs the
-rest; neither changes a bit.  Every random
+squared gradients) and global-norm gradient clipping.  Training and
+evaluation run in float32: `train` draws the initial weights in float64,
+casts them once (`SequenceModel.cast`, which also builds the served compute
+copy) to the model it trains, keeps no float64 weight, and returns that
+model upcast once to float64.  Each batch's forward and backward pass runs
+on it, and the optimizer step updates its arrays in place; only the clip
+norm sums squares in float64.  One helper thread runs the leaf-gradient
+products of the backward pass and, in each optimizer step, its own set of
+whole weights, fixed when training starts, while the calling thread runs
+the rest; neither changes a bit.  Every random
 choice (init, shuffling, dropout) derives from the config seed, so a run is
-exactly repeatable.  Each epoch ends with a plain `evaluate` of the float64
-model on the held-out sessions, which steps their distinct input prefixes,
-not their padded sequences, through prefix trees that it builds on every
-call, and pools its loss and accuracy over every step in sorted-session
-order.
+exactly repeatable.  Each epoch ends with a plain `evaluate` of the model
+as it trains on the held-out sessions (so a standalone `evaluate` of the
+returned model gives the last epoch's result bit for bit), which steps
+their distinct input prefixes, not their padded sequences, through prefix
+trees that it builds on every call, and pools its loss and accuracy over
+every step in sorted-session order.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -36,6 +37,7 @@ from .errors import CheckpointError, ConfigError, TrainingError, check_int, chec
 from .journeydata import PageVocabulary, expand_session
 from .seqmodel import (
     CHECKPOINT_FORMAT,
+    COMPUTE_DTYPE,
     ModelConfig,
     SequenceModel,
     checkpoint_field,
@@ -119,36 +121,34 @@ class TrainReport:
 
 
 class _AdaptiveStep:
-    """Per-parameter scaling by a running average of squared gradients.
+    """Per-parameter scaling by a running average of squared gradients, written in place.
 
-    Each Matrix of `twin` is the twin of the weight of `params` at its place
-    (in training, a weight of the float32 twin model): its `grad` holds the
-    weight's gradient, and its data the weight cast to its dtype.  The step
-    is the one writer of both once the twin is built.
+    `params` are the float32 weights that train: each one's `grad` holds
+    its gradient, and the step is the one writer of its data.
     Each whole weight belongs to one of two sides, fixed here: the weights
     are taken largest first, each onto the side with fewer entries so far
     (the calling thread's on a tie).  Side 0 runs on the calling thread and
     side 1 on `helper` (an executor with one worker), at the same time.
-    The step keeps one float64 running average per weight and one float64
-    scratch buffer per side, sized to the side's largest weight (rounded up
-    to two halves), which the calling thread allocates.  `step` first has
-    each side square each of its gradients, of any float dtype, into its
-    buffer in float64 and sum it; the calling thread adds the sums up in
-    layout order for the norm.  Then each side updates its weights in chunks
-    of half its buffer, using both halves: it copies a chunk of the gradient
-    into the first, updates the float64 weights in place and copies each
-    updated entry into its twin, allocating nothing, so at its peak a step
-    holds only the weights, their twins and gradients, their running
-    averages and the two buffers.  Every entry gets the bits one thread
-    would give it.  Once both sides are done, every twin's `grad` is None,
-    so the next backward pass starts from none.  Every weight of the
+    The step keeps one float32 running average per weight and one float64
+    scratch buffer per side, sized to the side's largest weight,
+    which the calling thread allocates.  `step` first has each side square
+    each of its gradients into its buffer in float64 and sum it; the calling
+    thread adds the sums up in layout order for the norm.  Then each side
+    reads its buffer as two float32 halves, each as large as its largest
+    weight: for each weight it copies the gradient into the first (so no
+    `grad` is written) and updates the weight and its average in place,
+    allocating nothing, so at its peak a step holds only the weights, their
+    gradients and running averages and the two buffers.  Every entry gets the
+    bits one thread would give it.  Once both sides are done, every `grad` is
+    None, so the next backward pass starts from none.  Every weight of the
     training graph feeds every batch's loss, so every one has a gradient.
     """
 
-    def __init__(self, params, twin, config: TrainConfig, helper: Executor):
-        self.params, self.twin = params, twin
-        self.lr = config.learning_rate
-        self.clip = config.gradient_clip_norm
+    def __init__(self, params, config: TrainConfig, helper: Executor):
+        self.params = params
+        # Python floats, so that float32 arrays compute in float32 under every numpy's promotion rules
+        self.lr = float(config.learning_rate)
+        self.clip = float(config.gradient_clip_norm)
         self.helper = helper
         self.sq = [np.zeros_like(p.data) for p in params]
         self.sides, load = ([], []), [0, 0]
@@ -157,7 +157,7 @@ class _AdaptiveStep:
             self.sides[side].append(k)
             load[side] += params[k].data.size
         largest = [max((params[k].data.size for k in ks), default=0) for ks in self.sides]
-        self.scratch = [np.zeros(2 * -(-size // 2)) for size in largest]
+        self.scratch = [np.zeros(size) for size in largest]
 
     def step(self) -> None:
         sums = [0.0] * len(self.sq)
@@ -165,11 +165,11 @@ class _AdaptiveStep:
         sumsq = 0.0
         for part in sums:  # in layout order, one float add at a time (Python 3.12's `sum` compensates)
             sumsq += part
-        norm = np.sqrt(sumsq)
+        norm = math.sqrt(sumsq)
         factor = self.clip / norm if norm > self.clip else None
         self._on_both_sides(self._update, factor)
-        for leaf in self.twin:
-            leaf.grad = None
+        for p in self.params:
+            p.grad = None
 
     def _on_both_sides(self, work, arg) -> None:
         """`work(arg, 1)` on the helper while `work(arg, 0)` runs here."""
@@ -184,36 +184,32 @@ class _AdaptiveStep:
         """Write the float64 sum of squares of each gradient of the side's weights into `sums`."""
         buf = self.scratch[side]
         for k in self.sides[side]:
-            grad = self.twin[k].grad
+            grad = self.params[k].grad
             t = buf[:grad.size].reshape(grad.shape)
-            sums[k] = float(np.multiply(grad, grad, out=t, dtype=np.float64).sum())
+            np.copyto(t, grad)  # then a plain float64 multiply, not a casting one: the same squares
+            np.multiply(t, t, out=t)
+            sums[k] = float(t.sum())
 
     def _update(self, factor, side: int) -> None:
-        """Update the side's weights, their twins and averages, in chunks of half its buffer."""
-        buf = self.scratch[side]
-        half = len(buf) // 2
-        gbuf, tbuf = buf[:half], buf[half:]
+        """Update the side's weights and their averages in place, through the two halves of its buffer."""
+        halves = self.scratch[side].view(np.float32).reshape(2, -1)
         for k in self.sides[side]:
-            leaf = self.twin[k]
-            flat = [a.reshape(-1) for a in (self.params[k].data, leaf.data, leaf.grad, self.sq[k])]
-            for at in range(0, len(flat[0]), half):
-                w, cast, grad, v = (a[at:at + half] for a in flat)
-                g, t = gbuf[:v.size], tbuf[:v.size]
-                np.copyto(g, grad)
-                if factor is not None:
-                    g *= factor
-                # v = d * v + ((1 - d) * g) * g;  w -= (lr * g) / (sqrt(v) + eps), associated
-                # exactly so, which keeps the step bitwise that of the unfused formula
-                v *= RMS_DECAY
-                np.multiply(g, 1.0 - RMS_DECAY, out=t)
-                t *= g
-                v += t
-                g *= self.lr
-                np.sqrt(v, out=t)
-                t += RMS_EPSILON
-                g /= t
-                w -= g
-                np.copyto(cast, w)
+            p, v = self.params[k], self.sq[k]
+            g, t = (h[:v.size].reshape(v.shape) for h in halves)
+            np.copyto(g, p.grad)
+            if factor is not None:
+                g *= factor
+            # v = d * v + ((1 - d) * g) * g;  w -= (lr * g) / (sqrt(v) + eps), associated
+            # exactly so, which keeps the step bitwise that of the unfused formula
+            v *= RMS_DECAY
+            np.multiply(g, 1.0 - RMS_DECAY, out=t)
+            t *= g
+            v += t
+            g *= self.lr
+            np.sqrt(v, out=t)
+            t += RMS_EPSILON
+            g /= t
+            p.data -= g
 
 
 def _make_batches(expanded, order, batch_size, rng):
@@ -277,20 +273,18 @@ def train(
         eval_sessions, "eval_sessions", ConfigError, ordered=True)
     if not held_out:
         raise ConfigError("no sessions to evaluate")
-    model = SequenceModel.build(config.model_config(), vocab, config.seed)
+    # the float32 model that trains: the optimizer step writes its weights in place
+    model = SequenceModel.build(config.model_config(), vocab, config.seed).cast()
     expanded = [expand_session(s, vocab) for s in sessions]
     params = [p for _, p in model.parameters()]
-    # the float32 model each batch runs on; the optimizer step keeps it the cast of the masters
-    twin = model.cast()
-    leaves = [p for _, p in twin.parameters()]
     report = TrainReport()
     from concurrent.futures import ThreadPoolExecutor  # only training pays its import
 
     # one helper thread for the leaf-gradient products and one side of each optimizer step
     with ThreadPoolExecutor(max_workers=1) as helper:
-        optimizer = _AdaptiveStep(params, leaves, config, helper)
+        optimizer = _AdaptiveStep(params, config, helper)
         # one tape, entered once per batch, so its LSTM rows serve every batch
-        tape = nm.ComputeTape(leaves, helper)
+        tape = nm.ComputeTape(params, helper)
         for epoch in range(config.epochs):
             t0 = time.perf_counter()
             epoch_rng = rngmod.stream(config.seed, "shuffle", epoch)
@@ -302,7 +296,7 @@ def train(
                 phrases, rowidx, targets, mask = _batch_tensors(expanded, idx_batch)
                 dropout_rng = rngmod.stream(config.seed, "dropout", epoch, bi)
                 with tape:
-                    total = _batch_loss(twin, phrases, rowidx, targets, mask, dropout_rng)
+                    total = _batch_loss(model, phrases, rowidx, targets, mask, dropout_rng)
                     n_steps = float(mask.sum())
                     mean_loss = nm.scale(total, 1.0 / n_steps)
                 if not np.isfinite(total.item()):
@@ -321,7 +315,7 @@ def train(
                     seconds=time.perf_counter() - t0,
                 )
             )
-    return model, report
+    return model.cast(np.float64), report
 
 
 def evaluate(predictor, sessions, vocab: PageVocabulary) -> tuple[float, float]:
@@ -330,7 +324,10 @@ def evaluate(predictor, sessions, vocab: PageVocabulary) -> tuple[float, float]:
     Accuracy counts steps whose argmax prediction (ties to the lowest index)
     equals the true next page; dropout is disabled.  `predictor` is a model
     or an ensemble, and `vocab` must hold its page names (ConfigError
-    otherwise, and for no sessions).  The sessions' (inputs, targets) pairs
+    otherwise, and for no sessions).  Every model computes in COMPUTE_DTYPE:
+    one whose weights are of another dtype runs as its `SequenceModel.cast`,
+    made once per call and not through its serving cache, so `evaluate`
+    freezes and writes no weight.  The sessions' (inputs, targets) pairs
     of `expand_session` are sorted, and their expanded inputs cut into runs
     whose prefix trees hold at most EVAL_ROWS nodes at each depth
     (:func:`_runs`); each run's distinct prefixes run once, one depth to a
@@ -355,7 +352,8 @@ def evaluate(predictor, sessions, vocab: PageVocabulary) -> tuple[float, float]:
     first = np.cumsum(lengths) - lengths  # each session's first step in the per-step arrays
     targets = np.concatenate([y for _, y in expanded])
     prob, hit = np.zeros(len(targets)), np.zeros(len(targets), bool)
-    models = predictor.models if isinstance(predictor, Ensemble) else [predictor]
+    models = [m if all(w.data.dtype == COMPUTE_DTYPE for w in m.weights.values()) else m.cast()
+              for m in (predictor.models if isinstance(predictor, Ensemble) else [predictor])]
     for run in _runs(inputs):
         for t, (live, at, dist) in enumerate(_depth_distributions(models, inputs[run])):
             step = first[run.start + live] + t

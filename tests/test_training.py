@@ -1,4 +1,5 @@
 import copy
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -521,20 +522,21 @@ def test_evaluate_accepts_ensemble(chain_data):
 
 def padded_evaluate(predictor, sessions, vocab):
     """`evaluate` as a padded pass over each batch of one session: every session's
-    whole sequence runs alone, an ensemble's distributions are the member mean of
-    each pass, and each step's target probability and argmax hit are pooled in
-    the order of the sorted (inputs, targets) pairs."""
+    whole sequence runs alone on the float32 cast of each member, an ensemble's
+    distributions are the member mean of each pass, and each step's target
+    probability and argmax hit are pooled in the order of the sorted (inputs,
+    targets) pairs."""
     from journeynet import numerics as nm
     from journeynet.seqmodel import padded_batch
 
-    members = predictor.models if isinstance(predictor, Ensemble) else [predictor]
+    members = [m.cast() for m in (predictor.models if isinstance(predictor, Ensemble) else [predictor])]
     probs, hits = [], []
     for inputs, targets in sorted(expand_session(s, vocab) for s in sessions):
         phrases, rowidx, _ = padded_batch([inputs])
         dist = np.mean([m.batch_step_probs(phrases, rowidx).data for m in members], axis=0)
         probs.append(dist[np.arange(len(targets)), targets])
         hits.append(dist.argmax(axis=1) == targets)
-    prob, hit = np.concatenate(probs), np.concatenate(hits)
+    prob, hit = np.concatenate(probs).astype(np.float64), np.concatenate(hits)  # pooled in float64
     return float(hit.mean()), float(-np.log(np.maximum(prob, nm.PROB_FLOOR)).mean())
 
 
@@ -699,7 +701,7 @@ def test_evaluate_memory_barely_grows_with_the_held_out_set(chain_data):
 
 
 # ---------------------------------------------------------------------------
-# mixed precision: float32 batches over float64 master weights
+# one precision: train steps a float32 model in place and returns its float64 upcast
 
 
 def _float_dtypes(params):
@@ -826,49 +828,86 @@ def _built_models(monkeypatch):
     return built
 
 
-def test_training_batch_loss_runs_a_float32_twin_and_the_model_keeps_its_float64_arrays(chain_data, monkeypatch):
+def test_every_training_batch_and_evaluation_runs_on_one_float32_model_that_train_returns_upcast(
+        chain_data, monkeypatch):
     from journeynet import training as tr_mod
 
     tr, ev, vocab = chain_data
     config = TrainConfig(epochs=2, batch_size=8, seed=4, **TOY_TRAIN)
-    built, twins = _built_models(monkeypatch), []
-    real_loss = tr_mod._batch_loss
+    built, batched, evaluated = _built_models(monkeypatch), [], []
+    real_loss, real_evaluate = tr_mod._batch_loss, tr_mod.evaluate
 
     def recording_loss(model, *args):
-        twins.append(model)
+        batched.append(model)
         return real_loss(model, *args)
 
+    def recording_evaluate(predictor, *args):
+        evaluated.append((predictor, [p.data.copy() for _, p in predictor.parameters()]))
+        return real_evaluate(predictor, *args)
+
     monkeypatch.setattr(tr_mod, "_batch_loss", recording_loss)
+    monkeypatch.setattr(tr_mod, "evaluate", recording_evaluate)
     model, _ = train(tr, config, vocab, eval_sessions=ev[:4])
-    [(first, arrays)] = built
-    assert first is model and len(twins) > 2 and len({id(t) for t in twins}) == 1
-    assert twins[0] is not model
-    assert _float_dtypes(p for _, p in twins[0].parameters()) == {np.dtype(np.float32)}
-    assert all(p.data is a and a.dtype == np.float64 for (_, p), a in zip(model.parameters(), arrays))
-    assert all(p.grad is None for _, p in model.parameters())
+    [(initial, arrays)] = built
+    [trained] = {id(m): m for m in batched + [m for m, _ in evaluated]}.values()
+    assert len(batched) > 2 and len(evaluated) == config.epochs
+    assert trained is not initial and model is not trained
+    assert _float_dtypes(p for _, p in trained.parameters()) == {np.dtype(np.float32)}
+    # the initial draw is only read: cast once to the model that trains
+    assert all(p.data is a and a.dtype == np.float64 for (_, p), a in zip(initial.parameters(), arrays))
+    # the returned model is the last evaluated weights, upcast, with no gradient
+    for (name, p), t, last in zip(model.parameters(), trained.weights.values(), evaluated[-1][1]):
+        assert p.data.dtype == np.float64 and p.grad is None and t.grad is None, name
+        assert np.array_equal(t.data, last) and np.array_equal(p.data, last.astype(np.float64)), name
 
 
-def test_compute_copy_after_training_holds_the_bits_the_optimizer_last_wrote_into_the_twin(chain_data, monkeypatch):
-    # one cast builds the model that trains and the model that serves
+def test_compute_copy_after_training_holds_the_trained_bits(chain_data, monkeypatch):
+    # one cast builds the model that trains, and the served copy of the returned model holds its bits
     from journeynet.seqmodel import COMPUTE_DTYPE
 
     tr, ev, vocab = chain_data
     config = TrainConfig(epochs=2, batch_size=8, seed=4, **TOY_TRAIN)
     casts, original = [], SequenceModel.cast
 
-    def recording(self):
-        casts.append(original(self))
+    def recording(self, dtype=COMPUTE_DTYPE):
+        casts.append(original(self, dtype))
         return casts[-1]
 
     monkeypatch.setattr(SequenceModel, "cast", recording)
     model, _ = train(tr, config, vocab, eval_sessions=ev[:4])
-    [twin] = casts
+    trained, upcast = casts  # evaluate steps the float32 model as it stands: no cast per epoch
+    assert upcast is model
     copy = model.compute_copy()
-    assert casts == [twin, copy]
-    for (name, p), (_, t), (_, c) in zip(model.parameters(), twin.parameters(), copy.parameters()):
+    assert casts[2:] == [copy]
+    for (name, t), (_, c) in zip(trained.parameters(), copy.parameters()):
         assert c.data.dtype == t.data.dtype == COMPUTE_DTYPE, name
         assert c.data.tobytes() == t.data.tobytes() and not np.shares_memory(c.data, t.data), name
-        assert np.array_equal(c.data, p.data.astype(COMPUTE_DTYPE)), name
+
+
+def test_evaluate_of_the_trained_model_is_bitwise_its_last_report_line(chain_data):
+    # what the bench checks of train-paper: a standalone evaluate of the returned model
+    tr, ev, vocab = chain_data
+    config = TrainConfig(epochs=2, batch_size=16, seed=6, **{**TOY_TRAIN, "dropout_rate": 0.2})
+    model, report = train(tr, config, vocab, eval_sessions=ev)
+    assert evaluate(model, ev, vocab) == (report.final.eval_accuracy, report.final.eval_loss)
+    ensemble, reports = train_ensemble(tr, config, vocab, k=2, eval_sessions=ev)
+    for member, member_report in zip(ensemble.models, reports):
+        assert evaluate(member, ev, vocab) == (member_report.final.eval_accuracy, member_report.final.eval_loss)
+    assert evaluate(ensemble, ev, vocab) == evaluate(Ensemble([m.cast() for m in ensemble.models]), ev, vocab)
+
+
+def test_evaluate_of_a_float64_model_leaves_its_weights_writeable_and_unchanged(chain_data):
+    # evaluate casts a float64 model for itself: it freezes nothing, as serving's compute copy would
+    _, ev, vocab = chain_data
+    members = [SequenceModel.build(ModelConfig(**TOY_TRAIN), vocab, seed) for seed in (7, 8)]
+    for predictor in (members[0], Ensemble(members)):
+        before = [[(p.data, p.data.copy()) for _, p in m.parameters()] for m in members]
+        evaluate(predictor, ev, vocab)
+        for m, kept in zip(members, before):
+            assert m._cache is None
+            for (name, p), (array, copy_) in zip(m.parameters(), kept):
+                assert p.data is array and p.data.dtype == np.float64 and p.data.flags.writeable, name
+                assert np.array_equal(p.data, copy_) and p.grad is None, name
 
 
 def test_training_error_mid_batch_leaves_the_float64_masters_in_place(chain_data, monkeypatch):
@@ -948,16 +987,22 @@ def test_one_batch_loss_gives_every_weight_of_the_training_graph_a_gradient(chai
 
 
 def _reference_step(params, sq, lr, clip, decay, eps):
-    """The optimizer step as first written, with a temporary per operation."""
+    """The optimizer step as first written, with a temporary per operation, in the
+    float32 of the weights; the clip norm adds each gradient's float64 sum of squares
+    in layout order, one float add at a time."""
     grads = [p.grad for p in params]
-    norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
+    sumsq = 0.0
+    for g in grads:
+        g64 = g.astype(np.float64)
+        sumsq += float((g64 * g64).sum())
+    norm = math.sqrt(sumsq)
     if norm > clip:
         factor = clip / norm
         grads = [g * factor for g in grads]
     for p, g, v in zip(params, grads, sq):
         v *= decay
-        v += (1.0 - decay) * g * g
-        p.data -= lr * g / (np.sqrt(v) + eps)
+        v += ((1.0 - decay) * g) * g
+        p.data -= (lr * g) / (np.sqrt(v) + eps)
 
 
 @pytest.fixture
@@ -983,70 +1028,68 @@ SPLITS = {
 }
 
 
-@pytest.mark.parametrize("clip", [1e-3, 1e6], ids=["clipped", "unclipped"])
-@pytest.mark.parametrize("grad_dtype", [np.float64, np.float32], ids=["float64-grads", "float32-grads"])
-@pytest.mark.parametrize("split", sorted(SPLITS))
-def test_adaptive_step_is_bitwise_the_reference_formula(clip, grad_dtype, split, helper):
+def _float32_weights(rng, shapes):
+    """Float32 weights of `shapes`, each with a float32 copy that the reference step updates."""
     from journeynet import numerics as nm
+
+    mine = [nm.Matrix._result(rng.standard_normal(s).astype(np.float32)) for s in shapes]
+    return mine, [nm.Matrix._result(p.data.copy()) for p in mine]
+
+
+@pytest.mark.parametrize("clip", [1e-3, 1e6], ids=["clipped", "unclipped"])
+@pytest.mark.parametrize("split", sorted(SPLITS))
+def test_adaptive_step_is_bitwise_the_reference_formula(clip, split, helper):
     from journeynet.training import RMS_DECAY, RMS_EPSILON, _AdaptiveStep
 
     rng = np.random.default_rng(9)
     shapes, sides = SPLITS[split]
-    mine = [nm.Matrix(rng.standard_normal(s)) for s in shapes]
-    ref = [nm.Matrix(p.data) for p in mine]
-    # the step reads the gradients from the twin and writes the twin
-    twin = [nm.Matrix._result(p.data.astype(grad_dtype)) for p in mine]
+    mine, ref = _float32_weights(rng, shapes)
+    arrays = [p.data for p in mine]
     config = TrainConfig(learning_rate=3e-3, gradient_clip_norm=clip, **TOY_TRAIN)
-    opt = _AdaptiveStep(mine, twin, config, helper)
+    opt = _AdaptiveStep(mine, config, helper)
     assert tuple(sorted(side) for side in opt.sides) == sides
-    ref_sq = [np.zeros(s) for s in shapes]
+    ref_sq = [np.zeros(s, np.float32) for s in shapes]
     for _ in range(4):
-        grads = [rng.standard_normal(s).astype(grad_dtype) for s in shapes]
-        for d, q, g in zip(twin, ref, grads):
-            # the reference formula runs in float64 on the gradients cast exactly
-            d.grad, q.grad = g, g.astype(np.float64)
+        grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        for p, q, g in zip(mine, ref, grads):
+            p.grad, q.grad = g, g.copy()
         opt.step()
         _reference_step(ref, ref_sq, config.learning_rate, clip, RMS_DECAY, RMS_EPSILON)
-        for p, d, q, g in zip(mine, twin, ref, grads):
-            assert p.grad is None and d.grad is None
+        for p, q, g, a in zip(mine, ref, grads, arrays):
+            assert p.grad is None and p.data is a  # the step writes the weights in place
             assert np.array_equal(g, q.grad)  # the step left its input alone
-            assert np.array_equal(p.data, q.data)
-            assert d.data.dtype == grad_dtype and np.array_equal(d.data, q.data.astype(grad_dtype))
+            assert p.data.dtype == np.float32 and np.array_equal(p.data, q.data)
         for v, w in zip(opt.sq, ref_sq):
-            assert np.array_equal(v, w)
+            assert v.dtype == np.float32 and np.array_equal(v, w)
 
 
 @pytest.mark.parametrize("clip", [1e-3, 1e6], ids=["clipped", "unclipped"])
 def test_adaptive_step_views_of_other_shapes_share_its_scratch_bitwise(clip, helper):
     """The largest weight first, then a 1-row one: every weight's views of
-    its side's scratch buffer start where that side's largest weight's did,
-    and each side's largest runs in two chunks.  The largest is large enough
-    that numpy lets the two sides of the update run at once."""
-    from journeynet import numerics as nm
+    its side's scratch buffer start where that side's largest weight's did.
+    The largest is large enough that numpy lets the two sides of the update
+    run at once."""
     from journeynet.training import RMS_DECAY, RMS_EPSILON, _AdaptiveStep
 
     rng = np.random.default_rng(10)
     shapes = [(300, 701), (1, 40), (7, 5), (20, 33), (33, 20), (1, 1)]
-    mine = [nm.Matrix(rng.standard_normal(s)) for s in shapes]
-    ref = [nm.Matrix(p.data) for p in mine]
-    twin = [nm.Matrix._result(p.data.astype(np.float32)) for p in mine]
+    mine, ref = _float32_weights(rng, shapes)
     config = TrainConfig(learning_rate=3e-3, gradient_clip_norm=clip, **TOY_TRAIN)
-    opt = _AdaptiveStep(mine, twin, config, helper)
-    ref_sq = [np.zeros(s) for s in shapes]
+    opt = _AdaptiveStep(mine, config, helper)
+    ref_sq = [np.zeros(s, np.float32) for s in shapes]
     for _ in range(4):
         grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
-        for d, q, g in zip(twin, ref, grads):
-            d.grad, q.grad = g, g.astype(np.float64)
+        for p, q, g in zip(mine, ref, grads):
+            p.grad, q.grad = g, g.copy()
         opt.step()
         _reference_step(ref, ref_sq, config.learning_rate, clip, RMS_DECAY, RMS_EPSILON)
-        for p, d, q, g, v, w in zip(mine, twin, ref, grads, opt.sq, ref_sq):
-            assert d.grad is None and np.array_equal(g, q.grad)
+        for p, q, g, v, w in zip(mine, ref, grads, opt.sq, ref_sq):
+            assert p.grad is None and np.array_equal(g, q.grad)
             assert np.array_equal(p.data, q.data) and np.array_equal(v, w)
-            assert np.array_equal(d.data, q.data.astype(np.float32))
 
 
-def test_adaptive_step_writes_the_twin_as_the_cast_of_its_masters_and_clears_its_gradients(chain_data, helper):
-    # after each step the next batch can run on the twin as it stands: no refresh, no gradient to clear
+def test_adaptive_step_writes_the_model_in_place_and_clears_its_gradients(chain_data, helper):
+    # after each step the next batch can run on the model as it stands: no refresh, no gradient to clear
     from journeynet import numerics as nm
     from journeynet import rng as rngmod
     from journeynet.seqmodel import COMPUTE_DTYPE
@@ -1054,47 +1097,72 @@ def test_adaptive_step_writes_the_twin_as_the_cast_of_its_masters_and_clears_its
 
     tr, _, vocab = chain_data
     config = TrainConfig(seed=3, learning_rate=0.05, **TOY_TRAIN)
-    model = SequenceModel.build(config.model_config(), vocab, config.seed)
-    twin = model.cast()
-    params, leaves = [p for _, p in model.parameters()], [p for _, p in twin.parameters()]
-    opt = _AdaptiveStep(params, leaves, config, helper)
-    tape = nm.ComputeTape(leaves)
+    model = SequenceModel.build(config.model_config(), vocab, config.seed).cast()
+    params = [p for _, p in model.parameters()]
+    arrays = [p.data for p in params]
+    opt = _AdaptiveStep(params, config, helper)
+    tape = nm.ComputeTape(params)
     expanded = [expand_session(s, vocab) for s in tr[:12]]
     for bi in range(3):
         batch = _batch_tensors(expanded, range(4 * bi, 4 * bi + 4))
         with tape:
-            loss = _batch_loss(twin, *batch, rngmod.stream(0, "dropout", bi))
+            loss = _batch_loss(model, *batch, rngmod.stream(0, "dropout", bi))
         nm.backward(tape, loss)
-        before = [leaf.data.copy() for leaf in leaves]
+        before = [p.data.copy() for p in params]
         opt.step()
-        assert not all(np.array_equal(b, leaf.data) for b, leaf in zip(before, leaves))
-        for (name, p), leaf in zip(model.parameters(), leaves):
-            assert leaf.grad is None, name
-            assert leaf.data.dtype == COMPUTE_DTYPE, name
-            assert np.array_equal(leaf.data, p.data.astype(COMPUTE_DTYPE)), name
+        assert not all(np.array_equal(b, p.data) for b, p in zip(before, params))
+        for (name, p), a in zip(model.parameters(), arrays):
+            assert p.grad is None and p.data is a and a.dtype == COMPUTE_DTYPE, name
 
 
-def _float64_entries(obj) -> int:
-    """Entries of every float64 array `obj` holds, through lists, tuples and dicts."""
+def _float_entries(obj, dtype) -> int:
+    """Entries of every `dtype` array `obj` holds, through lists, tuples and dicts."""
     if isinstance(obj, np.ndarray):
-        return obj.size if obj.dtype == np.float64 else 0
+        return obj.size if obj.dtype == dtype else 0
     if isinstance(obj, (list, tuple)):
-        return sum(_float64_entries(o) for o in obj)
+        return sum(_float_entries(o, dtype) for o in obj)
     if isinstance(obj, dict):
-        return sum(_float64_entries(o) for o in obj.values())
+        return sum(_float_entries(o, dtype) for o in obj.values())
     return 0
 
 
-def test_adaptive_step_keeps_one_average_per_weight_and_one_scratch_buffer_per_thread(chain_data, helper):
+def test_adaptive_step_keeps_one_float32_average_per_weight_and_one_scratch_buffer_per_thread(chain_data, helper):
     from journeynet.training import _AdaptiveStep
 
     _, _, vocab = chain_data
     config = TrainConfig()  # the paper's architecture
-    model = SequenceModel.build(config.model_config(), vocab, 0)
+    model = SequenceModel.build(config.model_config(), vocab, 0).cast()
     names, params = zip(*model.parameters())
-    opt = _AdaptiveStep(list(params), list(params), config, helper)
+    opt = _AdaptiveStep(list(params), config, helper)
     assert [names[k] for k in opt.sides[0]] == ["lstm0.wx", "lstm1.wh"]
     total = sum(p.data.size for p in params)
     largest = [max(params[k].data.size for k in side) for side in opt.sides]
     assert largest == [131_072, 65_536]  # lstm0.wx, and lstm0.wh or lstm1.wx
-    assert _float64_entries(vars(opt)) == total + sum(largest)
+    # one average per weight; the two scratch buffers are the only float64
+    assert _float_entries(vars(opt), np.float32) == total
+    assert _float_entries(vars(opt), np.float64) == sum(largest)
+
+
+def test_training_holds_no_float64_weight_or_optimizer_state_but_the_norm_scratch(chain_data, monkeypatch):
+    from journeynet import training as tr_mod
+
+    tr, ev, vocab = chain_data
+    config = TrainConfig(epochs=1, batch_size=16, seed=2, **TOY_TRAIN)
+    steps, batched = [], []
+    real_step, real_loss = tr_mod._AdaptiveStep.step, tr_mod._batch_loss
+
+    def recording_step(self):
+        steps.append(self)
+        real_step(self)
+
+    def recording_loss(model, *args):
+        batched.append(_float_dtypes(p for _, p in model.parameters()))
+        return real_loss(model, *args)
+
+    monkeypatch.setattr(tr_mod._AdaptiveStep, "step", recording_step)
+    monkeypatch.setattr(tr_mod, "_batch_loss", recording_loss)
+    train(tr, config, vocab, eval_sessions=ev[:4])
+    [opt] = {id(o): o for o in steps}.values()
+    assert len(batched) == len(steps) > 2 and batched == [{np.dtype(np.float32)}] * len(batched)
+    assert _float_entries(vars(opt), np.float64) == sum(buf.size for buf in opt.scratch)
+    assert _float_dtypes(opt.params) == {np.dtype(np.float32)}
