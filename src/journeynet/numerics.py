@@ -1,17 +1,14 @@
 """Dense matrices with reverse-mode automatic differentiation.
 
-Everything is a 2-D array wrapped in a :class:`Matrix`.  Weights are
-float64 at rest: a Matrix built from data holds float64, and checkpoints
-see only float64.  Every operation follows its operands' dtype, so a pass
-over a model of float32 weights computes, records and back-propagates in
-float32.  One cast, `SequenceModel.cast`, builds every such model, which
-owns its arrays: training and evaluation run on a float32 model that the
-optimizer step writes in place, and `train` upcasts it once to float64
-when it returns it (see :mod:`journeynet.training`); the simulator's Monte
-Carlo rollouts run on a compute copy (`SequenceModel.compute_copy`).  A model's first
-serving call, under any tape, freezes every weight read-only, so
-:func:`grad_check`, which writes into the weights, needs a model that was
-never served (or weights made writeable again).  Only 1 x 1 loss scalars stay float64.
+Everything is a 2-D array wrapped in a :class:`Matrix`.  A Matrix built
+from data holds float64, and every operation follows its operands' dtype,
+so a pass over a model of float32 weights computes, records and
+back-propagates in float32; where a model is float32 (training,
+evaluation and the Monte Carlo rollouts) is described once, in
+:mod:`journeynet.seqmodel`'s module notes.  A model's first serving call,
+under any tape, freezes every weight read-only, so :func:`grad_check`,
+which writes into the weights, needs a model that was never served (or
+weights made writeable again).  Only 1 x 1 loss scalars stay float64.
 A :class:`ComputeTape` watches the leaves it is given: inside its block
 they are tracked, and every operation with a tracked operand is
 recorded and tracks its result.
@@ -413,7 +410,8 @@ def masked_cross_entropy(predicted: Matrix, targets: np.ndarray, mask: np.ndarra
 
 
 def reshape(x: Matrix, rows: int, cols: int) -> Matrix:
-    out = Matrix._result(x.data.reshape(rows, cols).copy())
+    """A rows x cols view of `x`, which no caller writes into."""
+    out = Matrix._result(x.data.reshape(rows, cols))
     return record(out, (x,), lambda g: (g.reshape(x.shape),))
 
 

@@ -20,28 +20,38 @@ pass.  The incremental
 without re-running the prefix: `start` keeps each prefix's state at its
 own last step; `step` runs one step from the rows it continues.
 
-Serving freezes a model.  Its first serving call (`start`, `step` or
-`compute_copy`) builds one serving cache, which sets every weight array
-read-only and then holds, each filled when first needed, the page table
-(layer 0's projection of the page names, which every `start` miss and
-every `step` reads), a node store with its start memo, and the compute
-copy.  The memo maps every prefix a `start` has run to its root node,
-which holds its state rows and next-page distribution: a frozen model's
-start depends only on the prefix, and prefixes recur, so `start` runs
-only the prefixes the memo lacks.  A `start` the memo serves
-whole returns a kept state, and `step` of a kept state adds the children
-it reaches to that prefix's rollout tree, so each sampled path of a
-recurring prefix is stepped once per cache.  The compute copy is the
-model's `cast`, the cast that also builds the float32 model that trains
-and the model `evaluate` steps: it computes every pass, the CNN's
-included, in float32 for the simulator's rollouts (the model itself
-computes in float64), and it owns its arrays and its serving cache, so a copy held across an edit of the model is a snapshot of
-the weights it was made from.  The cache is reused while every weight is still
-the same array and still read-only (:func:`_unchanged`), and restarts
-whole otherwise.  So a served model's weights are edited by assigning a
-new array to a `Matrix.data`, or by setting its ``flags.writeable = True``
-first; the next serving call sees either edit, rebuilds, and freezes every
-weight again.  A bare in-place write into a frozen array raises numpy's
+Every pass computes in the dtype of the model's weights.  This is the one
+description of the float32 path.  `build` draws float64 weights, a
+checkpoint stores and loads float64, and `training.train` trains the
+float32 `cast` of its initial draw in place and returns it upcast once.
+Every float32 reader, the simulator's Monte Carlo entry points and
+`training.evaluate`, gets a model's float32 weights from `compute_copy`
+and from nowhere else: a model whose weights are all COMPUTE_DTYPE is its
+own compute copy, as it is (so each epoch's `evaluate` reads the model
+that trains, writeable), and a float64 model's is its `cast`, made once
+and kept by the model's serving cache, which freezes the model.  A cast
+computes every pass, the CNN's included, in float32, and owns its arrays
+and its serving cache, so a copy held across an edit of the model is a
+snapshot of the weights it was made from.  The float64 model itself
+serves the exact oracle, `forward_session`, `session_nll` and `grad_check`.
+
+Serving freezes a model.  Its first serving call (`start`, `step` or a
+float64 model's `compute_copy`) builds one serving cache, which sets every
+weight array read-only and then holds, each filled when first needed, the
+page table (layer 0's projection of the page names, which every `start`
+miss and every `step` reads), a node store with its start memo, and a
+float64 model's compute copy.  The memo maps every prefix a `start` has
+run to its root node, which holds its state rows and next-page
+distribution: a frozen model's start depends only on the prefix, and
+prefixes recur, so `start` runs only the prefixes the memo lacks.  A
+`start` the memo serves whole returns a kept state, and `step` of a kept
+state adds the children it reaches to that prefix's rollout tree, so each
+sampled path of a recurring prefix is stepped once per cache.  The cache
+is reused while every weight is still the same array and still read-only
+(:func:`_unchanged`), and restarts whole otherwise.  So a served model's
+weights are edited by assigning a new array to a `Matrix.data`, or by
+setting its ``flags.writeable = True`` first; the next serving call sees
+either edit, rebuilds, and freezes every weight again.  A bare in-place write into a frozen array raises numpy's
 ValueError, and so does :func:`numerics.grad_check` of a served model.
 Two edits stay unseen: a write through a writeable numpy view taken before
 the first serving call, and an edit made writeable and served by another
@@ -49,9 +59,10 @@ model built from the same `Matrix` objects.  A pickled model carries no
 cache.  A `step` of a state whose store is no longer its model's (after an
 edit, or after the store restarted at its bound) steps plain, on the
 current cache's table, so a state held across an edit steps with the
-edited weights throughout; training, evaluation, `batch_step_probs`,
-`session_nll` and `forward_session` never read the cache, and freeze
-nothing.  Serving is the same under any tape:
+edited weights throughout; training, `batch_step_probs`, `session_nll`
+and `forward_session` never read the cache, and freeze nothing, and
+evaluation reads it only through a float64 model's `compute_copy`.
+Serving is the same under any tape:
 one that watches the weights records the passes and steps that run, on
 frozen weights, and `start` and `step` return plain arrays, which reach no
 loss.  Every product goes through :func:`numerics.rows_product`, so a row's
@@ -78,8 +89,8 @@ from .textenc import DEFAULT_ALPHABET, Alphabet, CnnEncoder, ConvStage
 
 CHECKPOINT_FORMAT = "journeynet-checkpoint"
 CHECKPOINT_VERSION = 1
-# dtype of a `SequenceModel.cast` by default, and so of the model that trains (which `train`
-# upcasts once to float64 when it returns it), of every model `evaluate` steps and of the compute copy
+# dtype of a `SequenceModel.cast` by default, of the model that trains and of every
+# compute copy, which every float32 reader steps (see the module notes)
 COMPUTE_DTYPE = np.float32
 # most weights a model may lay out, and most entries of one phrase's one-hot:
 # 10**8 float64 weights take 0.8 GB (the paper's config has 385 292 weights)
@@ -185,8 +196,8 @@ class LstmLayer:
 
 class LstmState:
     """Per-layer (hidden, cell) arrays of B rows, one per live sequence: plain
-    arrays in the dtype of the model's LSTM weights (float64, float32 in a
-    compute copy), so nothing in a state can reach a tape.
+    arrays in the dtype of the model's weights (float32 in a compute copy,
+    see the module notes), so nothing in a state can reach a tape.
 
     A plain state holds its rows.  A kept state holds `nodes`, the ids of its
     rows in `store`, a serving cache's node store, and gathers `layers` from
@@ -302,13 +313,18 @@ class SequenceModel:
         })
 
     def compute_copy(self) -> "SequenceModel":
-        """This model's :meth:`cast`, which computes every pass in COMPUTE_DTYPE
-        from a snapshot of the weights of this call.
+        """The model that computes this model's passes in COMPUTE_DTYPE: itself if every
+        weight is already of that dtype, else its :meth:`cast`.
 
-        It builds its own serving cache at once, which freezes its weights, so
-        its callers cannot write into it; this model's cache keeps it (see the
-        module notes) until a weight of this model changes.
+        The model itself is returned as it is, unfrozen until it serves.  A
+        cast is a snapshot of the weights of this call: it builds its own
+        serving cache at once, which freezes its weights, so its callers
+        cannot write into it, and this model's cache, which freezes this
+        model's weights, keeps it (see the module notes) until a weight of
+        this model changes.
         """
+        if all(w.data.dtype == COMPUTE_DTYPE for w in self.weights.values()):
+            return self
         cache = self._serving()
         if cache.copy is None:
             cache.copy = self.cast()
@@ -345,17 +361,17 @@ class SequenceModel:
 
     def _project(self, phrases: list[str]) -> Matrix:
         """Layer 0's input projection of the CNN embeddings of `phrases`, one row each."""
-        return nm.matmul(self.encoder.embed_batch(phrases), self.layers[0].wx)
+        return nm.matmul(self.encoder.embed(phrases), self.layers[0].wx)
 
     def _project_rows(self, phrases: list[str]) -> np.ndarray:
         """The rows of :meth:`_project` of `phrases` as one plain array, MAX_PASS_PHRASES to a CNN pass."""
         return np.concatenate([self._project(phrases[at:at + MAX_PASS_PHRASES]).data
                                for at in range(0, len(phrases), MAX_PASS_PHRASES)])
 
-    def _zero_state(self, batch: int, dtype) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each layer's zero (hidden, cell) pair for `batch` sequences: the state a padded pass
-        starts :meth:`cell_steps` from."""
-        zero = [np.zeros((batch, hs), dtype) for hs in self.config.lstm_hidden]
+    def _zero_state(self, batch: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each layer's zero (hidden, cell) pair for `batch` sequences, in the dtype of its
+        weights: the state a padded pass starts :meth:`cell_steps` from."""
+        zero = [np.zeros((batch, layer.wh.rows), layer.wh.data.dtype) for layer in self.layers]
         return [(z, z) for z in zero]
 
     def batch_step_probs(
@@ -377,7 +393,7 @@ class SequenceModel:
         rowidx, proj = np.asarray(rowidx), self._project(phrases)
         if not rowidx.size:
             raise ShapeError(f"a pass needs at least one sequence of at least one step, got rows {rowidx.shape}")
-        zero = self._zero_state(len(rowidx), proj.data.dtype)
+        zero = self._zero_state(len(rowidx))
         layers = self.cell_steps(proj, zero, nm.row_index(rowidx.T.ravel(), proj.rows))
         return self.head(layers[-1][0], dropout_rng)
 
@@ -459,7 +475,7 @@ class SequenceModel:
         x = table[np.where(new, 0, idx)]
         if phrases:
             x[new] = self._project_rows(phrases)[idx[new] - len(table)]
-        layers = self.cell_steps(Matrix._result(x), self._zero_state(len(lengths), x.dtype))
+        layers = self.cell_steps(Matrix._result(x), self._zero_state(len(lengths)))
         return self._pass_rows(layers, (lengths - 1) * len(lengths) + np.arange(len(lengths)))
 
     def step(self, state: LstmState, rows, pages) -> tuple[LstmState, np.ndarray]:
@@ -663,7 +679,7 @@ def model_from_dict(d: dict) -> SequenceModel:
             raise CheckpointError(f"checkpoint weights for {name!r} are not an array") from exc
         if not np.isfinite(arr).all():
             raise CheckpointError(f"checkpoint weights for {name!r} are not all finite")
-        return Matrix(arr)
+        return Matrix._result(arr)
 
     return SequenceModel(config, vocab, {name: weight(name) for name in shapes})
 

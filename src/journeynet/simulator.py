@@ -22,16 +22,16 @@ bound, `seqmodel.MAX_KEPT_NODES`).
 one-prefix entry point calls `start([prefix])`.
 
 The Monte Carlo entry points (`score_batch`, `estimate_conversion`,
-`rollout`, `step_distribution`) serve a float32 compute copy of a model or
-ensemble (its `compute_copy`: a model of its own arrays, which the model's
-serving cache keeps until a weight of the model changes); a predictor
-without one runs as it is.  Every serving call, the exact oracle's
+`rollout`, `step_distribution`) serve the float32 compute copy of a model
+or ensemble (its `compute_copy`; the float32 path is described in
+:mod:`journeynet.seqmodel`'s module notes); a predictor without one runs
+as it is.  Every serving call, the exact oracle's
 (`conversion_path_mass`, `exact_conversion`) too, freezes every weight of
 the model read-only, so an edit goes through a new array or
 ``flags.writeable`` (see :mod:`journeynet.seqmodel`).  Sampling
 accumulates each distribution's CDF in float64, and the oracle runs the
-float64 model, which shares no array with its copy and which serving never
-writes, so it checks the served estimates independently.
+model itself: a float64 model shares no array with its copy, so the oracle
+checks the served estimates independently.
 
 Rollouts advance together: the rollouts of every prefix started in one
 call step in lockstep, each distinct live path is one row of a batched
@@ -169,7 +169,7 @@ def _targets(objectives: list[Objective], vocab: PageVocabulary) -> np.ndarray:
 
 
 def _served(predictor):
-    """The predictor's compute copy, kept or cast from its weights now, if it makes one; else itself."""
+    """The predictor's compute copy (`SequenceModel.compute_copy`) if it makes one; else itself."""
     compute_copy = getattr(predictor, "compute_copy", None)
     return predictor if compute_copy is None else compute_copy()
 

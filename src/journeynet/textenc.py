@@ -131,7 +131,7 @@ class CnnEncoder:
 
     The stages' weights follow the model's layout
     (:func:`seqmodel.parameter_shapes`), which fixes the embedding width;
-    `embed` maps any text to a 1 x width vector.
+    `embed` maps any list of texts to one row of that width each.
     """
 
     def __init__(self, alphabet: Alphabet, max_len: int, stages: list[ConvStage]):
@@ -141,11 +141,7 @@ class CnnEncoder:
         self.max_len = max_len
         self.stages = stages
 
-    def embed(self, phrase: str) -> Matrix:
-        """Encode a phrase into a 1 x width vector."""
-        return self.embed_batch([phrase])
-
-    def embed_batch(self, phrases: list[str]) -> Matrix:
+    def embed(self, phrases: list[str]) -> Matrix:
         """Encode phrases into a len(phrases) x width matrix, row i for phrase i.
 
         All phrases go through each stage together: one im2col product and
@@ -154,7 +150,7 @@ class CnnEncoder:
         """
         n = len(phrases)
         if not n:
-            raise ValueError("embed_batch needs at least one phrase")
+            raise ValueError("embed needs at least one phrase")
         h = Matrix._result(
             np.concatenate(
                 [quantize(p, self.alphabet, self.max_len) for p in phrases],

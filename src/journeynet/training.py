@@ -4,15 +4,16 @@ Sessions are dwell-expanded, bucketed by length, and padded within each
 batch; padding steps are masked out of the loss.  The optimizer is plain
 gradient descent with a per-parameter adaptive step (running average of
 squared gradients) and global-norm gradient clipping.  Training and
-evaluation run in float32: `train` draws the initial weights in float64,
-casts them once (`SequenceModel.cast`, which also builds the served compute
-copy) to the model it trains, keeps no float64 weight, and returns that
-model upcast once to float64.  Each batch's forward and backward pass runs
-on it, and the optimizer step updates its arrays in place; only the clip
-norm sums squares in float64.  One helper thread runs the leaf-gradient
-products of the backward pass and, in each optimizer step, its own set of
-whole weights, fixed when training starts, while the calling thread runs
-the rest; neither changes a bit.  Every random
+evaluation run in float32, on the path :mod:`journeynet.seqmodel`'s module
+notes describe: `train` casts its float64 initial draw once to the model
+it trains, keeps no float64 weight and returns that model upcast once,
+and `evaluate` steps each model's `compute_copy`.  Each batch's forward
+and backward pass runs on the float32 model, and the optimizer step
+updates its arrays in place; only the clip norm sums squares in float64.
+One helper thread runs the leaf-gradient products of the backward pass
+and, in each optimizer step, its own set of whole weights, fixed when
+training starts, while the calling thread runs the rest; neither changes
+a bit.  Every random
 choice (init, shuffling, dropout) derives from the config seed, so a run is
 exactly repeatable.  Each epoch ends with a plain `evaluate` of the model
 as it trains on the held-out sessions (so a standalone `evaluate` of the
@@ -37,7 +38,6 @@ from .errors import CheckpointError, ConfigError, TrainingError, check_int, chec
 from .journeydata import PageVocabulary, expand_session
 from .seqmodel import (
     CHECKPOINT_FORMAT,
-    COMPUTE_DTYPE,
     ModelConfig,
     SequenceModel,
     checkpoint_field,
@@ -324,14 +324,16 @@ def evaluate(predictor, sessions, vocab: PageVocabulary) -> tuple[float, float]:
     Accuracy counts steps whose argmax prediction (ties to the lowest index)
     equals the true next page; dropout is disabled.  `predictor` is a model
     or an ensemble, and `vocab` must hold its page names (ConfigError
-    otherwise, and for no sessions).  Every model computes in COMPUTE_DTYPE:
-    one whose weights are of another dtype runs as its `SequenceModel.cast`,
-    made once per call and not through its serving cache, so `evaluate`
-    freezes and writes no weight.  The sessions' (inputs, targets) pairs
-    of `expand_session` are sorted, and their expanded inputs cut into runs
-    whose prefix trees hold at most EVAL_ROWS nodes at each depth
-    (:func:`_runs`); each run's distinct prefixes run once, one depth to a
-    pass (:func:`_depth_distributions`), so a prefix runs twice only where it
+    otherwise, and for no sessions).  Every model runs as its
+    `SequenceModel.compute_copy`: a float32 model as it is, writeable (the
+    model that trains, at each epoch's end), and a float64 one as the
+    float32 cast that its serving cache keeps, which the first `evaluate`
+    or serving call makes and which freezes it; `evaluate` writes no
+    weight.  The sessions' (inputs, targets) pairs of `expand_session` are
+    sorted, and their expanded inputs cut into runs whose prefix trees
+    hold at most EVAL_ROWS nodes at each depth (:func:`_runs`); each run's
+    distinct prefixes run once, one depth to a pass
+    (:func:`_depth_distributions`), so a prefix runs twice only where it
     spans a cut; an ensemble averages its members' distributions at each
     node.  Of a depth's distributions only each step's target probability and
     argmax hit are kept, so beyond one pass the memory grows only with the
@@ -352,8 +354,7 @@ def evaluate(predictor, sessions, vocab: PageVocabulary) -> tuple[float, float]:
     first = np.cumsum(lengths) - lengths  # each session's first step in the per-step arrays
     targets = np.concatenate([y for _, y in expanded])
     prob, hit = np.zeros(len(targets)), np.zeros(len(targets), bool)
-    models = [m if all(w.data.dtype == COMPUTE_DTYPE for w in m.weights.values()) else m.cast()
-              for m in (predictor.models if isinstance(predictor, Ensemble) else [predictor])]
+    models = [m.compute_copy() for m in (predictor.models if isinstance(predictor, Ensemble) else [predictor])]
     for run in _runs(inputs):
         for t, (live, at, dist) in enumerate(_depth_distributions(models, inputs[run])):
             step = first[run.start + live] + t
@@ -394,7 +395,7 @@ def _depth_distributions(models, sequences):
     """
     phrases, rowidx, lengths = padded_batch(sequences)
     tables = [m._project_rows(phrases) for m in models]
-    states = [m._zero_state(1, table.dtype) for m, table in zip(models, tables)]
+    states = [m._zero_state(1) for m in models]
     node = np.full(len(sequences), -1, np.intp)
     for t in range(lengths.max()):
         live = np.flatnonzero(lengths > t)

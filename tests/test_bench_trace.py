@@ -14,7 +14,7 @@ from journeynet import training
 from journeynet.journeydata import build_vocab, generate_synthetic
 
 
-def test_traced_training_reports_its_batches_and_tape_nodes():
+def test_traced_training_reports_its_batches_tape_nodes_and_cnn_passes():
     sessions = generate_synthetic(funnel_chain(), 8, seed=5)
     vocab = build_vocab(sessions, min_freq=1)
     spans = load_spans()
@@ -29,6 +29,8 @@ def test_traced_training_reports_its_batches_and_tape_nodes():
     metrics = spans.summarize(tracer.spans)
     assert metrics["training.batches"] == 2
     assert metrics["numerics.tape_nodes_per_batch"] == 15
+    # every CNN pass, the training batches' and evaluate's, goes through the hooked `embed`
+    assert metrics["textenc.embed_calls"] > 0
 
 
 def test_training_makes_every_traced_call_on_the_calling_thread():

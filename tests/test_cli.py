@@ -140,9 +140,9 @@ def test_simulate_memo_runs_one_padded_pass_and_writes_the_traces_of_cold_starts
     passes = []
     zero_state, start = SequenceModel._zero_state, SequenceModel.start
 
-    def counting_pass(self, batch, dtype):
+    def counting_pass(self, batch):
         passes.append(batch)
-        return zero_state(self, batch, dtype)
+        return zero_state(self, batch)
 
     def simulate(name):
         trace_file = tmp_path / name

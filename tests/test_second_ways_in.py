@@ -39,7 +39,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "journeynet"
 
 # name -> why it stays with no caller in src/
 ALLOWED = {
-    "textenc.CnnEncoder.embed": "bench/spans.py hooks it for the textenc.embed spans",
     "rng.stream_at": "bench/spans.py hooks it, and the tests check rng.restart against it",
     "journeydata.replicate_dwell(unit_seconds)": "tests/test_acceptance.py sets it",
     "journeydata.replicate_dwell(cap)": "tests/test_acceptance.py sets it",

@@ -646,13 +646,13 @@ def test_start_rejects_no_prefixes():
 def test_batched_start_encodes_the_page_names_once(monkeypatch):
     model = toy_model(seed=45)
     calls = []
-    original = type(model.encoder).embed_batch
+    original = type(model.encoder).embed
 
     def counting(self, phrases):
         calls.append(list(phrases))
         return original(self, phrases)
 
-    monkeypatch.setattr(type(model.encoder), "embed_batch", counting)
+    monkeypatch.setattr(type(model.encoder), "embed", counting)
     model.start(BATCHED_PREFIXES)
     # the page names in a call of their own, for the page table; then every other phrase of the call once
     extras = ["", "car insurance", "kw", "yy", "zz-not-a-page"]
@@ -704,17 +704,17 @@ def assert_same_outputs(got, want):
 
 @pytest.fixture
 def embed_calls(monkeypatch):
-    """The phrase lists of every CnnEncoder.embed_batch call."""
+    """The phrase lists of every CnnEncoder.embed call."""
     from journeynet.textenc import CnnEncoder
 
     calls = []
-    original = CnnEncoder.embed_batch
+    original = CnnEncoder.embed
 
     def counting(self, phrases):
         calls.append(list(phrases))
         return original(self, phrases)
 
-    monkeypatch.setattr(CnnEncoder, "embed_batch", counting)
+    monkeypatch.setattr(CnnEncoder, "embed", counting)
     return calls
 
 
@@ -730,9 +730,9 @@ def passes(monkeypatch):
     calls = []
     original = SequenceModel._zero_state
 
-    def counting(self, batch, dtype):
+    def counting(self, batch):
         calls.append(batch)
-        return original(self, batch, dtype)
+        return original(self, batch)
 
     monkeypatch.setattr(SequenceModel, "_zero_state", counting)
     return calls
@@ -1391,6 +1391,14 @@ def test_load_rejects_a_weight_that_is_not_finite_naming_it(value):
     data[3] = value
     wh["data"] = base64.b64encode(data.tobytes()).decode()
     with pytest.raises(CheckpointError, match="'lstm0.wh' are not all finite"):
+        model_from_dict(d)
+
+
+def test_load_rejects_a_weight_stored_in_another_shape_of_its_entries():
+    # each weight is taken as it decodes: a 1 x V bias stored with shape [V] is off the layout
+    d = model_to_dict(toy_model(seed=8))
+    d["weights"]["out.bias"]["shape"] = d["weights"]["out.bias"]["shape"][1:]
+    with pytest.raises(ShapeError):
         model_from_dict(d)
 
 

@@ -988,17 +988,17 @@ def test_score_batch_memo_serves_a_repeated_call_without_a_pass(funnel_model, mo
 
     model = model_from_dict(model_to_dict(funnel_model))  # cold: the shared fixture may be warm
     calls, passes = [], []
-    original, original_pass = CnnEncoder.embed_batch, SequenceModel._zero_state
+    original, original_pass = CnnEncoder.embed, SequenceModel._zero_state
 
     def counting(self, phrases):
         calls.append(list(phrases))
         return original(self, phrases)
 
-    def counting_pass(self, batch, dtype):
+    def counting_pass(self, batch):
         passes.append(batch)
-        return original_pass(self, batch, dtype)
+        return original_pass(self, batch)
 
-    monkeypatch.setattr(CnnEncoder, "embed_batch", counting)
+    monkeypatch.setattr(CnnEncoder, "embed", counting)
     monkeypatch.setattr(SequenceModel, "_zero_state", counting_pass)
     prefixes = [
         JourneyPrefix("car insurance quotes online", ("landing",)),
@@ -1107,7 +1107,7 @@ def test_compute_copy_encodes_the_page_names_once_over_calls_of_every_entry_poin
     # freshly loaded members: the shared fixture may be warm
     ensemble = Ensemble([model_from_dict(model_to_dict(m)) for m in funnel_ensemble(funnel_model).models])
     calls, passes = [], []
-    original, original_pass = CnnEncoder.embed_batch, SequenceModel._zero_state
+    original, original_pass = CnnEncoder.embed, SequenceModel._zero_state
 
     def counting(self, phrases):
         calls.append(list(phrases))
@@ -1117,7 +1117,7 @@ def test_compute_copy_encodes_the_page_names_once_over_calls_of_every_entry_poin
         passes.append(self)
         return original_pass(self, *args)
 
-    monkeypatch.setattr(CnnEncoder, "embed_batch", counting)
+    monkeypatch.setattr(CnnEncoder, "embed", counting)
     monkeypatch.setattr(SequenceModel, "_zero_state", counting_pass)
     for seed in (3, 4):
         score_batch(ensemble, FUNNEL_PREFIXES, FUNNEL_OBJECTIVES, n_samples=100, horizon=8, seed=seed)
@@ -1151,7 +1151,7 @@ def test_frozen_model_builds_one_float32_copy_and_one_memo_over_repeated_serving
 
     model = fresh_funnel(funnel_model)
     built, names_passes, passes = [], [], []
-    init, embed, zero_state = SequenceModel.__init__, CnnEncoder.embed_batch, SequenceModel._zero_state
+    init, embed, zero_state = SequenceModel.__init__, CnnEncoder.embed, SequenceModel._zero_state
 
     def counting_init(self, *args):
         built.append(self)
@@ -1166,7 +1166,7 @@ def test_frozen_model_builds_one_float32_copy_and_one_memo_over_repeated_serving
         return zero_state(self, *args)
 
     monkeypatch.setattr(SequenceModel, "__init__", counting_init)
-    monkeypatch.setattr(CnnEncoder, "embed_batch", counting_embed)
+    monkeypatch.setattr(CnnEncoder, "embed", counting_embed)
     monkeypatch.setattr(SequenceModel, "_zero_state", counting_pass)
     memos = set()
     for seed in range(3):
@@ -1194,25 +1194,32 @@ def test_frozen_weights_after_a_serving_call_are_read_only(funnel_model):
         nm.grad_check(lambda: model.session_nll(["quotes", "landing"], [0, 1]), [model.w_out])
 
 
-def test_frozen_never_by_train_or_evaluate_only_by_serving():
-    from journeynet.training import evaluate
+def test_frozen_never_by_training_only_by_serving(monkeypatch):
+    from journeynet import training
 
     sessions = generate_synthetic(funnel_chain(), 40, seed=6)
     config = TrainConfig(
-        epochs=1, batch_size=16, dropout_rate=0.0, seed=6, max_len=16,
+        epochs=2, batch_size=16, dropout_rate=0.0, seed=6, max_len=16,
         conv_stages=((3, 4, 4),), lstm_hidden=(6,), fc_width=6,
     )
+    trained, batch_loss = [], training._batch_loss
+
+    def noting(model, *args):
+        trained.append(model)
+        return batch_loss(model, *args)
+
+    monkeypatch.setattr(training, "_batch_loss", noting)
     model, _ = train(sessions, config, build_vocab(sessions, min_freq=2))
 
-    def writeable():
-        return [w.data.flags.writeable for _, w in model.parameters()]
+    def writeable(m):
+        return [w.data.flags.writeable for _, w in m.parameters()]
 
-    assert all(writeable())
-    evaluate(model, sessions, model.vocab)
+    # each epoch's evaluate read the float32 model that trains as it is
+    assert all(writeable(trained[0])) and trained[0]._cache is None and all(writeable(model))
     model.forward_session(["quotes", "landing"])
-    assert all(writeable())
+    assert all(writeable(model))
     estimate_conversion(model, FUNNEL_PREFIXES[0], FUNNEL_OBJECTIVES[0], 50, 8, seed=1)
-    assert not any(writeable())
+    assert not any(writeable(model))
 
 
 def test_frozen_ensemble_members_keep_one_copy_each(funnel_model):

@@ -185,7 +185,7 @@ def test_encoder_needs_a_stage_and_a_phrase():
     with pytest.raises(ValueError, match="at least one stage"):
         CnnEncoder(Alphabet(), 12, [])
     with pytest.raises(ValueError, match="at least one phrase"):
-        _toy_model().encoder.embed_batch([])
+        _toy_model().encoder.embed([])
 
 
 def _conv_weights(model):
@@ -194,7 +194,7 @@ def _conv_weights(model):
 
 def test_embed_length_constant_across_phrases():
     model = _toy_model()
-    lengths = {model.encoder.embed(p).cols for p in ["", "a", "hello world", "x" * 50, "éé--üü"]}
+    lengths = {model.encoder.embed([p]).cols for p in ["", "a", "hello world", "x" * 50, "éé--üü"]}
     assert lengths == {model.layers[0].wx.rows}
 
 
@@ -202,19 +202,19 @@ def test_embed_length_constant_across_phrases():
 @settings(max_examples=40, deadline=None)
 def test_embed_length_constant_property(phrase):
     model = _toy_model(seed=3)
-    assert model.encoder.embed(phrase).cols == model.layers[0].wx.rows
+    assert model.encoder.embed([phrase]).cols == model.layers[0].wx.rows
 
 
 def test_embed_empty_phrase_zero_bias_gives_zero_vector():
     enc = _toy_model(seed=1).encoder
-    v = enc.embed("")
+    v = enc.embed([""])
     assert not v.data.any()
 
 
 def test_embed_is_deterministic():
     enc = _toy_model(seed=2).encoder
-    a = enc.embed("car insurance quote")
-    b = enc.embed("car insurance quote")
+    a = enc.embed(["car insurance quote"])
+    b = enc.embed(["car insurance quote"])
     assert np.array_equal(a.data, b.data)
 
 
@@ -225,15 +225,15 @@ BATCH_PHRASES = ["", "home", "x" * 100, "Ünïcode?!"]
     (12, [(3, 4, 2), (3, 4, 2)]),
     (64, [(3, 64, 4), (3, 64, 4)]),
 ])
-def test_embed_batch_rows_equal_per_phrase_embed(max_len, stages):
+def test_embed_rows_equal_one_phrase_embeds(max_len, stages):
     model = _toy_model(6, max_len, stages)
     enc = model.encoder
     for _, p in _conv_weights(model):
         p.data += 0.05  # no dead filters, so rows are not trivially zero
-    batch = enc.embed_batch(BATCH_PHRASES).data
+    batch = enc.embed(BATCH_PHRASES).data
     assert batch.shape == (len(BATCH_PHRASES), model.layers[0].wx.rows)
     for row, phrase in zip(batch, BATCH_PHRASES):
-        assert np.array_equal(row, enc.embed(phrase).data[0])
+        assert np.array_equal(row, enc.embed([phrase]).data[0])
 
 
 def test_stacked_maxpool_equals_per_sequence_maxpool():
@@ -270,7 +270,7 @@ def test_off_tape_maxpool_equals_taped_forward():
     assert np.array_equal(off, np.array(want))
 
 
-def test_embed_batch_gradients_pass_grad_check():
+def test_embed_gradients_pass_grad_check():
     model = _toy_model(seed=7)
     enc = model.encoder
     gen = np.random.default_rng(8)
@@ -284,7 +284,7 @@ def test_embed_batch_gradients_pass_grad_check():
     w_rows = nm.Matrix(gen.uniform(0.5, 1.5, size=(1, len(phrases))))
 
     def f():
-        return nm.matmul(w_rows, nm.matmul(enc.embed_batch(phrases), w_out))
+        return nm.matmul(w_rows, nm.matmul(enc.embed(phrases), w_out))
 
     params = [p for _, p in _conv_weights(model)]
     assert nm.grad_check(f, params, h=1e-5) < 1e-4
@@ -304,7 +304,7 @@ def test_encoder_parameters_are_named_and_trainable():
     params = [p for _, p in _conv_weights(model)]
     # a tape that watches them trains every one of them
     with nm.ComputeTape(params) as tape:
-        loss = nm.matmul(enc.embed("car insurance"), nm.Matrix(np.ones((model.layers[0].wx.rows, 1))))
+        loss = nm.matmul(enc.embed(["car insurance"]), nm.Matrix(np.ones((model.layers[0].wx.rows, 1))))
     nm.backward(tape, loss)
     assert all(p.grad is not None and p.grad.shape == p.shape for p in params)
 

@@ -663,13 +663,13 @@ def test_no_cnn_pass_of_a_start_or_of_evaluate_holds_more_phrases_than_the_bound
     assert len(vocab) == 40
     model = SequenceModel.build(ModelConfig(**TOY_TRAIN), vocab, 40)
     passes = []
-    embed_batch = CnnEncoder.embed_batch
+    embed = CnnEncoder.embed
 
     def noting(self, phrases):
         passes.append(len(phrases))
-        return embed_batch(self, phrases)
+        return embed(self, phrases)
 
-    monkeypatch.setattr(CnnEncoder, "embed_batch", noting)
+    monkeypatch.setattr(CnnEncoder, "embed", noting)
     model.start([Prefix(f"keyword {i}", pages[i:i + 3]) for i in range(20)])
     assert sum(passes) == 40 + 20 and max(passes) <= seqmodel.MAX_PASS_PHRASES
     passes.clear()
@@ -896,18 +896,50 @@ def test_evaluate_of_the_trained_model_is_bitwise_its_last_report_line(chain_dat
     assert evaluate(ensemble, ev, vocab) == evaluate(Ensemble([m.cast() for m in ensemble.models]), ev, vocab)
 
 
-def test_evaluate_of_a_float64_model_leaves_its_weights_writeable_and_unchanged(chain_data):
-    # evaluate casts a float64 model for itself: it freezes nothing, as serving's compute copy would
+def test_evaluate_of_a_float64_model_freezes_its_weights_and_leaves_them_unchanged(chain_data):
+    # evaluate reads a float64 model's compute copy, which freezes the model as every serving call does
     _, ev, vocab = chain_data
     members = [SequenceModel.build(ModelConfig(**TOY_TRAIN), vocab, seed) for seed in (7, 8)]
-    for predictor in (members[0], Ensemble(members)):
-        before = [[(p.data, p.data.copy()) for _, p in m.parameters()] for m in members]
+    for predictor, read in ((members[0], members[:1]), (Ensemble(members), members)):
+        before = [[(p.data, p.data.copy()) for _, p in m.parameters()] for m in read]
         evaluate(predictor, ev, vocab)
-        for m, kept in zip(members, before):
-            assert m._cache is None
+        for m, kept in zip(read, before):
             for (name, p), (array, copy_) in zip(m.parameters(), kept):
-                assert p.data is array and p.data.dtype == np.float64 and p.data.flags.writeable, name
+                assert p.data is array and p.data.dtype == np.float64 and not p.data.flags.writeable, name
                 assert np.array_equal(p.data, copy_) and p.grad is None, name
+
+
+@pytest.mark.parametrize("members", [1, 2], ids=["model", "ensemble"])
+def test_a_float64_model_is_cast_once_for_every_evaluate_and_serving_call(chain_data, monkeypatch, members):
+    from journeynet.simulator import JourneyPrefix, Objective, score_batch
+
+    _, ev, vocab = chain_data
+    models = [SequenceModel.build(ModelConfig(**TOY_TRAIN), vocab, seed) for seed in range(7, 7 + members)]
+    predictor = models[0] if members == 1 else Ensemble(models)
+    want = evaluate(Ensemble([m.cast() for m in models]), ev, vocab)
+    assert evaluate(predictor, ev, vocab) == want
+    casts, cast = [], SequenceModel.cast
+
+    def counting(self, *args):
+        casts.append(self)
+        return cast(self, *args)
+
+    monkeypatch.setattr(SequenceModel, "cast", counting)
+    assert evaluate(predictor, ev, vocab) == want
+    score_batch(predictor, [JourneyPrefix("car insurance", ("home",))],
+                [Objective("confirm", frozenset({"confirm"}))], 50, 5, seed=1)
+    assert casts == []
+
+
+def test_a_float32_models_compute_copy_is_itself_and_writeable_until_it_serves(chain_data):
+    _, ev, vocab = chain_data
+    model = SequenceModel.build(ModelConfig(**TOY_TRAIN), vocab, 7).cast()
+    for _ in range(2):
+        assert model.compute_copy() is model and Ensemble([model]).compute_copy().models == [model]
+        evaluate(model, ev, vocab)
+        assert model._cache is None and all(p.data.flags.writeable for _, p in model.parameters())
+    predict_next(model, Prefix("car insurance", ("home",)))
+    assert model.compute_copy() is model and not any(p.data.flags.writeable for _, p in model.parameters())
 
 
 def test_training_error_mid_batch_leaves_the_float64_masters_in_place(chain_data, monkeypatch):

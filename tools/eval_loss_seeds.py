@@ -6,10 +6,15 @@ training seeds 1 to 4 on each of two seeded chains of its own, a ten-page
 chain with one likely successor per page and a strictly forward six-stage
 funnel, each with 1 000 training and 250 held-out sessions, and prints the
 final epoch's held-out `eval_loss` of every run, then each chain's mean and
-spread (max - min) over the seeds:
+spread (max - min) over the seeds; then, once both chains are done, the
+same lines of each run's mean `eval_loss` over its last 3 epochs (read from
+its `TrainReport`, which averages out the swing between neighbouring
+epochs; of both epochs at `--tiny`):
 
     eval_loss <chain> seed <seed> <nats per step>
     eval_loss_mean <chain> <nats per step> spread <nats per step>
+    eval_loss_last3 <chain> seed <seed> <nats per step>
+    eval_loss_last3_mean <chain> <nats per step> spread <nats per step>
 
 Every input derives from fixed seeds, so a checkout prints the same lines
 on every run; compare two checkouts' output to see how a change moved the
@@ -37,6 +42,8 @@ from journeynet.training import TrainConfig, train  # noqa: E402
 DATA_SEED = 50
 TRAINING_SEEDS = (1, 2, 3, 4)
 EPOCHS = 10
+# epochs at the end of a run whose held-out losses the `eval_loss_last3` lines average
+LAST_EPOCHS = 3
 TRAIN_SESSIONS = 1000
 HELD_OUT_SESSIONS = 250
 TINY = dict(max_len=16, conv_stages=((3, 4, 4),), lstm_hidden=(12,), fc_width=12)
@@ -91,8 +98,9 @@ def funnel_chain() -> MarkovSpec:
 CHAINS = {"ten-page": ten_page_chain, "funnel": funnel_chain}
 
 
-def eval_losses(chain: MarkovSpec, tiny: bool) -> list[float]:
-    """The final held-out `eval_loss` of one `train` per training seed, on the chain's sessions."""
+def eval_losses(chain: MarkovSpec, tiny: bool) -> list[tuple[float, float]]:
+    """(final held-out `eval_loss`, mean `eval_loss` of the last LAST_EPOCHS epochs) of one
+    `train` per training seed, on the chain's sessions."""
     run = TINY_RUN if tiny else dict(epochs=EPOCHS, train_sessions=TRAIN_SESSIONS,
                                      held_out_sessions=HELD_OUT_SESSIONS)
     sessions = generate_synthetic(chain, run["train_sessions"] + run["held_out_sessions"], DATA_SEED)
@@ -102,19 +110,28 @@ def eval_losses(chain: MarkovSpec, tiny: bool) -> list[float]:
     for seed in TRAINING_SEEDS:
         config = TrainConfig(epochs=run["epochs"], seed=seed, **(TINY if tiny else {}))
         _, report = train(train_set, config, vocab, eval_sessions=held_out)
-        losses.append(report.final.eval_loss)
+        last = [epoch.eval_loss for epoch in report.epochs[-LAST_EPOCHS:]]
+        losses.append((report.final.eval_loss, statistics.fmean(last)))
     return losses
+
+
+def print_runs(label: str, name: str, values) -> None:
+    """One `<label> <chain> seed <seed> <value>` line per training seed, then the values' mean and spread."""
+    for seed, value in zip(TRAINING_SEEDS, values):
+        print(f"{label} {name} seed {seed} {value!r}", flush=True)
+    print(f"{label}_mean {name} {statistics.fmean(values)!r} spread {max(values) - min(values)!r}", flush=True)
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tiny", action="store_true", help="a small architecture and a short run instead")
     args = parser.parse_args(argv)
+    last3 = {}
     for name, chain in CHAINS.items():
-        losses = eval_losses(chain(), args.tiny)
-        for seed, loss in zip(TRAINING_SEEDS, losses):
-            print(f"eval_loss {name} seed {seed} {loss!r}", flush=True)
-        print(f"eval_loss_mean {name} {statistics.fmean(losses)!r} spread {max(losses) - min(losses)!r}", flush=True)
+        finals, last3[name] = zip(*eval_losses(chain(), args.tiny))
+        print_runs("eval_loss", name, finals)
+    for name, means in last3.items():
+        print_runs("eval_loss_last3", name, means)
     return 0
 
 

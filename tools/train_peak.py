@@ -3,12 +3,13 @@
 The runs train at the paper's architecture (`TrainConfig` defaults) on
 1 000 sessions of a fixed seeded ten-page chain, none longer than 20 pages,
 and evaluate on 250 more, after a small warm-up `train` that no reading
-includes.  Four lines are printed:
+includes.  Five lines are printed:
 
     peak_mb <MB of 2**20 bytes>
     later_epoch_minor_faults median <count> min <count> max <count> runs 5
     evaluate_peak_mb <MB of 2**20 bytes>
     evaluate_distinct_peak_mb <MB of 2**20 bytes>
+    evaluate_again_peak_mb <MB of 2**20 bytes>
 
 `peak_mb` is the tracemalloc peak of a one-epoch run.  Every input derives
 from fixed seeds, and tracemalloc counts the bytes Python and numpy ask
@@ -28,7 +29,10 @@ held-out evaluation that ends each epoch, apart from training's arrays).
 The chain picks a session's keyword phrase from its first page, so those
 sessions share their starts; `evaluate_distinct_peak_mb` reads the same
 `evaluate` with each session given a keyword phrase of its own, so its
-prefix tree shares no start.
+prefix tree shares no start.  The built model is float64, so `evaluate`
+reads its float32 compute copy, which the first call casts and the model's
+serving cache keeps; `evaluate_again_peak_mb` reads a second `evaluate` of
+the sharing sessions by the same model, which casts nothing.
 `--tiny` runs a small architecture instead (for tests).
 
 Run from the repository root:
@@ -106,9 +110,12 @@ def train_peak_mb(train_set, held_out, vocab, config) -> float:
         tracemalloc.stop()
 
 
-def evaluate_peak_mb(held_out, vocab, config) -> float:
-    """The tracemalloc peak of one `evaluate` of `held_out` by a freshly built model."""
+def evaluate_peak_mb(held_out, vocab, config, again: bool = False) -> float:
+    """The tracemalloc peak of one `evaluate` of `held_out` by a freshly built model,
+    or, if `again`, of its second `evaluate` of them."""
     model = SequenceModel.build(config.model_config(), vocab, config.seed)
+    if again:
+        training.evaluate(model, held_out, vocab)
     tracemalloc.start()
     try:
         training.evaluate(model, held_out, vocab)
@@ -150,6 +157,7 @@ def main(argv: list[str]) -> int:
     print(f"evaluate_peak_mb {evaluate_peak_mb(held_out, vocab, config):.2f}")
     distinct = [dataclasses.replace(s, keywords=f"{s.keywords} {i}") for i, s in enumerate(held_out)]
     print(f"evaluate_distinct_peak_mb {evaluate_peak_mb(distinct, vocab, config):.2f}")
+    print(f"evaluate_again_peak_mb {evaluate_peak_mb(held_out, vocab, config, again=True):.2f}")
     return 0
 
 
